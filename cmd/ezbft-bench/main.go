@@ -10,7 +10,11 @@
 // transport-side pre-verification × the shared verified-signature cache at
 // batch size 1 for all four protocols. It is not part of `-e all` (the
 // simulated artifacts); run it explicitly, optionally with `-json` to
-// write the machine-readable snapshot (BENCH_crypto.json).
+// write the result. No snapshot of it is checked in: it is a closed loop on
+// one P, and the measured cost of authentication is the repository
+// benchmark's tcp_ecdsa workload and auth.* layer rows (see benchmark/).
+// Only ECDSA sits behind the cache (auth.Cached), so its `cache` variants
+// equal the others under HMAC.
 //
 // The `exec` experiment measures the deterministic parallel executor in
 // isolation: pre-committed workloads replay through one execution pass at

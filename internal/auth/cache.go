@@ -110,10 +110,11 @@ type CachedAuth struct {
 var _ Authenticator = (*CachedAuth)(nil)
 
 // Cached wraps a for node self with the given cache (nil cache creates a
-// private one with DefaultCacheCapacity). Wrapping a Noop authenticator is
-// pointless and returns it unchanged.
+// private one with DefaultCacheCapacity). Only ECDSA is worth a memo: Noop
+// has nothing to skip, and an HMAC verification costs what a memo hit does
+// (see the package comment), so both are returned unchanged.
 func Cached(a Authenticator, self types.NodeID, cache *VerifyCache) Authenticator {
-	if a == nil || a.Scheme() == SchemeNoop {
+	if a == nil || a.Scheme() != SchemeECDSA {
 		return a
 	}
 	if cache == nil {

@@ -120,10 +120,15 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCacheNoopPassthrough: wrapping a Noop authenticator is a no-op.
-func TestCacheNoopPassthrough(t *testing.T) {
+// TestCachePassthrough: only ECDSA goes behind the memo; Noop has nothing to
+// skip and an HMAC verification costs what a memo hit does.
+func TestCachePassthrough(t *testing.T) {
 	if a := Cached(Noop{}, types.ReplicaNode(0), nil); a != (Noop{}) {
 		t.Fatalf("Cached(Noop) = %T, want Noop", a)
+	}
+	h := NewHMACKeyring([]byte("passthrough")).ForNode(types.ReplicaNode(0))
+	if a := Cached(h, types.ReplicaNode(0), nil); a != Authenticator(h) {
+		t.Fatalf("Cached(HMAC) = %T, want the HMAC authenticator itself", a)
 	}
 }
 

@@ -12,6 +12,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -114,9 +115,16 @@ func (w *Writer) Instance(id types.InstanceID) {
 
 // InstanceSet appends a dependency set in deterministic sorted order.
 func (w *Writer) InstanceSet(s types.InstanceSet) {
-	ids := s.Sorted()
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
+	w.Uvarint(uint64(len(s)))
+	if len(s) <= 1 {
+		// Nothing to order, so no sorted copy: most dependency sets on a
+		// low-conflict workload are empty or hold the one latest instance.
+		for id := range s {
+			w.Instance(id)
+		}
+		return
+	}
+	for _, id := range s.Sorted() {
 		w.Instance(id)
 	}
 }
@@ -147,6 +155,26 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// Offset returns the position of the next unread byte; with Since it lets a
+// decoder name the bytes that encoded a value it just parsed.
+func (r *Reader) Offset() int { return r.off }
+
+// Since returns the bytes read since Offset returned start. The slice
+// aliases the reader's buffer and is valid only as long as that is.
+func (r *Reader) Since(start int) []byte { return r.buf[start:r.off] }
+
+// SkipPrefix consumes p if the unread bytes begin with it and reports
+// whether they did. A value whose encoding is known can be recognised this
+// way without being decoded again: the format is deterministic, so equal
+// bytes at the start of a value decode to an equal value.
+func (r *Reader) SkipPrefix(p []byte) bool {
+	if r.err != nil || len(p) == 0 || !bytes.HasPrefix(r.buf[r.off:], p) {
+		return false
+	}
+	r.off += len(p)
+	return true
+}
 
 // Finish returns an error if reading failed or bytes remain.
 func (r *Reader) Finish() error {

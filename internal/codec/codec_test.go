@@ -155,6 +155,65 @@ func TestInstanceSetRoundTripAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestInstanceSetEncodingBySize pins the layout (count, then members in
+// (space, slot) order) on both sides of the small-set fast path, and that
+// writing an empty or one-member set into a warm writer allocates nothing.
+func TestInstanceSetEncodingBySize(t *testing.T) {
+	ids := []types.InstanceID{{Space: 0, Slot: 7}, {Space: 0, Slot: 300}, {Space: 2, Slot: 1}}
+	for n := 0; n <= len(ids); n++ {
+		want := NewWriter(0)
+		want.Uvarint(uint64(n))
+		for _, id := range ids[:n] {
+			want.Instance(id)
+		}
+		// Insert in reverse so map order has no reason to match.
+		s := types.NewInstanceSet()
+		for i := n - 1; i >= 0; i-- {
+			s.Add(ids[i])
+		}
+		got := NewWriter(64)
+		got.InstanceSet(s)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d members: encoded %x, want %x", n, got.Bytes(), want.Bytes())
+		}
+		if n <= 1 {
+			if allocs := testing.AllocsPerRun(100, func() { got.Reset(); got.InstanceSet(s) }); allocs != 0 {
+				t.Errorf("%d members: encoding allocates %v times", n, allocs)
+			}
+		}
+	}
+}
+
+func TestReaderSkipPrefix(t *testing.T) {
+	w := NewWriter(0)
+	w.String("abc")
+	w.Uvarint(7)
+	w.String("abc")
+	w.Uvarint(7)
+	w.String("abd")
+	r := NewReader(w.Bytes())
+	start := r.Offset()
+	if r.String() != "abc" || r.Uvarint() != 7 {
+		t.Fatal("first value misread")
+	}
+	enc := r.Since(start)
+	if !r.SkipPrefix(enc) {
+		t.Fatal("identical encoding not recognised")
+	}
+	if r.SkipPrefix(enc) || r.SkipPrefix(nil) {
+		t.Fatal("prefix matched where the bytes differ (or an empty prefix matched)")
+	}
+	if got := r.String(); got != "abd" {
+		t.Fatalf("reader out of position after SkipPrefix: read %q", got)
+	}
+	if r.SkipPrefix(enc) {
+		t.Fatal("prefix longer than the remaining bytes matched")
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInstanceSetSanityBound(t *testing.T) {
 	w := NewWriter(0)
 	w.Uvarint(1 << 30) // absurd count with no entries

@@ -7,20 +7,6 @@ import (
 	"ezbft/internal/types"
 )
 
-// cmpInstance orders instances for the allocation-free generic sort
-// (sort.Slice boxes its slice argument on every call, which dominated the
-// contended execution pass's garbage).
-func cmpInstance(a, b types.InstanceID) int {
-	switch {
-	case a.Less(b):
-		return -1
-	case b.Less(a):
-		return 1
-	default:
-		return 0
-	}
-}
-
 // tryExecute runs the paper's execution protocol (§IV-B) over every
 // committed-but-unexecuted entry whose dependency closure is fully
 // committed:
@@ -49,7 +35,7 @@ func (r *Replica) tryExecute(ctx proc.Context) {
 	for inst := range r.pendingExec {
 		pending = append(pending, inst)
 	}
-	slices.SortFunc(pending, cmpInstance)
+	slices.SortFunc(pending, types.InstanceID.Compare)
 	r.execPending = pending[:0]
 
 	// blocked caches instances found unexecutable during this pass, so a
@@ -96,7 +82,7 @@ func (r *Replica) tryExecute(ctx proc.Context) {
 				}
 				blocked[ce.inst] = true
 			}
-			slices.SortFunc(blockers, cmpInstance)
+			slices.SortFunc(blockers, types.InstanceID.Compare)
 			r.armDepWait(ctx, blockers)
 			continue
 		}

@@ -135,12 +135,17 @@ func (m *Request) SignedBody() []byte {
 }
 
 func decodeRequest(r *codec.Reader) (*Request, error) {
-	m := &Request{
-		Cmd:  r.Command(),
-		Orig: types.ReplicaID(r.Int32()),
-	}
+	m := new(Request)
+	return m, decodeRequestInto(r, m)
+}
+
+// decodeRequestInto parses a REQUEST into m, which is where messages that
+// embed requests by value (SPECORDER, RESENDREQ) want it.
+func decodeRequestInto(r *codec.Reader, m *Request) error {
+	m.Cmd = r.Command()
+	m.Orig = types.ReplicaID(r.Int32())
 	m.Sig = r.Blob()
-	return m, r.Err()
+	return r.Err()
 }
 
 // SpecOrder is the command-leader's signed ordering proposal,
@@ -262,11 +267,9 @@ func decodeSpecOrderFmt(r *codec.Reader, batched bool) (*SpecOrder, error) {
 		CmdDigest: r.Bytes32(),
 	}
 	m.Sig = r.Blob()
-	req, err := decodeRequest(r)
-	if err != nil {
+	if err := decodeRequestInto(r, &m.Req); err != nil {
 		return nil, err
 	}
-	m.Req = *req
 	if batched {
 		n := r.Uvarint()
 		if err := r.Err(); err != nil {
@@ -277,13 +280,11 @@ func decodeSpecOrderFmt(r *codec.Reader, batched bool) (*SpecOrder, error) {
 		if n == 0 || n > maxBatch-2 {
 			return nil, codec.ErrOverflow
 		}
-		m.Batch = make([]Request, 0, n)
-		for i := uint64(0); i < n; i++ {
-			extra, err := decodeRequest(r)
-			if err != nil {
+		m.Batch = make([]Request, n)
+		for i := range m.Batch {
+			if err := decodeRequestInto(r, &m.Batch[i]); err != nil {
 				return nil, err
 			}
-			m.Batch = append(m.Batch, *extra)
 		}
 	}
 	return m, r.Err()
@@ -426,10 +427,21 @@ func (m *SpecReply) Matches(o *SpecReply) bool {
 }
 
 func decodeSpecReply(r *codec.Reader) (*SpecReply, error) {
-	return decodeSpecReplyFmt(r, false)
+	return decodeSpecReplyFmt(r, false, nil)
 }
 
-func decodeSpecReplyFmt(r *codec.Reader, batched bool) (*SpecReply, error) {
+// certSpecOrder is the first SPECORDER a certificate embedded, with the
+// frame bytes (format marker included) that encoded it.
+type certSpecOrder struct {
+	so  *SpecOrder
+	enc []byte
+}
+
+// decodeSpecReplyFmt parses either SPECREPLY layout. Inside a certificate,
+// first carries the certificate's first embedded SPECORDER: a reply whose
+// embedded SPECORDER is byte-identical to it in the frame shares that one
+// object and is not decoded again.
+func decodeSpecReplyFmt(r *codec.Reader, batched bool, first *certSpecOrder) (*SpecReply, error) {
 	m := &SpecReply{
 		Owner:     types.OwnerNumber(r.Uvarint()),
 		Inst:      r.Instance(),
@@ -452,11 +464,19 @@ func decodeSpecReplyFmt(r *codec.Reader, batched bool) (*SpecReply, error) {
 		m.SORef = r.Bytes32()
 	}
 	m.Sig = r.Blob()
+	if first != nil && r.SkipPrefix(first.enc) {
+		m.SO = first.so
+		return m, r.Err()
+	}
+	start := r.Offset()
 	so, err := decodeSpecOrderPtr(r)
 	if err != nil {
 		return nil, err
 	}
 	m.SO = so
+	if first != nil && first.so == nil && so != nil {
+		first.so, first.enc = so, r.Since(start)
+	}
 	return m, r.Err()
 }
 
@@ -505,7 +525,11 @@ func decodeCommitFast(r *codec.Reader, batched bool) (*CommitFast, error) {
 }
 
 // decodeCert parses a SPECREPLY certificate whose elements all use one
-// layout (selected by the parent message's tag).
+// layout (selected by the parent message's tag). An honest certificate
+// embeds the same SPECORDER in every reply (3f+1 or 2f+1 copies); those
+// decode to one shared *SpecOrder, so whoever verifies or marks it does so
+// once. Replies embedding different bytes — an equivocating leader's second
+// proposal — keep objects of their own.
 func decodeCert(r *codec.Reader, batched bool) ([]*SpecReply, error) {
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
@@ -515,8 +539,9 @@ func decodeCert(r *codec.Reader, batched bool) ([]*SpecReply, error) {
 		return nil, codec.ErrOverflow
 	}
 	cert := make([]*SpecReply, 0, n)
+	var first certSpecOrder
 	for i := uint64(0); i < n; i++ {
-		sr, err := decodeSpecReplyFmt(r, batched)
+		sr, err := decodeSpecReplyFmt(r, batched, &first)
 		if err != nil {
 			return nil, err
 		}
@@ -656,11 +681,11 @@ func (m *ResendReq) MarshalTo(w *codec.Writer) {
 }
 
 func decodeResendReq(r *codec.Reader) (*ResendReq, error) {
-	req, err := decodeRequest(r)
-	if err != nil {
+	m := new(ResendReq)
+	if err := decodeRequestInto(r, &m.Req); err != nil {
 		return nil, err
 	}
-	m := &ResendReq{Req: *req, Replica: types.ReplicaID(r.Int32())}
+	m.Replica = types.ReplicaID(r.Int32())
 	return m, r.Err()
 }
 
@@ -1056,7 +1081,7 @@ func init() {
 	codec.Register(tagNewOwner, "ezbft.NewOwner", func(r *codec.Reader) (codec.Message, error) { return decodeNewOwner(r) })
 	codec.Register(tagPOM, "ezbft.POM", func(r *codec.Reader) (codec.Message, error) { return decodePOM(r, false) })
 	codec.Register(tagSpecOrderBatch, "ezbft.SpecOrderB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrderFmt(r, true) })
-	codec.Register(tagSpecReplyBatch, "ezbft.SpecReplyB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, true) })
+	codec.Register(tagSpecReplyBatch, "ezbft.SpecReplyB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, true, nil) })
 	codec.Register(tagCommitFastBatch, "ezbft.CommitFastB", func(r *codec.Reader) (codec.Message, error) { return decodeCommitFast(r, true) })
 	codec.Register(tagCommitBatch, "ezbft.CommitB", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, true) })
 	codec.Register(tagPOMBatch, "ezbft.POMB", func(r *codec.Reader) (codec.Message, error) { return decodePOM(r, true) })

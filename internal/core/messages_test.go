@@ -99,6 +99,77 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// certOf builds n replies from replicas 0..n-1 that each embed their own
+// copy of the same SPECORDER, the way a client collects them off the wire.
+func certOf(n int, batched bool) []*SpecReply {
+	cert := make([]*SpecReply, n)
+	for i := range cert {
+		sr := sampleSpecReply()
+		sr.Replica = types.ReplicaID(i)
+		sr.Sig = []byte{byte(i), 4}
+		if batched {
+			sr.SO.Batch = []Request{*sampleRequest(), *sampleRequest()}
+			sr.Batched, sr.SORef = true, sr.SO.CmdDigest
+		}
+		cert[i] = sr
+	}
+	return cert
+}
+
+// TestCertSharesIdenticalSpecOrders: the 3f+1 (COMMITFAST) or 2f+1 (COMMIT)
+// replies of a certificate embed byte-identical SPECORDERs; decoding yields
+// one shared object for all of them, and the message still re-marshals to
+// the bytes it came from.
+func TestCertSharesIdenticalSpecOrders(t *testing.T) {
+	inst := types.InstanceID{Space: 1, Slot: 9}
+	commit := func(cert []*SpecReply) *Commit {
+		return &Commit{Client: 3, Timestamp: 7, Inst: inst, Deps: types.NewInstanceSet(), Seq: 4, Cert: cert, Sig: []byte{8}}
+	}
+	for name, m := range map[string]codec.Message{
+		"commitfast":         &CommitFast{Client: 3, Inst: inst, Cert: certOf(4, false)},
+		"commit":             commit(certOf(3, false)),
+		"commitfast-batched": &CommitFast{Client: 3, Inst: inst, Cert: certOf(4, true)},
+		"commit-batched":     commit(certOf(3, true)),
+		"ownerchange-history": &OwnerChange{Suspect: 1, NewOwner: 2, Replica: 3, Sig: []byte{6}, History: []HistEntry{{
+			Inst: inst, Status: HistCommitted, Deps: types.NewInstanceSet(), Seq: 4, Owner: 1, ClientCommit: commit(certOf(3, false)),
+		}}},
+	} {
+		out := roundTrip(t, m)
+		var cert []*SpecReply
+		switch d := out.(type) {
+		case *CommitFast:
+			cert = d.Cert
+		case *Commit:
+			cert = d.Cert
+		case *OwnerChange:
+			cert = d.History[0].ClientCommit.Cert
+		}
+		if len(cert) < 3 {
+			t.Fatalf("%s: decoded %d replies", name, len(cert))
+		}
+		for i, sr := range cert {
+			if sr.SO == nil || sr.SO != cert[0].SO {
+				t.Errorf("%s: reply %d does not share the certificate's SPECORDER", name, i)
+			}
+			if sr.Replica != types.ReplicaID(i) {
+				t.Errorf("%s: reply %d decoded as replica %d", name, i, sr.Replica)
+			}
+		}
+		if string(codec.Marshal(out)) != string(codec.Marshal(m)) {
+			t.Errorf("%s: round trip not byte-identical", name)
+		}
+	}
+
+	// Evidence-slimmed batched replies carry no SPECORDER; nothing is
+	// shared into them.
+	slim := certOf(3, true)
+	slim[1].SO, slim[2].SO = nil, nil
+	out := roundTrip(t, &CommitFast{Client: 3, Inst: inst, Cert: slim}).(*CommitFast)
+	if out.Cert[0].SO == nil || out.Cert[1].SO != nil || out.Cert[2].SO != nil {
+		t.Error("slimmed replies gained or lost an embedded SPECORDER")
+	}
+}
+
 func TestSpecReplyMatchesSemantics(t *testing.T) {
 	a := sampleSpecReply()
 	b := sampleSpecReply()

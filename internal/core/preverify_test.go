@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"ezbft/internal/auth"
@@ -222,6 +225,143 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 				viaPool.Receive(noopCtx{}, types.ReplicaNode(1), marked)
 				if got, want := viaPool.Stats(), inLoop.Stats(); got != want {
 					t.Fatalf("marked delivery stats %+v != unmarked delivery stats %+v", got, want)
+				}
+			}
+		})
+	}
+}
+
+// commitFast builds client 5's COMMITFAST with the 3f+1 certificate.
+func (r *pvRig) commitFast() *CommitFast {
+	so := r.specOrder()
+	return &CommitFast{Client: 5, Inst: so.Inst, Cert: []*SpecReply{
+		r.specReply(0, so), r.specReply(1, so), r.specReply(2, so), r.specReply(3, so),
+	}}
+}
+
+// countingAuth counts the verifications that reach an authenticator.
+type countingAuth struct {
+	auth.Authenticator
+	verifies atomic.Int64
+}
+
+func (c *countingAuth) Verify(signer types.NodeID, payload, token []byte) error {
+	c.verifies.Add(1)
+	return c.Authenticator.Verify(signer, payload, token)
+}
+
+// TestCertVerifiesEachSpecOrderOnce: every reply of an honest certificate
+// embeds the same SPECORDER; a receiver decodes one object for all of them
+// and verifies its two signatures once, beside the replies' own — 6
+// verifications for an unbatched 4-reply COMMITFAST, not 12. Pool-on and
+// pool-off deliveries still leave a replica in the same state.
+func TestCertVerifiesEachSpecOrderOnce(t *testing.T) {
+	rig := newPVRig(t)
+	for _, tc := range []struct {
+		name string
+		mk   func() codec.Message
+		want int64
+	}{
+		{"commitfast", func() codec.Message { return roundTrip(t, rig.commitFast()) }, 4 + 2},
+		{"commit", func() codec.Message { return roundTrip(t, rig.commit()) }, 1 + 3 + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counter := &countingAuth{Authenticator: rig.replicaAuth(3)}
+			marked := tc.mk()
+			if !InboundVerifier(counter, rig.n)(marked) {
+				t.Fatal("pre-verifier rejected a valid certificate")
+			}
+			if got := counter.verifies.Load(); got != tc.want {
+				t.Fatalf("pre-verifier made %d Verify calls, want %d", got, tc.want)
+			}
+
+			viaPool, inLoop := rig.freshReplica(3), rig.freshReplica(3)
+			viaPool.Receive(noopCtx{}, types.ClientNode(5), marked)
+			inLoop.Receive(noopCtx{}, types.ClientNode(5), tc.mk())
+			if got, want := viaPool.Stats(), inLoop.Stats(); got != want {
+				t.Fatalf("marked delivery stats %+v != unmarked delivery stats %+v", got, want)
+			}
+			if s := inLoop.Stats(); s.DroppedInvalid != 0 || s.FastCommits+s.SlowCommits != 1 {
+				t.Fatalf("certificate did not commit the instance: %+v", s)
+			}
+		})
+	}
+}
+
+// TestCertSplicedSpecOrderStaysApart: replies sign their body, not the
+// SPECORDER riding along, so a Byzantine client can splice an equivocating
+// leader's second proposal into one reply of an otherwise honest
+// certificate. Sharing decoded SPECORDERs must not blur the two: they decode
+// to distinct objects, a mark on one says nothing about the other, and the
+// binding checks in commitEntry still refuse the spliced one.
+func TestCertSplicedSpecOrderStaysApart(t *testing.T) {
+	rig := newPVRig(t)
+	// second is the leader's other proposal for the same instance: another
+	// request, validly signed (forgeLeaderSig breaks that signature).
+	second := func(forgeLeaderSig bool) *SpecOrder {
+		b := rig.specOrder()
+		b.Req = *rig.request(2)
+		b.CmdDigest = BatchDigest(b.CmdDigests())
+		b.Sig = signBody(rig.replicaAuth(1), b)
+		if forgeLeaderSig {
+			b.Sig[0] ^= 0xFF
+		}
+		return b
+	}
+	distinct := func(cert []*SpecReply) int {
+		seen := make(map[*SpecOrder]bool)
+		for _, sr := range cert {
+			seen[sr.SO] = true
+		}
+		return len(seen)
+	}
+
+	t.Run("later-reply", func(t *testing.T) {
+		m := rig.commitFast()
+		m.Cert[2].SO = second(false)
+		got := roundTrip(t, m).(*CommitFast)
+		if got.Cert[0].SO != got.Cert[1].SO || got.Cert[0].SO != got.Cert[3].SO {
+			t.Fatal("identical SPECORDERs around the spliced one were not shared")
+		}
+		if got.Cert[2].SO == got.Cert[0].SO || distinct(got.Cert) != 2 {
+			t.Fatalf("certificate decoded to %d SPECORDER objects, want the honest and the spliced one apart", distinct(got.Cert))
+		}
+		if got.Cert[2].SO.Req.Cmd.Timestamp != 2 || got.Cert[0].SO.Req.Cmd.Timestamp != 1 {
+			t.Fatal("spliced SPECORDER lost its own contents")
+		}
+		if !bytes.Equal(codec.Marshal(got), codec.Marshal(m)) {
+			t.Fatal("certificate does not re-marshal byte for byte")
+		}
+	})
+
+	for _, forged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("first-reply/forged-leader-sig=%v", forged), func(t *testing.T) {
+			m := rig.commitFast()
+			m.Cert[0].SO = second(forged) // commitEntry installs from Cert[0]
+			got := roundTrip(t, m).(*CommitFast)
+			if got.Cert[0].SO == got.Cert[1].SO {
+				t.Fatal("spliced SPECORDER shares an object with the honest one")
+			}
+
+			pred := InboundVerifier(rig.replicaAuth(3), rig.n)
+			if !pred(got) {
+				t.Fatal("pre-verifier dropped the frame; embedded SPECORDERs are for the loop to judge")
+			}
+			if !got.Cert[1].SO.SigVerified() {
+				t.Fatal("honest SPECORDER not marked")
+			}
+			if got.Cert[0].SO.SigVerified() == forged {
+				t.Fatalf("spliced SPECORDER marked=%v with forged=%v: a mark must be earned by its own signatures", !forged, forged)
+			}
+
+			for name, msg := range map[string]*CommitFast{"pool-on": got, "pool-off": roundTrip(t, m).(*CommitFast)} {
+				rep := rig.freshReplica(3)
+				rep.Receive(noopCtx{}, types.ClientNode(5), msg)
+				if s := rep.Stats(); s.DroppedInvalid != 1 || s.FinalExecutions != 0 {
+					t.Fatalf("%s: spliced certificate not dropped: %+v", name, s)
+				}
+				if rep.log.get(m.Inst) != nil {
+					t.Fatalf("%s: spliced SPECORDER installed an entry", name)
 				}
 			}
 		})

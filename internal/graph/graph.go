@@ -20,20 +20,6 @@ import (
 	"ezbft/internal/types"
 )
 
-// cmpID orders instances for the allocation-free generic sorts (sort.Slice
-// boxes its argument and builds a reflect.Swapper on every call, which would
-// put per-closure garbage back on the execution hot path).
-func cmpID(a, b types.InstanceID) int {
-	switch {
-	case a.Less(b):
-		return -1
-	case b.Less(a):
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Span marks one strongly connected component inside a linearization: the
 // half-open index range [Start, End) of the order slice returned alongside
 // it. Spans appear in inverse topological order of the condensation.
@@ -150,7 +136,7 @@ func (g *DepGraph) Linearize() (order []types.InstanceID, spans []Span) {
 	g.grow(n)
 	// Deterministic node indexing: sorted instance order.
 	copy(g.nodes, g.order)
-	slices.SortFunc(g.nodes, cmpID)
+	slices.SortFunc(g.nodes, types.InstanceID.Compare)
 	for i, id := range g.nodes {
 		g.index[id] = i
 	}
@@ -242,7 +228,7 @@ func (g *DepGraph) Linearize() (order []types.InstanceID, spans []Span) {
 			case sa > sb:
 				return 1
 			}
-			return cmpID(a, b)
+			return a.Compare(b)
 		})
 	}
 	return g.lin, g.spans

@@ -16,16 +16,38 @@ import (
 // histories stay well under this).
 const maxFrame = 16 << 20
 
+// Frame buffers start at frameBufSize and are kept for reuse up to
+// maxKeptFrame; ordinary protocol frames (certificates included) are far
+// smaller, while a catch-up response or an owner-change history can come
+// close to maxFrame.
+const (
+	frameBufSize = 4096
+	maxKeptFrame = 64 << 10
+)
+
 // framePool recycles frame buffers across sends and receives: buffers grow
-// to the largest frame they ever carried and are then reused, so the
-// steady-state TCP hot path allocates no per-message buffers. Pooled
-// buffers are safe to reuse because codec decoding copies every variable-
-// length field out of the frame.
+// to the largest frame they carried, up to maxKeptFrame, and are then
+// reused, so the steady-state TCP hot path allocates no per-message
+// buffers. A buffer that one large frame grew past maxKeptFrame is left to
+// the collector instead — kept, it would pin that much memory per
+// connection and then circulate through the pool. Pooled buffers are safe
+// to reuse because codec decoding copies every variable-length field out of
+// the frame.
 var framePool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, 4096)
+		b := make([]byte, 0, frameBufSize)
 		return &b
 	},
+}
+
+// putFrame hands a buffer taken from framePool back, with frame being what
+// the buffer grew to.
+func putFrame(bp *[]byte, frame []byte) {
+	if cap(frame) > maxKeptFrame {
+		return
+	}
+	*bp = frame[:0]
+	framePool.Put(bp)
 }
 
 // TCPPeer connects one local node to a cluster over TCP. Frames are
@@ -152,8 +174,7 @@ func (p *TCPPeer) Send(from, to types.NodeID, msg codec.Message) error {
 	frame = codec.AppendMarshal(frame, msg)
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
 	_, werr := conn.Write(frame)
-	*bp = frame[:0]
-	framePool.Put(bp)
+	putFrame(bp, frame)
 	if werr != nil {
 		p.dropConn(to, conn)
 		return werr
@@ -192,8 +213,7 @@ func (p *TCPPeer) SendAll(from types.NodeID, tos []types.NodeID, msg codec.Messa
 			}
 		}
 	}
-	*bp = frame[:0]
-	framePool.Put(bp)
+	putFrame(bp, frame)
 	return firstErr
 }
 
@@ -301,7 +321,7 @@ func (p *TCPPeer) readLoop(conn net.Conn) {
 // variable-length fields, so the buffer never escapes).
 func (p *TCPPeer) readFrames(r *bufio.Reader, from types.NodeID) {
 	bp := framePool.Get().(*[]byte)
-	defer framePool.Put(bp)
+	defer func() { putFrame(bp, *bp) }()
 	for {
 		frame, err := readFrameInto(r, bp)
 		if err != nil {
@@ -342,9 +362,14 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 // readFrameInto reads one frame into *bp, growing it as needed and keeping
-// the grown capacity for the next frame. The returned slice aliases *bp
-// and is only valid until the next call.
+// the grown capacity, up to maxKeptFrame, for the next frame. The returned
+// slice aliases *bp and is only valid until the next call.
 func readFrameInto(r io.Reader, bp *[]byte) ([]byte, error) {
+	if cap(*bp) > maxKeptFrame {
+		// The previous frame was a large one and has been decoded; let go
+		// of its buffer before blocking on the next header.
+		*bp = make([]byte, 0, frameBufSize)
+	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err

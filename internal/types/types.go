@@ -8,9 +8,10 @@
 package types
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ReplicaID identifies one of the N replicas (0..N-1).
@@ -76,6 +77,16 @@ func (i InstanceID) Less(o InstanceID) bool {
 		return i.Space < o.Space
 	}
 	return i.Slot < o.Slot
+}
+
+// Compare is Less as a three-way comparison, the shape slices.SortFunc
+// takes (unlike sort.Slice it neither boxes the slice nor builds a
+// reflective swapper, so sorting allocates nothing).
+func (i InstanceID) Compare(o InstanceID) int {
+	if c := cmp.Compare(i.Space, o.Space); c != 0 {
+		return c
+	}
+	return cmp.Compare(i.Slot, o.Slot)
 }
 
 // OwnerNumber is the paper's monotonically increasing owner number O for an
@@ -419,7 +430,7 @@ func (s InstanceSet) Sorted() []InstanceID {
 	for id := range s {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, InstanceID.Compare)
 	return out
 }
 

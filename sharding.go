@@ -214,8 +214,8 @@ func (lc *ShardedLiveCluster) Close() {
 // len(shardReplicas) consensus groups: shardReplicas[s] maps replica ids to
 // addresses for shard s's group (cfg.Replicas must be empty). The key
 // material is parsed exactly once and every per-shard connection shares the
-// derived authenticator behind one verified-signature cache, instead of
-// re-parsing and re-verifying per shard.
+// derived authenticator (and its verified-signature memo, under ECDSA),
+// instead of re-parsing and re-verifying per shard.
 func NewShardedTCPClient(cfg TCPClientConfig, shardReplicas []map[ReplicaID]string) (*ShardedClient, error) {
 	if len(cfg.Replicas) != 0 {
 		return nil, fmt.Errorf("ezbft: sharded TCP client: set shardReplicas, not cfg.Replicas")
@@ -227,12 +227,10 @@ func NewShardedTCPClient(cfg TCPClientConfig, shardReplicas []map[ReplicaID]stri
 	if err != nil {
 		return nil, err
 	}
-	self := types.ClientNode(cfg.ID)
-	a, err := ring.forNode(self)
+	a, err := ring.forNode(types.ClientNode(cfg.ID))
 	if err != nil {
 		return nil, err
 	}
-	a = auth.Cached(a, self, auth.NewVerifyCache(0))
 	conns := make([]*Client, 0, len(shardReplicas))
 	for s, replicas := range shardReplicas {
 		g := cfg

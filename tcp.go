@@ -121,6 +121,16 @@ type TCPReplica struct {
 // StartTCPReplica builds and starts one replica serving its application
 // over TCP. The replica runs until Close.
 func StartTCPReplica(cfg TCPReplicaConfig) (*TCPReplica, error) {
+	a, err := tcpAuthenticator(types.ReplicaNode(cfg.ID), cfg.Secret, cfg.KeyPEM, cfg.KeyFile)
+	if err != nil {
+		return nil, err
+	}
+	return startTCPReplicaAuthed(cfg, a)
+}
+
+// startTCPReplicaAuthed starts a replica around an already-derived
+// authenticator.
+func startTCPReplicaAuthed(cfg TCPReplicaConfig, a auth.Authenticator) (*TCPReplica, error) {
 	if cfg.Protocol == "" {
 		cfg.Protocol = EZBFT
 	}
@@ -137,11 +147,6 @@ func StartTCPReplica(cfg TCPReplicaConfig) (*TCPReplica, error) {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	a, err := tcpAuthenticator(types.ReplicaNode(cfg.ID), cfg.Secret, cfg.KeyPEM, cfg.KeyFile)
-	if err != nil {
-		return nil, err
-	}
-
 	if cfg.Durability == "" && cfg.StoreDir != "" {
 		cfg.Durability = DurabilityDisk
 	}
@@ -312,16 +317,32 @@ func parseTCPKeyring(secret, keyPEM []byte, keyFile string) (*tcpKeyring, error)
 	return &tcpKeyring{hmac: auth.NewHMACKeyring(secret)}, nil
 }
 
-// forNode derives one node's authenticator from the parsed keyring.
+// tcpVerifyMemoCapacity sizes a TCP node's private verified-signature memo
+// to its in-flight window: a signature is looked up again within the same
+// request (a SPECORDER verified on arrival reappears inside the commit
+// certificate; a replica's own SPECREPLY comes back in it), so a few
+// thousand entries cover every pipelined request. auth.DefaultCacheCapacity
+// is meant for a whole in-process cluster sharing one memo.
+const tcpVerifyMemoCapacity = 1 << 12
+
+// forNode derives one node's authenticator from the parsed keyring. ECDSA
+// authenticators sit behind a node-private memo of verified signatures;
+// HMAC ones need none (a memo probe costs what the MAC costs, see
+// auth.Cached).
 func (k *tcpKeyring) forNode(self types.NodeID) (auth.Authenticator, error) {
 	if k.ecdsa != nil {
 		a, err := k.ecdsa.ForNode(self)
 		if err != nil {
 			return nil, fmt.Errorf("ezbft: %w", err)
 		}
-		return a, nil
+		return tcpVerifyMemo(a, self), nil
 	}
 	return k.hmac.ForNode(self), nil
+}
+
+// tcpVerifyMemo puts a node's ECDSA authenticator behind its private memo.
+func tcpVerifyMemo(a auth.Authenticator, self types.NodeID) auth.Authenticator {
+	return auth.Cached(a, self, auth.NewVerifyCache(tcpVerifyMemoCapacity))
 }
 
 // tcpAuthenticator builds a node's authenticator from a TCP config's key
@@ -376,9 +397,9 @@ func NewTCPClient(cfg TCPClientConfig) (*Client, error) {
 }
 
 // newTCPClientAuthed builds a TCP client around an already-derived
-// authenticator; the sharded client derives one authenticator from one
-// parsed keyring (wrapped around one shared verify cache) and reuses it
-// across all of its shard connections.
+// authenticator; the sharded client derives one authenticator (and with it
+// one verify memo) from one parsed keyring and reuses it across all of its
+// shard connections.
 func newTCPClientAuthed(cfg TCPClientConfig, a auth.Authenticator) (*Client, error) {
 	if cfg.Protocol == "" {
 		cfg.Protocol = EZBFT

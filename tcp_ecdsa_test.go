@@ -2,7 +2,12 @@ package ezbft
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"ezbft/internal/auth"
+	"ezbft/internal/types"
 )
 
 // TestTCPClusterECDSAKeys runs a full TCP deployment authenticated with
@@ -85,5 +90,119 @@ func TestTCPClusterECDSAKeys(t *testing.T) {
 	// Missing key material surfaces loudly.
 	if _, err := StartTCPReplica(TCPReplicaConfig{ID: 0, N: 4}); err == nil {
 		t.Fatal("replica started without secret or key material")
+	}
+}
+
+// countedAuth counts the verifications that get past a node's memo to the
+// real (ECDSA) authenticator.
+type countedAuth struct {
+	auth.Authenticator
+	verifies *atomic.Int64
+}
+
+func (c countedAuth) Verify(signer types.NodeID, payload, token []byte) error {
+	c.verifies.Add(1)
+	return c.Authenticator.Verify(signer, payload, token)
+}
+
+// TestTCPECDSAVerifyMemo: over TCP every node keeps a private memo of the
+// signatures it verified or produced, so a fast-path request costs the
+// cluster 23 ECDSA verifications — the leader checks the REQUEST (1), three
+// replicas check the SPECORDER's two signatures (6), the client checks four
+// SPECREPLYs (4), and in the COMMITFAST each replica checks only the three
+// other replicas' replies (12): its own reply and the SPECORDER it already
+// verified, or signed, are memo hits. Without the memo it is 59.
+func TestTCPECDSAVerifyMemo(t *testing.T) {
+	bundles, err := GenerateTCPKeys(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verifies atomic.Int64
+	// nodeAuth is what tcpKeyring.forNode builds, with the counter between
+	// the memo and the ECDSA authenticator.
+	nodeAuth := func(self types.NodeID) auth.Authenticator {
+		ring, err := parseTCPKeyring(nil, bundles[self.String()], "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err := ring.forNode(self); err != nil {
+			t.Fatal(err)
+		} else if _, ok := a.(*auth.CachedAuth); !ok {
+			t.Fatalf("ECDSA authenticator for %s is a %T, want it behind the verify memo", self, a)
+		}
+		inner, err := ring.ecdsa.ForNode(self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tcpVerifyMemo(countedAuth{inner, &verifies}, self)
+	}
+
+	replicas := make([]*TCPReplica, 4)
+	addrs := make(map[ReplicaID]string, 4)
+	for i := range replicas {
+		id := ReplicaID(i)
+		rep, err := startTCPReplicaAuthed(TCPReplicaConfig{ID: id, N: 4}, nodeAuth(types.ReplicaNode(id)))
+		if err != nil {
+			t.Fatalf("replica %d: %v", i, err)
+		}
+		defer rep.Close()
+		replicas[i] = rep
+		addrs[id] = rep.Addr()
+	}
+	for _, rep := range replicas {
+		for id, addr := range addrs {
+			rep.SetPeer(id, addr)
+		}
+	}
+	client, err := newTCPClientAuthed(TCPClientConfig{ID: 0, N: 4, Nearest: 0, Replicas: addrs}, nodeAuth(types.ClientNode(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// settled waits for the replicas to finish with the COMMITFASTs, which
+	// the client sends without waiting for an answer.
+	settled := func() int64 {
+		last, same := verifies.Load(), 0
+		for same < 10 {
+			time.Sleep(20 * time.Millisecond)
+			if now := verifies.Load(); now == last {
+				same++
+			} else {
+				last, same = now, 0
+			}
+		}
+		return last
+	}
+	ctx := t.Context()
+	run := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := client.Execute(ctx, Put(fmt.Sprintf("k%d", i), []byte("v"))); err != nil {
+				t.Fatalf("execute %d: %v", i, err)
+			}
+		}
+	}
+	run(0, 3) // connections, first-use paths
+	before := settled()
+	const requests = 20
+	run(3, 3+requests)
+	perRequest := float64(settled()-before) / requests
+	if stats := client.Stats(); stats.SlowDecisions != 0 || stats.Retries != 0 {
+		t.Skipf("requests left the fast path (%+v); the count below is for fast-path requests", stats)
+	}
+	t.Logf("%.1f ECDSA verifications per fast-path request", perRequest)
+	if perRequest > 23 || perRequest < 1 {
+		t.Fatalf("%.1f ECDSA verifications per fast-path request, want at most 23", perRequest)
+	}
+
+	// HMAC stays without the memo: probing it costs what the MAC costs.
+	ring, err := parseTCPKeyring([]byte("secret"), nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := ring.forNode(types.ReplicaNode(0)); a == nil || a.Scheme() != auth.SchemeHMAC {
+		t.Fatalf("HMAC keyring produced %T", a)
+	} else if _, ok := a.(*auth.HMACAuth); !ok {
+		t.Fatalf("HMAC authenticator is a %T, want it unwrapped", a)
 	}
 }
