@@ -17,6 +17,13 @@ import (
 // in flight when the client closes also fail with it.
 var ErrClientClosed = errors.New("ezbft: client closed")
 
+// PipelineWindow is how many consecutive commands of one client the
+// protocols carry at once: replicas keep what recognises a request (its
+// cached reply, its exactly-once record) this many timestamps behind the
+// client's newest and refuse older ones, so a client never lets its
+// unresolved commands span more.
+const PipelineWindow = workload.PipelineWindow
+
 // ClientStats is the protocol-neutral snapshot of a client's counters
 // (fast/slow decisions, retries, POMs). Protocols without a fast/slow
 // split count every completion as a slow decision.
@@ -24,7 +31,9 @@ type ClientStats = engine.ClientStats
 
 // Future is the completion handle for one in-flight command submitted with
 // Client.Submit. A client may have any number of futures outstanding; each
-// resolves when the protocol commits its command.
+// resolves when the protocol commits its command. At most PipelineWindow
+// consecutive commands are in the protocol at once: the rest wait inside the
+// client, in submission order, for the oldest unresolved one.
 type Future struct {
 	client *Client
 	done   chan struct{}
@@ -71,8 +80,9 @@ func (f *Future) Latency() time.Duration { return f.comp.Latency }
 //
 //   - Execute: submit one command and block until it commits — the paper's
 //     closed-loop client, now honoring context cancellation and deadlines.
-//   - Submit: enqueue a command and receive a Future, keeping any number
-//     of commands in flight per client — the open-loop style
+//   - Submit: enqueue a command and receive a Future, keeping many
+//     commands in flight per client (up to PipelineWindow in the protocol,
+//     the rest queued behind them) — the open-loop style
 //     high-throughput deployments need. Completions correlate to futures
 //     through the per-client timestamps the protocols already stamp on
 //     every command, so no wire format changes.
@@ -118,18 +128,21 @@ func (c *Client) Execute(ctx context.Context, cmd Command) (Result, error) {
 
 // Submit enqueues one command on the client's process loop and returns a
 // Future resolving when the protocol commits it. Any number of commands
-// may be in flight; the protocols order and execute them concurrently and
-// each future resolves with its own command's result. Submit honors the
-// context even while enqueueing, so a wedged process loop cannot hold the
-// caller past its deadline.
+// may be submitted; the protocols order and execute them concurrently and
+// each future resolves with its own command's result. The client hands the
+// protocol a command only while its timestamp stays within PipelineWindow
+// of the oldest unresolved one — replicas keep what recognises a request
+// that far back and no further — and holds later ones, in order, until that
+// one resolves; a held command's Latency counts from when it was handed
+// over. Submit honors the context even while enqueueing, so a wedged
+// process loop cannot hold the caller past its deadline.
 func (c *Client) Submit(ctx context.Context, cmd Command) (*Future, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	f := &Future{client: c, done: make(chan struct{})}
 	err := c.node.InjectAbort(ctx.Done(), func(pctx proc.Context) {
-		ts := c.inner.Submit(pctx, cmd)
-		c.bridge.register(ts, f)
+		c.bridge.submit(pctx, c.inner, cmd, f)
 	})
 	switch {
 	case err == nil:
@@ -194,10 +207,23 @@ func (c *Client) closeReason() error {
 // each completion to the future registered under the completion's
 // per-client command timestamp. Registration happens on the node's process
 // loop in the same injected call that submits the command, so a completion
-// can never precede its registration.
+// can never precede its registration. It also keeps the client's half of
+// the workload.PipelineWindow contract: a command whose timestamp would be
+// a window past the oldest unresolved one is held and issued, in
+// submission order, as completions make room.
 type futureBridge struct {
 	mu      sync.Mutex
 	waiters map[uint64]*Future
+
+	// Touched only on the node's process loop.
+	out  workload.Outstanding
+	held []heldSubmit
+}
+
+// heldSubmit is a command waiting for room in the pipeline window.
+type heldSubmit struct {
+	cmd Command
+	f   *Future
 }
 
 var _ workload.Driver = (*futureBridge)(nil)
@@ -206,7 +232,19 @@ func newFutureBridge() *futureBridge {
 	return &futureBridge{waiters: make(map[uint64]*Future)}
 }
 
-func (b *futureBridge) register(ts uint64, f *Future) {
+// submit hands the command to the protocol client, or queues it behind the
+// commands already held if the window is full. Runs on the process loop.
+func (b *futureBridge) submit(ctx proc.Context, s workload.Submitter, cmd Command, f *Future) {
+	if len(b.held) > 0 || !b.out.Room() {
+		b.held = append(b.held, heldSubmit{cmd, f})
+		return
+	}
+	b.issue(ctx, s, cmd, f)
+}
+
+func (b *futureBridge) issue(ctx proc.Context, s workload.Submitter, cmd Command, f *Future) {
+	ts := s.Submit(ctx, cmd)
+	b.out.Add(ts)
 	b.mu.Lock()
 	b.waiters[ts] = f
 	b.mu.Unlock()
@@ -215,8 +253,9 @@ func (b *futureBridge) register(ts uint64, f *Future) {
 // Start implements workload.Driver.
 func (b *futureBridge) Start(proc.Context, workload.Submitter) {}
 
-// Completed implements workload.Driver: resolve the command's future.
-func (b *futureBridge) Completed(_ proc.Context, _ workload.Submitter, comp workload.Completion) {
+// Completed implements workload.Driver: resolve the command's future and
+// issue whatever held commands the completion made room for.
+func (b *futureBridge) Completed(ctx proc.Context, s workload.Submitter, comp workload.Completion) {
 	b.mu.Lock()
 	f := b.waiters[comp.Cmd.Timestamp]
 	delete(b.waiters, comp.Cmd.Timestamp)
@@ -224,6 +263,13 @@ func (b *futureBridge) Completed(_ proc.Context, _ workload.Submitter, comp work
 	if f != nil {
 		f.comp = comp
 		close(f.done)
+	}
+	b.out.Remove(comp.Cmd.Timestamp)
+	for len(b.held) > 0 && b.out.Room() {
+		next := b.held[0]
+		b.held[0] = heldSubmit{}
+		b.held = b.held[1:]
+		b.issue(ctx, s, next.cmd, next.f)
 	}
 }
 

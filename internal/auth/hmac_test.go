@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ezbft/internal/race"
 	"ezbft/internal/types"
 )
 
@@ -80,7 +81,7 @@ func TestHMACRejects(t *testing.T) {
 // verification allocates nothing (so no hmac.New, which allocates), and a
 // signature only the token it returns.
 func TestHMACAllocations(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	ring := NewHMACKeyring([]byte("alloc-master"))

@@ -23,10 +23,11 @@ import (
 
 // Common decode errors.
 var (
-	ErrShortBuffer  = errors.New("codec: short buffer")
-	ErrOverflow     = errors.New("codec: varint overflows 64 bits")
-	ErrUnknownType  = errors.New("codec: unknown message type tag")
-	ErrTrailingData = errors.New("codec: trailing data after message")
+	ErrShortBuffer     = errors.New("codec: short buffer")
+	ErrOverflow        = errors.New("codec: varint overflows 64 bits")
+	ErrUnknownType     = errors.New("codec: unknown message type tag")
+	ErrTrailingData    = errors.New("codec: trailing data after message")
+	ErrNonCanonicalSet = errors.New("codec: instance set members not in strictly increasing order")
 )
 
 // Writer accumulates a deterministic binary encoding.
@@ -113,18 +114,11 @@ func (w *Writer) Instance(id types.InstanceID) {
 	w.Uvarint(id.Slot)
 }
 
-// InstanceSet appends a dependency set in deterministic sorted order.
+// InstanceSet appends a dependency set: the member count, then the members
+// in the set's own (sorted) order.
 func (w *Writer) InstanceSet(s types.InstanceSet) {
 	w.Uvarint(uint64(len(s)))
-	if len(s) <= 1 {
-		// Nothing to order, so no sorted copy: most dependency sets on a
-		// low-conflict workload are empty or hold the one latest instance.
-		for id := range s {
-			w.Instance(id)
-		}
-		return
-	}
-	for _, id := range s.Sorted() {
+	for _, id := range s {
 		w.Instance(id)
 	}
 }
@@ -306,10 +300,14 @@ func (r *Reader) Instance() types.InstanceID {
 	}
 }
 
-// InstanceSet reads a dependency set.
+// InstanceSet reads a dependency set. An empty set decodes to nil and
+// allocates nothing. Members that arrive out of order or repeated are
+// rejected: no encoder here writes them so, every message that carries a set
+// is signed over its canonical encoding, and this is the one place outside
+// input becomes an InstanceSet, whose operations assume sorted, unique members.
 func (r *Reader) InstanceSet() types.InstanceSet {
 	n := r.Uvarint()
-	if r.err != nil {
+	if r.err != nil || n == 0 {
 		return nil
 	}
 	const sanity = 1 << 20
@@ -317,12 +315,23 @@ func (r *Reader) InstanceSet() types.InstanceSet {
 		r.fail(fmt.Errorf("codec: instance set of %d entries exceeds sanity bound", n))
 		return nil
 	}
-	s := make(types.InstanceSet, n)
+	// A member is at least two bytes, so the count is also bounded by the
+	// bytes actually present: a forged header cannot force a large make.
+	if n > uint64(r.Remaining())/2 {
+		r.fail(ErrShortBuffer)
+		return nil
+	}
+	s := make(types.InstanceSet, 0, n)
 	for i := uint64(0); i < n; i++ {
-		s.Add(r.Instance())
+		id := r.Instance()
 		if r.err != nil {
 			return nil
 		}
+		if len(s) > 0 && s[len(s)-1].Compare(id) >= 0 {
+			r.fail(ErrNonCanonicalSet)
+			return nil
+		}
+		s = append(s, id)
 	}
 	return s
 }

@@ -2,10 +2,14 @@ package codec
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"ezbft/internal/race"
 	"ezbft/internal/types"
 )
 
@@ -156,8 +160,8 @@ func TestInstanceSetRoundTripAndDeterminism(t *testing.T) {
 }
 
 // TestInstanceSetEncodingBySize pins the layout (count, then members in
-// (space, slot) order) on both sides of the small-set fast path, and that
-// writing an empty or one-member set into a warm writer allocates nothing.
+// (space, slot) order) whatever order the members were inserted in, and
+// that writing a set of any size into a warm writer allocates nothing.
 func TestInstanceSetEncodingBySize(t *testing.T) {
 	ids := []types.InstanceID{{Space: 0, Slot: 7}, {Space: 0, Slot: 300}, {Space: 2, Slot: 1}}
 	for n := 0; n <= len(ids); n++ {
@@ -166,7 +170,7 @@ func TestInstanceSetEncodingBySize(t *testing.T) {
 		for _, id := range ids[:n] {
 			want.Instance(id)
 		}
-		// Insert in reverse so map order has no reason to match.
+		// Insert in reverse so insertion order does not match.
 		s := types.NewInstanceSet()
 		for i := n - 1; i >= 0; i-- {
 			s.Add(ids[i])
@@ -176,9 +180,117 @@ func TestInstanceSetEncodingBySize(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%d members: encoded %x, want %x", n, got.Bytes(), want.Bytes())
 		}
-		if n <= 1 {
-			if allocs := testing.AllocsPerRun(100, func() { got.Reset(); got.InstanceSet(s) }); allocs != 0 {
-				t.Errorf("%d members: encoding allocates %v times", n, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { got.Reset(); got.InstanceSet(s) }); allocs != 0 {
+			t.Errorf("%d members: encoding allocates %v times", n, allocs)
+		}
+	}
+}
+
+// TestInstanceSetDecodeAllocations: an empty dependency set — every set of a
+// conflict-free workload — decodes to nil without touching the heap, and a
+// non-empty one costs its one slice.
+func TestInstanceSetDecodeAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for n, want := range []float64{0, 1, 1, 1} {
+		w := NewWriter(0)
+		w.InstanceSet(types.NewInstanceSet([]types.InstanceID{{Space: 0, Slot: 7}, {Space: 1, Slot: 300}, {Space: 2, Slot: 1}}[:n]...))
+		var r Reader
+		var out types.InstanceSet
+		allocs := testing.AllocsPerRun(100, func() {
+			r = Reader{buf: w.Bytes()}
+			out = r.InstanceSet()
+		})
+		if r.Finish() != nil || len(out) != n || (n == 0 && out != nil) {
+			t.Fatalf("%d members: decoded %v (%v)", n, out, r.Err())
+		}
+		if allocs != want {
+			t.Errorf("%d members: decoding allocates %v times, want %v", n, allocs, want)
+		}
+	}
+}
+
+// TestInstanceSetDecodeRejectsNonCanonical: members that arrive unsorted or
+// repeated (no encoder here writes them so, but a frame is outside input) fail
+// the decode, so nothing downstream ever holds a set that breaks the
+// sorted-unique invariant; the canonical order decodes. Truncated input and a
+// count the frame cannot hold are rejected too.
+func TestInstanceSetDecodeRejectsNonCanonical(t *testing.T) {
+	a, b, c := types.InstanceID{Space: 0, Slot: 9}, types.InstanceID{Space: 1, Slot: 2}, types.InstanceID{Space: 3, Slot: 1}
+	for name, tc := range map[string]struct {
+		members []types.InstanceID
+		ok      bool
+	}{
+		"sorted":            {[]types.InstanceID{a, b, c}, true},
+		"reversed":          {[]types.InstanceID{c, b, a}, false},
+		"repeated":          {[]types.InstanceID{a, a, b, c}, false},
+		"repeated last":     {[]types.InstanceID{a, b, c, c}, false},
+		"unsorted+repeated": {[]types.InstanceID{b, c, a, b, a}, false},
+	} {
+		w := NewWriter(0)
+		w.Uvarint(uint64(len(tc.members)))
+		for _, id := range tc.members {
+			w.Instance(id)
+		}
+		r := NewReader(w.Bytes())
+		got := r.InstanceSet()
+		switch {
+		case tc.ok && (r.Finish() != nil || !slices.Equal(got, types.InstanceSet{a, b, c})):
+			t.Fatalf("%s: decoded %v (%v)", name, got, r.Err())
+		case !tc.ok && (got != nil || !errors.Is(r.Err(), ErrNonCanonicalSet)):
+			t.Fatalf("%s: decoded %v with error %v, want ErrNonCanonicalSet", name, got, r.Err())
+		}
+	}
+	canonical := NewWriter(0)
+	canonical.InstanceSet(types.NewInstanceSet(a, b, c))
+	full := canonical.Bytes()
+	for cut := 1; cut < len(full); cut++ {
+		r := NewReader(full[:cut])
+		if out := r.InstanceSet(); out != nil || r.Err() == nil {
+			t.Fatalf("set truncated to %d of %d bytes decoded to %v", cut, len(full), out)
+		}
+	}
+}
+
+// TestInstanceSetEncodingMatchesMapModel: for random member lists, with
+// repeats and in random order, the encoding is the member count followed by
+// the distinct members in (space, slot) order — what sorting a map's keys
+// used to produce — and it survives a round trip.
+func TestInstanceSetEncodingMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		ids := make([]types.InstanceID, rng.Intn(10))
+		model := make(map[types.InstanceID]struct{})
+		for i := range ids {
+			ids[i] = types.InstanceID{Space: types.ReplicaID(rng.Intn(4)), Slot: uint64(1 + rng.Intn(300))}
+			model[ids[i]] = struct{}{}
+		}
+		distinct := make([]types.InstanceID, 0, len(model))
+		for id := range model {
+			distinct = append(distinct, id)
+		}
+		slices.SortFunc(distinct, types.InstanceID.Compare)
+		want := NewWriter(0)
+		want.Uvarint(uint64(len(distinct)))
+		for _, id := range distinct {
+			want.Instance(id)
+		}
+		// Built at once and built member by member.
+		built := types.NewInstanceSet(ids...)
+		var added types.InstanceSet
+		for _, id := range ids {
+			added.Add(id)
+		}
+		for _, s := range []types.InstanceSet{built, added} {
+			got := NewWriter(0)
+			got.InstanceSet(s)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("trial %d: %v encoded %x, want %x", trial, ids, got.Bytes(), want.Bytes())
+			}
+			r := NewReader(got.Bytes())
+			if out := r.InstanceSet(); r.Finish() != nil || !out.Equal(s) {
+				t.Fatalf("trial %d: round trip of %v gave %v (%v)", trial, s, out, r.Err())
 			}
 		}
 	}
@@ -273,5 +385,31 @@ func TestUnmarshalTrailingGarbage(t *testing.T) {
 	b = append(b, 0xEE)
 	if _, err := Unmarshal(b); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+}
+
+// TestUnmarshalReaderRecycled: Unmarshal's reader comes from a pool, so a
+// decode must start clean whatever the previous one left behind (a sticky
+// error, a position) and cost only what the decoded message itself costs.
+func TestUnmarshalReaderRecycled(t *testing.T) {
+	good := Marshal(&testMsg{A: 42})
+	for i := 0; i < 3; i++ {
+		if _, err := Unmarshal(good[:1]); err == nil {
+			t.Fatal("truncated frame accepted")
+		}
+		m, err := Unmarshal(good)
+		if err != nil || m.(*testMsg).A != 42 {
+			t.Fatalf("decode after a failed decode: %v, %v", m, err)
+		}
+	}
+	if race.Enabled {
+		return // the race detector bypasses sync.Pool
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := Unmarshal(good); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Errorf("Unmarshal of a fixed-size message allocates %v times, want 1 (the message)", allocs)
 	}
 }

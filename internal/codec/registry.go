@@ -79,16 +79,25 @@ func Unmarshal(b []byte) (Message, error) {
 	if dec == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, tag)
 	}
-	r := NewReader(b[1:])
+	// The reader escapes through the decoder table, so it cannot live on the
+	// stack; it is recycled instead. No decoder keeps it (decoded values copy
+	// what they need out of the frame), and it lets go of the frame before it
+	// returns to the pool.
+	r := readerPool.Get().(*Reader)
+	*r = Reader{buf: b[1:]}
 	m, err := dec(r)
-	if err != nil {
-		return nil, fmt.Errorf("codec: decoding tag %d: %w", tag, err)
+	if err == nil {
+		err = r.Finish()
 	}
-	if err := r.Finish(); err != nil {
+	*r = Reader{}
+	readerPool.Put(r)
+	if err != nil {
 		return nil, fmt.Errorf("codec: decoding tag %d: %w", tag, err)
 	}
 	return m, nil
 }
+
+var readerPool = sync.Pool{New: func() any { return new(Reader) }}
 
 // EncodedSize returns the framed size of a message in bytes. The simulator
 // uses it to charge per-byte transmission and processing costs.

@@ -491,8 +491,8 @@ func TestSameInstanceBatchEquivocationPOM(t *testing.T) {
 		t.Fatalf("POMs sent = %d, want 1 (same-instance batch equivocation)", cl.stats.POMsSent)
 	}
 	// Replies for different proposals must not share a quorum group.
-	if len(p.replies) != 2 {
-		t.Fatalf("reply groups = %d, want 2 (one per proposal)", len(p.replies))
+	if len(p.groups) != 2 {
+		t.Fatalf("reply groups = %d, want 2 (one per proposal)", len(p.groups))
 	}
 	var pom *POM
 	for _, m := range ctx.sends {

@@ -95,13 +95,6 @@ const (
 	tagSOFetch     = 29
 )
 
-// replyRetention bounds how far behind a client's highest seen timestamp
-// the per-request bookkeeping (reply cache, exactly-once memo, instance
-// map) is retained across truncation. It must exceed any client's
-// pipelining depth so that retransmissions of in-flight requests still hit
-// the cache instead of being re-ordered.
-const replyRetention = 256
-
 // CheckpointMsg is a replica's signed per-space executed-watermark vote,
 // ⟨CHECKPOINT, s, w, d⟩σR.
 type CheckpointMsg struct {
@@ -315,9 +308,17 @@ func (m *CatchupResp) marshalBody(w *codec.Writer) {
 
 // SignedBody returns the bytes the responder signature covers.
 func (m *CatchupResp) SignedBody() []byte {
-	w := codec.NewWriter(1024)
+	w := codec.NewWriter(m.sizeHint())
 	m.marshalBody(w)
 	return w.Bytes()
+}
+
+// sizeHint estimates the encoded size, so that a buffer for it is made once
+// instead of grown by doubling through a snapshot's worth of bytes: the
+// snapshot exactly, a suffix entry (command, SPECORDER, signatures) and a
+// CHECKPOINT vote at their usual sizes. An underestimate costs one regrowth.
+func (m *CatchupResp) sizeHint() int {
+	return len(m.Snapshot) + 256*len(m.Suffix) + 96*len(m.Proof) + 64*len(m.Spaces) + 12*len(m.Clients) + 256
 }
 
 func decodeCatchupResp(r *codec.Reader) (*CatchupResp, error) {
@@ -565,9 +566,9 @@ func (r *Replica) applyStableCheckpoint(ctx proc.Context, st *engine.StableCheck
 
 // truncateSpace frees log entries the stable low-water mark has made dead
 // weight: slots at or below mark−LogRetention that this replica has itself
-// finally executed. Freed entries take their dependency-index references,
-// parked commit decisions, and out-of-window per-request bookkeeping with
-// them.
+// finally executed. Freed entries take their dependency-index references
+// and parked commit decisions with them, and hand their per-request
+// bookkeeping to the client window to release.
 func (r *Replica) truncateSpace(spaceID types.ReplicaID, sp *space) {
 	limit := sp.lowWater
 	if r.cfg.LogRetention >= limit {
@@ -585,30 +586,57 @@ func (r *Replica) truncateSpace(spaceID types.ReplicaID, sp *space) {
 		if e == nil {
 			continue
 		}
+		delete(sp.entries, slot)
+		// Per-request bookkeeping outlives the entry by the client's window
+		// (see releaseRequest); the window releases it now or queues it.
 		for i := 0; i < e.nCmds(); i++ {
-			cmd := e.cmdAt(i)
-			if cmd.IsNoop() {
-				continue
-			}
-			// Per-request bookkeeping is kept for a recent per-client window
-			// (replyRetention timestamps behind the client's highest) so
-			// retransmissions of in-flight pipelined requests still hit the
-			// cache; anything older is released with the entry.
-			if cmd.Timestamp+replyRetention <= r.highestTs[cmd.Client] {
-				key := cmdKey{cmd.Client, cmd.Timestamp}
-				if inst, ok := r.instByCmd[key]; ok && inst == e.inst {
-					delete(r.instByCmd, key)
-				}
-				delete(r.replyCache, key)
-				delete(r.executed, key)
+			if cmd := e.cmdAt(i); !cmd.IsNoop() {
+				r.window.Truncated(cmd.Client, cmd.Timestamp)
 			}
 		}
-		delete(sp.entries, slot)
 		delete(r.deferredCommits, e.inst)
 		r.stats.TruncatedEntries++
 	}
 	r.deps.prune(spaceID, limit)
 	sp.truncated = limit
+}
+
+// releaseRequest drops the per-request bookkeeping of one client request —
+// instance mapping, cached SPECREPLY (which pins its SPECORDER and request),
+// exactly-once memo. The window (engine.RequestWindow) calls it once the
+// request's entry has been truncated and the request is ReplyRetention
+// timestamps behind its client's highest, whichever happens last; until
+// then retransmissions find the cached reply and duplicate instances find
+// the memo. Afterwards an executed request's timestamp stays in settled —
+// a range per client, not a record per request — so a duplicate instance
+// arriving at any later time (a Byzantine leader can embed an old signed
+// request in a fresh SPECORDER, which acceptSpecOrder has no way to refuse
+// consistently across replicas whose windows differ) is still skipped at
+// final execution, by every replica alike. A request ordered in a second
+// instance that is still in the log (a re-proposal after an owner change)
+// is left alone: that instance's own truncation reports it again.
+func (r *Replica) releaseRequest(client types.ClientID, ts uint64) {
+	key := cmdKey{client, ts}
+	if inst, ok := r.instByCmd[key]; ok {
+		if r.log.get(inst) != nil {
+			return
+		}
+		delete(r.instByCmd, key)
+	}
+	delete(r.replyCache, key)
+	if _, done := r.executed[key]; done {
+		delete(r.executed, key)
+		set := r.settled[client]
+		set.add(ts)
+		r.settled[client] = set
+	}
+}
+
+// RequestStateCount returns the size of the largest per-request table
+// (instance map, reply cache, exactly-once memo): the bounded-memory
+// observable beside LogEntryCount.
+func (r *Replica) RequestStateCount() int {
+	return max(len(r.instByCmd), len(r.replyCache), len(r.executed))
 }
 
 // --- catch-up ---
@@ -1114,13 +1142,11 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 	// duplicate instances of them above the marks are skipped at final
 	// execution.
 	r.executedTs = make(map[types.ClientID]uint64, len(m.Clients))
-	r.baseTs = make(map[types.ClientID]uint64, len(m.Clients))
+	r.settled = make(map[types.ClientID]tsSet, len(m.Clients))
 	for _, cm := range m.Clients {
 		r.executedTs[cm.Client] = cm.Ts
-		r.baseTs[cm.Client] = cm.Ts
-		if cm.Ts > r.highestTs[cm.Client] {
-			r.highestTs[cm.Client] = cm.Ts
-		}
+		r.settled[cm.Client] = tsSet{{0, cm.Ts}}
+		r.window.Seen(cm.Client, cm.Ts)
 	}
 
 	for i := range m.Spaces {
@@ -1180,9 +1206,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 			}
 			r.instByCmd[cmdKey{cmd.Client, cmd.Timestamp}] = e.inst
 			r.deps.update(e.inst, cmd, e.seq)
-			if cmd.Timestamp > r.highestTs[cmd.Client] {
-				r.highestTs[cmd.Client] = cmd.Timestamp
-			}
+			r.window.Seen(cmd.Client, cmd.Timestamp)
 			// Executed suffix entries carry no results (HistEntry has none),
 			// so nothing is memoized for them; exactly-once for their
 			// commands is covered by the responder's executed-timestamp

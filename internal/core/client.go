@@ -113,16 +113,39 @@ func (k replyKey) Less(o replyKey) bool {
 	return false
 }
 
+// replyGroup holds the SPECREPLYs that vouch for one proposal, indexed by
+// sender: replies[i] is replica i's latest reply for it, nil if it has sent
+// none. Ranging over it visits the senders in replica-id order.
+type replyGroup struct {
+	key     replyKey
+	replies []*SpecReply
+	count   int // non-nil elements of replies
+}
+
+// lowest returns the reply of the lowest-numbered replica in the group (the
+// deterministic reference for comparisons), nil for an empty group.
+func (g *replyGroup) lowest() *SpecReply {
+	for _, sr := range g.replies {
+		if sr != nil {
+			return sr
+		}
+	}
+	return nil
+}
+
 // pendingReq tracks one outstanding request.
 type pendingReq struct {
 	cmd    types.Command
 	digest types.Digest // cmd.Digest(), computed once per request
 	req    *Request
 	issued time.Duration
-	// replies groups SPECREPLYs by the proposal they vouch for, then by
-	// sender (a faulty leader may cause several proposals per request).
-	replies  map[replyKey]map[types.ReplicaID]*SpecReply
-	replied  map[types.ReplicaID]bool
+	// groups holds the collected SPECREPLYs, one group per proposal they
+	// vouch for, in order of first arrival. A faulty leader may cause several
+	// proposals per request; the usual single group lives in groupBuf, so it
+	// costs no allocation of its own.
+	groups   []replyGroup
+	groupBuf [1]replyGroup
+	replied  int // distinct replicas that have answered, in any group
 	pomSent  bool
 	retries  int
 	timedOut bool
@@ -133,9 +156,31 @@ type pendingReq struct {
 	fetched   map[replyKey]*SpecOrder
 	fetchReqs map[replyKey]bool
 
-	commitSent    bool
-	commitInst    types.InstanceID
-	commitReplies map[types.ReplicaID]*CommitReply
+	commitSent bool
+	commitInst types.InstanceID
+	// commitReplies is indexed by sender like replyGroup.replies; nil until
+	// the first COMMITREPLY arrives (slow path only).
+	commitReplies []*CommitReply
+}
+
+// group returns the group collecting replies for key, nil if there is none.
+func (p *pendingReq) group(key replyKey) *replyGroup {
+	for i := range p.groups {
+		if p.groups[i].key == key {
+			return &p.groups[i]
+		}
+	}
+	return nil
+}
+
+// hasReplied reports whether the replica has answered in any group.
+func (p *pendingReq) hasReplied(rid types.ReplicaID) bool {
+	for i := range p.groups {
+		if p.groups[i].replies[rid] != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Client is an ezBFT client: it actively participates in consensus by
@@ -214,15 +259,14 @@ func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
 	c.cfg.Costs.ChargeSign(ctx)
 	req.Sig = signBody(c.cfg.Auth, req)
 
-	c.pending[ts] = &pendingReq{
-		cmd:           cmd,
-		digest:        cmd.Digest(),
-		req:           req,
-		issued:        ctx.Now(),
-		replies:       make(map[replyKey]map[types.ReplicaID]*SpecReply),
-		replied:       make(map[types.ReplicaID]bool),
-		commitReplies: make(map[types.ReplicaID]*CommitReply),
+	p := &pendingReq{
+		cmd:    cmd,
+		digest: cmd.Digest(),
+		req:    req,
+		issued: ctx.Now(),
 	}
+	p.groups = p.groupBuf[:0]
+	c.pending[ts] = p
 	c.stats.Submitted++
 	ctx.Send(types.ReplicaNode(c.cfg.Leader), req)
 	ctx.SetTimer(proc.TimerID(ts*4+timerKindSlow), c.cfg.SlowPathTimeout)
@@ -268,7 +312,7 @@ func (c *Client) OnTimer(ctx proc.Context, id proc.TimerID) {
 // misbehaviour, and decide fast path on 3f+1 matching replies.
 func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 	p, ok := c.pending[m.Timestamp]
-	if !ok || m.Client != c.cfg.ID {
+	if !ok || m.Client != c.cfg.ID || m.Replica < 0 || int(m.Replica) >= c.n {
 		return
 	}
 	if !m.SigVerified() {
@@ -294,30 +338,35 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 		c.checkPOM(ctx, p, m)
 	}
 
-	key := keyOf(m)
-	group, ok := p.replies[key]
-	if !ok {
-		group = make(map[types.ReplicaID]*SpecReply, c.n)
-		p.replies[key] = group
+	if !p.hasReplied(m.Replica) {
+		p.replied++
 	}
-	group[m.Replica] = m
-	p.replied[m.Replica] = true
+	key := keyOf(m)
+	group := p.group(key)
+	if group == nil {
+		p.groups = append(p.groups, replyGroup{key: key, replies: make([]*SpecReply, c.n)})
+		group = &p.groups[len(p.groups)-1]
+	}
+	if group.replies[m.Replica] == nil {
+		group.count++
+	}
+	group.replies[m.Replica] = m
 
 	// Conflicting proposals for one request are equivocation evidence, but
 	// a POM needs the full SPECORDERs; fetch the ones evidence slimming
 	// withheld (step 4.4 restored for BatchIdx > 0 clients).
-	if !p.pomSent && len(p.replies) > 1 {
+	if !p.pomSent && len(p.groups) > 1 {
 		c.fetchConflictEvidence(ctx, p)
 	}
 
 	// Step 4.1: 3f+1 matching responses constitute a fast decision.
-	if !c.cfg.DisableFastPath && len(group) == FastQuorum(c.n) && c.allMatch(group) {
+	if !c.cfg.DisableFastPath && group.count == FastQuorum(c.n) && group.allMatch() {
 		c.finishFast(ctx, m.Timestamp, p, m.Inst, group)
 		return
 	}
 	// If every replica has answered and no fast decision is possible, take
 	// the slow path immediately rather than waiting for the timer.
-	if !p.commitSent && len(p.replied) == c.n {
+	if !p.commitSent && p.replied == c.n {
 		c.trySlowPath(ctx, m.Timestamp, p)
 	}
 }
@@ -325,9 +374,9 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 // checkPOM compares the new reply's embedded SPECORDER against previously
 // collected ones; on a conflict it broadcasts the proof of misbehaviour.
 func (c *Client) checkPOM(ctx proc.Context, p *pendingReq, m *SpecReply) {
-	for _, group := range p.replies {
-		for _, prev := range group {
-			if prev.SO == nil || prev.SO.Owner != m.SO.Owner {
+	for i := range p.groups {
+		for _, prev := range p.groups[i].replies {
+			if prev == nil || prev.SO == nil || prev.SO.Owner != m.SO.Owner {
 				continue
 			}
 			if prev.SO.Inst == m.SO.Inst && prev.SO.CmdDigest == m.SO.CmdDigest {
@@ -368,8 +417,10 @@ func (c *Client) checkPOM(ctx proc.Context, p *pendingReq, m *SpecReply) {
 // replica for the full proposal behind the signed SORef (SOFETCH), then
 // assembles the POM when both sides are in hand.
 func (c *Client) fetchConflictEvidence(ctx proc.Context, p *pendingReq) {
-	for key, group := range p.replies {
-		if c.soForGroup(p, key) != nil || p.fetchReqs[key] {
+	for i := range p.groups {
+		group := &p.groups[i]
+		key := group.key
+		if c.soForGroup(p, group) != nil || p.fetchReqs[key] {
 			continue
 		}
 		if p.fetchReqs == nil {
@@ -381,20 +432,20 @@ func (c *Client) fetchConflictEvidence(ctx proc.Context, p *pendingReq) {
 		req.Sig = signBody(c.cfg.Auth, req)
 		// Ask the lowest-id replica that vouched for the proposal; it holds
 		// the SPECORDER (it signed a reply derived from it).
-		ctx.Send(types.ReplicaNode(c.lowestReplica(group)), req)
+		ctx.Send(types.ReplicaNode(group.lowest().Replica), req)
 	}
 	c.tryPOMFromEvidence(ctx, p)
 }
 
 // soForGroup returns the full SPECORDER known for a proposal group: an
 // embedded one from any reply, or a fetched one.
-func (c *Client) soForGroup(p *pendingReq, key replyKey) *SpecOrder {
-	for _, sr := range p.replies[key] {
-		if sr.SO != nil {
+func (c *Client) soForGroup(p *pendingReq, group *replyGroup) *SpecOrder {
+	for _, sr := range group.replies {
+		if sr != nil && sr.SO != nil {
 			return sr.SO
 		}
 	}
-	return p.fetched[key]
+	return p.fetched[group.key]
 }
 
 // handleFetchedSO processes a replica's answer to an SOFETCH: validate the
@@ -439,18 +490,19 @@ func (c *Client) tryPOMFromEvidence(ctx proc.Context, p *pendingReq) {
 	if p.pomSent {
 		return
 	}
-	keys := make([]replyKey, 0, len(p.replies))
-	for key := range p.replies {
-		keys = append(keys, key)
+	// Deterministic pairing: groups in key order, whatever order they formed in.
+	groups := make([]*replyGroup, len(p.groups))
+	for i := range p.groups {
+		groups[i] = &p.groups[i]
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	for i := 0; i < len(keys); i++ {
-		a := c.soForGroup(p, keys[i])
+	sort.Slice(groups, func(i, j int) bool { return groups[i].key.Less(groups[j].key) })
+	for i := 0; i < len(groups); i++ {
+		a := c.soForGroup(p, groups[i])
 		if a == nil || !a.OrdersCommand(p.cmd) {
 			continue
 		}
-		for j := i + 1; j < len(keys); j++ {
-			b := c.soForGroup(p, keys[j])
+		for j := i + 1; j < len(groups); j++ {
+			b := c.soForGroup(p, groups[j])
 			if b == nil || a.Owner != b.Owner || !b.OrdersCommand(p.cmd) {
 				continue
 			}
@@ -476,24 +528,14 @@ func (c *Client) tryPOMFromEvidence(ctx proc.Context, p *pendingReq) {
 
 // allMatch reports whether every reply in the group matches (deterministic
 // reference: the lowest replica ID).
-func (c *Client) allMatch(group map[types.ReplicaID]*SpecReply) bool {
-	ref := group[c.lowestReplica(group)]
-	for _, sr := range group {
-		if !sr.Matches(ref) {
+func (g *replyGroup) allMatch() bool {
+	ref := g.lowest()
+	for _, sr := range g.replies {
+		if sr != nil && !sr.Matches(ref) {
 			return false
 		}
 	}
 	return true
-}
-
-func (c *Client) lowestReplica(group map[types.ReplicaID]*SpecReply) types.ReplicaID {
-	low := types.ReplicaID(-1)
-	for rid := range group {
-		if low < 0 || rid < low {
-			low = rid
-		}
-	}
-	return low
 }
 
 // slimCert drops the embedded SPECORDER from every batched certificate
@@ -541,15 +583,17 @@ func (m *SpecReply) cloneSlim() *SpecReply {
 
 // finishFast completes a request on the fast path: return to the
 // application, then asynchronously send COMMITFAST with the certificate.
-func (c *Client) finishFast(ctx proc.Context, ts uint64, p *pendingReq, inst types.InstanceID, group map[types.ReplicaID]*SpecReply) {
-	cert := make([]*SpecReply, 0, len(group))
-	for _, rid := range sortedGroupKeys(group) {
-		cert = append(cert, group[rid])
+func (c *Client) finishFast(ctx proc.Context, ts uint64, p *pendingReq, inst types.InstanceID, group *replyGroup) {
+	cert := make([]*SpecReply, 0, group.count)
+	for _, sr := range group.replies {
+		if sr != nil {
+			cert = append(cert, sr)
+		}
 	}
 	cf := &CommitFast{Client: c.cfg.ID, Inst: inst, Cert: slimCert(cert)}
 	proc.Broadcast(ctx, c.replicas, cf)
 	c.stats.FastDecisions++
-	c.finish(ctx, ts, p, group[c.lowestReplica(group)].Result, true)
+	c.finish(ctx, ts, p, group.lowest().Result, true)
 }
 
 // trySlowPath implements step 4.2: with at least 2f+1 replies for one
@@ -560,22 +604,20 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 	if p.commitSent {
 		return true
 	}
-	inst, group := c.bestGroup(p)
-	if group == nil || len(group) < SlowQuorum(c.n) {
+	group := c.bestGroup(p)
+	if group == nil || group.count < SlowQuorum(c.n) {
 		return false
 	}
+	inst := group.key.inst
 	// Prefer the command-leader's known slow quorum (the paper's
 	// "Nitpick"); fall back to the lowest 2f+1 replica IDs that answered.
-	leader := types.ReplicaID(-1)
-	if len(group) > 0 {
-		leader = group[c.lowestReplica(group)].Owner.OwnerOf(c.n)
-	}
+	leader := group.lowest().Owner.OwnerOf(c.n)
 	chosen := make([]*SpecReply, 0, SlowQuorum(c.n))
 	known := SlowQuorumMembers(leader, c.n)
 	complete := true
 	for _, rid := range known {
-		sr, ok := group[rid]
-		if !ok {
+		sr := group.replies[rid]
+		if sr == nil {
 			complete = false
 			break
 		}
@@ -583,15 +625,18 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 	}
 	if !complete {
 		chosen = chosen[:0]
-		for _, rid := range sortedGroupKeys(group) {
-			chosen = append(chosen, group[rid])
+		for _, sr := range group.replies {
+			if sr == nil {
+				continue
+			}
+			chosen = append(chosen, sr)
 			if len(chosen) == SlowQuorum(c.n) {
 				break
 			}
 		}
 	}
 
-	deps := types.NewInstanceSet()
+	var deps types.InstanceSet
 	var seq types.SeqNumber
 	for _, sr := range chosen {
 		deps.Union(sr.Deps)
@@ -621,23 +666,15 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 // key order, for determinism). Replies for the same instance built from
 // different batches live in different groups, so the combined quorum is
 // always over one proposal.
-func (c *Client) bestGroup(p *pendingReq) (types.InstanceID, map[types.ReplicaID]*SpecReply) {
-	var (
-		bestKey   replyKey
-		bestGroup map[types.ReplicaID]*SpecReply
-	)
-	keys := make([]replyKey, 0, len(p.replies))
-	for key := range p.replies {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	for _, key := range keys {
-		g := p.replies[key]
-		if bestGroup == nil || len(g) > len(bestGroup) {
-			bestKey, bestGroup = key, g
+func (c *Client) bestGroup(p *pendingReq) *replyGroup {
+	var best *replyGroup
+	for i := range p.groups {
+		g := &p.groups[i]
+		if best == nil || g.count > best.count || (g.count == best.count && g.key.Less(best.key)) {
+			best = g
 		}
 	}
-	return bestKey.inst, bestGroup
+	return best
 }
 
 // handleCommitReply processes step 6.2: the request completes when 2f+1
@@ -653,7 +690,7 @@ func (c *Client) handleCommitReply(ctx proc.Context, m *CommitReply) {
 			break
 		}
 	}
-	if p == nil {
+	if p == nil || m.Replica < 0 || int(m.Replica) >= c.n {
 		return
 	}
 	if !m.SigVerified() {
@@ -665,17 +702,21 @@ func (c *Client) handleCommitReply(ctx proc.Context, m *CommitReply) {
 	if m.CmdDigest != p.digest {
 		return
 	}
+	if p.commitReplies == nil {
+		p.commitReplies = make([]*CommitReply, c.n)
+	}
 	p.commitReplies[m.Replica] = m
 
-	// Count matching results.
-	counts := make(map[string]int, 2)
+	// Count the replies reporting this reply's result: it is the only
+	// result whose count this reply can have raised to the quorum.
+	matching := 0
 	for _, cr := range p.commitReplies {
-		key := fmt.Sprintf("%t|%x", cr.Result.OK, cr.Result.Value)
-		counts[key]++
-		if counts[key] >= SlowQuorum(c.n) {
-			c.finish(ctx, ts, p, cr.Result, false)
-			return
+		if cr != nil && cr.Result.Equal(m.Result) {
+			matching++
 		}
+	}
+	if matching >= SlowQuorum(c.n) {
+		c.finish(ctx, ts, p, m.Result, false)
 	}
 }
 
@@ -690,7 +731,7 @@ func (c *Client) retry(ctx proc.Context, ts uint64, p *pendingReq) {
 	// suspended replicas; allow a fresh slow-path decision on whatever
 	// groups form after the retry.
 	p.commitSent = false
-	p.commitReplies = make(map[types.ReplicaID]*CommitReply)
+	clear(p.commitReplies)
 
 	// Broadcast the request naming the original leader: replicas that
 	// already spec-ordered it resend their cached replies, and the rest
@@ -730,13 +771,4 @@ func (c *Client) finish(ctx proc.Context, ts uint64, p *pendingReq, res types.Re
 		At:       ctx.Now(),
 		FastPath: fast,
 	})
-}
-
-func sortedGroupKeys(group map[types.ReplicaID]*SpecReply) []types.ReplicaID {
-	out := make([]types.ReplicaID, 0, len(group))
-	for rid := range group {
-		out = append(out, rid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

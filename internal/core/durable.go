@@ -188,7 +188,8 @@ func (r *Replica) persistSnapshot() {
 		return
 	}
 	resp := r.buildTransferState(snap, nil)
-	if err := r.cfg.Store.SaveSnapshot(codec.Marshal(resp)); err != nil {
+	data := codec.AppendMarshal(make([]byte, 0, resp.sizeHint()), resp)
+	if err := r.cfg.Store.SaveSnapshot(data); err != nil {
 		r.walErr = err
 		return
 	}
@@ -273,8 +274,8 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 			// Only the retransmission-window watermark is restored here;
 			// executedTs must stay in lockstep with the application state,
 			// which the re-derived execution rebuilds.
-			if rd.Err() == nil && ts > r.highestTs[c] {
-				r.highestTs[c] = ts
+			if rd.Err() == nil {
+				r.window.Seen(c, ts)
 			}
 		}
 	case walCkptVoteKind:
@@ -325,9 +326,7 @@ func (r *Replica) adoptHist(ctx proc.Context, h *HistEntry, replaying bool) {
 			}
 			r.instByCmd[cmdKey{cmd.Client, cmd.Timestamp}] = e.inst
 			r.deps.update(e.inst, cmd, e.seq)
-			if cmd.Timestamp > r.highestTs[cmd.Client] {
-				r.highestTs[cmd.Client] = cmd.Timestamp
-			}
+			r.window.Seen(cmd.Client, cmd.Timestamp)
 		}
 		if replaying && e.so != nil {
 			// Rebuild the speculative overlay and the per-request reply

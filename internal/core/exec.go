@@ -108,9 +108,8 @@ func (r *Replica) tryExecute(ctx proc.Context) {
 // (every replica applies the same NEWOWNER safe set, so the skip set is
 // identical everywhere).
 //
-// Traversal order is intentionally unordered (map iteration): closure
-// membership and blocker identity are order-independent, and the execution
-// order is derived deterministically by the dependency graph afterwards.
+// Closure membership and blocker identity do not depend on traversal order,
+// and the execution order is derived by the dependency graph afterwards.
 // Instances in `blocked` are known-stuck from earlier in the same pass.
 //
 // The traversal scratch (seen set, work stack, closure and blocker slices)
@@ -130,7 +129,7 @@ func (r *Replica) depClosure(e *entry, blocked map[types.InstanceID]bool) (closu
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for dep := range cur.deps {
+		for _, dep := range cur.deps {
 			if seen[dep] {
 				continue
 			}
@@ -245,9 +244,11 @@ func (r *Replica) finalExecute(ctx proc.Context, e *entry) {
 			res = types.Result{OK: true}
 		} else if memo, done := r.executed[key]; done {
 			res = memo
-		} else if cmd.Timestamp <= r.baseTs[cmd.Client] {
-			// A duplicate instance of a command the installed state-transfer
-			// snapshot already reflects: applying it again would double-execute.
+		} else if r.settled[cmd.Client].has(cmd.Timestamp) {
+			// A duplicate instance of a command the final state already
+			// reflects — through an installed state-transfer snapshot, or
+			// executed here so long ago that its memo has been released:
+			// applying it again would double-execute.
 			res = types.Result{OK: true}
 		} else {
 			r.cfg.Costs.ChargeExecute(ctx)
@@ -261,14 +262,16 @@ func (r *Replica) finalExecute(ctx proc.Context, e *entry) {
 
 // recordFinal is the per-command bookkeeping both execution paths share:
 // executed-timestamp watermark, the entry's final result slot, the
-// replica-wide execution log, and the execution counter. Single-sourced so
-// the serial and parallel paths cannot drift.
+// execution observer, and the execution counter. Single-sourced so the
+// serial and parallel paths cannot drift.
 func (r *Replica) recordFinal(e *entry, i int, cmd types.Command, res types.Result) {
 	if !cmd.IsNoop() && cmd.Timestamp > r.executedTs[cmd.Client] {
 		r.executedTs[cmd.Client] = cmd.Timestamp
 	}
 	e.setFinalResult(i, res)
-	r.execLog = append(r.execLog, ExecRecord{Inst: e.inst, Pos: i, Cmd: cmd, Result: res})
+	if r.execObserver != nil {
+		r.execObserver(ExecRecord{Inst: e.inst, Pos: i, Cmd: cmd, Result: res})
+	}
 	r.stats.FinalExecutions++
 }
 
@@ -299,8 +302,18 @@ func (r *Replica) finishEntry(ctx proc.Context, e *entry) {
 	}
 }
 
+// RecordExecutions makes the replica keep a record of every command it
+// finally executes from now on, for ExecutedLog. Test seam (test clusters,
+// ExecHarness): a replica nobody called it on records nothing, because a
+// log of everything ever executed is unbounded state no protocol step
+// reads.
+func (r *Replica) RecordExecutions() {
+	r.execObserver = func(rec ExecRecord) { r.execLog = append(r.execLog, rec) }
+}
+
 // ExecutedLog returns the sequence of finally executed commands with their
-// instances, in execution order. Test/inspection helper: consistency checks
+// instances, in execution order, as far as RecordExecutions had them
+// recorded (empty on a replica built for running). Consistency checks
 // compare these across replicas.
 func (r *Replica) ExecutedLog() []ExecRecord { return append([]ExecRecord(nil), r.execLog...) }
 

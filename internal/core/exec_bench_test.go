@@ -97,6 +97,7 @@ func executableReplica(tb testing.TB, n, workers int) (*Replica, []*entry) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	rep.RecordExecutions()
 	entries := make([]*entry, n)
 	for i := 0; i < n; i++ {
 		inst := types.InstanceID{Space: 0, Slot: uint64(i + 2)}

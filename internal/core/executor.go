@@ -28,10 +28,11 @@ import (
 // # Determinism argument
 //
 // Every observable of the serial path — final results, the executed memo,
-// executedTs watermarks, execLog order, entry statuses, checkpoint execution
-// marks, and commit-reply send order (including simulated virtual-time
-// charges) — is reproduced byte-identically at any worker count. The
-// schedule is split into three phases per batch:
+// executedTs watermarks, the order the execution observer sees, entry
+// statuses, checkpoint execution marks, and commit-reply send order
+// (including simulated virtual-time charges) — is reproduced
+// byte-identically at any worker count. The schedule is split into three
+// phases per batch:
 //
 //  1. Resolution (serial). Closure by closure, the linearized order from
 //     graph.Linearize is walked exactly as the serial path would, and each
@@ -68,9 +69,9 @@ import (
 //     exact serial order: virtual execution costs are charged (at the point
 //     the serial path would charge them, which keeps simulated timestamps —
 //     and so every simulated figure — identical at any worker count), memo
-//     entries are written, executedTs/execLog/results are recorded via the
-//     same recordFinal/finishEntry helpers the serial path uses, and commit
-//     replies are sent in the same sorted order.
+//     entries are written, executedTs, results and the execution observer
+//     are updated via the same recordFinal/finishEntry helpers the serial
+//     path uses, and commit replies are sent in the same sorted order.
 //
 // Memo reads in phase 3 are always satisfied: a memo-hit consumer appears
 // after its producer in the serial order (phase 1 claims in that order), and
@@ -110,7 +111,7 @@ const (
 	actExec execAction = iota // run PromoteFinal on a worker
 	actNoop                   // distinguished no-op: Result{OK: true}
 	actMemo                   // exactly-once duplicate: reuse the memoized result
-	actBase                   // at/below the state-transfer base timestamp: skip
+	actBase                   // settled (snapshot-covered or memo released): skip
 )
 
 // execItem is one command of the pass list, in serial linear order.
@@ -213,7 +214,7 @@ func (x *parExecutor) addClosure(r *Replica, order []types.InstanceID, spans []g
 			// member depends on. Linearize's inverse topological order
 			// guarantees cross-unit dependencies point to earlier units;
 			// same-unit (same-SCC) edges don't raise.
-			for dep := range e.deps {
+			for _, dep := range e.deps {
 				if u, ok := x.unitOf[dep]; ok && u != unitIdx && x.units[u].level >= lvl {
 					lvl = x.units[u].level + 1
 				}
@@ -230,7 +231,7 @@ func (x *parExecutor) addClosure(r *Replica, order []types.InstanceID, spans []g
 					it.act = actNoop
 				case claimed || memoized:
 					it.act = actMemo
-				case cmd.Timestamp <= r.baseTs[cmd.Client]:
+				case r.settled[cmd.Client].has(cmd.Timestamp):
 					it.act = actBase // writes no memo serially either
 				default:
 					it.act = actExec

@@ -189,6 +189,7 @@ func TestParallelExecExactlyOnceAcrossClosures(t *testing.T) {
 	if rep.exec == nil {
 		t.Fatal("parallel executor not enabled")
 	}
+	rep.RecordExecutions()
 	cmd := types.Command{Client: 7, Timestamp: 1, Op: types.OpPut, Key: "dup", Value: []byte("v")}
 	for i, space := range []types.ReplicaID{0, 1} {
 		e := &entry{

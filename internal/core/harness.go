@@ -31,6 +31,7 @@ func NewExecHarness(cfg ReplicaConfig) (*ExecHarness, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.RecordExecutions()
 	h := &ExecHarness{r: r, nextSlot: make([]uint64, cfg.N)}
 	for i := range h.nextSlot {
 		h.nextSlot[i] = 1
@@ -49,7 +50,7 @@ func (h *ExecHarness) Commit(space types.ReplicaID, cmds ...types.Command) types
 	inst := types.InstanceID{Space: space, Slot: h.nextSlot[space]}
 	h.nextSlot[space]++
 
-	deps := types.NewInstanceSet()
+	var deps types.InstanceSet
 	var maxSeq types.SeqNumber
 	for _, cmd := range cmds {
 		d, s := r.deps.collect(cmd, inst)
@@ -102,9 +103,9 @@ type inertCtx struct{}
 
 var _ proc.Context = inertCtx{}
 
-func (inertCtx) Now() time.Duration                     { return 0 }
-func (inertCtx) Send(types.NodeID, codec.Message)       {}
-func (inertCtx) SetTimer(proc.TimerID, time.Duration)   {}
-func (inertCtx) CancelTimer(proc.TimerID)               {}
-func (inertCtx) Charge(time.Duration)                   {}
-func (inertCtx) Rand() *rand.Rand                       { return rand.New(rand.NewSource(0)) }
+func (inertCtx) Now() time.Duration                   { return 0 }
+func (inertCtx) Send(types.NodeID, codec.Message)     {}
+func (inertCtx) SetTimer(proc.TimerID, time.Duration) {}
+func (inertCtx) CancelTimer(proc.TimerID)             {}
+func (inertCtx) Charge(time.Duration)                 {}
+func (inertCtx) Rand() *rand.Rand                     { return rand.New(rand.NewSource(0)) }

@@ -8,6 +8,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/proc"
 	"ezbft/internal/sim"
@@ -39,6 +40,12 @@ type clusterOpts struct {
 	ckptInterval  uint64
 	logRetention  uint64
 	seed          int64
+	// product builds the replicas the way every running system does —
+	// through the engine constructor — and installs no execution observer,
+	// so the ExecutedLog-based checks do not apply.
+	product bool
+	// driver, if set, wraps client i's script in the driver the client runs.
+	driver func(i int, script *workload.FixedScript) workload.Driver
 }
 
 func defaultOpts() clusterOpts {
@@ -78,20 +85,34 @@ func newTestCluster(t *testing.T, opts clusterOpts, leaders []types.ReplicaID, s
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := NewReplica(ReplicaConfig{
-			Self:               rid,
-			N:                  opts.n,
-			App:                app,
-			Auth:               a,
-			ResendTimeout:      opts.resendTimeout,
-			BatchSize:          opts.batchSize,
-			BatchDelay:         opts.batchDelay,
-			CheckpointInterval: opts.ckptInterval,
-			LogRetention:       opts.logRetention,
-			Byzantine:          opts.byz[rid],
-		})
-		if err != nil {
-			t.Fatal(err)
+		var rep *Replica
+		if opts.product {
+			p, err := ezEngine{}.NewReplica(engine.ReplicaOptions{
+				Self: rid, N: opts.n, App: app, Auth: a,
+				BatchSize: opts.batchSize, BatchDelay: opts.batchDelay,
+				CheckpointInterval: opts.ckptInterval, LogRetention: opts.logRetention,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep = p.(*Replica)
+		} else {
+			rep, err = NewReplica(ReplicaConfig{
+				Self:               rid,
+				N:                  opts.n,
+				App:                app,
+				Auth:               a,
+				ResendTimeout:      opts.resendTimeout,
+				BatchSize:          opts.batchSize,
+				BatchDelay:         opts.batchDelay,
+				CheckpointInterval: opts.ckptInterval,
+				LogRetention:       opts.logRetention,
+				Byzantine:          opts.byz[rid],
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.RecordExecutions()
 		}
 		if err := rt.AddNode(rep, sim.CostModel{}); err != nil {
 			t.Fatal(err)
@@ -106,12 +127,16 @@ func newTestCluster(t *testing.T, opts clusterOpts, leaders []types.ReplicaID, s
 			t.Fatal(err)
 		}
 		driver := &workload.FixedScript{Commands: script}
+		var run workload.Driver = driver
+		if opts.driver != nil {
+			run = opts.driver(i, driver)
+		}
 		cl, err := NewClient(ClientConfig{
 			ID:              cid,
 			N:               opts.n,
 			Leader:          leaders[i],
 			Auth:            a,
-			Driver:          driver,
+			Driver:          run,
 			SlowPathTimeout: opts.slowTimeout,
 			RetryTimeout:    opts.retryTimeout,
 		})

@@ -252,6 +252,39 @@ func (l *cmdLog) entryCount() int {
 	return n
 }
 
+// depIndex answers "which instances interfere with this command?" in O(1)
+// per instance space: it tracks, per key and per space, the latest instance
+// of each operation class. This is transitively complete: commands on the
+// same key in the same space form dependency chains, so the latest
+// interfering instance per space transitively covers all earlier ones (the
+// EPaxos optimization, applied per operation class because GETs do not
+// interfere with GETs nor INCRs with INCRs).
+//
+// A key's state is one flat slice with an element per instance space that
+// has touched it — a single allocation for a key only one leader orders,
+// which is every key of a partitioned workload.
+type depIndex struct {
+	byKey map[string][]spaceLatest
+}
+
+// spaceLatest tracks, for one key, the latest instance of each operation
+// class in one instance space.
+type spaceLatest struct {
+	space          types.ReplicaID
+	get, put, incr latestRef
+}
+
+// latestRef names an instance by its slot (the space is the enclosing
+// spaceLatest's); slot 0 — slots start at 1 — means no instance.
+type latestRef struct {
+	slot uint64
+	seq  types.SeqNumber
+}
+
+func newDepIndex() *depIndex {
+	return &depIndex{byKey: make(map[string][]spaceLatest)}
+}
+
 // prune invalidates every latest-instance reference into `space` at slots
 // ≤ limit. Safe only for slots this replica has finally executed: its own
 // future dependency collection no longer needs them (interfering commands
@@ -259,21 +292,27 @@ func (l *cmdLog) entryCount() int {
 // their own views through the per-replica dependency union, so no ordering
 // information is lost cluster-wide.
 func (d *depIndex) prune(space types.ReplicaID, limit uint64) {
-	for key, ki := range d.byKey {
-		cl, ok := ki.perSpace[space]
-		if !ok {
-			continue
-		}
-		for _, ref := range []*latestRef{&cl.get, &cl.put, &cl.incr} {
-			if ref.valid && ref.inst.Space == space && ref.inst.Slot <= limit {
-				*ref = latestRef{}
+	for key, spaces := range d.byKey {
+		for i := range spaces {
+			sl := &spaces[i]
+			if sl.space != space {
+				continue
 			}
-		}
-		if !cl.get.valid && !cl.put.valid && !cl.incr.valid {
-			delete(ki.perSpace, space)
-		}
-		if len(ki.perSpace) == 0 {
-			delete(d.byKey, key)
+			for _, ref := range []*latestRef{&sl.get, &sl.put, &sl.incr} {
+				if ref.slot <= limit {
+					*ref = latestRef{}
+				}
+			}
+			if sl.get.slot == 0 && sl.put.slot == 0 && sl.incr.slot == 0 {
+				spaces[i] = spaces[len(spaces)-1]
+				spaces = spaces[:len(spaces)-1]
+				if len(spaces) == 0 {
+					delete(d.byKey, key)
+				} else {
+					d.byKey[key] = spaces
+				}
+			}
+			break
 		}
 	}
 }
@@ -282,10 +321,10 @@ func (d *depIndex) prune(space types.ReplicaID, limit uint64) {
 // observable).
 func (d *depIndex) size() int {
 	n := 0
-	for _, ki := range d.byKey {
-		for _, cl := range ki.perSpace {
-			for _, ref := range []latestRef{cl.get, cl.put, cl.incr} {
-				if ref.valid {
+	for _, spaces := range d.byKey {
+		for _, sl := range spaces {
+			for _, ref := range [...]latestRef{sl.get, sl.put, sl.incr} {
+				if ref.slot != 0 {
 					n++
 				}
 			}
@@ -294,74 +333,44 @@ func (d *depIndex) size() int {
 	return n
 }
 
-// depIndex answers "which instances interfere with this command?" in O(1)
-// per instance space: it tracks, per key and per space, the latest instance
-// of each operation class. This is transitively complete: commands on the
-// same key in the same space form dependency chains, so the latest
-// interfering instance per space transitively covers all earlier ones (the
-// EPaxos optimization, applied per operation class because GETs do not
-// interfere with GETs nor INCRs with INCRs).
-type depIndex struct {
-	byKey map[string]*keyIndex
-}
-
-// keyIndex tracks the latest instance per (space, op-class) for one key.
-type keyIndex struct {
-	perSpace map[types.ReplicaID]*classLatest
-}
-
-type classLatest struct {
-	get, put, incr latestRef
-}
-
-type latestRef struct {
-	valid bool
-	inst  types.InstanceID
-	seq   types.SeqNumber
-}
-
-func newDepIndex() *depIndex {
-	return &depIndex{byKey: make(map[string]*keyIndex)}
-}
-
 // collect returns the dependency set for cmd (excluding `exclude`) and the
 // largest sequence number among the dependencies.
 func (d *depIndex) collect(cmd types.Command, exclude types.InstanceID) (types.InstanceSet, types.SeqNumber) {
-	deps := types.NewInstanceSet()
-	var maxSeq types.SeqNumber
 	if cmd.Op == types.OpNoop {
-		return deps, 0
+		return nil, 0
 	}
-	ki, ok := d.byKey[cmd.Key]
-	if !ok {
-		return deps, 0
-	}
-	for _, cl := range ki.perSpace {
-		for _, ref := range cl.interfering(cmd.Op) {
-			if !ref.valid || ref.inst == exclude {
+	// At most three references per space; the buffer covers n = 4 without
+	// touching the heap, and an empty result allocates nothing at all.
+	var buf [12]types.InstanceID
+	ids := buf[:0]
+	var maxSeq types.SeqNumber
+	for _, sl := range d.byKey[cmd.Key] {
+		for _, ref := range sl.interfering(cmd.Op) {
+			inst := types.InstanceID{Space: sl.space, Slot: ref.slot}
+			if ref.slot == 0 || inst == exclude {
 				continue
 			}
-			deps.Add(ref.inst)
+			ids = append(ids, inst)
 			if ref.seq > maxSeq {
 				maxSeq = ref.seq
 			}
 		}
 	}
-	return deps, maxSeq
+	return types.NewInstanceSet(ids...), maxSeq
 }
 
 // interfering returns the class slots whose latest instance interferes with
-// an operation of class op.
-func (c *classLatest) interfering(op types.Op) []latestRef {
+// an operation of class op (unused positions are empty references).
+func (sl *spaceLatest) interfering(op types.Op) [3]latestRef {
 	switch op {
 	case types.OpGet:
-		return []latestRef{c.put, c.incr}
+		return [3]latestRef{sl.put, sl.incr}
 	case types.OpPut:
-		return []latestRef{c.get, c.put, c.incr}
+		return [3]latestRef{sl.get, sl.put, sl.incr}
 	case types.OpIncr:
-		return []latestRef{c.get, c.put}
+		return [3]latestRef{sl.get, sl.put}
 	default:
-		return nil
+		return [3]latestRef{}
 	}
 }
 
@@ -369,34 +378,32 @@ func (c *classLatest) interfering(op types.Op) []latestRef {
 // space. Seq-only updates (commit raising the sequence number) pass the
 // same instance again with the new seq.
 func (d *depIndex) update(inst types.InstanceID, cmd types.Command, seq types.SeqNumber) {
-	if cmd.Op == types.OpNoop {
+	if cmd.Op != types.OpGet && cmd.Op != types.OpPut && cmd.Op != types.OpIncr {
 		return
 	}
-	ki, ok := d.byKey[cmd.Key]
-	if !ok {
-		ki = &keyIndex{perSpace: make(map[types.ReplicaID]*classLatest)}
-		d.byKey[cmd.Key] = ki
+	spaces := d.byKey[cmd.Key]
+	i := 0
+	for i < len(spaces) && spaces[i].space != inst.Space {
+		i++
 	}
-	cl, ok := ki.perSpace[inst.Space]
-	if !ok {
-		cl = &classLatest{}
-		ki.perSpace[inst.Space] = cl
+	if i == len(spaces) {
+		spaces = append(spaces, spaceLatest{space: inst.Space})
+		d.byKey[cmd.Key] = spaces
 	}
+	sl := &spaces[i]
 	var ref *latestRef
 	switch cmd.Op {
 	case types.OpGet:
-		ref = &cl.get
+		ref = &sl.get
 	case types.OpPut:
-		ref = &cl.put
-	case types.OpIncr:
-		ref = &cl.incr
+		ref = &sl.put
 	default:
-		return
+		ref = &sl.incr
 	}
 	// Later slots supersede; same slot updates seq in place.
-	if !ref.valid || inst.Slot > ref.inst.Slot {
-		*ref = latestRef{valid: true, inst: inst, seq: seq}
-	} else if inst == ref.inst && seq > ref.seq {
+	if inst.Slot > ref.slot {
+		*ref = latestRef{slot: inst.Slot, seq: seq}
+	} else if inst.Slot == ref.slot && seq > ref.seq {
 		ref.seq = seq
 	}
 }

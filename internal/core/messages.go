@@ -21,7 +21,7 @@
 // closure's linearization directly. The parallel executor (executor.go,
 // enabled by ExecWorkers > 1 with a types.ConcurrentApplication) schedules
 // the same linearization as a level-ordered DAG: scheduling decisions —
-// exactly-once memo hits, state-transfer base-timestamp skips, dependency
+// exactly-once memo hits, settled-timestamp skips, dependency
 // levels, footprint conflicts — are all resolved serially in linear order
 // before any worker runs; workers only compute PromoteFinal results for
 // commands whose levels make them non-interfering (disjoint footprints or
@@ -31,6 +31,42 @@
 // charges — replays serially in linear order afterwards. Results, logs,
 // reply order, and simulated timings are therefore byte-identical at any
 // worker count; the full argument is in executor.go.
+//
+// The execution log those checks compare is not something a replica keeps:
+// final execution reports each command to an observer (Replica.execObserver)
+// that is nil in every replica a running system builds. Test clusters and
+// ExecHarness install one through RecordExecutions, and ExecutedLog returns
+// what it recorded.
+//
+// # What a request costs a replica, and for how long
+//
+// With checkpointing on, everything a replica keeps per request is bounded
+// by the checkpoint lag and the clients' window, not by how long it has
+// run:
+//
+//   - the log entry (with its SPECORDER, dependency set and results) lives
+//     until its space's stable checkpoint passes it and LogRetention more
+//     slots (truncateSpace), as do the dependency-index references to it
+//     and any commit decisions parked for it;
+//   - instByCmd, replyCache (each cached SPECREPLY pins its SPECORDER and
+//     request) and the exactly-once memo executed hold a request until its
+//     entry is truncated and it is engine.ReplyRetention timestamps behind
+//     its client's highest, whichever comes last (engine.RequestWindow,
+//     releaseRequest) — at most ReplyRetention requests per client beyond
+//     the retained entries. A REQUEST from below that window is dropped at
+//     admission, since nothing is left to answer it with (clients keep
+//     their outstanding timestamps inside the window: workload.Outstanding);
+//   - pendingExec, deferredCommits, resendWait and depWait hold only
+//     instances on their way to execution and empty as those finish;
+//   - per client ever seen: one window record, one timestamp (executedTs)
+//     and the settled set — the executed timestamps no memo records any
+//     more, as ranges: one range for a client that numbers its requests
+//     consecutively, one more per timestamp it skips for good. It is what
+//     keeps execution exactly-once after the memo is released.
+//
+// Dependency sets are types.InstanceSet values — sorted slices, nil when
+// empty — shared freely between a message, the log entry built from it and
+// the replies built from that: no holder writes into one in place.
 //
 // This file defines the wire messages (codec tags 10–25). Signed messages
 // carry their signature separately from the body; the signature covers the

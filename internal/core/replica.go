@@ -36,10 +36,12 @@ type Replica struct {
 	// replyCache keeps the last SPECREPLY sent per request, for
 	// retransmission on retries (paper step 4.3).
 	replyCache map[cmdKey]*SpecReply
-	// highestTs tracks the highest timestamp seen per client (the paper's
-	// "Nitpick" in step 2). Duplicate detection uses instByCmd so that
-	// open-loop clients may pipeline several timestamps.
-	highestTs map[types.ClientID]uint64
+	// window tracks the highest timestamp seen per client (the paper's
+	// "Nitpick" in step 2, widened to a window so that open-loop clients may
+	// pipeline several timestamps) and decides when instByCmd, replyCache
+	// and executed let go of a request: see engine.RequestWindow and
+	// releaseRequest.
+	window *engine.RequestWindow
 
 	// pendingExec holds committed-but-not-finally-executed entries.
 	pendingExec map[types.InstanceID]*entry
@@ -64,10 +66,15 @@ type Replica struct {
 	// executedTs tracks the highest finally-executed timestamp per client,
 	// exported in state transfers for cross-transfer exactly-once semantics.
 	executedTs map[types.ClientID]uint64
-	// baseTs marks, after a catch-up install, the per-client timestamps the
-	// installed snapshot already reflects; duplicate instances of those
-	// commands are skipped at final execution.
-	baseTs map[types.ClientID]uint64
+	// settled holds, per client, the timestamps whose execution the final
+	// state reflects but no memo records any more: everything up to the
+	// client's mark in an installed catch-up snapshot, and every executed
+	// request releaseRequest has let go of. A duplicate instance of one — a
+	// re-proposal after an owner change, or a Byzantine leader embedding an
+	// old signed request in a fresh SPECORDER — is skipped at final
+	// execution, so releasing the memo on schedule costs exactly-once
+	// nothing.
+	settled map[types.ClientID]tsSet
 	// catchupPending guards against concurrent state-transfer requests;
 	// catchupAttempts rotates the request target across checkpoint voters;
 	// catchupRetries counts timer-driven re-issues of the current episode
@@ -108,9 +115,13 @@ type Replica struct {
 
 	oc ownerChangeState
 
-	// execLog records finally executed commands in execution order, for
-	// cross-replica consistency checks.
-	execLog []ExecRecord
+	// execObserver, when set, is told of every final execution in execution
+	// order. It is a test seam: no constructor of a running system (sim,
+	// live, TCP, sharding) sets it, so a product replica keeps no record of
+	// what it executed; RecordExecutions installs the one that fills execLog
+	// for the cross-replica consistency checks.
+	execObserver func(ExecRecord)
+	execLog      []ExecRecord
 
 	// byzSkewed / byzLag drive the equivocating-leader fault injection.
 	byzSkewed bool
@@ -219,16 +230,17 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		owners:          make([]types.OwnerNumber, cfg.N),
 		instByCmd:       make(map[cmdKey]types.InstanceID),
 		replyCache:      make(map[cmdKey]*SpecReply),
-		highestTs:       make(map[types.ClientID]uint64),
 		pendingExec:     make(map[types.InstanceID]*entry),
 		executed:        make(map[cmdKey]types.Result),
 		deferredCommits: make(map[types.InstanceID][]deferredCommit),
 		executedTs:      make(map[types.ClientID]uint64),
+		settled:         make(map[types.ClientID]tsSet),
 		resendWait:      make(map[cmdKey]*resendState),
 		depWait:         make(map[types.InstanceID]bool),
 		timerAct:        make(map[proc.TimerID]func(ctx proc.Context)),
 		catchupResps:    make(map[types.ReplicaID]*CatchupResp),
 	}
+	r.window = engine.NewRequestWindow(r.releaseRequest)
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
 	for i := range r.owners {
 		r.owners[i] = types.OwnerNumber(i)
@@ -418,6 +430,14 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 		r.send(ctx, types.ClientNode(m.Cmd.Client), cached)
 		return
 	}
+	if r.window.Below(m.Cmd.Client, m.Cmd.Timestamp) {
+		// Older than anything this client can still have in flight, and old
+		// enough that the bookkeeping which would recognise it as executed
+		// may be gone: ordering it (or chasing its original leader with a
+		// RESENDREQ and a suspicion timer) would execute it a second time.
+		r.stats.DroppedInvalid++
+		return
+	}
 
 	if m.Orig != noOrig && m.Orig != r.cfg.Self {
 		// Retry broadcast for another leader's request.
@@ -435,9 +455,6 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 	}
 	if r.batcher.Queued(key) {
 		return // already waiting in the current batch
-	}
-	if m.Cmd.Timestamp > r.highestTs[m.Cmd.Client] {
-		r.highestTs[m.Cmd.Client] = m.Cmd.Timestamp
 	}
 	r.batcher.Add(ctx, key, m)
 }
@@ -474,7 +491,7 @@ func (r *Replica) leadBatch(ctx proc.Context, reqs []*Request, spaceID types.Rep
 	}
 	batchDigest := BatchDigest(digests)
 
-	deps := types.NewInstanceSet()
+	var deps types.InstanceSet
 	var maxSeq types.SeqNumber
 	for _, m := range reqs {
 		d, s := r.deps.collect(m.Cmd, inst)
@@ -514,7 +531,7 @@ func (r *Replica) leadBatch(ctx proc.Context, reqs []*Request, spaceID types.Rep
 		owner:     so.Owner,
 		cmd:       reqs[0].Cmd,
 		cmdDigest: batchDigest,
-		deps:      deps.Clone(),
+		deps:      deps,
 		seq:       seq,
 		status:    StatusSpecOrdered,
 	}
@@ -530,6 +547,7 @@ func (r *Replica) leadBatch(ctx proc.Context, reqs []*Request, spaceID types.Rep
 	for _, m := range reqs {
 		r.deps.update(inst, m.Cmd, seq)
 		r.instByCmd[cmdKey{m.Cmd.Client, m.Cmd.Timestamp}] = inst
+		r.window.Seen(m.Cmd.Client, m.Cmd.Timestamp)
 	}
 	r.stats.Ordered += uint64(len(reqs))
 	// Durability point: the proposal must survive a crash before any peer
@@ -664,6 +682,10 @@ func (r *Replica) handleResendReq(ctx proc.Context, m *ResendReq) {
 		}
 		return
 	}
+	if r.window.Below(m.Req.Cmd.Client, m.Req.Cmd.Timestamp) {
+		r.stats.DroppedInvalid++ // see handleRequest: too old to order again
+		return
+	}
 	if !m.Req.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
 		if err := verifyBody(r.cfg.Auth, types.ClientNode(m.Req.Cmd.Client), &m.Req, m.Req.Sig); err != nil {
@@ -763,7 +785,7 @@ func (r *Replica) acceptSpecOrder(ctx proc.Context, m *SpecOrder, digests []type
 	// Update dependencies and sequence number from the local log (paper:
 	// "updates the dependencies and sequence number according to its log"),
 	// over every command of the batch.
-	deps := m.Deps.Clone()
+	deps := m.Deps
 	seq := m.Seq
 	for i := 0; i < m.BatchSize(); i++ {
 		localDeps, localMax := r.deps.collect(m.ReqAt(i).Cmd, m.Inst)
@@ -774,7 +796,7 @@ func (r *Replica) acceptSpecOrder(ctx proc.Context, m *SpecOrder, digests []type
 	}
 	if byz := r.cfg.Byzantine; byz != nil && byz.LieAboutDeps {
 		// Fig 3 behaviour: claim no dependencies regardless of the log.
-		deps = types.NewInstanceSet()
+		deps = nil
 		seq = 1
 	}
 
@@ -783,7 +805,7 @@ func (r *Replica) acceptSpecOrder(ctx proc.Context, m *SpecOrder, digests []type
 		owner:     m.Owner,
 		cmd:       m.Req.Cmd,
 		cmdDigest: m.CmdDigest,
-		deps:      deps.Clone(),
+		deps:      deps,
 		seq:       seq,
 		status:    StatusSpecOrdered,
 	}
@@ -803,9 +825,7 @@ func (r *Replica) acceptSpecOrder(ctx proc.Context, m *SpecOrder, digests []type
 		cmd := m.ReqAt(i).Cmd
 		r.deps.update(m.Inst, cmd, seq)
 		r.instByCmd[cmdKey{cmd.Client, cmd.Timestamp}] = m.Inst
-		if cmd.Timestamp > r.highestTs[cmd.Client] {
-			r.highestTs[cmd.Client] = cmd.Timestamp
-		}
+		r.window.Seen(cmd.Client, cmd.Timestamp)
 	}
 	// Durability point: the acceptance must survive a crash before the
 	// SPECREPLY vouches for it to the client.
@@ -861,7 +881,7 @@ func (r *Replica) specExecuteAndReply(ctx proc.Context, e *entry, so *SpecOrder)
 		reply := &SpecReply{
 			Owner:     e.owner,
 			Inst:      e.inst,
-			Deps:      e.deps.Clone(),
+			Deps:      e.deps,
 			Seq:       e.seq,
 			CmdDigest: e.digestAt(i),
 			Client:    cmd.Client,
@@ -1090,6 +1110,7 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 		for i := 0; i < e.nCmds(); i++ {
 			cmd := e.cmdAt(i)
 			r.instByCmd[cmdKey{cmd.Client, cmd.Timestamp}] = inst
+			r.window.Seen(cmd.Client, cmd.Timestamp)
 		}
 	}
 	idx := int(from.BatchIdx)
@@ -1136,7 +1157,7 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 			e.seq = seq
 		}
 	} else {
-		e.deps = deps.Clone()
+		e.deps = deps
 		e.seq = seq
 		e.status = StatusCommitted
 	}

@@ -491,9 +491,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 			s.results[j] = r.cfg.App.Apply(cmd)
 			key := cmdKey{cmd.Client, cmd.Timestamp}
 			r.byCmd[key] = cs.Seq
-			if cmd.Timestamp > r.lastTs[cmd.Client] {
-				r.lastTs[cmd.Client] = cmd.Timestamp
-			}
+			r.window.Seen(cmd.Client, cmd.Timestamp)
 			reply := &Reply{
 				View:      r.view,
 				Timestamp: cmd.Timestamp,

@@ -460,7 +460,7 @@ type Replica struct {
 	ckpt        *engine.CheckpointTracker
 	ckptEmitted uint64
 	truncated   uint64
-	lastTs      map[types.ClientID]uint64
+	window      *engine.RequestWindow
 
 	// State transfer (see catchup.go): snapshots retained per checkpoint
 	// boundary and the single-flight request state.
@@ -531,9 +531,9 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		forwarded:  make(map[cmdKey]proc.TimerID),
 		timerAct:   make(map[proc.TimerID]func(ctx proc.Context)),
 		suspects:   make(map[uint64]map[types.ReplicaID]bool),
-		lastTs:     make(map[types.ClientID]uint64),
 		snaps:      make(map[uint64][]byte),
 	}
+	r.window = engine.NewRequestWindow(r.releaseRequest)
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	r.batcher.SetAdaptive(cfg.BatchAdaptive)
@@ -677,6 +677,14 @@ func (r *Replica) handleRequest(ctx proc.Context, m *Request) {
 	if cached, ok := r.replyCache[key]; ok {
 		r.cfg.Costs.ChargeSign(ctx)
 		r.send(ctx, types.ClientNode(m.Cmd.Client), cached)
+		return
+	}
+	if r.window.Below(m.Cmd.Client, m.Cmd.Timestamp) {
+		// Older than anything the client can still have in flight, and old
+		// enough that the tables which would recognise it as executed may
+		// have let it go: assigning it a sequence number (or forwarding it
+		// and suspecting the leader over it) would execute it twice.
+		r.stats.DroppedInvalid++
 		return
 	}
 	if leaderOf(r.view, r.n) != r.cfg.Self {
@@ -900,9 +908,7 @@ func (r *Replica) checkLearned(ctx proc.Context, s *slotState) {
 		for i, cmd := range next.cmds {
 			r.cfg.Costs.ChargeExecute(ctx)
 			next.results[i] = r.cfg.App.Apply(cmd)
-			if cmd.Timestamp > r.lastTs[cmd.Client] {
-				r.lastTs[cmd.Client] = cmd.Timestamp
-			}
+			r.window.Seen(cmd.Client, cmd.Timestamp)
 
 			reply := &Reply{
 				View:      r.view,

@@ -141,17 +141,17 @@ func (g *DepGraph) Linearize() (order []types.InstanceID, spans []Span) {
 		g.index[id] = i
 	}
 	// Deterministic adjacency in CSR form: per-node edge lists sorted by
-	// target index — node indices follow instance order, so int-sorted
-	// adjacency is instance-sorted adjacency. Edges only to present nodes.
+	// target index. Node indices follow instance order and a dependency set
+	// is itself in instance order, so the lists come out sorted as they are
+	// written. Edges only to present nodes.
 	g.csr = g.csr[:0]
 	for i, id := range g.nodes {
 		g.csrOff[i] = len(g.csr)
-		for dep := range g.deps[id] {
+		for _, dep := range g.deps[id] {
 			if j, ok := g.index[dep]; ok && j != i {
 				g.csr = append(g.csr, j)
 			}
 		}
-		slices.Sort(g.csr[g.csrOff[i]:])
 	}
 	g.csrOff[n] = len(g.csr)
 
@@ -260,7 +260,7 @@ func (g *DepGraph) Levels(order []types.InstanceID, spans []Span) []int {
 	for si, sp := range spans {
 		lvl := 1
 		for k := sp.Start; k < sp.End; k++ {
-			for dep := range g.deps[order[k]] {
+			for _, dep := range g.deps[order[k]] {
 				pos, ok := g.index[dep]
 				if !ok {
 					continue // dependency outside the graph: already executed

@@ -206,7 +206,7 @@ func TestExecutionOrderRespectsAcyclicDeps(t *testing.T) {
 		}
 		pos := position(g.ExecutionOrder())
 		for id, deps := range depsOf {
-			for dep := range deps {
+			for _, dep := range deps {
 				if pos[dep] > pos[id] {
 					return false
 				}

@@ -130,13 +130,14 @@ func (s *Store) SpecExecute(cmd types.Command) types.Result {
 }
 
 // Rollback implements types.SpeculativeApplication: discard the overlay.
+// The overlay maps are emptied, not replaced: a replica rolls back after
+// every execution pass and speculates again at once, so a fresh map would
+// only be regrown by the next write.
 func (s *Store) Rollback() {
 	s.lockAll()
 	defer s.unlockAll()
 	for i := range s.stripes {
-		if len(s.stripes[i].spec) > 0 {
-			s.stripes[i].spec = make(map[string][]byte)
-		}
+		clear(s.stripes[i].spec)
 	}
 	s.rollbacks.Add(1)
 }

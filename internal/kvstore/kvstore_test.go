@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ezbft/internal/race"
 	"ezbft/internal/types"
 )
 
@@ -216,5 +217,41 @@ func TestDigestDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpeculateRollbackSteadyState: a replica speculates on a key and rolls
+// back after every execution pass, forever. The overlay is emptied in
+// place, so the cycle costs the store nothing of its own — zero allocations
+// with a nil value (the measurement TestExecutePassScratchReuse in core uses),
+// exactly the one copy of the value otherwise — and what Rollback discards
+// is really gone.
+func TestSpeculateRollbackSteadyState(t *testing.T) {
+	s := New()
+	s.PromoteFinal(put("k", "final"))
+	cycle := func(cmd types.Command) func() {
+		return func() {
+			s.SpecExecute(cmd)
+			s.Rollback()
+		}
+	}
+	bare := types.Command{Op: types.OpPut, Key: "k"}
+	withValue := put("k", "speculative")
+	cycle(bare)() // first use may size the overlay
+	if !race.Enabled {
+		if n := testing.AllocsPerRun(200, cycle(bare)); n != 0 {
+			t.Errorf("SpecExecute+Rollback on an existing key allocates %v times, want 0", n)
+		}
+		if n := testing.AllocsPerRun(200, cycle(withValue)); n != 1 {
+			t.Errorf("SpecExecute+Rollback of a PUT with a value allocates %v times, want 1 (the value's copy)", n)
+		}
+	}
+	s.SpecExecute(withValue)
+	if res := s.SpecExecute(get("k")); string(res.Value) != "speculative" {
+		t.Fatalf("speculative read = %q", res.Value)
+	}
+	s.Rollback()
+	if res := s.SpecExecute(get("k")); string(res.Value) != "final" {
+		t.Fatalf("read after Rollback = %q, want the final value", res.Value)
 	}
 }

@@ -48,11 +48,6 @@ const (
 	tagCatchupResp = 39
 )
 
-// replyRetention bounds how far behind a client's highest seen timestamp
-// the reply cache and exactly-once table are retained across truncation;
-// it must exceed any client's pipelining depth.
-const replyRetention = 256
-
 // CatchupReq asks a peer for a state transfer, ⟨CATCHUP-REQ, i⟩σi.
 type CatchupReq struct {
 	Replica types.ReplicaID
@@ -446,9 +441,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 			s.results[j] = r.cfg.App.Apply(cmd)
 			key := cmdKey{cmd.Client, cmd.Timestamp}
 			r.byCmd[key] = cs.Seq
-			if cmd.Timestamp > r.lastTs[cmd.Client] {
-				r.lastTs[cmd.Client] = cmd.Timestamp
-			}
+			r.window.Seen(cmd.Client, cmd.Timestamp)
 		}
 		s.cmdDigest = engine.BatchDigest(s.digests)
 		s.executed = true

@@ -7,6 +7,7 @@ import (
 
 	"ezbft/internal/bench"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/pbft"
 	"ezbft/internal/proc"
 	"ezbft/internal/sim"
@@ -213,4 +214,55 @@ func TestDuplicateRequestAfterCatchup(t *testing.T) {
 		t.Fatal("duplicate request changed the primary's application state")
 	}
 	requireConvergence(t, cluster, nil)
+}
+
+// TestRequestStateBounded runs far more requests per client than the
+// retention window holds (TestCheckpointTruncationBoundsLog stops inside it,
+// where keeping everything is correct) and requires the per-request tables
+// — reply cache, exactly-once table — to stay within the contract:
+// engine.ReplyRetention requests per client plus whatever the retained
+// slots still back, and no growth between the half-way point and the end.
+func TestRequestStateBounded(t *testing.T) {
+	const clients, perClient, interval = 2, 2400, 64
+	spec := &bench.Spec{CheckpointInterval: interval}
+	cluster, drivers := harness(t, spec, [][]types.Command{puts("a", perClient), puts("b", perClient)})
+	completed := func(each int) func() bool {
+		return func() bool {
+			for _, d := range drivers {
+				if len(d.Results) < each {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	cluster.RT.Start()
+	if !cluster.RT.RunUntil(completed(perClient/2), 3600*time.Second) {
+		t.Fatal("first half did not complete")
+	}
+	midway := make([]int, len(cluster.PBReplicas))
+	for i, r := range cluster.PBReplicas {
+		midway[i] = r.RequestStateCount()
+	}
+	if !cluster.RT.RunUntil(completed(perClient), 7200*time.Second) {
+		t.Fatal("workload did not complete")
+	}
+	cluster.RT.Run(cluster.RT.Kernel().Now() + 5*time.Second)
+	for i, r := range cluster.PBReplicas {
+		got := r.RequestStateCount()
+		if bound := clients*engine.ReplyRetention + r.SlotCount(); got > bound {
+			t.Errorf("replica %d keeps state for %d of %d requests, bound %d (%d per client + %d slots)",
+				i, got, clients*perClient, bound, engine.ReplyRetention, r.SlotCount())
+		}
+		// The two samples fall at different points of the checkpoint cycle.
+		if got > midway[i]+interval {
+			t.Errorf("replica %d: per-request state grew from %d half-way to %d at the end", i, midway[i], got)
+		}
+	}
+	ref := cluster.Apps[0].Digest()
+	for i, app := range cluster.Apps[1:] {
+		if app.Digest() != ref {
+			t.Fatalf("replica %d state diverged", i+1)
+		}
+	}
 }

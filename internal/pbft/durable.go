@@ -338,9 +338,7 @@ func (r *Replica) installRecoveredSlot(seq, view uint64, reqs []Request, prepare
 		cmd := reqs[i].Cmd
 		key := cmdKey{cmd.Client, cmd.Timestamp}
 		r.byCmd[key] = seq
-		if cmd.Timestamp > r.lastTs[cmd.Client] {
-			r.lastTs[cmd.Client] = cmd.Timestamp
-		}
+		r.window.Seen(cmd.Client, cmd.Timestamp)
 	}
 }
 

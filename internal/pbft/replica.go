@@ -116,7 +116,7 @@ type Replica struct {
 	ckpt            *engine.CheckpointTracker
 	stableCkpt      uint64
 	snaps           map[uint64][]byte
-	lastTs          map[types.ClientID]uint64
+	window          *engine.RequestWindow
 	catchupPending  bool
 	catchupAttempts uint64
 	catchupRetries  int
@@ -206,10 +206,10 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		forwarded:    make(map[cmdKey]proc.TimerID),
 		timerAct:     make(map[proc.TimerID]func(ctx proc.Context)),
 		snaps:        make(map[uint64][]byte),
-		lastTs:       make(map[types.ClientID]uint64),
 		catchupResps: make(map[types.ReplicaID]*CatchupResp),
 		vcMsgs:       make(map[uint64]map[types.ReplicaID]*ViewChange),
 	}
+	r.window = engine.NewRequestWindow(r.releaseRequest)
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	r.batcher.SetAdaptive(cfg.BatchAdaptive)
@@ -237,9 +237,10 @@ func (r *Replica) Stats() ReplicaStats {
 // SlotCount returns the number of retained slots (soak-test observable).
 func (r *Replica) SlotCount() int { return len(r.slots) }
 
-// ReplyCacheSize returns the number of cached replies (soak-test
-// observable).
-func (r *Replica) ReplyCacheSize() int { return len(r.replyCache) }
+// RequestStateCount returns the size of the larger per-request table (reply
+// cache, exactly-once table): the bounded-memory observable beside
+// SlotCount.
+func (r *Replica) RequestStateCount() int { return max(len(r.byCmd), len(r.replyCache)) }
 
 // BatcherStats returns the primary-side batch-size observables.
 func (r *Replica) BatcherStats() engine.BatcherStats { return r.batcher.Stats() }
@@ -371,6 +372,14 @@ func (r *Replica) handleRequest(ctx proc.Context, m *Request) {
 	if cached, ok := r.replyCache[key]; ok {
 		r.cfg.Costs.ChargeSign(ctx)
 		r.send(ctx, types.ClientNode(m.Cmd.Client), cached)
+		return
+	}
+	if r.window.Below(m.Cmd.Client, m.Cmd.Timestamp) {
+		// Older than anything the client can still have in flight, and old
+		// enough that the tables which would recognise it as executed may
+		// have let it go: assigning it a sequence number (or forwarding it
+		// and suspecting the primary over it) would execute it twice.
+		r.stats.DroppedInvalid++
 		return
 	}
 	if primaryOf(r.view, r.n) != r.cfg.Self {
@@ -522,9 +531,7 @@ func (r *Replica) acceptPrePrepare(ctx proc.Context, m *PrePrepare, digests []ty
 		s.reqs[i] = *req
 		key := cmdKey{req.Cmd.Client, req.Cmd.Timestamp}
 		r.byCmd[key] = m.Seq
-		if req.Cmd.Timestamp > r.lastTs[req.Cmd.Client] {
-			r.lastTs[req.Cmd.Client] = req.Cmd.Timestamp
-		}
+		r.window.Seen(req.Cmd.Client, req.Cmd.Timestamp)
 		if id, ok := r.forwarded[key]; ok {
 			delete(r.forwarded, key)
 			delete(r.timerAct, id)
@@ -720,7 +727,7 @@ func (r *Replica) recordCheckpoint(ctx proc.Context, m *Checkpoint) {
 // gcBelow discards log state at and below the stable checkpoint (keeping
 // LogRetention extra sequence numbers): executed slots are freed, and the
 // per-request bookkeeping they carried — reply cache, exactly-once table —
-// is released outside each client's recent-timestamp window.
+// is handed to the client window to release (engine.RequestWindow).
 func (r *Replica) gcBelow(seq uint64) {
 	if r.cfg.LogRetention >= seq {
 		return
@@ -731,16 +738,20 @@ func (r *Replica) gcBelow(seq uint64) {
 			continue
 		}
 		for i := range slot.reqs {
-			cmd := slot.reqs[i].Cmd
-			if cmd.Timestamp+replyRetention <= r.lastTs[cmd.Client] {
-				key := cmdKey{cmd.Client, cmd.Timestamp}
-				delete(r.byCmd, key)
-				delete(r.replyCache, key)
-			}
+			r.window.Truncated(slot.reqs[i].Cmd.Client, slot.reqs[i].Cmd.Timestamp)
 		}
 		delete(r.slots, s)
 		r.stats.TruncatedEntries++
 	}
+}
+
+// releaseRequest drops one request's reply-cache and exactly-once entries;
+// the window calls it once the request's slot is truncated and the request
+// is engine.ReplyRetention timestamps behind its client's highest.
+func (r *Replica) releaseRequest(client types.ClientID, ts uint64) {
+	key := cmdKey{client, ts}
+	delete(r.byCmd, key)
+	delete(r.replyCache, key)
 }
 
 // --- view change (simplified) ---

@@ -26,6 +26,10 @@ type Feeder struct {
 	mu       sync.Mutex
 	queue    []feedItem
 	inflight map[uint64]func(workload.Completion)
+
+	// out keeps submissions within the clients' pipeline window; touched
+	// only from the event loop.
+	out workload.Outstanding
 }
 
 type feedItem struct {
@@ -61,7 +65,8 @@ func (f *Feeder) Start(ctx proc.Context, _ workload.Submitter) {
 }
 
 // OnTimer implements workload.Driver: drain the queue into the protocol
-// client and re-arm the poll.
+// client, as far as the pipeline window has room (the rest stays queued, in
+// order, for a later poll), and re-arm the poll.
 func (f *Feeder) OnTimer(ctx proc.Context, s workload.Submitter, id proc.TimerID) {
 	if id != workload.DriverTimerBase {
 		return
@@ -70,8 +75,15 @@ func (f *Feeder) OnTimer(ctx proc.Context, s workload.Submitter, id proc.TimerID
 	items := f.queue
 	f.queue = nil
 	f.mu.Unlock()
-	for _, item := range items {
+	for i, item := range items {
+		if !f.out.Room() {
+			f.mu.Lock()
+			f.queue = append(items[i:len(items):len(items)], f.queue...)
+			f.mu.Unlock()
+			break
+		}
 		ts := s.Submit(ctx, item.cmd)
+		f.out.Add(ts)
 		if item.done != nil {
 			f.mu.Lock()
 			f.inflight[ts] = item.done
@@ -83,6 +95,7 @@ func (f *Feeder) OnTimer(ctx proc.Context, s workload.Submitter, id proc.TimerID
 
 // Completed implements workload.Driver.
 func (f *Feeder) Completed(_ proc.Context, _ workload.Submitter, c workload.Completion) {
+	f.out.Remove(c.Cmd.Timestamp)
 	f.mu.Lock()
 	done := f.inflight[c.Cmd.Timestamp]
 	delete(f.inflight, c.Cmd.Timestamp)

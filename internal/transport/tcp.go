@@ -3,10 +3,12 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"ezbft/internal/codec"
 	"ezbft/internal/types"
@@ -15,6 +17,33 @@ import (
 // maxFrame bounds a single wire frame (certificates with embedded
 // histories stay well under this).
 const maxFrame = 16 << 20
+
+// Send and SendAll run on the caller's single ordering loop, so nothing in
+// them may block for as long as a peer pleases: a dial gives up after
+// dialTimeout (a black-holed address), and a write that cannot complete
+// within its deadline (a peer that accepted the connection and stopped
+// reading, once the socket buffer is full) fails and drops the connection.
+// The deadline grows with the frame — writeTimeout plus the frame's length at
+// minWriteRate — so a catch-up response near maxFrame is not cut off on a link
+// that is merely slow, which would lose the same frame on every retry. After
+// either timeout the peer is skipped for peerBackoff, so one that stalls every
+// fresh connection costs the loop a bounded share of its time rather than a
+// wait per refill. The messages are lost, which the protocols tolerate; a
+// healthy peer drains its socket in far less than any of these bounds.
+const (
+	dialTimeout  = 2 * time.Second
+	writeTimeout = time.Second
+	minWriteRate = 1 << 20 // bytes per second
+	peerBackoff  = 5 * time.Second
+)
+
+// ErrPeerBackoff is returned for a send to a peer that recently timed out.
+var ErrPeerBackoff = errors.New("transport: peer timed out recently; send skipped")
+
+// writeDeadline is how long one frame of n bytes may take to write.
+func writeDeadline(n int) time.Duration {
+	return writeTimeout + time.Duration(n)*time.Second/minWriteRate
+}
 
 // Frame buffers start at frameBufSize and are kept for reuse up to
 // maxKeptFrame; ordinary protocol frames (certificates included) are far
@@ -66,9 +95,12 @@ type TCPPeer struct {
 	// lose the conns[from] return-route registration race when two peers
 	// dial each other simultaneously — so Close reliably unblocks every
 	// read goroutine instead of waiting forever on an untracked one.
-	all    map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	all map[net.Conn]struct{}
+	// backoff holds, per peer whose dial or write timed out, the time before
+	// which no new connection to it is dialed.
+	backoff map[types.NodeID]time.Time
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 var _ Sender = (*TCPPeer)(nil)
@@ -82,12 +114,13 @@ func NewTCPPeer(self types.NodeID, listenAddr string, addrs map[types.NodeID]str
 		return nil, fmt.Errorf("transport: listen %s: %w", listenAddr, err)
 	}
 	p := &TCPPeer{
-		self:  self,
-		addrs: make(map[types.NodeID]string, len(addrs)),
-		onMsg: onMsg,
-		ln:    ln,
-		conns: make(map[types.NodeID]net.Conn),
-		all:   make(map[net.Conn]struct{}),
+		self:    self,
+		addrs:   make(map[types.NodeID]string, len(addrs)),
+		onMsg:   onMsg,
+		ln:      ln,
+		conns:   make(map[types.NodeID]net.Conn),
+		all:     make(map[net.Conn]struct{}),
+		backoff: make(map[types.NodeID]time.Time),
 	}
 	for id, addr := range addrs {
 		p.addrs[id] = addr
@@ -173,13 +206,34 @@ func (p *TCPPeer) Send(from, to types.NodeID, msg codec.Message) error {
 	frame := append((*bp)[:0], 0, 0, 0, 0)
 	frame = codec.AppendMarshal(frame, msg)
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	_, werr := conn.Write(frame)
+	werr := p.write(to, conn, frame)
 	putFrame(bp, frame)
-	if werr != nil {
-		p.dropConn(to, conn)
-		return werr
+	return werr
+}
+
+// write sends one frame under its write deadline; on any failure — expiry
+// included, which may leave a partial frame on the stream — the connection
+// is dropped.
+func (p *TCPPeer) write(to types.NodeID, conn net.Conn, frame []byte) error {
+	err := conn.SetWriteDeadline(time.Now().Add(writeDeadline(len(frame))))
+	if err == nil {
+		_, err = conn.Write(frame)
 	}
-	return nil
+	if err != nil {
+		p.dropConn(to, conn)
+		p.backOffIfTimeout(to, err)
+	}
+	return err
+}
+
+// backOffIfTimeout starts the peer's back-off period if err is a timeout.
+func (p *TCPPeer) backOffIfTimeout(to types.NodeID, err error) {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		p.mu.Lock()
+		p.backoff[to] = time.Now().Add(peerBackoff)
+		p.mu.Unlock()
+	}
 }
 
 // SendAll implements MultiSender: the frame is marshaled once into a
@@ -206,11 +260,8 @@ func (p *TCPPeer) SendAll(from types.NodeID, tos []types.NodeID, msg codec.Messa
 			}
 			continue
 		}
-		if _, werr := conn.Write(frame); werr != nil {
-			p.dropConn(to, conn)
-			if firstErr == nil {
-				firstErr = werr
-			}
+		if werr := p.write(to, conn, frame); werr != nil && firstErr == nil {
+			firstErr = werr
 		}
 	}
 	putFrame(bp, frame)
@@ -230,20 +281,33 @@ func (p *TCPPeer) conn(to types.NodeID) (net.Conn, error) {
 		return c, nil
 	}
 	addr, ok := p.addrs[to]
+	if until, waiting := p.backoff[to]; waiting {
+		if time.Now().Before(until) {
+			p.mu.Unlock()
+			return nil, ErrPeerBackoff
+		}
+		delete(p.backoff, to)
+	}
 	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for %s", to)
 	}
-	c, err := net.Dial("tcp", addr)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
+		p.backOffIfTimeout(to, err)
 		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
 	}
 	// Hello frame: our node id.
 	hello := make([]byte, 4)
 	binary.BigEndian.PutUint32(hello, uint32(p.self))
-	if err := writeFrame(c, hello); err != nil {
+	err = c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err == nil {
+		err = writeFrame(c, hello)
+	}
+	if err != nil {
 		_ = c.Close()
-		return nil, err
+		p.backOffIfTimeout(to, err)
+		return nil, fmt.Errorf("transport: hello to %s: %w", to, err)
 	}
 	p.mu.Lock()
 	if existing, ok := p.conns[to]; ok {

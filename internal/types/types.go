@@ -10,6 +10,7 @@ package types
 import (
 	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -165,22 +166,19 @@ type Command struct {
 func (c Command) IsNoop() bool { return c.Op == OpNoop }
 
 // Digest returns a collision-resistant digest of the command, the paper's
-// d = H(m).
+// d = H(m). The preimage (client, timestamp, op, key length, key, value) is
+// laid out in one buffer and hashed in one call: a command of ordinary size
+// fits the stack buffer and the digest allocates nothing; a larger one
+// spills to a single heap buffer.
 func (c Command) Digest() Digest {
-	h := sha256.New()
-	var buf [8]byte
-	putUint64(buf[:], uint64(uint32(c.Client)))
-	h.Write(buf[:])
-	putUint64(buf[:], c.Timestamp)
-	h.Write(buf[:])
-	h.Write([]byte{byte(c.Op)})
-	putUint64(buf[:], uint64(len(c.Key)))
-	h.Write(buf[:])
-	h.Write([]byte(c.Key))
-	h.Write(c.Value)
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
+	var stack [192]byte
+	b := binary.BigEndian.AppendUint64(stack[:0], uint64(uint32(c.Client)))
+	b = binary.BigEndian.AppendUint64(b, c.Timestamp)
+	b = append(b, byte(c.Op))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(c.Key)))
+	b = append(b, c.Key...)
+	b = append(b, c.Value...)
+	return sha256.Sum256(b)
 }
 
 // Interferes reports whether two commands interfere: executing them in
@@ -373,88 +371,117 @@ type ConcurrentApplication interface {
 	Footprint(cmd Command) []Key
 }
 
-// InstanceSet is a set of instance identifiers: the paper's dependency set D.
-type InstanceSet map[InstanceID]struct{}
+// InstanceSet is a set of instance identifiers: the paper's dependency set
+// D, held as a flat slice. Invariants, which every function here keeps and
+// every holder may rely on:
+//
+//   - members are sorted by InstanceID.Compare and free of duplicates, so
+//     ranging over a set is deterministic and encoding it needs no sorting;
+//   - nil is the empty set (len(s) is the member count): an empty set costs
+//     nothing to create, decode or Clone;
+//   - a set is a value, not a reference as the map it replaced was. Add and
+//     Union have pointer receivers and change the variable they are called
+//     on — call them on the field or local that should change, never on a
+//     copy of it — and they build their result in fresh storage, so a
+//     backing array is never written once a set exists: plain copies of a
+//     set (a message's Deps kept in a log entry, a log entry's in a reply)
+//     stay what they were whatever happens to the original. Code that fills
+//     a set member by member builds a slice and calls NewInstanceSet once;
+//     code that writes into a set's elements directly must Clone first.
+type InstanceSet []InstanceID
 
-// NewInstanceSet builds a set from the given members.
+// NewInstanceSet builds a set from the given members, in any order and
+// with repeats allowed.
 func NewInstanceSet(ids ...InstanceID) InstanceSet {
-	s := make(InstanceSet, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
+	if len(ids) == 0 {
+		return nil
 	}
-	return s
+	s := slices.Clone(ids)
+	slices.SortFunc(s, InstanceID.Compare)
+	return slices.Compact(s)
 }
 
 // Add inserts an instance into the set.
-func (s InstanceSet) Add(id InstanceID) { s[id] = struct{}{} }
+func (s *InstanceSet) Add(id InstanceID) {
+	a := *s
+	i, found := slices.BinarySearchFunc(a, id, InstanceID.Compare)
+	if found {
+		return
+	}
+	out := make(InstanceSet, len(a)+1)
+	copy(out, a[:i])
+	out[i] = id
+	copy(out[i+1:], a[i:])
+	*s = out
+}
 
 // Has reports membership.
 func (s InstanceSet) Has(id InstanceID) bool {
-	_, ok := s[id]
-	return ok
+	_, found := slices.BinarySearchFunc(s, id, InstanceID.Compare)
+	return found
 }
 
 // Clone returns an independent copy of the set.
-func (s InstanceSet) Clone() InstanceSet {
-	c := make(InstanceSet, len(s))
-	for id := range s {
-		c[id] = struct{}{}
-	}
-	return c
-}
+func (s InstanceSet) Clone() InstanceSet { return slices.Clone(s) }
 
-// Union inserts every member of o into s and returns s.
-func (s InstanceSet) Union(o InstanceSet) InstanceSet {
-	for id := range o {
-		s[id] = struct{}{}
+// Union inserts every member of o into s and returns the result. When o
+// adds nothing s is left as it is; when s is empty it becomes o itself (sets
+// are never written in place, so sharing is safe).
+func (s *InstanceSet) Union(o InstanceSet) InstanceSet {
+	a := *s
+	if len(a) == 0 {
+		*s = o
+		return o
 	}
-	return s
-}
-
-// Equal reports whether two sets have identical membership.
-func (s InstanceSet) Equal(o InstanceSet) bool {
-	if len(s) != len(o) {
-		return false
+	// Skip the common prefix of members o shares with s; if that is all of
+	// o, s already is the union.
+	i, j := 0, 0
+	for i < len(a) && j < len(o) {
+		c := a[i].Compare(o[j])
+		if c > 0 {
+			break
+		}
+		if c == 0 {
+			j++
+		}
+		i++
 	}
-	for id := range s {
-		if !o.Has(id) {
-			return false
+	if j == len(o) {
+		return a
+	}
+	out := make(InstanceSet, i, len(a)+len(o)-j)
+	copy(out, a[:i])
+	for i < len(a) && j < len(o) {
+		switch c := a[i].Compare(o[j]); {
+		case c < 0:
+			out = append(out, a[i])
+			i++
+		case c > 0:
+			out = append(out, o[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
 		}
 	}
-	return true
-}
-
-// Sorted returns the members in deterministic (space, slot) order.
-func (s InstanceSet) Sorted() []InstanceID {
-	out := make([]InstanceID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	slices.SortFunc(out, InstanceID.Compare)
+	out = append(out, a[i:]...)
+	out = append(out, o[j:]...)
+	*s = out
 	return out
 }
 
+// Equal reports whether two sets have identical membership.
+func (s InstanceSet) Equal(o InstanceSet) bool { return slices.Equal(s, o) }
+
 // String implements fmt.Stringer.
 func (s InstanceSet) String() string {
-	ids := s.Sorted()
 	out := "{"
-	for i, id := range ids {
+	for i, id := range s {
 		if i > 0 {
 			out += ","
 		}
 		out += id.String()
 	}
 	return out + "}"
-}
-
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
 }

@@ -29,7 +29,9 @@ type Submitter interface {
 	// and returns the per-client timestamp assigned to it. Timestamps are
 	// unique per client and appear unchanged in the Completion's Cmd, so
 	// callers with many in-flight commands correlate each completion to its
-	// submission (the pipelined client bridges are built on this).
+	// submission (the pipelined client bridges are built on this). A driver
+	// that keeps several requests outstanding must keep them within
+	// PipelineWindow timestamps of each other: see Outstanding.
 	Submit(ctx proc.Context, cmd types.Command) uint64
 	// InFlight returns the number of outstanding requests.
 	InFlight() int
@@ -184,8 +186,11 @@ type OpenLoop struct {
 	// Rate is the target submissions per second, an alternative to
 	// Interval (used when Interval is zero; 1000 req/s ≡ Interval 1ms).
 	Rate float64
-	// MaxInFlight caps outstanding requests (0 = unlimited); when at the
-	// cap a tick is skipped, modelling client-side backpressure.
+	// MaxInFlight caps outstanding requests (0 = no cap of the driver's
+	// own); when at the cap a tick is skipped, modelling client-side
+	// backpressure. Whatever the cap, a tick is also skipped while the
+	// oldest outstanding request is PipelineWindow timestamps behind the
+	// next one (see Outstanding).
 	MaxInFlight int
 	// MaxRequests stops the client after this many submissions (0 = no
 	// limit).
@@ -193,6 +198,7 @@ type OpenLoop struct {
 
 	seq  uint64
 	done uint64
+	out  Outstanding
 }
 
 var _ Driver = (*OpenLoop)(nil)
@@ -223,6 +229,7 @@ func (d *OpenLoop) Start(ctx proc.Context, s Submitter) {
 // Completed implements Driver.
 func (d *OpenLoop) Completed(ctx proc.Context, s Submitter, c Completion) {
 	d.done++
+	d.out.Remove(c.Cmd.Timestamp)
 	if d.Recorder != nil {
 		d.Recorder.Record(s.ClientID(), c)
 	}
@@ -236,9 +243,9 @@ func (d *OpenLoop) OnTimer(ctx proc.Context, s Submitter, id proc.TimerID) {
 	if d.MaxRequests > 0 && d.seq >= d.MaxRequests {
 		return
 	}
-	if d.MaxInFlight <= 0 || s.InFlight() < d.MaxInFlight {
+	if (d.MaxInFlight <= 0 || s.InFlight() < d.MaxInFlight) && d.out.Room() {
 		d.seq++
-		s.Submit(ctx, d.Gen.Next(ctx, s.ClientID(), d.seq))
+		d.out.Add(s.Submit(ctx, d.Gen.Next(ctx, s.ClientID(), d.seq)))
 	}
 	ctx.SetTimer(DriverTimerBase, d.interval())
 }

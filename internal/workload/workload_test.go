@@ -195,3 +195,76 @@ func TestFixedScriptSequencing(t *testing.T) {
 		t.Fatalf("results = %d", len(d.Results))
 	}
 }
+
+// TestOutstandingBoundsTheSpan: the window is about the distance from the
+// oldest outstanding timestamp to the next one, not about how many are
+// outstanding — one slow request closes it after PipelineWindow−1 newer ones
+// even if all of those completed, and its completion reopens it at once.
+func TestOutstandingBoundsTheSpan(t *testing.T) {
+	var o Outstanding
+	if !o.Room() {
+		t.Fatal("an empty tracker has no room")
+	}
+	o.Remove(7) // nothing outstanding: ignored
+	ts := uint64(0)
+	for o.Room() {
+		ts++
+		o.Add(ts)
+		if ts > 1 {
+			o.Remove(ts) // everything but the first completes at once
+		}
+	}
+	if ts != PipelineWindow {
+		t.Fatalf("window closed after timestamp %d, want %d (the first still outstanding)", ts, PipelineWindow)
+	}
+	o.Remove(ts) // a repeated completion changes nothing
+	if o.Room() {
+		t.Fatal("a duplicate completion opened the window")
+	}
+	o.Remove(1)
+	if !o.Room() {
+		t.Fatal("the window stayed closed after the oldest request completed")
+	}
+	// Out-of-order completions: the oldest outstanding one is what counts.
+	for i := 0; i < 3*PipelineWindow; i++ {
+		if !o.Room() {
+			t.Fatalf("no room at timestamp %d with two outstanding", ts)
+		}
+		ts++
+		o.Add(ts)
+		o.Remove(ts - 1)
+	}
+	o.Add(ts + 1)
+	o.Remove(ts)
+	o.Remove(ts + 1)
+	if !o.Room() || o.n != 0 {
+		t.Fatalf("tracker not empty after every completion: %d outstanding", o.n)
+	}
+}
+
+// TestOpenLoopKeepsWithinPipelineWindow: with no in-flight cap of its own the
+// open loop still stops issuing once its oldest unfinished request is a
+// window behind, and resumes when that request completes.
+func TestOpenLoopKeepsWithinPipelineWindow(t *testing.T) {
+	d := &OpenLoop{Gen: &KVGenerator{}, Interval: time.Millisecond}
+	s := &fakeSubmitter{id: 1}
+	ctx := newFakeCtx()
+	d.Start(ctx, s)
+	complete := func(ts uint64) {
+		d.Completed(ctx, s, Completion{Cmd: types.Command{Client: 1, Timestamp: ts}})
+	}
+	for i := 0; i < 2*PipelineWindow; i++ {
+		d.OnTimer(ctx, s, DriverTimerBase)
+		if n := uint64(len(s.cmds)); n > 1 {
+			complete(n) // every request but the first completes
+		}
+	}
+	if len(s.cmds) != PipelineWindow {
+		t.Fatalf("submitted %d requests with the first one unfinished, want %d", len(s.cmds), PipelineWindow)
+	}
+	complete(1)
+	d.OnTimer(ctx, s, DriverTimerBase)
+	if len(s.cmds) != PipelineWindow+1 {
+		t.Fatalf("submitted %d after the first request completed, want %d", len(s.cmds), PipelineWindow+1)
+	}
+}

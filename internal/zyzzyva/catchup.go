@@ -391,9 +391,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 			e.results[j] = r.cfg.App.Apply(cmd)
 			key := cmdKey{cmd.Client, cmd.Timestamp}
 			r.byCmd[key] = cs.Seq
-			if cmd.Timestamp > r.lastTs[cmd.Client] {
-				r.lastTs[cmd.Client] = cmd.Timestamp
-			}
+			r.window.Seen(cmd.Client, cmd.Timestamp)
 			r.stats.SpecExecuted++
 		}
 		r.log[cs.Seq] = e

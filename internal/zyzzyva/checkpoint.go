@@ -16,10 +16,6 @@ import (
 // protocol's original byte-identical flow.
 const tagCheckpoint = 48
 
-// replyRetention bounds how far behind a client's highest seen timestamp
-// the reply cache and exactly-once table are retained across truncation.
-const replyRetention = 256
-
 // Checkpoint is a replica's signed executed-watermark vote,
 // ⟨CHECKPOINT, n, d, i⟩σi.
 type Checkpoint struct {
@@ -130,8 +126,8 @@ func (r *Replica) recordCheckpoint(ctx proc.Context, m *Checkpoint) {
 }
 
 // gcBelow frees executed slots at and below the stable checkpoint (keeping
-// LogRetention extra sequence numbers) together with their out-of-window
-// per-request bookkeeping.
+// LogRetention extra sequence numbers) and hands their per-request
+// bookkeeping to the client window to release (engine.RequestWindow).
 func (r *Replica) gcBelow(seq uint64) {
 	if r.cfg.LogRetention >= seq {
 		return
@@ -142,22 +138,27 @@ func (r *Replica) gcBelow(seq uint64) {
 			continue
 		}
 		for i := range e.cmds {
-			cmd := e.cmds[i]
-			if cmd.Timestamp+replyRetention <= r.lastTs[cmd.Client] {
-				key := cmdKey{cmd.Client, cmd.Timestamp}
-				delete(r.byCmd, key)
-				delete(r.replyCache, key)
-			}
+			r.window.Truncated(e.cmds[i].Client, e.cmds[i].Timestamp)
 		}
 		delete(r.log, s)
 		r.stats.TruncatedEntries++
 	}
 }
 
+// releaseRequest drops one request's reply-cache and exactly-once entries;
+// the window calls it once the request's slot is truncated and the request
+// is engine.ReplyRetention timestamps behind its client's highest.
+func (r *Replica) releaseRequest(client types.ClientID, ts uint64) {
+	key := cmdKey{client, ts}
+	delete(r.byCmd, key)
+	delete(r.replyCache, key)
+}
+
 // SlotCount returns the number of retained log slots (soak-test
 // observable).
 func (r *Replica) SlotCount() int { return len(r.log) }
 
-// ReplyCacheSize returns the number of cached replies (soak-test
-// observable).
-func (r *Replica) ReplyCacheSize() int { return len(r.replyCache) }
+// RequestStateCount returns the size of the larger per-request table (reply
+// cache, exactly-once table): the bounded-memory observable beside
+// SlotCount.
+func (r *Replica) RequestStateCount() int { return max(len(r.byCmd), len(r.replyCache)) }

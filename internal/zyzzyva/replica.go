@@ -110,7 +110,7 @@ type Replica struct {
 	// Log lifecycle (see checkpoint.go).
 	ckpt        *engine.CheckpointTracker
 	ckptEmitted uint64
-	lastTs      map[types.ClientID]uint64
+	window      *engine.RequestWindow
 
 	// State transfer (see catchup.go): snapshots retained per checkpoint
 	// boundary and the single-flight request state.
@@ -192,11 +192,11 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		replyCache: make(map[cmdKey]*SpecResponse),
 		forwarded:  make(map[cmdKey]proc.TimerID),
 		timerAct:   make(map[proc.TimerID]func(ctx proc.Context)),
-		lastTs:     make(map[types.ClientID]uint64),
 		hateVotes:  make(map[uint64]map[types.ReplicaID]bool),
 		vcMsgs:     make(map[uint64]map[types.ReplicaID]*ViewChange),
 		snaps:      make(map[uint64]ckptSnap),
 	}
+	r.window = engine.NewRequestWindow(r.releaseRequest)
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	r.batcher.SetAdaptive(cfg.BatchAdaptive)
@@ -345,6 +345,14 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 	// current view so every honest replica serves a matching copy.
 	if sr := r.rebuildReply(ctx, key); sr != nil {
 		r.send(ctx, types.ClientNode(m.Cmd.Client), sr)
+		return
+	}
+	if r.window.Below(m.Cmd.Client, m.Cmd.Timestamp) {
+		// Older than anything the client can still have in flight, and old
+		// enough that the tables which would recognise it as executed may
+		// have let it go: assigning it a sequence number (or forwarding it
+		// and suspecting the primary over it) would execute it twice.
+		r.stats.DroppedInvalid++
 		return
 	}
 	if primaryOf(r.view, r.n) != r.cfg.Self {
@@ -536,9 +544,7 @@ func (r *Replica) acceptOrderReq(ctx proc.Context, m *OrderReq, digests []types.
 		e.cmds[i] = cmd
 		e.results[i] = res
 		r.byCmd[key] = m.Seq
-		if cmd.Timestamp > r.lastTs[cmd.Client] {
-			r.lastTs[cmd.Client] = cmd.Timestamp
-		}
+		r.window.Seen(cmd.Client, cmd.Timestamp)
 		r.stats.SpecExecuted++
 
 		sr := &SpecResponse{
@@ -840,9 +846,7 @@ func (r *Replica) applyNewView(ctx proc.Context, m *NewView) {
 		r.maxSeq = e.Seq
 		r.histHash = hh
 		for _, cmd := range cmds {
-			if cmd.Timestamp > r.lastTs[cmd.Client] {
-				r.lastTs[cmd.Client] = cmd.Timestamp
-			}
+			r.window.Seen(cmd.Client, cmd.Timestamp)
 		}
 	}
 	r.maybeEmitCheckpoint(ctx)
