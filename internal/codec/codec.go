@@ -12,7 +12,6 @@
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -149,26 +148,6 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-// Offset returns the position of the next unread byte; with Since it lets a
-// decoder name the bytes that encoded a value it just parsed.
-func (r *Reader) Offset() int { return r.off }
-
-// Since returns the bytes read since Offset returned start. The slice
-// aliases the reader's buffer and is valid only as long as that is.
-func (r *Reader) Since(start int) []byte { return r.buf[start:r.off] }
-
-// SkipPrefix consumes p if the unread bytes begin with it and reports
-// whether they did. A value whose encoding is known can be recognised this
-// way without being decoded again: the format is deterministic, so equal
-// bytes at the start of a value decode to an equal value.
-func (r *Reader) SkipPrefix(p []byte) bool {
-	if r.err != nil || len(p) == 0 || !bytes.HasPrefix(r.buf[r.off:], p) {
-		return false
-	}
-	r.off += len(p)
-	return true
-}
 
 // Finish returns an error if reading failed or bytes remain.
 func (r *Reader) Finish() error {

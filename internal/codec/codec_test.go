@@ -296,36 +296,6 @@ func TestInstanceSetEncodingMatchesMapModel(t *testing.T) {
 	}
 }
 
-func TestReaderSkipPrefix(t *testing.T) {
-	w := NewWriter(0)
-	w.String("abc")
-	w.Uvarint(7)
-	w.String("abc")
-	w.Uvarint(7)
-	w.String("abd")
-	r := NewReader(w.Bytes())
-	start := r.Offset()
-	if r.String() != "abc" || r.Uvarint() != 7 {
-		t.Fatal("first value misread")
-	}
-	enc := r.Since(start)
-	if !r.SkipPrefix(enc) {
-		t.Fatal("identical encoding not recognised")
-	}
-	if r.SkipPrefix(enc) || r.SkipPrefix(nil) {
-		t.Fatal("prefix matched where the bytes differ (or an empty prefix matched)")
-	}
-	if got := r.String(); got != "abd" {
-		t.Fatalf("reader out of position after SkipPrefix: read %q", got)
-	}
-	if r.SkipPrefix(enc) {
-		t.Fatal("prefix longer than the remaining bytes matched")
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInstanceSetSanityBound(t *testing.T) {
 	w := NewWriter(0)
 	w.Uvarint(1 << 30) // absurd count with no entries

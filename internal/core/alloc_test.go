@@ -2,17 +2,22 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
+	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/proc"
 	"ezbft/internal/race"
 	"ezbft/internal/types"
+	"ezbft/internal/workload"
 )
 
 // fastPathFrames builds what one conflict-free request puts on the wire —
-// its SPECORDER, one SPECREPLY and the 4-reply COMMITFAST — with empty
-// dependency sets and fields of the sizes the benchmark's workloads use.
-func fastPathFrames() (so *SpecOrder, sr *SpecReply, cf *CommitFast) {
+// its SPECORDER, the four SPECREPLYs and the 4-signer COMMITFAST made of them
+// — with empty dependency sets and fields of the sizes the benchmark's
+// workloads use.
+func fastPathFrames() (so *SpecOrder, replies []*SpecReply, cf *CommitFast) {
 	sig := bytes.Repeat([]byte{0xA5}, 32)
 	cmd := types.Command{Client: 3, Timestamp: 70, Op: types.OpPut, Key: "key-000123", Value: bytes.Repeat([]byte{7}, 16)}
 	inst := types.InstanceID{Space: 2, Slot: 70}
@@ -20,43 +25,42 @@ func fastPathFrames() (so *SpecOrder, sr *SpecReply, cf *CommitFast) {
 		Owner: 2, Inst: inst, Seq: 1, LogHash: types.Digest{1}, CmdDigest: cmd.Digest(),
 		Req: Request{Cmd: cmd, Orig: noOrig, Sig: sig}, Sig: sig,
 	}
-	reply := func(rid types.ReplicaID) *SpecReply {
-		return &SpecReply{
+	for rid := types.ReplicaID(0); rid < 4; rid++ {
+		replies = append(replies, &SpecReply{
 			Owner: 2, Inst: inst, Seq: 1, CmdDigest: so.CmdDigest, Client: cmd.Client, Timestamp: cmd.Timestamp,
 			Replica: rid, Result: types.Result{OK: true}, SO: so, Sig: sig,
-		}
+		})
 	}
-	cf = &CommitFast{Client: cmd.Client, Inst: inst}
-	for rid := types.ReplicaID(0); rid < 4; rid++ {
-		cf.Cert = append(cf.Cert, reply(rid))
-	}
-	return so, reply(1), cf
+	return so, replies, fastCertOf(cmd.Client, replies)
 }
 
 // TestFastPathDecodeAllocations pins what decoding a conflict-free request's
 // messages costs, object by object, so that a dependency set, a reader or a
-// per-reply SPECORDER copy creeping back in shows up as a count:
+// per-signer reply creeping back in shows up as a count:
 //
 //	SPECORDER   4: the message, its signature, the request's value and
 //	               signature (the key is a string: 1 more)
 //	SPECREPLY   +2 on top of its embedded SPECORDER: the message and its
 //	               signature (an OK result has no value)
-//	COMMITFAST  the message, the certificate slice, 4 × (reply + signature)
-//	               and one shared SPECORDER
+//	COMMITFAST  the message, the one-element certificate slice and its
+//	               SPECREPLY, the signer list and 3 signatures
+//
+// and, for the COMMITFAST, as bytes: the count cannot see a struct growing.
 func TestFastPathDecodeAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	so, sr, cf := fastPathFrames()
+	so, replies, cf := fastPathFrames()
 	const specOrder = 5
+	const specReply = 2 + specOrder
 	for _, tc := range []struct {
 		name string
 		msg  codec.Message
 		want float64
 	}{
 		{"SPECORDER", so, specOrder},
-		{"SPECREPLY", sr, 2 + specOrder},
-		{"COMMITFAST", cf, 2 + 4*2 + specOrder},
+		{"SPECREPLY", replies[1], specReply},
+		{"COMMITFAST", cf, 2 + specReply + 1 + 3},
 	} {
 		frame := codec.Marshal(tc.msg)
 		got := testing.AllocsPerRun(200, func() {
@@ -67,5 +71,61 @@ func TestFastPathDecodeAllocations(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("decoding a %s allocates %v objects, want %v", tc.name, got, tc.want)
 		}
+	}
+
+	const runs, maxBytes = 2000, 960 // the 4-reply form took 1480
+	frame := codec.Marshal(cf)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := codec.Unmarshal(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > maxBytes {
+		t.Errorf("decoding a %d-byte COMMITFAST allocates %d B, want <= %d", len(frame), got, maxBytes)
+	} else {
+		t.Logf("COMMITFAST: %d B on the wire, %d B decoded", len(frame), got)
+	}
+}
+
+// idleDriver is a workload.Driver that does nothing.
+type idleDriver struct{}
+
+func (idleDriver) Start(proc.Context, workload.Submitter)                          {}
+func (idleDriver) Completed(proc.Context, workload.Submitter, workload.Completion) {}
+func (idleDriver) OnTimer(proc.Context, workload.Submitter, proc.TimerID)          {}
+
+// TestFinishFastAllocations: committing on the fast path builds the
+// COMMITFAST out of the replies as they arrived — the message, its
+// one-element certificate slice and the signer list, nothing per reply.
+func TestFinishFastAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	_, replies, _ := fastPathFrames()
+	cl, err := NewClient(ClientConfig{
+		ID: 3, N: 4, Auth: auth.NewHMACKeyring([]byte("finish-fast")).ForNode(types.ClientNode(3)), Driver: idleDriver{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &pendingReq{cmd: replies[0].SO.Req.Cmd}
+	group := &replyGroup{replies: replies, count: len(replies)}
+	ctx := &captureCtx{sends: make([]codec.Message, 0, 8)}
+	got := testing.AllocsPerRun(200, func() {
+		ctx.sends = ctx.sends[:0]
+		cl.finishFast(ctx, p.cmd.Timestamp, p, replies[0].Inst, group)
+	})
+	if got != 3 {
+		t.Errorf("finishFast allocates %v objects, want 3", got)
+	}
+	cf := ctx.sends[0].(*CommitFast)
+	if len(ctx.sends) != 4 || len(cf.Cert) != 1 || cf.Cert[0] != replies[0] || len(cf.Sigs) != 3 || cf.Sigs[2].Replica != 3 {
+		t.Fatalf("finishFast sent %d messages, the first %+v", len(ctx.sends), cf)
+	}
+	if replies[0].Replica != 0 || replies[3].SO == nil {
+		t.Fatal("finishFast wrote to a collected reply")
 	}
 }

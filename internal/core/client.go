@@ -50,7 +50,7 @@ type ClientConfig struct {
 }
 
 func (c *ClientConfig) validate() error {
-	if c.N < 4 || (c.N-1)%3 != 0 {
+	if c.N < 4 || (c.N-1)%3 != 0 || c.N > maxSigners {
 		return fmt.Errorf("%w: N=%d", ErrBadClusterSize, c.N)
 	}
 	if c.Leader < 0 || int(c.Leader) >= c.N {
@@ -538,62 +538,22 @@ func (g *replyGroup) allMatch() bool {
 	return true
 }
 
-// slimCert drops the embedded SPECORDER from every batched certificate
-// element but the first (copies, never mutating the collected replies):
-// replicas use only the first element's embedded proposal — bound to the
-// signed SORef every element carries — so the extra copies are pure wire
-// weight. Unbatched replies keep their SPECORDERs; their layout predates
-// slimming and stays byte-identical. Copies go through cloneSlim, not a
-// plain struct copy: after a retried commit the same reply values are
-// already shared with every replica's verifier pool, whose atomic marks a
-// plain copy would race with.
-func slimCert(cert []*SpecReply) []*SpecReply {
-	for i, sr := range cert {
-		if i == 0 || !sr.Batched || sr.SO == nil {
-			continue
-		}
-		cert[i] = sr.cloneSlim()
-	}
-	return cert
-}
-
-// cloneSlim copies a reply without its embedded SPECORDER, re-reading the
-// Verified flag atomically instead of plain-copying it.
-func (m *SpecReply) cloneSlim() *SpecReply {
-	cp := &SpecReply{
-		Owner:     m.Owner,
-		Inst:      m.Inst,
-		Deps:      m.Deps,
-		Seq:       m.Seq,
-		CmdDigest: m.CmdDigest,
-		Client:    m.Client,
-		Timestamp: m.Timestamp,
-		Replica:   m.Replica,
-		Result:    m.Result,
-		Batched:   m.Batched,
-		BatchIdx:  m.BatchIdx,
-		SORef:     m.SORef,
-		Sig:       m.Sig,
-	}
-	if m.SigVerified() {
-		cp.MarkSigVerified()
-	}
-	return cp
-}
-
 // finishFast completes a request on the fast path: return to the
-// application, then asynchronously send COMMITFAST with the certificate.
+// application, then asynchronously send COMMITFAST — the group's reference
+// reply, neither copied nor written to (on the mesh and the simulator it is
+// the sender's own cached object), and the other repliers' signatures.
 func (c *Client) finishFast(ctx proc.Context, ts uint64, p *pendingReq, inst types.InstanceID, group *replyGroup) {
-	cert := make([]*SpecReply, 0, group.count)
+	first := group.lowest()
+	sigs := make([]ReplySig, 0, group.count-1)
 	for _, sr := range group.replies {
-		if sr != nil {
-			cert = append(cert, sr)
+		if sr != nil && sr != first {
+			sigs = append(sigs, ReplySig{Replica: sr.Replica, Sig: sr.Sig})
 		}
 	}
-	cf := &CommitFast{Client: c.cfg.ID, Inst: inst, Cert: slimCert(cert)}
+	cf := &CommitFast{Client: c.cfg.ID, Inst: inst, Cert: []*SpecReply{first}, Sigs: sigs}
 	proc.Broadcast(ctx, c.replicas, cf)
 	c.stats.FastDecisions++
-	c.finish(ctx, ts, p, group.lowest().Result, true)
+	c.finish(ctx, ts, p, first.Result, true)
 }
 
 // trySlowPath implements step 4.2: with at least 2f+1 replies for one
@@ -651,7 +611,7 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 		Inst:      inst,
 		Deps:      deps,
 		Seq:       seq,
-		Cert:      slimCert(chosen),
+		Cert:      chosen,
 	}
 	c.cfg.Costs.ChargeSign(ctx)
 	commit.Sig = signBody(c.cfg.Auth, commit)

@@ -14,7 +14,7 @@ import (
 
 // Configuration errors.
 var (
-	ErrBadClusterSize = errors.New("core: cluster size must be 3f+1 for some f >= 1")
+	ErrBadClusterSize = errors.New("core: cluster size must be 3f+1 for some f >= 1 and at most 64")
 	ErrBadReplicaID   = errors.New("core: replica id out of range")
 	ErrNilApp         = errors.New("core: application must not be nil")
 	ErrNilAuth        = errors.New("core: authenticator must not be nil")
@@ -35,7 +35,7 @@ const (
 type ReplicaConfig struct {
 	// Self is this replica's identifier in [0, N).
 	Self types.ReplicaID
-	// N is the cluster size; must be 3f+1.
+	// N is the cluster size; must be 3f+1 and at most 64 (maxSigners).
 	N int
 	// App is the replicated application; ezBFT requires speculative
 	// execution support.
@@ -112,7 +112,7 @@ type ByzantineBehavior struct {
 }
 
 func (c *ReplicaConfig) validate() error {
-	if c.N < 4 || (c.N-1)%3 != 0 {
+	if c.N < 4 || (c.N-1)%3 != 0 || c.N > maxSigners {
 		return fmt.Errorf("%w: N=%d", ErrBadClusterSize, c.N)
 	}
 	if c.Self < 0 || int(c.Self) >= c.N {

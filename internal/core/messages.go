@@ -68,6 +68,20 @@
 // empty — shared freely between a message, the log entry built from it and
 // the replies built from that: no holder writes into one in place.
 //
+// # Certificates
+//
+// A client commits by showing replicas the SPECREPLYs it decided on, and a
+// certificate carries each thing once. Matching replies differ only in
+// sender and signature, so a COMMITFAST is the SPECREPLY all 3f+1 replicas
+// sent — CommitFast.Cert has exactly one element — plus the other senders'
+// (replica, signature) pairs in CommitFast.Sigs, each checked over that one
+// body with the signer's id in place. A COMMIT keeps its 2f+1 replies, whose
+// dependencies and sequence numbers may differ, but only the first travels
+// with the SPECORDER. One is enough: all replies of a certificate vouch for
+// one proposal (validateCert); a replica reads the SPECORDER only to install
+// an instance it never saw, after binding it to what the first reply signed
+// (commitEntry); and evidence of equivocation travels in a POM.
+//
 // This file defines the wire messages (codec tags 10–25). Signed messages
 // carry their signature separately from the body; the signature covers the
 // deterministic codec encoding of the body (signedBody).
@@ -369,12 +383,24 @@ func (m *SpecReply) Tag() uint8 {
 
 // MarshalTo implements codec.Message.
 func (m *SpecReply) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
-	w.Blob(m.Sig)
+	m.marshalSigned(w)
 	marshalSpecOrderPtr(w, m.SO)
 }
 
-func (m *SpecReply) marshalBody(w *codec.Writer) {
+// marshalSigned writes the signed body and the signature without the
+// SPECORDER riding along: the form of every COMMIT certificate element after
+// the first.
+func (m *SpecReply) marshalSigned(w *codec.Writer) {
+	m.marshalBody(w)
+	w.Blob(m.Sig)
+}
+
+func (m *SpecReply) marshalBody(w *codec.Writer) { m.marshalBodyAs(w, m.Replica) }
+
+// marshalBodyAs writes the signed body with signer in the Replica field: the
+// bytes that replica signs when it sends this same reply, which is what the
+// other signers of a COMMITFAST vouch for without the reply being copied.
+func (m *SpecReply) marshalBodyAs(w *codec.Writer, signer types.ReplicaID) {
 	w.Uvarint(uint64(m.Owner))
 	w.Instance(m.Inst)
 	w.InstanceSet(m.Deps)
@@ -382,7 +408,7 @@ func (m *SpecReply) marshalBody(w *codec.Writer) {
 	w.Bytes32(m.CmdDigest)
 	w.Int32(int32(m.Client))
 	w.Uvarint(m.Timestamp)
-	w.Int32(int32(m.Replica))
+	w.Int32(int32(signer))
 	w.Bool(m.Result.OK)
 	w.Blob(m.Result.Value)
 	if m.Batched {
@@ -462,22 +488,9 @@ func (m *SpecReply) Matches(o *SpecReply) bool {
 		m.Deps.Equal(o.Deps)
 }
 
-func decodeSpecReply(r *codec.Reader) (*SpecReply, error) {
-	return decodeSpecReplyFmt(r, false, nil)
-}
-
-// certSpecOrder is the first SPECORDER a certificate embedded, with the
-// frame bytes (format marker included) that encoded it.
-type certSpecOrder struct {
-	so  *SpecOrder
-	enc []byte
-}
-
-// decodeSpecReplyFmt parses either SPECREPLY layout. Inside a certificate,
-// first carries the certificate's first embedded SPECORDER: a reply whose
-// embedded SPECORDER is byte-identical to it in the frame shares that one
-// object and is not decoded again.
-func decodeSpecReplyFmt(r *codec.Reader, batched bool, first *certSpecOrder) (*SpecReply, error) {
+// decodeSpecReplyFmt parses either SPECREPLY layout; withSO is false for the
+// COMMIT certificate elements that travel without SPECORDER (marshalSigned).
+func decodeSpecReplyFmt(r *codec.Reader, batched, withSO bool) (*SpecReply, error) {
 	m := &SpecReply{
 		Owner:     types.OwnerNumber(r.Uvarint()),
 		Inst:      r.Instance(),
@@ -500,28 +513,38 @@ func decodeSpecReplyFmt(r *codec.Reader, batched bool, first *certSpecOrder) (*S
 		m.SORef = r.Bytes32()
 	}
 	m.Sig = r.Blob()
-	if first != nil && r.SkipPrefix(first.enc) {
-		m.SO = first.so
-		return m, r.Err()
-	}
-	start := r.Offset()
-	so, err := decodeSpecOrderPtr(r)
-	if err != nil {
-		return nil, err
-	}
-	m.SO = so
-	if first != nil && first.so == nil && so != nil {
-		first.so, first.enc = so, r.Since(start)
+	if withSO {
+		so, err := decodeSpecOrderPtr(r)
+		if err != nil {
+			return nil, err
+		}
+		m.SO = so
 	}
 	return m, r.Err()
 }
 
+// maxSigners bounds the replicas a certificate can name, and with them the
+// cluster size: replicaSet is one machine word.
+const maxSigners = 64
+
+// ReplySig is one more signer of a COMMITFAST's reply: Replica's signature
+// over that reply's body with its own id in the Replica field.
+type ReplySig struct {
+	Replica types.ReplicaID
+	Sig     []byte
+}
+
 // CommitFast is the client's asynchronous fast-path commit announcement,
-// ⟨COMMITFAST, c, I, CC⟩ with CC = 3f+1 matching SPECREPLY messages.
+// ⟨COMMITFAST, c, I, CC⟩. The paper's CC is 3f+1 matching SPECREPLYs, which
+// by definition differ only in sender and signature, so the message carries
+// the reply once and the other senders as (replica, signature) pairs.
 type CommitFast struct {
 	Client types.ClientID
 	Inst   types.InstanceID
-	Cert   []*SpecReply
+	Cert   []*SpecReply // exactly one element: the reply every signer sent
+	Sigs   []ReplySig   // the other 3f signers of that reply
+
+	codec.Verified // the reply's and every Sigs signature checked; never marshaled
 }
 
 // Tag implements codec.Message.
@@ -537,13 +560,16 @@ func (m *CommitFast) Tag() uint8 {
 // command of the same instance.
 func certBatched(cert []*SpecReply) bool { return len(cert) > 0 && cert[0].Batched }
 
-// MarshalTo implements codec.Message.
+// MarshalTo implements codec.Message. Only a well-formed message (one Cert
+// element) has an encoding.
 func (m *CommitFast) MarshalTo(w *codec.Writer) {
 	w.Int32(int32(m.Client))
 	w.Instance(m.Inst)
-	w.Uvarint(uint64(len(m.Cert)))
-	for _, sr := range m.Cert {
-		sr.MarshalTo(w)
+	m.Cert[0].MarshalTo(w)
+	w.Uvarint(uint64(len(m.Sigs)))
+	for _, s := range m.Sigs {
+		w.Int32(int32(s.Replica))
+		w.Blob(s.Sig)
 	}
 }
 
@@ -552,32 +578,35 @@ func decodeCommitFast(r *codec.Reader, batched bool) (*CommitFast, error) {
 		Client: types.ClientID(r.Int32()),
 		Inst:   r.Instance(),
 	}
-	cert, err := decodeCert(r, batched)
+	sr, err := decodeSpecReplyFmt(r, batched, true)
 	if err != nil {
 		return nil, err
 	}
-	m.Cert = cert
+	m.Cert = []*SpecReply{sr}
+	n := r.Uvarint() // 0 after a read error, which r.Err() below reports
+	if n > maxSigners {
+		return nil, codec.ErrOverflow
+	}
+	m.Sigs = make([]ReplySig, n)
+	for i := range m.Sigs {
+		m.Sigs[i] = ReplySig{Replica: types.ReplicaID(r.Int32()), Sig: r.Blob()}
+	}
 	return m, r.Err()
 }
 
-// decodeCert parses a SPECREPLY certificate whose elements all use one
-// layout (selected by the parent message's tag). An honest certificate
-// embeds the same SPECORDER in every reply (3f+1 or 2f+1 copies); those
-// decode to one shared *SpecOrder, so whoever verifies or marks it does so
-// once. Replies embedding different bytes — an equivocating leader's second
-// proposal — keep objects of their own.
+// decodeCert parses a COMMIT's certificate; every element uses the layout
+// the message's tag selects, and only the first has a SPECORDER.
 func decodeCert(r *codec.Reader, batched bool) ([]*SpecReply, error) {
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n > 64 {
+	if n > maxSigners {
 		return nil, codec.ErrOverflow
 	}
 	cert := make([]*SpecReply, 0, n)
-	var first certSpecOrder
 	for i := uint64(0); i < n; i++ {
-		sr, err := decodeSpecReplyFmt(r, batched, &first)
+		sr, err := decodeSpecReplyFmt(r, batched, i == 0)
 		if err != nil {
 			return nil, err
 		}
@@ -594,7 +623,7 @@ type Commit struct {
 	Inst      types.InstanceID
 	Deps      types.InstanceSet // final combined dependency set
 	Seq       types.SeqNumber   // final sequence number
-	Cert      []*SpecReply
+	Cert      []*SpecReply      // only Cert[0]'s SPECORDER travels (MarshalTo)
 	Sig       []byte
 
 	// Verified marks the client signature and every certificate signature
@@ -614,9 +643,16 @@ func (m *Commit) Tag() uint8 {
 func (m *Commit) MarshalTo(w *codec.Writer) {
 	m.marshalBody(w)
 	w.Blob(m.Sig)
+	// The replies may differ in dependencies and sequence number, so each
+	// travels whole, but all vouch for one proposal: only the first carries
+	// the SPECORDER, which is the one replicas install from.
 	w.Uvarint(uint64(len(m.Cert)))
-	for _, sr := range m.Cert {
-		sr.MarshalTo(w)
+	for i, sr := range m.Cert {
+		if i == 0 {
+			sr.MarshalTo(w)
+		} else {
+			sr.marshalSigned(w)
+		}
 	}
 }
 
@@ -1107,7 +1143,7 @@ func decodePOM(r *codec.Reader, batched bool) (*POM, error) {
 func init() {
 	codec.Register(tagRequest, "ezbft.Request", func(r *codec.Reader) (codec.Message, error) { return decodeRequest(r) })
 	codec.Register(tagSpecOrder, "ezbft.SpecOrder", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrder(r) })
-	codec.Register(tagSpecReply, "ezbft.SpecReply", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReply(r) })
+	codec.Register(tagSpecReply, "ezbft.SpecReply", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, false, true) })
 	codec.Register(tagCommitFast, "ezbft.CommitFast", func(r *codec.Reader) (codec.Message, error) { return decodeCommitFast(r, false) })
 	codec.Register(tagCommit, "ezbft.Commit", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, false) })
 	codec.Register(tagCommitReply, "ezbft.CommitReply", func(r *codec.Reader) (codec.Message, error) { return decodeCommitReply(r) })
@@ -1117,7 +1153,7 @@ func init() {
 	codec.Register(tagNewOwner, "ezbft.NewOwner", func(r *codec.Reader) (codec.Message, error) { return decodeNewOwner(r) })
 	codec.Register(tagPOM, "ezbft.POM", func(r *codec.Reader) (codec.Message, error) { return decodePOM(r, false) })
 	codec.Register(tagSpecOrderBatch, "ezbft.SpecOrderB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrderFmt(r, true) })
-	codec.Register(tagSpecReplyBatch, "ezbft.SpecReplyB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, true, nil) })
+	codec.Register(tagSpecReplyBatch, "ezbft.SpecReplyB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, true, true) })
 	codec.Register(tagCommitFastBatch, "ezbft.CommitFastB", func(r *codec.Reader) (codec.Message, error) { return decodeCommitFast(r, true) })
 	codec.Register(tagCommitBatch, "ezbft.CommitB", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, true) })
 	codec.Register(tagPOMBatch, "ezbft.POMB", func(r *codec.Reader) (codec.Message, error) { return decodePOM(r, true) })

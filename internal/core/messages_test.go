@@ -61,7 +61,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		sampleRequest(),
 		sampleSpecOrder(),
 		sampleSpecReply(),
-		&CommitFast{Client: 3, Inst: types.InstanceID{Space: 1, Slot: 9}, Cert: []*SpecReply{sampleSpecReply()}},
+		fastCert(4, false),
 		&Commit{
 			Client: 3, Timestamp: 7, Inst: types.InstanceID{Space: 1, Slot: 9},
 			Deps: types.NewInstanceSet(types.InstanceID{Space: 0, Slot: 2}),
@@ -116,43 +116,71 @@ func certOf(n int, batched bool) []*SpecReply {
 	return cert
 }
 
-// TestCertSharesIdenticalSpecOrders: the 3f+1 (COMMITFAST) or 2f+1 (COMMIT)
-// replies of a certificate embed byte-identical SPECORDERs; decoding yields
-// one shared object for all of them, and the message still re-marshals to
-// the bytes it came from.
-func TestCertSharesIdenticalSpecOrders(t *testing.T) {
+// fastCertOf builds the COMMITFAST a client makes of matching replies: the
+// first as it is, the others' signatures.
+func fastCertOf(client types.ClientID, replies []*SpecReply) *CommitFast {
+	m := &CommitFast{Client: client, Inst: replies[0].Inst, Cert: replies[:1]}
+	for _, sr := range replies[1:] {
+		m.Sigs = append(m.Sigs, ReplySig{Replica: sr.Replica, Sig: sr.Sig})
+	}
+	return m
+}
+
+func fastCert(n int, batched bool) *CommitFast { return fastCertOf(3, certOf(n, batched)) }
+
+// certificateFrames is one message per certificate tag (13, 14, 23, 24) and
+// an owner-change history embedding a COMMIT, each built from replies that
+// all embed the SPECORDER.
+func certificateFrames() map[string]codec.Message {
 	inst := types.InstanceID{Space: 1, Slot: 9}
 	commit := func(cert []*SpecReply) *Commit {
 		return &Commit{Client: 3, Timestamp: 7, Inst: inst, Deps: types.NewInstanceSet(), Seq: 4, Cert: cert, Sig: []byte{8}}
 	}
-	for name, m := range map[string]codec.Message{
-		"commitfast":         &CommitFast{Client: 3, Inst: inst, Cert: certOf(4, false)},
+	return map[string]codec.Message{
+		"commitfast":         fastCert(4, false),
 		"commit":             commit(certOf(3, false)),
-		"commitfast-batched": &CommitFast{Client: 3, Inst: inst, Cert: certOf(4, true)},
+		"commitfast-batched": fastCert(4, true),
 		"commit-batched":     commit(certOf(3, true)),
 		"ownerchange-history": &OwnerChange{Suspect: 1, NewOwner: 2, Replica: 3, Sig: []byte{6}, History: []HistEntry{{
 			Inst: inst, Status: HistCommitted, Deps: types.NewInstanceSet(), Seq: 4, Owner: 1, ClientCommit: commit(certOf(3, false)),
 		}}},
-	} {
+	}
+}
+
+// TestCertCarriesOneSpecOrder: whatever its replies held in memory, a
+// certificate travels with one SPECORDER — its first reply's — and every
+// signer: a COMMITFAST decodes to one reply plus the other signers' pairs, a
+// COMMIT to its 2f+1 replies with the later ones bare, and both re-marshal
+// to the bytes they came from.
+func TestCertCarriesOneSpecOrder(t *testing.T) {
+	for name, m := range certificateFrames() {
 		out := roundTrip(t, m)
 		var cert []*SpecReply
 		switch d := out.(type) {
 		case *CommitFast:
 			cert = d.Cert
+			if len(cert) != 1 || len(d.Sigs) != 3 {
+				t.Fatalf("%s: decoded %d replies and %d other signers, want 1 and 3", name, len(cert), len(d.Sigs))
+			}
+			for i, s := range d.Sigs {
+				if s.Replica != types.ReplicaID(i+1) || len(s.Sig) != 2 || s.Sig[0] != byte(i+1) {
+					t.Errorf("%s: signer %d decoded as replica %d with signature %v", name, i+1, s.Replica, s.Sig)
+				}
+			}
 		case *Commit:
 			cert = d.Cert
 		case *OwnerChange:
 			cert = d.History[0].ClientCommit.Cert
 		}
-		if len(cert) < 3 {
-			t.Fatalf("%s: decoded %d replies", name, len(cert))
+		if _, fast := out.(*CommitFast); !fast && len(cert) != 3 {
+			t.Fatalf("%s: decoded %d replies, want 3", name, len(cert))
 		}
 		for i, sr := range cert {
-			if sr.SO == nil || sr.SO != cert[0].SO {
-				t.Errorf("%s: reply %d does not share the certificate's SPECORDER", name, i)
-			}
 			if sr.Replica != types.ReplicaID(i) {
 				t.Errorf("%s: reply %d decoded as replica %d", name, i, sr.Replica)
+			}
+			if (sr.SO != nil) != (i == 0) {
+				t.Errorf("%s: reply %d: embedded SPECORDER present=%v", name, i, sr.SO != nil)
 			}
 		}
 		if string(codec.Marshal(out)) != string(codec.Marshal(m)) {
@@ -160,13 +188,11 @@ func TestCertSharesIdenticalSpecOrders(t *testing.T) {
 		}
 	}
 
-	// Evidence-slimmed batched replies carry no SPECORDER; nothing is
-	// shared into them.
-	slim := certOf(3, true)
-	slim[1].SO, slim[2].SO = nil, nil
-	out := roundTrip(t, &CommitFast{Client: 3, Inst: inst, Cert: slim}).(*CommitFast)
-	if out.Cert[0].SO == nil || out.Cert[1].SO != nil || out.Cert[2].SO != nil {
-		t.Error("slimmed replies gained or lost an embedded SPECORDER")
+	// A batched reply past position 0 never had a SPECORDER; none appears.
+	slim := fastCert(4, true)
+	slim.Cert[0].SO = nil
+	if out := roundTrip(t, slim).(*CommitFast); out.Cert[0].SO != nil || len(out.Sigs) != 3 {
+		t.Error("slimmed COMMITFAST gained a SPECORDER or lost a signer")
 	}
 }
 
@@ -208,10 +234,14 @@ func TestSignedBodyExcludesSignature(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	full := codec.Marshal(sampleSpecReply())
-	for cut := 1; cut < len(full); cut += 7 {
-		if _, err := codec.Unmarshal(full[:cut]); err == nil {
-			t.Fatalf("truncated message at %d accepted", cut)
+	frames := certificateFrames()
+	frames["specreply"] = sampleSpecReply()
+	for name, m := range frames {
+		full := codec.Marshal(m)
+		for cut := 1; cut < len(full); cut++ {
+			if _, err := codec.Unmarshal(full[:cut]); err == nil {
+				t.Fatalf("%s truncated at %d of %d accepted", name, cut, len(full))
+			}
 		}
 	}
 }

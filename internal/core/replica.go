@@ -718,7 +718,14 @@ func (r *Replica) handleSpecOrder(ctx proc.Context, from types.NodeID, m *SpecOr
 		return
 	}
 	owner := m.Owner.OwnerOf(r.n)
-	digests := make([]types.Digest, m.BatchSize())
+	// Only a real batch's digests are kept (acceptSpecOrder) and so live on
+	// the heap; a batch of one digests into a buffer on the stack.
+	var one [1]types.Digest
+	digests, kept := one[:], []types.Digest(nil)
+	if m.BatchSize() > 1 {
+		kept = make([]types.Digest, m.BatchSize())
+		digests = kept
+	}
 	if m.SigVerified() {
 		// A transport-side verifier pool already checked the signatures in
 		// parallel; only the digest binding below remains.
@@ -756,7 +763,7 @@ func (r *Replica) handleSpecOrder(ctx proc.Context, from types.NodeID, m *SpecOr
 	next := sp.maxSlot + 1
 	switch {
 	case m.Inst.Slot == next:
-		r.acceptSpecOrder(ctx, m, digests)
+		r.acceptSpecOrder(ctx, m, kept)
 		// Drain any buffered successors.
 		for {
 			nxt, ok := sp.pending[sp.maxSlot+1]
@@ -775,8 +782,8 @@ func (r *Replica) handleSpecOrder(ctx proc.Context, from types.NodeID, m *SpecOr
 
 // acceptSpecOrder records a validated proposal and replies to its clients.
 // digests carries the per-command digests handleSpecOrder already computed
-// (nil for proposals drained from the out-of-order buffer, which recompute
-// them).
+// (nil for a batch of one, which keeps none, and for proposals drained from
+// the out-of-order buffer, which recompute them).
 func (r *Replica) acceptSpecOrder(ctx proc.Context, m *SpecOrder, digests []types.Digest) {
 	if existing := r.log.get(m.Inst); existing != nil {
 		return // already known (e.g., installed by a commit certificate)
@@ -909,15 +916,11 @@ func (r *Replica) specExecuteAndReply(ctx proc.Context, e *entry, so *SpecOrder)
 
 // --- step 5: commit paths ---
 
-// handleCommitFast processes ⟨COMMITFAST, c, I, CC⟩: validate the 3f+1
-// matching SPECREPLY certificate, mark committed, and enqueue final
-// execution. No reply is sent (the client already returned).
+// handleCommitFast processes ⟨COMMITFAST, c, I, CC⟩: validate the SPECREPLY
+// and its 3f+1 signers, mark committed, and enqueue final execution. No
+// reply is sent (the client already returned).
 func (r *Replica) handleCommitFast(ctx proc.Context, m *CommitFast) {
-	if len(m.Cert) < FastQuorum(r.n) {
-		r.stats.DroppedInvalid++
-		return
-	}
-	if !r.validateCert(ctx, m.Cert, m.Inst, FastQuorum(r.n), true) {
+	if !r.validateFastCert(ctx, m) {
 		r.stats.DroppedInvalid++
 		return
 	}
@@ -950,11 +953,7 @@ func (r *Replica) handleCommit(ctx proc.Context, m *Commit) {
 			return
 		}
 	}
-	if len(m.Cert) < SlowQuorum(r.n) {
-		r.stats.DroppedInvalid++
-		return
-	}
-	if !r.validateCert(ctx, m.Cert, m.Inst, SlowQuorum(r.n), false) {
+	if !r.validateCert(ctx, m.Cert, m.Inst, SlowQuorum(r.n)) {
 		r.stats.DroppedInvalid++
 		return
 	}
@@ -1012,32 +1011,68 @@ func (r *Replica) deferCommit(inst types.InstanceID, dc deferredCommit) {
 	r.stats.DeferredCommits++
 }
 
-// validateCert checks a commit certificate: enough distinct, correctly
-// signed SPECREPLYs for the same instance; if matching is true they must
-// all agree on every client-compared field.
-func (r *Replica) validateCert(ctx proc.Context, cert []*SpecReply, inst types.InstanceID, quorum int, matching bool) bool {
+// replicaSet is a set of replica ids, one bit each (a cluster has at most
+// maxSigners replicas): who signed a certificate.
+type replicaSet uint64
+
+// add inserts id; false if it names no replica of a cluster of n or is in.
+func (s *replicaSet) add(id types.ReplicaID, n int) bool {
+	if id < 0 || int(id) >= n || *s&(1<<id) != 0 {
+		return false
+	}
+	*s |= 1 << id
+	return true
+}
+
+// soBound reports whether a certificate's first reply and the SPECORDER
+// riding outside its signed body name the same proposal, as untampered do.
+func soBound(first *SpecReply) bool {
+	return !first.Batched || first.SO == nil || first.SO.CmdDigest == first.SORef
+}
+
+// validateFastCert checks a COMMITFAST: one reply, for the instance, whose
+// sender and other signers are 3f+1 distinct replicas with valid signatures
+// over the one body — who therefore cannot disagree: nothing is compared.
+func (r *Replica) validateFastCert(ctx proc.Context, m *CommitFast) bool {
+	if len(m.Cert) != 1 || 1+len(m.Sigs) < FastQuorum(r.n) {
+		return false
+	}
 	// Certificates are MAC-authenticated in the modeled deployment; charge
 	// one verification (the cryptographic checks below still run).
 	r.cfg.Costs.ChargeVerify(ctx, 1)
-	seen := make(map[types.ReplicaID]bool, len(cert))
+	sr := m.Cert[0]
+	if sr.Inst != m.Inst || !soBound(sr) {
+		return false
+	}
+	var signers replicaSet
+	ok := signers.add(sr.Replica, r.n)
+	for _, s := range m.Sigs {
+		ok = ok && signers.add(s.Replica, r.n)
+	}
+	return ok && (m.SigVerified() || verifyFastCert(r.cfg.Auth, m))
+}
+
+// validateCert checks a COMMIT's certificate: at least quorum correctly
+// signed SPECREPLYs from distinct replicas for the same command of the same
+// proposal.
+func (r *Replica) validateCert(ctx proc.Context, cert []*SpecReply, inst types.InstanceID, quorum int) bool {
+	if len(cert) < quorum {
+		return false
+	}
+	r.cfg.Costs.ChargeVerify(ctx, 1) // as in validateFastCert
+	var signers replicaSet
 	for _, sr := range cert {
-		if sr.Inst != inst || seen[sr.Replica] {
+		if sr.Inst != inst || !signers.add(sr.Replica, r.n) {
 			return false
 		}
 		// All elements must vouch for the same command of the same
 		// proposal — a certificate mixing replies built from different
 		// batches (an equivocating leader's doing) is not a quorum for
 		// anything, and mixed layouts would not even survive the wire. The
-		// signed SORef keeps this check sound for evidence-slimmed replies
-		// that carry no embedded SPECORDER.
+		// signed SORef keeps this check sound for the replies that carry no
+		// SPECORDER, which is all but the first.
 		if sr.Batched != cert[0].Batched || sr.BatchIdx != cert[0].BatchIdx ||
 			sr.CmdDigest != cert[0].CmdDigest || sr.SORef != cert[0].SORef {
-			return false
-		}
-		// An embedded SPECORDER rides outside the reply's signed body; it
-		// must name the proposal the signed SORef vouches for, or the
-		// certificate has been tampered with.
-		if sr.Batched && sr.SO != nil && sr.SO.CmdDigest != sr.SORef {
 			return false
 		}
 		if !sr.SigVerified() {
@@ -1045,12 +1080,8 @@ func (r *Replica) validateCert(ctx proc.Context, cert []*SpecReply, inst types.I
 				return false
 			}
 		}
-		seen[sr.Replica] = true
-		if matching && !sr.Matches(cert[0]) {
-			return false
-		}
 	}
-	return len(seen) >= quorum
+	return soBound(cert[0])
 }
 
 // commitEntry installs the final dependencies and sequence number for an

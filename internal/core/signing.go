@@ -69,11 +69,13 @@ func tryMark(a auth.Authenticator, signer types.NodeID, m bodyMarshaler, sig []b
 // on the verifier-pool workers and the message marked, so the
 // single-threaded process loop re-checks nothing but semantic bindings.
 // Signatures the loop verifies only conditionally (a RESENDREQ's embedded
-// request, certificate-embedded SPECORDERs, OWNERCHANGE history proofs,
-// NEWOWNER proof elements) are verified opportunistically: valid ones are
-// marked, invalid ones pass through unmarked for the loop to judge, so
-// pool-on and pool-off behaviour stay equivalent. The predicate is safe
-// for concurrent use — feed it to transport.NewVerifyPool.
+// request, OWNERCHANGE history proofs, NEWOWNER proof elements) are verified
+// opportunistically: valid ones are marked, invalid ones pass through
+// unmarked for the loop to judge, so pool-on and pool-off behaviour stay
+// equivalent. A certificate's embedded SPECORDER is not touched at all: the
+// loop reads its signature only to install an instance it never saw
+// (commitEntry). The predicate is safe for concurrent use — feed it to
+// transport.NewVerifyPool.
 func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 	return func(msg codec.Message) bool {
 		switch m := msg.(type) {
@@ -84,12 +86,26 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 		case *SpecReply:
 			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
 		case *CommitFast:
-			return preVerifyCert(a, n, m.Cert)
+			// A malformed certificate is the loop's to drop and count.
+			if len(m.Cert) == 1 && !m.SigVerified() {
+				if !verifyFastCert(a, m) {
+					return false
+				}
+				m.MarkSigVerified()
+			}
+			return true
 		case *Commit:
 			if !preVerify(a, types.ClientNode(m.Client), m, m.Sig, m) {
 				return false
 			}
-			return preVerifyCert(a, n, m.Cert)
+			// The 2f+1 verifications validateCert would otherwise run serially
+			// on the loop.
+			for _, sr := range m.Cert {
+				if !preVerify(a, types.ReplicaNode(sr.Replica), sr, sr.Sig, sr) {
+					return false
+				}
+			}
+			return true
 		case *CommitReply:
 			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
 		case *ResendReq:
@@ -171,47 +187,25 @@ func preVerifySpecOrder(a auth.Authenticator, n int, so *SpecOrder) bool {
 	return true
 }
 
-// preVerifyCert checks every SPECREPLY signature of a commit certificate —
-// the 2f+1 serial ECDSA verifications validateCert would otherwise run on
-// the process loop — marking each element, and opportunistically marks the
-// certificate's embedded SPECORDER (its signature is only checked in-loop
-// when the certificate has to install the instance).
-func preVerifyCert(a auth.Authenticator, n int, cert []*SpecReply) bool {
-	for _, sr := range cert {
-		if !preVerify(a, types.ReplicaNode(sr.Replica), sr, sr.Sig, sr) {
+// verifyFastCert checks the signatures a COMMITFAST carries: its reply's own
+// and, over the same body under each signer's id, the other signers'. Who
+// the signers are — replicas, distinct, a fast quorum — is for the loop
+// (validateFastCert), marked message or not.
+func verifyFastCert(a auth.Authenticator, m *CommitFast) bool {
+	sr := m.Cert[0]
+	if !sr.SigVerified() && verifyBody(a, types.ReplicaNode(sr.Replica), sr, sr.Sig) != nil {
+		return false
+	}
+	w := codec.GetWriter()
+	defer codec.PutWriter(w)
+	for _, s := range m.Sigs {
+		w.Reset()
+		sr.marshalBodyAs(w, s.Replica)
+		if a.Verify(types.ReplicaNode(s.Replica), w.Bytes(), s.Sig) != nil {
 			return false
-		}
-		if so := sr.SO; so != nil {
-			tryMarkSpecOrder(a, n, so)
 		}
 	}
 	return true
-}
-
-// tryMarkSpecOrder opportunistically marks a SPECORDER reached outside its
-// own frame (inside a certificate): the mark asserts that the leader
-// signature AND every embedded client signature verified — the exact
-// meaning preVerifySpecOrder and handleSpecOrder give the flag — so all
-// signatures must check out before marking. (On the in-process mesh the
-// same *SpecOrder value can later arrive as an ordering frame; a weaker
-// leader-only mark here would let it skip client-signature verification.)
-// Never drops: an unmarkable SPECORDER is left for the loop's conditional
-// checks.
-func tryMarkSpecOrder(a auth.Authenticator, n int, so *SpecOrder) {
-	if so.SigVerified() || so.BatchSize() > MaxBatchSize {
-		return
-	}
-	owner := so.Owner.OwnerOf(n)
-	if verifyBody(a, types.ReplicaNode(owner), so, so.Sig) != nil {
-		return
-	}
-	for i := 0; i < so.BatchSize(); i++ {
-		req := so.ReqAt(i)
-		if verifyBody(a, types.ClientNode(req.Cmd.Client), req, req.Sig) != nil {
-			return
-		}
-	}
-	so.MarkSigVerified()
 }
 
 // preVerifyPOM checks both accused-owner signatures of a proof of

@@ -17,11 +17,12 @@
 // what sim-delivered (and test-injected) messages are, so the simulator's
 // charged cost model and all paper-reproduction figures are untouched.
 //
-// Ordering guarantees: the pool may reorder messages relative to their
-// arrival on a connection (workers finish out of order), and drops
-// verification failures silently. Both are behaviours the protocols already
-// tolerate from the network itself — no protocol in this repository assumes
-// point-to-point FIFO, ezBFT's instance-space contiguity buffer reassembles
+// Ordering guarantees: the pool delivers one sender's messages in the order
+// they arrived (a lane per worker, a sender always on the same lane), so a
+// client's pipelined requests are not reordered here; messages of different
+// senders may overtake each other, and verification failures are dropped
+// silently. Both are behaviours the protocols already tolerate from the
+// network itself — ezBFT's instance-space contiguity buffer reassembles
 // SPECORDER order explicitly, and the baselines buffer out-of-order
 // sequence numbers. Within one message all checks complete before delivery,
 // so a process never observes a partially verified frame. Messages a

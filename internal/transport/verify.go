@@ -16,14 +16,16 @@ import (
 // verifier rejects are dropped — indistinguishable from network loss, which
 // the protocols already tolerate.
 //
-// The pool may reorder messages relative to their arrival on a connection;
-// every protocol in this repository tolerates reordering (the network
-// provides no ordering guarantee either), and ezBFT's instance-space
-// contiguity buffer reassembles SPECORDER order explicitly.
+// Messages from one sender are delivered in the order they were submitted:
+// each worker has its own lane and a sender's messages all take the same one,
+// so a client's pipelined REQUESTs reach the process loop as they left it.
+// Messages from different senders may overtake each other, which every
+// protocol in this repository tolerates (the network orders nothing between
+// senders either).
 type VerifyPool struct {
 	verify  func(msg codec.Message) bool
 	deliver func(from types.NodeID, msg codec.Message)
-	jobs    chan verifyJob
+	lanes   []chan verifyJob
 
 	// mu guards closed against concurrent Submit/Close: on the in-process
 	// mesh, peers (and delayed-delivery timers) may still be sending when a
@@ -55,22 +57,25 @@ func NewVerifyPool(workers int, verify func(msg codec.Message) bool, deliver fun
 	p := &VerifyPool{
 		verify:  verify,
 		deliver: deliver,
-		jobs:    make(chan verifyJob, 4*workers),
+		lanes:   make([]chan verifyJob, workers),
 	}
-	for i := 0; i < workers; i++ {
+	for i := range p.lanes {
+		// Four messages of slack per worker, so that a connection reader is
+		// not stopped by every verification that takes a little longer.
+		p.lanes[i] = make(chan verifyJob, 4)
 		p.wg.Add(1)
-		go p.worker()
+		go p.worker(p.lanes[i])
 	}
 	return p
 }
 
-// Submit enqueues one inbound message for verification and delivery. It
-// blocks when all workers are busy and the queue is full, applying
-// backpressure to the sender (the TCP connection reader, or the sending
-// node on the mesh). Submitting to a closed pool drops the message, like a
+// Submit enqueues one inbound message for verification and delivery on its
+// sender's lane. It blocks while that lane is full, applying backpressure
+// to the sender (the TCP connection reader, or the sending node on the
+// mesh). Submitting to a closed pool drops the message, like a
 // closing socket. Safe for concurrent use with Close: a Submit blocked on
-// a full queue holds the read lock, and Close waits for it — the workers
-// keep draining until the channel actually closes, so the send always
+// a full lane holds the read lock, and Close waits for it — the workers
+// keep draining until the lanes actually close, so the send always
 // completes.
 func (p *VerifyPool) Submit(from types.NodeID, msg codec.Message) {
 	p.mu.RLock()
@@ -78,24 +83,26 @@ func (p *VerifyPool) Submit(from types.NodeID, msg codec.Message) {
 	if p.closed {
 		return
 	}
-	p.jobs <- verifyJob{from: from, msg: msg}
+	p.lanes[uint64(from)%uint64(len(p.lanes))] <- verifyJob{from: from, msg: msg}
 }
 
-func (p *VerifyPool) worker() {
+func (p *VerifyPool) worker(lane chan verifyJob) {
 	defer p.wg.Done()
-	for job := range p.jobs {
+	for job := range lane {
 		if p.verify(job.msg) {
 			p.deliver(job.from, job.msg)
 		}
 	}
 }
 
-// Close drains the queue and stops the workers; closing twice is a no-op.
+// Close drains the lanes and stops the workers; closing twice is a no-op.
 func (p *VerifyPool) Close() {
 	p.mu.Lock()
 	if !p.closed {
 		p.closed = true
-		close(p.jobs)
+		for _, lane := range p.lanes {
+			close(lane)
+		}
 	}
 	p.mu.Unlock()
 	p.wg.Wait()

@@ -3,6 +3,7 @@ package transport
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
@@ -38,6 +39,50 @@ func TestVerifyPoolDeliversAndDrops(t *testing.T) {
 	// Submitting after Close must not panic (message is dropped like a
 	// closing socket would drop it).
 	pool.Submit(types.ReplicaNode(1), &fakeMsg{id: 2})
+}
+
+// TestVerifyPoolKeepsSenderOrder: with several workers and verifications of
+// uneven length, each sender's messages are still delivered in the order it
+// submitted them.
+func TestVerifyPoolKeepsSenderOrder(t *testing.T) {
+	senders := []types.NodeID{types.ClientNode(0), types.ClientNode(1)}
+	var mu sync.Mutex
+	got := make(map[types.NodeID][]uint64)
+	pool := NewVerifyPool(4,
+		func(msg codec.Message) bool {
+			if msg.(*fakeMsg).id%2 == 0 {
+				time.Sleep(200 * time.Microsecond) // lets a later message finish first on another worker
+			}
+			return true
+		},
+		func(from types.NodeID, msg codec.Message) {
+			mu.Lock()
+			got[from] = append(got[from], msg.(*fakeMsg).id)
+			mu.Unlock()
+		})
+	const n = 200
+	var wg sync.WaitGroup
+	for _, from := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < n; i++ {
+				pool.Submit(from, &fakeMsg{id: i})
+			}
+		}()
+	}
+	wg.Wait()
+	pool.Close()
+	for _, from := range senders {
+		if len(got[from]) != n {
+			t.Fatalf("sender %d: %d of %d messages delivered", from, len(got[from]), n)
+		}
+		for i, id := range got[from] {
+			if id != uint64(i) {
+				t.Fatalf("sender %d: message %d delivered at position %d", from, id, i)
+			}
+		}
+	}
 }
 
 type fakeMsg struct{ id uint64 }

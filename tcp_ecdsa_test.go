@@ -110,8 +110,9 @@ func (c countedAuth) Verify(signer types.NodeID, payload, token []byte) error {
 // cluster 23 ECDSA verifications — the leader checks the REQUEST (1), three
 // replicas check the SPECORDER's two signatures (6), the client checks four
 // SPECREPLYs (4), and in the COMMITFAST each replica checks only the three
-// other replicas' replies (12): its own reply and the SPECORDER it already
-// verified, or signed, are memo hits. Without the memo it is 59.
+// other replicas' signatures (12): its own is a memo hit, and the SPECORDER
+// riding in the certificate is not checked at all by a replica that knows
+// the instance. Without the memo it is 27.
 func TestTCPECDSAVerifyMemo(t *testing.T) {
 	bundles, err := GenerateTCPKeys(4, 1)
 	if err != nil {
