@@ -25,8 +25,10 @@ var ErrClientClosed = errors.New("ezbft: client closed")
 const PipelineWindow = workload.PipelineWindow
 
 // ClientStats is the protocol-neutral snapshot of a client's counters
-// (fast/slow decisions, retries, POMs). Protocols without a fast/slow
-// split count every completion as a slow decision.
+// (fast/slow decisions, retries, POMs, and how often the slow-path timer was
+// waited out or skipped for a replica that has stopped answering).
+// Protocols without a fast/slow split count every completion as a slow
+// decision.
 type ClientStats = engine.ClientStats
 
 // Future is the completion handle for one in-flight command submitted with

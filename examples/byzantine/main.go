@@ -5,6 +5,16 @@
 // The convergence check runs over the application's Digest, so the same
 // experiment works for any Application plugged in via SimConfig.NewApp.
 //
+// What the silence costs is two timers per client, not one per request. The
+// fast path needs all four replicas, so the first two requests of every
+// client wait out the slow-path timer for replica 0; after that the client
+// commits on the slow path as soon as the other three have answered. The
+// client whose own leader is replica 0 (Virginia) pays the longer retry timer
+// for its first two requests and sends the rest to the next replica. Of six
+// requests per client, two pay: expect means near 570 / 400 / 570 ms where
+// the leader is honest and 2.1 s for Virginia, against a slow-path latency of
+// some 300-400 ms.
+//
 //	go run ./examples/byzantine
 package main
 

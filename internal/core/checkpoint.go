@@ -519,8 +519,8 @@ func (r *Replica) handleCheckpoint(ctx proc.Context, m *CheckpointMsg) {
 
 // applyStableCheckpoint reacts to a newly stable checkpoint: advance the
 // space's low-water mark, truncate, surface the checkpoint to the
-// application, and — if this replica's log ends below the mark — start a
-// state transfer (peers may already have truncated the gap).
+// application, and — if this replica cannot reach the mark by itself — start
+// a state transfer (peers may already have truncated the gap).
 func (r *Replica) applyStableCheckpoint(ctx proc.Context, st *engine.StableCheckpoint) {
 	spaceID := types.ReplicaID(st.Space)
 	sp := r.log.space(spaceID)
@@ -538,20 +538,24 @@ func (r *Replica) applyStableCheckpoint(ctx proc.Context, st *engine.StableCheck
 	// certificate can install entries at high slots over holes, so maxSlot
 	// alone is not evidence of an intact prefix.
 	need := sp.maxSlot < st.Mark || sp.execMark+2*r.ckpt.Interval() <= st.Mark
-	if !need && sp.execMark < st.Mark {
+	if !need {
 		// The lag slack above tolerates in-flight execution, but an outright
 		// missing slot below the stable mark is a permanent hole: f+1
 		// replicas executed that prefix and moved on, and its SPECORDER will
-		// never be sent again. Scan the unexecuted window for one.
-		from := sp.execMark
-		if sp.truncated > from {
-			from = sp.truncated
-		}
-		for slot := from + 1; slot <= st.Mark; slot++ {
-			if sp.entries[slot] == nil {
-				need = true
-				break
-			}
+		// never be sent again.
+		var uncommitted bool
+		need, uncommitted = sp.holeThrough(st.Mark)
+		if !need && uncommitted && !r.recovering {
+			// So is a slot whose entry is here and whose COMMIT is not: 2f+1
+			// replicas executed it, its client is done, and nobody sends that
+			// COMMIT again. One merely in flight would buy a needless
+			// transfer, so look again after the catch-up retry delay and ask
+			// only if a slot is still uncommitted then.
+			r.afterTimer(ctx, 2*r.cfg.ResendTimeout, func(ctx proc.Context) {
+				if missing, uncommitted := r.log.space(spaceID).holeThrough(st.Mark); missing || uncommitted {
+					r.requestCatchup(ctx, st)
+				}
+			})
 		}
 	}
 	if need && !r.recovering {
@@ -562,6 +566,21 @@ func (r *Replica) applyStableCheckpoint(ctx proc.Context, st *engine.StableCheck
 	// Durability point: a newly stable checkpoint cuts the store snapshot,
 	// letting the store discard the WAL prefix it subsumes (see durable.go).
 	r.persistSnapshot()
+}
+
+// holeThrough scans the slots this replica has neither executed nor truncated,
+// up to mark: missing reports one with no entry, uncommitted one whose entry
+// has not committed.
+func (sp *space) holeThrough(mark uint64) (missing, uncommitted bool) {
+	for slot := max(sp.execMark, sp.truncated) + 1; slot <= mark; slot++ {
+		switch e := sp.entries[slot]; {
+		case e == nil:
+			return true, uncommitted
+		case e.status < StatusCommitted:
+			uncommitted = true
+		}
+	}
+	return false, uncommitted
 }
 
 // truncateSpace frees log entries the stable low-water mark has made dead

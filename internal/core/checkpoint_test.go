@@ -149,6 +149,72 @@ func TestCatchupRejoin(t *testing.T) {
 	tc.checkConsistency()
 }
 
+// TestUncommittedSlotBelowStableMarkCatchesUp: a slot that is present but
+// uncommitted at or below a stable mark is a hole too. R0 leads eight commands
+// on disjoint keys and never receives the COMMITFAST of the first: slot 1
+// stays spec-ordered there, slots 2–8 execute, and R1–R3's votes make mark 8
+// stable. Every slot has an entry, so only the entry's status says that R0
+// will wait for ever — 2f+1 replicas executed slot 1, its client is done, and
+// nobody sends that COMMIT again. The client here is only the load; the hole
+// is the filter's. A COMMITFAST that is merely late when the votes arrive must
+// not buy a transfer.
+func TestUncommittedSlotBelowStableMarkCatchesUp(t *testing.T) {
+	for _, tt := range []struct {
+		name    string
+		verdict sim.Verdict
+		delay   time.Duration
+		want    bool
+	}{
+		{name: "lost", verdict: sim.Drop, want: true},
+		{name: "late", verdict: sim.Deliver, delay: 600 * time.Millisecond},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			opts := defaultOpts()
+			opts.ckptInterval = 8
+			tc := newTestCluster(t, opts, []types.ReplicaID{0}, uniqueKeyScripts(1, 8))
+			first := types.InstanceID{Space: 0, Slot: 1}
+			requests := 0
+			tc.rt.SetFilter(func(from, to types.NodeID, msg codec.Message) (sim.Verdict, time.Duration) {
+				switch m := msg.(type) {
+				case *CommitFast:
+					if to == types.ReplicaNode(0) && m.Inst == first {
+						return tt.verdict, tt.delay
+					}
+				case *CatchupReq:
+					if from == types.ReplicaNode(0) {
+						requests++
+					}
+				}
+				return sim.Deliver, 0
+			})
+			if !tc.run(10 * time.Second) {
+				t.Fatal("workload did not complete")
+			}
+			// The votes arrive right behind the last command; the second look is
+			// 2 × ResendTimeout later.
+			tc.rt.Run(tc.rt.Now() + 200*time.Millisecond)
+			if got := tc.replicas[0].ExecMark(0); got != 0 {
+				t.Fatalf("R0 executed through slot %d of its own space before slot 1 committed", got)
+			}
+			if got := tc.replicas[0].LowWaterMark(0); got != 8 {
+				t.Fatalf("R0's stable mark is %d, want 8", got)
+			}
+			tc.rt.Run(tc.rt.Now() + 5*time.Second)
+
+			if got := requests > 0; got != tt.want {
+				t.Fatalf("R0 sent %d CATCHUP-REQs, want any = %v", requests, tt.want)
+			}
+			if got := tc.replicas[0].Stats().CatchupsInstalled > 0; got != tt.want {
+				t.Fatalf("R0 installed %d transfers, want any = %v", tc.replicas[0].Stats().CatchupsInstalled, tt.want)
+			}
+			if got := tc.replicas[0].ExecMark(0); got != 8 {
+				t.Fatalf("R0 executed through slot %d of its own space, want 8", got)
+			}
+			tc.checkStateConvergence()
+		})
+	}
+}
+
 // TestSOFetchRestoresPOM verifies fetch-on-conflict: a client holding two
 // evidence-slimmed replies (signed SORef only) for conflicting proposals
 // fetches the full SPECORDERs and broadcasts a POM a replica accepts.

@@ -8,6 +8,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
 	"ezbft/internal/workload"
@@ -72,14 +73,7 @@ func (c *ClientConfig) validate() error {
 }
 
 // ClientStats exposes client-side protocol counters.
-type ClientStats struct {
-	Submitted     uint64
-	Completed     uint64
-	FastDecisions uint64
-	SlowDecisions uint64
-	Retries       uint64
-	POMsSent      uint64
-}
+type ClientStats = engine.ClientStats
 
 // replyKey identifies one proposal a SPECREPLY vouches for: the instance
 // plus the batch digest of the proposal. Grouping by both keeps replies
@@ -139,13 +133,17 @@ type pendingReq struct {
 	digest types.Digest // cmd.Digest(), computed once per request
 	req    *Request
 	issued time.Duration
+	// leader is the replica the request was sent to: the client's own
+	// leader unless that one is marked silent.
+	leader types.ReplicaID
 	// groups holds the collected SPECREPLYs, one group per proposal they
 	// vouch for, in order of first arrival. A faulty leader may cause several
 	// proposals per request; the usual single group lives in groupBuf, so it
 	// costs no allocation of its own.
 	groups   []replyGroup
 	groupBuf [1]replyGroup
-	replied  int // distinct replicas that have answered, in any group
+	// answered holds the replicas with a verified reply in any group.
+	answered engine.ReplicaSet
 	pomSent  bool
 	retries  int
 	timedOut bool
@@ -173,16 +171,6 @@ func (p *pendingReq) group(key replyKey) *replyGroup {
 	return nil
 }
 
-// hasReplied reports whether the replica has answered in any group.
-func (p *pendingReq) hasReplied(rid types.ReplicaID) bool {
-	for i := range p.groups {
-		if p.groups[i].replies[rid] != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // Client is an ezBFT client: it actively participates in consensus by
 // collecting speculative replies, deciding fast versus slow path, combining
 // dependency sets, detecting command-leader equivocation, and enforcing the
@@ -196,6 +184,10 @@ type Client struct {
 	nextTS  uint64
 	pending map[uint64]*pendingReq
 	stats   ClientStats
+	// watch knows which replicas have stopped answering (see "Client timers"
+	// in the package comment); all is every replica.
+	watch engine.ReplyWatch
+	all   engine.ReplicaSet
 
 	// replicas lists every replica's address, precomputed for broadcasts.
 	replicas []types.NodeID
@@ -222,6 +214,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		n:       cfg.N,
 		f:       F(cfg.N),
 		pending: make(map[uint64]*pendingReq),
+		watch:   engine.NewReplyWatch(cfg.N, cfg.SlowPathTimeout),
+		all:     engine.AllReplicas(cfg.N),
 	}
 	for i := 0; i < cfg.N; i++ {
 		c.replicas = append(c.replicas, types.ReplicaNode(types.ReplicaID(i)))
@@ -247,8 +241,9 @@ func (c *Client) Init(ctx proc.Context) {
 }
 
 // Submit implements workload.Submitter: stamp the command, sign the
-// REQUEST, send it to the nearest replica, and arm the slow-path and retry
-// timers. It returns the timestamp assigned to the command.
+// REQUEST, send it to the nearest replica that is answering, and arm the
+// slow-path and retry timers. It returns the timestamp assigned to the
+// command.
 func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
 	c.nextTS++
 	ts := c.nextTS
@@ -264,14 +259,29 @@ func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
 		digest: cmd.Digest(),
 		req:    req,
 		issued: ctx.Now(),
+		leader: c.leader(),
 	}
 	p.groups = p.groupBuf[:0]
 	c.pending[ts] = p
 	c.stats.Submitted++
-	ctx.Send(types.ReplicaNode(c.cfg.Leader), req)
+	ctx.Send(types.ReplicaNode(p.leader), req)
 	ctx.SetTimer(proc.TimerID(ts*4+timerKindSlow), c.cfg.SlowPathTimeout)
 	ctx.SetTimer(proc.TimerID(ts*4+timerKindRetry), c.cfg.RetryTimeout)
 	return ts
+}
+
+// leader returns the replica to send a new request to: the first at or after
+// the client's own leader, in id order, that is not marked silent. Any
+// replica can order a request, and one that has stopped answering would only
+// be found out again by the retry timer.
+func (c *Client) leader() types.ReplicaID {
+	silent := c.watch.Silent()
+	for i := 0; i < c.n; i++ {
+		if id := types.ReplicaID((int(c.cfg.Leader) + i) % c.n); !silent.Has(id) {
+			return id
+		}
+	}
+	return c.cfg.Leader
 }
 
 // Receive implements proc.Process.
@@ -299,9 +309,15 @@ func (c *Client) OnTimer(ctx proc.Context, id proc.TimerID) {
 	}
 	switch uint64(id) % 4 {
 	case timerKindSlow:
+		waited := !p.commitSent
 		if !c.trySlowPath(ctx, ts, p) {
 			// Not enough replies yet; check again after another period.
 			ctx.SetTimer(id, c.cfg.SlowPathTimeout)
+		} else if waited {
+			// The timer, not a reply, sent this COMMIT: the request waited
+			// for replicas that did not answer in time.
+			c.stats.SlowTimeouts++
+			c.watch.Expired(c.all&^p.answered, p.issued, ctx.Now())
 		}
 	case timerKindRetry:
 		c.retry(ctx, ts, p)
@@ -338,9 +354,7 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 		c.checkPOM(ctx, p, m)
 	}
 
-	if !p.hasReplied(m.Replica) {
-		p.replied++
-	}
+	p.answered |= 1 << m.Replica
 	key := keyOf(m)
 	group := p.group(key)
 	if group == nil {
@@ -364,10 +378,14 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 		c.finishFast(ctx, m.Timestamp, p, m.Inst, group)
 		return
 	}
-	// If every replica has answered and no fast decision is possible, take
-	// the slow path immediately rather than waiting for the timer.
-	if !p.commitSent && p.replied == c.n {
-		c.trySlowPath(ctx, m.Timestamp, p)
+	// If every replica worth waiting for has answered and no fast decision
+	// is possible, take the slow path immediately rather than waiting for
+	// the timer. A silent replica's reply still counts if it comes: above
+	// when it completes a fast quorum, after the COMMIT included.
+	if missing := c.all &^ p.answered; !p.commitSent && missing&^c.watch.Silent() == 0 {
+		if c.trySlowPath(ctx, m.Timestamp, p) && missing != 0 {
+			c.stats.SilentSkips++
+		}
 	}
 }
 
@@ -696,7 +714,7 @@ func (c *Client) retry(ctx proc.Context, ts uint64, p *pendingReq) {
 	// Broadcast the request naming the original leader: replicas that
 	// already spec-ordered it resend their cached replies, and the rest
 	// forward RESENDREQs that (on timeout) trigger an owner change.
-	retryReq := &Request{Cmd: p.cmd, Orig: c.cfg.Leader}
+	retryReq := &Request{Cmd: p.cmd, Orig: p.leader}
 	c.cfg.Costs.ChargeSign(ctx)
 	retryReq.Sig = signBody(c.cfg.Auth, retryReq)
 	proc.Broadcast(ctx, c.replicas, retryReq)
@@ -704,7 +722,7 @@ func (c *Client) retry(ctx proc.Context, ts uint64, p *pendingReq) {
 	// the request gets ordered even if the original leader never did. At
 	// most one replica adopts per retry round: orphan duplicates would
 	// otherwise interfere with each other across instance spaces.
-	rotated := types.ReplicaID((int(c.cfg.Leader) + p.retries) % c.n)
+	rotated := types.ReplicaID((int(p.leader) + p.retries) % c.n)
 	direct := &Request{Cmd: p.cmd, Orig: noOrig}
 	c.cfg.Costs.ChargeSign(ctx)
 	direct.Sig = signBody(c.cfg.Auth, direct)
@@ -724,6 +742,7 @@ func (c *Client) finish(ctx proc.Context, ts uint64, p *pendingReq, res types.Re
 	ctx.CancelTimer(proc.TimerID(ts*4 + timerKindSlow))
 	ctx.CancelTimer(proc.TimerID(ts*4 + timerKindRetry))
 	c.stats.Completed++
+	c.watch.Decided(p.answered, ctx.Now())
 	c.cfg.Driver.Completed(ctx, c, workload.Completion{
 		Cmd:      p.cmd,
 		Result:   res,

@@ -84,17 +84,7 @@ var (
 )
 
 // ClientStats implements engine.Client.
-func (c ezClient) ClientStats() engine.ClientStats {
-	s := c.Client.Stats()
-	return engine.ClientStats{
-		Submitted:     s.Submitted,
-		Completed:     s.Completed,
-		FastDecisions: s.FastDecisions,
-		SlowDecisions: s.SlowDecisions,
-		Retries:       s.Retries,
-		POMsSent:      s.POMsSent,
-	}
-}
+func (c ezClient) ClientStats() engine.ClientStats { return c.Client.Stats() }
 
 // Unwrap implements engine.Unwrapper.
 func (c ezClient) Unwrap() any { return c.Client }

@@ -82,6 +82,45 @@
 // an instance it never saw, after binding it to what the first reply signed
 // (commitEntry); and evidence of equivocation travels in a POM.
 //
+// # Client timers
+//
+// The fast path needs a reply from every replica, so a client holding a slow
+// quorum still waits for the rest until its slow-path timer (step 4.2,
+// ClientConfig.SlowPathTimeout) says otherwise. A replica that has stopped
+// answering must cost that wait twice, not once per request, and one that
+// answers has to be given exactly the timer it always got. The client keeps
+// an engine.ReplyWatch and goes by four rules:
+//
+//	(a) Two misses in a row mark a replica silent, one does not. A miss is
+//	    the timer expiring on a request with a slow quorum in hand and that
+//	    replica's reply not in it; the second must be on a request sent
+//	    after the first was noticed (one stall makes every request in
+//	    flight late, and is one miss); an answer in between starts the
+//	    count again. Overloaded replicas are late now and then, never twice
+//	    running for one client.
+//	(b) A silent replica is not waited for, but still listened to. With
+//	    everyone else's replies in, the client takes the slow path at once;
+//	    the silent one's reply, if it comes, completes a fast quorum as any
+//	    other would, after the COMMIT included. New requests go to the first
+//	    replica at or after the client's own leader that is not silent —
+//	    any replica can order them. A leader that answers again but lost its
+//	    instance space while it was away hands them to the next replica
+//	    (handleRequest), so returning to it costs a message delay, not the
+//	    retry timer.
+//	(c) A mark is lifted by answers, never by time passing: the replica must
+//	    have answered, before the decision, every request the client decided
+//	    over a probation of 4 × the timer, doubling each time it is marked
+//	    again, up to 64 ×. A replica that is down for good is never waited
+//	    for a second time; one that alternates stalls a share of the requests
+//	    that only shrinks.
+//	(d) 2, 4 × and 64 × are constants.
+//
+// Only replies that passed verification for a request still pending are
+// evidence of anything. ClientStats.SlowTimeouts counts the requests that
+// waited the timer out and SilentSkips the COMMITs sent without waiting; where
+// every replica answers both stay zero and the client does what it did
+// before it kept a watch.
+//
 // This file defines the wire messages (codec tags 10–25). Signed messages
 // carry their signature separately from the body; the signature covers the
 // deterministic codec encoding of the body (signedBody).
@@ -524,8 +563,8 @@ func decodeSpecReplyFmt(r *codec.Reader, batched, withSO bool) (*SpecReply, erro
 }
 
 // maxSigners bounds the replicas a certificate can name, and with them the
-// cluster size: replicaSet is one machine word.
-const maxSigners = 64
+// cluster size: engine.ReplicaSet is one machine word.
+const maxSigners = engine.MaxReplicas
 
 // ReplySig is one more signer of a COMMITFAST's reply: Replica's signature
 // over that reply's body with its own id in the Replica field.

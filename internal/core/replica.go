@@ -448,9 +448,9 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 	// We are the command-leader for this request.
 	if r.log.space(r.cfg.Self).frozen || r.owners[r.cfg.Self].OwnerOf(r.n) != r.cfg.Self {
 		// We lost ownership of our own space (we were suspected); we can no
-		// longer order commands. The client's retry broadcast will reach a
-		// replica that can.
-		r.stats.DroppedInvalid++
+		// longer order commands, but any replica can: hand the request to the
+		// next one, as the client's retry would after its timer.
+		r.send(ctx, types.ReplicaNode((r.cfg.Self+1)%types.ReplicaID(r.n)), &ResendReq{Req: m.Clone(), Replica: r.cfg.Self})
 		return
 	}
 	if r.batcher.Queued(key) {
@@ -1011,19 +1011,6 @@ func (r *Replica) deferCommit(inst types.InstanceID, dc deferredCommit) {
 	r.stats.DeferredCommits++
 }
 
-// replicaSet is a set of replica ids, one bit each (a cluster has at most
-// maxSigners replicas): who signed a certificate.
-type replicaSet uint64
-
-// add inserts id; false if it names no replica of a cluster of n or is in.
-func (s *replicaSet) add(id types.ReplicaID, n int) bool {
-	if id < 0 || int(id) >= n || *s&(1<<id) != 0 {
-		return false
-	}
-	*s |= 1 << id
-	return true
-}
-
 // soBound reports whether a certificate's first reply and the SPECORDER
 // riding outside its signed body name the same proposal, as untampered do.
 func soBound(first *SpecReply) bool {
@@ -1044,10 +1031,10 @@ func (r *Replica) validateFastCert(ctx proc.Context, m *CommitFast) bool {
 	if sr.Inst != m.Inst || !soBound(sr) {
 		return false
 	}
-	var signers replicaSet
-	ok := signers.add(sr.Replica, r.n)
+	var signers engine.ReplicaSet
+	ok := signers.Add(sr.Replica, r.n)
 	for _, s := range m.Sigs {
-		ok = ok && signers.add(s.Replica, r.n)
+		ok = ok && signers.Add(s.Replica, r.n)
 	}
 	return ok && (m.SigVerified() || verifyFastCert(r.cfg.Auth, m))
 }
@@ -1060,9 +1047,9 @@ func (r *Replica) validateCert(ctx proc.Context, cert []*SpecReply, inst types.I
 		return false
 	}
 	r.cfg.Costs.ChargeVerify(ctx, 1) // as in validateFastCert
-	var signers replicaSet
+	var signers engine.ReplicaSet
 	for _, sr := range cert {
-		if sr.Inst != inst || !signers.add(sr.Replica, r.n) {
+		if sr.Inst != inst || !signers.Add(sr.Replica, r.n) {
 			return false
 		}
 		// All elements must vouch for the same command of the same

@@ -131,7 +131,11 @@ type ClientOptions struct {
 	// Driver decides what to submit and receives completions.
 	Driver workload.Driver
 	// LatencyBound tunes client timeouts (slow-path and retransmission);
-	// zero keeps the protocol defaults.
+	// zero keeps the protocol defaults. A speculative client (ezBFT,
+	// Zyzzyva) waits this long for the replies its fast path needs before
+	// settling for a slow quorum; a replica that stops answering costs each
+	// ezBFT client at most two of these, not one per request (ReplyWatch),
+	// and each Zyzzyva client one per request.
 	LatencyBound time.Duration
 	// DisableFastPath forces clients of speculative protocols onto their
 	// slow path (ablation studies only).
@@ -148,6 +152,12 @@ type ClientStats struct {
 	SlowDecisions uint64
 	Retries       uint64
 	POMsSent      uint64
+	// SlowTimeouts counts the requests that waited out the slow-path timer:
+	// it fired with a slow quorum in hand and some replica's reply missing.
+	SlowTimeouts uint64
+	// SilentSkips counts the slow-path commits sent without that wait
+	// because every replica still missing was marked silent (ReplyWatch).
+	SilentSkips uint64
 }
 
 // Client is a protocol client as the substrates see it: a schedulable

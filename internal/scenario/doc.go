@@ -64,7 +64,10 @@
 // valid signature, so every per-message check passes and only f+1
 // cross-validation of independent responders convicts the forgery on
 // ezBFT and PBFT, while Zyzzyva's and FaB's digest-pinned snapshots
-// reject it at install time).
+// reject it at install time), and the silent and flapping repliers (a
+// replica that orders and votes but answers no client, or one request in
+// three: the speculative protocols' clients lose their fast path and must
+// not pay a timer per request for it).
 //
 // Shapes() adds the hostile network catalogue, including the
 // view-change-storm shape: repeated isolate/heal cycles that chase the

@@ -155,6 +155,11 @@ type Result struct {
 	// (cross-validation's lie detector; ezBFT and PBFT only).
 	CatchupInstalls   uint64
 	CatchupMismatches uint64
+	// SlowTimeouts and SilentSkips sum the clients' counters of the same
+	// names: requests that waited out the slow-path timer, and slow-path
+	// commits sent without that wait (engine.ReplyWatch).
+	SlowTimeouts uint64
+	SilentSkips  uint64
 }
 
 // String renders the replay line a failing test prints.
@@ -448,7 +453,10 @@ func Run(cell Cell, cfg Config) (*Result, error) {
 		res.Mean = rec.total / time.Duration(rec.count)
 	}
 	for _, c := range cl.Clients {
-		res.POMs += c.ClientStats().POMsSent
+		st := c.ClientStats()
+		res.POMs += st.POMsSent
+		res.SlowTimeouts += st.SlowTimeouts
+		res.SilentSkips += st.SilentSkips
 	}
 	res.VirtualTime = cl.RT.Now()
 	res.Pass = len(res.Violations) == 0

@@ -30,7 +30,7 @@ func TestSmokeMatrix(t *testing.T) {
 // failure prints its replay line.
 func TestFullMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 345-cell matrix (not short)")
+		t.Skip("full 385-cell matrix (not short)")
 	}
 	seed := SeedFromEnv(1)
 	rep, err := RunMatrix(DefaultMatrix(), Config{Seed: seed})
@@ -105,6 +105,33 @@ func TestEquivocationProducesPOM(t *testing.T) {
 	}
 	if res.POMs == 0 {
 		t.Fatalf("equivocating owner was not convicted: 0 POMs sent (EZBFT_SCENARIO_SEED=%d)", seed)
+	}
+}
+
+// TestUnansweringReplicaCostsEachClientTwoTimeouts pins what the replier
+// strategies are in the matrix for: a replica that orders and votes but never
+// answers a client, or answers one request in three, makes each ezBFT client
+// wait out its slow-path timer twice, not once for every request it leaves
+// unanswered, and the one in three it does answer never adds up to a
+// probation.
+func TestUnansweringReplicaCostsEachClientTwoTimeouts(t *testing.T) {
+	seed := SeedFromEnv(1)
+	cfg := Config{Seed: seed}.withDefaults()
+	for _, name := range []string{"silent-replier", "flapping-replier"} {
+		cell := Cell{Protocol: engine.EZBFT, Strategy: StrategyByName(name)}
+		res, err := Run(cell, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Pass {
+			t.Fatalf("replay: %s (EZBFT_SCENARIO_SEED=%d)", res, seed)
+		}
+		if want := uint64(2 * cfg.Clients); res.SlowTimeouts != want {
+			t.Errorf("%s: %d slow timeouts over %d clients, want %d", cell.Name(), res.SlowTimeouts, cfg.Clients, want)
+		}
+		if res.SilentSkips == 0 {
+			t.Errorf("%s: no slow-path commit was sent without waiting", cell.Name())
+		}
 	}
 }
 

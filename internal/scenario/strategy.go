@@ -57,6 +57,8 @@ func Strategies() []Strategy {
 		{Name: "slow-owner", New: func(Env) engine.Behavior { return slowOwner{extra: 5 * time.Millisecond} }},
 		{Name: "lying-catchup", New: newLyingCatchup},
 		{Name: "lying-snapshot-responder", New: newLyingSnapshotResponder},
+		{Name: "silent-replier", New: func(Env) engine.Behavior { return &flappingReplier{} }},
+		{Name: "flapping-replier", New: func(Env) engine.Behavior { return &flappingReplier{every: 3} }},
 	}
 }
 
@@ -292,6 +294,49 @@ func (b slowOwner) Outbound(ctx proc.Context, _ types.NodeID, msg codec.Message)
 		ctx.Charge(b.extra)
 	}
 	return true
+}
+
+// --- silent / flapping replier ------------------------------------------
+
+// flappingReplier takes part in ordering and agreement like a correct
+// replica and withholds what it owes the clients: every message to a client
+// (silent-replier, every = 0), or all but those for one request in every
+// (flapping-replier). The clients of the speculative protocols never get the
+// full set of replies their fast path needs. They must not pay their
+// slow-path timer for that on every request (engine.ReplyWatch), and a
+// replica that answers now and then must not talk them into waiting again.
+// PBFT and FaB clients need f+1 and 2f+1 replies and must not notice.
+type flappingReplier struct {
+	passthrough
+	every uint64
+	// answering records, per client, whether the request this replica last
+	// sent it a timestamped reply for is one it answers: the untimestamped
+	// second-phase replies (COMMITREPLY, LOCALCOMMIT) follow it.
+	answering map[types.NodeID]bool
+}
+
+func (b *flappingReplier) Outbound(_ proc.Context, to types.NodeID, msg codec.Message) bool {
+	if !to.IsClient() {
+		return true
+	}
+	var ts uint64
+	switch m := msg.(type) {
+	case *core.SpecReply:
+		ts = m.Timestamp
+	case *pbft.Reply:
+		ts = m.Timestamp
+	case *zyzzyva.SpecResponse:
+		ts = m.Timestamp
+	case *fab.Reply:
+		ts = m.Timestamp
+	default:
+		return b.answering[to]
+	}
+	if b.answering == nil {
+		b.answering = make(map[types.NodeID]bool)
+	}
+	b.answering[to] = b.every > 0 && ts%b.every == 0
+	return b.answering[to]
 }
 
 // --- lying catch-up responder -------------------------------------------

@@ -103,7 +103,7 @@ func TestSendAllSurvivesPeerThatNeverReads(t *testing.T) {
 	// Once the period is over the peer is dialed afresh and the send goes
 	// through (into the new socket's empty buffer).
 	send.mu.Lock()
-	send.backoff[stalled] = time.Now().Add(-time.Millisecond)
+	send.backoff[stalled] = peerPause{until: time.Now().Add(-time.Millisecond), step: peerBackoff}
 	send.mu.Unlock()
 	if err := send.SendAll(types.ReplicaNode(0), []types.NodeID{stalled, good}, &blobMsg{B: []byte("after")}); err != nil {
 		t.Fatalf("send after the back-off: %v", err)
@@ -122,4 +122,78 @@ func TestWriteDeadlineGrowsWithFrame(t *testing.T) {
 	if d, want := writeDeadline(maxFrame), writeTimeout+maxFrame/minWriteRate*time.Second; d != want {
 		t.Fatalf("deadline for a maxFrame frame = %v, want %v", d, want)
 	}
+}
+
+// TestRefusedPeerIsNotRedialledOnEverySend: a replica whose address refuses
+// connections (it is down) is dialed by its peer replicas a handful of times,
+// not once per message, and is reachable again as soon as it connects itself —
+// a restarted replica dials out first — without waiting the pause out. A
+// client, which no replica can dial, keeps trying.
+func TestRefusedPeerIsNotRedialledOnEverySend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nobody listens here now
+
+	down := types.ReplicaNode(1)
+	send, err := NewTCPPeer(types.ReplicaNode(0), "127.0.0.1:0",
+		map[types.NodeID]string{down: addr}, func(types.NodeID, codec.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+
+	msg := &blobMsg{B: []byte("x")}
+	dials := 0
+	for i := 0; i < 1000; i++ {
+		err := send.Send(types.ReplicaNode(0), down, msg)
+		if err == nil {
+			t.Fatalf("send %d to a closed address succeeded", i)
+		}
+		if !errors.Is(err, ErrPeerBackoff) {
+			dials++
+		}
+	}
+	if dials == 0 || dials > 10 {
+		t.Fatalf("1000 sends to an address nobody listens on made %d dial attempts, want 1..10", dials)
+	}
+	client, err := NewTCPPeer(types.ClientNode(0), "127.0.0.1:0",
+		map[types.NodeID]string{down: addr}, func(types.NodeID, codec.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for i := 0; i < 20; i++ {
+		if err := client.Send(types.ClientNode(0), down, msg); err == nil || errors.Is(err, ErrPeerBackoff) {
+			t.Fatalf("client send %d to a closed address: %v, want a dial error", i, err)
+		}
+	}
+
+	// However long the pause has grown, the peer's own connection ends it.
+	send.mu.Lock()
+	send.backoff[down] = peerPause{until: time.Now().Add(peerBackoff), step: peerBackoff}
+	send.mu.Unlock()
+	var received atomic.Int32
+	back, err := NewTCPPeer(down, addr, map[types.NodeID]string{types.ReplicaNode(0): send.Addr()},
+		func(types.NodeID, codec.Message) { received.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if err := back.Connect(types.ReplicaNode(0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		send.mu.Lock()
+		defer send.mu.Unlock()
+		_, routed := send.conns[down]
+		_, paused := send.backoff[down]
+		return routed && !paused
+	})
+	if err := send.Send(types.ReplicaNode(0), down, msg); err != nil {
+		t.Fatalf("send to the peer that has just connected: %v", err)
+	}
+	waitFor(t, func() bool { return received.Load() == 1 })
 }

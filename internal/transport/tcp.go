@@ -28,17 +28,28 @@ const maxFrame = 16 << 20
 // that is merely slow, which would lose the same frame on every retry. After
 // either timeout the peer is skipped for peerBackoff, so one that stalls every
 // fresh connection costs the loop a bounded share of its time rather than a
-// wait per refill. The messages are lost, which the protocols tolerate; a
-// healthy peer drains its socket in far less than any of these bounds.
+// wait per refill. A dial that fails at once (nobody listens there: the
+// replica is down) costs a socket and a dialer per attempt, which at one
+// attempt per message is a fifth of a replica's processor time, so between
+// replicas it starts a pause too: minBackoff, doubling with each further
+// failure up to peerBackoff, and over as soon as a dial succeeds or the peer
+// itself connects — which a replica does when it starts. A client is never
+// dialed (its address is not known), so nothing could end its pause but its
+// own next attempt, and a COMMIT it skipped meanwhile is one the replica that
+// came back never gets: a client keeps dialling. The messages are lost, which
+// the protocols tolerate; a healthy peer drains its socket in far less than
+// any of these bounds.
 const (
 	dialTimeout  = 2 * time.Second
 	writeTimeout = time.Second
 	minWriteRate = 1 << 20 // bytes per second
 	peerBackoff  = 5 * time.Second
+	minBackoff   = 20 * time.Millisecond
 )
 
-// ErrPeerBackoff is returned for a send to a peer that recently timed out.
-var ErrPeerBackoff = errors.New("transport: peer timed out recently; send skipped")
+// ErrPeerBackoff is returned for a send to a peer that could not be reached
+// recently.
+var ErrPeerBackoff = errors.New("transport: peer unreachable recently; send skipped")
 
 // writeDeadline is how long one frame of n bytes may take to write.
 func writeDeadline(n int) time.Duration {
@@ -96,11 +107,18 @@ type TCPPeer struct {
 	// dial each other simultaneously — so Close reliably unblocks every
 	// read goroutine instead of waiting forever on an untracked one.
 	all map[net.Conn]struct{}
-	// backoff holds, per peer whose dial or write timed out, the time before
-	// which no new connection to it is dialed.
-	backoff map[types.NodeID]time.Time
+	// backoff holds, per peer whose dial failed or whose dial or write timed
+	// out, the pause before a new connection to it is dialed.
+	backoff map[types.NodeID]peerPause
 	closed  bool
 	wg      sync.WaitGroup
+}
+
+// peerPause is one peer's back-off: no dial before until, and the length the
+// pause had, which the next failed dial doubles.
+type peerPause struct {
+	until time.Time
+	step  time.Duration
 }
 
 var _ Sender = (*TCPPeer)(nil)
@@ -120,7 +138,7 @@ func NewTCPPeer(self types.NodeID, listenAddr string, addrs map[types.NodeID]str
 		ln:      ln,
 		conns:   make(map[types.NodeID]net.Conn),
 		all:     make(map[net.Conn]struct{}),
-		backoff: make(map[types.NodeID]time.Time),
+		backoff: make(map[types.NodeID]peerPause),
 	}
 	for id, addr := range addrs {
 		p.addrs[id] = addr
@@ -221,19 +239,29 @@ func (p *TCPPeer) write(to types.NodeID, conn net.Conn, frame []byte) error {
 	}
 	if err != nil {
 		p.dropConn(to, conn)
-		p.backOffIfTimeout(to, err)
+		p.backOff(to, err, false)
 	}
 	return err
 }
 
-// backOffIfTimeout starts the peer's back-off period if err is a timeout.
-func (p *TCPPeer) backOffIfTimeout(to types.NodeID, err error) {
+// backOff starts the peer's pause after a failed dial (hello included) or
+// write: the full peerBackoff after a timeout, which held the loop that long;
+// after a replica's dial that failed at once, twice the last pause, from
+// minBackoff up to peerBackoff; after a write that failed at once, or a
+// client's dial, none — the next send dials.
+func (p *TCPPeer) backOff(to types.NodeID, err error, dialing bool) {
 	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		p.mu.Lock()
-		p.backoff[to] = time.Now().Add(peerBackoff)
-		p.mu.Unlock()
+	timeout := errors.As(err, &ne) && ne.Timeout()
+	if !timeout && !(dialing && p.self.IsReplica()) {
+		return
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	step := peerBackoff
+	if !timeout {
+		step = min(max(2*p.backoff[to].step, minBackoff), peerBackoff)
+	}
+	p.backoff[to] = peerPause{until: time.Now().Add(step), step: step}
 }
 
 // SendAll implements MultiSender: the frame is marshaled once into a
@@ -281,12 +309,9 @@ func (p *TCPPeer) conn(to types.NodeID) (net.Conn, error) {
 		return c, nil
 	}
 	addr, ok := p.addrs[to]
-	if until, waiting := p.backoff[to]; waiting {
-		if time.Now().Before(until) {
-			p.mu.Unlock()
-			return nil, ErrPeerBackoff
-		}
-		delete(p.backoff, to)
+	if time.Now().Before(p.backoff[to].until) {
+		p.mu.Unlock()
+		return nil, ErrPeerBackoff
 	}
 	p.mu.Unlock()
 	if !ok {
@@ -294,7 +319,7 @@ func (p *TCPPeer) conn(to types.NodeID) (net.Conn, error) {
 	}
 	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
-		p.backOffIfTimeout(to, err)
+		p.backOff(to, err, true)
 		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
 	}
 	// Hello frame: our node id.
@@ -306,7 +331,7 @@ func (p *TCPPeer) conn(to types.NodeID) (net.Conn, error) {
 	}
 	if err != nil {
 		_ = c.Close()
-		p.backOffIfTimeout(to, err)
+		p.backOff(to, err, true)
 		return nil, fmt.Errorf("transport: hello to %s: %w", to, err)
 	}
 	p.mu.Lock()
@@ -322,6 +347,7 @@ func (p *TCPPeer) conn(to types.NodeID) (net.Conn, error) {
 	}
 	p.conns[to] = c
 	p.all[c] = struct{}{}
+	delete(p.backoff, to)
 	p.mu.Unlock()
 	// The peer answers over this same connection; read its frames.
 	p.wg.Add(1)
@@ -371,11 +397,14 @@ func (p *TCPPeer) readLoop(conn net.Conn) {
 	from := types.NodeID(binary.BigEndian.Uint32(hello))
 	// Register the inbound connection as the return route to this peer:
 	// clients dial replicas from ephemeral addresses, so replies must
-	// reuse the client's connection.
+	// reuse the client's connection. A peer that connects is up, whatever
+	// the last dial to it found: a restarted replica dials out first, and
+	// is reachable again at once.
 	p.mu.Lock()
 	if _, ok := p.conns[from]; !ok && !p.closed {
 		p.conns[from] = conn
 	}
+	delete(p.backoff, from)
 	p.mu.Unlock()
 	p.readFrames(r, from)
 }

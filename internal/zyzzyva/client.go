@@ -7,6 +7,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
 	"ezbft/internal/workload"
@@ -30,14 +31,10 @@ type ClientConfig struct {
 	RetryTimeout time.Duration
 }
 
-// ClientStats exposes client-side counters.
-type ClientStats struct {
-	Submitted     uint64
-	Completed     uint64
-	FastDecisions uint64
-	SlowDecisions uint64
-	Retries       uint64
-}
+// ClientStats exposes client-side counters. SilentSkips stays zero: this
+// client keeps no engine.ReplyWatch and waits out CommitTimeout for every
+// request a replica leaves unanswered.
+type ClientStats = engine.ClientStats
 
 type pendingReq struct {
 	cmd       types.Command
@@ -168,7 +165,9 @@ func (c *Client) OnTimer(ctx proc.Context, id proc.TimerID) {
 		// Re-arm regardless of outcome: a certificate (or the
 		// LOCALCOMMITs answering it) can be lost in transit, and only
 		// finish() retires this timer.
-		c.tryCommitCert(ctx, p)
+		if c.tryCommitCert(ctx, p) {
+			c.stats.SlowTimeouts++
+		}
 		ctx.SetTimer(id, c.cfg.CommitTimeout)
 	case timerKindRetry:
 		p.retries++

@@ -124,16 +124,7 @@ var (
 )
 
 // ClientStats implements engine.Client.
-func (c zyClient) ClientStats() engine.ClientStats {
-	s := c.Client.Stats()
-	return engine.ClientStats{
-		Submitted:     s.Submitted,
-		Completed:     s.Completed,
-		FastDecisions: s.FastDecisions,
-		SlowDecisions: s.SlowDecisions,
-		Retries:       s.Retries,
-	}
-}
+func (c zyClient) ClientStats() engine.ClientStats { return c.Client.Stats() }
 
 // Unwrap implements engine.Unwrapper.
 func (c zyClient) Unwrap() any { return c.Client }

@@ -197,6 +197,16 @@ func startTCPReplicaAuthed(cfg TCPReplicaConfig, a auth.Authenticator) (*TCPRepl
 	}
 	node.SetSender(peer)
 	node.Start()
+	// Connect to the peers known at start. One that found this address dead
+	// while the replica was down has stopped dialling it for a while (the
+	// transport's back-off), and a connection from here is what tells it the
+	// replica is back. Best effort: a peer that is down itself is dialed
+	// again by the first send to it.
+	for id := range addrs {
+		if id != types.ReplicaNode(cfg.ID) {
+			_ = peer.Connect(id)
+		}
+	}
 	return &TCPReplica{eng: eng, app: app, rep: rep, node: node, peer: peer, pool: pool, store: st}, nil
 }
 
@@ -267,7 +277,11 @@ type TCPClientConfig struct {
 	// loopback port).
 	Listen string
 	// LatencyBound tunes protocol timeouts; it should exceed the largest
-	// round trip in the deployment (default 500ms).
+	// round trip in the deployment (default 500ms). An ezBFT client waits
+	// this long for the replies its fast path needs before settling for a
+	// slow quorum; a replica that stops answering costs each client at most
+	// two of these, not one per request (ClientStats.SlowTimeouts counts
+	// them).
 	LatencyBound time.Duration
 	// OnConnectError observes pre-registration failures: NewTCPClient
 	// dials every replica so replies can ride the client's own
