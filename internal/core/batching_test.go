@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/sim"
 	"ezbft/internal/types"
 )
@@ -140,7 +141,7 @@ func TestSignedBodyCoversBatchIdx(t *testing.T) {
 	r0 := sampleBatchSpecReply(0)
 	r1 := sampleBatchSpecReply(0)
 	r1.BatchIdx = 1
-	if string(r0.SignedBody()) == string(r1.SignedBody()) {
+	if signedBody(r0) == signedBody(r1) {
 		t.Fatal("batch index not covered by the reply signature")
 	}
 }
@@ -463,7 +464,7 @@ func TestSameInstanceBatchEquivocationPOM(t *testing.T) {
 			Batch: []Request{extra},
 		}
 		so.CmdDigest = BatchDigest(so.CmdDigests())
-		so.Sig = leaderAuth.Sign(so.SignedBody())
+		so.Sig = engine.SignBody(leaderAuth, so)
 		return so
 	}
 	so1, so2 := mkSO("a"), mkSO("b")
@@ -480,7 +481,7 @@ func TestSameInstanceBatchEquivocationPOM(t *testing.T) {
 		}
 		a, err := tc.replicas[from].cfg.Auth, error(nil)
 		_ = err
-		sr.Sig = a.Sign(sr.SignedBody())
+		sr.Sig = engine.SignBody(a, sr)
 		return sr
 	}
 
@@ -586,7 +587,7 @@ func TestDeferredSlimCommit(t *testing.T) {
 	// Leader R0 signs a batch of two: client 1's command first, our
 	// client's command at BatchIdx 1.
 	other := Request{Cmd: types.Command{Client: 1, Timestamp: 1, Op: types.OpPut, Key: "o"}, Orig: noOrig}
-	other.Sig = tc.clients[1].cfg.Auth.Sign(other.SignedBody())
+	other.Sig = engine.SignBody(tc.clients[1].cfg.Auth, &other)
 	so := &SpecOrder{
 		Owner: 0,
 		Inst:  types.InstanceID{Space: 0, Slot: 1},
@@ -599,7 +600,7 @@ func TestDeferredSlimCommit(t *testing.T) {
 	sp := tc.replicas[0].log.space(0)
 	sp.extendHash(so.Inst, so.CmdDigest)
 	so.LogHash = sp.logHash
-	so.Sig = leaderAuth.Sign(so.SignedBody())
+	so.Sig = engine.SignBody(leaderAuth, so)
 
 	// 2f+1 slim replies for our command (BatchIdx 1, SORef only).
 	cert := make([]*SpecReply, 0, 3)
@@ -610,14 +611,14 @@ func TestDeferredSlimCommit(t *testing.T) {
 			Replica: rid, Result: types.Result{OK: true},
 			Batched: true, BatchIdx: 1, SORef: so.CmdDigest,
 		}
-		sr.Sig = tc.replicas[rid].cfg.Auth.Sign(sr.SignedBody())
+		sr.Sig = engine.SignBody(tc.replicas[rid].cfg.Auth, sr)
 		cert = append(cert, sr)
 	}
 	commit := &Commit{
 		Client: cl.cfg.ID, Timestamp: 1, Inst: so.Inst,
 		Deps: types.NewInstanceSet(), Seq: 1, Cert: cert,
 	}
-	commit.Sig = cl.cfg.Auth.Sign(commit.SignedBody())
+	commit.Sig = engine.SignBody(cl.cfg.Auth, commit)
 
 	// R3 sees the COMMIT before the SPECORDER: the decision must be
 	// parked, not dropped.
@@ -677,7 +678,7 @@ func TestDeferredSlimCommitDrainedByFullCert(t *testing.T) {
 		Batch: []Request{*p0.req},
 	}
 	so.CmdDigest = BatchDigest(so.CmdDigests())
-	so.Sig = leaderAuth.Sign(so.SignedBody())
+	so.Sig = engine.SignBody(leaderAuth, so)
 
 	mkCert := func(digest types.Digest, client types.ClientID, idx uint32, withSO bool) []*SpecReply {
 		cert := make([]*SpecReply, 0, 3)
@@ -691,7 +692,7 @@ func TestDeferredSlimCommitDrainedByFullCert(t *testing.T) {
 			if withSO && rid == 0 {
 				sr.SO = so
 			}
-			sr.Sig = tc.replicas[rid].cfg.Auth.Sign(sr.SignedBody())
+			sr.Sig = engine.SignBody(tc.replicas[rid].cfg.Auth, sr)
 			cert = append(cert, sr)
 		}
 		return cert
@@ -702,7 +703,7 @@ func TestDeferredSlimCommitDrainedByFullCert(t *testing.T) {
 		Client: cl0.cfg.ID, Timestamp: 1, Inst: so.Inst,
 		Deps: types.NewInstanceSet(), Seq: 1, Cert: mkCert(p0.digest, cl0.cfg.ID, 1, false),
 	}
-	commit0.Sig = cl0.cfg.Auth.Sign(commit0.SignedBody())
+	commit0.Sig = engine.SignBody(cl0.cfg.Auth, commit0)
 	r3 := tc.replicas[3]
 	rctx := &captureCtx{}
 	r3.Receive(rctx, types.ClientNode(cl0.cfg.ID), commit0)
@@ -716,7 +717,7 @@ func TestDeferredSlimCommitDrainedByFullCert(t *testing.T) {
 		Client: cl1.cfg.ID, Timestamp: 1, Inst: so.Inst,
 		Deps: types.NewInstanceSet(), Seq: 1, Cert: mkCert(p1.digest, cl1.cfg.ID, 0, true),
 	}
-	commit1.Sig = cl1.cfg.Auth.Sign(commit1.SignedBody())
+	commit1.Sig = engine.SignBody(cl1.cfg.Auth, commit1)
 	r3.Receive(rctx, types.ClientNode(cl1.cfg.ID), commit1)
 
 	e := r3.log.get(so.Inst)
@@ -760,13 +761,13 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 			so.Batch = []Request{*extra}
 		}
 		so.CmdDigest = BatchDigest(so.CmdDigests())
-		so.Sig = leaderAuth.Sign(so.SignedBody())
+		so.Sig = engine.SignBody(leaderAuth, so)
 		return so
 	}
 	other := Request{Cmd: types.Command{Client: 1, Timestamp: 1, Op: types.OpPut, Key: "o"}, Orig: noOrig}
-	other.Sig = tc.clients[1].cfg.Auth.Sign(other.SignedBody())
+	other.Sig = engine.SignBody(tc.clients[1].cfg.Auth, &other)
 	evil := Request{Cmd: types.Command{Client: 1, Timestamp: 1, Op: types.OpPut, Key: "evil"}, Orig: noOrig}
-	evil.Sig = tc.clients[1].cfg.Auth.Sign(evil.SignedBody())
+	evil.Sig = engine.SignBody(tc.clients[1].cfg.Auth, &evil)
 
 	// Batched: replies vouch (via signed SORef) for batch A, but the
 	// certificate embeds the leader's other signed batch B.
@@ -780,7 +781,7 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 			Replica: rid, Result: types.Result{OK: true},
 			Batched: true, BatchIdx: 0, SORef: soA.CmdDigest,
 		}
-		sr.Sig = tc.replicas[rid].cfg.Auth.Sign(sr.SignedBody())
+		sr.Sig = engine.SignBody(tc.replicas[rid].cfg.Auth, sr)
 		cert = append(cert, sr)
 	}
 	cert[0].SO = soB // the swap
@@ -788,7 +789,7 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 		Client: cl.cfg.ID, Timestamp: 1, Inst: soA.Inst,
 		Deps: types.NewInstanceSet(), Seq: 1, Cert: cert,
 	}
-	commit.Sig = cl.cfg.Auth.Sign(commit.SignedBody())
+	commit.Sig = engine.SignBody(cl.cfg.Auth, commit)
 	r3 := tc.replicas[3]
 	r3.Receive(&captureCtx{}, types.ClientNode(cl.cfg.ID), commit)
 	if e := r3.log.get(soA.Inst); e != nil {
@@ -810,14 +811,14 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 			Replica: rid, Result: types.Result{OK: true},
 			SO: soEvil,
 		}
-		sr.Sig = tc.replicas[rid].cfg.Auth.Sign(sr.SignedBody())
+		sr.Sig = engine.SignBody(tc.replicas[rid].cfg.Auth, sr)
 		cert2 = append(cert2, sr)
 	}
 	commit2 := &Commit{
 		Client: cl.cfg.ID, Timestamp: 1, Inst: soEvil.Inst,
 		Deps: types.NewInstanceSet(), Seq: 1, Cert: cert2,
 	}
-	commit2.Sig = cl.cfg.Auth.Sign(commit2.SignedBody())
+	commit2.Sig = engine.SignBody(cl.cfg.Auth, commit2)
 	dropped := r3.stats.DroppedInvalid
 	r3.Receive(&captureCtx{}, types.ClientNode(cl.cfg.ID), commit2)
 	if e := r3.log.get(soEvil.Inst); e != nil {
@@ -847,7 +848,7 @@ func TestValidateCertRejectsMixedBatches(t *testing.T) {
 			Replica: from, Result: types.Result{OK: true},
 			Batched: batched, BatchIdx: idx,
 		}
-		sr.Sig = tc.replicas[from].cfg.Auth.Sign(sr.SignedBody())
+		sr.Sig = engine.SignBody(tc.replicas[from].cfg.Auth, sr)
 		return sr
 	}
 	good := []*SpecReply{mk(0, true, 1), mk(1, true, 1), mk(2, true, 1)}

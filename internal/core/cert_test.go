@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/types"
 )
 
@@ -18,7 +19,7 @@ func TestHostileCertificates(t *testing.T) {
 	sigOf := func(rid types.ReplicaID, edit func(*SpecReply)) ReplySig {
 		sr := rig.specReply(rid, so)
 		edit(sr)
-		return ReplySig{Replica: rid, Sig: signBody(rig.replicaAuth(rid), sr)}
+		return ReplySig{Replica: rid, Sig: engine.SignBody(rig.replicaAuth(rid), sr)}
 	}
 	fast := func(edit func(*CommitFast)) func() codec.Message {
 		return func() codec.Message {
@@ -62,7 +63,7 @@ func TestHostileCertificates(t *testing.T) {
 			other := rig.specOrder()
 			other.Req = *rig.request(2)
 			other.CmdDigest = BatchDigest(other.CmdDigests())
-			other.Sig = signBody(rig.replicaAuth(1), other)
+			other.Sig = engine.SignBody(rig.replicaAuth(1), other)
 			m := rig.commit()
 			m.Cert[0].SO = other
 			return m

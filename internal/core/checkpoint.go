@@ -112,22 +112,15 @@ func (m *CheckpointMsg) Tag() uint8 { return tagCheckpoint }
 
 // MarshalTo implements codec.Message.
 func (m *CheckpointMsg) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *CheckpointMsg) marshalBody(w *codec.Writer) {
+func (m *CheckpointMsg) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Space))
 	w.Uvarint(m.Slot)
 	w.Bytes32(m.Digest)
 	w.Int32(int32(m.Replica))
-}
-
-// SignedBody returns the bytes the voter signature covers.
-func (m *CheckpointMsg) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCheckpoint(r *codec.Reader) (*CheckpointMsg, error) {
@@ -168,24 +161,17 @@ func (m *CatchupReq) Tag() uint8 { return tagCatchupReq }
 
 // MarshalTo implements codec.Message.
 func (m *CatchupReq) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *CatchupReq) marshalBody(w *codec.Writer) {
+func (m *CatchupReq) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Replica))
 	w.Uvarint(uint64(len(m.Marks)))
 	for _, sm := range m.Marks {
 		w.Uvarint(sm.ExecMark)
 		w.Uvarint(sm.MaxSlot)
 	}
-}
-
-// SignedBody returns the bytes the requester signature covers.
-func (m *CatchupReq) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCatchupReq(r *codec.Reader) (*CatchupReq, error) {
@@ -279,7 +265,7 @@ func (m *CatchupResp) Tag() uint8 { return tagCatchupResp }
 
 // MarshalTo implements codec.Message.
 func (m *CatchupResp) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	w.Uvarint(uint64(len(m.Proof)))
 	for _, v := range m.Proof {
@@ -287,7 +273,7 @@ func (m *CatchupResp) MarshalTo(w *codec.Writer) {
 	}
 }
 
-func (m *CatchupResp) marshalBody(w *codec.Writer) {
+func (m *CatchupResp) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Replica))
 	w.Bool(m.Tail)
 	w.Uvarint(uint64(len(m.Spaces)))
@@ -304,13 +290,6 @@ func (m *CatchupResp) marshalBody(w *codec.Writer) {
 	for i := range m.Suffix {
 		m.Suffix[i].marshalTo(w)
 	}
-}
-
-// SignedBody returns the bytes the responder signature covers.
-func (m *CatchupResp) SignedBody() []byte {
-	w := codec.NewWriter(m.sizeHint())
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 // sizeHint estimates the encoded size, so that a buffer for it is made once
@@ -403,21 +382,14 @@ func (m *SOFetch) Tag() uint8 { return tagSOFetch }
 
 // MarshalTo implements codec.Message.
 func (m *SOFetch) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *SOFetch) marshalBody(w *codec.Writer) {
+func (m *SOFetch) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Client))
 	w.Instance(m.Inst)
 	w.Bytes32(m.Ref)
-}
-
-// SignedBody returns the bytes the client signature covers.
-func (m *SOFetch) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeSOFetch(r *codec.Reader) (*SOFetch, error) {
@@ -483,7 +455,7 @@ func (r *Replica) emitCheckpoint(ctx proc.Context, spaceID types.ReplicaID, sp *
 		Replica: r.cfg.Self,
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	m.Sig = signBody(r.cfg.Auth, m)
+	m.Sig = engine.SignBody(r.cfg.Auth, m)
 	// Durability point: the vote must survive a crash before peers tally it.
 	r.walVote(m)
 	r.broadcastReplicas(ctx, m)
@@ -504,7 +476,7 @@ func (r *Replica) handleCheckpoint(ctx proc.Context, m *CheckpointMsg) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -692,7 +664,7 @@ func (r *Replica) requestCatchup(ctx proc.Context, st *engine.StableCheckpoint) 
 		req.Marks[i] = SpaceMark{ExecMark: sp.execMark, MaxSlot: sp.maxSlot}
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	req.Sig = signBody(r.cfg.Auth, req)
+	req.Sig = engine.SignBody(r.cfg.Auth, req)
 	want := r.f + 1
 	if want > len(voters) {
 		want = len(voters)
@@ -737,7 +709,7 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -763,7 +735,7 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 	}
 	resp := r.buildTransferState(snap, marks)
 	r.cfg.Costs.ChargeSign(ctx)
-	resp.Sig = signBody(r.cfg.Auth, resp)
+	resp.Sig = engine.SignBody(r.cfg.Auth, resp)
 	r.send(ctx, types.ReplicaNode(m.Replica), resp)
 	r.stats.CatchupsServed++
 }
@@ -865,7 +837,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -889,7 +861,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 				func(msg codec.Message) (types.ReplicaID, uint64, types.Digest, bool) {
 					cm := msg.(*CheckpointMsg)
 					valid := cm.SigVerified() ||
-						verifyBody(r.cfg.Auth, types.ReplicaNode(cm.Replica), cm, cm.Sig) == nil
+						engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(cm.Replica), cm, cm.Sig) == nil
 					return cm.Replica, cm.Slot, cm.Digest, valid
 				})
 			if !okProof {
@@ -962,7 +934,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 			}
 			if !h.SO.SigVerified() {
 				r.cfg.Costs.ChargeVerify(ctx, 1)
-				if verifyBody(r.cfg.Auth, types.ReplicaNode(h.SO.Owner.OwnerOf(r.n)), h.SO, h.SO.Sig) != nil {
+				if engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(h.SO.Owner.OwnerOf(r.n)), h.SO, h.SO.Sig) != nil {
 					r.stats.DroppedInvalid++
 					continue
 				}
@@ -1284,7 +1256,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 func (r *Replica) handleSOFetch(ctx proc.Context, m *SOFetch) {
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ClientNode(m.Client), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(m.Client), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/sim"
 	"ezbft/internal/types"
 )
@@ -242,7 +243,7 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 			Req:       Request{Cmd: cmd, Orig: noOrig},
 			Batch:     []Request{{Cmd: other, Orig: noOrig}},
 		}
-		so.Sig = signBody(leaderAuth, so)
+		so.Sig = engine.SignBody(leaderAuth, so)
 		return so
 	}
 	soA := mkSO(1)
@@ -256,7 +257,7 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 			CmdDigest: cmd.Digest(), Client: cl.cfg.ID, Timestamp: ts, Replica: rid,
 			Result: types.Result{OK: true}, Batched: true, BatchIdx: 0, SORef: so.CmdDigest,
 		}
-		sr.Sig = signBody(tc.replicas[rid].cfg.Auth, sr)
+		sr.Sig = engine.SignBody(tc.replicas[rid].cfg.Auth, sr)
 		return sr
 	}
 	cl.Receive(cctx, types.ReplicaNode(1), mkReply(1, soA))
@@ -310,7 +311,7 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 	r2 := tc.replicas[2]
 	r2.handleSpecOrder(&captureCtx{}, types.ReplicaNode(0), soA)
 	fetch := &SOFetch{Client: cl.cfg.ID, Inst: soA.Inst, Ref: soA.CmdDigest}
-	fetch.Sig = signBody(cl.cfg.Auth, fetch)
+	fetch.Sig = engine.SignBody(cl.cfg.Auth, fetch)
 	serveCtx := &captureCtx{}
 	r2.Receive(serveCtx, types.ClientNode(cl.cfg.ID), fetch)
 	servedSO := false
@@ -421,7 +422,7 @@ func TestDuplicateRequestAfterCatchup(t *testing.T) {
 	cl := tc.clients[0]
 	cmd := types.Command{Client: cl.cfg.ID, Timestamp: 1, Op: types.OpIncr, Key: "ctr"}
 	dup := &Request{Cmd: cmd, Orig: noOrig}
-	dup.Sig = signBody(cl.cfg.Auth, dup)
+	dup.Sig = engine.SignBody(cl.cfg.Auth, dup)
 
 	before := tc.apps[3].Digest()
 	cctx := &captureCtx{}
@@ -466,7 +467,7 @@ func TestDuplicateRequestAfterCatchup(t *testing.T) {
 			Inst: so.Inst, Deps: cert[0].Deps.Clone(), Seq: cert[0].Seq,
 			Cert: cert[:SlowQuorum(tc.n)],
 		}
-		commit.Sig = signBody(cl.cfg.Auth, commit)
+		commit.Sig = engine.SignBody(cl.cfg.Auth, commit)
 		r3.Receive(&captureCtx{}, types.ClientNode(cl.cfg.ID), commit)
 	}
 

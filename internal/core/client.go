@@ -252,7 +252,7 @@ func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
 
 	req := &Request{Cmd: cmd, Orig: noOrig}
 	c.cfg.Costs.ChargeSign(ctx)
-	req.Sig = signBody(c.cfg.Auth, req)
+	req.Sig = engine.SignBody(c.cfg.Auth, req)
 
 	p := &pendingReq{
 		cmd:    cmd,
@@ -333,7 +333,7 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 	}
 	if !m.SigVerified() {
 		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			return
 		}
 	}
@@ -411,10 +411,10 @@ func (c *Client) checkPOM(ctx proc.Context, p *pendingReq, m *SpecReply) {
 			// proven).
 			owner := m.SO.Owner.OwnerOf(c.n)
 			c.cfg.Costs.ChargeVerify(ctx, 2)
-			if !m.SO.SigVerified() && verifyBody(c.cfg.Auth, types.ReplicaNode(owner), m.SO, m.SO.Sig) != nil {
+			if !m.SO.SigVerified() && engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(owner), m.SO, m.SO.Sig) != nil {
 				return
 			}
-			if !prev.SO.SigVerified() && verifyBody(c.cfg.Auth, types.ReplicaNode(owner), prev.SO, prev.SO.Sig) != nil {
+			if !prev.SO.SigVerified() && engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(owner), prev.SO, prev.SO.Sig) != nil {
 				return
 			}
 			pom := &POM{Suspect: owner, Owner: m.SO.Owner, Client: c.cfg.ID, A: prev.SO, B: m.SO}
@@ -447,7 +447,7 @@ func (c *Client) fetchConflictEvidence(ctx proc.Context, p *pendingReq) {
 		p.fetchReqs[key] = true
 		req := &SOFetch{Client: c.cfg.ID, Inst: key.inst, Ref: key.batch}
 		c.cfg.Costs.ChargeSign(ctx)
-		req.Sig = signBody(c.cfg.Auth, req)
+		req.Sig = engine.SignBody(c.cfg.Auth, req)
 		// Ask the lowest-id replica that vouched for the proposal; it holds
 		// the SPECORDER (it signed a reply derived from it).
 		ctx.Send(types.ReplicaNode(group.lowest().Replica), req)
@@ -490,7 +490,7 @@ func (c *Client) handleFetchedSO(ctx proc.Context, so *SpecOrder) {
 	}
 	if !so.SigVerified() {
 		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if verifyBody(c.cfg.Auth, types.ReplicaNode(so.Owner.OwnerOf(c.n)), so, so.Sig) != nil {
+		if engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(so.Owner.OwnerOf(c.n)), so, so.Sig) != nil {
 			return
 		}
 		so.MarkSigVerified()
@@ -529,10 +529,10 @@ func (c *Client) tryPOMFromEvidence(ctx proc.Context, p *pendingReq) {
 			}
 			owner := a.Owner.OwnerOf(c.n)
 			c.cfg.Costs.ChargeVerify(ctx, 2)
-			if !a.SigVerified() && verifyBody(c.cfg.Auth, types.ReplicaNode(owner), a, a.Sig) != nil {
+			if !a.SigVerified() && engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(owner), a, a.Sig) != nil {
 				continue
 			}
-			if !b.SigVerified() && verifyBody(c.cfg.Auth, types.ReplicaNode(owner), b, b.Sig) != nil {
+			if !b.SigVerified() && engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(owner), b, b.Sig) != nil {
 				continue
 			}
 			pom := &POM{Suspect: owner, Owner: a.Owner, Client: c.cfg.ID, A: a, B: b}
@@ -632,7 +632,7 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 		Cert:      chosen,
 	}
 	c.cfg.Costs.ChargeSign(ctx)
-	commit.Sig = signBody(c.cfg.Auth, commit)
+	commit.Sig = engine.SignBody(c.cfg.Auth, commit)
 	proc.Broadcast(ctx, c.replicas, commit)
 	p.commitSent = true
 	p.commitInst = inst
@@ -673,7 +673,7 @@ func (c *Client) handleCommitReply(ctx proc.Context, m *CommitReply) {
 	}
 	if !m.SigVerified() {
 		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			return
 		}
 	}
@@ -716,7 +716,7 @@ func (c *Client) retry(ctx proc.Context, ts uint64, p *pendingReq) {
 	// forward RESENDREQs that (on timeout) trigger an owner change.
 	retryReq := &Request{Cmd: p.cmd, Orig: p.leader}
 	c.cfg.Costs.ChargeSign(ctx)
-	retryReq.Sig = signBody(c.cfg.Auth, retryReq)
+	retryReq.Sig = engine.SignBody(c.cfg.Auth, retryReq)
 	proc.Broadcast(ctx, c.replicas, retryReq)
 	// Additionally rotate to the next replica as a fresh command-leader so
 	// the request gets ordered even if the original leader never did. At
@@ -725,7 +725,7 @@ func (c *Client) retry(ctx proc.Context, ts uint64, p *pendingReq) {
 	rotated := types.ReplicaID((int(p.leader) + p.retries) % c.n)
 	direct := &Request{Cmd: p.cmd, Orig: noOrig}
 	c.cfg.Costs.ChargeSign(ctx)
-	direct.Sig = signBody(c.cfg.Auth, direct)
+	direct.Sig = engine.SignBody(c.cfg.Auth, direct)
 	ctx.Send(types.ReplicaNode(rotated), direct)
 
 	// Capped exponential backoff with deterministic jitter on subsequent

@@ -5,6 +5,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/store"
 	"ezbft/internal/types"
@@ -73,7 +74,7 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 	// entry must be dropped, not merged into the live log.
 	r.catchupPending = true
 	m := &CatchupResp{Replica: 1, Tail: true, Spaces: spaces(), Suffix: []HistEntry{unproven}}
-	m.Sig = signBody(auths[1], m)
+	m.Sig = engine.SignBody(auths[1], m)
 	r.handleCatchupResp(ctx, m)
 	if r.log.get(inst) != nil || len(r.pendingExec) != 0 {
 		t.Fatal("unproven tail entry was adopted into the live log")
@@ -92,12 +93,12 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 		CmdDigest: cmd.Digest(),
 		Req:       Request{Cmd: cmd},
 	}
-	forged.Sig = signBody(auths[2], forged) // signed by R2; space 1 is R1's
+	forged.Sig = engine.SignBody(auths[2], forged) // signed by R2; space 1 is R1's
 	bad := unproven
 	bad.SO = forged
 	r.catchupPending = true
 	m = &CatchupResp{Replica: 1, Tail: true, Spaces: spaces(), Suffix: []HistEntry{bad}}
-	m.Sig = signBody(auths[1], m)
+	m.Sig = engine.SignBody(auths[1], m)
 	r.handleCatchupResp(ctx, m)
 	if r.log.get(inst) != nil {
 		t.Fatal("tail entry with a forged SPECORDER signature was adopted")
@@ -112,12 +113,12 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 		CmdDigest: cmd.Digest(),
 		Req:       Request{Cmd: cmd},
 	}
-	so.Sig = signBody(auths[1], so)
+	so.Sig = engine.SignBody(auths[1], so)
 	proven := unproven
 	proven.SO = so
 	r.catchupPending = true
 	m = &CatchupResp{Replica: 1, Tail: true, Spaces: spaces(), Suffix: []HistEntry{proven}}
-	m.Sig = signBody(auths[1], m)
+	m.Sig = engine.SignBody(auths[1], m)
 	r.handleCatchupResp(ctx, m)
 	if e := r.log.get(inst); e == nil || e.status < StatusCommitted {
 		t.Fatal("leader-signed tail entry was not adopted")
@@ -134,10 +135,10 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 		CmdDigest: cmd2.Digest(),
 		Req:       Request{Cmd: cmd2},
 	}
-	so2.Sig = signBody(auths[1], so2)
+	so2.Sig = engine.SignBody(auths[1], so2)
 	h2 := HistEntry{Inst: inst2, Status: HistCommitted, Cmd: cmd2, Deps: types.NewInstanceSet(), Seq: 2, Owner: 1, SO: so2}
 	m = &CatchupResp{Replica: 1, Tail: true, Spaces: spaces(), Suffix: []HistEntry{h2}}
-	m.Sig = signBody(auths[1], m)
+	m.Sig = engine.SignBody(auths[1], m)
 	r.handleCatchupResp(ctx, m) // catchupPending is false here
 	if r.log.get(inst2) != nil {
 		t.Fatal("unsolicited catch-up response was installed")
@@ -195,7 +196,7 @@ func TestWALSyncedBeforeSend(t *testing.T) {
 	// synced before the SPECREPLY leaves.
 	cmd := types.Command{Client: 0, Timestamp: 1, Op: types.OpPut, Key: "k", Value: []byte("v")}
 	req := Request{Cmd: cmd}
-	req.Sig = signBody(auths[n], &req) // auths[n] is client 0
+	req.Sig = engine.SignBody(auths[n], &req) // auths[n] is client 0
 	so := &SpecOrder{
 		Owner:     1,
 		Inst:      types.InstanceID{Space: 1, Slot: 1},
@@ -204,7 +205,7 @@ func TestWALSyncedBeforeSend(t *testing.T) {
 		CmdDigest: cmd.Digest(),
 		Req:       req,
 	}
-	so.Sig = signBody(auths[1], so)
+	so.Sig = engine.SignBody(auths[1], so)
 	r.Receive(ctx, types.ReplicaNode(1), so)
 	if sent == 0 {
 		t.Fatal("acceptance produced no outbound message")

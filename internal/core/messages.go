@@ -207,20 +207,13 @@ func (m *Request) Tag() uint8 { return tagRequest }
 
 // MarshalTo implements codec.Message.
 func (m *Request) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Request) marshalBody(w *codec.Writer) {
+func (m *Request) MarshalBody(w *codec.Writer) {
 	w.Command(m.Cmd)
 	w.Int32(int32(m.Orig))
-}
-
-// SignedBody returns the bytes the client signature covers.
-func (m *Request) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeRequest(r *codec.Reader) (*Request, error) {
@@ -270,7 +263,7 @@ func (m *SpecOrder) Tag() uint8 {
 
 // MarshalTo implements codec.Message.
 func (m *SpecOrder) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	m.Req.MarshalTo(w)
 	if len(m.Batch) > 0 {
@@ -324,20 +317,13 @@ func BatchDigest(cmdDigests []types.Digest) types.Digest {
 	return engine.BatchDigest(cmdDigests)
 }
 
-func (m *SpecOrder) marshalBody(w *codec.Writer) {
+func (m *SpecOrder) MarshalBody(w *codec.Writer) {
 	w.Uvarint(uint64(m.Owner))
 	w.Instance(m.Inst)
 	w.InstanceSet(m.Deps)
 	w.Uvarint(uint64(m.Seq))
 	w.Bytes32(m.LogHash)
 	w.Bytes32(m.CmdDigest)
-}
-
-// SignedBody returns the bytes the leader signature covers.
-func (m *SpecOrder) SignedBody() []byte {
-	w := codec.NewWriter(128)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeSpecOrder(r *codec.Reader) (*SpecOrder, error) {
@@ -430,11 +416,11 @@ func (m *SpecReply) MarshalTo(w *codec.Writer) {
 // SPECORDER riding along: the form of every COMMIT certificate element after
 // the first.
 func (m *SpecReply) marshalSigned(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *SpecReply) marshalBody(w *codec.Writer) { m.marshalBodyAs(w, m.Replica) }
+func (m *SpecReply) MarshalBody(w *codec.Writer) { m.marshalBodyAs(w, m.Replica) }
 
 // marshalBodyAs writes the signed body with signer in the Replica field: the
 // bytes that replica signs when it sends this same reply, which is what the
@@ -501,13 +487,6 @@ func decodeSpecOrderPtr(r *codec.Reader) (*SpecOrder, error) {
 		}
 		return nil, codec.ErrUnknownType
 	}
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *SpecReply) SignedBody() []byte {
-	w := codec.NewWriter(128)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 // Matches reports whether two replies agree on every field the client
@@ -680,7 +659,7 @@ func (m *Commit) Tag() uint8 {
 
 // MarshalTo implements codec.Message.
 func (m *Commit) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	// The replies may differ in dependencies and sequence number, so each
 	// travels whole, but all vouch for one proposal: only the first carries
@@ -695,19 +674,12 @@ func (m *Commit) MarshalTo(w *codec.Writer) {
 	}
 }
 
-func (m *Commit) marshalBody(w *codec.Writer) {
+func (m *Commit) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Client))
 	w.Uvarint(m.Timestamp)
 	w.Instance(m.Inst)
 	w.InstanceSet(m.Deps)
 	w.Uvarint(uint64(m.Seq))
-}
-
-// SignedBody returns the bytes the client signature covers.
-func (m *Commit) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCommit(r *codec.Reader, batched bool) (*Commit, error) {
@@ -744,23 +716,16 @@ func (m *CommitReply) Tag() uint8 { return tagCommitReply }
 
 // MarshalTo implements codec.Message.
 func (m *CommitReply) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *CommitReply) marshalBody(w *codec.Writer) {
+func (m *CommitReply) MarshalBody(w *codec.Writer) {
 	w.Instance(m.Inst)
 	w.Bytes32(m.CmdDigest)
 	w.Int32(int32(m.Replica))
 	w.Bool(m.Result.OK)
 	w.Blob(m.Result.Value)
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *CommitReply) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCommitReply(r *codec.Reader) (*CommitReply, error) {
@@ -816,21 +781,14 @@ func (m *StartOwnerChange) Tag() uint8 { return tagStartOwnerChange }
 
 // MarshalTo implements codec.Message.
 func (m *StartOwnerChange) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *StartOwnerChange) marshalBody(w *codec.Writer) {
+func (m *StartOwnerChange) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Suspect))
 	w.Uvarint(uint64(m.Owner))
 	w.Int32(int32(m.Replica))
-}
-
-// SignedBody returns the bytes the sender signature covers.
-func (m *StartOwnerChange) SignedBody() []byte {
-	w := codec.NewWriter(16)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeStartOwnerChange(r *codec.Reader) (*StartOwnerChange, error) {
@@ -983,11 +941,11 @@ func (m *OwnerChange) Tag() uint8 { return tagOwnerChange }
 
 // MarshalTo implements codec.Message.
 func (m *OwnerChange) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *OwnerChange) marshalBody(w *codec.Writer) {
+func (m *OwnerChange) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Suspect))
 	w.Uvarint(uint64(m.NewOwner))
 	w.Int32(int32(m.Replica))
@@ -995,13 +953,6 @@ func (m *OwnerChange) marshalBody(w *codec.Writer) {
 	for i := range m.History {
 		m.History[i].marshalTo(w)
 	}
-}
-
-// SignedBody returns the bytes the sender signature covers.
-func (m *OwnerChange) SignedBody() []byte {
-	w := codec.NewWriter(256)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeOwnerChange(r *codec.Reader) (*OwnerChange, error) {
@@ -1049,7 +1000,7 @@ func (m *NewOwnerMsg) Tag() uint8 { return tagNewOwner }
 
 // MarshalTo implements codec.Message.
 func (m *NewOwnerMsg) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	w.Uvarint(uint64(len(m.Proof)))
 	for _, oc := range m.Proof {
@@ -1057,7 +1008,7 @@ func (m *NewOwnerMsg) MarshalTo(w *codec.Writer) {
 	}
 }
 
-func (m *NewOwnerMsg) marshalBody(w *codec.Writer) {
+func (m *NewOwnerMsg) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Suspect))
 	w.Uvarint(uint64(m.NewOwnerNum))
 	w.Int32(int32(m.Replica))
@@ -1065,13 +1016,6 @@ func (m *NewOwnerMsg) marshalBody(w *codec.Writer) {
 	for i := range m.Safe {
 		m.Safe[i].marshalTo(w)
 	}
-}
-
-// SignedBody returns the bytes the new owner's signature covers.
-func (m *NewOwnerMsg) SignedBody() []byte {
-	w := codec.NewWriter(256)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeNewOwner(r *codec.Reader) (*NewOwnerMsg, error) {

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"ezbft/internal/engine"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
 )
@@ -65,7 +66,7 @@ func (r *Replica) initiateOwnerChange(ctx proc.Context, suspect types.ReplicaID)
 	r.oc.sentStart[key] = true
 	msg := &StartOwnerChange{Suspect: suspect, Owner: key.owner, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	msg.Sig = signBody(r.cfg.Auth, msg)
+	msg.Sig = engine.SignBody(r.cfg.Auth, msg)
 	r.broadcastReplicas(ctx, msg)
 	// Count our own vote locally.
 	r.recordStartVote(ctx, key, r.cfg.Self)
@@ -90,8 +91,8 @@ func (r *Replica) handlePOM(ctx proc.Context, m *POM) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 2)
-		if verifyBody(r.cfg.Auth, types.ReplicaNode(owner), m.A, m.A.Sig) != nil ||
-			verifyBody(r.cfg.Auth, types.ReplicaNode(owner), m.B, m.B.Sig) != nil {
+		if engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(owner), m.A, m.A.Sig) != nil ||
+			engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(owner), m.B, m.B.Sig) != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -139,7 +140,7 @@ func (r *Replica) handleStartOwnerChange(ctx proc.Context, m *StartOwnerChange) 
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -167,7 +168,7 @@ func (r *Replica) recordStartVote(ctx proc.Context, key changeKey, from types.Re
 		r.oc.sentStart[key] = true
 		msg := &StartOwnerChange{Suspect: key.suspect, Owner: key.owner, Replica: r.cfg.Self}
 		r.cfg.Costs.ChargeSign(ctx)
-		msg.Sig = signBody(r.cfg.Auth, msg)
+		msg.Sig = engine.SignBody(r.cfg.Auth, msg)
 		r.broadcastReplicas(ctx, msg)
 	}
 
@@ -182,7 +183,7 @@ func (r *Replica) recordStartVote(ctx proc.Context, key changeKey, from types.Re
 		History:  r.historyOf(key.suspect),
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	oc.Sig = signBody(r.cfg.Auth, oc)
+	oc.Sig = engine.SignBody(r.cfg.Auth, oc)
 	if newOwner == r.cfg.Self {
 		r.acceptOwnerChange(ctx, oc)
 	} else {
@@ -234,7 +235,7 @@ func (r *Replica) handleOwnerChange(ctx proc.Context, m *OwnerChange) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -272,7 +273,7 @@ func (r *Replica) acceptOwnerChange(ctx proc.Context, m *OwnerChange) {
 		Safe:        safe,
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	msg.Sig = signBody(r.cfg.Auth, msg)
+	msg.Sig = engine.SignBody(r.cfg.Auth, msg)
 	r.broadcastReplicas(ctx, msg)
 	r.applyNewOwner(ctx, msg)
 	r.stats.OwnerChanges++
@@ -323,9 +324,9 @@ func (r *Replica) selectSafeHistory(ctx proc.Context, key changeKey, proof []*Ow
 				// Owner field; it substitutes for the key.owner check only
 				// when the two owner rounds agree.
 				if cc.Inst == h.Inst &&
-					(cc.SigVerified() || verifyBody(r.cfg.Auth, types.ClientNode(cc.Client), cc, cc.Sig) == nil) &&
+					(cc.SigVerified() || engine.VerifyBody(r.cfg.Auth, types.ClientNode(cc.Client), cc, cc.Sig) == nil) &&
 					((h.SO.Owner == key.owner && h.SO.SigVerified()) ||
-						verifyBody(r.cfg.Auth, types.ReplicaNode(key.owner.OwnerOf(r.n)), h.SO, h.SO.Sig) == nil) {
+						engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(key.owner.OwnerOf(r.n)), h.SO, h.SO.Sig) == nil) {
 					committedSlots[h.Inst.Slot] = true
 					committed = append(committed, HistEntry{
 						Inst: h.Inst, Status: HistCommitted, Cmd: h.Cmd, Batch: h.Batch,
@@ -371,7 +372,7 @@ func (r *Replica) selectSafeHistory(ctx proc.Context, key changeKey, proof []*Ow
 					r.cfg.Costs.ChargeVerify(ctx, 1)
 					owner := key.owner.OwnerOf(r.n)
 					if (c.sample.SO.Owner == key.owner && c.sample.SO.SigVerified()) ||
-						verifyBody(r.cfg.Auth, types.ReplicaNode(owner), c.sample.SO, c.sample.SO.Sig) == nil {
+						engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(owner), c.sample.SO, c.sample.SO.Sig) == nil {
 						chosen = c
 						break
 					}
@@ -408,7 +409,7 @@ func (r *Replica) handleNewOwner(ctx proc.Context, m *NewOwnerMsg) {
 	}
 	r.cfg.Costs.ChargeVerify(ctx, 1+len(m.Proof))
 	if !m.SigVerified() {
-		if err := verifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -420,7 +421,7 @@ func (r *Replica) handleNewOwner(ctx proc.Context, m *NewOwnerMsg) {
 		if oc.Suspect != m.Suspect || oc.NewOwner != m.NewOwnerNum {
 			continue
 		}
-		if oc.SigVerified() || verifyBody(r.cfg.Auth, types.ReplicaNode(oc.Replica), oc, oc.Sig) == nil {
+		if oc.SigVerified() || engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(oc.Replica), oc, oc.Sig) == nil {
 			valid[oc.Replica] = true
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/types"
 )
@@ -45,7 +46,7 @@ func (r *pvRig) freshReplica(self types.ReplicaID) *Replica {
 // request builds a signed REQUEST from client 5 for leader 1.
 func (r *pvRig) request(ts uint64) *Request {
 	req := &Request{Cmd: types.Command{Client: 5, Timestamp: ts, Op: types.OpPut, Key: "k", Value: []byte("v")}, Orig: noOrig}
-	req.Sig = signBody(r.clientAuth(5), req)
+	req.Sig = engine.SignBody(r.clientAuth(5), req)
 	return req
 }
 
@@ -64,7 +65,7 @@ func (r *pvRig) specOrder() *SpecOrder {
 	sp := newCmdLog(r.n).space(1)
 	sp.extendHash(so.Inst, so.CmdDigest)
 	so.LogHash = sp.logHash
-	so.Sig = signBody(r.replicaAuth(1), so)
+	so.Sig = engine.SignBody(r.replicaAuth(1), so)
 	return so
 }
 
@@ -82,7 +83,7 @@ func (r *pvRig) specReply(from types.ReplicaID, so *SpecOrder) *SpecReply {
 		Result:    types.Result{OK: true},
 		SO:        so,
 	}
-	sr.Sig = signBody(r.replicaAuth(from), sr)
+	sr.Sig = engine.SignBody(r.replicaAuth(from), sr)
 	return sr
 }
 
@@ -98,14 +99,14 @@ func (r *pvRig) commit() *Commit {
 		Seq:       so.Seq,
 		Cert:      cert,
 	}
-	c.Sig = signBody(r.clientAuth(5), c)
+	c.Sig = engine.SignBody(r.clientAuth(5), c)
 	return c
 }
 
 // startOwnerChange builds replica 2's signed vote against replica 1.
 func (r *pvRig) startOwnerChange() *StartOwnerChange {
 	m := &StartOwnerChange{Suspect: 1, Owner: 1, Replica: 2}
-	m.Sig = signBody(r.replicaAuth(2), m)
+	m.Sig = engine.SignBody(r.replicaAuth(2), m)
 	return m
 }
 
@@ -115,7 +116,7 @@ func (r *pvRig) pom() *POM {
 	a := r.specOrder()
 	b := r.specOrder()
 	b.Inst = types.InstanceID{Space: 1, Slot: 2}
-	b.Sig = signBody(r.replicaAuth(1), b)
+	b.Sig = engine.SignBody(r.replicaAuth(1), b)
 	return &POM{Suspect: 1, Owner: 1, Client: 5, A: a, B: b}
 }
 
@@ -319,7 +320,7 @@ func TestCertSplicedSpecOrderStaysApart(t *testing.T) {
 		b := rig.specOrder()
 		b.Req = *rig.request(2)
 		b.CmdDigest = BatchDigest(b.CmdDigests())
-		b.Sig = signBody(rig.replicaAuth(1), b)
+		b.Sig = engine.SignBody(rig.replicaAuth(1), b)
 		if forgeLeaderSig {
 			b.Sig[0] ^= 0xFF
 		}

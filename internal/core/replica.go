@@ -416,7 +416,7 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 		// Unmarked (sim-delivered) requests are authenticated in-loop; a
 		// transport-side verifier pool already checked marked ones.
 		r.cfg.Costs.ChargeVerifyClient(ctx)
-		if err := verifyBody(r.cfg.Auth, types.ClientNode(m.Cmd.Client), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(m.Cmd.Client), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -446,11 +446,8 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 	}
 
 	// We are the command-leader for this request.
-	if r.log.space(r.cfg.Self).frozen || r.owners[r.cfg.Self].OwnerOf(r.n) != r.cfg.Self {
-		// We lost ownership of our own space (we were suspected); we can no
-		// longer order commands, but any replica can: hand the request to the
-		// next one, as the client's retry would after its timer.
-		r.send(ctx, types.ReplicaNode((r.cfg.Self+1)%types.ReplicaID(r.n)), &ResendReq{Req: m.Clone(), Replica: r.cfg.Self})
+	if r.lostOwnSpace() {
+		r.handOff(ctx, m)
 		return
 	}
 	if r.batcher.Queued(key) {
@@ -459,13 +456,28 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 	r.batcher.Add(ctx, key, m)
 }
 
+// lostOwnSpace reports whether this replica can no longer order commands in
+// its own instance space (it was suspected and the space frozen or taken
+// over).
+func (r *Replica) lostOwnSpace() bool {
+	return r.log.space(r.cfg.Self).frozen || r.owners[r.cfg.Self].OwnerOf(r.n) != r.cfg.Self
+}
+
+// handOff passes a request this replica can no longer order to the next
+// replica as a RESENDREQ — any replica can order it — as the client's retry
+// would after its timer.
+func (r *Replica) handOff(ctx proc.Context, m *Request) {
+	r.send(ctx, types.ReplicaNode((r.cfg.Self+1)%types.ReplicaID(r.n)), &ResendReq{Req: m.Clone(), Replica: r.cfg.Self})
+}
+
 // flushBatch opens one instance for everything the batcher accumulated.
 // Ownership is re-checked at flush time: if this replica was suspected
-// while the batch accumulated, the requests are dropped and the clients'
-// retry broadcasts re-drive them at a live leader.
+// while the batch accumulated, every request in it is handed off.
 func (r *Replica) flushBatch(ctx proc.Context, reqs []*Request) {
-	if r.log.space(r.cfg.Self).frozen || r.owners[r.cfg.Self].OwnerOf(r.n) != r.cfg.Self {
-		r.stats.DroppedInvalid += uint64(len(reqs))
+	if r.lostOwnSpace() {
+		for _, m := range reqs {
+			r.handOff(ctx, m)
+		}
 		return
 	}
 	r.leadBatch(ctx, reqs, r.cfg.Self)
@@ -524,7 +536,7 @@ func (r *Replica) leadBatch(ctx proc.Context, reqs []*Request, spaceID types.Rep
 	}
 	r.cfg.Costs.ChargeAdmitInstance(ctx)
 	r.cfg.Costs.ChargeSign(ctx)
-	so.Sig = signBody(r.cfg.Auth, so)
+	so.Sig = engine.SignBody(r.cfg.Auth, so)
 
 	e := &entry{
 		inst:      inst,
@@ -610,7 +622,7 @@ func (r *Replica) equivocate(ctx proc.Context, honest *SpecOrder) {
 	}
 	r.byzLag++
 	r.cfg.Costs.ChargeSign(ctx)
-	alt.Sig = signBody(r.cfg.Auth, alt)
+	alt.Sig = engine.SignBody(r.cfg.Auth, alt)
 	for _, rid := range halfA {
 		r.send(ctx, types.ReplicaNode(rid), honest)
 	}
@@ -688,12 +700,12 @@ func (r *Replica) handleResendReq(ctx proc.Context, m *ResendReq) {
 	}
 	if !m.Req.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ClientNode(m.Req.Cmd.Client), &m.Req, m.Req.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(m.Req.Cmd.Client), &m.Req, m.Req.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
 	}
-	if r.log.space(r.cfg.Self).frozen || r.owners[r.cfg.Self].OwnerOf(r.n) != r.cfg.Self {
+	if r.lostOwnSpace() {
 		return
 	}
 	reqCopy := m.Req.Clone()
@@ -738,13 +750,13 @@ func (r *Replica) handleSpecOrder(ctx proc.Context, from types.NodeID, m *SpecOr
 		// entries (the paper's HMAC usage), which cost microseconds.
 		// Batching amortizes the expensive check across the whole batch.
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ReplicaNode(owner), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(owner), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
 		for i := range digests {
 			req := m.ReqAt(i)
-			if err := verifyBody(r.cfg.Auth, types.ClientNode(req.Cmd.Client), req, req.Sig); err != nil {
+			if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(req.Cmd.Client), req, req.Sig); err != nil {
 				r.stats.DroppedInvalid++
 				return
 			}
@@ -907,7 +919,7 @@ func (r *Replica) specExecuteAndReply(ctx proc.Context, e *entry, so *SpecOrder)
 			reply.SO = so
 		}
 		r.cfg.Costs.ChargeSign(ctx)
-		reply.Sig = signBody(r.cfg.Auth, reply)
+		reply.Sig = engine.SignBody(r.cfg.Auth, reply)
 		r.replyCache[cmdKey{cmd.Client, cmd.Timestamp}] = reply
 		r.send(ctx, types.ClientNode(cmd.Client), reply)
 	}
@@ -948,7 +960,7 @@ func (r *Replica) handleCommitFast(ctx proc.Context, m *CommitFast) {
 func (r *Replica) handleCommit(ctx proc.Context, m *Commit) {
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := verifyBody(r.cfg.Auth, types.ClientNode(m.Client), m, m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(m.Client), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -1063,7 +1075,7 @@ func (r *Replica) validateCert(ctx proc.Context, cert []*SpecReply, inst types.I
 			return false
 		}
 		if !sr.SigVerified() {
-			if err := verifyBody(r.cfg.Auth, types.ReplicaNode(sr.Replica), sr, sr.Sig); err != nil {
+			if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(sr.Replica), sr, sr.Sig); err != nil {
 				return false
 			}
 		}
@@ -1106,7 +1118,7 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 			so.CmdDigest != BatchDigest(ds) ||
 			int(from.BatchIdx) >= len(ds) || ds[from.BatchIdx] != from.CmdDigest ||
 			(!so.SigVerified() &&
-				verifyBody(r.cfg.Auth, types.ReplicaNode(so.Owner.OwnerOf(r.n)), so, so.Sig) != nil) {
+				engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(so.Owner.OwnerOf(r.n)), so, so.Sig) != nil) {
 			r.stats.DroppedInvalid++
 			return nil
 		}
@@ -1203,6 +1215,6 @@ func (r *Replica) sendCommitReply(ctx proc.Context, e *entry, idx int, to types.
 		Result:    e.finalResultAt(idx),
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	reply.Sig = signBody(r.cfg.Auth, reply)
+	reply.Sig = engine.SignBody(r.cfg.Auth, reply)
 	r.send(ctx, types.ClientNode(to), reply)
 }

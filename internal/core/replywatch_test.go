@@ -261,3 +261,48 @@ func TestClientLeavesASilentLeader(t *testing.T) {
 	tc.rt.Run(tc.rt.Now() + time.Second)
 	tc.checkStateConvergence()
 }
+
+// TestBatchPendingWhenSpaceIsLostIsHandedOff: R0 accumulates two clients'
+// requests in a batch and loses its space before the batch flushes. The
+// flush hands every request in it to R1 as a RESENDREQ, exactly as a
+// request arriving after the loss is handed off: each commits one message
+// delay later than it would have at R0, and no client waits out its retry
+// timer.
+func TestBatchPendingWhenSpaceIsLostIsHandedOff(t *testing.T) {
+	const batchDelay = 50 * time.Millisecond
+	opts := watchOpts()
+	opts.batchSize = 8
+	opts.batchDelay = batchDelay
+	tc := newTestCluster(t, opts, []types.ReplicaID{0, 0}, uniqueKeyScripts(2, 1))
+	resends := 0
+	tc.rt.SetFilter(func(from, _ types.NodeID, msg codec.Message) (sim.Verdict, time.Duration) {
+		if _, ok := msg.(*ResendReq); ok && from == types.ReplicaNode(0) {
+			resends++
+		}
+		return sim.Deliver, 0
+	})
+	tc.rt.Start()
+	tc.rt.Run(watchDelay + batchDelay/2) // both requests wait in R0's batch
+	for c := range tc.clients {
+		if key := (cmdKey{types.ClientID(c), 1}); !tc.replicas[0].batcher.Queued(key) {
+			t.Fatalf("client %d's request is not waiting in R0's batch", c)
+		}
+	}
+	tc.replicas[0].log.space(0).frozen = true
+	if !tc.run(10 * time.Second) {
+		t.Fatal("workload did not complete")
+	}
+	if resends != 2 {
+		t.Fatalf("R0 sent %d RESENDREQs, want one per batched request", resends)
+	}
+	// Submit → R0, the batch delay, the hand-off to R1, then R1's fast path.
+	want := watchDelay + batchDelay + watchDelay + 2*watchDelay
+	for c, d := range tc.drivers {
+		if st := tc.clients[c].Stats(); st.Retries != 0 {
+			t.Fatalf("client %d retried: %+v", c, st)
+		}
+		if got := d.Results[0]; !got.FastPath || got.Latency != want {
+			t.Fatalf("client %d: fast=%v latency=%v, want a fast decision in %v", c, got.FastPath, got.Latency, want)
+		}
+	}
+}

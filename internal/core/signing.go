@@ -3,61 +3,9 @@ package core
 import (
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/types"
 )
-
-// bodyMarshaler is implemented by every signed message: the byte string a
-// signature covers is the deterministic codec encoding of the body.
-type bodyMarshaler interface{ marshalBody(w *codec.Writer) }
-
-// signBody signs m's body through a pooled scratch writer — the hot-path
-// variant of a.Sign(m.SignedBody()) that allocates nothing at steady state.
-func signBody(a auth.Authenticator, m bodyMarshaler) []byte {
-	w := codec.GetWriter()
-	m.marshalBody(w)
-	sig := a.Sign(w.Bytes())
-	codec.PutWriter(w)
-	return sig
-}
-
-// verifyBody verifies sig over m's body through a pooled scratch writer.
-func verifyBody(a auth.Authenticator, signer types.NodeID, m bodyMarshaler, sig []byte) error {
-	w := codec.GetWriter()
-	m.marshalBody(w)
-	err := a.Verify(signer, w.Bytes(), sig)
-	codec.PutWriter(w)
-	return err
-}
-
-// marker is the marking half of the engine.SignedMessage surface; every
-// signed message embeds codec.Verified and therefore implements it.
-type marker interface {
-	MarkSigVerified()
-	SigVerified() bool
-}
-
-// preVerify checks one signature the process loop would check
-// unconditionally, marking the message on success. False drops the message
-// (indistinguishable from loss).
-func preVerify(a auth.Authenticator, signer types.NodeID, m bodyMarshaler, sig []byte, v marker) bool {
-	if v.SigVerified() {
-		return true
-	}
-	if verifyBody(a, signer, m, sig) != nil {
-		return false
-	}
-	v.MarkSigVerified()
-	return true
-}
-
-// tryMark checks a signature the process loop only verifies conditionally:
-// success marks the message so the loop skips its check, failure leaves it
-// unmarked for the loop to judge. Never drops.
-func tryMark(a auth.Authenticator, signer types.NodeID, m bodyMarshaler, sig []byte, v marker) {
-	if !v.SigVerified() && verifyBody(a, signer, m, sig) == nil {
-		v.MarkSigVerified()
-	}
-}
 
 // InboundVerifier returns the transport-side verification predicate for an
 // ezBFT node (replica or client) in a cluster of n: every signature the
@@ -80,11 +28,11 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 	return func(msg codec.Message) bool {
 		switch m := msg.(type) {
 		case *Request:
-			return preVerify(a, types.ClientNode(m.Cmd.Client), m, m.Sig, m)
+			return engine.VerifySigned(a, types.ClientNode(m.Cmd.Client), m, m.Sig)
 		case *SpecOrder:
 			return preVerifySpecOrder(a, n, m)
 		case *SpecReply:
-			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
+			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *CommitFast:
 			// A malformed certificate is the loop's to drop and count.
 			if len(m.Cert) == 1 && !m.SigVerified() {
@@ -95,56 +43,56 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			}
 			return true
 		case *Commit:
-			if !preVerify(a, types.ClientNode(m.Client), m, m.Sig, m) {
+			if !engine.VerifySigned(a, types.ClientNode(m.Client), m, m.Sig) {
 				return false
 			}
 			// The 2f+1 verifications validateCert would otherwise run serially
 			// on the loop.
 			for _, sr := range m.Cert {
-				if !preVerify(a, types.ReplicaNode(sr.Replica), sr, sr.Sig, sr) {
+				if !engine.VerifySigned(a, types.ReplicaNode(sr.Replica), sr, sr.Sig) {
 					return false
 				}
 			}
 			return true
 		case *CommitReply:
-			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
+			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *ResendReq:
 			// The original leader only verifies the embedded request when it
 			// has not ordered it yet; mark opportunistically, never drop.
-			tryMark(a, types.ClientNode(m.Req.Cmd.Client), &m.Req, m.Req.Sig, &m.Req)
+			engine.TryMarkSigned(a, types.ClientNode(m.Req.Cmd.Client), &m.Req, m.Req.Sig)
 			return true
 		case *StartOwnerChange:
-			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
+			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *OwnerChange:
-			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
+			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *NewOwnerMsg:
-			if !preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m) {
+			if !engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig) {
 				return false
 			}
 			// Proof elements are counted (not all required) in-loop; mark the
 			// valid ones so the count costs no further verification.
 			for _, oc := range m.Proof {
-				tryMark(a, types.ReplicaNode(oc.Replica), oc, oc.Sig, oc)
+				engine.TryMarkSigned(a, types.ReplicaNode(oc.Replica), oc, oc.Sig)
 			}
 			return true
 		case *POM:
 			return preVerifyPOM(a, n, m)
 		case *CheckpointMsg:
-			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
+			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *CatchupReq:
-			return preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m)
+			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *CatchupResp:
-			if !preVerify(a, types.ReplicaNode(m.Replica), m, m.Sig, m) {
+			if !engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig) {
 				return false
 			}
 			// Proof votes are counted (2f+1 of them required, not all) in
 			// the loop; mark the valid ones so the count re-verifies nothing.
 			for _, v := range m.Proof {
-				tryMark(a, types.ReplicaNode(v.Replica), v, v.Sig, v)
+				engine.TryMarkSigned(a, types.ReplicaNode(v.Replica), v, v.Sig)
 			}
 			return true
 		case *SOFetch:
-			return preVerify(a, types.ClientNode(m.Client), m, m.Sig, m)
+			return engine.VerifySigned(a, types.ClientNode(m.Client), m, m.Sig)
 		default:
 			return true
 		}
@@ -174,12 +122,12 @@ func preVerifySpecOrder(a auth.Authenticator, n int, so *SpecOrder) bool {
 		return true
 	}
 	owner := so.Owner.OwnerOf(n)
-	if verifyBody(a, types.ReplicaNode(owner), so, so.Sig) != nil {
+	if engine.VerifyBody(a, types.ReplicaNode(owner), so, so.Sig) != nil {
 		return false
 	}
 	for i := 0; i < so.BatchSize(); i++ {
 		req := so.ReqAt(i)
-		if verifyBody(a, types.ClientNode(req.Cmd.Client), req, req.Sig) != nil {
+		if engine.VerifyBody(a, types.ClientNode(req.Cmd.Client), req, req.Sig) != nil {
 			return false
 		}
 	}
@@ -193,7 +141,7 @@ func preVerifySpecOrder(a auth.Authenticator, n int, so *SpecOrder) bool {
 // (validateFastCert), marked message or not.
 func verifyFastCert(a auth.Authenticator, m *CommitFast) bool {
 	sr := m.Cert[0]
-	if !sr.SigVerified() && verifyBody(a, types.ReplicaNode(sr.Replica), sr, sr.Sig) != nil {
+	if !sr.SigVerified() && engine.VerifyBody(a, types.ReplicaNode(sr.Replica), sr, sr.Sig) != nil {
 		return false
 	}
 	w := codec.GetWriter()
@@ -218,8 +166,8 @@ func preVerifyPOM(a auth.Authenticator, n int, m *POM) bool {
 		return true
 	}
 	owner := m.Owner.OwnerOf(n)
-	if verifyBody(a, types.ReplicaNode(owner), m.A, m.A.Sig) != nil ||
-		verifyBody(a, types.ReplicaNode(owner), m.B, m.B.Sig) != nil {
+	if engine.VerifyBody(a, types.ReplicaNode(owner), m.A, m.A.Sig) != nil ||
+		engine.VerifyBody(a, types.ReplicaNode(owner), m.B, m.B.Sig) != nil {
 		return false
 	}
 	m.MarkSigVerified()

@@ -7,23 +7,17 @@ import (
 
 // OrderingFrame is the surface a batched ordering message (PRE-PREPARE,
 // ORDERREQ, PROPOSE) exposes to the shared transport-side pre-verifier:
-// the frame-level signature, the embedded client requests, and the marker
-// that lets the owning process loop skip re-verification.
+// the frame-level signature over its body, the embedded client requests,
+// and the marker that lets the owning process loop skip re-verification.
 type OrderingFrame interface {
+	SignedMessage
 	// BatchSize returns the number of embedded requests.
 	BatchSize() int
-	// SignedBody returns the bytes the ordering signature covers.
-	SignedBody() []byte
 	// Signature returns the ordering signature.
 	Signature() []byte
-	// RequestAt returns the i'th embedded request's signer and signature
-	// envelope.
-	RequestAt(i int) (client types.ClientID, signedBody, sig []byte)
-	// MarkSigVerified records that every signature checked out, so the
-	// process loop skips the checks.
-	MarkSigVerified()
-	// SigVerified reports whether the frame was already marked.
-	SigVerified() bool
+	// RequestAt returns the i'th embedded request's signer, signed body and
+	// signature.
+	RequestAt(i int) (client types.ClientID, body BodyMarshaler, sig []byte)
 }
 
 // VerifyFrame checks an ordering frame outside the process loop: the
@@ -40,56 +34,15 @@ func VerifyFrame(a auth.Authenticator, signer types.NodeID, f OrderingFrame, max
 	if f.SigVerified() {
 		return true
 	}
-	if a.Verify(signer, f.SignedBody(), f.Signature()) != nil {
+	if VerifyBody(a, signer, f, f.Signature()) != nil {
 		return false
 	}
 	for i := 0; i < f.BatchSize(); i++ {
 		client, body, sig := f.RequestAt(i)
-		if a.Verify(types.ClientNode(client), body, sig) != nil {
+		if VerifyBody(a, types.ClientNode(client), body, sig) != nil {
 			return false
 		}
 	}
 	f.MarkSigVerified()
-	return true
-}
-
-// SignedMessage is any wire message carrying one signature over its
-// deterministic body encoding, with a transport-side verification marker
-// (codec.Verified embedded in the concrete type).
-type SignedMessage interface {
-	// SignedBody returns the bytes the signature covers.
-	SignedBody() []byte
-	// MarkSigVerified marks the message as transport-verified.
-	MarkSigVerified()
-	// SigVerified reports whether the message was already marked.
-	SigVerified() bool
-}
-
-// VerifySigned checks one signed message outside the process loop against
-// its claimed signer and marks it on success — the single-signature
-// counterpart of VerifyFrame, shared by every protocol's inbound
-// pre-verifier. It reports whether the message should be delivered; use it
-// only for signatures the receiving loop checks unconditionally (a false
-// return drops the message).
-func VerifySigned(a auth.Authenticator, signer types.NodeID, m SignedMessage, sig []byte) bool {
-	if m.SigVerified() {
-		return true
-	}
-	if a.Verify(signer, m.SignedBody(), sig) != nil {
-		return false
-	}
-	m.MarkSigVerified()
-	return true
-}
-
-// TryMarkSigned is VerifySigned for signatures the receiving loop checks
-// only conditionally: on success the message is marked (so the conditional
-// in-loop check is skipped), on failure it is left unmarked and still
-// delivered — the loop decides, exactly as it would without a pre-verifier.
-// Always reports true.
-func TryMarkSigned(a auth.Authenticator, signer types.NodeID, m SignedMessage, sig []byte) bool {
-	if !m.SigVerified() && a.Verify(signer, m.SignedBody(), sig) == nil {
-		m.MarkSigVerified()
-	}
 	return true
 }

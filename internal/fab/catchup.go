@@ -52,18 +52,11 @@ func (m *CatchupReq) Tag() uint8 { return tagCatchupReq }
 
 // MarshalTo implements codec.Message.
 func (m *CatchupReq) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *CatchupReq) marshalBody(w *codec.Writer) { w.Int32(int32(m.Replica)) }
-
-// SignedBody returns the bytes the requester signature covers.
-func (m *CatchupReq) SignedBody() []byte {
-	w := codec.NewWriter(16)
-	m.marshalBody(w)
-	return w.Bytes()
-}
+func (m *CatchupReq) MarshalBody(w *codec.Writer) { w.Int32(int32(m.Replica)) }
 
 func decodeCatchupReq(r *codec.Reader) (*CatchupReq, error) {
 	m := &CatchupReq{Replica: types.ReplicaID(r.Int32())}
@@ -100,7 +93,7 @@ func (m *CatchupResp) Tag() uint8 { return tagCatchupResp }
 
 // MarshalTo implements codec.Message.
 func (m *CatchupResp) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	w.Uvarint(uint64(len(m.Proof)))
 	for _, v := range m.Proof {
@@ -108,7 +101,7 @@ func (m *CatchupResp) MarshalTo(w *codec.Writer) {
 	}
 }
 
-func (m *CatchupResp) marshalBody(w *codec.Writer) {
+func (m *CatchupResp) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Replica))
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
@@ -123,13 +116,6 @@ func (m *CatchupResp) marshalBody(w *codec.Writer) {
 			s.Reqs[j].MarshalTo(w)
 		}
 	}
-}
-
-// SignedBody returns the bytes the responder signature covers.
-func (m *CatchupResp) SignedBody() []byte {
-	w := codec.NewWriter(1024)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCatchupResp(r *codec.Reader) (*CatchupResp, error) {
@@ -157,13 +143,11 @@ func decodeCatchupResp(r *codec.Reader) (*CatchupResp, error) {
 		if nReqs == 0 || nReqs > maxBatch {
 			return nil, codec.ErrOverflow
 		}
-		s.Reqs = make([]Request, 0, nReqs)
-		for j := uint64(0); j < nReqs; j++ {
-			req, err := decodeRequest(r)
-			if err != nil {
+		s.Reqs = make([]Request, nReqs)
+		for j := range s.Reqs {
+			if err := decodeRequestInto(r, &s.Reqs[j]); err != nil {
 				return nil, err
 			}
-			s.Reqs = append(s.Reqs, *req)
 		}
 		m.Suffix = append(m.Suffix, s)
 	}
@@ -203,20 +187,13 @@ func (m *Status) Tag() uint8 { return tagStatus }
 
 // MarshalTo implements codec.Message.
 func (m *Status) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Status) marshalBody(w *codec.Writer) {
+func (m *Status) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Replica))
 	w.Uvarint(m.MaxExec)
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *Status) SignedBody() []byte {
-	w := codec.NewWriter(16)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeStatus(r *codec.Reader) (*Status, error) {
@@ -239,7 +216,7 @@ func (r *Replica) armStatusTimer(ctx proc.Context) {
 	r.afterTimer(ctx, 2*r.cfg.ForwardTimeout, func(ctx proc.Context) {
 		st := &Status{Replica: r.cfg.Self, MaxExec: r.maxExec}
 		r.cfg.Costs.ChargeSign(ctx)
-		st.Sig = r.cfg.Auth.Sign(st.SignedBody())
+		st.Sig = engine.SignBody(r.cfg.Auth, st)
 		r.broadcastReplicas(ctx, st)
 		r.armStatusTimer(ctx)
 	})
@@ -256,7 +233,7 @@ func (r *Replica) handleStatus(ctx proc.Context, m *Status) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -292,7 +269,7 @@ func (r *Replica) requestCatchup(ctx proc.Context, st *engine.StableCheckpoint) 
 	r.catchupPending = true
 	req := &CatchupReq{Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	req.Sig = r.cfg.Auth.Sign(req.SignedBody())
+	req.Sig = engine.SignBody(r.cfg.Auth, req)
 	r.send(ctx, types.ReplicaNode(target), req)
 	// Re-issue on silence with jittered exponential backoff (the shared
 	// client-retry discipline, proc.Backoff) at the next voter in rotation.
@@ -318,7 +295,7 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -327,9 +304,9 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 	if st == nil {
 		return
 	}
-	snap, ok := r.snaps[st.Mark]
+	snap, _, ok := r.states.Snapshot(st.Mark)
 	if !ok {
-		return // no retained snapshot for the stable point (non-Snapshotter app)
+		return // no state kept for the stable point (non-Snapshotter app)
 	}
 	resp := &CatchupResp{
 		Replica:  r.cfg.Self,
@@ -355,7 +332,7 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 		resp.Suffix = append(resp.Suffix, CatchupSlot{Seq: seq, Reqs: reqs})
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	resp.Sig = r.cfg.Auth.Sign(resp.SignedBody())
+	resp.Sig = engine.SignBody(r.cfg.Auth, resp)
 	r.send(ctx, types.ReplicaNode(m.Replica), resp)
 	r.stats.CatchupsServed++
 }
@@ -378,7 +355,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -397,7 +374,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 		func(msg codec.Message) (types.ReplicaID, uint64, types.Digest, bool) {
 			ck := msg.(*Checkpoint)
 			valid := ck.SigVerified() ||
-				r.cfg.Auth.Verify(types.ReplicaNode(ck.Replica), ck.SignedBody(), ck.Sig) == nil
+				engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(ck.Replica), ck, ck.Sig) == nil
 			return ck.Replica, ck.Seq, ck.Digest, valid
 		})
 	if !okProof {
@@ -500,7 +477,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 				Result:    s.results[j],
 			}
 			r.cfg.Costs.ChargeSign(ctx)
-			reply.Sig = r.cfg.Auth.Sign(reply.SignedBody())
+			reply.Sig = engine.SignBody(r.cfg.Auth, reply)
 			r.replyCache[key] = reply
 			r.stats.Executed++
 		}
@@ -526,7 +503,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 		// Retain the digest-verified snapshot so this replica can serve
 		// transfers too (a tail response's snapshot bytes were never
 		// verified against the quorum digest — do not serve them).
-		r.snaps[m.Seq] = m.Snapshot
+		r.states.Adopt(m.Seq, m.Snapshot, types.Digest{})
 	}
 	// Anything newly contiguous (buffered proposals above the transfer)
 	// accepts and executes through the regular drain.

@@ -67,17 +67,23 @@ func (m *Request) MarshalTo(w *codec.Writer) {
 	w.Blob(m.Sig)
 }
 
-// SignedBody returns the bytes the client signature covers.
-func (m *Request) SignedBody() []byte {
-	w := codec.NewWriter(64)
+// MarshalBody writes the bytes the client signature covers.
+func (m *Request) MarshalBody(w *codec.Writer) {
 	w.Command(m.Cmd)
-	return w.Bytes()
 }
 
 func decodeRequest(r *codec.Reader) (*Request, error) {
-	m := &Request{Cmd: r.Command()}
+	m := &Request{}
+	return m, decodeRequestInto(r, m)
+}
+
+// decodeRequestInto parses a REQUEST into m, which is where messages that
+// embed requests by value (ordering batches, catch-up suffixes, WAL records)
+// want it.
+func decodeRequestInto(r *codec.Reader, m *Request) error {
+	m.Cmd = r.Command()
 	m.Sig = r.Blob()
-	return m, r.Err()
+	return r.Err()
 }
 
 // Clone returns a copy safe to take while other nodes' verifier pools may
@@ -115,9 +121,9 @@ type Propose struct {
 func (m *Propose) Signature() []byte { return m.Sig }
 
 // RequestAt implements engine.OrderingFrame.
-func (m *Propose) RequestAt(i int) (types.ClientID, []byte, []byte) {
+func (m *Propose) RequestAt(i int) (types.ClientID, engine.BodyMarshaler, []byte) {
 	req := m.ReqAt(i)
-	return req.Cmd.Client, req.SignedBody(), req.Sig
+	return req.Cmd.Client, req, req.Sig
 }
 
 // BatchSize returns the number of requests this PROPOSE orders.
@@ -141,7 +147,7 @@ func (m *Propose) Tag() uint8 {
 
 // MarshalTo implements codec.Message.
 func (m *Propose) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	m.Req.MarshalTo(w)
 	if len(m.Batch) > 0 {
@@ -152,17 +158,10 @@ func (m *Propose) MarshalTo(w *codec.Writer) {
 	}
 }
 
-func (m *Propose) marshalBody(w *codec.Writer) {
+func (m *Propose) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.CmdDigest)
-}
-
-// SignedBody returns the bytes the leader signature covers.
-func (m *Propose) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodePropose(r *codec.Reader) (*Propose, error) {
@@ -174,11 +173,9 @@ func decodePropose(r *codec.Reader) (*Propose, error) {
 func decodeProposeFmt(r *codec.Reader, batched bool) (*Propose, error) {
 	m := &Propose{View: r.Uvarint(), Seq: r.Uvarint(), CmdDigest: r.Bytes32()}
 	m.Sig = r.Blob()
-	req, err := decodeRequest(r)
-	if err != nil {
+	if err := decodeRequestInto(r, &m.Req); err != nil {
 		return nil, err
 	}
-	m.Req = *req
 	if batched {
 		n := r.Uvarint()
 		if err := r.Err(); err != nil {
@@ -187,13 +184,11 @@ func decodeProposeFmt(r *codec.Reader, batched bool) (*Propose, error) {
 		if n == 0 || n > maxBatch-2 {
 			return nil, codec.ErrOverflow
 		}
-		m.Batch = make([]Request, 0, n)
-		for i := uint64(0); i < n; i++ {
-			extra, err := decodeRequest(r)
-			if err != nil {
+		m.Batch = make([]Request, n)
+		for i := range m.Batch {
+			if err := decodeRequestInto(r, &m.Batch[i]); err != nil {
 				return nil, err
 			}
-			m.Batch = append(m.Batch, *extra)
 		}
 	}
 	return m, r.Err()
@@ -215,22 +210,15 @@ func (m *Accept) Tag() uint8 { return tagAccept }
 
 // MarshalTo implements codec.Message.
 func (m *Accept) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Accept) marshalBody(w *codec.Writer) {
+func (m *Accept) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.CmdDigest)
 	w.Int32(int32(m.Replica))
-}
-
-// SignedBody returns the bytes the acceptor signature covers.
-func (m *Accept) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeAccept(r *codec.Reader) (*Accept, error) {
@@ -261,24 +249,17 @@ func (m *Reply) Tag() uint8 { return tagReply }
 
 // MarshalTo implements codec.Message.
 func (m *Reply) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Reply) marshalBody(w *codec.Writer) {
+func (m *Reply) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Timestamp)
 	w.Int32(int32(m.Client))
 	w.Int32(int32(m.Replica))
 	w.Bool(m.Result.OK)
 	w.Blob(m.Result.Value)
-}
-
-// SignedBody returns the bytes the learner signature covers.
-func (m *Reply) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeReply(r *codec.Reader) (*Reply, error) {
@@ -313,12 +294,10 @@ func (m *Suspect) MarshalTo(w *codec.Writer) {
 	w.Blob(m.Sig)
 }
 
-// SignedBody returns the bytes the replica signature covers.
-func (m *Suspect) SignedBody() []byte {
-	w := codec.NewWriter(16)
+// MarshalBody writes the bytes the replica signature covers.
+func (m *Suspect) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Int32(int32(m.Replica))
-	return w.Bytes()
 }
 
 func decodeSuspect(r *codec.Reader) (*Suspect, error) {
@@ -349,13 +328,11 @@ func (m *NewLeader) MarshalTo(w *codec.Writer) {
 	w.Blob(m.Sig)
 }
 
-// SignedBody returns the bytes the new leader's signature covers.
-func (m *NewLeader) SignedBody() []byte {
-	w := codec.NewWriter(16)
+// MarshalBody writes the bytes the new leader's signature covers.
+func (m *NewLeader) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Int32(int32(m.Replica))
 	w.Uvarint(m.MaxSeq)
-	return w.Bytes()
 }
 
 func decodeNewLeader(r *codec.Reader) (*NewLeader, error) {
@@ -462,9 +439,9 @@ type Replica struct {
 	truncated   uint64
 	window      *engine.RequestWindow
 
-	// State transfer (see catchup.go): snapshots retained per checkpoint
-	// boundary and the single-flight request state.
-	snaps           map[uint64][]byte
+	// State transfer (see catchup.go): the application states kept at
+	// recent checkpoint boundaries and the single-flight request state.
+	states          *engine.StateKeeper
 	catchupPending  bool
 	catchupAttempts uint64
 	catchupRetries  int
@@ -531,10 +508,10 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		forwarded:  make(map[cmdKey]proc.TimerID),
 		timerAct:   make(map[proc.TimerID]func(ctx proc.Context)),
 		suspects:   make(map[uint64]map[types.ReplicaID]bool),
-		snaps:      make(map[uint64][]byte),
 	}
 	r.window = engine.NewRequestWindow(r.releaseRequest)
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
+	r.states = engine.NewStateKeeper(cfg.App, cfg.CheckpointInterval)
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	r.batcher.SetAdaptive(cfg.BatchAdaptive)
 	for i := 0; i < cfg.N; i++ {
@@ -668,7 +645,7 @@ func (r *Replica) handleRequest(ctx proc.Context, m *Request) {
 	// paper's calibrated per-request admission cost.
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerifyClient(ctx)
-		if err := r.cfg.Auth.Verify(types.ClientNode(m.Cmd.Client), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(m.Cmd.Client), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -745,7 +722,7 @@ func (r *Replica) flushBatch(ctx proc.Context, reqs []*Request) {
 	}
 	r.cfg.Costs.ChargeAdmitInstance(ctx)
 	r.cfg.Costs.ChargeSign(ctx)
-	pro.Sig = r.cfg.Auth.Sign(pro.SignedBody())
+	pro.Sig = engine.SignBody(r.cfg.Auth, pro)
 	r.stats.Proposed++
 	r.broadcastReplicas(ctx, pro)
 	r.acceptPropose(ctx, pro, digests)
@@ -769,13 +746,13 @@ func (r *Replica) handlePropose(ctx proc.Context, m *Propose) {
 		// requests are MAC-checked (microseconds). Batching amortizes the
 		// expensive check across the whole batch.
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(leader), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(leader), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
 		for i := range digests {
 			req := m.ReqAt(i)
-			if err := r.cfg.Auth.Verify(types.ClientNode(req.Cmd.Client), req.SignedBody(), req.Sig); err != nil {
+			if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(req.Cmd.Client), req, req.Sig); err != nil {
 				r.stats.DroppedInvalid++
 				return
 			}
@@ -859,7 +836,7 @@ func (r *Replica) acceptPropose(ctx proc.Context, m *Propose, digests []types.Di
 
 	acc := &Accept{View: m.View, Seq: m.Seq, CmdDigest: m.CmdDigest, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	acc.Sig = r.cfg.Auth.Sign(acc.SignedBody())
+	acc.Sig = engine.SignBody(r.cfg.Auth, acc)
 	r.stats.Accepted++
 	r.broadcastReplicas(ctx, acc)
 	s.accepts[r.cfg.Self] = true
@@ -872,7 +849,7 @@ func (r *Replica) handleAccept(ctx proc.Context, m *Accept) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -918,7 +895,7 @@ func (r *Replica) checkLearned(ctx proc.Context, s *slotState) {
 				Result:    next.results[i],
 			}
 			r.cfg.Costs.ChargeSign(ctx)
-			reply.Sig = r.cfg.Auth.Sign(reply.SignedBody())
+			reply.Sig = engine.SignBody(r.cfg.Auth, reply)
 			r.replyCache[cmdKey{cmd.Client, cmd.Timestamp}] = reply
 			r.send(ctx, types.ClientNode(cmd.Client), reply)
 		}
@@ -934,7 +911,7 @@ func (r *Replica) checkLearned(ctx proc.Context, s *slotState) {
 func (r *Replica) voteSuspect(ctx proc.Context) {
 	sus := &Suspect{View: r.view, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	sus.Sig = r.cfg.Auth.Sign(sus.SignedBody())
+	sus.Sig = engine.SignBody(r.cfg.Auth, sus)
 	r.broadcastReplicas(ctx, sus)
 	r.recordSuspect(ctx, r.view, r.cfg.Self)
 }
@@ -945,7 +922,7 @@ func (r *Replica) handleSuspect(ctx proc.Context, m *Suspect) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -967,7 +944,7 @@ func (r *Replica) recordSuspect(ctx proc.Context, view uint64, from types.Replic
 	if leaderOf(newView, r.n) == r.cfg.Self {
 		nl := &NewLeader{View: newView, Replica: r.cfg.Self, MaxSeq: r.maxExec}
 		r.cfg.Costs.ChargeSign(ctx)
-		nl.Sig = r.cfg.Auth.Sign(nl.SignedBody())
+		nl.Sig = engine.SignBody(r.cfg.Auth, nl)
 		r.broadcastReplicas(ctx, nl)
 		r.applyNewLeader(nl)
 	}
@@ -979,7 +956,7 @@ func (r *Replica) handleNewLeader(ctx proc.Context, m *NewLeader) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -1231,7 +1208,7 @@ func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
 	cmd.Timestamp = ts
 	req := &Request{Cmd: cmd}
 	c.cfg.Costs.ChargeSign(ctx)
-	req.Sig = c.cfg.Auth.Sign(req.SignedBody())
+	req.Sig = engine.SignBody(c.cfg.Auth, req)
 	c.pending[ts] = &pendingReq{
 		cmd:     cmd,
 		req:     req,
@@ -1256,7 +1233,7 @@ func (c *Client) Receive(ctx proc.Context, from types.NodeID, msg codec.Message)
 	}
 	if !m.SigVerified() {
 		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := c.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			return
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
@@ -33,23 +34,23 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 
 	request := func() *Request {
 		m := &Request{Cmd: types.Command{Client: 5, Timestamp: 1, Op: types.OpPut, Key: "k", Value: []byte("v")}}
-		m.Sig = cauth(5).Sign(m.SignedBody())
+		m.Sig = engine.SignBody(cauth(5), m)
 		return m
 	}
 	propose := func() *Propose {
 		req := request()
 		pro := &Propose{View: 0, Seq: 1, CmdDigest: req.Cmd.Digest(), Req: *req}
-		pro.Sig = rauth(0).Sign(pro.SignedBody())
+		pro.Sig = engine.SignBody(rauth(0), pro)
 		return pro
 	}
 	accept := func() *Accept {
 		acc := &Accept{View: 0, Seq: 1, CmdDigest: request().Cmd.Digest(), Replica: 2}
-		acc.Sig = rauth(2).Sign(acc.SignedBody())
+		acc.Sig = engine.SignBody(rauth(2), acc)
 		return acc
 	}
 	suspect := func() *Suspect {
 		s := &Suspect{View: 0, Replica: 2}
-		s.Sig = rauth(2).Sign(s.SignedBody())
+		s.Sig = engine.SignBody(rauth(2), s)
 		return s
 	}
 

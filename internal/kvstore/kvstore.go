@@ -16,13 +16,32 @@
 // Snapshot, Restore, Rollback, Len) take every stripe in index order, so
 // they remain atomic with respect to in-flight per-key operations and their
 // output stays byte-identical to the single-mutex implementation.
+//
+// Cost model of the whole-store operations. Digest and Snapshot visit the
+// keys in sorted order; the store keeps that order as an index built on
+// their first call and maintained incrementally after it (a key new to the
+// final state is queued under its stripe's lock and merged in on the next
+// whole-store call), so neither re-sorts nor allocates key slices, and
+// Digest allocates nothing at steady state. A store that was never
+// digested or snapshotted keeps no index: ezBFT, whose CHECKPOINT votes an
+// execution digest and which snapshots only to serve a transfer, pays
+// nothing on its loop. The store is also a types.Retainer: Retain pins the
+// current final state in O(1) by keeping, per stripe, an undo record
+// (key, previous value, existed) of every final write made while any state
+// is retained; serializing a retained state replays those records over the
+// current state. The records exist only while a state is retained, their
+// storage is reused, and Restore drops them along with every retained
+// state. PBFT, Zyzzyva and FaB retain a state at each checkpoint
+// (engine.StateKeeper) and serialize it only to serve a state transfer or
+// cut a durable snapshot.
 package kvstore
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"sort"
+	"hash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,11 +54,27 @@ import (
 const numStripes = 32
 
 // stripe is one lock-partition of the store: final state plus the
-// speculative overlay for the keys that hash here.
+// speculative overlay for the keys that hash here, and the bookkeeping the
+// whole-store operations keep on the final state's writes (see the package
+// comment). Final values are never modified in place, so an undo record
+// keeps the previous value itself, not a copy.
 type stripe struct {
 	mu    sync.RWMutex
 	final map[string][]byte
 	spec  map[string][]byte // overlay; reads fall through to final
+
+	indexed   bool         // the store keeps a key index: queue new keys in added
+	added     []string     // keys new to final since the index was last merged
+	retaining bool         // some state is retained: record overwrites in undo
+	undo      []undoRecord // final writes since the oldest retained state
+}
+
+// undoRecord is one final write as seen from before it: the key's previous
+// value and whether the key existed at all.
+type undoRecord struct {
+	key     string
+	prev    []byte
+	existed bool
 }
 
 // Store is a speculative key-value store, safe for one writer (the owning
@@ -49,6 +84,15 @@ type stripe struct {
 type Store struct {
 	stripes [numStripes]stripe
 
+	// The whole-store state below is touched only with every stripe locked
+	// exclusively.
+	indexed  bool
+	keys     []string // sorted final keys, once indexed
+	merge    []string // scratch: newly added keys being merged into keys
+	hash     hash.Hash
+	scratch  []byte
+	retained []*retainedState // live retained states, oldest first
+
 	finalExecs atomic.Uint64
 	specExecs  atomic.Uint64
 	rollbacks  atomic.Uint64
@@ -57,7 +101,7 @@ type Store struct {
 var (
 	_ types.SpeculativeApplication = (*Store)(nil)
 	_ types.ConcurrentApplication  = (*Store)(nil)
-	_ types.Snapshotter            = (*Store)(nil)
+	_ types.Retainer               = (*Store)(nil)
 )
 
 // New returns an empty store.
@@ -199,39 +243,24 @@ func (s *Store) Len() int {
 // Digest returns a deterministic digest of the final state, used for
 // checkpoint certificates and state cross-checks between replicas. The
 // output is a function of the key-value contents only — independent of the
-// stripe layout, and byte-identical to the pre-striping implementation.
+// stripe layout, and byte-identical to the pre-striping implementation:
+// SHA-256 over every (key, value) entry in key order, each as in Snapshot.
 func (s *Store) Digest() types.Digest {
-	s.rlockAll()
-	defer s.runlockAll()
-	keys := make([]string, 0, s.lenLocked())
-	for i := range s.stripes {
-		for k := range s.stripes[i].final {
-			keys = append(keys, k)
-		}
+	s.lockAll()
+	defer s.unlockAll()
+	s.syncIndexLocked()
+	if s.hash == nil {
+		s.hash = sha256.New()
 	}
-	sort.Strings(keys)
-	h := sha256.New()
-	var lenBuf [8]byte
-	for _, k := range keys {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(k)))
-		h.Write(lenBuf[:])
-		h.Write([]byte(k))
-		v := s.stripes[stripeIndex(k)].final[k]
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(v)))
-		h.Write(lenBuf[:])
-		h.Write(v)
+	s.hash.Reset()
+	for _, k := range s.keys {
+		s.scratch = appendEntry(s.scratch[:0], k, s.stripes[stripeIndex(k)].final[k])
+		s.hash.Write(s.scratch)
 	}
+	s.scratch = s.hash.Sum(s.scratch[:0])
 	var d types.Digest
-	copy(d[:], h.Sum(nil))
+	copy(d[:], s.scratch)
 	return d
-}
-
-func (s *Store) lenLocked() int {
-	n := 0
-	for i := range s.stripes {
-		n += len(s.stripes[i].final)
-	}
-	return n
 }
 
 // Snapshot implements types.Snapshotter: a deterministic serialization of
@@ -239,35 +268,188 @@ func (s *Store) lenLocked() int {
 // state transfer. The speculative overlay is deliberately excluded — it is
 // replica-local and discarded on Restore anyway.
 func (s *Store) Snapshot() []byte {
-	s.rlockAll()
-	defer s.runlockAll()
-	keys := make([]string, 0, s.lenLocked())
-	size := 8
+	s.lockAll()
+	defer s.unlockAll()
+	s.syncIndexLocked()
+	return s.serializeLocked(nil)
+}
+
+// Retain implements types.Retainer: it pins the current final state in
+// O(1) by marking where each stripe's undo records for it begin.
+func (s *Store) Retain() types.Retained {
+	s.lockAll()
+	defer s.unlockAll()
+	rs := &retainedState{s: s, live: true}
 	for i := range s.stripes {
-		for k, v := range s.stripes[i].final {
-			keys = append(keys, k)
+		st := &s.stripes[i]
+		rs.start[i] = len(st.undo)
+		st.retaining = true
+	}
+	s.retained = append(s.retained, rs)
+	return rs
+}
+
+// retainedState is one state pinned by Retain: the final state as it is
+// now, minus the undo records from start onwards. Its fields other than s
+// are guarded by the store's stripe locks.
+type retainedState struct {
+	s     *Store
+	live  bool
+	start [numStripes]int
+}
+
+// Snapshot implements types.Retained.
+func (r *retainedState) Snapshot() ([]byte, bool) {
+	s := r.s
+	s.lockAll()
+	defer s.unlockAll()
+	if !r.live {
+		return nil, false
+	}
+	s.syncIndexLocked()
+	// The first record of a key since the retention is its state then.
+	then := make(map[string]undoRecord)
+	for i := range s.stripes {
+		for _, u := range s.stripes[i].undo[r.start[i]:] {
+			if _, seen := then[u.key]; !seen {
+				then[u.key] = u
+			}
+		}
+	}
+	return s.serializeLocked(then), true
+}
+
+// Release implements types.Retained: the undo records no remaining
+// retained state needs are discarded, their storage kept for reuse.
+func (r *retainedState) Release() {
+	s := r.s
+	s.lockAll()
+	defer s.unlockAll()
+	if !r.live {
+		return
+	}
+	r.live = false
+	s.retained = slices.DeleteFunc(s.retained, func(o *retainedState) bool { return o == r })
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		cut := len(st.undo)
+		for _, o := range s.retained {
+			cut = min(cut, o.start[i])
+		}
+		n := copy(st.undo, st.undo[cut:])
+		clear(st.undo[n:])
+		st.undo = st.undo[:n]
+		for _, o := range s.retained {
+			o.start[i] -= cut
+		}
+		st.retaining = len(s.retained) > 0
+	}
+}
+
+// dropRetainedLocked forgets every retained state (Restore replaced the
+// state they were reconstructed from).
+func (s *Store) dropRetainedLocked() {
+	for _, r := range s.retained {
+		r.live = false
+	}
+	clear(s.retained)
+	s.retained = s.retained[:0]
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		clear(st.undo)
+		st.undo = st.undo[:0]
+		st.retaining = false
+	}
+}
+
+// syncIndexLocked brings the sorted key index up to date: built from
+// scratch on first use, afterwards by merging the keys queued since.
+func (s *Store) syncIndexLocked() {
+	if !s.indexed {
+		s.indexed = true
+		s.rebuildIndexLocked()
+		return
+	}
+	s.merge = s.merge[:0]
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		s.merge = append(s.merge, st.added...)
+		clear(st.added)
+		st.added = st.added[:0]
+	}
+	if len(s.merge) == 0 {
+		return
+	}
+	slices.Sort(s.merge)
+	// Merge from the back, so the index grows in place.
+	i, j := len(s.keys)-1, len(s.merge)-1
+	s.keys = slices.Grow(s.keys, len(s.merge))[:len(s.keys)+len(s.merge)]
+	for k := len(s.keys) - 1; j >= 0; k-- {
+		if i >= 0 && s.keys[i] > s.merge[j] {
+			s.keys[k] = s.keys[i]
+			i--
+		} else {
+			s.keys[k] = s.merge[j]
+			j--
+		}
+	}
+	clear(s.merge)
+}
+
+// rebuildIndexLocked rebuilds the index from the final maps.
+func (s *Store) rebuildIndexLocked() {
+	s.keys = s.keys[:0]
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		for k := range st.final {
+			s.keys = append(s.keys, k)
+		}
+		st.indexed = true
+		clear(st.added)
+		st.added = st.added[:0]
+	}
+	slices.Sort(s.keys)
+}
+
+// serializeLocked writes the final state in Snapshot's format, as it was
+// before the writes recorded in then (nil: as it is now). The index must be
+// in sync; no key is ever deleted except by Restore, so the keys of any
+// retained state are among the current ones.
+func (s *Store) serializeLocked(then map[string]undoRecord) []byte {
+	count, size := 0, 8
+	for _, k := range s.keys {
+		if v, ok := s.valueLocked(k, then); ok {
+			count++
 			size += 16 + len(k) + len(v)
 		}
 	}
-	sort.Strings(keys)
 	out := make([]byte, 0, size)
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(keys)))
-	out = append(out, lenBuf[:]...)
-	for _, k := range keys {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(k)))
-		out = append(out, lenBuf[:]...)
-		out = append(out, k...)
-		v := s.stripes[stripeIndex(k)].final[k]
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(v)))
-		out = append(out, lenBuf[:]...)
-		out = append(out, v...)
+	out = binary.BigEndian.AppendUint64(out, uint64(count))
+	for _, k := range s.keys {
+		if v, ok := s.valueLocked(k, then); ok {
+			out = appendEntry(out, k, v)
+		}
 	}
 	return out
 }
 
+func (s *Store) valueLocked(k string, then map[string]undoRecord) ([]byte, bool) {
+	if u, ok := then[k]; ok {
+		return u.prev, u.existed
+	}
+	return s.stripes[stripeIndex(k)].final[k], true
+}
+
+// appendEntry appends one length-prefixed (key, value) entry.
+func appendEntry(b []byte, k string, v []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(k)))
+	b = append(b, k...)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(v)))
+	return append(b, v...)
+}
+
 // Restore implements types.Snapshotter: replace the final state with the
-// snapshot's and clear the speculative overlay.
+// snapshot's, clear the speculative overlay and drop every retained state.
 func (s *Store) Restore(snap []byte) error {
 	if len(snap) < 8 {
 		return errors.New("kvstore: short snapshot")
@@ -307,12 +489,16 @@ func (s *Store) Restore(snap []byte) error {
 	}
 	s.lockAll()
 	defer s.unlockAll()
+	s.dropRetainedLocked()
 	for i := range s.stripes {
 		s.stripes[i].final = make(map[string][]byte)
 		s.stripes[i].spec = make(map[string][]byte)
 	}
 	for k, v := range final {
 		s.stripes[stripeIndex(k)].final[k] = v
+	}
+	if s.indexed {
+		s.rebuildIndexLocked()
 	}
 	return nil
 }
@@ -324,7 +510,18 @@ func (st *stripe) finalRead(key string) ([]byte, bool) {
 	return v, ok
 }
 
-func (st *stripe) finalWrite(key string, v []byte) { st.final[key] = v }
+func (st *stripe) finalWrite(key string, v []byte) {
+	if st.indexed || st.retaining {
+		prev, existed := st.final[key]
+		if st.retaining {
+			st.undo = append(st.undo, undoRecord{key: key, prev: prev, existed: existed})
+		}
+		if st.indexed && !existed {
+			st.added = append(st.added, key)
+		}
+	}
+	st.final[key] = v
+}
 
 func (st *stripe) specRead(key string) ([]byte, bool) {
 	if v, ok := st.spec[key]; ok {

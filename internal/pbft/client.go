@@ -6,6 +6,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
 	"ezbft/internal/workload"
@@ -109,7 +110,7 @@ func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
 	cmd.Timestamp = ts
 	req := &Request{Cmd: cmd}
 	c.cfg.Costs.ChargeSign(ctx)
-	req.Sig = c.cfg.Auth.Sign(req.SignedBody())
+	req.Sig = engine.SignBody(c.cfg.Auth, req)
 	c.pending[ts] = &pendingReq{
 		cmd:     cmd,
 		req:     req,
@@ -134,7 +135,7 @@ func (c *Client) Receive(ctx proc.Context, from types.NodeID, msg codec.Message)
 	}
 	if !m.SigVerified() {
 		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := c.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			return
 		}
 	}

@@ -133,8 +133,11 @@ func (r *Replica) walView(view uint64) {
 // persistSnapshot cuts a durable snapshot at the current stable checkpoint
 // and truncates the WAL below it. Suppressed during recovery: cutting a
 // snapshot over partially rebuilt state would delete the WAL it is being
-// rebuilt from. Like the ezBFT mirror, the cut runs synchronously in the
-// handler — a periodic stall proportional to the application state size.
+// rebuilt from. A checkpoint itself costs the loop O(1) for an application
+// that retains its state (engine.StateKeeper); the state is serialized
+// here, synchronously in the handler, so only a replica with a store pays a
+// stall proportional to the application state size, once per stable
+// checkpoint.
 func (r *Replica) persistSnapshot() {
 	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
 		return
@@ -143,7 +146,7 @@ func (r *Replica) persistSnapshot() {
 	if st == nil {
 		return
 	}
-	appSnap, ok := r.snaps[st.Mark]
+	appSnap, _, ok := r.states.Snapshot(st.Mark)
 	if !ok {
 		return // non-Snapshotter application: WAL-only durability
 	}
@@ -276,12 +279,11 @@ func (r *Replica) restoreSnapshot(data []byte) {
 		if rd.Err() != nil || nReqs == 0 || nReqs > maxBatch {
 			return
 		}
-		for j := uint64(0); j < nReqs; j++ {
-			req, err := decodeRequest(rd)
-			if err != nil {
+		ss.reqs = make([]Request, nReqs)
+		for j := range ss.reqs {
+			if decodeRequestInto(rd, &ss.reqs[j]) != nil {
 				return
 			}
-			ss.reqs = append(ss.reqs, *req)
 		}
 		slots = append(slots, ss)
 	}
@@ -302,7 +304,7 @@ func (r *Replica) restoreSnapshot(data []byte) {
 	for _, ck := range votes {
 		r.ckpt.Record(0, ck.Seq, ck.Replica, ck.Digest, ck)
 	}
-	r.snaps[mark] = appSnap
+	r.states.Adopt(mark, appSnap, types.Digest{})
 	for _, ss := range slots {
 		r.installRecoveredSlot(ss.seq, ss.view, ss.reqs, ss.flags&1 != 0, ss.flags&2 != 0)
 	}
@@ -355,13 +357,11 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 		if rd.Err() != nil || nReqs == 0 || nReqs > maxBatch {
 			return
 		}
-		reqs := make([]Request, 0, nReqs)
-		for i := uint64(0); i < nReqs; i++ {
-			req, err := decodeRequest(rd)
-			if err != nil {
+		reqs := make([]Request, nReqs)
+		for i := range reqs {
+			if decodeRequestInto(rd, &reqs[i]) != nil {
 				return
 			}
-			reqs = append(reqs, *req)
 		}
 		if s, ok := r.slots[seq]; ok && s.view > view {
 			return // a later view superseded this proposal

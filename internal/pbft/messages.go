@@ -9,6 +9,7 @@ package pbft
 
 import (
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/types"
 )
 
@@ -60,17 +61,23 @@ func (m *Request) MarshalTo(w *codec.Writer) {
 	w.Blob(m.Sig)
 }
 
-// SignedBody returns the bytes the client signature covers.
-func (m *Request) SignedBody() []byte {
-	w := codec.NewWriter(64)
+// MarshalBody writes the bytes the client signature covers.
+func (m *Request) MarshalBody(w *codec.Writer) {
 	w.Command(m.Cmd)
-	return w.Bytes()
 }
 
 func decodeRequest(r *codec.Reader) (*Request, error) {
-	m := &Request{Cmd: r.Command()}
+	m := &Request{}
+	return m, decodeRequestInto(r, m)
+}
+
+// decodeRequestInto parses a REQUEST into m, which is where messages that
+// embed requests by value (ordering batches, catch-up suffixes, WAL records)
+// want it.
+func decodeRequestInto(r *codec.Reader, m *Request) error {
+	m.Cmd = r.Command()
 	m.Sig = r.Blob()
-	return m, r.Err()
+	return r.Err()
 }
 
 // PrePrepare is the primary's ordering proposal ⟨PRE-PREPARE, v, n, d⟩σp, m.
@@ -97,9 +104,9 @@ type PrePrepare struct {
 func (m *PrePrepare) Signature() []byte { return m.Sig }
 
 // RequestAt implements engine.OrderingFrame.
-func (m *PrePrepare) RequestAt(i int) (types.ClientID, []byte, []byte) {
+func (m *PrePrepare) RequestAt(i int) (types.ClientID, engine.BodyMarshaler, []byte) {
 	req := m.ReqAt(i)
-	return req.Cmd.Client, req.SignedBody(), req.Sig
+	return req.Cmd.Client, req, req.Sig
 }
 
 // BatchSize returns the number of requests this PRE-PREPARE orders.
@@ -123,7 +130,7 @@ func (m *PrePrepare) Tag() uint8 {
 
 // MarshalTo implements codec.Message.
 func (m *PrePrepare) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	m.Req.MarshalTo(w)
 	if len(m.Batch) > 0 {
@@ -134,17 +141,10 @@ func (m *PrePrepare) MarshalTo(w *codec.Writer) {
 	}
 }
 
-func (m *PrePrepare) marshalBody(w *codec.Writer) {
+func (m *PrePrepare) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.CmdDigest)
-}
-
-// SignedBody returns the bytes the primary signature covers.
-func (m *PrePrepare) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodePrePrepare(r *codec.Reader) (*PrePrepare, error) {
@@ -160,11 +160,9 @@ func decodePrePrepareFmt(r *codec.Reader, batched bool) (*PrePrepare, error) {
 		CmdDigest: r.Bytes32(),
 	}
 	m.Sig = r.Blob()
-	req, err := decodeRequest(r)
-	if err != nil {
+	if err := decodeRequestInto(r, &m.Req); err != nil {
 		return nil, err
 	}
-	m.Req = *req
 	if batched {
 		n := r.Uvarint()
 		if err := r.Err(); err != nil {
@@ -173,13 +171,11 @@ func decodePrePrepareFmt(r *codec.Reader, batched bool) (*PrePrepare, error) {
 		if n == 0 || n > maxBatch-2 {
 			return nil, codec.ErrOverflow
 		}
-		m.Batch = make([]Request, 0, n)
-		for i := uint64(0); i < n; i++ {
-			extra, err := decodeRequest(r)
-			if err != nil {
+		m.Batch = make([]Request, n)
+		for i := range m.Batch {
+			if err := decodeRequestInto(r, &m.Batch[i]); err != nil {
 				return nil, err
 			}
-			m.Batch = append(m.Batch, *extra)
 		}
 	}
 	return m, r.Err()
@@ -201,22 +197,15 @@ func (m *Prepare) Tag() uint8 { return tagPrepare }
 
 // MarshalTo implements codec.Message.
 func (m *Prepare) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Prepare) marshalBody(w *codec.Writer) {
+func (m *Prepare) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.CmdDigest)
 	w.Int32(int32(m.Replica))
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *Prepare) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodePrepare(r *codec.Reader) (*Prepare, error) {
@@ -246,22 +235,15 @@ func (m *Commit) Tag() uint8 { return tagCommit }
 
 // MarshalTo implements codec.Message.
 func (m *Commit) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Commit) marshalBody(w *codec.Writer) {
+func (m *Commit) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.CmdDigest)
 	w.Int32(int32(m.Replica))
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *Commit) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCommit(r *codec.Reader) (*Commit, error) {
@@ -292,24 +274,17 @@ func (m *Reply) Tag() uint8 { return tagReply }
 
 // MarshalTo implements codec.Message.
 func (m *Reply) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Reply) marshalBody(w *codec.Writer) {
+func (m *Reply) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Timestamp)
 	w.Int32(int32(m.Client))
 	w.Int32(int32(m.Replica))
 	w.Bool(m.Result.OK)
 	w.Blob(m.Result.Value)
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *Reply) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeReply(r *codec.Reader) (*Reply, error) {
@@ -340,21 +315,14 @@ func (m *Checkpoint) Tag() uint8 { return tagCheckpoint }
 
 // MarshalTo implements codec.Message.
 func (m *Checkpoint) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Checkpoint) marshalBody(w *codec.Writer) {
+func (m *Checkpoint) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.Digest)
 	w.Int32(int32(m.Replica))
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *Checkpoint) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCheckpoint(r *codec.Reader) (*Checkpoint, error) {
@@ -424,13 +392,11 @@ func decodeVCEntry(r *codec.Reader) (VCEntry, error) {
 		if n == 0 || n > maxBatch-2 {
 			return e, codec.ErrOverflow
 		}
-		e.Extra = make([]Request, 0, n)
-		for i := uint64(0); i < n; i++ {
-			req, err := decodeRequest(r)
-			if err != nil {
+		e.Extra = make([]Request, n)
+		for i := range e.Extra {
+			if err := decodeRequestInto(r, &e.Extra[i]); err != nil {
 				return e, err
 			}
-			e.Extra = append(e.Extra, *req)
 		}
 	}
 	return e, r.Err()
@@ -459,11 +425,11 @@ func (m *ViewChange) Tag() uint8 { return tagViewChange }
 
 // MarshalTo implements codec.Message.
 func (m *ViewChange) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *ViewChange) marshalBody(w *codec.Writer) {
+func (m *ViewChange) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.NewView)
 	w.Int32(int32(m.Replica))
 	w.Uvarint(m.MaxSeq)
@@ -471,13 +437,6 @@ func (m *ViewChange) marshalBody(w *codec.Writer) {
 	for i := range m.Entries {
 		m.Entries[i].marshalTo(w)
 	}
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *ViewChange) SignedBody() []byte {
-	w := codec.NewWriter(128)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeViewChange(r *codec.Reader) (*ViewChange, error) {
@@ -520,24 +479,17 @@ func (m *NewView) Tag() uint8 { return tagNewView }
 
 // MarshalTo implements codec.Message.
 func (m *NewView) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *NewView) marshalBody(w *codec.Writer) {
+func (m *NewView) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Int32(int32(m.Replica))
 	w.Uvarint(uint64(len(m.Entries)))
 	for i := range m.Entries {
 		m.Entries[i].marshalTo(w)
 	}
-}
-
-// SignedBody returns the bytes the new primary's signature covers.
-func (m *NewView) SignedBody() []byte {
-	w := codec.NewWriter(128)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeNewView(r *codec.Reader) (*NewView, error) {

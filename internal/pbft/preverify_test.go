@@ -7,6 +7,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
@@ -33,28 +34,28 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 
 	request := func() *Request {
 		m := &Request{Cmd: types.Command{Client: 5, Timestamp: 1, Op: types.OpPut, Key: "k", Value: []byte("v")}}
-		m.Sig = cauth(5).Sign(m.SignedBody())
+		m.Sig = engine.SignBody(cauth(5), m)
 		return m
 	}
 	prePrepare := func() *PrePrepare {
 		req := request()
 		pp := &PrePrepare{View: 0, Seq: 1, CmdDigest: req.Cmd.Digest(), Req: *req}
-		pp.Sig = rauth(0).Sign(pp.SignedBody())
+		pp.Sig = engine.SignBody(rauth(0), pp)
 		return pp
 	}
 	prepare := func() *Prepare {
 		p := &Prepare{View: 0, Seq: 1, CmdDigest: request().Cmd.Digest(), Replica: 2}
-		p.Sig = rauth(2).Sign(p.SignedBody())
+		p.Sig = engine.SignBody(rauth(2), p)
 		return p
 	}
 	commit := func() *Commit {
 		c := &Commit{View: 0, Seq: 1, CmdDigest: request().Cmd.Digest(), Replica: 2}
-		c.Sig = rauth(2).Sign(c.SignedBody())
+		c.Sig = engine.SignBody(rauth(2), c)
 		return c
 	}
 	checkpoint := func() *Checkpoint {
 		ck := &Checkpoint{Seq: 128, Digest: types.Digest{1}, Replica: 2}
-		ck.Sig = rauth(2).Sign(ck.SignedBody())
+		ck.Sig = engine.SignBody(rauth(2), ck)
 		return ck
 	}
 

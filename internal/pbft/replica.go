@@ -108,14 +108,13 @@ type Replica struct {
 	timerAct  map[proc.TimerID]func(ctx proc.Context)
 
 	// Log lifecycle (see checkpoint.go): the engine-level checkpoint
-	// tracker, the latest stable checkpoint, application snapshots retained
-	// at recent checkpoint emissions (state-transfer material; nil entries
-	// when the application is not a Snapshotter), the per-client highest
-	// ordered timestamp (bounds reply-cache pruning), and the
+	// tracker, the latest stable checkpoint, the application states kept at
+	// recent checkpoint emissions (state-transfer material), the
+	// per-client request window (bounds reply-cache pruning), and the
 	// state-transfer in-flight guard.
 	ckpt            *engine.CheckpointTracker
 	stableCkpt      uint64
-	snaps           map[uint64][]byte
+	states          *engine.StateKeeper
 	window          *engine.RequestWindow
 	catchupPending  bool
 	catchupAttempts uint64
@@ -205,12 +204,12 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		replyCache:   make(map[cmdKey]*Reply),
 		forwarded:    make(map[cmdKey]proc.TimerID),
 		timerAct:     make(map[proc.TimerID]func(ctx proc.Context)),
-		snaps:        make(map[uint64][]byte),
 		catchupResps: make(map[types.ReplicaID]*CatchupResp),
 		vcMsgs:       make(map[uint64]map[types.ReplicaID]*ViewChange),
 	}
 	r.window = engine.NewRequestWindow(r.releaseRequest)
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
+	r.states = engine.NewStateKeeper(cfg.App, cfg.CheckpointInterval)
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	r.batcher.SetAdaptive(cfg.BatchAdaptive)
 	for i := 0; i < cfg.N; i++ {
@@ -363,7 +362,7 @@ func (r *Replica) handleRequest(ctx proc.Context, m *Request) {
 	// the paper's calibrated per-request admission cost.
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerifyClient(ctx)
-		if err := r.cfg.Auth.Verify(types.ClientNode(m.Cmd.Client), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(m.Cmd.Client), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -441,7 +440,7 @@ func (r *Replica) flushBatch(ctx proc.Context, reqs []*Request) {
 	}
 	r.cfg.Costs.ChargeAdmitInstance(ctx)
 	r.cfg.Costs.ChargeSign(ctx)
-	pp.Sig = r.cfg.Auth.Sign(pp.SignedBody())
+	pp.Sig = engine.SignBody(r.cfg.Auth, pp)
 	r.stats.PrePrepares++
 	// Accept (and WAL, see durable.go) before the broadcast: the primary
 	// must not propose an assignment it could forget across a crash.
@@ -480,13 +479,13 @@ func (r *Replica) handlePrePrepare(ctx proc.Context, m *PrePrepare) {
 		// requests are MAC-checked (microseconds). Batching amortizes the
 		// expensive check across the whole batch.
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(primary), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(primary), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
 		for i := range digests {
 			req := m.ReqAt(i)
-			if err := r.cfg.Auth.Verify(types.ClientNode(req.Cmd.Client), req.SignedBody(), req.Sig); err != nil {
+			if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(req.Cmd.Client), req, req.Sig); err != nil {
 				r.stats.DroppedInvalid++
 				return
 			}
@@ -547,7 +546,7 @@ func (r *Replica) acceptPrePrepare(ctx proc.Context, m *PrePrepare, digests []ty
 	if primaryOf(m.View, r.n) != r.cfg.Self {
 		p := &Prepare{View: m.View, Seq: m.Seq, CmdDigest: m.CmdDigest, Replica: r.cfg.Self}
 		r.cfg.Costs.ChargeSign(ctx)
-		p.Sig = r.cfg.Auth.Sign(p.SignedBody())
+		p.Sig = engine.SignBody(r.cfg.Auth, p)
 		r.broadcastReplicas(ctx, p)
 		s.prepares[r.cfg.Self] = true
 	}
@@ -560,7 +559,7 @@ func (r *Replica) handlePrepare(ctx proc.Context, m *Prepare) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -583,7 +582,7 @@ func (r *Replica) checkPrepared(ctx proc.Context, s *slotState) {
 	r.stats.Prepared++
 	c := &Commit{View: s.view, Seq: s.seq, CmdDigest: s.cmdDigest, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	c.Sig = r.cfg.Auth.Sign(c.SignedBody())
+	c.Sig = engine.SignBody(r.cfg.Auth, c)
 	s.sentCommit = true
 	r.broadcastReplicas(ctx, c)
 	s.commits[r.cfg.Self] = true
@@ -596,7 +595,7 @@ func (r *Replica) handleCommit(ctx proc.Context, m *Commit) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -643,7 +642,7 @@ func (r *Replica) executeReady(ctx proc.Context) {
 				Result:    s.results[i],
 			}
 			r.cfg.Costs.ChargeSign(ctx)
-			reply.Sig = r.cfg.Auth.Sign(reply.SignedBody())
+			reply.Sig = engine.SignBody(r.cfg.Auth, reply)
 			r.replyCache[cmdKey{cmd.Client, cmd.Timestamp}] = reply
 			r.send(ctx, types.ClientNode(cmd.Client), reply)
 		}
@@ -661,21 +660,13 @@ func (r *Replica) executeReady(ctx proc.Context) {
 
 func (r *Replica) emitCheckpoint(ctx proc.Context, seq uint64) {
 	d := r.stateDigest()
-	// Retain the application snapshot captured at exactly this sequence
-	// number: once the checkpoint becomes stable it is the verifiable
-	// state-transfer payload for lagging replicas. Two generations cover
-	// votes that straggle past the next emission.
-	if snap, ok := r.cfg.App.(types.Snapshotter); ok {
-		r.snaps[seq] = snap.Snapshot()
-		for s := range r.snaps {
-			if s+2*r.cfg.CheckpointInterval <= seq {
-				delete(r.snaps, s)
-			}
-		}
-	}
+	// Keep the application state at exactly this sequence number: once the
+	// checkpoint becomes stable it is the verifiable state-transfer payload
+	// for lagging replicas.
+	r.states.Keep(seq, types.Digest{})
 	ck := &Checkpoint{Seq: seq, Digest: d, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	ck.Sig = r.cfg.Auth.Sign(ck.SignedBody())
+	ck.Sig = engine.SignBody(r.cfg.Auth, ck)
 	r.walVote(ck)
 	r.broadcastReplicas(ctx, ck)
 	r.recordCheckpoint(ctx, ck)
@@ -690,7 +681,7 @@ func (r *Replica) stateDigest() types.Digest {
 func (r *Replica) handleCheckpoint(ctx proc.Context, m *Checkpoint) {
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -785,7 +776,7 @@ func (r *Replica) startViewChange(ctx proc.Context) {
 		vc.Entries = append(vc.Entries, e)
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	vc.Sig = r.cfg.Auth.Sign(vc.SignedBody())
+	vc.Sig = engine.SignBody(r.cfg.Auth, vc)
 	r.broadcastReplicas(ctx, vc)
 	r.acceptViewChange(ctx, vc)
 }
@@ -796,7 +787,7 @@ func (r *Replica) handleViewChange(ctx proc.Context, m *ViewChange) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -829,7 +820,7 @@ func (r *Replica) acceptViewChange(ctx proc.Context, m *ViewChange) {
 	}
 	nv := &NewView{View: m.NewView, Replica: r.cfg.Self, Entries: best.Entries}
 	r.cfg.Costs.ChargeSign(ctx)
-	nv.Sig = r.cfg.Auth.Sign(nv.SignedBody())
+	nv.Sig = engine.SignBody(r.cfg.Auth, nv)
 	r.broadcastReplicas(ctx, nv)
 	r.applyNewView(ctx, nv)
 }
@@ -840,7 +831,7 @@ func (r *Replica) handleNewView(ctx proc.Context, m *NewView) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -888,7 +879,7 @@ func (r *Replica) applyNewView(ctx proc.Context, m *NewView) {
 				pp.Batch = append([]Request(nil), e.Extra...)
 			}
 			r.cfg.Costs.ChargeSign(ctx)
-			pp.Sig = r.cfg.Auth.Sign(pp.SignedBody())
+			pp.Sig = engine.SignBody(r.cfg.Auth, pp)
 			r.broadcastReplicas(ctx, pp)
 			r.acceptPrePrepare(ctx, pp, nil)
 		}

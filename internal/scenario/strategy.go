@@ -135,25 +135,25 @@ func (b *equivocatingOwner) Outbound(ctx proc.Context, to types.NodeID, msg code
 		b.shadowed = true
 		cp := *m
 		cp.Inst.Slot = m.Inst.Slot + 1
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return true // the genuine order still goes out — plus the shadow
 	case *pbft.PrePrepare:
 		cp := *m
 		cp.Seq = m.Seq + 1
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *zyzzyva.OrderReq:
 		cp := *m
 		cp.Seq = m.Seq + 1
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *fab.Propose:
 		cp := *m
 		cp.Seq = m.Seq + 1
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	}
@@ -208,25 +208,25 @@ func (b *checkpointLiar) Outbound(ctx proc.Context, to types.NodeID, msg codec.M
 	case *core.CheckpointMsg:
 		cp := *m
 		cp.Digest[0] ^= 0xff
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *pbft.Checkpoint:
 		cp := *m
 		cp.Digest[0] ^= 0xff
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *zyzzyva.Checkpoint:
 		cp := *m
 		cp.Digest[0] ^= 0xff
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *fab.Checkpoint:
 		cp := *m
 		cp.Digest[0] ^= 0xff
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	}
@@ -358,13 +358,13 @@ func (b *lyingCatchup) Outbound(ctx proc.Context, to types.NodeID, msg codec.Mes
 	case *core.CatchupResp:
 		cp := *m
 		cp.Snapshot = []byte("lies")
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *pbft.CatchupResp:
 		cp := *m
 		cp.Snapshot = []byte("lies")
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	}
@@ -416,25 +416,25 @@ func (b *lyingSnapshotResponder) Outbound(ctx proc.Context, to types.NodeID, msg
 		}
 		cp := *m
 		cp.Snapshot = flipSnapshot(m.Snapshot)
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *pbft.CatchupResp:
 		cp := *m
 		cp.Snapshot = flipSnapshot(m.Snapshot)
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *zyzzyva.CatchupResp:
 		cp := *m
 		cp.Snapshot = flipSnapshot(m.Snapshot)
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	case *fab.CatchupResp:
 		cp := *m
 		cp.Snapshot = flipSnapshot(m.Snapshot)
-		cp.Sig = b.env.Auth.Sign(cp.SignedBody())
+		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
 	}

@@ -8,6 +8,7 @@ import (
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/core"
+	"ezbft/internal/engine"
 	"ezbft/internal/types"
 )
 
@@ -102,9 +103,9 @@ func TestVerifyPoolWithSpecOrderVerifier(t *testing.T) {
 
 	mk := func(tamper bool) codec.Message {
 		req := &core.Request{Cmd: types.Command{Client: 3, Timestamp: 7, Op: types.OpPut, Key: "k", Value: []byte("v")}, Orig: -1}
-		req.Sig = client.Sign(req.SignedBody())
+		req.Sig = engine.SignBody(client, req)
 		req2 := &core.Request{Cmd: types.Command{Client: 3, Timestamp: 8, Op: types.OpIncr, Key: "k2"}, Orig: -1}
-		req2.Sig = client.Sign(req2.SignedBody())
+		req2.Sig = engine.SignBody(client, req2)
 		so := &core.SpecOrder{
 			Owner: 1, // owner number 1 of space 1 → replica 1 in a 4-cluster
 			Inst:  types.InstanceID{Space: 1, Slot: 1},
@@ -114,7 +115,7 @@ func TestVerifyPoolWithSpecOrderVerifier(t *testing.T) {
 			Batch: []core.Request{*req2},
 		}
 		so.CmdDigest = core.BatchDigest(so.CmdDigests())
-		so.Sig = leader.Sign(so.SignedBody())
+		so.Sig = engine.SignBody(leader, so)
 		if tamper {
 			so.Sig[0] ^= 0xFF
 		}

@@ -316,6 +316,31 @@ type Snapshotter interface {
 	Restore(snap []byte) error
 }
 
+// Retainer is the optional capability a Snapshotter adds so that a
+// checkpoint costs the replica's loop O(1) instead of a copy of the whole
+// state: Retain pins the current final state without serializing it, and
+// the pinned state is serialized later, only if someone asks for it (a
+// state transfer, a durable snapshot cut). Applications without it are
+// snapshotted eagerly at every checkpoint (engine.StateKeeper falls back).
+type Retainer interface {
+	Snapshotter
+	// Retain pins the current final state in O(1) with respect to the
+	// state's size.
+	Retain() Retained
+}
+
+// Retained is a final state pinned by Retainer.Retain.
+type Retained interface {
+	// Snapshot returns exactly the bytes the application's Snapshot would
+	// have returned when the state was retained. It reports false once the
+	// state is no longer held: after Release, or after a Restore, which
+	// drops every retained state.
+	Snapshot() ([]byte, bool)
+	// Release lets the application forget the state and whatever it kept
+	// to reconstruct it.
+	Release()
+}
+
 // SpeculativeApplication extends Application with the speculative-execution
 // contract required by ezBFT: speculative results may later be rolled back
 // and the commands re-executed in final order.

@@ -45,18 +45,11 @@ func (m *CatchupReq) Tag() uint8 { return tagCatchupReq }
 
 // MarshalTo implements codec.Message.
 func (m *CatchupReq) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *CatchupReq) marshalBody(w *codec.Writer) { w.Int32(int32(m.Replica)) }
-
-// SignedBody returns the bytes the requester signature covers.
-func (m *CatchupReq) SignedBody() []byte {
-	w := codec.NewWriter(16)
-	m.marshalBody(w)
-	return w.Bytes()
-}
+func (m *CatchupReq) MarshalBody(w *codec.Writer) { w.Int32(int32(m.Replica)) }
 
 func decodeCatchupReq(r *codec.Reader) (*CatchupReq, error) {
 	m := &CatchupReq{Replica: types.ReplicaID(r.Int32())}
@@ -97,7 +90,7 @@ func (m *CatchupResp) Tag() uint8 { return tagCatchupResp }
 
 // MarshalTo implements codec.Message.
 func (m *CatchupResp) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	w.Uvarint(uint64(len(m.Proof)))
 	for _, v := range m.Proof {
@@ -105,7 +98,7 @@ func (m *CatchupResp) MarshalTo(w *codec.Writer) {
 	}
 }
 
-func (m *CatchupResp) marshalBody(w *codec.Writer) {
+func (m *CatchupResp) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Replica))
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
@@ -122,13 +115,6 @@ func (m *CatchupResp) marshalBody(w *codec.Writer) {
 			s.Reqs[j].MarshalTo(w)
 		}
 	}
-}
-
-// SignedBody returns the bytes the responder signature covers.
-func (m *CatchupResp) SignedBody() []byte {
-	w := codec.NewWriter(1024)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCatchupResp(r *codec.Reader) (*CatchupResp, error) {
@@ -157,13 +143,11 @@ func decodeCatchupResp(r *codec.Reader) (*CatchupResp, error) {
 		if nReqs == 0 || nReqs > maxBatch {
 			return nil, codec.ErrOverflow
 		}
-		s.Reqs = make([]Request, 0, nReqs)
-		for j := uint64(0); j < nReqs; j++ {
-			req, err := decodeRequest(r)
-			if err != nil {
+		s.Reqs = make([]Request, nReqs)
+		for j := range s.Reqs {
+			if err := decodeRequestInto(r, &s.Reqs[j]); err != nil {
 				return nil, err
 			}
-			s.Reqs = append(s.Reqs, *req)
 		}
 		m.Suffix = append(m.Suffix, s)
 	}
@@ -214,7 +198,7 @@ func (r *Replica) requestCatchup(ctx proc.Context, st *engine.StableCheckpoint) 
 	r.catchupPending = true
 	req := &CatchupReq{Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	req.Sig = r.cfg.Auth.Sign(req.SignedBody())
+	req.Sig = engine.SignBody(r.cfg.Auth, req)
 	r.send(ctx, types.ReplicaNode(target), req)
 	// Re-issue on silence with jittered exponential backoff (the shared
 	// client-retry discipline, proc.Backoff) at the next voter in rotation.
@@ -240,7 +224,7 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -249,17 +233,17 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 	if st == nil {
 		return
 	}
-	snap, ok := r.snaps[st.Mark]
+	snap, histHash, ok := r.states.Snapshot(st.Mark)
 	if !ok {
-		return // no retained snapshot for the stable point (non-Snapshotter app)
+		return // no state kept for the stable point (non-Snapshotter app)
 	}
 	resp := &CatchupResp{
 		Replica:  r.cfg.Self,
 		View:     r.view,
 		Seq:      st.Mark,
 		Digest:   st.Digest,
-		HistHash: snap.histHash,
-		Snapshot: snap.data,
+		HistHash: histHash,
+		Snapshot: snap,
 	}
 	for _, v := range st.Votes {
 		if ck, ok := v.(*Checkpoint); ok {
@@ -278,7 +262,7 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 		resp.Suffix = append(resp.Suffix, CatchupSlot{Seq: seq, View: r.view, Reqs: reqs})
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	resp.Sig = r.cfg.Auth.Sign(resp.SignedBody())
+	resp.Sig = engine.SignBody(r.cfg.Auth, resp)
 	r.send(ctx, types.ReplicaNode(m.Replica), resp)
 	r.stats.CatchupsServed++
 }
@@ -293,7 +277,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -311,7 +295,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 		func(msg codec.Message) (types.ReplicaID, uint64, types.Digest, bool) {
 			ck := msg.(*Checkpoint)
 			valid := ck.SigVerified() ||
-				r.cfg.Auth.Verify(types.ReplicaNode(ck.Replica), ck.SignedBody(), ck.Sig) == nil
+				engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(ck.Replica), ck, ck.Sig) == nil
 			return ck.Replica, ck.Seq, ck.Digest, valid
 		})
 	if !okProof {
@@ -412,7 +396,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 	r.catchupRetries = 0
 	r.stats.CatchupsInstalled++
 	// Retain the verified snapshot so this replica can serve transfers too.
-	r.snaps[m.Seq] = ckptSnap{data: m.Snapshot, histHash: m.HistHash}
+	r.states.Adopt(m.Seq, m.Snapshot, m.HistHash)
 	// Anything newly contiguous (buffered assignments above the transfer)
 	// executes through the regular drain.
 	for {

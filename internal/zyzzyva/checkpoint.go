@@ -2,6 +2,7 @@ package zyzzyva
 
 import (
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
 )
@@ -32,21 +33,14 @@ func (m *Checkpoint) Tag() uint8 { return tagCheckpoint }
 
 // MarshalTo implements codec.Message.
 func (m *Checkpoint) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *Checkpoint) marshalBody(w *codec.Writer) {
+func (m *Checkpoint) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.Digest)
 	w.Int32(int32(m.Replica))
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *Checkpoint) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeCheckpoint(r *codec.Reader) (*Checkpoint, error) {
@@ -70,21 +64,13 @@ func (r *Replica) maybeEmitCheckpoint(ctx proc.Context) {
 		return
 	}
 	r.ckptEmitted = r.maxSeq
-	// Retain the application snapshot and history hash captured at exactly
-	// this sequence number: once the checkpoint becomes stable they are the
-	// verifiable state-transfer payload for lagging replicas (catchup.go).
-	// Two generations cover votes that straggle past the next emission.
-	if snap, ok := r.cfg.App.(types.Snapshotter); ok {
-		r.snaps[r.maxSeq] = ckptSnap{data: snap.Snapshot(), histHash: r.histHash}
-		for s := range r.snaps {
-			if s+2*r.ckpt.Interval() <= r.maxSeq {
-				delete(r.snaps, s)
-			}
-		}
-	}
+	// Keep the application state and history hash at exactly this sequence
+	// number: once the checkpoint becomes stable they are the verifiable
+	// state-transfer payload for lagging replicas (catchup.go).
+	r.states.Keep(r.maxSeq, r.histHash)
 	ck := &Checkpoint{Seq: r.maxSeq, Digest: r.cfg.App.Digest(), Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	ck.Sig = r.cfg.Auth.Sign(ck.SignedBody())
+	ck.Sig = engine.SignBody(r.cfg.Auth, ck)
 	r.broadcastReplicas(ctx, ck)
 	r.recordCheckpoint(ctx, ck)
 }
@@ -99,7 +85,7 @@ func (r *Replica) handleCheckpoint(ctx proc.Context, m *Checkpoint) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}

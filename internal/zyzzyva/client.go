@@ -124,7 +124,7 @@ func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
 	cmd.Timestamp = ts
 	req := &Request{Cmd: cmd}
 	c.cfg.Costs.ChargeSign(ctx)
-	req.Sig = c.cfg.Auth.Sign(req.SignedBody())
+	req.Sig = engine.SignBody(c.cfg.Auth, req)
 	c.pending[ts] = &pendingReq{
 		cmd:       cmd,
 		req:       req,
@@ -190,7 +190,7 @@ func (c *Client) handleSpecResponse(ctx proc.Context, m *SpecResponse) {
 	}
 	if !m.SigVerified() {
 		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := c.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			return
 		}
 	}
@@ -279,7 +279,7 @@ func (c *Client) handleLocalCommit(ctx proc.Context, m *LocalCommit) {
 	}
 	if !m.SigVerified() {
 		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := c.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			return
 		}
 	}

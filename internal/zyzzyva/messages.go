@@ -15,6 +15,7 @@ package zyzzyva
 
 import (
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/types"
 )
 
@@ -69,17 +70,23 @@ func (m *Request) MarshalTo(w *codec.Writer) {
 	w.Blob(m.Sig)
 }
 
-// SignedBody returns the bytes the client signature covers.
-func (m *Request) SignedBody() []byte {
-	w := codec.NewWriter(64)
+// MarshalBody writes the bytes the client signature covers.
+func (m *Request) MarshalBody(w *codec.Writer) {
 	w.Command(m.Cmd)
-	return w.Bytes()
 }
 
 func decodeRequest(r *codec.Reader) (*Request, error) {
-	m := &Request{Cmd: r.Command()}
+	m := &Request{}
+	return m, decodeRequestInto(r, m)
+}
+
+// decodeRequestInto parses a REQUEST into m, which is where messages that
+// embed requests by value (ordering batches, catch-up suffixes, WAL records)
+// want it.
+func decodeRequestInto(r *codec.Reader, m *Request) error {
+	m.Cmd = r.Command()
 	m.Sig = r.Blob()
-	return m, r.Err()
+	return r.Err()
 }
 
 // OrderReq is the primary's ordering assignment ⟨ORDERREQ, v, n, h, d⟩σp.
@@ -107,9 +114,9 @@ type OrderReq struct {
 func (m *OrderReq) Signature() []byte { return m.Sig }
 
 // RequestAt implements engine.OrderingFrame.
-func (m *OrderReq) RequestAt(i int) (types.ClientID, []byte, []byte) {
+func (m *OrderReq) RequestAt(i int) (types.ClientID, engine.BodyMarshaler, []byte) {
 	req := m.ReqAt(i)
-	return req.Cmd.Client, req.SignedBody(), req.Sig
+	return req.Cmd.Client, req, req.Sig
 }
 
 // BatchSize returns the number of requests this ORDERREQ assigns.
@@ -133,7 +140,7 @@ func (m *OrderReq) Tag() uint8 {
 
 // MarshalTo implements codec.Message.
 func (m *OrderReq) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	m.Req.MarshalTo(w)
 	if len(m.Batch) > 0 {
@@ -144,18 +151,11 @@ func (m *OrderReq) MarshalTo(w *codec.Writer) {
 	}
 }
 
-func (m *OrderReq) marshalBody(w *codec.Writer) {
+func (m *OrderReq) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.HistHash)
 	w.Bytes32(m.CmdDigest)
-}
-
-// SignedBody returns the bytes the primary signature covers.
-func (m *OrderReq) SignedBody() []byte {
-	w := codec.NewWriter(96)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeOrderReq(r *codec.Reader) (*OrderReq, error) {
@@ -172,11 +172,9 @@ func decodeOrderReqFmt(r *codec.Reader, batched bool) (*OrderReq, error) {
 		CmdDigest: r.Bytes32(),
 	}
 	m.Sig = r.Blob()
-	req, err := decodeRequest(r)
-	if err != nil {
+	if err := decodeRequestInto(r, &m.Req); err != nil {
 		return nil, err
 	}
-	m.Req = *req
 	if batched {
 		n := r.Uvarint()
 		if err := r.Err(); err != nil {
@@ -185,13 +183,11 @@ func decodeOrderReqFmt(r *codec.Reader, batched bool) (*OrderReq, error) {
 		if n == 0 || n > maxBatch-2 {
 			return nil, codec.ErrOverflow
 		}
-		m.Batch = make([]Request, 0, n)
-		for i := uint64(0); i < n; i++ {
-			extra, err := decodeRequest(r)
-			if err != nil {
+		m.Batch = make([]Request, n)
+		for i := range m.Batch {
+			if err := decodeRequestInto(r, &m.Batch[i]); err != nil {
 				return nil, err
 			}
-			m.Batch = append(m.Batch, *extra)
 		}
 	}
 	return m, r.Err()
@@ -228,11 +224,11 @@ func (m *SpecResponse) Tag() uint8 {
 
 // MarshalTo implements codec.Message.
 func (m *SpecResponse) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *SpecResponse) marshalBody(w *codec.Writer) {
+func (m *SpecResponse) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.HistHash)
@@ -247,13 +243,6 @@ func (m *SpecResponse) marshalBody(w *codec.Writer) {
 		// command of a batch cannot be replayed as a response for another.
 		w.Uvarint(uint64(m.BatchIdx))
 	}
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *SpecResponse) SignedBody() []byte {
-	w := codec.NewWriter(128)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 // Matches reports whether two responses agree on every client-compared
@@ -372,24 +361,17 @@ func (m *LocalCommit) Tag() uint8 { return tagLocalCommit }
 
 // MarshalTo implements codec.Message.
 func (m *LocalCommit) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *LocalCommit) marshalBody(w *codec.Writer) {
+func (m *LocalCommit) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Uvarint(m.Seq)
 	w.Bytes32(m.CmdDigest)
 	w.Int32(int32(m.Replica))
 	w.Bool(m.Result.OK)
 	w.Blob(m.Result.Value)
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *LocalCommit) SignedBody() []byte {
-	w := codec.NewWriter(64)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeLocalCommit(r *codec.Reader) (*LocalCommit, error) {
@@ -424,12 +406,10 @@ func (m *HatePrimary) MarshalTo(w *codec.Writer) {
 	w.Blob(m.Sig)
 }
 
-// SignedBody returns the bytes the replica signature covers.
-func (m *HatePrimary) SignedBody() []byte {
-	w := codec.NewWriter(16)
+// MarshalBody writes the bytes the replica signature covers.
+func (m *HatePrimary) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Int32(int32(m.Replica))
-	return w.Bytes()
 }
 
 func decodeHatePrimary(r *codec.Reader) (*HatePrimary, error) {
@@ -523,11 +503,11 @@ func (m *ViewChange) Tag() uint8 { return tagViewChange }
 
 // MarshalTo implements codec.Message.
 func (m *ViewChange) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *ViewChange) marshalBody(w *codec.Writer) {
+func (m *ViewChange) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.NewView)
 	w.Int32(int32(m.Replica))
 	w.Uvarint(m.MaxSeq)
@@ -535,13 +515,6 @@ func (m *ViewChange) marshalBody(w *codec.Writer) {
 	for i := range m.Entries {
 		m.Entries[i].marshalTo(w)
 	}
-}
-
-// SignedBody returns the bytes the replica signature covers.
-func (m *ViewChange) SignedBody() []byte {
-	w := codec.NewWriter(128)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeViewChange(r *codec.Reader) (*ViewChange, error) {
@@ -584,24 +557,17 @@ func (m *NewView) Tag() uint8 { return tagNewView }
 
 // MarshalTo implements codec.Message.
 func (m *NewView) MarshalTo(w *codec.Writer) {
-	m.marshalBody(w)
+	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
 
-func (m *NewView) marshalBody(w *codec.Writer) {
+func (m *NewView) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.View)
 	w.Int32(int32(m.Replica))
 	w.Uvarint(uint64(len(m.Entries)))
 	for i := range m.Entries {
 		m.Entries[i].marshalTo(w)
 	}
-}
-
-// SignedBody returns the bytes the new primary's signature covers.
-func (m *NewView) SignedBody() []byte {
-	w := codec.NewWriter(128)
-	m.marshalBody(w)
-	return w.Bytes()
 }
 
 func decodeNewView(r *codec.Reader) (*NewView, error) {

@@ -7,6 +7,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
@@ -33,14 +34,14 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 
 	request := func() *Request {
 		m := &Request{Cmd: types.Command{Client: 5, Timestamp: 1, Op: types.OpPut, Key: "k", Value: []byte("v")}}
-		m.Sig = cauth(5).Sign(m.SignedBody())
+		m.Sig = engine.SignBody(cauth(5), m)
 		return m
 	}
 	orderReq := func() *OrderReq {
 		req := request()
 		or := &OrderReq{View: 0, Seq: 1, CmdDigest: req.Cmd.Digest(), Req: *req}
 		or.HistHash = chainHash(types.Digest{}, or.CmdDigest)
-		or.Sig = rauth(0).Sign(or.SignedBody())
+		or.Sig = engine.SignBody(rauth(0), or)
 		return or
 	}
 	specResponse := func(from types.ReplicaID) *SpecResponse {
@@ -54,7 +55,7 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 			Replica:   from,
 			Result:    types.Result{OK: true},
 		}
-		sr.Sig = rauth(from).Sign(sr.SignedBody())
+		sr.Sig = engine.SignBody(rauth(from), sr)
 		return sr
 	}
 	commitCert := func() *CommitCert {
@@ -67,7 +68,7 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 	}
 	hate := func() *HatePrimary {
 		hp := &HatePrimary{View: 0, Replica: 2}
-		hp.Sig = rauth(2).Sign(hp.SignedBody())
+		hp.Sig = engine.SignBody(rauth(2), hp)
 		return hp
 	}
 

@@ -112,9 +112,10 @@ type Replica struct {
 	ckptEmitted uint64
 	window      *engine.RequestWindow
 
-	// State transfer (see catchup.go): snapshots retained per checkpoint
-	// boundary and the single-flight request state.
-	snaps           map[uint64]ckptSnap
+	// State transfer (see catchup.go): the application state and history
+	// hash kept at recent checkpoint boundaries, and the single-flight
+	// request state.
+	states          *engine.StateKeeper
 	catchupPending  bool
 	catchupAttempts uint64
 	catchupRetries  int
@@ -133,14 +134,6 @@ type Replica struct {
 type cmdKey struct {
 	client types.ClientID
 	ts     uint64
-}
-
-// ckptSnap is the state-transfer payload retained at one checkpoint
-// boundary: the application snapshot and the history-chain hash at exactly
-// that sequence number.
-type ckptSnap struct {
-	data     []byte
-	histHash types.Digest
 }
 
 // ReplicaStats exposes protocol counters.
@@ -194,10 +187,10 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		timerAct:   make(map[proc.TimerID]func(ctx proc.Context)),
 		hateVotes:  make(map[uint64]map[types.ReplicaID]bool),
 		vcMsgs:     make(map[uint64]map[types.ReplicaID]*ViewChange),
-		snaps:      make(map[uint64]ckptSnap),
 	}
 	r.window = engine.NewRequestWindow(r.releaseRequest)
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
+	r.states = engine.NewStateKeeper(cfg.App, cfg.CheckpointInterval)
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	r.batcher.SetAdaptive(cfg.BatchAdaptive)
 	for i := 0; i < cfg.N; i++ {
@@ -327,7 +320,7 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 	// paper's calibrated per-request admission cost.
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerifyClient(ctx)
-		if err := r.cfg.Auth.Verify(types.ClientNode(m.Cmd.Client), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(m.Cmd.Client), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -422,7 +415,7 @@ func (r *Replica) flushBatch(ctx proc.Context, reqs []*Request) {
 	}
 	r.cfg.Costs.ChargeAdmitInstance(ctx)
 	r.cfg.Costs.ChargeSign(ctx)
-	or.Sig = r.cfg.Auth.Sign(or.SignedBody())
+	or.Sig = engine.SignBody(r.cfg.Auth, or)
 	r.stats.Ordered += uint64(len(fresh))
 	r.broadcastReplicas(ctx, or)
 	r.acceptOrderReq(ctx, or, digests)
@@ -468,13 +461,13 @@ func (r *Replica) handleOrderReq(ctx proc.Context, m *OrderReq) {
 		// requests are MAC-checked (microseconds). Batching amortizes the
 		// expensive check across the whole batch.
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(primary), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(primary), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
 		for i := range digests {
 			req := m.ReqAt(i)
-			if err := r.cfg.Auth.Verify(types.ClientNode(req.Cmd.Client), req.SignedBody(), req.Sig); err != nil {
+			if err := engine.VerifyBody(r.cfg.Auth, types.ClientNode(req.Cmd.Client), req, req.Sig); err != nil {
 				r.stats.DroppedInvalid++
 				return
 			}
@@ -560,7 +553,7 @@ func (r *Replica) acceptOrderReq(ctx proc.Context, m *OrderReq, digests []types.
 			BatchIdx:  uint32(i),
 		}
 		r.cfg.Costs.ChargeSign(ctx)
-		sr.Sig = r.cfg.Auth.Sign(sr.SignedBody())
+		sr.Sig = engine.SignBody(r.cfg.Auth, sr)
 		r.replyCache[key] = sr
 		r.send(ctx, types.ClientNode(sr.Client), sr)
 
@@ -606,7 +599,7 @@ func (r *Replica) rebuildReply(ctx proc.Context, key cmdKey) *SpecResponse {
 			BatchIdx:  uint32(i),
 		}
 		r.cfg.Costs.ChargeSign(ctx)
-		sr.Sig = r.cfg.Auth.Sign(sr.SignedBody())
+		sr.Sig = engine.SignBody(r.cfg.Auth, sr)
 		r.replyCache[key] = sr
 		return sr
 	}
@@ -629,7 +622,7 @@ func (r *Replica) handleCommitCert(ctx proc.Context, m *CommitCert) {
 			return
 		}
 		if !sr.SigVerified() {
-			if err := r.cfg.Auth.Verify(types.ReplicaNode(sr.Replica), sr.SignedBody(), sr.Sig); err != nil {
+			if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(sr.Replica), sr, sr.Sig); err != nil {
 				r.stats.DroppedInvalid++
 				return
 			}
@@ -652,7 +645,7 @@ func (r *Replica) handleCommitCert(ctx proc.Context, m *CommitCert) {
 					Result:    sr.Result,
 				}
 				r.cfg.Costs.ChargeSign(ctx)
-				lc.Sig = r.cfg.Auth.Sign(lc.SignedBody())
+				lc.Sig = engine.SignBody(r.cfg.Auth, lc)
 				r.stats.LocalCommits++
 				r.send(ctx, types.ClientNode(m.Client), lc)
 			}
@@ -678,7 +671,7 @@ func (r *Replica) handleCommitCert(ctx proc.Context, m *CommitCert) {
 		Result:    e.results[idx],
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	lc.Sig = r.cfg.Auth.Sign(lc.SignedBody())
+	lc.Sig = engine.SignBody(r.cfg.Auth, lc)
 	r.stats.LocalCommits++
 	r.send(ctx, types.ClientNode(m.Client), lc)
 }
@@ -691,7 +684,7 @@ func (r *Replica) voteHatePrimary(ctx proc.Context) {
 	}
 	hp := &HatePrimary{View: r.view, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	hp.Sig = r.cfg.Auth.Sign(hp.SignedBody())
+	hp.Sig = engine.SignBody(r.cfg.Auth, hp)
 	r.broadcastReplicas(ctx, hp)
 	r.recordHate(ctx, r.view, r.cfg.Self)
 }
@@ -702,7 +695,7 @@ func (r *Replica) handleHatePrimary(ctx proc.Context, m *HatePrimary) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -743,7 +736,7 @@ func (r *Replica) recordHate(ctx proc.Context, view uint64, from types.ReplicaID
 		vc.Entries = append(vc.Entries, entry)
 	}
 	r.cfg.Costs.ChargeSign(ctx)
-	vc.Sig = r.cfg.Auth.Sign(vc.SignedBody())
+	vc.Sig = engine.SignBody(r.cfg.Auth, vc)
 	newPrimary := primaryOf(newView, r.n)
 	if newPrimary == r.cfg.Self {
 		r.acceptViewChange(ctx, vc)
@@ -753,7 +746,7 @@ func (r *Replica) recordHate(ctx proc.Context, view uint64, from types.ReplicaID
 	// Amplify the vote so every correct replica joins.
 	hp := &HatePrimary{View: r.view, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
-	hp.Sig = r.cfg.Auth.Sign(hp.SignedBody())
+	hp.Sig = engine.SignBody(r.cfg.Auth, hp)
 	r.broadcastReplicas(ctx, hp)
 }
 
@@ -763,7 +756,7 @@ func (r *Replica) handleViewChange(ctx proc.Context, m *ViewChange) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
@@ -791,7 +784,7 @@ func (r *Replica) acceptViewChange(ctx proc.Context, m *ViewChange) {
 	}
 	nv := &NewView{View: m.NewView, Replica: r.cfg.Self, Entries: best.Entries}
 	r.cfg.Costs.ChargeSign(ctx)
-	nv.Sig = r.cfg.Auth.Sign(nv.SignedBody())
+	nv.Sig = engine.SignBody(r.cfg.Auth, nv)
 	r.broadcastReplicas(ctx, nv)
 	r.applyNewView(ctx, nv)
 }
@@ -802,7 +795,7 @@ func (r *Replica) handleNewView(ctx proc.Context, m *NewView) {
 	}
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := r.cfg.Auth.Verify(types.ReplicaNode(m.Replica), m.SignedBody(), m.Sig); err != nil {
+		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
 			r.stats.DroppedInvalid++
 			return
 		}
