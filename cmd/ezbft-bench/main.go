@@ -16,13 +16,6 @@
 // Only ECDSA sits behind the cache (auth.Cached), so its `cache` variants
 // equal the others under HMAC.
 //
-// The `exec` experiment measures the deterministic parallel executor in
-// isolation: pre-committed workloads replay through one execution pass at
-// worker counts 1/2/4/8 and hot-key contention 0/0.5/0.9, with state
-// digests and execution logs cross-checked byte-identical across counts.
-// Wall-clock, not part of `-e all`; `-json` writes the snapshot
-// (BENCH_exec.json).
-//
 // The `durability` experiment measures the durable-store subsystem
 // wall-clock on the live mesh: committed throughput for ezBFT and PBFT
 // with durability off, the in-memory store, the disk store, and the disk
@@ -47,7 +40,7 @@
 //
 // Usage:
 //
-//	ezbft-bench [-e table1|table2|fig4|fig5a|fig5b|fig6|fig7|ablation|batch|all|crypto|exec|shard|scenarios]
+//	ezbft-bench [-e table1|table2|fig4|fig5a|fig5b|fig6|fig7|ablation|batch|all|crypto|durability|shard|scenarios]
 //	            [-duration 30s] [-warmup 2s] [-clients 3] [-seed 1]
 //	            [-json out.json]
 package main
@@ -71,12 +64,12 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ezbft-bench", flag.ContinueOnError)
-	experiment := fs.String("e", "all", "experiment: table1, table2, fig4, fig5a, fig5b, fig6, fig7, ablation, batch, crypto, exec, durability, shard, scenarios, or all (crypto, exec, durability, shard, and scenarios run only when named)")
+	experiment := fs.String("e", "all", "experiment: table1, table2, fig4, fig5a, fig5b, fig6, fig7, ablation, batch, crypto, durability, shard, scenarios, or all (crypto, durability, shard, and scenarios run only when named)")
 	duration := fs.Duration("duration", 30*time.Second, "simulated measurement window (crypto: wall-clock, capped at 5s)")
 	warmup := fs.Duration("warmup", 2*time.Second, "simulated warmup (discarded)")
 	clients := fs.Int("clients", 3, "closed-loop clients per region (latency experiments)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	jsonOut := fs.String("json", "", "also write the crypto/exec sweep result as JSON to this path")
+	jsonOut := fs.String("json", "", "also write the crypto, durability or shard sweep result as JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,26 +96,6 @@ func run(args []string) error {
 		fmt.Printf("(scenarios simulated in %.1fs wall time, seed %d)\n\n", time.Since(start).Seconds(), matrixSeed)
 		if n := len(rep.Failures()); n > 0 {
 			return fmt.Errorf("scenarios: %d cell(s) failed unexpectedly", n)
-		}
-		return nil
-	}
-
-	if *experiment == "exec" {
-		start := time.Now()
-		res, err := bench.ExecSweep()
-		if err != nil {
-			return fmt.Errorf("exec: %w", err)
-		}
-		fmt.Println(res.Render())
-		fmt.Printf("(exec measured in %.1fs wall time)\n\n", time.Since(start).Seconds())
-		if *jsonOut != "" {
-			blob, err := res.WriteJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
 		}
 		return nil
 	}

@@ -62,7 +62,6 @@ func run(args []string) error {
 	ckpt := fs.Uint64("checkpoint", 0, "checkpoint interval in executed entries (0 = protocol default)")
 	retention := fs.Uint64("retention", 0, "extra log entries retained below the stable checkpoint")
 	verifyWorkers := fs.Int("verify-workers", 0, "signature-verification workers (0 = GOMAXPROCS)")
-	execWorkers := fs.Int("exec-workers", 0, "parallel-execution workers over the dependency DAG, ezbft only (0 or 1 = serial)")
 	storeDir := fs.String("store-dir", "", "durable-store directory: persist the WAL+snapshot there and recover state when restarted over it (empty = no durability)")
 	fsync := fs.Bool("fsync", false, "fsync the durable store at every group-commit point (crash-safe; requires -store-dir)")
 	shards := fs.Int("shards", 1, "host this replica for every shard of an S-shard deployment: shard s listens (and dials peers) at the configured port + s, stores under <store-dir>/s<s>")
@@ -132,7 +131,6 @@ func run(args []string) error {
 			CheckpointInterval: *ckpt,
 			LogRetention:       *retention,
 			VerifyWorkers:      *verifyWorkers,
-			ExecWorkers:        *execWorkers,
 			StoreDir:           dir,
 			Fsync:              *fsync,
 		})

@@ -29,7 +29,8 @@
 //
 //   - Simulation: NewSimCluster builds a deterministic discrete-event
 //     deployment on a modeled WAN (the substrate used to reproduce the
-//     paper's evaluation; see internal/bench and EXPERIMENTS.md).
+//     paper's evaluation; see internal/bench.DefaultCosts for the
+//     calibration and `ezbft-bench -e table1` for the fitted Table I).
 //   - Live in-process: NewLiveCluster runs real replicas and clients on
 //     goroutines connected by an in-memory mesh.
 //   - Live over TCP: StartTCPReplica and NewTCPClient run the same pieces

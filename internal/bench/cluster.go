@@ -6,7 +6,9 @@
 // artifact. cmd/ezbft-bench and the repository-level benchmarks both
 // drive this package.
 //
-// Calibration (see EXPERIMENTS.md): network delays come from
+// Calibration (DefaultCosts below; `ezbft-bench -e table1` prints the
+// fitted Table I, and TestTable1MatchesPaper holds it within 5% of the
+// paper's): network delays come from
 // internal/wan's latency matrices (fitted to the paper's own Table I);
 // processing costs model the paper's m4.2xlarge replicas (8 vCPUs) with an
 // ECDSA-dominated per-request authentication cost at the ordering node and
@@ -140,13 +142,6 @@ type Spec struct {
 	// BatchDelay bounds how long an incomplete batch waits before
 	// flushing (0 = the protocol default).
 	BatchDelay time.Duration
-	// BatchAdaptive enables adaptive batch sizing at the ordering replicas.
-	BatchAdaptive bool
-	// ExecWorkers sizes the deterministic parallel executor on protocols
-	// that support it (ezBFT): committed closures execute across this many
-	// workers, scheduled over the dependency DAG. 0 or 1 keeps the serial
-	// path; results are byte-identical at any setting.
-	ExecWorkers int
 	// Durability selects the replicas' durable-store backend ("", "off",
 	// "memory", "disk" — see internal/store). Off (the default) keeps
 	// replicas memoryless and every existing figure byte-identical.
@@ -357,8 +352,6 @@ func (c *Cluster) buildReplica(rid types.ReplicaID, app types.Application, a aut
 		LogRetention:       spec.LogRetention,
 		BatchSize:          spec.BatchSize,
 		BatchDelay:         spec.BatchDelay,
-		BatchAdaptive:      spec.BatchAdaptive,
-		ExecWorkers:        spec.ExecWorkers,
 		Store:              st,
 		Mute:               spec.Mute[rid],
 		Behavior:           behavior,

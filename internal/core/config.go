@@ -59,10 +59,6 @@ type ReplicaConfig struct {
 	// before flushing (default DefaultBatchDelay; only used when
 	// BatchSize > 1).
 	BatchDelay time.Duration
-	// BatchAdaptive enables adaptive batch sizing (see
-	// engine.Batcher.SetAdaptive): idle leaders flush immediately,
-	// saturated ones stretch toward BatchDelay.
-	BatchAdaptive bool
 	// CheckpointInterval enables the log lifecycle subsystem (see
 	// checkpoint.go): every instance space is checkpointed each time a
 	// replica's contiguously executed prefix crosses a multiple of this
@@ -73,14 +69,6 @@ type ReplicaConfig struct {
 	// LogRetention keeps this many additional slots below the stable
 	// low-water mark when truncating (0 = truncate everything below it).
 	LogRetention uint64
-	// ExecWorkers sizes the deterministic parallel executor: final
-	// execution of each linearized closure is scheduled as a level-ordered
-	// DAG across this many goroutines when the application implements
-	// types.ConcurrentApplication (see executor.go). 0 or 1 — or an
-	// application without the contract — keeps the exact serial execution
-	// path; every observable (results, execution log, reply order,
-	// simulated timings) is byte-identical at any setting.
-	ExecWorkers int
 	// Store, when non-nil, is the replica's durability layer (see
 	// internal/store and durable.go): ordering-critical state is
 	// write-ahead-logged through it before the replica acts, stable
@@ -138,9 +126,6 @@ func (c *ReplicaConfig) validate() error {
 	}
 	if c.BatchDelay <= 0 {
 		c.BatchDelay = DefaultBatchDelay
-	}
-	if c.ExecWorkers < 0 {
-		return fmt.Errorf("core: exec workers must be >= 0, got %d", c.ExecWorkers)
 	}
 	return nil
 }

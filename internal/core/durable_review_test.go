@@ -49,7 +49,7 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := inertCtx{}
+	ctx := noopCtx{}
 	spaces := func() []SpaceCkpt {
 		out := make([]SpaceCkpt, n)
 		for i := range out {
@@ -164,7 +164,7 @@ func (s *syncProbeStore) Sync() error {
 
 // sendProbeCtx reports every outbound message to the test.
 type sendProbeCtx struct {
-	inertCtx
+	noopCtx
 	onSend func(to types.NodeID, msg codec.Message)
 }
 

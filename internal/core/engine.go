@@ -31,10 +31,8 @@ func (ezEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 		Self: o.Self, N: o.N, App: app, Auth: o.Auth, Costs: o.Costs,
 		BatchSize:          o.BatchSize,
 		BatchDelay:         o.BatchDelay,
-		BatchAdaptive:      o.BatchAdaptive,
 		CheckpointInterval: o.CheckpointInterval,
 		LogRetention:       o.LogRetention,
-		ExecWorkers:        o.ExecWorkers,
 		Store:              o.Store,
 	}
 	if o.LatencyBound > 0 {

@@ -50,9 +50,6 @@ func (r *Replica) tryExecute(ctx proc.Context) {
 		if !ok {
 			continue // executed as part of an earlier closure this round
 		}
-		if r.exec != nil && r.exec.claimedInst(inst) {
-			continue // scheduled by an earlier closure of the current batch
-		}
 		if blocked[inst] {
 			continue
 		}
@@ -64,22 +61,7 @@ func (r *Replica) tryExecute(ctx proc.Context) {
 			// (which either restores the entry via Condition 1/2 or
 			// finalizes it as a no-op) — arm the dependency-wait timers.
 			// Every closure member is equally stuck this pass.
-			if r.exec != nil {
-				// Arming timers touches the Context: flush the accumulated
-				// batch first so charges, sends, and timers happen in the
-				// exact sequence the serial walk would produce.
-				r.exec.flush(ctx, r)
-			}
 			for _, ce := range closure {
-				// The status guard matters only on the batched path: this
-				// closure may share entries with the just-flushed batch
-				// (the serial walk would never have pulled those in — it
-				// sees shared dependencies StatusExecuted), and marking
-				// them blocked would spuriously block later roots that
-				// depend on them.
-				if ce.status != StatusCommitted {
-					continue
-				}
 				blocked[ce.inst] = true
 			}
 			slices.SortFunc(blockers, types.InstanceID.Compare)
@@ -88,9 +70,6 @@ func (r *Replica) tryExecute(ctx proc.Context) {
 		}
 		r.executeClosure(ctx, closure)
 		executedAny = true
-	}
-	if r.exec != nil {
-		r.exec.flush(ctx, r)
 	}
 	if executedAny {
 		// The final state advanced; speculative effects layered on the old
@@ -188,35 +167,14 @@ func (r *Replica) armDepWait(ctx proc.Context, blockers []types.InstanceID) {
 	}
 }
 
-// executeClosure linearizes one complete closure and executes it. The
-// dependency graph is replica-owned scratch, Reset and refilled per closure
-// (building a fresh graph per closure used to dominate the execution path's
-// allocations); it borrows the entries' committed dependency sets, which are
-// not mutated while the closure executes. When the parallel executor is
-// enabled (ExecWorkers > 1 and the application implements
-// types.ConcurrentApplication) the linearized closure is scheduled as a
-// level-ordered DAG instead of the serial walk — appended to the pass's
-// accumulating batch, which tryExecute flushes; both paths produce
-// byte-identical results, logs, and reply order (see executor.go).
-//
-// Entries the current batch already scheduled are excluded from the graph:
-// the serial walk would see them StatusExecuted (a shared dependency of two
-// roots executes with the first), and excluding them keeps this closure's
-// linearization identical to the serial walk's.
+// executeClosure linearizes one complete closure and executes it in that
+// order. The dependency graph is replica-owned scratch, Reset and refilled
+// per closure (building a fresh graph per closure used to dominate the
+// execution path's allocations); it borrows the entries' committed
+// dependency sets, which are not mutated while the closure executes.
 func (r *Replica) executeClosure(ctx proc.Context, closure []*entry) {
 	g := r.execGraph
 	g.Reset()
-	if r.exec != nil {
-		for _, e := range closure {
-			if r.exec.claimedInst(e.inst) {
-				continue
-			}
-			g.Add(e.inst, e.seq, e.deps)
-		}
-		order, spans := g.Linearize()
-		r.exec.addClosure(r, order, spans)
-		return
-	}
 	for _, e := range closure {
 		g.Add(e.inst, e.seq, e.deps)
 	}
@@ -234,7 +192,8 @@ func (r *Replica) executeClosure(ctx proc.Context, closure []*entry) {
 // order — on the final state with exactly-once semantics: if a client
 // request was already executed under a different instance (a re-proposal
 // after an owner change, or a duplicate landing in two different batches),
-// the memoized result is reused instead of re-executing.
+// the memoized result is reused instead of re-executing. It then marks the
+// entry executed and sends the slow-path commit replies it owes.
 func (r *Replica) finalExecute(ctx proc.Context, e *entry) {
 	for i := 0; i < e.nCmds(); i++ {
 		cmd := e.cmdAt(i)
@@ -255,30 +214,15 @@ func (r *Replica) finalExecute(ctx proc.Context, e *entry) {
 			res = r.cfg.App.PromoteFinal(cmd)
 			r.executed[key] = res
 		}
-		r.recordFinal(e, i, cmd, res)
+		if !cmd.IsNoop() && cmd.Timestamp > r.executedTs[cmd.Client] {
+			r.executedTs[cmd.Client] = cmd.Timestamp
+		}
+		e.setFinalResult(i, res)
+		if r.execObserver != nil {
+			r.execObserver(ExecRecord{Inst: e.inst, Pos: i, Cmd: cmd, Result: res})
+		}
+		r.stats.FinalExecutions++
 	}
-	r.finishEntry(ctx, e)
-}
-
-// recordFinal is the per-command bookkeeping both execution paths share:
-// executed-timestamp watermark, the entry's final result slot, the
-// execution observer, and the execution counter. Single-sourced so the
-// serial and parallel paths cannot drift.
-func (r *Replica) recordFinal(e *entry, i int, cmd types.Command, res types.Result) {
-	if !cmd.IsNoop() && cmd.Timestamp > r.executedTs[cmd.Client] {
-		r.executedTs[cmd.Client] = cmd.Timestamp
-	}
-	e.setFinalResult(i, res)
-	if r.execObserver != nil {
-		r.execObserver(ExecRecord{Inst: e.inst, Pos: i, Cmd: cmd, Result: res})
-	}
-	r.stats.FinalExecutions++
-}
-
-// finishEntry is the per-entry completion bookkeeping both execution paths
-// share: status, the pending-execution set, the checkpoint execution mark,
-// and the slow-path commit replies.
-func (r *Replica) finishEntry(ctx proc.Context, e *entry) {
 	e.status = StatusExecuted
 	delete(r.pendingExec, e.inst)
 	// Durability point: the execution (and its executed-timestamp

@@ -13,9 +13,9 @@ import (
 // behind one uncommitted dependency — the shape a contended workload
 // produces, where every commit arrival re-runs the tryExecute pass over
 // the whole backlog without executing anything.
-func stuckReplica(tb testing.TB, backlog, workers int) *Replica {
+func stuckReplica(tb testing.TB, backlog int) *Replica {
 	tb.Helper()
-	rep, err := NewReplica(ReplicaConfig{Self: 0, N: 4, App: kvstore.New(), Auth: auth.Noop{}, ExecWorkers: workers})
+	rep, err := NewReplica(ReplicaConfig{Self: 0, N: 4, App: kvstore.New(), Auth: auth.Noop{}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,24 +45,16 @@ func stuckReplica(tb testing.TB, backlog, workers int) *Replica {
 // traversal) is replica-owned and recycled, so steady-state passes stay
 // allocation-free; the benchmark's allocs/op guards that.
 func BenchmarkTryExecuteContended(b *testing.B) {
-	// The parallel variant pins the executor's overhead on the no-progress
-	// path: a stuck pass schedules nothing, so claimedInst checks and the
-	// empty flush must cost (and allocate) essentially nothing extra.
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 0}, {"par8", 8}} {
-		b.Run(bc.name, func(b *testing.B) {
-			rep := stuckReplica(b, 256, bc.workers)
-			ctx := noopCtx{}
-			rep.tryExecute(ctx) // warm the scratch to steady-state capacity
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep.tryExecute(ctx)
-			}
-		})
-	}
+	b.Run("serial", func(b *testing.B) {
+		rep := stuckReplica(b, 256)
+		ctx := noopCtx{}
+		rep.tryExecute(ctx) // warm the scratch to steady-state capacity
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rep.tryExecute(ctx)
+		}
+	})
 }
 
 // TestTryExecuteScratchReuse pins the fix: after the first pass sizes the
@@ -71,29 +63,24 @@ func BenchmarkTryExecuteContended(b *testing.B) {
 // failing loudly if the per-pass pending slice, blocked set, or closure
 // traversal are ever rebuilt per pass again (hundreds of allocations).
 func TestTryExecuteScratchReuse(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 0}, {"par8", 8}} {
-		t.Run(tc.name, func(t *testing.T) {
-			rep := stuckReplica(t, 256, tc.workers)
-			ctx := noopCtx{}
-			rep.tryExecute(ctx)
-			allocs := testing.AllocsPerRun(20, func() { rep.tryExecute(ctx) })
-			if allocs > 4 {
-				t.Fatalf("steady-state tryExecute pass allocates %.0f times, want <= 4", allocs)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		rep := stuckReplica(t, 256)
+		ctx := noopCtx{}
+		rep.tryExecute(ctx)
+		allocs := testing.AllocsPerRun(20, func() { rep.tryExecute(ctx) })
+		if allocs > 4 {
+			t.Fatalf("steady-state tryExecute pass allocates %.0f times, want <= 4", allocs)
+		}
+	})
 }
 
 // executableReplica builds a replica with n committed, mutually independent
 // entries (distinct keys, empty dependency sets) at slots >= 2 of space 0.
 // Slot 1 is deliberately absent, so the execution mark never advances and
 // the per-slot digest chain (a sha256 each) stays out of the measurement.
-func executableReplica(tb testing.TB, n, workers int) (*Replica, []*entry) {
+func executableReplica(tb testing.TB, n int) (*Replica, []*entry) {
 	tb.Helper()
-	rep, err := NewReplica(ReplicaConfig{Self: 0, N: 4, App: kvstore.New(), Auth: auth.Noop{}, ExecWorkers: workers})
+	rep, err := NewReplica(ReplicaConfig{Self: 0, N: 4, App: kvstore.New(), Auth: auth.Noop{}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -130,59 +117,41 @@ func rearm(rep *Replica, entries []*entry) {
 }
 
 // TestExecutePassScratchReuse pins the executing path: with the dependency
-// graph, linearization scratch, and (for the parallel executor) the item
-// and unit buffers all replica-owned and recycled, executing a 256-entry
-// backlog of independent PUTs allocates almost nothing in steady state.
-// nil PUT values keep the store's value copies out of the measurement. The
-// parallel bound is per-command: the ConcurrentApplication contract has the
-// application allocate one footprint slice per scheduled command (256
-// here), plus headroom for the level-bucket goroutine machinery — the
-// executor's own scratch must contribute nothing beyond that.
+// graph and linearization scratch replica-owned and recycled, executing a
+// 256-entry backlog of independent PUTs allocates almost nothing in steady
+// state. nil PUT values keep the store's value copies out of the
+// measurement.
 func TestExecutePassScratchReuse(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-		bound   float64
-	}{{"serial", 0, 4}, {"par8", 8, 256 + 64}} {
-		t.Run(tc.name, func(t *testing.T) {
-			rep, entries := executableReplica(t, 256, tc.workers)
-			ctx := noopCtx{}
-			rep.tryExecute(ctx) // warm scratch, memo, and log capacity
-			allocs := testing.AllocsPerRun(20, func() {
-				rearm(rep, entries)
-				rep.tryExecute(ctx)
-			})
-			if len(rep.execLog) != 256 {
-				t.Fatalf("pass executed %d entries, want 256", len(rep.execLog))
-			}
-			if allocs > tc.bound {
-				t.Fatalf("steady-state executing pass allocates %.0f times, want <= %.0f", allocs, tc.bound)
-			}
+	t.Run("serial", func(t *testing.T) {
+		rep, entries := executableReplica(t, 256)
+		ctx := noopCtx{}
+		rep.tryExecute(ctx) // warm scratch, memo, and log capacity
+		allocs := testing.AllocsPerRun(20, func() {
+			rearm(rep, entries)
+			rep.tryExecute(ctx)
 		})
-	}
+		if len(rep.execLog) != 256 {
+			t.Fatalf("pass executed %d entries, want 256", len(rep.execLog))
+		}
+		if allocs > 4 {
+			t.Fatalf("steady-state executing pass allocates %.0f times, want <= 4", allocs)
+		}
+	})
 }
 
 // BenchmarkExecutePass measures a full execution pass over a 256-entry
-// backlog of independent commands — the throughput case the parallel
-// executor targets. Each iteration re-arms the backlog in place; the re-arm
-// is identical across variants, so serial-vs-parallel deltas isolate the
-// executor. (On a single-CPU host the parallel variant only measures
-// scheduling overhead; speedups need GOMAXPROCS > 1.)
+// backlog of independent commands. Each iteration re-arms the backlog in
+// place.
 func BenchmarkExecutePass(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 0}, {"par2", 2}, {"par8", 8}} {
-		b.Run(bc.name, func(b *testing.B) {
-			rep, entries := executableReplica(b, 256, bc.workers)
-			ctx := noopCtx{}
+	b.Run("serial", func(b *testing.B) {
+		rep, entries := executableReplica(b, 256)
+		ctx := noopCtx{}
+		rep.tryExecute(ctx)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rearm(rep, entries)
 			rep.tryExecute(ctx)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rearm(rep, entries)
-				rep.tryExecute(ctx)
-			}
-		})
-	}
+		}
+	})
 }

@@ -16,21 +16,16 @@
 //
 // # Execution determinism
 //
-// Final execution is deterministic on every replica regardless of the
-// ExecWorkers setting. The serial path (exec.go) walks each committed
-// closure's linearization directly. The parallel executor (executor.go,
-// enabled by ExecWorkers > 1 with a types.ConcurrentApplication) schedules
-// the same linearization as a level-ordered DAG: scheduling decisions —
-// exactly-once memo hits, settled-timestamp skips, dependency
-// levels, footprint conflicts — are all resolved serially in linear order
-// before any worker runs; workers only compute PromoteFinal results for
-// commands whose levels make them non-interfering (disjoint footprints or
-// commutative per types.Command.Interferes); and all replica bookkeeping —
-// the executed memo, executedTs watermarks, the execution log, entry
-// statuses, checkpoint marks, commit-reply sends, and simulated cost
-// charges — replays serially in linear order afterwards. Results, logs,
-// reply order, and simulated timings are therefore byte-identical at any
-// worker count; the full argument is in executor.go.
+// Final execution follows the paper's rule (§IV-B) on one path (exec.go),
+// on the replica's own goroutine: each committed closure is linearized —
+// strongly connected components in inverse topological order, members by
+// sequence number, ties broken by instance — and its commands are applied
+// in that order. Every decision on the way (a no-op, an exactly-once memo
+// hit, a settled-timestamp skip) reads only state that earlier steps of the
+// same walk produced, so results, the executed memo, executedTs watermarks,
+// entry statuses, checkpoint marks, commit-reply order and simulated cost
+// charges are the same on every correct replica that committed the same
+// closures.
 //
 // The execution log those checks compare is not something a replica keeps:
 // final execution reports each command to an observer (Replica.execObserver)

@@ -145,12 +145,6 @@ type Replica struct {
 	execGraph    *graph.DepGraph
 	execIdxs     []int
 
-	// exec is the deterministic parallel executor, non-nil only when
-	// ExecWorkers > 1 and the application implements
-	// types.ConcurrentApplication; nil keeps the serial path (see
-	// executor.go).
-	exec *parExecutor
-
 	stats ReplicaStats
 }
 
@@ -196,21 +190,12 @@ type ReplicaStats struct {
 	Recoveries uint64 // restarts that rebuilt state from the store
 	WALFailed  bool   // a store error degraded the replica to non-durable
 
-	// Batch-size observables (adaptive sizing): batches this leader
-	// flushed, requests across them (BatchedRequests/Batches = mean batch),
-	// and the largest single batch.
+	// Batch-size observables: batches this leader flushed, requests across
+	// them (BatchedRequests/Batches = mean batch), and the largest single
+	// batch.
 	Batches         uint64
 	BatchedRequests uint64
 	MaxBatch        int
-
-	// Parallel-executor observables (ExecWorkers > 1 with a
-	// ConcurrentApplication; all zero on the serial path): closures
-	// scheduled as level-ordered DAGs, dependency levels executed across
-	// them, and commands that ran on a level shared with at least one other
-	// command (the actually-parallel work).
-	ParallelClosures uint64
-	ExecLevels       uint64
-	ParallelCmds     uint64
 }
 
 var _ proc.Process = (*Replica)(nil)
@@ -252,13 +237,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	r.execBlocked = make(map[types.InstanceID]bool)
 	r.execGraph = graph.NewDepGraph()
-	if cfg.ExecWorkers > 1 {
-		if capp, ok := cfg.App.(types.ConcurrentApplication); ok {
-			r.exec = newParExecutor(cfg.ExecWorkers, capp)
-		}
-	}
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
-	r.batcher.SetAdaptive(cfg.BatchAdaptive)
 	r.oc.init()
 	return r, nil
 }
@@ -267,7 +246,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 func (r *Replica) ID() types.NodeID { return types.ReplicaNode(r.cfg.Self) }
 
 // Stats returns a snapshot of the replica's counters, including the batch
-// sizes the (possibly adaptive) batcher actually produced.
+// sizes the batcher actually produced.
 func (r *Replica) Stats() ReplicaStats {
 	s := r.stats
 	bs := r.batcher.Stats()

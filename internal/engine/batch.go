@@ -61,17 +61,10 @@ type Batcher[K comparable, T any] struct {
 	// to disarm with): a fire whose generation is stale is a no-op.
 	gen uint64
 
-	// adaptive sizing state (SetAdaptive): flush timestamps decide whether
-	// the node is under queue pressure.
-	adaptive    bool
-	flushedOnce bool
-	lastFlushAt time.Duration
-
 	stats BatcherStats
 }
 
-// BatcherStats describes the batch sizes a batcher actually produced —
-// the observable of adaptive sizing.
+// BatcherStats describes the batch sizes a batcher actually produced.
 type BatcherStats struct {
 	// Flushes counts batches handed to the flush callback.
 	Flushes uint64
@@ -80,16 +73,6 @@ type BatcherStats struct {
 	// MaxBatch is the largest single flush.
 	MaxBatch int
 }
-
-// SetAdaptive toggles adaptive batch sizing. A full batch always flushes
-// immediately; adaptivity governs the incomplete-batch wait. When the
-// previous flush is at least one BatchDelay in the past the node is idle,
-// and a freshly arrived request flushes alone — batch-of-one latency, no
-// delay stalling. When flushes come back to back (requests arriving faster
-// than one per BatchDelay window), the incomplete batch stretches toward
-// BatchDelay waiting for company, so saturated nodes converge on the
-// configured maximum batch automatically. Call before the first Add.
-func (b *Batcher[K, T]) SetAdaptive(on bool) { b.adaptive = on }
 
 // Stats returns the batch sizes produced so far.
 func (b *Batcher[K, T]) Stats() BatcherStats { return b.stats }
@@ -126,11 +109,6 @@ func (b *Batcher[K, T]) Add(ctx proc.Context, key K, item T) {
 		b.Flush(ctx)
 		return
 	}
-	if b.adaptive && len(b.items) == 1 && !b.underPressure(ctx) {
-		// Idle node: don't make the lone request wait out BatchDelay.
-		b.Flush(ctx)
-		return
-	}
 	if !b.armed {
 		b.armed = true
 		gen := b.gen
@@ -142,12 +120,6 @@ func (b *Batcher[K, T]) Add(ctx proc.Context, key K, item T) {
 			b.Flush(ctx)
 		})
 	}
-}
-
-// underPressure reports whether requests are arriving faster than one per
-// delay window — the previous flush is less than one BatchDelay old.
-func (b *Batcher[K, T]) underPressure(ctx proc.Context) bool {
-	return b.flushedOnce && ctx.Now()-b.lastFlushAt < b.delay
 }
 
 // Flush hands everything queued to the flush callback now (no-op when
@@ -166,8 +138,6 @@ func (b *Batcher[K, T]) Flush(ctx proc.Context) {
 	batch := b.items
 	b.items = nil
 	clear(b.queued)
-	b.flushedOnce = true
-	b.lastFlushAt = ctx.Now()
 	b.stats.Flushes++
 	b.stats.Items += uint64(len(batch))
 	if len(batch) > b.stats.MaxBatch {

@@ -81,20 +81,6 @@ type ReplicaOptions struct {
 	// BatchDelay bounds how long an incomplete batch waits before flushing
 	// (0 = the protocol default).
 	BatchDelay time.Duration
-	// BatchAdaptive enables adaptive batch sizing: an idle ordering replica
-	// flushes each request alone (batch-of-one latency) and only stretches
-	// toward BatchDelay when requests arrive faster than one per delay
-	// window, converging on BatchSize under saturation. Ignored when
-	// BatchSize <= 1.
-	BatchAdaptive bool
-	// ExecWorkers sizes the deterministic parallel executor on protocols
-	// that support it (ezBFT): final execution of each committed dependency
-	// closure is scheduled as a level-ordered DAG across this many
-	// goroutines when the application implements
-	// types.ConcurrentApplication. 0 or 1 keeps the serial execution path;
-	// every observable is byte-identical at any setting. Protocols without
-	// a parallel executor ignore it.
-	ExecWorkers int
 	// Store, when non-nil, is the replica's durability layer (see
 	// internal/store): ordering-critical protocol state is
 	// write-ahead-logged through it before the replica acts on it, stable

@@ -374,9 +374,6 @@ type ReplicaConfig struct {
 	// before flushing (default DefaultBatchDelay; only used when
 	// BatchSize > 1).
 	BatchDelay time.Duration
-	// BatchAdaptive enables adaptive batch sizing (see
-	// engine.Batcher.SetAdaptive).
-	BatchAdaptive bool
 	// CheckpointInterval enables checkpointing and log truncation every
 	// this many executed sequence numbers (see checkpoint.go). 0 (the
 	// default) disables the subsystem — byte-identical original flow.
@@ -513,7 +510,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
 	r.states = engine.NewStateKeeper(cfg.App, cfg.CheckpointInterval)
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
-	r.batcher.SetAdaptive(cfg.BatchAdaptive)
 	for i := 0; i < cfg.N; i++ {
 		if types.ReplicaID(i) != cfg.Self {
 			r.peers = append(r.peers, types.ReplicaNode(types.ReplicaID(i)))
@@ -1039,7 +1035,6 @@ func (fabEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 		InitialView:        uint64(o.Primary),
 		BatchSize:          o.BatchSize,
 		BatchDelay:         o.BatchDelay,
-		BatchAdaptive:      o.BatchAdaptive,
 		CheckpointInterval: o.CheckpointInterval,
 		LogRetention:       o.LogRetention,
 		Mute:               o.Mute,

@@ -36,7 +36,7 @@ type DepGraph struct {
 	deps  map[types.InstanceID]types.InstanceSet
 	order []types.InstanceID // insertion order (deduplicated), for determinism
 
-	// Reusable scratch for Linearize/Levels; grown once, kept across Reset.
+	// Reusable scratch for Linearize; grown once, kept across Reset.
 	nodes   []types.InstanceID
 	index   map[types.InstanceID]int
 	csr     []int // concatenated adjacency lists (node indices)
@@ -48,8 +48,6 @@ type DepGraph struct {
 	frames  []frame
 	lin     []types.InstanceID
 	spans   []Span
-	unit    []int
-	levels  []int
 }
 
 type frame struct {
@@ -102,14 +100,12 @@ func (g *DepGraph) grow(n int) {
 		g.idx = make([]int, n)
 		g.low = make([]int, n)
 		g.onStack = make([]bool, n)
-		g.unit = make([]int, n)
 		g.csrOff = make([]int, n+1)
 	}
 	g.nodes = g.nodes[:n]
 	g.idx = g.idx[:n]
 	g.low = g.low[:n]
 	g.onStack = g.onStack[:n]
-	g.unit = g.unit[:n]
 	g.csrOff = g.csrOff[:n+1]
 	if g.index == nil {
 		g.index = make(map[types.InstanceID]int, n)
@@ -124,8 +120,8 @@ func (g *DepGraph) grow(n int) {
 // by space, then slot) — and spans marks each SCC's range within it.
 //
 // Both returned slices are graph-owned scratch: they are valid until the
-// next Linearize, Levels, SCCs, or Reset call, and must be copied to
-// outlive it.
+// next Linearize, SCCs, ExecutionOrder, or Reset call, and must be copied
+// to outlive it.
 func (g *DepGraph) Linearize() (order []types.InstanceID, spans []Span) {
 	n := len(g.order)
 	g.lin = g.lin[:0]
@@ -232,51 +228,6 @@ func (g *DepGraph) Linearize() (order []types.InstanceID, spans []Span) {
 		})
 	}
 	return g.lin, g.spans
-}
-
-// Levels assigns each span from a Linearize call its dependency depth: a
-// span with no in-graph dependencies outside itself is level 1, and every
-// other span sits one level above the deepest span it depends on. Spans
-// sharing a level form an antichain of the condensation — no dependency
-// path connects them — which is what makes them safe to execute
-// concurrently when their commands also have disjoint footprints.
-//
-// The (order, spans) arguments must come from the immediately preceding
-// Linearize call on this graph. The returned slice is graph-owned scratch
-// with one entry per span, valid until the next Linearize/Levels/Reset.
-func (g *DepGraph) Levels(order []types.InstanceID, spans []Span) []int {
-	// Remap index/unit scratch onto linearized positions.
-	clear(g.index)
-	for pos, id := range order {
-		g.index[id] = pos
-	}
-	g.unit = g.unit[:len(order)]
-	for si, sp := range spans {
-		for k := sp.Start; k < sp.End; k++ {
-			g.unit[k] = si
-		}
-	}
-	g.levels = g.levels[:0]
-	for si, sp := range spans {
-		lvl := 1
-		for k := sp.Start; k < sp.End; k++ {
-			for _, dep := range g.deps[order[k]] {
-				pos, ok := g.index[dep]
-				if !ok {
-					continue // dependency outside the graph: already executed
-				}
-				du := g.unit[pos]
-				// Inverse topological order guarantees cross-span
-				// dependencies point backwards (du < si); same-span edges
-				// don't raise the level.
-				if du != si && du < si && g.levels[du] >= lvl {
-					lvl = g.levels[du] + 1
-				}
-			}
-		}
-		g.levels = append(g.levels, lvl)
-	}
-	return g.levels
 }
 
 // SCCs returns the strongly connected components in inverse topological

@@ -272,47 +272,6 @@ func TestLinearizeSpansMatchSCCs(t *testing.T) {
 	}
 }
 
-func TestLevelsAntichains(t *testing.T) {
-	// a and c are independent roots (level 1); b depends on a, d on c
-	// (level 2); e depends on both b and d (level 3).
-	g := NewDepGraph()
-	a, b, c, d, e := inst(0, 1), inst(0, 2), inst(1, 1), inst(1, 2), inst(2, 1)
-	g.Add(a, 1, types.NewInstanceSet())
-	g.Add(b, 2, types.NewInstanceSet(a))
-	g.Add(c, 1, types.NewInstanceSet())
-	g.Add(d, 2, types.NewInstanceSet(c))
-	g.Add(e, 3, types.NewInstanceSet(b, d))
-	order, spans := g.Linearize()
-	levels := g.Levels(order, spans)
-	byInst := make(map[types.InstanceID]int)
-	for si, sp := range spans {
-		for k := sp.Start; k < sp.End; k++ {
-			byInst[order[k]] = levels[si]
-		}
-	}
-	want := map[types.InstanceID]int{a: 1, c: 1, b: 2, d: 2, e: 3}
-	for id, lvl := range want {
-		if byInst[id] != lvl {
-			t.Errorf("%v: level %d, want %d (all: %v)", id, byInst[id], lvl, byInst)
-		}
-	}
-}
-
-func TestLevelsDanglingDepsStayLevelOne(t *testing.T) {
-	// Dependencies on instances outside the graph (already executed) must
-	// not raise the level — the whole closure is immediately runnable.
-	g := NewDepGraph()
-	a, b := inst(0, 5), inst(1, 5)
-	g.Add(a, 1, types.NewInstanceSet(inst(2, 1), inst(3, 1)))
-	g.Add(b, 1, types.NewInstanceSet(inst(2, 2)))
-	order, spans := g.Linearize()
-	for _, lvl := range g.Levels(order, spans) {
-		if lvl != 1 {
-			t.Fatalf("levels = %v, want all 1", g.Levels(order, spans))
-		}
-	}
-}
-
 func TestResetReuse(t *testing.T) {
 	// A graph must produce identical results after Reset as a fresh one,
 	// across closures of different shapes.
@@ -347,8 +306,8 @@ func TestResetReuse(t *testing.T) {
 	}
 }
 
-func TestLinearizeLevelsNoAllocsOnReuse(t *testing.T) {
-	// The executor calls Reset+Add+Linearize+Levels once per closure on the
+func TestLinearizeNoAllocsOnReuse(t *testing.T) {
+	// The replica calls Reset+Add+Linearize once per closure on the
 	// execution hot path; after warmup the graph's scratch must absorb a
 	// same-shaped closure with zero heap allocations.
 	g := NewDepGraph()
@@ -362,9 +321,8 @@ func TestLinearizeLevelsNoAllocsOnReuse(t *testing.T) {
 			prev = types.NewInstanceSet(id)
 		}
 		order, spans := g.Linearize()
-		levels := g.Levels(order, spans)
-		if len(order) != n || len(levels) != len(spans) {
-			t.Fatalf("order %d levels %d spans %d", len(order), len(levels), len(spans))
+		if len(order) != n || len(spans) != n {
+			t.Fatalf("order %d spans %d, want %d each", len(order), len(spans), n)
 		}
 	}
 	run() // warm the scratch
@@ -387,10 +345,9 @@ func TestLinearizeLevelsNoAllocsOnReuse(t *testing.T) {
 		for _, nd := range nodes {
 			g.Add(nd.id, nd.seq, nd.deps)
 		}
-		order, spans := g.Linearize()
-		g.Levels(order, spans)
+		g.Linearize()
 	})
 	if allocs != 0 {
-		t.Fatalf("Reset+Add+Linearize+Levels allocated %.1f/op, want 0", allocs)
+		t.Fatalf("Reset+Add+Linearize allocated %.1f/op, want 0", allocs)
 	}
 }

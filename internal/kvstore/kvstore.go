@@ -8,32 +8,26 @@
 // the overlay can be rolled back wholesale and commands re-executed in
 // final order on the base state.
 //
-// The store also implements types.ConcurrentApplication for the
-// deterministic parallel executor: each command's footprint is exactly its
-// key, and state is partitioned into lock stripes by key hash so
-// PromoteFinal calls on different keys proceed concurrently instead of
-// serializing on one store-wide mutex. Whole-store operations (Digest,
-// Snapshot, Restore, Rollback, Len) take every stripe in index order, so
-// they remain atomic with respect to in-flight per-key operations and their
-// output stays byte-identical to the single-mutex implementation.
+// One goroutine, the owning replica's, writes a store; others may observe
+// it at the same time (Digest, Get, Len, Snapshot, retained states), as
+// types.Application requires of Digest. One read-write mutex guards it all.
 //
 // Cost model of the whole-store operations. Digest and Snapshot visit the
 // keys in sorted order; the store keeps that order as an index built on
 // their first call and maintained incrementally after it (a key new to the
-// final state is queued under its stripe's lock and merged in on the next
-// whole-store call), so neither re-sorts nor allocates key slices, and
-// Digest allocates nothing at steady state. A store that was never
-// digested or snapshotted keeps no index: ezBFT, whose CHECKPOINT votes an
-// execution digest and which snapshots only to serve a transfer, pays
-// nothing on its loop. The store is also a types.Retainer: Retain pins the
-// current final state in O(1) by keeping, per stripe, an undo record
-// (key, previous value, existed) of every final write made while any state
-// is retained; serializing a retained state replays those records over the
-// current state. The records exist only while a state is retained, their
-// storage is reused, and Restore drops them along with every retained
-// state. PBFT, Zyzzyva and FaB retain a state at each checkpoint
-// (engine.StateKeeper) and serialize it only to serve a state transfer or
-// cut a durable snapshot.
+// final state is queued and merged in on the next whole-store call), so
+// neither re-sorts nor allocates key slices, and Digest allocates nothing at
+// steady state. A store that was never digested or snapshotted keeps no
+// index: ezBFT, whose CHECKPOINT votes an execution digest and which
+// snapshots only to serve a transfer, pays nothing on its loop. The store is
+// also a types.Retainer: Retain pins the current final state in O(1) by
+// keeping an undo record (key, previous value, existed) of every final
+// write made while any state is retained; serializing a retained state
+// replays those records over the current state. The records exist only
+// while a state is retained, their storage is reused, and Restore drops
+// them along with every retained state. PBFT, Zyzzyva and FaB retain a
+// state at each checkpoint (engine.StateKeeper) and serialize it only to
+// serve a state transfer or cut a durable snapshot.
 package kvstore
 
 import (
@@ -48,27 +42,6 @@ import (
 	"ezbft/internal/types"
 )
 
-// numStripes is the lock-stripe count; a power of two so the hash reduces
-// with a mask. 32 stripes keep the collision probability low for the worker
-// counts the executor runs (≤ GOMAXPROCS in practice).
-const numStripes = 32
-
-// stripe is one lock-partition of the store: final state plus the
-// speculative overlay for the keys that hash here, and the bookkeeping the
-// whole-store operations keep on the final state's writes (see the package
-// comment). Final values are never modified in place, so an undo record
-// keeps the previous value itself, not a copy.
-type stripe struct {
-	mu    sync.RWMutex
-	final map[string][]byte
-	spec  map[string][]byte // overlay; reads fall through to final
-
-	indexed   bool         // the store keeps a key index: queue new keys in added
-	added     []string     // keys new to final since the index was last merged
-	retaining bool         // some state is retained: record overwrites in undo
-	undo      []undoRecord // final writes since the oldest retained state
-}
-
 // undoRecord is one final write as seen from before it: the key's previous
 // value and whether the key existed at all.
 type undoRecord struct {
@@ -78,20 +51,21 @@ type undoRecord struct {
 }
 
 // Store is a speculative key-value store, safe for one writer (the owning
-// replica process) with any number of concurrent observers — and, under the
-// types.ConcurrentApplication contract, safe for concurrent PromoteFinal
-// calls on non-interfering commands.
+// replica process) with any number of concurrent observers. Final values
+// are never modified in place, so an undo record keeps the previous value
+// itself, not a copy.
 type Store struct {
-	stripes [numStripes]stripe
+	mu    sync.RWMutex
+	final map[string][]byte
+	spec  map[string][]byte // overlay; reads fall through to final
 
-	// The whole-store state below is touched only with every stripe locked
-	// exclusively.
-	indexed  bool
-	keys     []string // sorted final keys, once indexed
-	merge    []string // scratch: newly added keys being merged into keys
+	indexed  bool             // keys is kept: queue keys new to final in added
+	keys     []string         // sorted final keys, once indexed
+	added    []string         // keys new to final since the index was last merged
+	undo     []undoRecord     // final writes since the oldest retained state
+	retained []*retainedState // live retained states, oldest first
 	hash     hash.Hash
 	scratch  []byte
-	retained []*retainedState // live retained states, oldest first
 
 	finalExecs atomic.Uint64
 	specExecs  atomic.Uint64
@@ -100,55 +74,14 @@ type Store struct {
 
 var (
 	_ types.SpeculativeApplication = (*Store)(nil)
-	_ types.ConcurrentApplication  = (*Store)(nil)
 	_ types.Retainer               = (*Store)(nil)
 )
 
 // New returns an empty store.
 func New() *Store {
-	s := &Store{}
-	for i := range s.stripes {
-		s.stripes[i].final = make(map[string][]byte)
-		s.stripes[i].spec = make(map[string][]byte)
-	}
-	return s
-}
-
-// stripeIndex hashes a key onto its lock stripe (FNV-1a, masked).
-func stripeIndex(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h & (numStripes - 1))
-}
-
-func (s *Store) stripeOf(key string) *stripe { return &s.stripes[stripeIndex(key)] }
-
-// lockAll takes every stripe in index order (deadlock-free against the
-// per-key paths, which hold at most one stripe).
-func (s *Store) lockAll() {
-	for i := range s.stripes {
-		s.stripes[i].mu.Lock()
-	}
-}
-
-func (s *Store) unlockAll() {
-	for i := range s.stripes {
-		s.stripes[i].mu.Unlock()
-	}
-}
-
-func (s *Store) rlockAll() {
-	for i := range s.stripes {
-		s.stripes[i].mu.RLock()
-	}
-}
-
-func (s *Store) runlockAll() {
-	for i := range s.stripes {
-		s.stripes[i].mu.RUnlock()
+	return &Store{
+		final: make(map[string][]byte),
+		spec:  make(map[string][]byte),
 	}
 }
 
@@ -167,49 +100,32 @@ func (s *Store) SpecExecute(cmd types.Command) types.Result {
 	if cmd.Op == types.OpNoop {
 		return types.Result{OK: true}
 	}
-	st := s.stripeOf(cmd.Key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return apply(cmd, st.specRead, st.specWrite)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return apply(cmd, s.specRead, s.specWrite)
 }
 
 // Rollback implements types.SpeculativeApplication: discard the overlay.
-// The overlay maps are emptied, not replaced: a replica rolls back after
+// The overlay map is emptied, not replaced: a replica rolls back after
 // every execution pass and speculates again at once, so a fresh map would
 // only be regrown by the next write.
 func (s *Store) Rollback() {
-	s.lockAll()
-	defer s.unlockAll()
-	for i := range s.stripes {
-		clear(s.stripes[i].spec)
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.spec)
 	s.rollbacks.Add(1)
 }
 
 // PromoteFinal implements types.SpeculativeApplication: execute on the
-// previous final version of the state only. Under the
-// types.ConcurrentApplication contract it may be called from multiple
-// goroutines at once for non-interfering commands; each call holds only its
-// key's stripe lock.
+// previous final version of the state only.
 func (s *Store) PromoteFinal(cmd types.Command) types.Result {
 	s.finalExecs.Add(1)
 	if cmd.Op == types.OpNoop {
 		return types.Result{OK: true}
 	}
-	st := s.stripeOf(cmd.Key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return apply(cmd, st.finalRead, st.finalWrite)
-}
-
-// Footprint implements types.ConcurrentApplication: a command touches
-// exactly its key (no-ops touch nothing; they never reach the application
-// during final execution anyway).
-func (s *Store) Footprint(cmd types.Command) []types.Key {
-	if cmd.Op == types.OpNoop {
-		return nil
-	}
-	return []types.Key{types.Key(cmd.Key)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return apply(cmd, s.finalRead, s.finalWrite)
 }
 
 // Stats returns execution counters (final, speculative, rollbacks).
@@ -219,10 +135,9 @@ func (s *Store) Stats() (finalExecs, specExecs, rollbacks uint64) {
 
 // Get reads a key from the final state (test/inspection helper).
 func (s *Store) Get(key string) ([]byte, bool) {
-	st := s.stripeOf(key)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	v, ok := st.final[key]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.final[key]
 	if !ok {
 		return nil, false
 	}
@@ -231,30 +146,25 @@ func (s *Store) Get(key string) ([]byte, bool) {
 
 // Len returns the number of keys in the final state.
 func (s *Store) Len() int {
-	s.rlockAll()
-	defer s.runlockAll()
-	n := 0
-	for i := range s.stripes {
-		n += len(s.stripes[i].final)
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.final)
 }
 
 // Digest returns a deterministic digest of the final state, used for
-// checkpoint certificates and state cross-checks between replicas. The
-// output is a function of the key-value contents only — independent of the
-// stripe layout, and byte-identical to the pre-striping implementation:
-// SHA-256 over every (key, value) entry in key order, each as in Snapshot.
+// checkpoint certificates and state cross-checks between replicas: SHA-256
+// over every (key, value) entry in key order, each as in Snapshot. It takes
+// the write lock because it maintains the key index and its own scratch.
 func (s *Store) Digest() types.Digest {
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.syncIndexLocked()
 	if s.hash == nil {
 		s.hash = sha256.New()
 	}
 	s.hash.Reset()
 	for _, k := range s.keys {
-		s.scratch = appendEntry(s.scratch[:0], k, s.stripes[stripeIndex(k)].final[k])
+		s.scratch = appendEntry(s.scratch[:0], k, s.final[k])
 		s.hash.Write(s.scratch)
 	}
 	s.scratch = s.hash.Sum(s.scratch[:0])
@@ -268,52 +178,45 @@ func (s *Store) Digest() types.Digest {
 // state transfer. The speculative overlay is deliberately excluded — it is
 // replica-local and discarded on Restore anyway.
 func (s *Store) Snapshot() []byte {
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.syncIndexLocked()
 	return s.serializeLocked(nil)
 }
 
 // Retain implements types.Retainer: it pins the current final state in
-// O(1) by marking where each stripe's undo records for it begin.
+// O(1) by marking where the undo records for it begin.
 func (s *Store) Retain() types.Retained {
-	s.lockAll()
-	defer s.unlockAll()
-	rs := &retainedState{s: s, live: true}
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		rs.start[i] = len(st.undo)
-		st.retaining = true
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rs := &retainedState{s: s, live: true, start: len(s.undo)}
 	s.retained = append(s.retained, rs)
 	return rs
 }
 
 // retainedState is one state pinned by Retain: the final state as it is
 // now, minus the undo records from start onwards. Its fields other than s
-// are guarded by the store's stripe locks.
+// are guarded by the store's mutex.
 type retainedState struct {
 	s     *Store
 	live  bool
-	start [numStripes]int
+	start int
 }
 
 // Snapshot implements types.Retained.
 func (r *retainedState) Snapshot() ([]byte, bool) {
 	s := r.s
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !r.live {
 		return nil, false
 	}
 	s.syncIndexLocked()
 	// The first record of a key since the retention is its state then.
 	then := make(map[string]undoRecord)
-	for i := range s.stripes {
-		for _, u := range s.stripes[i].undo[r.start[i]:] {
-			if _, seen := then[u.key]; !seen {
-				then[u.key] = u
-			}
+	for _, u := range s.undo[r.start:] {
+		if _, seen := then[u.key]; !seen {
+			then[u.key] = u
 		}
 	}
 	return s.serializeLocked(then), true
@@ -323,26 +226,22 @@ func (r *retainedState) Snapshot() ([]byte, bool) {
 // retained state needs are discarded, their storage kept for reuse.
 func (r *retainedState) Release() {
 	s := r.s
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !r.live {
 		return
 	}
 	r.live = false
 	s.retained = slices.DeleteFunc(s.retained, func(o *retainedState) bool { return o == r })
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		cut := len(st.undo)
-		for _, o := range s.retained {
-			cut = min(cut, o.start[i])
-		}
-		n := copy(st.undo, st.undo[cut:])
-		clear(st.undo[n:])
-		st.undo = st.undo[:n]
-		for _, o := range s.retained {
-			o.start[i] -= cut
-		}
-		st.retaining = len(s.retained) > 0
+	cut := len(s.undo)
+	for _, o := range s.retained {
+		cut = min(cut, o.start)
+	}
+	n := copy(s.undo, s.undo[cut:])
+	clear(s.undo[n:])
+	s.undo = s.undo[:n]
+	for _, o := range s.retained {
+		o.start -= cut
 	}
 }
 
@@ -354,12 +253,8 @@ func (s *Store) dropRetainedLocked() {
 	}
 	clear(s.retained)
 	s.retained = s.retained[:0]
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		clear(st.undo)
-		st.undo = st.undo[:0]
-		st.retaining = false
-	}
+	clear(s.undo)
+	s.undo = s.undo[:0]
 }
 
 // syncIndexLocked brings the sorted key index up to date: built from
@@ -370,45 +265,35 @@ func (s *Store) syncIndexLocked() {
 		s.rebuildIndexLocked()
 		return
 	}
-	s.merge = s.merge[:0]
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		s.merge = append(s.merge, st.added...)
-		clear(st.added)
-		st.added = st.added[:0]
-	}
-	if len(s.merge) == 0 {
+	if len(s.added) == 0 {
 		return
 	}
-	slices.Sort(s.merge)
+	slices.Sort(s.added)
 	// Merge from the back, so the index grows in place.
-	i, j := len(s.keys)-1, len(s.merge)-1
-	s.keys = slices.Grow(s.keys, len(s.merge))[:len(s.keys)+len(s.merge)]
+	i, j := len(s.keys)-1, len(s.added)-1
+	s.keys = slices.Grow(s.keys, len(s.added))[:len(s.keys)+len(s.added)]
 	for k := len(s.keys) - 1; j >= 0; k-- {
-		if i >= 0 && s.keys[i] > s.merge[j] {
+		if i >= 0 && s.keys[i] > s.added[j] {
 			s.keys[k] = s.keys[i]
 			i--
 		} else {
-			s.keys[k] = s.merge[j]
+			s.keys[k] = s.added[j]
 			j--
 		}
 	}
-	clear(s.merge)
+	clear(s.added)
+	s.added = s.added[:0]
 }
 
-// rebuildIndexLocked rebuilds the index from the final maps.
+// rebuildIndexLocked rebuilds the index from the final map.
 func (s *Store) rebuildIndexLocked() {
 	s.keys = s.keys[:0]
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		for k := range st.final {
-			s.keys = append(s.keys, k)
-		}
-		st.indexed = true
-		clear(st.added)
-		st.added = st.added[:0]
+	for k := range s.final {
+		s.keys = append(s.keys, k)
 	}
 	slices.Sort(s.keys)
+	clear(s.added)
+	s.added = s.added[:0]
 }
 
 // serializeLocked writes the final state in Snapshot's format, as it was
@@ -437,7 +322,7 @@ func (s *Store) valueLocked(k string, then map[string]undoRecord) ([]byte, bool)
 	if u, ok := then[k]; ok {
 		return u.prev, u.existed
 	}
-	return s.stripes[stripeIndex(k)].final[k], true
+	return s.final[k], true
 }
 
 // appendEntry appends one length-prefixed (key, value) entry.
@@ -487,16 +372,11 @@ func (s *Store) Restore(snap []byte) error {
 		}
 		final[string(k)] = append([]byte(nil), v...)
 	}
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.dropRetainedLocked()
-	for i := range s.stripes {
-		s.stripes[i].final = make(map[string][]byte)
-		s.stripes[i].spec = make(map[string][]byte)
-	}
-	for k, v := range final {
-		s.stripes[stripeIndex(k)].final[k] = v
-	}
+	s.final = final
+	s.spec = make(map[string][]byte)
 	if s.indexed {
 		s.rebuildIndexLocked()
 	}
@@ -505,33 +385,33 @@ func (s *Store) Restore(snap []byte) error {
 
 // --- internals ---
 
-func (st *stripe) finalRead(key string) ([]byte, bool) {
-	v, ok := st.final[key]
+func (s *Store) finalRead(key string) ([]byte, bool) {
+	v, ok := s.final[key]
 	return v, ok
 }
 
-func (st *stripe) finalWrite(key string, v []byte) {
-	if st.indexed || st.retaining {
-		prev, existed := st.final[key]
-		if st.retaining {
-			st.undo = append(st.undo, undoRecord{key: key, prev: prev, existed: existed})
+func (s *Store) finalWrite(key string, v []byte) {
+	if retaining := len(s.retained) > 0; s.indexed || retaining {
+		prev, existed := s.final[key]
+		if retaining {
+			s.undo = append(s.undo, undoRecord{key: key, prev: prev, existed: existed})
 		}
-		if st.indexed && !existed {
-			st.added = append(st.added, key)
+		if s.indexed && !existed {
+			s.added = append(s.added, key)
 		}
 	}
-	st.final[key] = v
+	s.final[key] = v
 }
 
-func (st *stripe) specRead(key string) ([]byte, bool) {
-	if v, ok := st.spec[key]; ok {
+func (s *Store) specRead(key string) ([]byte, bool) {
+	if v, ok := s.spec[key]; ok {
 		return v, ok
 	}
-	v, ok := st.final[key]
+	v, ok := s.final[key]
 	return v, ok
 }
 
-func (st *stripe) specWrite(key string, v []byte) { st.spec[key] = v }
+func (s *Store) specWrite(key string, v []byte) { s.spec[key] = v }
 
 // apply executes one command against the given read/write accessors.
 // Results are deterministic functions of (state, command); INCR returns no

@@ -18,13 +18,11 @@ import (
 // sort-on-every-call implementations the key index replaced. Their output is
 // the definition the index must reproduce byte for byte.
 func referenceDigest(s *Store) types.Digest {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var keys []string
-	for i := range s.stripes {
-		for k := range s.stripes[i].final {
-			keys = append(keys, k)
-		}
+	for k := range s.final {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	h := sha256.New()
@@ -33,7 +31,7 @@ func referenceDigest(s *Store) types.Digest {
 		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(k)))
 		h.Write(lenBuf[:])
 		h.Write([]byte(k))
-		v := s.stripes[stripeIndex(k)].final[k]
+		v := s.final[k]
 		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(v)))
 		h.Write(lenBuf[:])
 		h.Write(v)
@@ -44,13 +42,11 @@ func referenceDigest(s *Store) types.Digest {
 }
 
 func referenceSnapshot(s *Store) []byte {
-	s.rlockAll()
-	defer s.runlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var keys []string
-	for i := range s.stripes {
-		for k := range s.stripes[i].final {
-			keys = append(keys, k)
-		}
+	for k := range s.final {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var out []byte
@@ -61,7 +57,7 @@ func referenceSnapshot(s *Store) []byte {
 		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(k)))
 		out = append(out, lenBuf[:]...)
 		out = append(out, k...)
-		v := s.stripes[stripeIndex(k)].final[k]
+		v := s.final[k]
 		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(v)))
 		out = append(out, lenBuf[:]...)
 		out = append(out, v...)
@@ -168,37 +164,55 @@ func TestRetainedStateSerializesAsItWas(t *testing.T) {
 			}
 			k.ret.Release() // harmless after the drop
 		}
-		for i := range s.stripes {
-			if st := &s.stripes[i]; st.retaining || len(st.undo) != 0 {
-				t.Fatalf("seed %d: stripe %d keeps undo records after Restore", seed, i)
-			}
+		if len(s.retained) != 0 || len(s.undo) != 0 {
+			t.Fatalf("seed %d: the store keeps undo records after Restore", seed)
 		}
 	}
 }
 
-// TestRetainUnderConcurrentPromoteFinal: PromoteFinal on disjoint keys from
-// several goroutines (the parallel executor's contract) while states are
-// retained; every retained state still serializes as the snapshot taken
-// with it. Meant for -race.
-func TestRetainUnderConcurrentPromoteFinal(t *testing.T) {
+// TestRetainUnderConcurrentObservers: the replica's goroutine applies,
+// speculates, rolls back and retains states while other goroutines call
+// Digest, Get and the retained state's Snapshot — the concurrent observers
+// types.Application allows. Every retained state still serializes as the
+// snapshot taken with it. Meant for -race.
+func TestRetainUnderConcurrentObservers(t *testing.T) {
 	s := New()
-	const workers, rounds = 4, 20
+	const rounds = 20
 	for round := 0; round < rounds; round++ {
 		ret, want := s.Retain(), s.Snapshot()
+		stop := make(chan struct{})
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		observe := func(f func()) {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					s.PromoteFinal(put(fmt.Sprintf("w%d-%d", w, i%17), fmt.Sprintf("%d", round)))
-					s.PromoteFinal(incr(fmt.Sprintf("w%d-n", w)))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						f()
+					}
 				}
-			}(w)
+			}()
 		}
+		observe(func() { s.Digest() })
+		observe(func() { s.Get(fmt.Sprintf("k%d", round%17)) })
+		observe(func() {
+			if got, ok := ret.Snapshot(); !ok || !bytes.Equal(got, want) {
+				t.Errorf("round %d: a concurrent reader saw the retained state change", round)
+			}
+		})
+		for i := 0; i < 50; i++ {
+			s.PromoteFinal(put(fmt.Sprintf("k%d", i%17), fmt.Sprintf("%d", round)))
+			s.PromoteFinal(incr("n"))
+			s.SpecExecute(put("spec", "x"))
+			s.Rollback()
+		}
+		close(stop)
 		wg.Wait()
 		if got, ok := ret.Snapshot(); !ok || !bytes.Equal(got, want) {
-			t.Fatalf("round %d: retained state changed under concurrent writes", round)
+			t.Fatalf("round %d: retained state changed under writes", round)
 		}
 		ret.Release()
 	}

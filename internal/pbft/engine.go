@@ -27,7 +27,6 @@ func (pbftEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 		LogRetention:       o.LogRetention,
 		BatchSize:          o.BatchSize,
 		BatchDelay:         o.BatchDelay,
-		BatchAdaptive:      o.BatchAdaptive,
 		Store:              o.Store,
 		Mute:               o.Mute,
 		Behavior:           o.Behavior,

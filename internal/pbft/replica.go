@@ -49,9 +49,6 @@ type ReplicaConfig struct {
 	// before flushing (default DefaultBatchDelay; only used when
 	// BatchSize > 1).
 	BatchDelay time.Duration
-	// BatchAdaptive enables adaptive batch sizing (see
-	// engine.Batcher.SetAdaptive).
-	BatchAdaptive bool
 	// Store, when non-nil, is the replica's durability layer (see
 	// internal/store and durable.go). Nil (the default) keeps the replica
 	// memoryless across restarts — byte-identical to the pre-durability
@@ -211,7 +208,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
 	r.states = engine.NewStateKeeper(cfg.App, cfg.CheckpointInterval)
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
-	r.batcher.SetAdaptive(cfg.BatchAdaptive)
 	for i := 0; i < cfg.N; i++ {
 		if types.ReplicaID(i) != cfg.Self {
 			r.peers = append(r.peers, types.ReplicaNode(types.ReplicaID(i)))

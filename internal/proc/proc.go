@@ -13,11 +13,10 @@
 //     in-process or TCP transport and timers are wall-clock.
 //
 // Handlers must never block on external events, and any goroutines they
-// start internally (e.g. the parallel executor's per-level workers in
-// internal/core) must be fully joined before the handler returns and must
+// start internally must be fully joined before the handler returns and must
 // never touch the Context — from the runtime's point of view a handler is
-// still one atomic, single-threaded step; all cross-handler concurrency
-// belongs to the runtime.
+// one atomic, single-threaded step; all cross-handler concurrency belongs
+// to the runtime.
 package proc
 
 import (

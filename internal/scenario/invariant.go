@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
 
 	"ezbft/internal/kvstore"
 	"ezbft/internal/types"
@@ -20,12 +19,7 @@ type execKey struct {
 // roll back; only Apply (baselines) and PromoteFinal (ezBFT) count.
 type Journal struct {
 	store *kvstore.Store
-	// mu guards the journaling state: under the parallel executor
-	// (Cell.ExecWorkers > 1) PromoteFinal is called concurrently for
-	// non-interfering commands, and the journal must observe every one.
-	// The inner store synchronizes itself (striped locks).
-	mu   sync.Mutex
-	seen map[execKey]int
+	seen  map[execKey]int
 	// Duplicates lists the first few (client, ts) pairs finally executed
 	// more than once since the last state-transfer install.
 	Duplicates []string
@@ -41,7 +35,6 @@ type Journal struct {
 var (
 	_ types.Application            = (*Journal)(nil)
 	_ types.SpeculativeApplication = (*Journal)(nil)
-	_ types.ConcurrentApplication  = (*Journal)(nil)
 	_ types.Snapshotter            = (*Journal)(nil)
 )
 
@@ -54,8 +47,6 @@ func (j *Journal) record(cmd types.Command) {
 	if cmd.IsNoop() {
 		return
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.Finals++
 	k := execKey{client: cmd.Client, ts: cmd.Timestamp}
 	j.seen[k]++
@@ -84,11 +75,6 @@ func (j *Journal) PromoteFinal(cmd types.Command) types.Result {
 	j.record(cmd)
 	return j.store.PromoteFinal(cmd)
 }
-
-// Footprint implements types.ConcurrentApplication, delegating to the
-// store: journaling adds no keys of its own (the seen-set is keyed by
-// client request identity, synchronized by mu).
-func (j *Journal) Footprint(cmd types.Command) []types.Key { return j.store.Footprint(cmd) }
 
 // Snapshot implements types.Snapshotter.
 func (j *Journal) Snapshot() []byte { return j.store.Snapshot() }

@@ -28,11 +28,6 @@ type Cell struct {
 	Shape         *Shape
 	Batching      bool
 	Checkpointing bool
-	// ExecWorkers > 1 runs the cell with the deterministic parallel
-	// executor (ezBFT only; other protocols ignore it). Every invariant —
-	// exactly-once, digest convergence, certificate agreement — must hold
-	// identically, since parallel execution is byte-identical to serial.
-	ExecWorkers int
 	// Restart enables the crash-restart fault: replicas run over a durable
 	// store (memory backend), one replica is hard-killed mid-workload,
 	// stays down for Config.Downtime, and is rebuilt from its store with a
@@ -64,9 +59,6 @@ func (c Cell) Name() string {
 		variant = "batch"
 	case c.Checkpointing:
 		variant = "ckpt"
-	}
-	if c.ExecWorkers > 1 {
-		variant += fmt.Sprintf("+par%d", c.ExecWorkers)
 	}
 	if c.Restart {
 		variant += "+restart"
@@ -238,7 +230,6 @@ func Run(cell Cell, cfg Config) (*Result, error) {
 	if cell.Batching {
 		spec.BatchSize = 4
 	}
-	spec.ExecWorkers = cell.ExecWorkers
 	if cell.Checkpointing {
 		spec.CheckpointInterval = 8
 	}
@@ -511,9 +502,8 @@ func HasStateTransfer(p engine.Protocol) bool {
 // DefaultMatrix enumerates the full fault matrix: every strategy and
 // every shape (plus the honest/clean baseline and two composed
 // strategy×shape cells) for all four protocols × batching on/off ×
-// checkpointing on/off — and, for ezBFT, every cell again with the
-// deterministic parallel executor enabled (ExecWorkers 4), which must be
-// indistinguishable from serial execution under every fault.
+// checkpointing on/off, plus crash-restart cells for the protocols with a
+// recovery path.
 func DefaultMatrix() []Cell {
 	var cells []Cell
 	for _, p := range bench.Protocols {
@@ -556,21 +546,9 @@ func DefaultMatrix() []Cell {
 			c.XFail = "FaB skeleton leader change cannot re-sync an equivocation victim without checkpointed state transfer"
 		}
 	}
-	// The parallel-executor dimension: every ezBFT cell re-run at
-	// ExecWorkers 4. Appended as a block so the serial matrix's cell order
-	// (and so its per-cell seeds-of-record) stays stable.
-	base := len(cells)
-	for i := 0; i < base; i++ {
-		if cells[i].Protocol != engine.EZBFT {
-			continue
-		}
-		par := cells[i]
-		par.ExecWorkers = 4
-		cells = append(cells, par)
-	}
 	// The durability dimension: crash-restart cells for the two protocols
-	// with a recovery path, appended (again) so every earlier cell keeps
-	// its seed-of-record. Checkpointing variants exercise snapshot-cut
+	// with a recovery path, appended so every earlier cell keeps its
+	// seed-of-record. Checkpointing variants exercise snapshot-cut
 	// recovery plus tail catch-up; the checkpointing-off ezBFT cell
 	// recovers by full WAL replay from genesis.
 	for _, p := range []engine.Protocol{engine.EZBFT, engine.PBFT} {
@@ -590,8 +568,6 @@ func SmokeMatrix() []Cell {
 	return []Cell{
 		{Protocol: engine.EZBFT, Strategy: StrategyByName("equivocating-owner"), Batching: true, Checkpointing: true},
 		{Protocol: engine.EZBFT, Shape: ShapeByName("flapping-partition"), Batching: true, Checkpointing: true},
-		{Protocol: engine.EZBFT, Strategy: StrategyByName("equivocating-owner"), Batching: true, Checkpointing: true, ExecWorkers: 4},
-		{Protocol: engine.EZBFT, Shape: ShapeByName("flapping-partition"), Batching: true, Checkpointing: true, ExecWorkers: 4},
 		{Protocol: engine.PBFT, Strategy: StrategyByName("checkpoint-liar"), Batching: true, Checkpointing: true},
 		{Protocol: engine.PBFT, Shape: ShapeByName("slow-links"), Batching: true, Checkpointing: true},
 		{Protocol: engine.Zyzzyva, Strategy: StrategyByName("stale-order-replay"), Batching: true, Checkpointing: true},

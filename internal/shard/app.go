@@ -36,15 +36,12 @@ const TombstoneCap = 4096
 type App struct {
 	inner     types.Application
 	innerSpec types.SpeculativeApplication // nil when inner does not speculate
-	innerConc types.ConcurrentApplication  // nil when inner is not concurrent
 	innerSnap types.Snapshotter            // nil when inner has no state transfer
 	innerCkpt types.Checkpointer           // nil when inner has no checkpoint hook
 
-	// mu guards the transaction tables. Plain commands never take it, so the
-	// parallel executor's concurrent PromoteFinal calls are untouched;
-	// transaction phases declare a nil footprint and interfere with
-	// everything, so no two of them (and no plain command in ezBFT's DAG)
-	// execute concurrently with one.
+	// mu guards the transaction tables against the goroutines that observe
+	// the application (Digest, Snapshot, LockedKeys, PendingTxns) while the
+	// replica executes on its own. Plain commands never take it.
 	mu    sync.Mutex
 	final tables
 	spec  *tables // speculative overlay; nil while spec == final
@@ -52,21 +49,20 @@ type App struct {
 
 // Wrap builds the transaction-aware wrapper around a shard's application.
 // The wrapper mirrors whichever optional contracts the inner application
-// implements: speculation, concurrent execution, snapshots, and checkpoints
-// all delegate inward, with transaction state layered on top.
+// implements: speculation, snapshots, and checkpoints all delegate inward,
+// with transaction state layered on top.
 func Wrap(inner types.Application) *App {
 	a := &App{inner: inner, final: newTables()}
 	a.innerSpec, _ = inner.(types.SpeculativeApplication)
-	a.innerConc, _ = inner.(types.ConcurrentApplication)
 	a.innerSnap, _ = inner.(types.Snapshotter)
 	a.innerCkpt, _ = inner.(types.Checkpointer)
 	return a
 }
 
 var (
-	_ types.ConcurrentApplication = (*App)(nil)
-	_ types.Snapshotter           = (*App)(nil)
-	_ types.Checkpointer          = (*App)(nil)
+	_ types.SpeculativeApplication = (*App)(nil)
+	_ types.Snapshotter            = (*App)(nil)
+	_ types.Checkpointer           = (*App)(nil)
 )
 
 // Inner returns the wrapped application, for inspection in tests.
@@ -133,20 +129,6 @@ func (a *App) PromoteFinal(cmd types.Command) types.Result {
 		exec = a.innerSpec.PromoteFinal
 	}
 	return a.final.step(cmd, exec)
-}
-
-// Footprint implements types.ConcurrentApplication. Transaction phases
-// return nil ("unknown"), forcing them to execute alone; plain commands
-// delegate to the inner application, or execute alone when it declares no
-// footprints.
-func (a *App) Footprint(cmd types.Command) []types.Key {
-	if cmd.Op.IsTxn() {
-		return nil
-	}
-	if a.innerConc != nil {
-		return a.innerConc.Footprint(cmd)
-	}
-	return nil
 }
 
 // Digest implements types.Application: the inner digest, unchanged while the

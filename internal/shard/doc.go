@@ -23,15 +23,15 @@
 //
 // Wrap embeds any types.Application in a transaction layer. Plain commands
 // pass straight through to the inner application — same Apply, same
-// speculation hooks, same parallel-execution contract, and (critically) the
-// same Digest while no transaction state exists, so a sharded deployment at
-// shards=1 is byte-identical to an unsharded one. Transaction phase commands
+// speculation hooks, and (critically) the same Digest while no transaction
+// state exists, so a sharded deployment at shards=1 is byte-identical to an
+// unsharded one. Transaction phase commands
 // (OpTxnLock, OpTxnApply, OpTxnAbort) execute against per-shard lock tables
 // that the wrapper replicates through the shard's own consensus: a lock
 // stages the transaction's sub-operations and takes per-key locks, an apply
 // executes the staged operations and releases, an abort discards and
-// releases. Phase commands carry the reserved TxnKey and a nil footprint, so
-// they interfere with everything and execute alone — every replica of a
+// releases. Phase commands carry the reserved TxnKey and interfere with
+// everything (types.Command.Interferes) — every replica of a
 // shard observes the same phase sequence at the same log positions, which is
 // what makes the lock tables themselves replicated state.
 //

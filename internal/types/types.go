@@ -196,10 +196,9 @@ func (c Command) Interferes(o Command) bool {
 		// Transaction phases mutate the shard's lock table and may write any
 		// of the transaction's staged keys at apply time, so their outcome
 		// depends on their order relative to every other command. They are
-		// conservatively ordered against everything (they also carry a nil
-		// footprint, so the parallel executor runs them alone). Deployments
-		// without cross-shard transactions never issue these ops, leaving
-		// the paper's interference relation untouched.
+		// conservatively ordered against everything. Deployments without
+		// cross-shard transactions never issue these ops, leaving the
+		// paper's interference relation untouched.
 		return true
 	}
 	if c.Key != o.Key {
@@ -357,43 +356,6 @@ type SpeculativeApplication interface {
 	// speculative effects that depended on it. Equivalent to Apply on the
 	// final version of the state.
 	PromoteFinal(cmd Command) Result
-}
-
-// Key names one unit of application state for footprint declarations (see
-// ConcurrentApplication). For the key-value store it is the command key;
-// other applications may map commands onto coarser or finer units, as long
-// as two commands whose behaviour depends on each other share at least one
-// Key.
-type Key string
-
-// ConcurrentApplication extends SpeculativeApplication with the contract the
-// deterministic parallel executor needs. An application that implements it
-// opts into concurrent final execution: the replica may call PromoteFinal
-// from multiple goroutines at once, but only ever for commands that do not
-// interfere — their footprints are disjoint, or every overlapping pair
-// commutes per Command.Interferes (two GETs, two INCRs). Applications that
-// do not implement ConcurrentApplication always execute serially.
-//
-// Requirements beyond SpeculativeApplication:
-//
-//   - PromoteFinal must be safe for concurrent calls on non-interfering
-//     commands, and commuting commands (same key, both GET or both INCR)
-//     must produce results and state independent of their relative order.
-//   - Footprint must be a pure, deterministic function of the command: the
-//     exact set of Keys the command may read or write. Over-approximating
-//     (extra keys) only costs parallelism; under-approximating breaks
-//     determinism. Footprint is called concurrently with PromoteFinal.
-//   - All other methods (Apply, Digest, SpecExecute, Rollback, Snapshot...)
-//     keep their existing single-caller contract; the replica never invokes
-//     them while parallel PromoteFinal calls are in flight, but Digest must
-//     remain safe to call from observer goroutines as before.
-type ConcurrentApplication interface {
-	SpeculativeApplication
-
-	// Footprint returns every Key the command may touch. A nil or empty
-	// footprint means "unknown" and forces the command to execute alone
-	// (serialized against everything in its batch).
-	Footprint(cmd Command) []Key
 }
 
 // InstanceSet is a set of instance identifiers: the paper's dependency set

@@ -8,8 +8,8 @@
 // one-way latencies in DeploymentA were fitted so that the simulated
 // protocol — including the calibrated per-request processing cost at the
 // ordering replica (see internal/bench.DefaultCosts) — reproduces Table I
-// (see EXPERIMENTS.md §Calibration); the fit lands within ~4% of every
-// published cell. Notably the fit requires the
+// (`ezbft-bench -e table1` prints the simulated matrix); the fit lands
+// within ~4% of every published cell. Notably the fit requires the
 // India–Australia path to be the slowest (~224 ms RTT, consistent with
 // 2019-era submarine routing via Singapore/Europe), which is exactly what
 // makes the paper's own diagonal entries for India and Australia (229 ms)

@@ -25,7 +25,6 @@ func (zyEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 		InitialView:        uint64(o.Primary),
 		BatchSize:          o.BatchSize,
 		BatchDelay:         o.BatchDelay,
-		BatchAdaptive:      o.BatchAdaptive,
 		CheckpointInterval: o.CheckpointInterval,
 		LogRetention:       o.LogRetention,
 		Mute:               o.Mute,

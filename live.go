@@ -61,10 +61,6 @@ type LiveConfig struct {
 	// BatchDelay bounds how long an incomplete batch waits before flushing
 	// (0 = the protocol default).
 	BatchDelay time.Duration
-	// BatchAdaptive enables adaptive batch sizing: idle leaders keep
-	// batch-of-one latency, saturated ones stretch toward BatchDelay and
-	// converge on BatchSize automatically.
-	BatchAdaptive bool
 	// CheckpointInterval enables the log lifecycle subsystem: replicas
 	// checkpoint every this many executions, truncate their logs below
 	// 2f+1-stable checkpoints, and catch lagging peers up by state
@@ -79,13 +75,6 @@ type LiveConfig struct {
 	// inbound signatures on pool workers before its process loop sees the
 	// message; DisablePreVerify turns the pools off.
 	VerifyWorkers int
-	// ExecWorkers sizes the deterministic parallel executor (EZBFT only;
-	// the other protocols ignore it): each replica executes committed
-	// closures across this many workers, scheduled over the dependency DAG
-	// so only non-interfering commands run concurrently. 0 or 1 keeps the
-	// serial path; execution results and reply order are byte-identical at
-	// any setting.
-	ExecWorkers int
 	// DisablePreVerify delivers inbound messages straight to the process
 	// loops, which then verify signatures inline (the pre-PR-4 behaviour;
 	// ablation studies use it).
@@ -210,10 +199,8 @@ func NewLiveCluster(cfg LiveConfig) (*LiveCluster, error) {
 			LatencyBound:       500 * time.Millisecond,
 			BatchSize:          cfg.BatchSize,
 			BatchDelay:         cfg.BatchDelay,
-			BatchAdaptive:      cfg.BatchAdaptive,
 			CheckpointInterval: cfg.CheckpointInterval,
 			LogRetention:       cfg.LogRetention,
-			ExecWorkers:        cfg.ExecWorkers,
 			Store:              st,
 		})
 		if err != nil {

@@ -299,7 +299,6 @@ func NewShardedSimCluster(cfg SimConfig) (*ShardedSimCluster, error) {
 			BatchDelay:         cfg.BatchDelay,
 			CheckpointInterval: cfg.CheckpointInterval,
 			LogRetention:       cfg.LogRetention,
-			ExecWorkers:        cfg.ExecWorkers,
 			Durability:         cfg.Durability,
 			StoreDir:           cfg.StoreDir,
 			Fsync:              cfg.Fsync,

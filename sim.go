@@ -57,14 +57,6 @@ type SimConfig struct {
 	// LogRetention keeps this many extra entries below the stable mark
 	// when truncating.
 	LogRetention uint64
-	// ExecWorkers sizes the deterministic parallel executor (EZBFT only;
-	// the other protocols ignore it): committed closures execute across
-	// this many workers, scheduled over the dependency DAG so only
-	// non-interfering commands run concurrently. 0 or 1 keeps the serial
-	// path. Simulated results — latencies, digests, execution logs — are
-	// byte-identical at any setting; the knob exists so the simulator can
-	// exercise the exact code paths the live runtimes parallelize.
-	ExecWorkers int
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted, byte-identical to the paper figures),
 	// memory, or disk. A non-empty StoreDir with no explicit backend
@@ -132,7 +124,6 @@ func NewSimCluster(cfg SimConfig) (*SimCluster, error) {
 		BatchDelay:         cfg.BatchDelay,
 		CheckpointInterval: cfg.CheckpointInterval,
 		LogRetention:       cfg.LogRetention,
-		ExecWorkers:        cfg.ExecWorkers,
 		Durability:         cfg.Durability,
 		StoreDir:           cfg.StoreDir,
 		Fsync:              cfg.Fsync,

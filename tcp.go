@@ -77,18 +77,9 @@ type TCPReplicaConfig struct {
 	// BatchDelay bounds how long an incomplete batch waits before
 	// flushing (0 = the protocol default).
 	BatchDelay time.Duration
-	// BatchAdaptive enables adaptive batch sizing: an idle replica keeps
-	// batch-of-one latency, a saturated one stretches toward BatchDelay.
-	BatchAdaptive bool
 	// VerifyWorkers sizes the inbound signature-verification worker pool
 	// (0 = GOMAXPROCS).
 	VerifyWorkers int
-	// ExecWorkers sizes the deterministic parallel executor (EZBFT only):
-	// committed closures execute across this many workers, scheduled over
-	// the dependency DAG so only non-interfering commands run concurrently.
-	// 0 or 1 keeps the serial path; results are byte-identical at any
-	// setting.
-	ExecWorkers int
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted), memory, or disk. A non-empty
 	// StoreDir with no explicit backend implies disk.
@@ -163,10 +154,8 @@ func startTCPReplicaAuthed(cfg TCPReplicaConfig, a auth.Authenticator) (*TCPRepl
 		Primary:            cfg.Primary,
 		BatchSize:          cfg.BatchSize,
 		BatchDelay:         cfg.BatchDelay,
-		BatchAdaptive:      cfg.BatchAdaptive,
 		CheckpointInterval: cfg.CheckpointInterval,
 		LogRetention:       cfg.LogRetention,
-		ExecWorkers:        cfg.ExecWorkers,
 		Store:              st,
 	})
 	if err != nil {
