@@ -5,24 +5,6 @@
 // ezBFT's owner-side batching against the baselines' primary-side batching
 // — so high-load comparisons stay apples-to-apples.
 //
-// The `crypto` experiment is different: it runs wall-clock on the live
-// in-process mesh with real signatures, sweeping authentication scheme ×
-// transport-side pre-verification × the shared verified-signature cache at
-// batch size 1 for all four protocols. It is not part of `-e all` (the
-// simulated artifacts); run it explicitly, optionally with `-json` to
-// write the result. No snapshot of it is checked in: it is a closed loop on
-// one P, and the measured cost of authentication is the repository
-// benchmark's tcp_ecdsa workload and auth.* layer rows (see benchmark/).
-// Only ECDSA sits behind the cache (auth.Cached), so its `cache` variants
-// equal the others under HMAC.
-//
-// The `durability` experiment measures the durable-store subsystem
-// wall-clock on the live mesh: committed throughput for ezBFT and PBFT
-// with durability off, the in-memory store, the disk store, and the disk
-// store fsyncing at every group commit — then reopens a replica's store
-// directory cold and times crash recovery from it. `-json` writes the
-// snapshot (BENCH_durability.json).
-//
 // The `shard` experiment measures sharded scaling on the simulator:
 // aggregate throughput over 1/2/4/8 independent consensus groups behind
 // the consistent-hash router, at cross-shard transaction ratios
@@ -40,7 +22,7 @@
 //
 // Usage:
 //
-//	ezbft-bench [-e table1|table2|fig4|fig5a|fig5b|fig6|fig7|ablation|batch|all|crypto|durability|shard|scenarios]
+//	ezbft-bench [-e table1|table2|fig4|fig5a|fig5b|fig6|fig7|ablation|batch|all|shard|scenarios]
 //	            [-duration 30s] [-warmup 2s] [-clients 3] [-seed 1]
 //	            [-json out.json]
 package main
@@ -64,12 +46,12 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ezbft-bench", flag.ContinueOnError)
-	experiment := fs.String("e", "all", "experiment: table1, table2, fig4, fig5a, fig5b, fig6, fig7, ablation, batch, crypto, durability, shard, scenarios, or all (crypto, durability, shard, and scenarios run only when named)")
-	duration := fs.Duration("duration", 30*time.Second, "simulated measurement window (crypto: wall-clock, capped at 5s)")
+	experiment := fs.String("e", "all", "experiment: table1, table2, fig4, fig5a, fig5b, fig6, fig7, ablation, batch, shard, scenarios, or all (shard and scenarios run only when named)")
+	duration := fs.Duration("duration", 30*time.Second, "simulated measurement window")
 	warmup := fs.Duration("warmup", 2*time.Second, "simulated warmup (discarded)")
 	clients := fs.Int("clients", 3, "closed-loop clients per region (latency experiments)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	jsonOut := fs.String("json", "", "also write the crypto, durability or shard sweep result as JSON to this path")
+	jsonOut := fs.String("json", "", "also write the shard sweep result as JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -124,50 +106,6 @@ func run(args []string) error {
 		}
 		fmt.Println(res.Render())
 		fmt.Printf("(shard simulated in %.1fs wall time)\n\n", time.Since(start).Seconds())
-		if *jsonOut != "" {
-			blob, err := res.WriteJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if *experiment == "crypto" || *experiment == "durability" {
-		// These sweeps run wall-clock; only explicitly set windows
-		// override their own (much shorter) defaults — the simulated
-		// experiments' 30s/2s flag defaults would stretch them to minutes.
-		pc := p
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if !explicit["duration"] {
-			pc.Duration = 0
-		}
-		if !explicit["warmup"] {
-			pc.Warmup = 0
-		}
-		type jsonRenderer interface {
-			Render() string
-			WriteJSON() ([]byte, error)
-		}
-		var (
-			res jsonRenderer
-			err error
-		)
-		start := time.Now()
-		if *experiment == "crypto" {
-			res, err = bench.CryptoSweep(pc)
-		} else {
-			res, err = bench.DurabilitySweep(pc)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", *experiment, err)
-		}
-		fmt.Println(res.Render())
-		fmt.Printf("(%s measured in %.1fs wall time)\n\n", *experiment, time.Since(start).Seconds())
 		if *jsonOut != "" {
 			blob, err := res.WriteJSON()
 			if err != nil {

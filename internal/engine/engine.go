@@ -14,6 +14,17 @@
 // Lookup. The package also hosts the machinery the protocols share on top
 // of the contract: the leader-side request Batcher and the BatchDigest
 // binding a batch of commands under one ordering signature.
+//
+// The sequenced protocols (PBFT, Zyzzyva, FaB) share one log lifecycle,
+// Lifecycle: checkpoint votes, truncation below stable checkpoints, and
+// state transfer for a replica that fell behind one. Its trust rule is f+1
+// agreement: a transfer installs only once f+1 distinct responders — so at
+// least one correct replica — send the same anchor (sequence number,
+// quorum-signed digest, aux value, snapshot bytes) under a valid 2f+1
+// checkpoint proof, and only the executed-suffix prefix every one of them
+// vouches for replays. A single Byzantine responder can neither corrupt
+// what a replica installs nor wedge it: the solicited voters rotate until
+// f+1 correct ones answer.
 package engine
 
 import (

@@ -22,8 +22,8 @@ import (
 )
 
 // Message tags reserved by FaB (50-59, plus 64 from the shared
-// batched-baseline block 60-69; 57 and 58 are the state-transfer pair in
-// catchup.go).
+// batched-baseline block 60-69; 56-58 are the log-lifecycle messages and
+// 59 the STATUS beacon, in checkpoint.go).
 const (
 	tagRequest   = 50
 	tagPropose   = 51
@@ -429,19 +429,13 @@ type Replica struct {
 
 	suspects map[uint64]map[types.ReplicaID]bool
 
-	// Log lifecycle (see checkpoint.go). truncated is the highest sequence
+	// Log lifecycle (checkpoint.go): checkpoints, truncation and state
+	// transfer, and the per-client request window through which truncation
+	// releases the per-request tables. truncated is the highest sequence
 	// number freed by truncation; contiguity scans resume above it.
-	ckpt        *engine.CheckpointTracker
-	ckptEmitted uint64
-	truncated   uint64
-	window      *engine.RequestWindow
-
-	// State transfer (see catchup.go): the application states kept at
-	// recent checkpoint boundaries and the single-flight request state.
-	states          *engine.StateKeeper
-	catchupPending  bool
-	catchupAttempts uint64
-	catchupRetries  int
+	life      *engine.Lifecycle
+	truncated uint64
+	window    *engine.RequestWindow
 
 	// peers lists every other replica's address, precomputed for broadcasts.
 	peers []types.NodeID
@@ -468,9 +462,10 @@ type ReplicaStats struct {
 	TruncatedEntries uint64 // slots freed by truncation
 	LowWaterMark     uint64 // latest stable checkpoint sequence number
 
-	// State-transfer observables (catchup.go).
+	// State-transfer observables (engine.Lifecycle).
 	CatchupsServed    uint64 // CATCHUP-RESP transfers served to lagging peers
 	CatchupsInstalled uint64 // transfers verified and installed locally
+	CatchupMismatches uint64 // responders outvoted by an installed f+1 agreement
 }
 
 var _ proc.Process = (*Replica)(nil)
@@ -507,8 +502,10 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		suspects:   make(map[uint64]map[types.ReplicaID]bool),
 	}
 	r.window = engine.NewRequestWindow(r.releaseRequest)
-	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
-	r.states = engine.NewStateKeeper(cfg.App, cfg.CheckpointInterval)
+	r.life = engine.NewLifecycle(engine.LogConfig{
+		Self: cfg.Self, N: cfg.N, App: cfg.App, Auth: cfg.Auth, Costs: cfg.Costs,
+		Tags: logTags, Interval: cfg.CheckpointInterval, RetryBase: 2 * cfg.ForwardTimeout,
+	}, logHost{r})
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	for i := 0; i < cfg.N; i++ {
 		if types.ReplicaID(i) != cfg.Self {
@@ -524,9 +521,10 @@ func (r *Replica) ID() types.NodeID { return types.ReplicaNode(r.cfg.Self) }
 // Stats returns a snapshot of the counters.
 func (r *Replica) Stats() ReplicaStats {
 	s := r.stats
-	cs := r.ckpt.Stats()
-	s.Checkpoints = cs.Checkpoints
-	s.LowWaterMark = cs.LowWaterMark
+	ls := r.life.Stats()
+	s.Checkpoints, s.LowWaterMark = ls.Checkpoints, ls.LowWaterMark
+	s.CatchupsServed, s.CatchupsInstalled, s.CatchupMismatches = ls.CatchupsServed, ls.CatchupsInstalled, ls.CatchupMismatches
+	s.DroppedInvalid += ls.DroppedInvalid
 	return s
 }
 
@@ -540,10 +538,10 @@ func (r *Replica) View() uint64 { return r.view }
 func (r *Replica) MaxExecuted() uint64 { return r.maxExec }
 
 // Init implements proc.Process. With checkpointing enabled it arms the
-// STATUS anti-entropy beacon (catchup.go); checkpointing off keeps the
+// STATUS anti-entropy beacon (checkpoint.go); checkpointing off keeps the
 // protocol's original byte-identical flow.
 func (r *Replica) Init(ctx proc.Context) {
-	if r.ckpt.Enabled() {
+	if r.life.Enabled() {
 		r.armStatusTimer(ctx)
 	}
 }
@@ -615,12 +613,12 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 		r.handlePropose(ctx, m)
 	case *Accept:
 		r.handleAccept(ctx, m)
-	case *Checkpoint:
-		r.handleCheckpoint(ctx, m)
-	case *CatchupReq:
-		r.handleCatchupReq(ctx, m)
-	case *CatchupResp:
-		r.handleCatchupResp(ctx, m)
+	case *engine.Checkpoint:
+		r.life.HandleCheckpoint(ctx, m)
+	case *engine.CatchupReq:
+		r.life.HandleCatchupReq(ctx, m)
+	case *engine.CatchupResp:
+		r.life.HandleCatchupResp(ctx, m)
 	case *Status:
 		r.handleStatus(ctx, m)
 	case *Suspect:
@@ -898,7 +896,7 @@ func (r *Replica) checkLearned(ctx proc.Context, s *slotState) {
 		next.executed = true
 		r.maxExec = next.seq
 		r.stats.Executed += uint64(len(next.cmds))
-		r.maybeEmitCheckpoint(ctx)
+		r.life.MaybeEmit(ctx, types.Digest{})
 	}
 }
 
@@ -964,18 +962,19 @@ func (r *Replica) applyNewLeader(m *NewLeader) {
 	if m.View <= r.view {
 		return
 	}
-	r.view = m.View
+	r.enterView(m.View)
 	r.stats.LeaderChanges++
-	// Requests still queued for the deposed leader's next batch are the
-	// old view's business; the clients' retransmits re-drive them.
-	r.batcher.Drop()
-	if leaderOf(r.view, r.n) == r.cfg.Self {
-		if m.MaxSeq+1 > r.nextSeq {
-			r.nextSeq = m.MaxSeq + 1
-		}
+	if leaderOf(r.view, r.n) == r.cfg.Self && m.MaxSeq+1 > r.nextSeq {
+		r.nextSeq = m.MaxSeq + 1
 	}
-	// Unlearned slots are re-driven by client retransmission in the new
-	// view; reset their agreement state.
+}
+
+// enterView moves to a later view. Requests still queued for the deposed
+// leader's next batch are the old view's business, and unlearned slots are
+// re-driven by client retransmission in the new view: both reset.
+func (r *Replica) enterView(view uint64) {
+	r.view = view
+	r.batcher.Drop()
 	for seq, s := range r.slots {
 		if !s.executed {
 			delete(r.slots, seq)
@@ -1084,20 +1083,6 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			return engine.VerifyFrame(a, types.ReplicaNode(leaderOf(m.View, n)), m, maxBatch-1)
 		case *Accept:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *Checkpoint:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *CatchupReq:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *CatchupResp:
-			if !engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig) {
-				return false
-			}
-			// Proof votes are counted (2f+1 required, not all) in-loop; mark
-			// the valid ones so the count re-verifies nothing.
-			for _, v := range m.Proof {
-				engine.TryMarkSigned(a, types.ReplicaNode(v.Replica), v, v.Sig)
-			}
-			return true
 		case *Status:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *Reply:
@@ -1107,7 +1092,8 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 		case *NewLeader:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		default:
-			return true
+			ok, handled := engine.PreVerifyLog(a, msg)
+			return ok || !handled
 		}
 	}
 }

@@ -62,12 +62,14 @@ func TestCheckpointEmissionCostIndependentOfState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.emitCheckpoint(pvCtx{}, interval) // first digest builds the key index
+		r.maxExec = interval
+		r.life.MaybeEmit(pvCtx{}, types.Digest{}) // first digest builds the key index
 		const rounds = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := uint64(2); i < 2+rounds; i++ {
-			r.emitCheckpoint(pvCtx{}, i*interval)
+			r.maxExec = i * interval
+			r.life.MaybeEmit(pvCtx{}, types.Digest{})
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / rounds

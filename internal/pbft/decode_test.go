@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/race"
 	"ezbft/internal/types"
 )
@@ -48,8 +49,20 @@ func TestEmbeddedRequestsDecodeInPlace(t *testing.T) {
 	viewChange := func(k int) codec.Message {
 		return &ViewChange{NewView: 1, Entries: []VCEntry{{Seq: 1, Cmd: reqs[0].Cmd, Extra: reqs[1 : 1+k]}}}
 	}
+	cmds := make([]engine.CatchupCmd, len(reqs))
+	for i := range reqs {
+		cmds[i] = engine.CatchupCmd{Cmd: reqs[i].Cmd, Sig: reqs[i].Sig}
+	}
 	catchup := func(k int) codec.Message {
-		return &CatchupResp{Seq: 4, Suffix: []CatchupSlot{{Seq: 5, Reqs: reqs[:k]}}, Sig: []byte("sig")}
+		// Decoded from a frame, so the response carries PBFT's tag.
+		w := codec.NewWriter(256)
+		w.Uint8(logTags.CatchupResp)
+		(&engine.CatchupResp{Seq: 4, Suffix: []engine.CatchupSlot{{Seq: 5, Reqs: cmds[:k]}}, Sig: []byte("sig")}).MarshalTo(w)
+		m, err := codec.Unmarshal(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 	top := decodeAllocs(t, &reqs[0])
 	for name, build := range map[string]func(int) codec.Message{

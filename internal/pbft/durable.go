@@ -142,11 +142,11 @@ func (r *Replica) persistSnapshot() {
 	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
 		return
 	}
-	st := r.ckpt.Stable(0)
+	st := r.life.Stable()
 	if st == nil {
 		return
 	}
-	appSnap, _, ok := r.states.Snapshot(st.Mark)
+	appSnap, ok := r.life.StateAt(st.Mark)
 	if !ok {
 		return // non-Snapshotter application: WAL-only durability
 	}
@@ -155,15 +155,9 @@ func (r *Replica) persistSnapshot() {
 	w.Uvarint(st.Mark)
 	w.Bytes32(st.Digest)
 	w.Blob(appSnap)
-	votes := make([]*Checkpoint, 0, len(st.Votes))
+	w.Uvarint(uint64(len(st.Votes)))
 	for _, v := range st.Votes {
-		if ck, ok := v.(*Checkpoint); ok {
-			votes = append(votes, ck)
-		}
-	}
-	w.Uvarint(uint64(len(votes)))
-	for _, ck := range votes {
-		ck.MarshalTo(w)
+		v.MarshalTo(w)
 	}
 	// Every retained slot above the mark, with its agreement flags: the
 	// snapshot replaces the WAL records below the cut, so it must carry
@@ -238,8 +232,8 @@ func (r *Replica) recoverFromStore(ctx proc.Context) {
 	// Anything between our recovered execution head and the cluster's
 	// stable mark is unrecoverable locally (peers do not retransmit old
 	// PRE-PREPAREs); fetch it through the ordinary state transfer.
-	if st := r.ckpt.Stable(0); st != nil && st.Mark > r.maxExec {
-		r.requestCatchup(ctx, st)
+	if st := r.life.Stable(); st != nil && st.Mark > r.maxExec {
+		r.life.Pull(ctx)
 	}
 }
 
@@ -249,7 +243,7 @@ func (r *Replica) restoreSnapshot(data []byte) {
 	rd := codec.NewReader(data)
 	view := rd.Uvarint()
 	mark := rd.Uvarint()
-	digest := rd.Bytes32()
+	rd.Bytes32() // the agreed digest, which the votes carry too
 	appSnap := rd.Blob()
 	nVotes := rd.Uvarint()
 	if rd.Err() != nil || nVotes > 256 {
@@ -257,7 +251,7 @@ func (r *Replica) restoreSnapshot(data []byte) {
 	}
 	votes := make([]*Checkpoint, 0, nVotes)
 	for i := uint64(0); i < nVotes; i++ {
-		ck, err := decodeCheckpoint(rd)
+		ck, err := engine.DecodeCheckpoint(rd, logTags.Checkpoint)
 		if err != nil {
 			return
 		}
@@ -290,8 +284,7 @@ func (r *Replica) restoreSnapshot(data []byte) {
 	if rd.Err() != nil {
 		return
 	}
-	// Decoded clean — install. Own bytes: the digest is recorded for the
-	// proof but the snapshot is not re-verified against it.
+	// Decoded clean — install our own bytes without re-verifying them.
 	if snap, ok := r.cfg.App.(types.Snapshotter); ok && len(appSnap) > 0 {
 		if err := snap.Restore(appSnap); err != nil {
 			return
@@ -299,12 +292,7 @@ func (r *Replica) restoreSnapshot(data []byte) {
 	}
 	r.view = view
 	r.maxExec = mark
-	r.stableCkpt = mark
-	_ = digest
-	for _, ck := range votes {
-		r.ckpt.Record(0, ck.Seq, ck.Replica, ck.Digest, ck)
-	}
-	r.states.Adopt(mark, appSnap, types.Digest{})
+	r.life.Recovered(mark, appSnap, votes)
 	for _, ss := range slots {
 		r.installRecoveredSlot(ss.seq, ss.view, ss.reqs, ss.flags&1 != 0, ss.flags&2 != 0)
 	}
@@ -388,7 +376,7 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 			// Re-tally through the normal path: a re-established stable mark
 			// truncates below it; catch-up requests are suppressed until
 			// recovery ends.
-			r.recordCheckpoint(ctx, ck)
+			r.life.Record(ctx, ck)
 		}
 	case walViewKind:
 		if v := rd.Uvarint(); rd.Err() == nil && v > r.view {

@@ -78,20 +78,6 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *Commit:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *Checkpoint:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *CatchupReq:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *CatchupResp:
-			if !engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig) {
-				return false
-			}
-			// Proof votes are counted (2f+1 required, not all) in-loop; mark
-			// the valid ones so the count re-verifies nothing.
-			for _, v := range m.Proof {
-				engine.TryMarkSigned(a, types.ReplicaNode(v.Replica), v, v.Sig)
-			}
-			return true
 		case *ViewChange:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *NewView:
@@ -99,7 +85,8 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 		case *Reply:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		default:
-			return true
+			ok, handled := engine.PreVerifyLog(a, msg)
+			return ok || !handled
 		}
 	}
 }

@@ -14,14 +14,14 @@ import (
 )
 
 // Message tags reserved by PBFT (30-39, plus 60 from the shared
-// batched-baseline block 60-69).
+// batched-baseline block 60-69; 35, 38 and 39 are the log-lifecycle
+// messages in checkpoint.go).
 const (
 	tagRequest    = 30
 	tagPrePrepare = 31
 	tagPrepare    = 32
 	tagCommit     = 33
 	tagReply      = 34
-	tagCheckpoint = 35
 	tagViewChange = 36
 	tagNewView    = 37
 	// tagPrePrepareBatch is the PRE-PREPARE layout for primary-side batches
@@ -300,41 +300,6 @@ func decodeReply(r *codec.Reader) (*Reply, error) {
 	return m, r.Err()
 }
 
-// Checkpoint advertises a stable state digest ⟨CHECKPOINT, n, d, i⟩σi.
-type Checkpoint struct {
-	Seq     uint64
-	Digest  types.Digest
-	Replica types.ReplicaID
-	Sig     []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// Tag implements codec.Message.
-func (m *Checkpoint) Tag() uint8 { return tagCheckpoint }
-
-// MarshalTo implements codec.Message.
-func (m *Checkpoint) MarshalTo(w *codec.Writer) {
-	m.MarshalBody(w)
-	w.Blob(m.Sig)
-}
-
-func (m *Checkpoint) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.Seq)
-	w.Bytes32(m.Digest)
-	w.Int32(int32(m.Replica))
-}
-
-func decodeCheckpoint(r *codec.Reader) (*Checkpoint, error) {
-	m := &Checkpoint{
-		Seq:     r.Uvarint(),
-		Digest:  r.Bytes32(),
-		Replica: types.ReplicaID(r.Int32()),
-	}
-	m.Sig = r.Blob()
-	return m, r.Err()
-}
-
 // VCEntry is one history entry carried in a view change. ReqSig is the
 // client's original request signature, so the new primary can re-issue a
 // verifiable PRE-PREPARE. Batched slots are carried — and re-proposed —
@@ -519,7 +484,6 @@ func init() {
 	codec.Register(tagPrepare, "pbft.Prepare", func(r *codec.Reader) (codec.Message, error) { return decodePrepare(r) })
 	codec.Register(tagCommit, "pbft.Commit", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r) })
 	codec.Register(tagReply, "pbft.Reply", func(r *codec.Reader) (codec.Message, error) { return decodeReply(r) })
-	codec.Register(tagCheckpoint, "pbft.Checkpoint", func(r *codec.Reader) (codec.Message, error) { return decodeCheckpoint(r) })
 	codec.Register(tagViewChange, "pbft.ViewChange", func(r *codec.Reader) (codec.Message, error) { return decodeViewChange(r) })
 	codec.Register(tagNewView, "pbft.NewView", func(r *codec.Reader) (codec.Message, error) { return decodeNewView(r) })
 	codec.Register(tagPrePrepareBatch, "pbft.PrePrepareB", func(r *codec.Reader) (codec.Message, error) { return decodePrePrepareFmt(r, true) })

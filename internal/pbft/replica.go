@@ -104,23 +104,11 @@ type Replica struct {
 	timerSeq  uint64
 	timerAct  map[proc.TimerID]func(ctx proc.Context)
 
-	// Log lifecycle (see checkpoint.go): the engine-level checkpoint
-	// tracker, the latest stable checkpoint, the application states kept at
-	// recent checkpoint emissions (state-transfer material), the
-	// per-client request window (bounds reply-cache pruning), and the
-	// state-transfer in-flight guard.
-	ckpt            *engine.CheckpointTracker
-	stableCkpt      uint64
-	states          *engine.StateKeeper
-	window          *engine.RequestWindow
-	catchupPending  bool
-	catchupAttempts uint64
-	catchupRetries  int
-	// catchupResps buffers validated CATCHUP-RESP messages per responder
-	// until f+1 distinct responders agree on the transfer (see
-	// handleCatchupResp); it survives retry rounds so agreement can form
-	// across rotations.
-	catchupResps map[types.ReplicaID]*CatchupResp
+	// Log lifecycle (checkpoint.go): checkpoints, truncation and state
+	// transfer, and the per-client request window through which truncation
+	// releases the per-request tables.
+	life   *engine.Lifecycle
+	window *engine.RequestWindow
 
 	// Durability (see durable.go): recovering suppresses sends and WAL
 	// writes while the replica rebuilds from its store; walDirty marks
@@ -191,22 +179,23 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		cfg.BatchDelay = DefaultBatchDelay
 	}
 	r := &Replica{
-		cfg:          cfg,
-		n:            cfg.N,
-		f:            faults(cfg.N),
-		view:         cfg.InitialView,
-		nextSeq:      1,
-		slots:        make(map[uint64]*slotState),
-		byCmd:        make(map[cmdKey]uint64),
-		replyCache:   make(map[cmdKey]*Reply),
-		forwarded:    make(map[cmdKey]proc.TimerID),
-		timerAct:     make(map[proc.TimerID]func(ctx proc.Context)),
-		catchupResps: make(map[types.ReplicaID]*CatchupResp),
-		vcMsgs:       make(map[uint64]map[types.ReplicaID]*ViewChange),
+		cfg:        cfg,
+		n:          cfg.N,
+		f:          faults(cfg.N),
+		view:       cfg.InitialView,
+		nextSeq:    1,
+		slots:      make(map[uint64]*slotState),
+		byCmd:      make(map[cmdKey]uint64),
+		replyCache: make(map[cmdKey]*Reply),
+		forwarded:  make(map[cmdKey]proc.TimerID),
+		timerAct:   make(map[proc.TimerID]func(ctx proc.Context)),
+		vcMsgs:     make(map[uint64]map[types.ReplicaID]*ViewChange),
 	}
 	r.window = engine.NewRequestWindow(r.releaseRequest)
-	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
-	r.states = engine.NewStateKeeper(cfg.App, cfg.CheckpointInterval)
+	r.life = engine.NewLifecycle(engine.LogConfig{
+		Self: cfg.Self, N: cfg.N, App: cfg.App, Auth: cfg.Auth, Costs: cfg.Costs,
+		Tags: logTags, Interval: cfg.CheckpointInterval, RetryBase: 2 * cfg.ForwardTimeout,
+	}, logHost{r})
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	for i := 0; i < cfg.N; i++ {
 		if types.ReplicaID(i) != cfg.Self {
@@ -222,9 +211,10 @@ func (r *Replica) ID() types.NodeID { return types.ReplicaNode(r.cfg.Self) }
 // Stats returns a snapshot of counters.
 func (r *Replica) Stats() ReplicaStats {
 	s := r.stats
-	cs := r.ckpt.Stats()
-	s.Checkpoints = cs.Checkpoints
-	s.LowWaterMark = cs.LowWaterMark
+	ls := r.life.Stats()
+	s.Checkpoints, s.LowWaterMark = ls.Checkpoints, ls.LowWaterMark
+	s.CatchupsServed, s.CatchupsInstalled, s.CatchupMismatches = ls.CatchupsServed, ls.CatchupsInstalled, ls.CatchupMismatches
+	s.DroppedInvalid += ls.DroppedInvalid
 	s.WALFailed = r.walErr != nil
 	return s
 }
@@ -247,7 +237,7 @@ func (r *Replica) View() uint64 { return r.view }
 func (r *Replica) MaxExecuted() uint64 { return r.maxExec }
 
 // StableCheckpoint returns the latest stable checkpoint sequence number.
-func (r *Replica) StableCheckpoint() uint64 { return r.stableCkpt }
+func (r *Replica) StableCheckpoint() uint64 { return r.life.Mark() }
 
 // Init implements proc.Process. A replica handed a non-empty store
 // rebuilds itself from it (see durable.go).
@@ -334,11 +324,11 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 	case *Commit:
 		r.handleCommit(ctx, m)
 	case *Checkpoint:
-		r.handleCheckpoint(ctx, m)
-	case *CatchupReq:
-		r.handleCatchupReq(ctx, m)
-	case *CatchupResp:
-		r.handleCatchupResp(ctx, m)
+		r.life.HandleCheckpoint(ctx, m)
+	case *engine.CatchupReq:
+		r.life.HandleCatchupReq(ctx, m)
+	case *engine.CatchupResp:
+		r.life.HandleCatchupResp(ctx, m)
 	case *ViewChange:
 		r.handleViewChange(ctx, m)
 	case *NewView:
@@ -645,100 +635,8 @@ func (r *Replica) executeReady(ctx proc.Context) {
 		s.executed = true
 		r.maxExec = s.seq
 		r.stats.Executed += uint64(len(s.reqs))
-
-		if r.maxExec%r.cfg.CheckpointInterval == 0 {
-			r.emitCheckpoint(ctx, r.maxExec)
-		}
+		r.life.MaybeEmit(ctx, types.Digest{})
 	}
-}
-
-// --- checkpoints ---
-
-func (r *Replica) emitCheckpoint(ctx proc.Context, seq uint64) {
-	d := r.stateDigest()
-	// Keep the application state at exactly this sequence number: once the
-	// checkpoint becomes stable it is the verifiable state-transfer payload
-	// for lagging replicas.
-	r.states.Keep(seq, types.Digest{})
-	ck := &Checkpoint{Seq: seq, Digest: d, Replica: r.cfg.Self}
-	r.cfg.Costs.ChargeSign(ctx)
-	ck.Sig = engine.SignBody(r.cfg.Auth, ck)
-	r.walVote(ck)
-	r.broadcastReplicas(ctx, ck)
-	r.recordCheckpoint(ctx, ck)
-}
-
-// stateDigest returns the application state digest (part of the
-// types.Application contract).
-func (r *Replica) stateDigest() types.Digest {
-	return r.cfg.App.Digest()
-}
-
-func (r *Replica) handleCheckpoint(ctx proc.Context, m *Checkpoint) {
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	r.walVote(m)
-	r.recordCheckpoint(ctx, m)
-}
-
-// recordCheckpoint tallies one vote through the engine-level tracker; a
-// newly stable checkpoint truncates the log and, if this replica's
-// execution trails the stable point, starts a state transfer (the gap's
-// PRE-PREPAREs are never retransmitted, so it cannot close on its own).
-func (r *Replica) recordCheckpoint(ctx proc.Context, m *Checkpoint) {
-	st := r.ckpt.Record(0, m.Seq, m.Replica, m.Digest, m)
-	if st == nil {
-		return
-	}
-	r.stableCkpt = st.Mark
-	r.gcBelow(st.Mark)
-	// Applications that opt into the checkpointing hook learn that a quorum
-	// vouched for this state, so they can snapshot or truncate their own
-	// journals.
-	if ck, ok := r.cfg.App.(types.Checkpointer); ok {
-		ck.Checkpoint(st.Mark, st.Digest)
-	}
-	if r.maxExec < st.Mark && !r.recovering {
-		r.requestCatchup(ctx, st)
-	}
-	// Durable cut: a fresh stable checkpoint supersedes everything the WAL
-	// proved below it.
-	r.persistSnapshot()
-}
-
-// gcBelow discards log state at and below the stable checkpoint (keeping
-// LogRetention extra sequence numbers): executed slots are freed, and the
-// per-request bookkeeping they carried — reply cache, exactly-once table —
-// is handed to the client window to release (engine.RequestWindow).
-func (r *Replica) gcBelow(seq uint64) {
-	if r.cfg.LogRetention >= seq {
-		return
-	}
-	seq -= r.cfg.LogRetention
-	for s, slot := range r.slots {
-		if s > seq || !slot.executed {
-			continue
-		}
-		for i := range slot.reqs {
-			r.window.Truncated(slot.reqs[i].Cmd.Client, slot.reqs[i].Cmd.Timestamp)
-		}
-		delete(r.slots, s)
-		r.stats.TruncatedEntries++
-	}
-}
-
-// releaseRequest drops one request's reply-cache and exactly-once entries;
-// the window calls it once the request's slot is truncated and the request
-// is engine.ReplyRetention timestamps behind its client's highest.
-func (r *Replica) releaseRequest(client types.ClientID, ts uint64) {
-	key := cmdKey{client, ts}
-	delete(r.byCmd, key)
-	delete(r.replyCache, key)
 }
 
 // --- view change (simplified) ---

@@ -41,6 +41,9 @@
 //     final executions (no duplicates on any correct replica) and an
 //     end-to-end INCR counter on the contended hot key that must equal
 //     the number of completed INCR requests,
+//   - every final execution is the command its client issued, compared by
+//     digest per (client, timestamp) over everything a replica executed —
+//     a forged command a later state transfer overwrote still counts,
 //   - no conflicting commit certificates: two correct ezBFT replicas must
 //     never commit the same instance with different dependency sets or
 //     sequence numbers,
@@ -58,16 +61,25 @@
 // detected on ezBFT by the client's POM check, deposed by view change on
 // the baselines), stale ordering replay, checkpoint-vote lying,
 // commit flooding, silent owner, slow owner, lying catch-up responder
-// (garbage snapshot bytes — rejected by parse/digest checks), and lying
-// snapshot responder (the stealthy variant: the real catch-up response
-// with one flipped snapshot byte under a genuine checkpoint proof and a
-// valid signature, so every per-message check passes and only f+1
-// cross-validation of independent responders convicts the forgery on
-// ezBFT and PBFT, while Zyzzyva's and FaB's digest-pinned snapshots
-// reject it at install time), and the silent and flapping repliers (a
-// replica that orders and votes but answers no client, or one request in
-// three: the speculative protocols' clients lose their fast path and must
-// not pay a timer per request for it).
+// (garbage snapshot bytes), lying snapshot responder (the stealthy
+// variant: the real catch-up response with one flipped snapshot byte under
+// a genuine checkpoint proof and a valid signature), and the silent and
+// flapping repliers (a replica that orders and votes but answers no
+// client, or one request in three: the speculative protocols' clients lose
+// their fast path and must not pay a timer per request for it).
+// StrategyByName also resolves forged-suffix-responder: the real catch-up
+// response with the commands of its executed suffix altered and re-signed.
+// It attacks only a victim forced to catch up, so it runs composed with
+// the flapping partition (TestCrossValidationConviction), not in the
+// DefaultMatrix sweep.
+//
+// The forged transfers pass every per-message check. What defeats them is
+// the one rule every protocol's state transfer follows: nothing installs on
+// a single responder's word. A transfer installs only once f+1 distinct
+// responders — so at least one correct replica — agree on it, and for the
+// sequenced protocols (engine.Lifecycle) only the executed-suffix prefix
+// all of them vouch for replays; a responder outside the agreement is
+// counted in CatchupMismatches.
 //
 // Shapes() adds the hostile network catalogue, including the
 // view-change-storm shape: repeated isolate/heal cycles that chase the

@@ -12,14 +12,25 @@ type execKey struct {
 	ts     uint64
 }
 
+// execution is one final execution: the (client, ts) it ran for and the
+// digest of the command it ran.
+type execution struct {
+	key    execKey
+	digest types.Digest
+}
+
 // Journal wraps the reference key-value store and records every final
-// execution, so the harness can check exactly-once per (client,
-// timestamp) on each replica independently of the end-to-end counter
-// check. Speculative executions are not journaled — they may legitimately
-// roll back; only Apply (baselines) and PromoteFinal (ezBFT) count.
+// execution, so the harness can check on each replica, independently of
+// the end-to-end counter check, exactly-once per (client, timestamp) and
+// that every final execution ran the command its client issued.
+// Speculative executions are not journaled — they may legitimately roll
+// back; only Apply (baselines) and PromoteFinal (ezBFT) count.
 type Journal struct {
 	store *kvstore.Store
 	seen  map[execKey]int
+	// executed lists every final execution in order, across state-transfer
+	// installs: one that a later install overwrote stays on record.
+	executed []execution
 	// Duplicates lists the first few (client, ts) pairs finally executed
 	// more than once since the last state-transfer install.
 	Duplicates []string
@@ -49,10 +60,28 @@ func (j *Journal) record(cmd types.Command) {
 	}
 	j.Finals++
 	k := execKey{client: cmd.Client, ts: cmd.Timestamp}
+	j.executed = append(j.executed, execution{key: k, digest: cmd.Digest()})
 	j.seen[k]++
 	if j.seen[k] == 2 && len(j.Duplicates) < 8 {
 		j.Duplicates = append(j.Duplicates, fmt.Sprintf("client %d ts %d executed twice", k.client, k.ts))
 	}
+}
+
+// Impostors lists the first few final executions that ran a command other
+// than the one its client issued; issued maps each (client, ts) to the
+// digest of the command its client issued under it.
+func (j *Journal) Impostors(issued map[execKey]types.Digest) []string {
+	var out []string
+	for _, e := range j.executed {
+		if d, ok := issued[e.key]; ok && d == e.digest {
+			continue
+		}
+		out = append(out, fmt.Sprintf("client %d ts %d executed a command its client never issued", e.key.client, e.key.ts))
+		if len(out) == 8 {
+			break
+		}
+	}
+	return out
 }
 
 // Apply implements types.Application.

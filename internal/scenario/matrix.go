@@ -144,7 +144,7 @@ type Result struct {
 	// CatchupInstalls and CatchupMismatches sum the correct replicas'
 	// state-transfer telemetry: transfers installed, and responders
 	// convicted of disagreeing with the installed f+1 majority
-	// (cross-validation's lie detector; ezBFT and PBFT only).
+	// (cross-validation's lie detector).
 	CatchupInstalls   uint64
 	CatchupMismatches uint64
 	// SlowTimeouts and SilentSkips sum the clients' counters of the same
@@ -183,11 +183,13 @@ func (g hotIncrGen) Next(ctx proc.Context, client types.ClientID, seq uint64) ty
 	}
 }
 
-// recorder tallies completions for the latency and exactly-once checks.
+// recorder tallies completions for the latency and exactly-once checks,
+// and each completed command's digest for the issued-command check.
 type recorder struct {
-	count int
-	incrs int
-	total time.Duration
+	count  int
+	incrs  int
+	total  time.Duration
+	issued map[execKey]types.Digest
 }
 
 func (r *recorder) Record(_ types.ClientID, c workload.Completion) {
@@ -196,7 +198,10 @@ func (r *recorder) Record(_ types.ClientID, c workload.Completion) {
 		r.incrs++
 	}
 	r.total += c.Latency
+	r.issued[execKey{client: c.Cmd.Client, ts: c.Cmd.Timestamp}] = c.Cmd.Digest()
 }
+
+func newRecorder() *recorder { return &recorder{issued: make(map[execKey]types.Digest)} }
 
 // Run executes one cell under cfg's fixed seed and checks every
 // invariant. The Byzantine strategy (if any) compromises replica 0 — the
@@ -243,7 +248,7 @@ func Run(cell Cell, cfg Config) (*Result, error) {
 		}
 	}
 
-	rec := &recorder{}
+	rec := newRecorder()
 	drivers := make([]*workload.ClosedLoop, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
@@ -382,6 +387,16 @@ func Run(cell Cell, cfg Config) (*Result, error) {
 			res.Violations = append(res.Violations, fmt.Sprintf("replica %d: %s", i, d))
 		}
 	}
+	// …every final execution must be the command its client issued, by
+	// digest per (client, ts), including executions a later install
+	// overwrote (checked once every issued command completed and is known)…
+	if allDone() {
+		for _, i := range correct {
+			for _, v := range journal(i).Impostors(rec.issued) {
+				res.Violations = append(res.Violations, fmt.Sprintf("replica %d: %s", i, v))
+			}
+		}
+	}
 	// …and end-to-end: the hot counter must equal the completed INCRs
 	// exactly (meaningful only when the workload fully completed).
 	if allDone() {
@@ -428,9 +443,13 @@ func Run(cell Cell, cfg Config) (*Result, error) {
 			res.CatchupInstalls += st.CatchupsInstalled
 			res.CatchupMismatches += st.CatchupMismatches
 		case len(cl.ZYReplicas) == n:
-			res.CatchupInstalls += cl.ZYReplicas[i].Stats().CatchupsInstalled
+			st := cl.ZYReplicas[i].Stats()
+			res.CatchupInstalls += st.CatchupsInstalled
+			res.CatchupMismatches += st.CatchupMismatches
 		case len(cl.FBReplicas) == n:
-			res.CatchupInstalls += cl.FBReplicas[i].Stats().CatchupsInstalled
+			st := cl.FBReplicas[i].Stats()
+			res.CatchupInstalls += st.CatchupsInstalled
+			res.CatchupMismatches += st.CatchupMismatches
 		}
 	}
 
@@ -486,11 +505,9 @@ func conflictingCerts(replicas []*core.Replica, correct []int) []string {
 }
 
 // HasStateTransfer reports whether a protocol implements a catch-up /
-// state-transfer path (CATCHUP request/response). All four protocols do:
-// ezBFT and PBFT since the original catch-up subsystem (with f+1
-// cross-validated wholesale transfers), Zyzzyva and FaB via the same
-// snapshot + executed-suffix replay pattern ported onto their
-// checkpointing contracts.
+// state-transfer path (CATCHUP request/response). All four protocols do,
+// f+1 cross-validated: ezBFT through its own catch-up subsystem, PBFT,
+// Zyzzyva and FaB through the shared engine.Lifecycle.
 func HasStateTransfer(p engine.Protocol) bool {
 	switch p {
 	case engine.EZBFT, engine.PBFT, engine.Zyzzyva, engine.FaB:

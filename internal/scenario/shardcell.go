@@ -156,7 +156,7 @@ func RunShard(cell ShardCell, cfg Config) (*ShardResult, error) {
 	router := shard.NewRouter(cell.Shards)
 	recs := make([]*recorder, cell.Shards)
 	for s := range recs {
-		recs[s] = &recorder{}
+		recs[s] = newRecorder()
 	}
 	drivers := make([][]*workload.ClosedLoop, cell.Shards)
 	for s := range drivers {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"time"
 
 	"ezbft/internal/auth"
@@ -46,7 +47,8 @@ type Strategy struct {
 	New  func(env Env) engine.Behavior
 }
 
-// Strategies returns the encoded attack catalogue (see the package doc).
+// Strategies returns the attack catalogue DefaultMatrix sweeps (see the
+// package doc).
 func Strategies() []Strategy {
 	return []Strategy{
 		{Name: "equivocating-owner", New: newEquivocatingOwner},
@@ -62,9 +64,17 @@ func Strategies() []Strategy {
 	}
 }
 
+// composedStrategies are catalogue entries that attack state transfer
+// only, which happens only once a victim is forced to catch up: they run
+// composed with the flapping partition (TestCrossValidationConviction)
+// instead of in DefaultMatrix's sweep over Strategies.
+func composedStrategies() []Strategy {
+	return []Strategy{{Name: "forged-suffix-responder", New: newForgedSuffixResponder}}
+}
+
 // StrategyByName resolves a catalogue entry (nil when unknown).
 func StrategyByName(name string) *Strategy {
-	for _, s := range Strategies() {
+	for _, s := range append(Strategies(), composedStrategies()...) {
 		if s.Name == name {
 			s := s
 			return &s
@@ -211,19 +221,7 @@ func (b *checkpointLiar) Outbound(ctx proc.Context, to types.NodeID, msg codec.M
 		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
-	case *pbft.Checkpoint:
-		cp := *m
-		cp.Digest[0] ^= 0xff
-		cp.Sig = engine.SignBody(b.env.Auth, &cp)
-		ctx.Send(to, &cp)
-		return false
-	case *zyzzyva.Checkpoint:
-		cp := *m
-		cp.Digest[0] ^= 0xff
-		cp.Sig = engine.SignBody(b.env.Auth, &cp)
-		ctx.Send(to, &cp)
-		return false
-	case *fab.Checkpoint:
+	case *engine.Checkpoint:
 		cp := *m
 		cp.Digest[0] ^= 0xff
 		cp.Sig = engine.SignBody(b.env.Auth, &cp)
@@ -343,9 +341,9 @@ func (b *flappingReplier) Outbound(_ proc.Context, to types.NodeID, msg codec.Me
 
 // lyingCatchup answers state-transfer requests with garbage snapshot
 // bytes under a valid signature and a valid checkpoint proof. The
-// requester must reject the transfer (parse failure on ezBFT, the
-// quorum-digest check on PBFT) and recover via another voter instead of
-// installing corrupted state.
+// requester must reject the transfer (a parse failure on ezBFT; on the
+// sequenced protocols no honest responder's anchor agrees with it) and
+// recover via other voters instead of installing corrupted state.
 type lyingCatchup struct {
 	passthrough
 	env Env
@@ -361,7 +359,7 @@ func (b *lyingCatchup) Outbound(ctx proc.Context, to types.NodeID, msg codec.Mes
 		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
-	case *pbft.CatchupResp:
+	case *engine.CatchupResp:
 		cp := *m
 		cp.Snapshot = []byte("lies")
 		cp.Sig = engine.SignBody(b.env.Auth, &cp)
@@ -378,12 +376,10 @@ func (b *lyingCatchup) Outbound(ctx proc.Context, to types.NodeID, msg codec.Mes
 // flipped snapshot byte, wrapped in the genuine stable-checkpoint proof,
 // consistent marks, an untouched suffix, and a fresh valid signature.
 // Every per-message check passes — the proof chain is real; only the
-// state bytes the proof does not pin are forged. ezBFT and PBFT must
+// state bytes the proof does not pin are forged. Every protocol must
 // convict the forgery through f+1 cross-validation: it disagrees with
 // every honest responder, so it is excluded from the installing group and
-// counted in CatchupMismatches. Zyzzyva and FaB, whose snapshots are
-// digest-pinned per response, must reject it at install time and recover
-// through responder rotation.
+// counted in CatchupMismatches.
 type lyingSnapshotResponder struct {
 	passthrough
 	env Env
@@ -419,21 +415,72 @@ func (b *lyingSnapshotResponder) Outbound(ctx proc.Context, to types.NodeID, msg
 		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
-	case *pbft.CatchupResp:
+	case *engine.CatchupResp:
 		cp := *m
 		cp.Snapshot = flipSnapshot(m.Snapshot)
 		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
-	case *zyzzyva.CatchupResp:
+	}
+	return true
+}
+
+// --- forged suffix responder --------------------------------------------
+
+// forgedSuffixResponder serves the real catch-up response with every
+// command of its executed suffix altered, under a fresh valid signature and
+// the genuine checkpoint proof. Its anchor and snapshot are honest, so it
+// agrees with every honest response on all a quorum signed. A sequenced
+// protocol's requester checks no transferred command on its own, so only
+// f+1 agreement on the suffix itself keeps the forged commands from
+// executing; ezBFT's suffix entries are bound to leader-signed SPECORDERs
+// besides.
+type forgedSuffixResponder struct {
+	passthrough
+	env Env
+}
+
+func newForgedSuffixResponder(env Env) engine.Behavior { return &forgedSuffixResponder{env: env} }
+
+// forge returns a command its client never issued, under the same (client,
+// timestamp).
+func forge(c types.Command) types.Command {
+	c.Value = append([]byte("forged:"), c.Value...)
+	return c
+}
+
+func (b *forgedSuffixResponder) Outbound(ctx proc.Context, to types.NodeID, msg codec.Message) bool {
+	switch m := msg.(type) {
+	case *core.CatchupResp:
+		if len(m.Suffix) == 0 {
+			return true
+		}
 		cp := *m
-		cp.Snapshot = flipSnapshot(m.Snapshot)
+		cp.Suffix = make([]core.HistEntry, len(m.Suffix))
+		for i, h := range m.Suffix {
+			h.Cmd = forge(h.Cmd)
+			h.Batch = slices.Clone(h.Batch)
+			for j := range h.Batch {
+				h.Batch[j] = forge(h.Batch[j])
+			}
+			cp.Suffix[i] = h
+		}
 		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false
-	case *fab.CatchupResp:
+	case *engine.CatchupResp:
+		if len(m.Suffix) == 0 {
+			return true
+		}
 		cp := *m
-		cp.Snapshot = flipSnapshot(m.Snapshot)
+		cp.Suffix = make([]engine.CatchupSlot, len(m.Suffix))
+		for i, s := range m.Suffix {
+			s.Reqs = slices.Clone(s.Reqs)
+			for j := range s.Reqs {
+				s.Reqs[j].Cmd = forge(s.Reqs[j].Cmd)
+			}
+			cp.Suffix[i] = s
+		}
 		cp.Sig = engine.SignBody(b.env.Auth, &cp)
 		ctx.Send(to, &cp)
 		return false

@@ -7,108 +7,114 @@ import (
 	"ezbft/internal/types"
 )
 
-// This file implements Zyzzyva's log lifecycle on the engine-level
-// checkpointing contract (engine.CheckpointTracker): replicas periodically
-// broadcast signed CHECKPOINT votes over the executed sequence number and
-// application state digest; 2f+1 matching votes establish a stable
-// checkpoint, below which executed slots and out-of-window per-request
-// bookkeeping (byCmd / replyCache) are truncated. CheckpointInterval 0 (the
-// default) disables the subsystem entirely — no extra messages, the
-// protocol's original byte-identical flow.
-const tagCheckpoint = 48
+// Zyzzyva's log lifecycle runs on the shared engine.Lifecycle: replicas
+// periodically broadcast signed CHECKPOINT votes over the executed sequence
+// number and application state digest; 2f+1 matching votes establish a
+// stable checkpoint, below which executed slots and out-of-window
+// per-request bookkeeping (byCmd / replyCache) are truncated, and a replica
+// behind a stable checkpoint rejoins by f+1-validated state transfer, whose
+// aux value is the history-chain hash at the checkpoint. CheckpointInterval
+// 0 (the default) disables the subsystem entirely — no extra messages, the
+// protocol's original byte-identical flow. This file holds Zyzzyva's hooks.
+//
+// Zyzzyva's own tag block (40-49) is full; the CATCHUP-RESP extends into
+// the shared expansion block (60-69, see messages.go).
+var logTags = engine.LogTags{Checkpoint: 48, CatchupReq: 49, CatchupResp: 65}
 
-// Checkpoint is a replica's signed executed-watermark vote,
-// ⟨CHECKPOINT, n, d, i⟩σi.
-type Checkpoint struct {
-	Seq     uint64
-	Digest  types.Digest
-	Replica types.ReplicaID
-	Sig     []byte
+func init() { engine.RegisterLogMessages("zyzzyva", logTags) }
 
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
+// logHost is Zyzzyva's half of the lifecycle (engine.LogHost).
+type logHost struct{ *Replica }
 
-// Tag implements codec.Message.
-func (m *Checkpoint) Tag() uint8 { return tagCheckpoint }
+func (h logHost) Send(ctx proc.Context, to types.NodeID, msg codec.Message) { h.send(ctx, to, msg) }
+func (h logHost) Broadcast(ctx proc.Context, msg codec.Message)             { h.broadcastReplicas(ctx, msg) }
+func (h logHost) Executed() uint64                                          { return h.maxSeq }
+func (h logHost) Truncate(mark uint64)                                      { h.gcBelow(mark) }
 
-// MarshalTo implements codec.Message.
-func (m *Checkpoint) MarshalTo(w *codec.Writer) {
-	m.MarshalBody(w)
-	w.Blob(m.Sig)
-}
-
-func (m *Checkpoint) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.Seq)
-	w.Bytes32(m.Digest)
-	w.Int32(int32(m.Replica))
-}
-
-func decodeCheckpoint(r *codec.Reader) (*Checkpoint, error) {
-	m := &Checkpoint{
-		Seq:     r.Uvarint(),
-		Digest:  r.Bytes32(),
-		Replica: types.ReplicaID(r.Int32()),
+func (h logHost) ExecutedSuffix(mark uint64) []engine.CatchupSlot {
+	var out []engine.CatchupSlot
+	for seq := mark + 1; seq <= h.maxSeq; seq++ {
+		e, ok := h.log[seq]
+		if !ok || !e.executed {
+			break // the suffix must stay contiguous
+		}
+		out = append(out, engine.CatchupSlot{Seq: seq, View: h.view, Reqs: engine.UnsignedCmds(e.cmds)})
 	}
-	m.Sig = r.Blob()
-	return m, r.Err()
+	return out
 }
 
-func init() {
-	codec.Register(tagCheckpoint, "zyzzyva.Checkpoint", func(r *codec.Reader) (codec.Message, error) { return decodeCheckpoint(r) })
-}
-
-// maybeEmitCheckpoint broadcasts this replica's checkpoint vote whenever
-// the executed watermark crosses an interval boundary.
-func (r *Replica) maybeEmitCheckpoint(ctx proc.Context) {
-	if !r.ckpt.Boundary(r.maxSeq) || r.maxSeq <= r.ckptEmitted {
-		return
-	}
-	r.ckptEmitted = r.maxSeq
-	// Keep the application state and history hash at exactly this sequence
-	// number: once the checkpoint becomes stable they are the verifiable
-	// state-transfer payload for lagging replicas (catchup.go).
-	r.states.Keep(r.maxSeq, r.histHash)
-	ck := &Checkpoint{Seq: r.maxSeq, Digest: r.cfg.App.Digest(), Replica: r.cfg.Self}
-	r.cfg.Costs.ChargeSign(ctx)
-	ck.Sig = engine.SignBody(r.cfg.Auth, ck)
-	r.broadcastReplicas(ctx, ck)
-	r.recordCheckpoint(ctx, ck)
-}
-
-func (r *Replica) handleCheckpoint(ctx proc.Context, m *Checkpoint) {
-	if !r.ckpt.Enabled() {
-		return
-	}
-	if m.Replica < 0 || int(m.Replica) >= r.n {
-		r.stats.DroppedInvalid++
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
+// DropLog adopts the history hash at the installed checkpoint, from which
+// replayed slots re-derive the chain.
+func (h logHost) DropLog(mark uint64, histHash types.Digest) {
+	h.maxSeq = mark
+	h.histHash = histHash
+	for seq := range h.log {
+		if seq <= mark {
+			delete(h.log, seq)
 		}
 	}
-	r.recordCheckpoint(ctx, m)
+	for seq := range h.pending {
+		if seq <= mark {
+			delete(h.pending, seq)
+		}
+	}
 }
 
-// recordCheckpoint tallies one vote; a newly stable checkpoint truncates
-// the log, surfaces to the application's Checkpointer hook, and — when this
-// replica's executed watermark is behind the agreed mark — triggers
-// checkpoint-based state transfer (catchup.go).
-func (r *Replica) recordCheckpoint(ctx proc.Context, m *Checkpoint) {
-	st := r.ckpt.Record(0, m.Seq, m.Replica, m.Digest, m)
-	if st == nil {
+func (h logHost) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
+	e := &logEntry{
+		seq:      cs.Seq,
+		cmds:     make([]types.Command, len(cs.Reqs)),
+		digests:  make([]types.Digest, len(cs.Reqs)),
+		results:  make([]types.Result, len(cs.Reqs)),
+		executed: true,
+	}
+	for j := range cs.Reqs {
+		cmd := cs.Reqs[j].Cmd
+		e.cmds[j], e.digests[j] = cmd, cmd.Digest()
+		h.cfg.Costs.ChargeExecute(ctx)
+		e.results[j] = h.cfg.App.Apply(cmd)
+		h.byCmd[cmdKey{cmd.Client, cmd.Timestamp}] = cs.Seq
+		h.window.Seen(cmd.Client, cmd.Timestamp)
+		h.stats.SpecExecuted++
+	}
+	e.cmdDigest = engine.BatchDigest(e.digests)
+	e.histHash = chainHash(h.histHash, e.cmdDigest)
+	h.log[cs.Seq] = e
+	h.maxSeq = cs.Seq
+	h.histHash = e.histHash
+}
+
+// AdoptView moves a replica that missed view changes while partitioned to
+// the view its responders vouch for; it would otherwise drop every
+// ORDERREQ of the current view.
+func (h logHost) AdoptView(_ proc.Context, view uint64) {
+	if view <= h.view {
 		return
 	}
-	r.gcBelow(st.Mark)
-	if ck, ok := r.cfg.App.(types.Checkpointer); ok {
-		ck.Checkpoint(st.Mark, st.Digest)
+	h.view = view
+	h.inVC = false
+	h.batcher.Drop()
+	for key, id := range h.forwarded {
+		delete(h.forwarded, key)
+		delete(h.timerAct, id)
 	}
-	if r.maxSeq < st.Mark {
-		r.requestCatchup(ctx, st)
+}
+
+// Installed executes the buffered assignments above the transfer through
+// the regular drain.
+func (h logHost) Installed(ctx proc.Context) {
+	if primaryOf(h.view, h.n) == h.cfg.Self {
+		h.nextSeq = h.maxSeq + 1
 	}
+	for {
+		next, ok := h.pending[h.maxSeq+1]
+		if !ok {
+			break
+		}
+		delete(h.pending, h.maxSeq+1)
+		h.acceptOrderReq(ctx, next, nil)
+	}
+	h.life.MaybeEmit(ctx, h.histHash)
 }
 
 // gcBelow frees executed slots at and below the stable checkpoint (keeping

@@ -36,20 +36,18 @@ func decodeAllocs(t *testing.T, m codec.Message) float64 {
 	return testing.AllocsPerRun(50, func() { _, _ = codec.Unmarshal(frame) })
 }
 
-// TestEmbeddedRequestsDecodeInPlace: a request inside a batched ORDERREQ or a
-// CATCHUP-RESP suffix decodes straight into its slot of the enclosing slice,
-// so each costs one allocation fewer than a top-level REQUEST, which keeps
-// its one *Request.
+// TestEmbeddedRequestsDecodeInPlace: a request inside a batched ORDERREQ
+// decodes straight into its slot of the enclosing slice, so each costs one
+// allocation fewer than a top-level REQUEST, which keeps its one *Request.
+// (The CATCHUP-RESP suffix is the engine's shared layout; PBFT's copy of
+// this test covers it.)
 func TestEmbeddedRequestsDecodeInPlace(t *testing.T) {
 	reqs := sampleReqs(10)
 	ordering := func(k int) codec.Message {
 		return &OrderReq{View: 1, Seq: 2, Req: reqs[0], Batch: reqs[1 : 1+k], Sig: []byte("sig")}
 	}
-	catchup := func(k int) codec.Message {
-		return &CatchupResp{Seq: 4, Suffix: []CatchupSlot{{Seq: 5, Reqs: reqs[:k]}}, Sig: []byte("sig")}
-	}
 	top := decodeAllocs(t, &reqs[0])
-	for name, build := range map[string]func(int) codec.Message{"orderreq": ordering, "catchup-resp": catchup} {
+	for name, build := range map[string]func(int) codec.Message{"orderreq": ordering} {
 		few, many := decodeAllocs(t, build(2)), decodeAllocs(t, build(9))
 		if race.Enabled {
 			continue // allocation counts differ under -race; the round trips above still ran

@@ -20,8 +20,8 @@ import (
 )
 
 // Message tags reserved by Zyzzyva (40-49, plus 61-63 and 65 from the
-// shared expansion block 60-69; 49 and 65 are the state-transfer pair in
-// catchup.go).
+// shared expansion block 60-69; 48, 49 and 65 are the log-lifecycle
+// messages in checkpoint.go).
 const (
 	tagRequest      = 40
 	tagOrderReq     = 41

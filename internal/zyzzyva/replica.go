@@ -104,18 +104,11 @@ type Replica struct {
 	timerSeq  uint64
 	timerAct  map[proc.TimerID]func(ctx proc.Context)
 
-	// Log lifecycle (see checkpoint.go).
-	ckpt        *engine.CheckpointTracker
-	ckptEmitted uint64
-	window      *engine.RequestWindow
-
-	// State transfer (see catchup.go): the application state and history
-	// hash kept at recent checkpoint boundaries, and the single-flight
-	// request state.
-	states          *engine.StateKeeper
-	catchupPending  bool
-	catchupAttempts uint64
-	catchupRetries  int
+	// Log lifecycle (checkpoint.go): checkpoints, truncation and state
+	// transfer, and the per-client request window through which truncation
+	// releases the per-request tables.
+	life   *engine.Lifecycle
+	window *engine.RequestWindow
 
 	// view change state
 	hateVotes map[uint64]map[types.ReplicaID]bool
@@ -146,9 +139,10 @@ type ReplicaStats struct {
 	TruncatedEntries uint64 // slots freed by truncation
 	LowWaterMark     uint64 // latest stable checkpoint sequence number
 
-	// State-transfer observables (see catchup.go).
+	// State-transfer observables (engine.Lifecycle).
 	CatchupsServed    uint64 // CATCHUP-RESPs served to lagging peers
 	CatchupsInstalled uint64 // state transfers verified and installed
+	CatchupMismatches uint64 // responders outvoted by an installed f+1 agreement
 }
 
 var _ proc.Process = (*Replica)(nil)
@@ -186,8 +180,10 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		vcMsgs:     make(map[uint64]map[types.ReplicaID]*ViewChange),
 	}
 	r.window = engine.NewRequestWindow(r.releaseRequest)
-	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
-	r.states = engine.NewStateKeeper(cfg.App, cfg.CheckpointInterval)
+	r.life = engine.NewLifecycle(engine.LogConfig{
+		Self: cfg.Self, N: cfg.N, App: cfg.App, Auth: cfg.Auth, Costs: cfg.Costs,
+		Tags: logTags, Interval: cfg.CheckpointInterval, RetryBase: 2 * cfg.ForwardTimeout,
+	}, logHost{r})
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	for i := 0; i < cfg.N; i++ {
 		if types.ReplicaID(i) != cfg.Self {
@@ -203,9 +199,10 @@ func (r *Replica) ID() types.NodeID { return types.ReplicaNode(r.cfg.Self) }
 // Stats returns a snapshot of the replica's counters.
 func (r *Replica) Stats() ReplicaStats {
 	s := r.stats
-	cs := r.ckpt.Stats()
-	s.Checkpoints = cs.Checkpoints
-	s.LowWaterMark = cs.LowWaterMark
+	ls := r.life.Stats()
+	s.Checkpoints, s.LowWaterMark = ls.Checkpoints, ls.LowWaterMark
+	s.CatchupsServed, s.CatchupsInstalled, s.CatchupMismatches = ls.CatchupsServed, ls.CatchupsInstalled, ls.CatchupMismatches
+	s.DroppedInvalid += ls.DroppedInvalid
 	return s
 }
 
@@ -288,12 +285,12 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 		r.handleOrderReq(ctx, m)
 	case *CommitCert:
 		r.handleCommitCert(ctx, m)
-	case *Checkpoint:
-		r.handleCheckpoint(ctx, m)
-	case *CatchupReq:
-		r.handleCatchupReq(ctx, m)
-	case *CatchupResp:
-		r.handleCatchupResp(ctx, m)
+	case *engine.Checkpoint:
+		r.life.HandleCheckpoint(ctx, m)
+	case *engine.CatchupReq:
+		r.life.HandleCatchupReq(ctx, m)
+	case *engine.CatchupResp:
+		r.life.HandleCatchupResp(ctx, m)
 	case *HatePrimary:
 		r.handleHatePrimary(ctx, m)
 	case *ViewChange:
@@ -560,7 +557,7 @@ func (r *Replica) acceptOrderReq(ctx proc.Context, m *OrderReq, digests []types.
 		}
 	}
 	e.executed = true
-	r.maybeEmitCheckpoint(ctx)
+	r.life.MaybeEmit(ctx, r.histHash)
 }
 
 // rebuildReply re-signs a SPECRESPONSE for an already-executed command at
@@ -627,7 +624,7 @@ func (r *Replica) handleCommitCert(ctx proc.Context, m *CommitCert) {
 	}
 	e, ok := r.log[m.Seq]
 	if !ok {
-		if m.Seq <= r.ckpt.Stats().LowWaterMark {
+		if m.Seq <= r.life.Mark() {
 			// The slot was truncated — meaning it executed under a stable
 			// checkpoint, a strictly stronger durability guarantee than a
 			// local commit. Acknowledge from the reply cache so a client
@@ -838,7 +835,7 @@ func (r *Replica) applyNewView(ctx proc.Context, m *NewView) {
 			r.window.Seen(cmd.Client, cmd.Timestamp)
 		}
 	}
-	r.maybeEmitCheckpoint(ctx)
+	r.life.MaybeEmit(ctx, r.histHash)
 	if primaryOf(r.view, r.n) == r.cfg.Self {
 		r.nextSeq = r.maxSeq + 1
 	}

@@ -73,16 +73,8 @@ type LiveConfig struct {
 	// VerifyWorkers sizes each node's inbound signature-verification pool
 	// (0 = GOMAXPROCS). Every node — replica and client — pre-verifies
 	// inbound signatures on pool workers before its process loop sees the
-	// message; DisablePreVerify turns the pools off.
+	// message.
 	VerifyWorkers int
-	// DisablePreVerify delivers inbound messages straight to the process
-	// loops, which then verify signatures inline (the pre-PR-4 behaviour;
-	// ablation studies use it).
-	DisablePreVerify bool
-	// DisableVerifyCache turns off the cluster's shared verified-signature
-	// cache (auth.VerifyCache); every signature is then re-verified at
-	// every arrival (ablation studies use it).
-	DisableVerifyCache bool
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted), memory, or disk. A non-empty
 	// StoreDir with no explicit backend implies disk.
@@ -118,7 +110,6 @@ type LiveCluster struct {
 	primary       ReplicaID
 	maxClients    int
 	verifyWorkers int
-	preVerify     bool
 
 	mu           sync.Mutex
 	nodes        []*transport.LiveNode
@@ -174,7 +165,6 @@ func NewLiveCluster(cfg LiveConfig) (*LiveCluster, error) {
 		primary:       cfg.Primary,
 		maxClients:    cfg.MaxClients,
 		verifyWorkers: cfg.VerifyWorkers,
-		preVerify:     !cfg.DisablePreVerify,
 	}
 	durability := cfg.Durability
 	if durability == "" && cfg.StoreDir != "" {
@@ -239,20 +229,13 @@ func newLiveProvider(cfg LiveConfig) (*auth.Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.DisableVerifyCache {
-		provider.UseCache(0)
-	}
+	provider.UseCache(0)
 	return provider, nil
 }
 
-// attach registers a node on the mesh, behind an inbound verification pool
-// unless pre-verification is disabled; the pool (nil if none) is the
-// caller's to close after the node stops.
+// attach registers a node on the mesh, behind an inbound verification
+// pool; the pool is the caller's to close after the node stops.
 func (lc *LiveCluster) attach(node *transport.LiveNode, a auth.Authenticator) *transport.VerifyPool {
-	if !lc.preVerify {
-		lc.mesh.Attach(node)
-		return nil
-	}
 	pool := transport.NewVerifyPool(lc.verifyWorkers, lc.eng.InboundVerifier(a, lc.n),
 		func(from types.NodeID, msg codec.Message) { node.Deliver(from, msg) })
 	lc.mesh.AttachPool(node, pool)

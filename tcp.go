@@ -280,10 +280,6 @@ type TCPClientConfig struct {
 	// VerifyWorkers sizes the client's inbound signature-verification pool
 	// (0 = GOMAXPROCS); processes hosting many clients should set it low.
 	VerifyWorkers int
-	// DisablePreVerify delivers inbound replies straight to the client's
-	// process loop, which then verifies signatures inline (ablations and
-	// the pre-PR-4 behaviour).
-	DisablePreVerify bool
 }
 
 // tcpKeyring is a TCP deployment's key material parsed exactly once —
@@ -443,19 +439,11 @@ func newTCPClientAuthed(cfg TCPClientConfig, a auth.Authenticator) (*Client, err
 	// Client-bound replies (SPECREPLY / REPLY / SPECRESPONSE and friends)
 	// pre-verify on a worker pool too, keeping the client's process loop
 	// crypto-free.
-	var (
-		pool  *transport.VerifyPool
-		onMsg = func(from types.NodeID, msg codec.Message) { node.Deliver(from, msg) }
-	)
-	if !cfg.DisablePreVerify {
-		pool = transport.NewVerifyPool(cfg.VerifyWorkers, eng.InboundVerifier(a, cfg.N), onMsg)
-		onMsg = pool.Submit
-	}
-	peer, err := transport.NewTCPPeer(types.ClientNode(cfg.ID), cfg.Listen, addrs, onMsg)
+	pool := transport.NewVerifyPool(cfg.VerifyWorkers, eng.InboundVerifier(a, cfg.N),
+		func(from types.NodeID, msg codec.Message) { node.Deliver(from, msg) })
+	peer, err := transport.NewTCPPeer(types.ClientNode(cfg.ID), cfg.Listen, addrs, pool.Submit)
 	if err != nil {
-		if pool != nil {
-			pool.Close()
-		}
+		pool.Close()
 		return nil, err
 	}
 	// Pre-register with every replica so all of them can answer directly
@@ -472,8 +460,6 @@ func newTCPClientAuthed(cfg TCPClientConfig, a auth.Authenticator) (*Client, err
 	node.SetSender(peer)
 	return newClient(node, inner, bridge, func() {
 		_ = peer.Close()
-		if pool != nil {
-			pool.Close()
-		}
+		pool.Close()
 	}), nil
 }
