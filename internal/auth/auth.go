@@ -26,14 +26,15 @@
 // back inside every commit certificate, as does the SPECREPLY it signed
 // itself. VerifyCache is the memo that absorbs those: CachedAuth looks a
 // (signer, payload digest, token) triple up before verifying and records
-// successes and its own fresh signatures. An in-process cluster shares one
-// memo through Provider.UseCache; a TCP node keeps a private one.
+// successes and its own fresh signatures. An in-process ECDSA cluster shares
+// one memo through Provider.UseCache; a TCP node keeps a private one.
 //
 // The memo is for ECDSA only. A probe hashes the payload with SHA-256,
 // copies the token into a key and looks it up in a locked map: about 0.3 us
 // and one allocation, which is what the pre-keyed MAC costs in the first
 // place, and a miss pays both. Cached therefore returns HMAC authenticators
-// unchanged, as it does Noop.
+// unchanged, as it does Noop, and Provider.UseCache builds no memo for
+// either scheme.
 package auth
 
 import (
@@ -402,12 +403,16 @@ func NewProvider(scheme Scheme, nodes []types.NodeID) (*Provider, error) {
 func (p *Provider) Scheme() Scheme { return p.scheme }
 
 // UseCache makes every ECDSA authenticator the provider hands out share one
-// verified-signature cache (capacity <= 0 selects DefaultCacheCapacity);
-// HMAC and Noop authenticators stay bare (see Cached).
+// verified-signature cache (capacity <= 0 selects DefaultCacheCapacity) and
+// returns it. For HMAC and Noop it builds nothing and returns nil: their
+// authenticators stay bare (see Cached), so a cache would never be read.
 // All nodes of a provider already share key material, so a shared memo is
 // sound: a broadcast frame is then verified once for the whole in-process
 // cluster instead of once per recipient. Call before ForNode.
 func (p *Provider) UseCache(capacity int) *VerifyCache {
+	if p.scheme != SchemeECDSA {
+		return nil
+	}
 	if p.cache == nil {
 		p.cache = NewVerifyCache(capacity)
 	}

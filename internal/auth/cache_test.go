@@ -132,6 +132,32 @@ func TestCachePassthrough(t *testing.T) {
 	}
 }
 
+// TestProviderCacheOnlyForECDSA: UseCache builds a memo only for ECDSA, the
+// one scheme whose authenticators read it; for Noop and HMAC it builds
+// nothing, returns nil, and the provider hands out bare authenticators.
+func TestProviderCacheOnlyForECDSA(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeNoop, SchemeHMAC, SchemeECDSA} {
+		p, err := NewProvider(scheme, clusterNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := p.UseCache(0)
+		if (cache != nil) != (scheme == SchemeECDSA) {
+			t.Fatalf("%v: UseCache returned %v", scheme, cache)
+		}
+		if p.UseCache(0) != cache {
+			t.Fatalf("%v: a second UseCache returned another cache", scheme)
+		}
+		a, err := p.ForNode(types.ReplicaNode(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, cached := a.(*CachedAuth); cached != (scheme == SchemeECDSA) {
+			t.Fatalf("%v: ForNode returned %T", scheme, a)
+		}
+	}
+}
+
 // BenchmarkECDSAVerify measures the raw asymmetric verification the cache
 // elides on repeats.
 func BenchmarkECDSAVerify(b *testing.B) {

@@ -27,6 +27,7 @@ var (
 	ErrUnknownType     = errors.New("codec: unknown message type tag")
 	ErrTrailingData    = errors.New("codec: trailing data after message")
 	ErrNonCanonicalSet = errors.New("codec: instance set members not in strictly increasing order")
+	ErrLongVarint      = errors.New("codec: varint not in its shortest form")
 )
 
 // Writer accumulates a deterministic binary encoding.
@@ -133,9 +134,10 @@ func (w *Writer) Command(c types.Command) {
 
 // Reader parses a deterministic binary encoding produced by Writer.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	memo *Memo
 }
 
 // NewReader wraps a byte slice for reading. The reader does not copy the
@@ -148,6 +150,21 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// Memo returns the memo decoders may look embedded spans up in, or nil
+// (every reader but Memo.Unmarshal's).
+func (r *Reader) Memo() *Memo { return r.memo }
+
+// Offset returns the number of bytes read so far.
+func (r *Reader) Offset() int { return r.off }
+
+// Since returns the bytes read from offset off, an earlier Offset, to the
+// current one. The slice aliases the reader's input.
+func (r *Reader) Since(off int) []byte { return r.buf[off:r.off] }
+
+// Rewind moves the reader back to offset off, an earlier Offset. It is for a
+// decoder that skipped a span and now decodes it; the error state is kept.
+func (r *Reader) Rewind(off int) { r.off = off }
 
 // Finish returns an error if reading failed or bytes remain.
 func (r *Reader) Finish() error {
@@ -172,16 +189,29 @@ func (r *Reader) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		if n == 0 {
-			r.fail(ErrShortBuffer)
-		} else {
-			r.fail(ErrOverflow)
-		}
+	if !r.varintOK(n) {
 		return 0
 	}
 	r.off += n
 	return v
+}
+
+// varintOK checks the n a binary varint read returned at r.off. A varint
+// padded with zero groups decodes to the value its shortest form does, and
+// is refused: Writer never produces one, and accepted input must re-marshal
+// to its own bytes.
+func (r *Reader) varintOK(n int) bool {
+	switch {
+	case n == 0:
+		r.fail(ErrShortBuffer)
+	case n < 0:
+		r.fail(ErrOverflow)
+	case n > 1 && r.buf[r.off+n-1] == 0:
+		r.fail(ErrLongVarint)
+	default:
+		return true
+	}
+	return false
 }
 
 // Uint8 reads a single byte.
@@ -207,12 +237,7 @@ func (r *Reader) Int32() int32 {
 		return 0
 	}
 	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		if n == 0 {
-			r.fail(ErrShortBuffer)
-		} else {
-			r.fail(ErrOverflow)
-		}
+	if !r.varintOK(n) {
 		return 0
 	}
 	if v > 1<<31-1 || v < -(1<<31) {
@@ -256,6 +281,19 @@ func (r *Reader) Blob() []byte {
 	return out
 }
 
+// SkipBlob skips a length-prefixed byte string or string without copying it.
+func (r *Reader) SkipBlob() {
+	n := r.Uvarint()
+	if r.err != nil {
+		return
+	}
+	if uint64(r.Remaining()) < n {
+		r.fail(ErrShortBuffer)
+		return
+	}
+	r.off += int(n)
+}
+
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.Uvarint()
@@ -279,6 +317,9 @@ func (r *Reader) Instance() types.InstanceID {
 	}
 }
 
+// instanceSetSanity bounds the members a decoded dependency set may claim.
+const instanceSetSanity = 1 << 20
+
 // InstanceSet reads a dependency set. An empty set decodes to nil and
 // allocates nothing. Members that arrive out of order or repeated are
 // rejected: no encoder here writes them so, every message that carries a set
@@ -289,8 +330,7 @@ func (r *Reader) InstanceSet() types.InstanceSet {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	const sanity = 1 << 20
-	if n > sanity {
+	if n > instanceSetSanity {
 		r.fail(fmt.Errorf("codec: instance set of %d entries exceeds sanity bound", n))
 		return nil
 	}
@@ -313,6 +353,32 @@ func (r *Reader) InstanceSet() types.InstanceSet {
 		s = append(s, id)
 	}
 	return s
+}
+
+// SkipInstanceSet skips a dependency set, failing on a count InstanceSet
+// would reject; member order is not checked.
+func (r *Reader) SkipInstanceSet() {
+	n := r.Uvarint()
+	if r.err != nil || n == 0 {
+		return
+	}
+	if n > instanceSetSanity || n > uint64(r.Remaining())/2 {
+		r.fail(ErrShortBuffer)
+		return
+	}
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		r.Int32()
+		r.Uvarint()
+	}
+}
+
+// SkipCommand skips a command.
+func (r *Reader) SkipCommand() {
+	r.Int32()
+	r.Uvarint()
+	r.Uint8()
+	r.SkipBlob()
+	r.SkipBlob()
 }
 
 // Command reads a command.

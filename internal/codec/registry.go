@@ -68,7 +68,10 @@ func MarshalBody(m Message) []byte {
 }
 
 // Unmarshal decodes a full framed message produced by Marshal.
-func Unmarshal(b []byte) (Message, error) {
+func Unmarshal(b []byte) (Message, error) { return unmarshal(b, nil) }
+
+// unmarshal decodes a framed message with memo (possibly nil) on the reader.
+func unmarshal(b []byte, memo *Memo) (Message, error) {
 	if len(b) == 0 {
 		return nil, ErrShortBuffer
 	}
@@ -84,7 +87,7 @@ func Unmarshal(b []byte) (Message, error) {
 	// what they need out of the frame), and it lets go of the frame before it
 	// returns to the pool.
 	r := readerPool.Get().(*Reader)
-	*r = Reader{buf: b[1:]}
+	*r = Reader{buf: b[1:], memo: memo}
 	m, err := dec(r)
 	if err == nil {
 		err = r.Finish()

@@ -14,8 +14,10 @@ import "sync/atomic"
 // (false → true) and receiver-independent — every authenticator in a
 // cluster validates the same (signer, body, signature) triples — so a mark
 // set by any pool is valid for every reader. The field is never marshaled;
-// a message that crosses a real wire is re-decoded (and re-verified) by the
-// receiving process.
+// a message that crosses a real wire is decoded afresh, and verified again,
+// by the receiving process — except for a value that process's Memo already
+// holds for the same bytes: it keeps the mark those bytes earned, since a
+// signature check is a fact about exact bytes.
 type Verified struct{ flag uint32 }
 
 // MarkSigVerified records that every unconditionally checked signature on

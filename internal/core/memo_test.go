@@ -1,0 +1,219 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+
+	"ezbft/internal/codec"
+	"ezbft/internal/race"
+)
+
+// specOrderBytes is a SPECORDER's encoding without its tag: the span a
+// reply or certificate embeds it as.
+func specOrderBytes(so *SpecOrder) []byte {
+	w := codec.NewWriter(256)
+	so.MarshalTo(w)
+	return w.Bytes()
+}
+
+// batchedSpecOrder is fastPathFrames' SPECORDER ordering two more requests.
+func batchedSpecOrder() *SpecOrder {
+	so, _, _ := fastPathFrames()
+	for i := 0; i < 2; i++ {
+		r := so.Req.Clone()
+		r.Cmd.Timestamp += uint64(i + 1)
+		so.Batch = append(so.Batch, r)
+	}
+	return so
+}
+
+// TestMemoizedDecodeAllocations: once a node holds a SPECORDER, a SPECREPLY
+// embedding it decodes to the message and its signature, a COMMITFAST to the
+// message, its certificate slice and reply, the reply's signature, the
+// signer list and 3 signatures — the SPECORDER's 5 objects are gone from
+// both (TestFastPathDecodeAllocations counts them without a memo) and the
+// reply points at the very value the node holds.
+func TestMemoizedDecodeAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	so, replies, cf := fastPathFrames()
+	memo := codec.NewMemo()
+	m, err := memo.Unmarshal(codec.Marshal(so))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := m.(*SpecOrder)
+	for _, tc := range []struct {
+		name string
+		msg  codec.Message
+		want float64
+	}{
+		{"SPECREPLY", replies[1], 2},
+		{"COMMITFAST", cf, 8},
+	} {
+		frame := codec.Marshal(tc.msg)
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := memo.Unmarshal(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("decoding a %s through a warm memo allocates %v objects, want %v", tc.name, got, tc.want)
+		}
+	}
+	out, err := memo.Unmarshal(codec.Marshal(replies[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply := out.(*SpecReply); reply.SO != held {
+		t.Error("the SPECREPLY's SPECORDER is not the value the memo holds")
+	}
+	out, err = memo.Unmarshal(codec.Marshal(cf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.(*CommitFast).Cert[0].SO; got != held {
+		t.Error("the COMMITFAST's SPECORDER is not the value the memo holds")
+	}
+}
+
+// TestMemoExactBytes: a hit needs the held span's exact bytes. Every
+// single-byte change to the SPECORDER a SPECREPLY embeds, with the original
+// held, either fails to decode or decodes to a new value that re-marshals to
+// the changed bytes; the held value is never returned for them.
+func TestMemoExactBytes(t *testing.T) {
+	for _, so := range []*SpecOrder{sampleSpecOrder(), batchedSpecOrder()} {
+		memo := codec.NewMemo()
+		m, err := memo.Unmarshal(codec.Marshal(so))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := m.(*SpecOrder)
+		reply := sampleSpecReply()
+		reply.SO = so
+		if len(so.Batch) > 0 {
+			reply.Batched, reply.SORef = true, so.CmdDigest
+		}
+		frame := codec.Marshal(reply)
+		span := specOrderBytes(so)
+		start := len(frame) - len(span) // the SPECORDER ends the frame
+		if !bytes.Equal(frame[start:], span) {
+			t.Fatal("the SPECREPLY does not end with its SPECORDER")
+		}
+		changed, decoded := 0, 0
+		for i := start; i < len(frame); i++ {
+			orig := frame[i]
+			for v := 0; v < 256; v++ {
+				if byte(v) == orig {
+					continue
+				}
+				frame[i] = byte(v)
+				changed++
+				out, err := memo.Unmarshal(frame)
+				if err != nil {
+					continue
+				}
+				decoded++
+				got := out.(*SpecReply).SO
+				if got == held {
+					t.Fatalf("byte %d of the span set to %#x: the held SPECORDER was returned", i-start, v)
+				}
+				if !bytes.Equal(specOrderBytes(got), frame[start:]) {
+					t.Fatalf("byte %d of the span set to %#x: decoded SPECORDER re-marshals to other bytes", i-start, v)
+				}
+			}
+			frame[i] = orig
+		}
+		out, err := memo.Unmarshal(frame)
+		if err != nil || !bytes.Equal(specOrderBytes(out.(*SpecReply).SO), span) {
+			t.Fatalf("the unchanged SPECREPLY decodes to another SPECORDER (err %v)", err)
+		}
+		t.Logf("%d-byte span (batch of %d): %d changes, %d decoded", len(span), so.BatchSize(), changed, decoded)
+	}
+}
+
+// TestMemoConcurrentDecoders: four goroutines decode overlapping SPECORDER,
+// SPECREPLY and COMMITFAST frames through one memo, each in its own order;
+// every message re-marshals to its frame. Run it under the race detector.
+func TestMemoConcurrentDecoders(t *testing.T) {
+	var frames [][]byte
+	for k := 0; k < 24; k++ {
+		so, replies, cf := fastPathFrames()
+		so.Inst.Slot += uint64(k)
+		if k%3 == 0 {
+			so = batchedSpecOrder()
+			so.Inst.Slot += uint64(k)
+			for _, sr := range replies {
+				sr.Batched, sr.SORef = true, so.CmdDigest
+			}
+		}
+		for _, sr := range replies {
+			sr.SO = so
+		}
+		frames = append(frames, codec.Marshal(so), codec.Marshal(cf))
+		for _, sr := range replies {
+			frames = append(frames, codec.Marshal(sr))
+		}
+	}
+	memo := codec.NewMemo()
+	const workers, rounds = 4, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for j := range frames {
+					frame := frames[(j*(w+1)+round)%len(frames)]
+					m, err := memo.Unmarshal(frame)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !bytes.Equal(codec.Marshal(m), frame) {
+						errs <- fmt.Errorf("worker %d: %T re-marshals to other bytes", w, m)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSpecOrderSpan pins the skip grammar a memoized decode uses to find a
+// SPECORDER's span against the decoder itself: whatever the decoder accepts,
+// the skip consumes exactly the same bytes; an accepted value re-marshals to
+// them; and the skip fails only on input the decoder also refuses.
+func FuzzSpecOrderSpan(f *testing.F) {
+	so, _, _ := fastPathFrames()
+	f.Add(specOrderBytes(so), false)
+	f.Add(specOrderBytes(batchedSpecOrder()), true)
+	f.Add(specOrderBytes(sampleSpecOrder()), false)
+	f.Fuzz(func(t *testing.T, data []byte, batched bool) {
+		dr := codec.NewReader(data)
+		got, derr := decodeSpecOrderFmt(dr, batched)
+		sr := codec.NewReader(data)
+		serr := skipSpecOrder(sr, batched)
+		if derr != nil {
+			return
+		}
+		if serr != nil {
+			t.Fatalf("decoder accepted %x, skip failed: %v", data, serr)
+		}
+		if sr.Offset() != dr.Offset() {
+			t.Fatalf("decoder consumed %d bytes, skip %d", dr.Offset(), sr.Offset())
+		}
+		if !bytes.Equal(specOrderBytes(got), data[:dr.Offset()]) {
+			t.Fatalf("accepted %x re-marshals to %x", data[:dr.Offset()], specOrderBytes(got))
+		}
+	})
+}

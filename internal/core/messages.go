@@ -326,8 +326,71 @@ func decodeSpecOrder(r *codec.Reader) (*SpecOrder, error) {
 }
 
 // decodeSpecOrderFmt parses either SPECORDER layout; batched selects the
-// tag-21 layout with the trailing extra requests.
+// tag-21 layout with the trailing extra requests. It is the one decoder of a
+// SPECORDER, standalone or embedded. With a memo on the reader it skips over
+// the SPECORDER first and returns the value the memo holds for exactly those
+// bytes; otherwise it decodes them and hands the memo the result.
 func decodeSpecOrderFmt(r *codec.Reader, batched bool) (*SpecOrder, error) {
+	memo := r.Memo()
+	if memo == nil {
+		return parseSpecOrder(r, batched)
+	}
+	start := r.Offset()
+	if err := skipSpecOrder(r, batched); err != nil {
+		return nil, err
+	}
+	// The two layouts never share a span: the unbatched one is a strict
+	// prefix of the batched one.
+	span := r.Since(start)
+	if so, ok := memo.Lookup(span).(*SpecOrder); ok {
+		return so, nil
+	}
+	r.Rewind(start)
+	so, err := parseSpecOrder(r, batched)
+	if err != nil {
+		return nil, err
+	}
+	if r.Offset() == start+len(span) { // always, as FuzzSpecOrderSpan pins
+		memo.Store(span, so)
+	}
+	return so, nil
+}
+
+// skipSpecOrder moves r past a SPECORDER without decoding it. Wherever
+// parseSpecOrder succeeds, it succeeds too and consumes the same bytes.
+func skipSpecOrder(r *codec.Reader, batched bool) error {
+	r.Uvarint()
+	r.Instance()
+	r.SkipInstanceSet()
+	r.Uvarint()
+	r.Bytes32()
+	r.Bytes32()
+	r.SkipBlob()
+	skipRequest(r)
+	if batched {
+		n := r.Uvarint()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if n == 0 || n > maxBatch-2 {
+			return codec.ErrOverflow
+		}
+		for i := uint64(0); i < n && r.Err() == nil; i++ {
+			skipRequest(r)
+		}
+	}
+	return r.Err()
+}
+
+// skipRequest moves r past a REQUEST.
+func skipRequest(r *codec.Reader) {
+	r.SkipCommand()
+	r.Int32()
+	r.SkipBlob()
+}
+
+// parseSpecOrder decodes a SPECORDER.
+func parseSpecOrder(r *codec.Reader, batched bool) (*SpecOrder, error) {
 	m := &SpecOrder{
 		Owner:     types.OwnerNumber(r.Uvarint()),
 		Inst:      r.Instance(),

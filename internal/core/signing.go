@@ -99,19 +99,6 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 	}
 }
 
-// SpecOrderVerifier is the PR-2 predicate restricted to SPECORDER frames;
-// it survives for callers that only want ordering-frame coverage.
-// InboundVerifier supersedes it for full-coverage deployments.
-func SpecOrderVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
-	return func(msg codec.Message) bool {
-		so, ok := msg.(*SpecOrder)
-		if !ok {
-			return true
-		}
-		return preVerifySpecOrder(a, n, so)
-	}
-}
-
 // preVerifySpecOrder checks a SPECORDER's leader signature and every
 // embedded client signature, marking the frame on success.
 func preVerifySpecOrder(a auth.Authenticator, n int, so *SpecOrder) bool {

@@ -71,8 +71,9 @@ const (
 // buffers. A buffer that one large frame grew past maxKeptFrame is left to
 // the collector instead — kept, it would pin that much memory per
 // connection and then circulate through the pool. Pooled buffers are safe
-// to reuse because codec decoding copies every variable-length field out of
-// the frame.
+// to reuse because no decoded value aliases a frame: decoding copies every
+// variable-length field out of it, and the peer's codec.Memo copies each
+// SPECORDER span it keeps into a slot of its own.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, frameBufSize)
@@ -97,6 +98,10 @@ type TCPPeer struct {
 	self  types.NodeID
 	addrs map[types.NodeID]string
 	onMsg func(from types.NodeID, msg codec.Message)
+	// memo is this node's alone: every connection's frames decode through
+	// it, so a SPECORDER embedded in replies and certificates is decoded
+	// once per node.
+	memo *codec.Memo
 
 	ln net.Listener
 
@@ -135,6 +140,7 @@ func NewTCPPeer(self types.NodeID, listenAddr string, addrs map[types.NodeID]str
 		self:    self,
 		addrs:   make(map[types.NodeID]string, len(addrs)),
 		onMsg:   onMsg,
+		memo:    codec.NewMemo(),
 		ln:      ln,
 		conns:   make(map[types.NodeID]net.Conn),
 		all:     make(map[net.Conn]struct{}),
@@ -410,8 +416,8 @@ func (p *TCPPeer) readLoop(conn net.Conn) {
 }
 
 // readFrames delivers every well-formed frame from one connection, reusing
-// one pooled buffer for the connection's lifetime (decoding copies all
-// variable-length fields, so the buffer never escapes).
+// one pooled buffer for the connection's lifetime (no decoded value aliases
+// it; see framePool).
 func (p *TCPPeer) readFrames(r *bufio.Reader, from types.NodeID) {
 	bp := framePool.Get().(*[]byte)
 	defer func() { putFrame(bp, *bp) }()
@@ -420,7 +426,7 @@ func (p *TCPPeer) readFrames(r *bufio.Reader, from types.NodeID) {
 		if err != nil {
 			return
 		}
-		msg, err := codec.Unmarshal(frame)
+		msg, err := p.memo.Unmarshal(frame)
 		if err != nil {
 			continue // malformed frame: drop, keep the connection
 		}

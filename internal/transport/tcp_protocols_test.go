@@ -157,6 +157,9 @@ func tcpWorkloadDigest(t *testing.T, proto engine.Protocol, batch int) string {
 
 	// Converged means every replica reports the same digest AND the state
 	// is complete (final execution may lag the client-visible commit).
+	// Completeness is read first: once replica 0 holds the whole workload its
+	// state no longer changes, so its digest cannot be from a moment before
+	// its last execution that the others still happen to share.
 	complete := func(s *kvstore.Store) bool {
 		for c := 0; c < clients; c++ {
 			if v, ok := s.Get(fmt.Sprintf("k%d", c)); !ok || string(v) != "v" {
@@ -168,8 +171,8 @@ func tcpWorkloadDigest(t *testing.T, proto engine.Protocol, batch int) string {
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		ref := stores[0].Digest()
 		same := complete(stores[0])
+		ref := stores[0].Digest()
 		for i := 1; same && i < n; i++ {
 			if stores[i].Digest() != ref {
 				same = false

@@ -91,10 +91,11 @@ type fakeMsg struct{ id uint64 }
 func (m *fakeMsg) Tag() uint8                { return 251 }
 func (m *fakeMsg) MarshalTo(w *codec.Writer) { w.Uvarint(m.id) }
 
-// TestVerifyPoolWithSpecOrderVerifier runs real signed SPECORDER batches
-// through the parallel verifier: correctly signed batches pass, tampered
-// ones are dropped, and unrelated messages pass through untouched.
-func TestVerifyPoolWithSpecOrderVerifier(t *testing.T) {
+// TestVerifyPoolWithInboundVerifier runs real signed SPECORDER batches
+// through the parallel verifier with ezBFT's inbound predicate: correctly
+// signed batches pass and are marked, tampered ones are dropped, and
+// messages of no protocol pass through untouched.
+func TestVerifyPoolWithInboundVerifier(t *testing.T) {
 	const n = 4
 	ring := auth.NewHMACKeyring([]byte("verify-pool-test"))
 	leader := ring.ForNode(types.ReplicaNode(1))
@@ -124,7 +125,7 @@ func TestVerifyPoolWithSpecOrderVerifier(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []codec.Message
-	pool := NewVerifyPool(2, core.SpecOrderVerifier(verifier, n),
+	pool := NewVerifyPool(2, core.InboundVerifier(verifier, n),
 		func(from types.NodeID, msg codec.Message) {
 			mu.Lock()
 			got = append(got, msg)
@@ -139,8 +140,8 @@ func TestVerifyPoolWithSpecOrderVerifier(t *testing.T) {
 		t.Fatalf("delivered %d messages, want 2 (valid SPECORDER + passthrough)", len(got))
 	}
 	for _, m := range got {
-		if so, ok := m.(*core.SpecOrder); ok && so.Sig[0] == mk(true).(*core.SpecOrder).Sig[0] {
-			t.Fatal("tampered SPECORDER was delivered")
+		if so, ok := m.(*core.SpecOrder); ok && (so.Sig[0] == mk(true).(*core.SpecOrder).Sig[0] || !so.SigVerified()) {
+			t.Fatal("tampered or unmarked SPECORDER was delivered")
 		}
 	}
 }
