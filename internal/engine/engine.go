@@ -25,6 +25,21 @@
 // vouches for replays. A single Byzantine responder can neither corrupt
 // what a replica installs nor wedge it: the solicited voters rotate until
 // f+1 correct ones answer.
+//
+// Around the Lifecycle the sequenced protocols share one replica core,
+// Sequencer. It owns the configuration defaults, the timer table and the
+// gated send paths; request admission (client signature, reply-cache
+// resend, the RequestWindow floor, forwarding to the primary under a
+// suspicion timer, duplicate suppression, the Batcher); the flush that
+// assigns a batch its sequence number; the in-loop check of an ordering
+// frame; the per-request tables; the slot log with in-order execution, one
+// reply per command, and truncation; and the view, whose entry drops the
+// batch, the forwarding timers and the per-view vote tables. A protocol
+// embeds it and supplies a SeqHost — its signed ordering frame (Order), its
+// reply (Reply), its suspicion vote (Suspect) — and keeps its messages,
+// phases, quorum rules and view change.
+// PBFT's and FaB's clients are one QuorumClient, which completes a request
+// once f+1 replicas report the same result.
 package engine
 
 import (

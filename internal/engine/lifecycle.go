@@ -39,8 +39,8 @@ type LogHost interface {
 	AfterTimer(ctx proc.Context, d time.Duration, fn func(ctx proc.Context)) proc.TimerID
 	// View is the replica's current view.
 	View() uint64
-	// Executed is the highest contiguously executed sequence number.
-	Executed() uint64
+	// MaxExecuted is the highest contiguously executed sequence number.
+	MaxExecuted() uint64
 	// ExecutedSuffix returns the contiguous executed slots above mark that
 	// the replica still holds.
 	ExecutedSuffix(mark uint64) []CatchupSlot
@@ -159,7 +159,7 @@ func (l *Lifecycle) Recovered(mark uint64, snap []byte, votes []*Checkpoint) {
 // aux beside it, as the transfer payload should the checkpoint become
 // stable.
 func (l *Lifecycle) MaybeEmit(ctx proc.Context, aux types.Digest) {
-	seq := l.host.Executed()
+	seq := l.host.MaxExecuted()
 	if !l.ckpt.Boundary(seq) || seq <= l.emitted {
 		return
 	}
@@ -199,7 +199,7 @@ func (l *Lifecycle) Record(ctx proc.Context, m *Checkpoint) {
 	if ck, ok := l.cfg.App.(types.Checkpointer); ok {
 		ck.Checkpoint(st.Mark, st.Digest)
 	}
-	if l.host.Executed() < st.Mark && (l.durable == nil || !l.durable.Recovering()) {
+	if l.host.MaxExecuted() < st.Mark && (l.durable == nil || !l.durable.Recovering()) {
 		l.request(ctx, st)
 	}
 }
@@ -216,7 +216,7 @@ func (l *Lifecycle) Pull(ctx proc.Context) {
 // behind reports whether the watermark trails the stable mark st, or a
 // slot an installed agreement's responders all vouched for.
 func (l *Lifecycle) behind(st *StableCheckpoint) bool {
-	exec := l.host.Executed()
+	exec := l.host.MaxExecuted()
 	return exec < st.Mark || exec < l.vouched
 }
 
@@ -242,7 +242,7 @@ func (l *Lifecycle) request(ctx proc.Context, st *StableCheckpoint) {
 	base := int(l.attempts) % len(voters)
 	l.attempts++
 	l.pending = true
-	l.tail = l.host.Executed() >= st.Mark
+	l.tail = l.host.MaxExecuted() >= st.Mark
 	req := &CatchupReq{Replica: l.cfg.Self, tag: l.cfg.Tags.CatchupReq}
 	l.cfg.Costs.ChargeSign(ctx)
 	req.Sig = SignBody(l.cfg.Auth, req)
@@ -309,7 +309,7 @@ func (l *Lifecycle) HandleCatchupResp(ctx proc.Context, m *CatchupResp) {
 	if !l.pending {
 		return
 	}
-	exec := l.host.Executed()
+	exec := l.host.MaxExecuted()
 	wholesale := m.Seq > exec
 	if !wholesale {
 		if !l.tail {
@@ -411,7 +411,7 @@ func (l *Lifecycle) replay(ctx proc.Context, m *CatchupResp, group []*CatchupRes
 	}
 	for i := 0; i < agreed; i++ {
 		s := &m.Suffix[i]
-		exec := l.host.Executed()
+		exec := l.host.MaxExecuted()
 		if s.Seq <= exec {
 			continue // a tail overlaps what already executed here
 		}

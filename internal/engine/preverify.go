@@ -5,19 +5,26 @@ import (
 	"ezbft/internal/types"
 )
 
-// OrderingFrame is the surface a batched ordering message (PRE-PREPARE,
-// ORDERREQ, PROPOSE) exposes to the shared transport-side pre-verifier:
-// the frame-level signature over its body, the embedded client requests,
-// and the marker that lets the owning process loop skip re-verification.
-type OrderingFrame interface {
+// FrameRequest is a client request embedded in an ordering frame.
+type FrameRequest interface {
+	BodyMarshaler
+	Command() *types.Command
+	Signature() []byte
+}
+
+// Frame is the surface a batched ordering message (PRE-PREPARE, ORDERREQ,
+// PROPOSE) exposes to the frame checks, outside the process loop
+// (VerifyFrame) and in it (Sequencer.CheckFrame): the frame-level signature
+// over its body, the embedded client requests, and the marker that lets
+// the owning process loop skip re-verification.
+type Frame[P FrameRequest] interface {
 	SignedMessage
 	// BatchSize returns the number of embedded requests.
 	BatchSize() int
 	// Signature returns the ordering signature.
 	Signature() []byte
-	// RequestAt returns the i'th embedded request's signer, signed body and
-	// signature.
-	RequestAt(i int) (client types.ClientID, body BodyMarshaler, sig []byte)
+	// ReqAt returns the i'th embedded request.
+	ReqAt(i int) P
 }
 
 // VerifyFrame checks an ordering frame outside the process loop: the
@@ -27,7 +34,7 @@ type OrderingFrame interface {
 // verification agree at the boundary. Safe for concurrent use (marking is
 // atomic; on the in-process mesh several recipients' pools may race on one
 // shared frame, and an already-marked frame short-circuits).
-func VerifyFrame(a auth.Authenticator, signer types.NodeID, f OrderingFrame, maxBatch int) bool {
+func VerifyFrame[P FrameRequest](a auth.Authenticator, signer types.NodeID, f Frame[P], maxBatch int) bool {
 	if f.BatchSize() > maxBatch {
 		return false
 	}
@@ -38,8 +45,8 @@ func VerifyFrame(a auth.Authenticator, signer types.NodeID, f OrderingFrame, max
 		return false
 	}
 	for i := 0; i < f.BatchSize(); i++ {
-		client, body, sig := f.RequestAt(i)
-		if VerifyBody(a, types.ClientNode(client), body, sig) != nil {
+		req := f.ReqAt(i)
+		if VerifyBody(a, types.ClientNode(req.Command().Client), req, req.Signature()) != nil {
 			return false
 		}
 	}

@@ -1,0 +1,258 @@
+package engine_test
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"ezbft/internal/auth"
+	"ezbft/internal/codec"
+	"ezbft/internal/engine"
+	"ezbft/internal/fab"
+	"ezbft/internal/kvstore"
+	"ezbft/internal/pbft"
+	"ezbft/internal/proc"
+	"ezbft/internal/types"
+	"ezbft/internal/zyzzyva"
+)
+
+// sequenced describes one sequenced protocol to the tests below.
+type sequenced struct {
+	name engine.Protocol
+	// request builds the protocol's REQUEST.
+	request func(cmd types.Command, sig []byte) codec.Message
+	// frame reports the batch size of an ordering frame (PRE-PREPARE,
+	// ORDERREQ, PROPOSE).
+	frame func(m codec.Message) (int, bool)
+	// changes names the stats counter of completed view changes; votes the
+	// replica's per-view vote tables.
+	changes string
+	votes   []string
+}
+
+var sequencedProtocols = []sequenced{
+	{
+		name:    engine.PBFT,
+		request: func(cmd types.Command, sig []byte) codec.Message { return &pbft.Request{Cmd: cmd, Sig: sig} },
+		frame: func(m codec.Message) (int, bool) {
+			f, ok := m.(*pbft.PrePrepare)
+			return batchSize(f, ok)
+		},
+		changes: "ViewChanges",
+		votes:   []string{"vcMsgs"},
+	},
+	{
+		name:    engine.Zyzzyva,
+		request: func(cmd types.Command, sig []byte) codec.Message { return &zyzzyva.Request{Cmd: cmd, Sig: sig} },
+		frame: func(m codec.Message) (int, bool) {
+			f, ok := m.(*zyzzyva.OrderReq)
+			return batchSize(f, ok)
+		},
+		changes: "ViewChanges",
+		votes:   []string{"hateVotes", "vcMsgs"},
+	},
+	{
+		name:    engine.FaB,
+		request: func(cmd types.Command, sig []byte) codec.Message { return &fab.Request{Cmd: cmd, Sig: sig} },
+		frame: func(m codec.Message) (int, bool) {
+			f, ok := m.(*fab.Propose)
+			return batchSize(f, ok)
+		},
+		changes: "LeaderChanges",
+		votes:   []string{"suspects"},
+	},
+}
+
+func batchSize(f interface{ BatchSize() int }, ok bool) (int, bool) {
+	if !ok {
+		return 0, false
+	}
+	return f.BatchSize(), true
+}
+
+// envelope is one message in flight.
+type envelope struct {
+	from, to types.NodeID
+	msg      codec.Message
+}
+
+// pumped is four replicas of one sequenced protocol behind an in-order
+// message pump: what a replica sends is delivered, in send order, when the
+// test pumps; drop filters deliveries; client-bound messages are kept;
+// timers are only recorded, and fire when the test fires them.
+type pumped struct {
+	t      *testing.T
+	p      sequenced
+	ring   *auth.HMACKeyring
+	reps   []proc.Process
+	queue  []envelope
+	client []envelope
+	timers []map[proc.TimerID]bool
+	drop   func(e envelope) bool
+}
+
+func newPumped(t *testing.T, p sequenced, opts engine.ReplicaOptions) *pumped {
+	t.Helper()
+	e, err := engine.Lookup(p.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &pumped{t: t, p: p, ring: auth.NewHMACKeyring([]byte("sequenced"))}
+	for i := 0; i < 4; i++ {
+		o := opts
+		o.Self, o.N, o.App = types.ReplicaID(i), 4, kvstore.New()
+		o.Auth = c.ring.ForNode(types.ReplicaNode(o.Self))
+		rep, err := e.NewReplica(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.reps = append(c.reps, rep)
+		c.timers = append(c.timers, make(map[proc.TimerID]bool))
+	}
+	for i, rep := range c.reps {
+		rep.Init(nodeCtx{c, i})
+	}
+	return c
+}
+
+// nodeCtx is one replica's proc.Context in a pumped cluster.
+type nodeCtx struct {
+	c    *pumped
+	self int
+}
+
+func (x nodeCtx) Now() time.Duration { return 0 }
+func (x nodeCtx) Send(to types.NodeID, m codec.Message) {
+	x.c.queue = append(x.c.queue, envelope{types.ReplicaNode(types.ReplicaID(x.self)), to, m})
+}
+func (x nodeCtx) SetTimer(id proc.TimerID, _ time.Duration) { x.c.timers[x.self][id] = true }
+func (x nodeCtx) CancelTimer(id proc.TimerID)               { delete(x.c.timers[x.self], id) }
+func (x nodeCtx) Charge(time.Duration)                      {}
+func (x nodeCtx) Rand() *rand.Rand                          { return rand.New(rand.NewSource(int64(x.self))) }
+
+// request builds a client-signed REQUEST.
+func (c *pumped) request(client types.ClientID, ts uint64) codec.Message {
+	cmd := types.Command{Client: client, Timestamp: ts, Op: types.OpPut, Key: "k", Value: []byte{byte(ts)}}
+	body := c.p.request(cmd, nil).(engine.BodyMarshaler)
+	return c.p.request(cmd, engine.SignBody(c.ring.ForNode(types.ClientNode(client)), body))
+}
+
+// deliver hands msg to replica i now, as if from `from`.
+func (c *pumped) deliver(i int, from types.NodeID, msg codec.Message) {
+	c.reps[i].Receive(nodeCtx{c, i}, from, msg)
+}
+
+// pump delivers everything in flight, and what that sends, until quiet.
+func (c *pumped) pump() {
+	for len(c.queue) > 0 {
+		e := c.queue[0]
+		c.queue = c.queue[1:]
+		switch {
+		case c.drop != nil && c.drop(e):
+		case e.to.IsReplica():
+			c.deliver(int(e.to.Replica()), e.from, e.msg)
+		default:
+			c.client = append(c.client, e)
+		}
+	}
+}
+
+// fire runs replica i's armed timers.
+func (c *pumped) fire(i int) {
+	for id := range c.timers[i] {
+		delete(c.timers[i], id)
+		c.reps[i].OnTimer(nodeCtx{c, i}, id)
+	}
+}
+
+func (c *pumped) view(i int) uint64 {
+	return c.reps[i].(interface{ View() uint64 }).View()
+}
+
+// stat reads a named counter from replica i's Stats.
+func (c *pumped) stat(i int, name string) uint64 {
+	return reflect.ValueOf(c.reps[i]).MethodByName("Stats").Call(nil)[0].FieldByName(name).Uint()
+}
+
+// heldVotes returns the views replica i's vote tables hold votes for, and
+// how many votes they hold in all. A table keyed by view counts each
+// view's voters; a table keyed by sender holds one vote per sender, which
+// names its view.
+func (c *pumped) heldVotes(i int) (views []uint64, votes int) {
+	v := reflect.ValueOf(c.reps[i]).Elem()
+	for _, name := range c.p.votes {
+		for it := v.FieldByName(name).MapRange(); it.Next(); {
+			if it.Key().Kind() == reflect.Uint64 {
+				views = append(views, it.Key().Uint())
+				votes += it.Value().Len()
+			} else {
+				views = append(views, it.Value().Elem().FieldByName("NewView").Uint())
+				votes++
+			}
+		}
+	}
+	return views, votes
+}
+
+// TestViewVoteTablesBounded: the per-view vote tables forget every view a
+// replica has entered, and one faulty PBFT replica naming a thousand future
+// views leaves at most one pending VIEW-CHANGE per sender.
+func TestViewVoteTablesBounded(t *testing.T) {
+	for _, p := range sequencedProtocols {
+		t.Run(string(p.name)+"/20-view-changes", func(t *testing.T) {
+			c := newPumped(t, p, engine.ReplicaOptions{})
+			for round := uint64(1); round <= 20; round++ {
+				// The primary never hears of a fresh request the backups forward
+				// to it, and their suspicion timers move everyone to the next
+				// view.
+				view := c.view(0)
+				primary := types.ReplicaNode(types.ReplicaID(view % 4))
+				req := c.request(1, round)
+				c.drop = func(e envelope) bool {
+					return e.to == primary && reflect.TypeOf(e.msg) == reflect.TypeOf(req)
+				}
+				for i := range c.reps {
+					if types.ReplicaNode(types.ReplicaID(i)) != primary {
+						c.deliver(i, types.ClientNode(1), req)
+					}
+				}
+				c.pump()
+				for i := range c.reps {
+					c.fire(i)
+				}
+				c.pump()
+				for i := range c.reps {
+					if c.view(i) != view+1 {
+						t.Fatalf("round %d: replica %d in view %d, want %d", round, i, c.view(i), view+1)
+					}
+				}
+			}
+			for i := range c.reps {
+				views, _ := c.heldVotes(i)
+				for _, v := range views {
+					if v <= c.view(i) {
+						t.Errorf("replica %d (view %d) still holds votes for view %d (all: %v)", i, c.view(i), v, views)
+						break
+					}
+				}
+			}
+			if got := c.stat(1, p.changes); got != 20 {
+				t.Errorf("replica 1 counted %d view changes, want 20", got)
+			}
+		})
+	}
+	t.Run("pbft/view-change-spray", func(t *testing.T) {
+		c := newPumped(t, sequencedProtocols[0], engine.ReplicaOptions{})
+		liar := c.ring.ForNode(types.ReplicaNode(1))
+		for v := uint64(1); v <= 1000; v++ {
+			vc := &pbft.ViewChange{NewView: v, Replica: 1}
+			vc.Sig = engine.SignBody(liar, vc)
+			c.deliver(0, types.ReplicaNode(1), vc)
+		}
+		c.pump()
+		if _, votes := c.heldVotes(0); votes > 4 {
+			t.Fatalf("one sender's 1000 VIEW-CHANGEs left %d pending, want at most n = 4", votes)
+		}
+	})
+}

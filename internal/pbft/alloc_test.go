@@ -62,14 +62,14 @@ func TestCheckpointEmissionCostIndependentOfState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.maxExec = interval
-		r.life.MaybeEmit(pvCtx{}, types.Digest{}) // first digest builds the key index
+		r.MaxExec = interval
+		r.Life().MaybeEmit(pvCtx{}, types.Digest{}) // first digest builds the key index
 		const rounds = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := uint64(2); i < 2+rounds; i++ {
-			r.maxExec = i * interval
-			r.life.MaybeEmit(pvCtx{}, types.Digest{})
+			r.MaxExec = i * interval
+			r.Life().MaybeEmit(pvCtx{}, types.Digest{})
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / rounds

@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
@@ -9,8 +8,8 @@ import (
 
 // PBFT's log lifecycle runs on the shared engine.Lifecycle: CHECKPOINT
 // votes (write-ahead-logged before they are tallied) establish stable
-// checkpoints, truncation frees the per-request bookkeeping (byCmd /
-// replyCache) alongside the slot map, and a replica that falls behind the
+// checkpoints, truncation frees the per-request bookkeeping alongside
+// the slot log, and a replica that falls behind the
 // low-water mark rejoins by f+1-validated state transfer. This file holds
 // PBFT's hooks.
 var logTags = engine.LogTags{Checkpoint: 35, CatchupReq: 38, CatchupResp: 39}
@@ -21,26 +20,23 @@ type Checkpoint = engine.Checkpoint
 
 func init() { engine.RegisterLogMessages("pbft", logTags) }
 
-// logHost is PBFT's half of the lifecycle (engine.LogHost and
-// engine.DurableLogHost).
-type logHost struct{ *Replica }
+// PBFT's half of the lifecycle (engine.LogHost and engine.DurableLogHost)
+// is its host; the gated sends, timers, view and execution watermark come
+// from its Sequencer.
 
-func (h logHost) Send(ctx proc.Context, to types.NodeID, msg codec.Message) { h.send(ctx, to, msg) }
-func (h logHost) Broadcast(ctx proc.Context, msg codec.Message)             { h.broadcastReplicas(ctx, msg) }
-func (h logHost) Executed() uint64                                          { return h.maxExec }
-func (h logHost) LogVote(m *Checkpoint)                                     { h.walVote(m) }
-func (h logHost) Recovering() bool                                          { return h.recovering }
+func (h host) LogVote(m *Checkpoint) { h.walVote(m) }
+func (h host) Recovering() bool      { return h.recovering }
 
-func (h logHost) ExecutedSuffix(mark uint64) []engine.CatchupSlot {
+func (h host) ExecutedSuffix(mark uint64) []engine.CatchupSlot {
 	var out []engine.CatchupSlot
-	for seq := mark + 1; seq <= h.maxExec; seq++ {
-		s, ok := h.slots[seq]
-		if !ok || !s.executed {
+	for seq := mark + 1; seq <= h.MaxExec; seq++ {
+		s, ok := h.Log[seq]
+		if !ok || !s.Executed {
 			break // the suffix must stay contiguous
 		}
-		reqs := make([]engine.CatchupCmd, len(s.reqs))
-		for i := range s.reqs {
-			reqs[i] = engine.CatchupCmd{Cmd: s.reqs[i].Cmd, Sig: s.reqs[i].Sig}
+		reqs := make([]engine.CatchupCmd, len(s.Cmds))
+		for i := range s.Cmds {
+			reqs[i] = engine.CatchupCmd{Cmd: s.Cmds[i], Sig: s.sigs[i]}
 		}
 		out = append(out, engine.CatchupSlot{Seq: seq, View: s.view, Reqs: reqs})
 	}
@@ -49,79 +45,41 @@ func (h logHost) ExecutedSuffix(mark uint64) []engine.CatchupSlot {
 
 // Truncate also cuts a durable snapshot: a fresh stable checkpoint
 // supersedes everything the WAL proved below it.
-func (h logHost) Truncate(mark uint64) {
-	h.gcBelow(mark)
+func (h host) Truncate(mark uint64) {
+	h.sequencer.Truncate(mark)
 	h.persistSnapshot()
 }
 
-func (h logHost) DropLog(mark uint64, _ types.Digest) {
-	h.maxExec = mark
-	for seq := range h.slots {
-		if seq <= mark {
-			delete(h.slots, seq)
-		}
-	}
-}
+func (h host) DropLog(mark uint64, _ types.Digest) { h.DropBelow(mark) }
 
-func (h logHost) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
-	delete(h.slots, cs.Seq)
+func (h host) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
+	delete(h.Log, cs.Seq)
 	s := h.slot(cs.Seq)
 	s.view = cs.View
 	s.havePre, s.prepared, s.committed = true, true, true
-	s.reqs = make([]Request, len(cs.Reqs))
-	s.digests = make([]types.Digest, len(cs.Reqs))
-	s.results = make([]types.Result, len(cs.Reqs))
+	s.Cmds = make([]types.Command, len(cs.Reqs))
+	s.sigs = make([][]byte, len(cs.Reqs))
+	s.Digests = make([]types.Digest, len(cs.Reqs))
+	s.Results = make([]types.Result, len(cs.Reqs))
 	for j := range cs.Reqs {
-		cmd := cs.Reqs[j].Cmd
-		s.reqs[j] = Request{Cmd: cmd, Sig: cs.Reqs[j].Sig}
-		s.digests[j] = cmd.Digest()
+		s.Cmds[j], s.sigs[j] = cs.Reqs[j].Cmd, cs.Reqs[j].Sig
+		s.Digests[j] = s.Cmds[j].Digest()
 		h.cfg.Costs.ChargeExecute(ctx)
-		s.results[j] = h.cfg.App.Apply(cmd)
-		h.byCmd[cmdKey{cmd.Client, cmd.Timestamp}] = cs.Seq
-		h.window.Seen(cmd.Client, cmd.Timestamp)
+		s.Results[j] = h.cfg.App.Apply(s.Cmds[j])
+		h.Record(&s.Cmds[j], cs.Seq)
 	}
-	s.cmdDigest = engine.BatchDigest(s.digests)
-	s.executed = true
-	h.maxExec = cs.Seq
+	s.Digest = engine.BatchDigest(s.Digests)
+	s.Executed = true
+	h.MaxExec = cs.Seq
 	h.stats.Executed += uint64(len(cs.Reqs))
 }
 
 // AdoptView does nothing: PBFT moves to a new view only through NEW-VIEW.
-func (logHost) AdoptView(proc.Context, uint64) {}
+func (host) AdoptView(proc.Context, uint64) {}
 
 // Installed executes whatever the transfer made contiguous, and cuts a
 // durable snapshot of the installed state.
-func (h logHost) Installed(ctx proc.Context) {
-	h.executeReady(ctx)
+func (h host) Installed(ctx proc.Context) {
+	h.ExecuteReady(ctx, committed)
 	h.persistSnapshot()
-}
-
-// gcBelow discards log state at and below the stable checkpoint (keeping
-// LogRetention extra sequence numbers): executed slots are freed, and the
-// per-request bookkeeping they carried — reply cache, exactly-once table —
-// is handed to the client window to release (engine.RequestWindow).
-func (r *Replica) gcBelow(seq uint64) {
-	if r.cfg.LogRetention >= seq {
-		return
-	}
-	seq -= r.cfg.LogRetention
-	for s, slot := range r.slots {
-		if s > seq || !slot.executed {
-			continue
-		}
-		for i := range slot.reqs {
-			r.window.Truncated(slot.reqs[i].Cmd.Client, slot.reqs[i].Cmd.Timestamp)
-		}
-		delete(r.slots, s)
-		r.stats.TruncatedEntries++
-	}
-}
-
-// releaseRequest drops one request's reply-cache and exactly-once entries;
-// the window calls it once the request's slot is truncated and the request
-// is engine.ReplyRetention timestamps behind its client's highest.
-func (r *Replica) releaseRequest(client types.ClientID, ts uint64) {
-	key := cmdKey{client, ts}
-	delete(r.byCmd, key)
-	delete(r.replyCache, key)
 }

@@ -59,10 +59,10 @@ const (
 // message derived from a record can reach the wire before the record is
 // stable.
 func (r *Replica) walAppend(kind uint8, data []byte) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
+	if r.store == nil || r.recovering || r.walErr != nil {
 		return
 	}
-	if _, err := r.cfg.Store.Append(kind, data); err != nil {
+	if _, err := r.store.Append(kind, data); err != nil {
 		r.walErr = err
 		return
 	}
@@ -73,10 +73,10 @@ func (r *Replica) walAppend(kind uint8, data []byte) {
 // walSync is the group-commit point: one fsync covers every record the
 // current message or timer appended.
 func (r *Replica) walSync() {
-	if r.cfg.Store == nil || !r.walDirty || r.walErr != nil {
+	if r.store == nil || !r.walDirty || r.walErr != nil {
 		return
 	}
-	if err := r.cfg.Store.Sync(); err != nil {
+	if err := r.store.Sync(); err != nil {
 		r.walErr = err
 		return
 	}
@@ -85,27 +85,24 @@ func (r *Replica) walSync() {
 
 // walPre logs an accepted proposal: seq, view, and the ordered batch.
 func (r *Replica) walPre(s *slotState) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
+	if r.store == nil || r.recovering || r.walErr != nil {
 		return
 	}
 	w := codec.GetWriter()
-	w.Uvarint(s.seq)
+	w.Uvarint(s.Seq)
 	w.Uvarint(s.view)
-	w.Uvarint(uint64(len(s.reqs)))
-	for i := range s.reqs {
-		s.reqs[i].MarshalTo(w)
-	}
+	s.marshalReqs(w)
 	r.walAppend(walPreKind, w.Bytes())
 	codec.PutWriter(w)
 }
 
 // walCommit logs a slot reaching committed-local.
 func (r *Replica) walCommit(s *slotState) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
+	if r.store == nil || r.recovering || r.walErr != nil {
 		return
 	}
 	w := codec.GetWriter()
-	w.Uvarint(s.seq)
+	w.Uvarint(s.Seq)
 	w.Uvarint(s.view)
 	r.walAppend(walCommitKind, w.Bytes())
 	codec.PutWriter(w)
@@ -113,7 +110,7 @@ func (r *Replica) walCommit(s *slotState) {
 
 // walVote logs one checkpoint vote (self-signed wire message, verbatim).
 func (r *Replica) walVote(m *Checkpoint) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
+	if r.store == nil || r.recovering || r.walErr != nil {
 		return
 	}
 	r.walAppend(walVoteKind, codec.Marshal(m))
@@ -121,7 +118,7 @@ func (r *Replica) walVote(m *Checkpoint) {
 
 // walView logs the adopted view.
 func (r *Replica) walView(view uint64) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
+	if r.store == nil || r.recovering || r.walErr != nil {
 		return
 	}
 	w := codec.GetWriter()
@@ -139,19 +136,19 @@ func (r *Replica) walView(view uint64) {
 // stall proportional to the application state size, once per stable
 // checkpoint.
 func (r *Replica) persistSnapshot() {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
+	if r.store == nil || r.recovering || r.walErr != nil {
 		return
 	}
-	st := r.life.Stable()
+	st := r.Life().Stable()
 	if st == nil {
 		return
 	}
-	appSnap, ok := r.life.StateAt(st.Mark)
+	appSnap, ok := r.Life().StateAt(st.Mark)
 	if !ok {
 		return // non-Snapshotter application: WAL-only durability
 	}
 	w := codec.GetWriter()
-	w.Uvarint(r.view)
+	w.Uvarint(r.View())
 	w.Uvarint(st.Mark)
 	w.Bytes32(st.Digest)
 	w.Blob(appSnap)
@@ -162,8 +159,8 @@ func (r *Replica) persistSnapshot() {
 	// Every retained slot above the mark, with its agreement flags: the
 	// snapshot replaces the WAL records below the cut, so it must carry
 	// everything they proved.
-	seqs := make([]uint64, 0, len(r.slots))
-	for seq, s := range r.slots {
+	seqs := make([]uint64, 0, len(r.Log))
+	for seq, s := range r.Log {
 		if seq > st.Mark && s.havePre {
 			seqs = append(seqs, seq)
 		}
@@ -171,25 +168,22 @@ func (r *Replica) persistSnapshot() {
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	w.Uvarint(uint64(len(seqs)))
 	for _, seq := range seqs {
-		s := r.slots[seq]
-		w.Uvarint(s.seq)
+		s := r.Log[seq]
+		w.Uvarint(s.Seq)
 		w.Uvarint(s.view)
 		var flags uint8
 		if s.prepared {
 			flags |= 1
 		}
-		if s.committed || s.executed {
+		if s.committed || s.Executed {
 			flags |= 2
 		}
 		w.Uint8(flags)
-		w.Uvarint(uint64(len(s.reqs)))
-		for i := range s.reqs {
-			s.reqs[i].MarshalTo(w)
-		}
+		s.marshalReqs(w)
 	}
 	data := append([]byte(nil), w.Bytes()...)
 	codec.PutWriter(w)
-	if err := r.cfg.Store.SaveSnapshot(data); err != nil {
+	if err := r.store.SaveSnapshot(data); err != nil {
 		r.walErr = err
 		return
 	}
@@ -201,10 +195,10 @@ func (r *Replica) persistSnapshot() {
 // re-append, and snapshot cut.
 func (r *Replica) recoverFromStore(ctx proc.Context) {
 	r.recovering = true
-	if data, _, err := r.cfg.Store.LoadSnapshot(); err == nil && len(data) > 0 {
+	if data, _, err := r.store.LoadSnapshot(); err == nil && len(data) > 0 {
 		r.restoreSnapshot(data)
 	}
-	if err := r.cfg.Store.Replay(func(rec store.Record) error {
+	if err := r.store.Replay(func(rec store.Record) error {
 		r.replayRecord(ctx, rec)
 		return nil
 	}); err != nil {
@@ -218,13 +212,13 @@ func (r *Replica) recoverFromStore(ctx proc.Context) {
 	// deterministic sequential execution rebuilds the application state and
 	// the reply cache (replies are re-signed so cached retransmit answers
 	// stay servable); sends are suppressed.
-	r.executeReady(ctx)
-	if r.nextSeq <= r.maxExec {
-		r.nextSeq = r.maxExec + 1
+	r.ExecuteReady(ctx, committed)
+	if r.NextSeq <= r.MaxExec {
+		r.NextSeq = r.MaxExec + 1
 	}
-	for seq := range r.slots {
-		if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
+	for seq := range r.Log {
+		if seq >= r.NextSeq {
+			r.NextSeq = seq + 1
 		}
 	}
 	r.recovering = false
@@ -232,8 +226,8 @@ func (r *Replica) recoverFromStore(ctx proc.Context) {
 	// Anything between our recovered execution head and the cluster's
 	// stable mark is unrecoverable locally (peers do not retransmit old
 	// PRE-PREPAREs); fetch it through the ordinary state transfer.
-	if st := r.life.Stable(); st != nil && st.Mark > r.maxExec {
-		r.life.Pull(ctx)
+	if st := r.Life().Stable(); st != nil && st.Mark > r.MaxExec {
+		r.Life().Pull(ctx)
 	}
 }
 
@@ -269,15 +263,9 @@ func (r *Replica) restoreSnapshot(data []byte) {
 	slots := make([]snapSlot, 0, nSlots)
 	for i := uint64(0); i < nSlots; i++ {
 		ss := snapSlot{seq: rd.Uvarint(), view: rd.Uvarint(), flags: rd.Uint8()}
-		nReqs := rd.Uvarint()
-		if rd.Err() != nil || nReqs == 0 || nReqs > maxBatch {
+		var err error
+		if ss.reqs, err = engine.DecodeBatch(rd, maxBatch, decodeRequestInto); err != nil {
 			return
-		}
-		ss.reqs = make([]Request, nReqs)
-		for j := range ss.reqs {
-			if decodeRequestInto(rd, &ss.reqs[j]) != nil {
-				return
-			}
 		}
 		slots = append(slots, ss)
 	}
@@ -290,9 +278,9 @@ func (r *Replica) restoreSnapshot(data []byte) {
 			return
 		}
 	}
-	r.view = view
-	r.maxExec = mark
-	r.life.Recovered(mark, appSnap, votes)
+	r.EnterView(view)
+	r.MaxExec = mark
+	r.Life().Recovered(mark, appSnap, votes)
 	for _, ss := range slots {
 		r.installRecoveredSlot(ss.seq, ss.view, ss.reqs, ss.flags&1 != 0, ss.flags&2 != 0)
 	}
@@ -300,35 +288,27 @@ func (r *Replica) restoreSnapshot(data []byte) {
 
 // installRecoveredSlot rebuilds one slot (and its per-request bookkeeping)
 // from durable state. Committed slots above the execution head re-execute
-// through executeReady at the end of recovery.
+// through ExecuteReady at the end of recovery.
 func (r *Replica) installRecoveredSlot(seq, view uint64, reqs []Request, prepared, committed bool) {
-	if seq <= r.maxExec {
+	if seq <= r.MaxExec {
 		return // covered by the restored application snapshot
 	}
-	s := &slotState{
-		seq:      seq,
-		view:     view,
-		havePre:  true,
-		prepares: make(map[types.ReplicaID]bool, r.n),
-		commits:  make(map[types.ReplicaID]bool, r.n),
-		reqs:     reqs,
-	}
-	s.digests = make([]types.Digest, len(reqs))
+	s := r.newSlot(seq)
+	s.view = view
+	s.havePre = true
+	s.Cmds = make([]types.Command, len(reqs))
+	s.sigs = make([][]byte, len(reqs))
+	s.Digests = make([]types.Digest, len(reqs))
 	for i := range reqs {
-		s.digests[i] = reqs[i].Cmd.Digest()
+		s.Cmds[i], s.sigs[i] = reqs[i].Cmd, reqs[i].Sig
+		s.Digests[i] = reqs[i].Cmd.Digest()
 	}
-	s.cmdDigest = engine.BatchDigest(s.digests)
-	s.prepared = prepared
+	s.Digest = engine.BatchDigest(s.Digests)
+	s.prepared = prepared || committed
 	s.committed = committed
-	if committed {
-		s.prepared = true
-	}
-	r.slots[seq] = s
-	for i := range reqs {
-		cmd := reqs[i].Cmd
-		key := cmdKey{cmd.Client, cmd.Timestamp}
-		r.byCmd[key] = seq
-		r.window.Seen(cmd.Client, cmd.Timestamp)
+	r.Log[seq] = s
+	for i := range s.Cmds {
+		r.Record(&s.Cmds[i], seq)
 	}
 }
 
@@ -341,17 +321,11 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 	case walPreKind:
 		seq := rd.Uvarint()
 		view := rd.Uvarint()
-		nReqs := rd.Uvarint()
-		if rd.Err() != nil || nReqs == 0 || nReqs > maxBatch {
+		reqs, err := engine.DecodeBatch(rd, maxBatch, decodeRequestInto)
+		if err != nil {
 			return
 		}
-		reqs := make([]Request, nReqs)
-		for i := range reqs {
-			if decodeRequestInto(rd, &reqs[i]) != nil {
-				return
-			}
-		}
-		if s, ok := r.slots[seq]; ok && s.view > view {
+		if s, ok := r.Log[seq]; ok && s.view > view {
 			return // a later view superseded this proposal
 		}
 		r.installRecoveredSlot(seq, view, reqs, false, false)
@@ -361,7 +335,7 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 		if rd.Err() != nil {
 			return
 		}
-		s, ok := r.slots[seq]
+		s, ok := r.Log[seq]
 		if !ok || s.view != view {
 			return // slot truncated below the cut, or re-proposed since
 		}
@@ -376,17 +350,17 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 			// Re-tally through the normal path: a re-established stable mark
 			// truncates below it; catch-up requests are suppressed until
 			// recovery ends.
-			r.life.Record(ctx, ck)
+			r.Life().Record(ctx, ck)
 		}
 	case walViewKind:
-		if v := rd.Uvarint(); rd.Err() == nil && v > r.view {
-			r.view = v
+		if v := rd.Uvarint(); rd.Err() == nil && v > r.View() {
+			r.EnterView(v)
 			// Mirror applyNewView's backup reset: uncommitted slots from
 			// older views are the new primary's to re-drive. Committed slots
 			// are final and stay.
-			for seq, s := range r.slots {
+			for seq, s := range r.Log {
 				if s.view < v && !s.committed {
-					delete(r.slots, seq)
+					delete(r.Log, seq)
 				}
 			}
 		}

@@ -20,21 +20,7 @@ func (pbftEngine) Protocol() engine.Protocol { return engine.PBFT }
 
 // NewReplica implements engine.Engine.
 func (pbftEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
-	cfg := ReplicaConfig{
-		Self: o.Self, N: o.N, App: o.App, Auth: o.Auth, Costs: o.Costs,
-		InitialView:        uint64(o.Primary),
-		CheckpointInterval: o.CheckpointInterval,
-		LogRetention:       o.LogRetention,
-		BatchSize:          o.BatchSize,
-		BatchDelay:         o.BatchDelay,
-		Store:              o.Store,
-		Mute:               o.Mute,
-		Behavior:           o.Behavior,
-	}
-	if o.LatencyBound > 0 {
-		cfg.ForwardTimeout = 4 * o.LatencyBound
-	}
-	return NewReplica(cfg)
+	return newReplica(o.Sequenced(), o.Store)
 }
 
 // NewClient implements engine.Engine.
@@ -50,7 +36,7 @@ func (pbftEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pbftClient{c}, nil
+	return c, nil
 }
 
 // InboundVerifier implements engine.Engine: every signed PBFT message
@@ -91,25 +77,14 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 	}
 }
 
-// pbftClient adapts *Client to the engine contract.
-type pbftClient struct{ *Client }
+// ClientConfig configures a PBFT client.
+type ClientConfig = engine.QuorumClientConfig
 
-var (
-	_ engine.Client    = pbftClient{}
-	_ engine.Unwrapper = pbftClient{}
-)
+// Client is a PBFT client: it sends each request to the primary and
+// accepts a result backed by f+1 matching replies.
+type Client = engine.QuorumClient[Request, *Request, *Reply]
 
-// ClientStats implements engine.Client. PBFT has a single commit path, so
-// every completion counts as a slow decision.
-func (c pbftClient) ClientStats() engine.ClientStats {
-	s := c.Client.Stats()
-	return engine.ClientStats{
-		Submitted:     s.Submitted,
-		Completed:     s.Completed,
-		SlowDecisions: s.Completed,
-		Retries:       s.Retries,
-	}
+// NewClient constructs a PBFT client.
+func NewClient(cfg ClientConfig) (*Client, error) {
+	return engine.NewQuorumClient[Request, *Request, *Reply]("pbft", cfg)
 }
-
-// Unwrap implements engine.Unwrapper.
-func (c pbftClient) Unwrap() any { return c.Client }

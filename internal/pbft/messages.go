@@ -55,6 +55,11 @@ func (m *Request) Clone() Request {
 // Tag implements codec.Message.
 func (m *Request) Tag() uint8 { return tagRequest }
 
+// Command, Signature and SetSignature implement engine.ClientRequest.
+func (m *Request) Command() *types.Command { return &m.Cmd }
+func (m *Request) Signature() []byte       { return m.Sig }
+func (m *Request) SetSignature(sig []byte) { m.Sig = sig }
+
 // MarshalTo implements codec.Message.
 func (m *Request) MarshalTo(w *codec.Writer) {
 	w.Command(m.Cmd)
@@ -95,19 +100,13 @@ type PrePrepare struct {
 
 	// Verified marks that the primary signature and every embedded client
 	// signature were checked by a transport-side verifier pool (see
-	// PreVerifier); part of the engine.OrderingFrame surface. Never
+	// PreVerifier); part of the engine.Frame surface. Never
 	// marshaled.
 	codec.Verified
 }
 
-// Signature implements engine.OrderingFrame.
+// Signature implements engine.Frame.
 func (m *PrePrepare) Signature() []byte { return m.Sig }
-
-// RequestAt implements engine.OrderingFrame.
-func (m *PrePrepare) RequestAt(i int) (types.ClientID, engine.BodyMarshaler, []byte) {
-	req := m.ReqAt(i)
-	return req.Cmd.Client, req, req.Sig
-}
 
 // BatchSize returns the number of requests this PRE-PREPARE orders.
 func (m *PrePrepare) BatchSize() int { return 1 + len(m.Batch) }
@@ -133,12 +132,7 @@ func (m *PrePrepare) MarshalTo(w *codec.Writer) {
 	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	m.Req.MarshalTo(w)
-	if len(m.Batch) > 0 {
-		w.Uvarint(uint64(len(m.Batch)))
-		for i := range m.Batch {
-			m.Batch[i].MarshalTo(w)
-		}
-	}
+	engine.MarshalBatch(w, m.Batch, (*Request).MarshalTo)
 }
 
 func (m *PrePrepare) MarshalBody(w *codec.Writer) {
@@ -164,18 +158,9 @@ func decodePrePrepareFmt(r *codec.Reader, batched bool) (*PrePrepare, error) {
 		return nil, err
 	}
 	if batched {
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
+		var err error
+		if m.Batch, err = engine.DecodeBatch(r, maxBatch-2, decodeRequestInto); err != nil {
 			return nil, err
-		}
-		if n == 0 || n > maxBatch-2 {
-			return nil, codec.ErrOverflow
-		}
-		m.Batch = make([]Request, n)
-		for i := range m.Batch {
-			if err := decodeRequestInto(r, &m.Batch[i]); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return m, r.Err()
@@ -272,6 +257,11 @@ type Reply struct {
 // Tag implements codec.Message.
 func (m *Reply) Tag() uint8 { return tagReply }
 
+// Info implements engine.QuorumReply.
+func (m *Reply) Info() engine.ReplyInfo {
+	return engine.ReplyInfo{View: m.View, Timestamp: m.Timestamp, Client: m.Client, Replica: m.Replica, Result: m.Result, Sig: m.Sig}
+}
+
 // MarshalTo implements codec.Message.
 func (m *Reply) MarshalTo(w *codec.Writer) {
 	m.MarshalBody(w)
@@ -332,12 +322,7 @@ func (e *VCEntry) marshalTo(w *codec.Writer) {
 		status |= vcBatchFlag
 	}
 	w.Uint8(status)
-	if len(e.Extra) > 0 {
-		w.Uvarint(uint64(len(e.Extra)))
-		for i := range e.Extra {
-			e.Extra[i].MarshalTo(w)
-		}
-	}
+	engine.MarshalBatch(w, e.Extra, (*Request).MarshalTo)
 }
 
 func decodeVCEntry(r *codec.Reader) (VCEntry, error) {
@@ -350,18 +335,9 @@ func decodeVCEntry(r *codec.Reader) (VCEntry, error) {
 	status := r.Uint8()
 	e.Prepared = status&1 != 0
 	if status&vcBatchFlag != 0 {
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
+		var err error
+		if e.Extra, err = engine.DecodeBatch(r, maxBatch-2, decodeRequestInto); err != nil {
 			return e, err
-		}
-		if n == 0 || n > maxBatch-2 {
-			return e, codec.ErrOverflow
-		}
-		e.Extra = make([]Request, n)
-		for i := range e.Extra {
-			if err := decodeRequestInto(r, &e.Extra[i]); err != nil {
-				return e, err
-			}
 		}
 	}
 	return e, r.Err()

@@ -63,10 +63,7 @@ type Client struct {
 	replicas []types.NodeID
 }
 
-var (
-	_ proc.Process       = (*Client)(nil)
-	_ workload.Submitter = (*Client)(nil)
-)
+var _ engine.Client = (*Client)(nil)
 
 const (
 	timerKindCommit = 1
@@ -109,8 +106,8 @@ func (c *Client) ClientID() types.ClientID { return c.cfg.ID }
 // InFlight implements workload.Submitter.
 func (c *Client) InFlight() int { return len(c.pending) }
 
-// Stats returns a snapshot of client counters.
-func (c *Client) Stats() ClientStats { return c.stats }
+// ClientStats implements engine.Client.
+func (c *Client) ClientStats() ClientStats { return c.stats }
 
 // Init implements proc.Process.
 func (c *Client) Init(ctx proc.Context) { c.cfg.Driver.Start(ctx, c) }

@@ -20,20 +20,7 @@ func (zyEngine) Protocol() engine.Protocol { return engine.Zyzzyva }
 
 // NewReplica implements engine.Engine.
 func (zyEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
-	cfg := ReplicaConfig{
-		Self: o.Self, N: o.N, App: o.App, Auth: o.Auth, Costs: o.Costs,
-		InitialView:        uint64(o.Primary),
-		BatchSize:          o.BatchSize,
-		BatchDelay:         o.BatchDelay,
-		CheckpointInterval: o.CheckpointInterval,
-		LogRetention:       o.LogRetention,
-		Mute:               o.Mute,
-		Behavior:           o.Behavior,
-	}
-	if o.LatencyBound > 0 {
-		cfg.ForwardTimeout = 4 * o.LatencyBound
-	}
-	return NewReplica(cfg)
+	return NewReplica(o.Sequenced())
 }
 
 // NewClient implements engine.Engine.
@@ -50,7 +37,7 @@ func (zyEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return zyClient{c}, nil
+	return c, nil
 }
 
 // InboundVerifier implements engine.Engine: every signed Zyzzyva message
@@ -100,17 +87,3 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 		}
 	}
 }
-
-// zyClient adapts *Client to the engine contract.
-type zyClient struct{ *Client }
-
-var (
-	_ engine.Client    = zyClient{}
-	_ engine.Unwrapper = zyClient{}
-)
-
-// ClientStats implements engine.Client.
-func (c zyClient) ClientStats() engine.ClientStats { return c.Client.Stats() }
-
-// Unwrap implements engine.Unwrapper.
-func (c zyClient) Unwrap() any { return c.Client }

@@ -64,6 +64,11 @@ func (m *Request) Clone() Request {
 // Tag implements codec.Message.
 func (m *Request) Tag() uint8 { return tagRequest }
 
+// Command, Signature and SetSignature implement engine.ClientRequest.
+func (m *Request) Command() *types.Command { return &m.Cmd }
+func (m *Request) Signature() []byte       { return m.Sig }
+func (m *Request) SetSignature(sig []byte) { m.Sig = sig }
+
 // MarshalTo implements codec.Message.
 func (m *Request) MarshalTo(w *codec.Writer) {
 	w.Command(m.Cmd)
@@ -105,19 +110,13 @@ type OrderReq struct {
 
 	// Verified marks that the primary signature and every embedded client
 	// signature were checked by a transport-side verifier pool (see
-	// PreVerifier); part of the engine.OrderingFrame surface. Never
+	// PreVerifier); part of the engine.Frame surface. Never
 	// marshaled.
 	codec.Verified
 }
 
-// Signature implements engine.OrderingFrame.
+// Signature implements engine.Frame.
 func (m *OrderReq) Signature() []byte { return m.Sig }
-
-// RequestAt implements engine.OrderingFrame.
-func (m *OrderReq) RequestAt(i int) (types.ClientID, engine.BodyMarshaler, []byte) {
-	req := m.ReqAt(i)
-	return req.Cmd.Client, req, req.Sig
-}
 
 // BatchSize returns the number of requests this ORDERREQ assigns.
 func (m *OrderReq) BatchSize() int { return 1 + len(m.Batch) }
@@ -143,12 +142,7 @@ func (m *OrderReq) MarshalTo(w *codec.Writer) {
 	m.MarshalBody(w)
 	w.Blob(m.Sig)
 	m.Req.MarshalTo(w)
-	if len(m.Batch) > 0 {
-		w.Uvarint(uint64(len(m.Batch)))
-		for i := range m.Batch {
-			m.Batch[i].MarshalTo(w)
-		}
-	}
+	engine.MarshalBatch(w, m.Batch, (*Request).MarshalTo)
 }
 
 func (m *OrderReq) MarshalBody(w *codec.Writer) {
@@ -176,18 +170,9 @@ func decodeOrderReqFmt(r *codec.Reader, batched bool) (*OrderReq, error) {
 		return nil, err
 	}
 	if batched {
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
+		var err error
+		if m.Batch, err = engine.DecodeBatch(r, maxBatch-2, decodeRequestInto); err != nil {
 			return nil, err
-		}
-		if n == 0 || n > maxBatch-2 {
-			return nil, codec.ErrOverflow
-		}
-		m.Batch = make([]Request, n)
-		for i := range m.Batch {
-			if err := decodeRequestInto(r, &m.Batch[i]); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return m, r.Err()
@@ -459,12 +444,7 @@ func (e *VCEntry) marshalTo(w *codec.Writer) {
 		status |= vcBatchFlag
 	}
 	w.Uint8(status)
-	if len(e.Extra) > 0 {
-		w.Uvarint(uint64(len(e.Extra)))
-		for _, cmd := range e.Extra {
-			w.Command(cmd)
-		}
-	}
+	engine.MarshalBatch(w, e.Extra, encodeCommand)
 }
 
 func decodeVCEntry(r *codec.Reader) (VCEntry, error) {
@@ -476,19 +456,19 @@ func decodeVCEntry(r *codec.Reader) (VCEntry, error) {
 	status := r.Uint8()
 	e.Committed = status&1 != 0
 	if status&vcBatchFlag != 0 {
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
+		var err error
+		if e.Extra, err = engine.DecodeBatch(r, maxBatch-2, decodeCommandInto); err != nil {
 			return e, err
-		}
-		if n == 0 || n > maxBatch-2 {
-			return e, codec.ErrOverflow
-		}
-		e.Extra = make([]types.Command, 0, n)
-		for i := uint64(0); i < n; i++ {
-			e.Extra = append(e.Extra, r.Command())
 		}
 	}
 	return e, r.Err()
+}
+
+func encodeCommand(c *types.Command, w *codec.Writer) { w.Command(*c) }
+
+func decodeCommandInto(r *codec.Reader, c *types.Command) error {
+	*c = r.Command()
+	return r.Err()
 }
 
 // Cmds returns the entry's full command batch.
