@@ -82,44 +82,49 @@ func TestExecuteContextCancel(t *testing.T) {
 // TestSubmitPipelinedInOrder: many in-flight commands from one client
 // resolve in submission order. Interleaved GETs observe exactly the value
 // of the preceding PUT, so per-client program order is the execution
-// order under every protocol.
+// order under every protocol — also on a delayed mesh, whose links must
+// deliver one sender's messages in the order they were sent.
 func TestSubmitPipelinedInOrder(t *testing.T) {
 	const rounds = 8
 	for _, proto := range allProtocols {
 		t.Run(string(proto), func(t *testing.T) {
-			cluster, err := NewLiveCluster(LiveConfig{Protocol: proto})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Close()
-			client, err := cluster.NewClient(0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			for _, delay := range []time.Duration{0, 2 * time.Millisecond} {
+				t.Run("delay="+delay.String(), func(t *testing.T) {
+					cluster, err := NewLiveCluster(LiveConfig{Protocol: proto, Delay: delay})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cluster.Close()
+					client, err := cluster.NewClient(0)
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			// Submit PUT v0, GET, PUT v1, GET, ... without waiting: 2*rounds
-			// commands in flight on one client.
-			puts := make([]*Future, rounds)
-			gets := make([]*Future, rounds)
-			for i := 0; i < rounds; i++ {
-				if puts[i], err = client.Submit(t.Context(), Put("k", []byte(fmt.Sprintf("v%d", i)))); err != nil {
-					t.Fatal(err)
-				}
-				if gets[i], err = client.Submit(t.Context(), Get("k")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < rounds; i++ {
-				if res, err := puts[i].Wait(t.Context()); err != nil || !res.OK {
-					t.Fatalf("put %d: %v %+v", i, err, res)
-				}
-				res, err := gets[i].Wait(t.Context())
-				if err != nil || !res.OK {
-					t.Fatalf("get %d: %v %+v", i, err, res)
-				}
-				if want := fmt.Sprintf("v%d", i); string(res.Value) != want {
-					t.Fatalf("get %d = %q, want %q (out-of-order execution)", i, res.Value, want)
-				}
+					// Submit PUT v0, GET, PUT v1, GET, ... without waiting:
+					// 2*rounds commands in flight on one client.
+					puts := make([]*Future, rounds)
+					gets := make([]*Future, rounds)
+					for i := 0; i < rounds; i++ {
+						if puts[i], err = client.Submit(t.Context(), Put("k", []byte(fmt.Sprintf("v%d", i)))); err != nil {
+							t.Fatal(err)
+						}
+						if gets[i], err = client.Submit(t.Context(), Get("k")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i := 0; i < rounds; i++ {
+						if res, err := puts[i].Wait(t.Context()); err != nil || !res.OK {
+							t.Fatalf("put %d: %v %+v", i, err, res)
+						}
+						res, err := gets[i].Wait(t.Context())
+						if err != nil || !res.OK {
+							t.Fatalf("get %d: %v %+v", i, err, res)
+						}
+						if want := fmt.Sprintf("v%d", i); string(res.Value) != want {
+							t.Fatalf("get %d = %q, want %q (out-of-order execution)", i, res.Value, want)
+						}
+					}
+				})
 			}
 		})
 	}

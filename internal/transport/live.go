@@ -17,18 +17,21 @@
 // what sim-delivered (and test-injected) messages are, so the simulator's
 // charged cost model and all paper-reproduction figures are untouched.
 //
-// Ordering guarantees: the pool delivers one sender's messages in the order
-// they arrived (a lane per worker, a sender always on the same lane), so a
-// client's pipelined requests are not reordered here; messages of different
-// senders may overtake each other, and verification failures are dropped
-// silently. Both are behaviours the protocols already tolerate from the
-// network itself — ezBFT's instance-space contiguity buffer reassembles
-// SPECORDER order explicitly, and the baselines buffer out-of-order
-// sequence numbers. Within one message all checks complete before delivery,
-// so a process never observes a partially verified frame. Messages a
-// predicate cannot vouch for (signatures the loop checks only
-// conditionally) pass through unmarked rather than being dropped, keeping
-// pool-on and pool-off behaviour byte-for-byte equivalent.
+// Ordering guarantees: every link is FIFO. On the mesh, with or without a
+// delay, one sender's messages to one receiver arrive in the order they
+// were sent; on TCP they do for as long as the sender's connection lasts.
+// The pool keeps that order (a lane per worker, a sender always on the same
+// lane), so a client's pipelined requests reach the process loop as they
+// left the client. Messages of different senders may interleave, and
+// verification failures are dropped silently. Both are behaviours the
+// protocols already tolerate from the network itself — ezBFT's
+// instance-space contiguity buffer reassembles SPECORDER order explicitly,
+// and the baselines buffer out-of-order sequence numbers. Within one
+// message all checks complete before delivery, so a process never observes
+// a partially verified frame. Messages a predicate cannot vouch for
+// (signatures the loop checks only conditionally) pass through unmarked
+// rather than being dropped, keeping pool-on and pool-off behaviour
+// byte-for-byte equivalent.
 package transport
 
 import (
@@ -299,9 +302,16 @@ func (c *liveCtx) Rand() *rand.Rand { return c.n.rng }
 // tests. Nodes attach either bare (messages go straight to the node's
 // inbox) or behind a VerifyPool (messages pass the node's inbound signature
 // pre-verifier first, off the sender's and receiver's process loops).
+//
+// Every (sender, receiver) pair is a FIFO link: with no delay a message is
+// delivered on the sender's goroutine before Send returns; with a delay
+// the link queues it and one goroutine, alive only while the link has
+// messages in flight, delivers them in send order once each is due. Mesh
+// holds no goroutine for an idle link and needs no Close.
 type Mesh struct {
 	mu    sync.RWMutex
 	nodes map[types.NodeID]meshEntry
+	links map[linkKey]*meshLink
 	delay time.Duration
 }
 
@@ -314,9 +324,15 @@ type meshEntry struct {
 
 var _ MultiSender = (*Mesh)(nil)
 
-// NewMesh creates an empty mesh with a fixed delivery delay.
+// NewMesh creates an empty mesh that delivers every message delay after
+// it was sent (0 = at once, on the sender's goroutine), in send order on
+// each (sender, receiver) link.
 func NewMesh(delay time.Duration) *Mesh {
-	return &Mesh{nodes: make(map[types.NodeID]meshEntry), delay: delay}
+	return &Mesh{
+		nodes: make(map[types.NodeID]meshEntry),
+		links: make(map[linkKey]*meshLink),
+		delay: delay,
+	}
 }
 
 // Attach registers a node; inbound messages go straight to its inbox.
@@ -337,7 +353,8 @@ func (m *Mesh) AttachPool(n *LiveNode, pool *VerifyPool) {
 }
 
 // Detach unregisters a node; subsequent sends to it are dropped like any
-// unknown destination. Detaching an unregistered node is a no-op.
+// unknown destination, while messages already in flight still reach the
+// entry they were sent to. Detaching an unregistered node is a no-op.
 func (m *Mesh) Detach(n *LiveNode) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -348,38 +365,138 @@ func (m *Mesh) Detach(n *LiveNode) {
 
 // Send implements Sender.
 func (m *Mesh) Send(from, to types.NodeID, msg codec.Message) error {
-	m.mu.RLock()
-	dst, ok := m.nodes[to]
-	m.mu.RUnlock()
-	if !ok {
-		return nil // unknown destination: dropped like the network would
-	}
-	m.dispatch(from, dst, msg)
+	m.send(from, to, msg, m.due())
 	return nil
 }
 
 // SendAll implements MultiSender: every recipient receives the same decoded
-// message value under one registry lookup. (Verification marks on the
+// message value, due at the same instant. (Verification marks on the
 // shared value are atomic and receiver-independent; see codec.Verified.)
 func (m *Mesh) SendAll(from types.NodeID, tos []types.NodeID, msg codec.Message) error {
-	m.mu.RLock()
-	dsts := make([]meshEntry, 0, len(tos))
+	due := m.due()
 	for _, to := range tos {
-		if dst, ok := m.nodes[to]; ok {
-			dsts = append(dsts, dst)
-		}
-	}
-	m.mu.RUnlock()
-	for _, dst := range dsts {
-		m.dispatch(from, dst, msg)
+		m.send(from, to, msg, due)
 	}
 	return nil
 }
 
-func (m *Mesh) dispatch(from types.NodeID, dst meshEntry, msg codec.Message) {
+// due is when a message sent now is delivered (zero without a delay).
+func (m *Mesh) due() time.Time {
 	if m.delay <= 0 {
-		dst.deliver(from, msg)
-		return
+		return time.Time{}
 	}
-	time.AfterFunc(m.delay, func() { dst.deliver(from, msg) })
+	return time.Now().Add(m.delay)
+}
+
+// send delivers msg now (no delay) or queues it on the from→to link. The
+// registry lock is never held while delivering: a delivery may block on a
+// full verify-pool lane.
+func (m *Mesh) send(from, to types.NodeID, msg codec.Message, due time.Time) {
+	key := linkKey{from: from, to: to}
+	var l *meshLink
+	m.mu.RLock()
+	dst, ok := m.nodes[to]
+	if ok && m.delay > 0 {
+		l = m.links[key]
+	}
+	m.mu.RUnlock()
+	switch {
+	case !ok:
+		// Unknown destination: dropped like the network would.
+	case m.delay <= 0:
+		dst.deliver(from, msg)
+	default:
+		if l == nil {
+			l = m.link(key)
+		}
+		l.push(linkMsg{due: due, deliver: dst.deliver, msg: msg})
+	}
+}
+
+// link returns the from→to link, creating it on first use. Links are kept
+// for the mesh's lifetime: one is a few words while idle, and a cluster's
+// node identities are bounded.
+func (m *Mesh) link(key linkKey) *meshLink {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l := m.links[key]
+	if l == nil {
+		l = &meshLink{from: key.from, timer: time.NewTimer(time.Hour)}
+		l.timer.Stop()
+		l.drainFn = l.drain
+		m.links[key] = l
+	}
+	return l
+}
+
+// linkKey names one directed link.
+type linkKey struct{ from, to types.NodeID }
+
+// linkMsg is one message in flight on a link. deliver is the destination
+// entry's path as it was at send time, so a message sent before a Detach
+// and re-Attach reaches the node it was sent to.
+type linkMsg struct {
+	due     time.Time
+	deliver func(from types.NodeID, msg codec.Message)
+	msg     codec.Message
+}
+
+// meshLink is one delayed (sender, receiver) link: a FIFO queue drained by
+// one goroutine while it is non-empty. A mesh's delay is fixed, so the
+// queue is also in due order and the head is always the next message due.
+type meshLink struct {
+	from types.NodeID
+
+	mu      sync.Mutex
+	q       []linkMsg // q[head:] are in flight
+	head    int
+	running bool // a drain goroutine owns the queue
+
+	timer   *time.Timer // stopped while idle; only the drain goroutine resets it
+	drainFn func()      // l.drain, bound once so starting a drain allocates nothing
+}
+
+// push appends m and starts the drain goroutine if the link was idle.
+func (l *meshLink) push(m linkMsg) {
+	l.mu.Lock()
+	if len(l.q) == cap(l.q) && l.head >= len(l.q)/2 {
+		// Compact instead of growing: at least half the storage is
+		// delivered entries, so the copy is paid for by the pushes that
+		// filled it and a link that never empties stays bounded by its
+		// peak in-flight count.
+		n := copy(l.q, l.q[l.head:])
+		clear(l.q[n:])
+		l.q, l.head = l.q[:n], 0
+	}
+	l.q = append(l.q, m)
+	start := !l.running
+	l.running = true
+	l.mu.Unlock()
+	if start {
+		go l.drainFn()
+	}
+}
+
+// drain delivers the queue in order, each message once it is due, and
+// exits when the queue is empty; the next push starts it again.
+func (l *meshLink) drain() {
+	l.mu.Lock()
+	for l.head < len(l.q) {
+		m := l.q[l.head]
+		if wait := time.Until(m.due); wait > 0 {
+			l.mu.Unlock()
+			l.timer.Reset(wait)
+			<-l.timer.C
+			l.mu.Lock()
+			continue
+		}
+		l.q[l.head] = linkMsg{} // drop the references; the storage is reused
+		l.head++
+		l.mu.Unlock()
+		m.deliver(l.from, m.msg)
+		l.mu.Lock()
+	}
+	l.q, l.head = l.q[:0], 0
+	l.running = false
+	l.mu.Unlock()
 }

@@ -28,7 +28,7 @@ type VerifyPool struct {
 	lanes   []chan verifyJob
 
 	// mu guards closed against concurrent Submit/Close: on the in-process
-	// mesh, peers (and delayed-delivery timers) may still be sending when a
+	// mesh, peers (and delayed-delivery links) may still be sending when a
 	// node detaches and closes its pool.
 	mu     sync.RWMutex
 	closed bool

@@ -50,7 +50,9 @@ type LiveConfig struct {
 	// ErrTooManyClients.
 	MaxClients int
 	// Delay is an artificial one-way delivery delay (0 = none), useful to
-	// observe WAN-like behaviour in a single process.
+	// observe WAN-like behaviour in a single process. Every link between
+	// two nodes stays FIFO under it: one sender's messages to one receiver
+	// arrive in the order they were sent.
 	Delay time.Duration
 	// AuthScheme selects message authentication (default HMAC).
 	AuthScheme auth.Scheme
