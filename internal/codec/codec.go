@@ -28,6 +28,7 @@ var (
 	ErrTrailingData    = errors.New("codec: trailing data after message")
 	ErrNonCanonicalSet = errors.New("codec: instance set members not in strictly increasing order")
 	ErrLongVarint      = errors.New("codec: varint not in its shortest form")
+	ErrBadBool         = errors.New("codec: boolean byte other than 0 or 1")
 )
 
 // Writer accumulates a deterministic binary encoding.
@@ -228,8 +229,18 @@ func (r *Reader) Uint8() uint8 {
 	return v
 }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.Uint8() != 0 }
+// Bool reads a boolean; a byte other than 0 or 1 is an error, so each
+// value has one encoding.
+func (r *Reader) Bool() bool {
+	switch r.Uint8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	r.fail(ErrBadBool)
+	return false
+}
 
 // Int32 reads a zig-zag varint 32-bit integer.
 func (r *Reader) Int32() int32 {

@@ -95,6 +95,21 @@ func TestReaderTrailingData(t *testing.T) {
 	}
 }
 
+// TestBoolIsCanonical: only 0 and 1 decode as booleans, so a decoded
+// message re-marshals to its own bytes.
+func TestBoolIsCanonical(t *testing.T) {
+	for b, want := range map[byte]bool{0: false, 1: true} {
+		if r := NewReader([]byte{b}); r.Bool() != want || r.Err() != nil {
+			t.Errorf("Bool(%d) = %v, %v", b, !want, r.Err())
+		}
+	}
+	for _, b := range []byte{2, 0x80, 0xff} {
+		if r := NewReader([]byte{b}); r.Bool() || !errors.Is(r.Err(), ErrBadBool) {
+			t.Errorf("Bool(%#x): err %v, want ErrBadBool", b, r.Err())
+		}
+	}
+}
+
 func TestReaderErrorSticky(t *testing.T) {
 	r := NewReader(nil)
 	r.Uvarint()

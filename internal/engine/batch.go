@@ -14,7 +14,10 @@ import (
 // concatenated per-command digests for larger batches, so one ordering
 // signature binds every command and its position.
 func BatchDigest(cmdDigests []types.Digest) types.Digest {
-	if len(cmdDigests) == 1 {
+	switch len(cmdDigests) {
+	case 0:
+		return types.Digest{} // a no-op
+	case 1:
 		return cmdDigests[0]
 	}
 	h := sha256.New()

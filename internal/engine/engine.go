@@ -33,13 +33,15 @@
 // suspicion timer, duplicate suppression, the Batcher); the flush that
 // assigns a batch its sequence number; the in-loop check of an ordering
 // frame; the per-request tables; the slot log with in-order execution, one
-// reply per command, and truncation; and the view, whose entry drops the
-// batch, the forwarding timers and the per-view vote tables. A protocol
-// embeds it and supplies a SeqHost — its signed ordering frame (Order), its
-// reply (Reply), its suspicion vote (Suspect) — and keeps its messages,
-// phases, quorum rules and view change.
-// PBFT's and FaB's clients are one QuorumClient, which completes a request
-// once f+1 replicas report the same result.
+// reply per command, and truncation; and the view change (viewchange.go),
+// one VIEW-CHANGE/NEW-VIEW pair whose new view every replica recomputes
+// from 2f+1 signed VIEW-CHANGEs. A protocol embeds it and supplies a
+// SeqHost — its signed ordering frame (Order) and its reply (Reply) — and a
+// ViewHost — its certificate and how it accepts a slot again — and keeps
+// its phases and quorum rules. The REQUEST, phase-vote, REPLY and
+// proposal messages are shared shapes each protocol instantiates with its
+// tags (seqmsgs.go). PBFT's and FaB's clients are one QuorumClient, which
+// completes a request once f+1 replicas report the same result.
 package engine
 
 import (

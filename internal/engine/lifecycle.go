@@ -177,7 +177,7 @@ func (l *Lifecycle) MaybeEmit(ctx proc.Context, aux types.Digest) {
 
 // HandleCheckpoint validates and tallies a peer's vote.
 func (l *Lifecycle) HandleCheckpoint(ctx proc.Context, m *Checkpoint) {
-	if !l.Enabled() || !l.valid(ctx, m.Replica, m, m.Sig) {
+	if !l.Enabled() || !l.Valid(ctx, m.Replica, m, m.Sig) {
 		return
 	}
 	if l.durable != nil {
@@ -201,6 +201,20 @@ func (l *Lifecycle) Record(ctx proc.Context, m *Checkpoint) {
 	}
 	if l.host.MaxExecuted() < st.Mark && (l.durable == nil || !l.durable.Recovering()) {
 		l.request(ctx, st)
+	}
+}
+
+// RecordProof tallies the proof of a stable checkpoint a NEW-VIEW starts
+// from, so a replica behind it fetches the state there.
+func (l *Lifecycle) RecordProof(ctx proc.Context, proof []*Checkpoint) {
+	if !l.Enabled() {
+		return
+	}
+	for _, v := range proof {
+		if l.durable != nil {
+			l.durable.LogVote(v)
+		}
+		l.Record(ctx, v)
 	}
 }
 
@@ -269,7 +283,7 @@ func (l *Lifecycle) HandleCatchupReq(ctx proc.Context, m *CatchupReq) {
 		l.stats.DroppedInvalid++
 		return
 	}
-	if !l.valid(ctx, m.Replica, m, m.Sig) {
+	if !l.Valid(ctx, m.Replica, m, m.Sig) {
 		return
 	}
 	st := l.Stable()
@@ -320,14 +334,14 @@ func (l *Lifecycle) HandleCatchupResp(ctx proc.Context, m *CatchupResp) {
 			return
 		}
 	}
-	if !l.valid(ctx, m.Replica, m, m.Sig) {
+	if !l.Valid(ctx, m.Replica, m, m.Sig) {
 		return
 	}
 	snap, isSnap := l.cfg.App.(types.Snapshotter)
 	if wholesale && !isSnap {
 		return
 	}
-	if !l.proofValid(ctx, m) {
+	if !l.proofValid(ctx, m.Seq, m.Digest, m.Proof) {
 		l.stats.DroppedInvalid++
 		return
 	}
@@ -422,9 +436,9 @@ func (l *Lifecycle) replay(ctx proc.Context, m *CatchupResp, group []*CatchupRes
 	}
 }
 
-// valid checks a lifecycle message's claimed sender and, unless the
-// transport already did, its signature.
-func (l *Lifecycle) valid(ctx proc.Context, from types.ReplicaID, m SignedMessage, sig []byte) bool {
+// Valid checks a replica message's claimed sender and, unless the
+// transport already did, its signature, counting what it rejects.
+func (l *Lifecycle) Valid(ctx proc.Context, from types.ReplicaID, m SignedMessage, sig []byte) bool {
 	if from < 0 || int(from) >= l.cfg.N {
 		l.stats.DroppedInvalid++
 		return false
@@ -439,13 +453,13 @@ func (l *Lifecycle) valid(ctx proc.Context, from types.ReplicaID, m SignedMessag
 	return true
 }
 
-// proofValid checks that a response's proof carries valid votes of 2f+1
-// distinct replicas for its anchor.
-func (l *Lifecycle) proofValid(ctx proc.Context, m *CatchupResp) bool {
-	l.cfg.Costs.ChargeVerify(ctx, len(m.Proof))
-	voted := make(map[types.ReplicaID]bool, len(m.Proof))
-	for _, v := range m.Proof {
-		if v.Seq == m.Seq && v.Digest == m.Digest &&
+// proofValid checks that a proof carries valid votes of 2f+1 distinct
+// replicas for the checkpoint (seq, digest).
+func (l *Lifecycle) proofValid(ctx proc.Context, seq uint64, digest types.Digest, proof []*Checkpoint) bool {
+	l.cfg.Costs.ChargeVerify(ctx, len(proof))
+	voted := make(map[types.ReplicaID]bool, len(proof))
+	for _, v := range proof {
+		if v.Seq == seq && v.Digest == digest && v.Replica >= 0 && int(v.Replica) < l.cfg.N &&
 			(v.SigVerified() || VerifyBody(l.cfg.Auth, types.ReplicaNode(v.Replica), v, v.Sig) == nil) {
 			voted[v.Replica] = true
 		}

@@ -206,7 +206,7 @@ func decodeCatchupResp(r *codec.Reader, tags LogTags) (*CatchupResp, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if nReqs == 0 || nReqs > maxSlotRequests {
+		if nReqs > maxSlotRequests { // 0 is a no-op slot
 			return nil, codec.ErrOverflow
 		}
 		// Each request decodes straight into its slot of the slice.
@@ -239,13 +239,24 @@ func decodeCatchupResp(r *codec.Reader, tags LogTags) (*CatchupResp, error) {
 	return m, r.Err()
 }
 
-// PreVerifyLog is the transport-side pre-verifier of the lifecycle
-// messages (see VerifySigned): handled reports whether msg is one of them,
-// ok whether it should be delivered. A CATCHUP-RESP's proof votes are
-// counted in-loop (2f+1 required, not all), so the valid ones are only
-// marked and the count re-verifies nothing.
-func PreVerifyLog(a auth.Authenticator, msg codec.Message) (ok, handled bool) {
+// PreVerifyShared is the transport-side pre-verifier of the messages the
+// engine owns — the lifecycle messages and the view-change pair (see
+// VerifySigned): handled reports whether msg is one of them, ok whether it
+// should be delivered. Embedded votes and VIEW-CHANGEs are checked in-loop
+// (a quorum of them, not all), so the valid ones are only marked; a
+// VIEW-CHANGE's frames and certificates are validated in-loop.
+func PreVerifyShared(a auth.Authenticator, msg codec.Message) (ok, handled bool) {
 	switch m := msg.(type) {
+	case *ViewChange:
+		return VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig), true
+	case *NewView:
+		if !VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig) {
+			return false, true
+		}
+		for _, vc := range m.Changes {
+			TryMarkSigned(a, types.ReplicaNode(vc.Replica), vc, vc.Sig)
+		}
+		return true, true
 	case *Checkpoint:
 		return VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig), true
 	case *CatchupReq:

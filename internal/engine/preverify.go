@@ -14,11 +14,15 @@ type FrameRequest interface {
 
 // Frame is the surface a batched ordering message (PRE-PREPARE, ORDERREQ,
 // PROPOSE) exposes to the frame checks, outside the process loop
-// (VerifyFrame) and in it (Sequencer.CheckFrame): the frame-level signature
-// over its body, the embedded client requests, and the marker that lets
-// the owning process loop skip re-verification.
+// (VerifyFrame) and in it (Sequencer.CheckFrame), and to the view change:
+// the frame-level signature over its body, the embedded client requests,
+// where it orders them, and the marker that lets the owning process loop
+// skip re-verification.
 type Frame[P FrameRequest] interface {
 	SignedMessage
+	// Position returns the view and sequence number the frame orders its
+	// batch at, and the batch digest its signature covers.
+	Position() (view, seq uint64, digest types.Digest)
 	// BatchSize returns the number of embedded requests.
 	BatchSize() int
 	// Signature returns the ordering signature.

@@ -27,6 +27,16 @@ type QuorumClientConfig struct {
 	RetryTimeout time.Duration
 }
 
+// Quorum returns the options as a QuorumClient's configuration; a
+// LatencyBound sets RetryTimeout to eight of it.
+func (o ClientOptions) Quorum() QuorumClientConfig {
+	c := QuorumClientConfig{ID: o.ID, N: o.N, Primary: o.Primary, Auth: o.Auth, Costs: o.Costs, Driver: o.Driver}
+	if o.LatencyBound > 0 {
+		c.RetryTimeout = 8 * o.LatencyBound
+	}
+	return c
+}
+
 // ReplyInfo is what a QuorumClient reads of a reply.
 type ReplyInfo struct {
 	View      uint64

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,12 +24,20 @@ type sequenced struct {
 	// request builds the protocol's REQUEST.
 	request func(cmd types.Command, sig []byte) codec.Message
 	// frame reports the batch size of an ordering frame (PRE-PREPARE,
-	// ORDERREQ, PROPOSE).
+	// ORDERREQ, PROPOSE); order builds one for req, signed with a.
 	frame func(m codec.Message) (int, bool)
-	// changes names the stats counter of completed view changes; votes the
-	// replica's per-view vote tables.
-	changes string
-	votes   []string
+	order func(a auth.Authenticator, view, seq uint64, req codec.Message) codec.Message
+	// final reports whether m is the vote whose quorum makes a slot final
+	// (COMMIT, ACCEPT; Zyzzyva executes on ORDERREQ and has none).
+	final func(m codec.Message) bool
+	// certify hands replica i the certificate a client forms from its
+	// replies (Zyzzyva's COMMIT; nil where the replicas form their own).
+	certify func(c *pumped, i int)
+	// changes and executed name the stats counters of completed view
+	// changes and executed commands; votes the replica's per-view vote
+	// tables.
+	changes, executed string
+	votes             []string
 }
 
 var sequencedProtocols = []sequenced{
@@ -39,8 +48,16 @@ var sequencedProtocols = []sequenced{
 			f, ok := m.(*pbft.PrePrepare)
 			return batchSize(f, ok)
 		},
-		changes: "ViewChanges",
-		votes:   []string{"vcMsgs"},
+		order: func(a auth.Authenticator, view, seq uint64, req codec.Message) codec.Message {
+			r := req.(*pbft.Request)
+			f := &pbft.PrePrepare{View: view, Seq: seq, CmdDigest: r.Cmd.Digest(), Req: r.Clone()}
+			f.Sig = engine.SignBody(a, f)
+			return f
+		},
+		final:    func(m codec.Message) bool { _, ok := m.(*pbft.Commit); return ok },
+		changes:  "ViewChanges",
+		executed: "Executed",
+		votes:    []string{"vcs"},
 	},
 	{
 		name:    engine.Zyzzyva,
@@ -49,8 +66,27 @@ var sequencedProtocols = []sequenced{
 			f, ok := m.(*zyzzyva.OrderReq)
 			return batchSize(f, ok)
 		},
-		changes: "ViewChanges",
-		votes:   []string{"hateVotes", "vcMsgs"},
+		order: func(a auth.Authenticator, view, seq uint64, req codec.Message) codec.Message {
+			r := req.(*zyzzyva.Request)
+			f := &zyzzyva.OrderReq{View: view, Seq: seq, CmdDigest: r.Cmd.Digest(), Req: r.Clone()}
+			f.Sig = engine.SignBody(a, f)
+			return f
+		},
+		final: func(codec.Message) bool { return false },
+		certify: func(c *pumped, i int) {
+			var cert []*zyzzyva.SpecResponse
+			for _, e := range c.client {
+				if sr, ok := e.msg.(*zyzzyva.SpecResponse); ok {
+					cert = append(cert, sr)
+				}
+			}
+			sr := cert[0]
+			cc := &zyzzyva.CommitCert{Client: sr.Client, Timestamp: sr.Timestamp, Seq: sr.Seq, CmdDigest: sr.CmdDigest, Cert: cert}
+			c.deliver(i, types.ClientNode(sr.Client), cc)
+		},
+		changes:  "ViewChanges",
+		executed: "SpecExecuted",
+		votes:    []string{"vcs"},
 	},
 	{
 		name:    engine.FaB,
@@ -59,8 +95,16 @@ var sequencedProtocols = []sequenced{
 			f, ok := m.(*fab.Propose)
 			return batchSize(f, ok)
 		},
-		changes: "LeaderChanges",
-		votes:   []string{"suspects"},
+		order: func(a auth.Authenticator, view, seq uint64, req codec.Message) codec.Message {
+			r := req.(*fab.Request)
+			f := &fab.Propose{View: view, Seq: seq, CmdDigest: r.Cmd.Digest(), Req: r.Clone()}
+			f.Sig = engine.SignBody(a, f)
+			return f
+		},
+		final:    func(m codec.Message) bool { _, ok := m.(*fab.Accept); return ok },
+		changes:  "ViewChanges",
+		executed: "Executed",
+		votes:    []string{"vcs"},
 	},
 }
 
@@ -86,6 +130,7 @@ type pumped struct {
 	p      sequenced
 	ring   *auth.HMACKeyring
 	reps   []proc.Process
+	apps   []types.Application
 	queue  []envelope
 	client []envelope
 	timers []map[proc.TimerID]bool
@@ -108,6 +153,7 @@ func newPumped(t *testing.T, p sequenced, opts engine.ReplicaOptions) *pumped {
 			t.Fatal(err)
 		}
 		c.reps = append(c.reps, rep)
+		c.apps = append(c.apps, o.App)
 		c.timers = append(c.timers, make(map[proc.TimerID]bool))
 	}
 	for i, rep := range c.reps {
@@ -158,16 +204,36 @@ func (c *pumped) pump() {
 	}
 }
 
-// fire runs replica i's armed timers.
+// fire runs replica i's armed timers; timers they arm wait for the next
+// fire.
 func (c *pumped) fire(i int) {
+	armed := make([]proc.TimerID, 0, len(c.timers[i]))
 	for id := range c.timers[i] {
-		delete(c.timers[i], id)
-		c.reps[i].OnTimer(nodeCtx{c, i}, id)
+		armed = append(armed, id)
+	}
+	slices.Sort(armed)
+	for _, id := range armed {
+		if c.timers[i][id] {
+			delete(c.timers[i], id)
+			c.reps[i].OnTimer(nodeCtx{c, i}, id)
+		}
 	}
 }
 
 func (c *pumped) view(i int) uint64 {
 	return c.reps[i].(interface{ View() uint64 }).View()
+}
+
+func (c *pumped) maxExec(i int) uint64 {
+	return c.reps[i].(interface{ MaxExecuted() uint64 }).MaxExecuted()
+}
+
+// viewChange builds replica from's signed VIEW-CHANGE for view, with no
+// stable checkpoint.
+func (c *pumped) viewChange(from types.ReplicaID, view uint64, entries ...engine.ViewEntry) *engine.ViewChange {
+	vc := &engine.ViewChange{View: view, Replica: from, Entries: entries}
+	vc.Sig = engine.SignBody(c.ring.ForNode(types.ReplicaNode(from)), vc)
+	return vc
 }
 
 // stat reads a named counter from replica i's Stats.
@@ -187,7 +253,7 @@ func (c *pumped) heldVotes(i int) (views []uint64, votes int) {
 				views = append(views, it.Key().Uint())
 				votes += it.Value().Len()
 			} else {
-				views = append(views, it.Value().Elem().FieldByName("NewView").Uint())
+				views = append(views, it.Value().Elem().FieldByName("View").Uint())
 				votes++
 			}
 		}
@@ -246,7 +312,7 @@ func TestViewVoteTablesBounded(t *testing.T) {
 		c := newPumped(t, sequencedProtocols[0], engine.ReplicaOptions{})
 		liar := c.ring.ForNode(types.ReplicaNode(1))
 		for v := uint64(1); v <= 1000; v++ {
-			vc := &pbft.ViewChange{NewView: v, Replica: 1}
+			vc := &engine.ViewChange{View: v, Replica: 1}
 			vc.Sig = engine.SignBody(liar, vc)
 			c.deliver(0, types.ReplicaNode(1), vc)
 		}
@@ -255,4 +321,65 @@ func TestViewVoteTablesBounded(t *testing.T) {
 			t.Fatalf("one sender's 1000 VIEW-CHANGEs left %d pending, want at most n = 4", votes)
 		}
 	})
+}
+
+// TestNewViewNeedsQuorum: a NEW-VIEW moves a replica only on 2f+1 valid
+// VIEW-CHANGEs — one replica alone cannot pull a backup into its view — and
+// a VIEW-CHANGE is not valid if a frame it reports embeds a command its
+// client never signed. The rejected NEW-VIEW leaves the backup's view,
+// executed watermark and application state as they were; the same NEW-VIEW
+// with the client's signature is accepted.
+func TestNewViewNeedsQuorum(t *testing.T) {
+	cases := []struct {
+		name string
+		sig  []byte // the reported command's signature (nil: the client's)
+		// changes returns the NEW-VIEW's VIEW-CHANGEs, reporting frame.
+		changes func(c *pumped, frame codec.Message) []*engine.ViewChange
+		valid   bool
+	}{
+		{"unprompted", nil, func(c *pumped, _ codec.Message) []*engine.ViewChange {
+			return []*engine.ViewChange{c.viewChange(1, 1)}
+		}, false},
+		{"unsigned-command", []byte("forged"), func(c *pumped, frame codec.Message) []*engine.ViewChange {
+			return []*engine.ViewChange{c.viewChange(0, 1), c.viewChange(1, 1, engine.ViewEntry{Seq: 1, Frame: frame}), c.viewChange(3, 1)}
+		}, false},
+		{"signed-command", nil, func(c *pumped, frame codec.Message) []*engine.ViewChange {
+			return []*engine.ViewChange{c.viewChange(0, 1), c.viewChange(1, 1, engine.ViewEntry{Seq: 1, Frame: frame}), c.viewChange(3, 1)}
+		}, true},
+	}
+	for _, p := range sequencedProtocols {
+		for _, tc := range cases {
+			t.Run(string(p.name)+"/"+tc.name, func(t *testing.T) {
+				c := newPumped(t, p, engine.ReplicaOptions{})
+				req := c.request(7, 1)
+				if tc.sig != nil {
+					cmd := *req.(interface{ Command() *types.Command }).Command()
+					req = p.request(cmd, tc.sig)
+				}
+				frame := p.order(c.ring.ForNode(types.ReplicaNode(0)), 0, 1, req)
+				nv := &engine.NewView{View: 1, Replica: 1, Changes: tc.changes(c, frame)}
+				nv.Sig = engine.SignBody(c.ring.ForNode(types.ReplicaNode(1)), nv)
+				dropped, digest := c.stat(2, "DroppedInvalid"), c.apps[2].Digest()
+				c.deliver(2, types.ReplicaNode(1), nv)
+				if tc.valid {
+					if c.view(2) != 1 || c.stat(2, "DroppedInvalid") != dropped {
+						t.Fatalf("a quorum-backed NEW-VIEW was refused: view %d", c.view(2))
+					}
+					return
+				}
+				if v := c.view(2); v != 0 {
+					t.Errorf("replica 2 moved to view %d", v)
+				}
+				if e := c.maxExec(2); e != 0 {
+					t.Errorf("replica 2 executed up to %d", e)
+				}
+				if c.apps[2].Digest() != digest {
+					t.Error("replica 2's application state changed")
+				}
+				if c.stat(2, "DroppedInvalid") <= dropped {
+					t.Error("the NEW-VIEW was not counted as invalid")
+				}
+			})
+		}
+	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"ezbft/internal/auth"
@@ -151,14 +150,21 @@ func MarshalBatch[T any](w *codec.Writer, batch []T, enc func(*T, *codec.Writer)
 }
 
 // Batch is the ordered payload of one sequence number: what the Sequencer
-// executes, answers and truncates. Every protocol's slot type embeds it.
+// executes, answers, truncates and reports in a VIEW-CHANGE. Every
+// protocol's slot type embeds it.
 type Batch struct {
 	Seq      uint64
-	Cmds     []types.Command // the ordered batch, in batch order (len ≥ 1)
+	View     uint64          // the view the batch was accepted in
+	Cmds     []types.Command // the ordered batch, in batch order (empty: a no-op)
 	Digests  []types.Digest  // per-command digests
 	Digest   types.Digest    // batch digest (the command digest when unbatched)
 	Results  []types.Result
 	Executed bool
+	// Accepted is set once the batch is known (from an ordering frame, a
+	// NEW-VIEW, a transfer or a log); Frame is the primary-signed ordering
+	// frame it came from, nil where there was none.
+	Accepted bool
+	Frame    codec.Message
 }
 
 // Ordered implements Slot.
@@ -168,7 +174,7 @@ func (b *Batch) Ordered() *Batch { return b }
 type Slot interface{ Ordered() *Batch }
 
 // SeqHost is what a protocol supplies to its Sequencer: its ordering
-// frame, its reply and its suspicion vote.
+// frame and its reply.
 type SeqHost[R any, Y any, S any] interface {
 	// Order wraps a flushed batch (cloned, with per-command digests and the
 	// batch digest) in the protocol's signed ordering frame at seq and
@@ -177,9 +183,6 @@ type SeqHost[R any, Y any, S any] interface {
 	// Reply builds and signs the reply to command i of an executing slot
 	// (its result already in Results[i]).
 	Reply(ctx proc.Context, slot S, i int) Y
-	// Suspect runs when a request forwarded to the primary was not ordered
-	// within ForwardTimeout.
-	Suspect(ctx proc.Context)
 }
 
 // SendGate is implemented by a SeqHost that must see every send first:
@@ -195,50 +198,11 @@ type ReplyRefresher[Y any] interface {
 	RefreshReply(ctx proc.Context, key ReqKey, cached Y, ok bool) (Y, bool)
 }
 
-// ViewPruner is a per-view vote table that EnterView prunes.
-type ViewPruner interface {
-	// Prune forgets the votes for every view at or below view.
-	Prune(view uint64)
-}
-
-// Votes is a per-view vote table: for each view, what each replica sent.
-type Votes[T any] map[uint64]map[types.ReplicaID]T
-
-// Add records from's vote for view and returns that view's votes; size
-// hints the table a new view starts.
-func (v Votes[T]) Add(view uint64, from types.ReplicaID, val T, size int) map[types.ReplicaID]T {
-	g, ok := v[view]
-	if !ok {
-		g = make(map[types.ReplicaID]T, size)
-		v[view] = g
-	}
-	g[from] = val
-	return g
-}
-
-// Prune implements ViewPruner.
-func (v Votes[T]) Prune(view uint64) {
-	for k := range v {
-		if k <= view {
-			delete(v, k)
-		}
-	}
-}
-
-// SortedReplicas returns a vote table's replicas in ascending order.
-func SortedReplicas[T any](m map[types.ReplicaID]T) []types.ReplicaID {
-	out := make([]types.ReplicaID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // SeqStats are the counters every sequenced replica reports; each
 // protocol's ReplicaStats embeds them beside its own.
 type SeqStats struct {
 	DroppedInvalid uint64
+	ViewChanges    uint64 // views entered through a NEW-VIEW
 
 	// Log-lifecycle observables (checkpointing / GC).
 	Checkpoints      uint64 // stable checkpoints established
@@ -260,13 +224,15 @@ type SeqStats struct {
 // the protocol's ordering frame; the check of an inbound ordering frame;
 // the per-request tables and their release through the RequestWindow; the
 // log of slots with in-order execution and one reply per command, and its
-// truncation; the view and the reset on entering one; and the replica's
-// Lifecycle. R is the protocol's REQUEST value and P its pointer, Y its
-// reply, S its slot. A Sequencer belongs to one replica and is touched only
-// from its loop.
+// truncation; the view and the view change (viewchange.go); and the
+// replica's Lifecycle. R is the protocol's REQUEST value and P its pointer,
+// Y its reply, S its slot. A Sequencer belongs to one replica and is
+// touched only from its loop.
 type Sequencer[R any, P ClientRequest[R], Y codec.Message, S Slot] struct {
 	cfg     SeqConfig
 	host    SeqHost[R, Y, S]
+	vhost   ViewHost[S]
+	vtags   ViewTags
 	gate    SendGate          // nil unless the host gates sends
 	refresh ReplyRefresher[Y] // nil unless cached replies can go stale
 	peers   []types.NodeID
@@ -278,34 +244,38 @@ type Sequencer[R any, P ClientRequest[R], Y codec.Message, S Slot] struct {
 	NextSeq uint64
 	// MaxExec is the highest contiguously executed sequence number.
 	MaxExec uint64
-	// InVC is set while a PBFT or Zyzzyva replica is changing views: it
-	// forwards no request then.
+	// InVC is set while the replica asks for a view change (to vcTarget):
+	// it orders, forwards and votes for nothing then.
 	InVC bool
 
 	view      uint64
-	truncated uint64 // highest sequence number freed by truncation
+	vcTarget  uint64
+	vcs       map[types.ReplicaID]*ViewChange // each replica's, for the highest view it asked for
+	certs     map[uint64]ViewEntry            // the highest-view certificate held per sequence number (Hold)
+	truncated uint64                          // highest sequence number freed by truncation
 
 	byCmd     map[ReqKey]uint64 // exactly-once table: request → sequence number
 	replies   map[ReqKey]Y      // reply cache
 	forwarded map[ReqKey]proc.TimerID
 	window    *RequestWindow
 	batcher   *Batcher[ReqKey, P]
-	votes     []ViewPruner
 
 	timerSeq uint64
 	timerAct map[proc.TimerID]func(ctx proc.Context)
 
-	dropped, truncatedEntries, executedCmds uint64
+	dropped, truncatedEntries, executedCmds, viewChanges uint64
 }
 
 // NewSequencer validates cfg, filling in its defaults in place, and builds
 // a replica's Sequencer and Lifecycle (interval cfg.CheckpointInterval,
-// lifecycle messages under tags). host supplies the protocol's half of
-// both; name prefixes configuration errors.
+// lifecycle messages under tags, view-change messages under vtags). host
+// supplies the protocol's half of all three; name prefixes configuration
+// errors.
 func NewSequencer[R any, P ClientRequest[R], Y codec.Message, S Slot](
-	name string, cfg *SeqConfig, maxBatch int, tags LogTags, host interface {
+	name string, cfg *SeqConfig, maxBatch int, tags LogTags, vtags ViewTags, host interface {
 		SeqHost[R, Y, S]
 		LogHost
+		ViewHost[S]
 	}) (*Sequencer[R, P, Y, S], error) {
 	if err := cfg.validate(name, maxBatch); err != nil {
 		return nil, err
@@ -313,6 +283,10 @@ func NewSequencer[R any, P ClientRequest[R], Y codec.Message, S Slot](
 	s := &Sequencer[R, P, Y, S]{
 		cfg:       *cfg,
 		host:      host,
+		vhost:     host,
+		vtags:     vtags,
+		vcs:       make(map[types.ReplicaID]*ViewChange),
+		certs:     make(map[uint64]ViewEntry),
 		Log:       make(map[uint64]S),
 		NextSeq:   1,
 		view:      cfg.InitialView,
@@ -343,11 +317,6 @@ func (s *Sequencer[R, P, Y, S]) ID() types.NodeID { return types.ReplicaNode(s.c
 // Life returns the replica's log lifecycle.
 func (s *Sequencer[R, P, Y, S]) Life() *Lifecycle { return s.life }
 
-// TrackVotes registers per-view vote tables for EnterView to prune.
-func (s *Sequencer[R, P, Y, S]) TrackVotes(tables ...ViewPruner) {
-	s.votes = append(s.votes, tables...)
-}
-
 // View returns the current view.
 func (s *Sequencer[R, P, Y, S]) View() uint64 { return s.view }
 
@@ -361,8 +330,9 @@ func (s *Sequencer[R, P, Y, S]) IsPrimary() bool { return s.Primary() == s.cfg.S
 
 // EnterView moves to a later view. Requests still queued for the deposed
 // primary's next batch are the old view's business (the clients'
-// retransmits re-drive them), forwarding timers start afresh, and the vote
-// tables forget every view up to this one: nothing reads them again.
+// retransmits re-drive them), forwarding timers start afresh, and the
+// VIEW-CHANGEs for views up to this one are forgotten: nothing reads them
+// again.
 func (s *Sequencer[R, P, Y, S]) EnterView(view uint64) {
 	s.view = view
 	s.InVC = false
@@ -371,8 +341,10 @@ func (s *Sequencer[R, P, Y, S]) EnterView(view uint64) {
 		delete(s.forwarded, key)
 		delete(s.timerAct, id)
 	}
-	for _, t := range s.votes {
-		t.Prune(view)
+	for id, vc := range s.vcs {
+		if vc.View <= view {
+			delete(s.vcs, id)
+		}
 	}
 }
 
@@ -407,6 +379,7 @@ func (s *Sequencer[R, P, Y, S]) MergeStats(own SeqStats) SeqStats {
 	own.CatchupsServed, own.CatchupsInstalled, own.CatchupMismatches = ls.CatchupsServed, ls.CatchupsInstalled, ls.CatchupMismatches
 	own.DroppedInvalid += ls.DroppedInvalid + s.dropped
 	own.TruncatedEntries += s.truncatedEntries
+	own.ViewChanges += s.viewChanges
 	return own
 }
 
@@ -475,9 +448,10 @@ func (s *Sequencer[R, P, Y, S]) Inbound(ctx proc.Context, from types.NodeID, msg
 	return s.cfg.Behavior == nil || s.cfg.Behavior.Inbound(ctx, from, msg)
 }
 
-// ReceiveLog routes the three lifecycle messages to the Lifecycle and
-// reports whether msg was one of them.
-func (s *Sequencer[R, P, Y, S]) ReceiveLog(ctx proc.Context, msg codec.Message) bool {
+// Route delivers the messages the engine owns — the three lifecycle
+// messages and the view-change pair — and reports whether msg was one of
+// them.
+func (s *Sequencer[R, P, Y, S]) Route(ctx proc.Context, msg codec.Message) bool {
 	switch m := msg.(type) {
 	case *Checkpoint:
 		s.life.HandleCheckpoint(ctx, m)
@@ -485,6 +459,24 @@ func (s *Sequencer[R, P, Y, S]) ReceiveLog(ctx proc.Context, msg codec.Message) 
 		s.life.HandleCatchupReq(ctx, m)
 	case *CatchupResp:
 		s.life.HandleCatchupResp(ctx, m)
+	case *ViewChange:
+		if m.View <= s.view {
+			break
+		}
+		if m.Replica == s.cfg.Self || !s.validViewChange(ctx, m) {
+			s.dropped++
+			break
+		}
+		s.recordViewChange(ctx, m)
+	case *NewView:
+		if m.View <= s.view {
+			break
+		}
+		if !s.validNewView(ctx, m) {
+			s.dropped++
+			break
+		}
+		s.enterNewView(ctx, m)
 	default:
 		return false
 	}
@@ -502,8 +494,8 @@ func (s *Sequencer[R, P, Y, S]) ReceiveLog(ctx proc.Context, msg codec.Message) 
 // per-request admission cost. An answered request gets its cached reply
 // again; one below its client's window is dropped; a backup forwards the
 // request to the primary and suspects it if the request is not ordered
-// within ForwardTimeout; the primary queues it for its next batch unless it
-// is ordered or queued already.
+// within ForwardTimeout (a VIEW-CHANGE for the next view); the primary
+// queues it for its next batch unless it is ordered or queued already.
 func (s *Sequencer[R, P, Y, S]) Admit(ctx proc.Context, m P) {
 	cmd := m.Command()
 	if !m.SigVerified() {
@@ -536,7 +528,7 @@ func (s *Sequencer[R, P, Y, S]) Admit(ctx proc.Context, m P) {
 				return
 			}
 			delete(s.forwarded, key)
-			s.host.Suspect(ctx)
+			s.startViewChange(ctx, s.view+1)
 		})
 		return
 	}
@@ -568,7 +560,7 @@ func (s *Sequencer[R, P, Y, S]) resend(ctx proc.Context, key ReqKey) (Y, bool) {
 // the requests (the clients' retransmits re-drive them at the new primary),
 // as does a command another replica assigned in the meantime.
 func (s *Sequencer[R, P, Y, S]) flush(ctx proc.Context, reqs []P) {
-	if !s.IsPrimary() {
+	if !s.IsPrimary() || s.InVC {
 		return
 	}
 	fresh := reqs[:0]
@@ -754,6 +746,26 @@ func (s *Sequencer[R, P, Y, S]) ExecutedSuffix(mark uint64) []CatchupSlot {
 		out = append(out, CatchupSlot{Seq: seq, View: s.view, Reqs: UnsignedCmds(slot.Ordered().Cmds)})
 	}
 	return out
+}
+
+// Replay executes a transferred slot at MaxExec+1 into slot (empty): its
+// batch, results and exactly-once entries. It advances the watermark.
+func (s *Sequencer[R, P, Y, S]) Replay(ctx proc.Context, cs *CatchupSlot, slot S) {
+	b := slot.Ordered()
+	b.Seq, b.View, b.Accepted, b.Executed = cs.Seq, cs.View, true, true
+	b.Cmds = make([]types.Command, len(cs.Reqs))
+	b.Digests = make([]types.Digest, len(cs.Reqs))
+	b.Results = make([]types.Result, len(cs.Reqs))
+	for j := range cs.Reqs {
+		b.Cmds[j] = cs.Reqs[j].Cmd
+		b.Digests[j] = b.Cmds[j].Digest()
+		s.cfg.Costs.ChargeExecute(ctx)
+		b.Results[j] = s.cfg.App.Apply(b.Cmds[j])
+		s.Record(&b.Cmds[j], cs.Seq)
+	}
+	b.Digest = BatchDigest(b.Digests)
+	s.Log[cs.Seq] = slot
+	s.MaxExec = cs.Seq
 }
 
 // DropBelow forgets every slot at or below an installed mark and makes it

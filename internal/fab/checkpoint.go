@@ -85,18 +85,11 @@ func (r *Replica) armStatusTimer(ctx proc.Context) {
 // backed-off) catch-up rounds: what installs is f+1-agreed and anchored to
 // a verified checkpoint proof.
 func (r *Replica) handleStatus(ctx proc.Context, m *Status) {
-	if m.Replica < 0 || int(m.Replica) >= r.n || m.Replica == r.cfg.Self {
+	if m.Replica == r.cfg.Self {
 		r.stats.DroppedInvalid++
 		return
 	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	if m.MaxExec > r.MaxExec {
+	if r.Life().Valid(ctx, m.Replica, m, m.Sig) && m.MaxExec > r.MaxExec {
 		r.Life().Pull(ctx)
 	}
 }
@@ -119,44 +112,20 @@ func (h host) DropLog(mark uint64, _ types.Digest) {
 // ReplaySlot rebuilds the reply cache as it executes, so client
 // retransmissions are answered from it.
 func (h host) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
-	s := &slotState{
-		Batch: engine.Batch{
-			Seq:      cs.Seq,
-			Cmds:     make([]types.Command, len(cs.Reqs)),
-			Digests:  make([]types.Digest, len(cs.Reqs)),
-			Results:  make([]types.Result, len(cs.Reqs)),
-			Executed: true,
-		},
-		accepts: make(map[types.ReplicaID]bool),
-		havePro: true, learned: true,
+	s := h.NewSlot(cs.Seq)
+	s.learned = true
+	h.Replay(ctx, cs, s)
+	for j := range s.Cmds {
+		h.CacheReply(engine.KeyOf(&s.Cmds[j]), h.Reply(ctx, s, j))
 	}
-	for j := range cs.Reqs {
-		cmd := &s.Cmds[j]
-		*cmd = cs.Reqs[j].Cmd
-		s.Digests[j] = cmd.Digest()
-		h.cfg.Costs.ChargeExecute(ctx)
-		s.Results[j] = h.cfg.App.Apply(*cmd)
-		h.Record(cmd, cs.Seq)
-		h.CacheReply(engine.KeyOf(cmd), h.Reply(ctx, s, j))
-		h.stats.Executed++
-	}
-	s.Digest = engine.BatchDigest(s.Digests)
-	h.Log[cs.Seq] = s
-	h.MaxExec = cs.Seq
+	h.stats.Executed += uint64(len(cs.Reqs))
 	h.stats.Learned++
 }
 
-// AdoptView moves a replica that missed leader changes while partitioned
-// to the view its responders vouch for; it would otherwise drop every
-// PROPOSE of the current view.
-func (h host) AdoptView(_ proc.Context, view uint64) {
-	if view > h.View() {
-		h.enterView(view)
-	}
-}
-
 // Installed accepts and executes the buffered proposals above the transfer
-// through the regular drain.
+// through the regular drain. A replica that missed view changes while
+// partitioned has already moved to the view its responders vouch for (the
+// Sequencer's AdoptView).
 func (h host) Installed(ctx proc.Context) {
 	if h.IsPrimary() && h.MaxExec+1 > h.NextSeq {
 		h.NextSeq = h.MaxExec + 1

@@ -5,15 +5,16 @@
 // (leader → acceptors), ACCEPT (acceptors → learners, all-to-all), and
 // REPLY (learners → client) once a learner sees ⌈(N+f+1)/2⌉ = 2f+1 matching
 // accepts. Clients complete on f+1 matching replies (engine.QuorumClient).
-// Leader change is a simplified skeleton (sufficient for the paper's
-// fault-free experiments).
 //
 // A replica is an engine.Sequencer — admission, leader-side batching, the
 // PROPOSE signature and batch-digest check, in-order execution with one
-// REPLY per command, the reply cache and the log lifecycle — around what is
-// FaB's own: the PROPOSE and ACCEPT messages, the accept quorum, the
-// out-of-order proposal buffer, SUSPECT/NEW-LEADER, and the STATUS beacon
-// (checkpoint.go).
+// REPLY per command, the reply cache, the log lifecycle and the view change
+// that replaces a faulty leader (internal/engine/viewchange.go) — around
+// what is FaB's own: the PROPOSE and ACCEPT messages, the accept quorum
+// (whose ACCEPTs are a learned slot's certificate), the out-of-order
+// proposal buffer, and the STATUS beacon (checkpoint.go). A new view
+// accepts every carried slot again, so a replica an equivocating leader
+// left behind re-synchronises without state transfer.
 package fab
 
 import (
@@ -25,15 +26,14 @@ import (
 )
 
 // Message tags reserved by FaB (50-59, plus 64 from the shared
-// batched-baseline block 60-69; 56-58 are the log-lifecycle messages and
-// 59 the STATUS beacon, in checkpoint.go).
+// batched-baseline block 60-69; 54 and 55 are the engine's view-change
+// pair, 56-58 the log-lifecycle messages and 59 the STATUS beacon, in
+// checkpoint.go).
 const (
-	tagRequest   = 50
-	tagPropose   = 51
-	tagAccept    = 52
-	tagReply     = 53
-	tagSuspect   = 54
-	tagNewLeader = 55
+	tagRequest = 50
+	tagPropose = 51
+	tagAccept  = 52
+	tagReply   = 53
 	// tagProposeBatch is the PROPOSE layout for leader-side batches of ≥ 2
 	// requests; batches of one keep tag 51 and its exact byte layout.
 	tagProposeBatch = 64
@@ -41,6 +41,38 @@ const (
 
 // maxBatch bounds the requests decoded per batched PROPOSE.
 const maxBatch = 4096
+
+// FaB's instances of the engine's shared message shapes.
+type (
+	requestTag struct{}
+	acceptTag  struct{}
+	replyTag   struct{}
+)
+
+func (requestTag) Tag() uint8                { return tagRequest }
+func (requestTag) FrameTags() (uint8, uint8) { return tagPropose, tagProposeBatch }
+func (acceptTag) Tag() uint8                 { return tagAccept }
+func (replyTag) Tag() uint8                  { return tagReply }
+
+// Request is the client's signed command submission.
+type Request = engine.Request[requestTag]
+
+// Propose is the leader's ordering proposal; a batch of ≥ 2 requests
+// travels under tagProposeBatch.
+type Propose = engine.Proposal[requestTag]
+
+// Accept is an acceptor's vote, broadcast to all learners.
+type Accept = engine.Vote[acceptTag]
+
+// Reply carries a learner's execution result to the client.
+type Reply = engine.Reply[replyTag]
+
+// viewTags are FaB's view-change tags: a VIEW-CHANGE carries PROPOSEs and
+// accept-quorum certificates.
+var viewTags = engine.ViewTags{
+	ViewChange: 54, NewView: 55,
+	Frames: []uint8{tagPropose, tagProposeBatch}, Votes: []uint8{tagAccept},
+}
 
 func faults(n int) int { return (n - 1) / 3 }
 
@@ -51,297 +83,12 @@ func leaderOf(view uint64, n int) types.ReplicaID {
 	return types.ReplicaID(view % uint64(n))
 }
 
-// --- messages ---
-
-// Request is the client's signed command submission.
-type Request struct {
-	Cmd types.Command
-	Sig []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// Tag implements codec.Message.
-func (m *Request) Tag() uint8 { return tagRequest }
-
-// Command, Signature and SetSignature implement engine.ClientRequest.
-func (m *Request) Command() *types.Command { return &m.Cmd }
-func (m *Request) Signature() []byte       { return m.Sig }
-func (m *Request) SetSignature(sig []byte) { m.Sig = sig }
-
-// MarshalTo implements codec.Message.
-func (m *Request) MarshalTo(w *codec.Writer) {
-	w.Command(m.Cmd)
-	w.Blob(m.Sig)
-}
-
-// MarshalBody writes the bytes the client signature covers.
-func (m *Request) MarshalBody(w *codec.Writer) {
-	w.Command(m.Cmd)
-}
-
-func decodeRequest(r *codec.Reader) (*Request, error) {
-	m := &Request{}
-	return m, decodeRequestInto(r, m)
-}
-
-// decodeRequestInto parses a REQUEST into m, which is where messages that
-// embed requests by value (ordering batches, catch-up suffixes, WAL records)
-// want it.
-func decodeRequestInto(r *codec.Reader, m *Request) error {
-	m.Cmd = r.Command()
-	m.Sig = r.Blob()
-	return r.Err()
-}
-
-// Clone returns a copy safe to take while other nodes' verifier pools may
-// still be marking the shared original (client retransmissions hand one
-// decoded Request to every replica on the in-process mesh): the embedded
-// Verified flag is re-read atomically instead of plain-copied.
-func (m *Request) Clone() Request {
-	cp := Request{Cmd: m.Cmd, Sig: m.Sig}
-	if m.SigVerified() {
-		cp.MarkSigVerified()
-	}
-	return cp
-}
-
-// Propose is the leader's ordering proposal. With leader-side batching it
-// orders a whole batch of requests under one sequence number: Req is the
-// first request and Batch carries the rest; CmdDigest is then the batch
-// digest, so the one leader signature covers every command in the batch.
-type Propose struct {
-	View      uint64
-	Seq       uint64
-	CmdDigest types.Digest // d = H(m) (batch digest for batches of ≥ 2)
-	Req       Request
-	Batch     []Request // requests 2..k of the batch (nil when unbatched)
-	Sig       []byte
-
-	// Verified marks that the leader signature and every embedded client
-	// signature were checked by a transport-side verifier pool (see
-	// PreVerifier); part of the engine.Frame surface. Never
-	// marshaled.
-	codec.Verified
-}
-
-// Signature implements engine.Frame.
-func (m *Propose) Signature() []byte { return m.Sig }
-
-// BatchSize returns the number of requests this PROPOSE orders.
-func (m *Propose) BatchSize() int { return 1 + len(m.Batch) }
-
-// ReqAt returns the i'th request of the batch (0 = Req).
-func (m *Propose) ReqAt(i int) *Request {
-	if i == 0 {
-		return &m.Req
-	}
-	return &m.Batch[i-1]
-}
-
-// Tag implements codec.Message.
-func (m *Propose) Tag() uint8 {
-	if len(m.Batch) > 0 {
-		return tagProposeBatch
-	}
-	return tagPropose
-}
-
-// MarshalTo implements codec.Message.
-func (m *Propose) MarshalTo(w *codec.Writer) {
-	m.MarshalBody(w)
-	w.Blob(m.Sig)
-	m.Req.MarshalTo(w)
-	engine.MarshalBatch(w, m.Batch, (*Request).MarshalTo)
-}
-
-func (m *Propose) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Uvarint(m.Seq)
-	w.Bytes32(m.CmdDigest)
-}
-
-func decodePropose(r *codec.Reader) (*Propose, error) {
-	return decodeProposeFmt(r, false)
-}
-
-// decodeProposeFmt parses either PROPOSE layout; batched selects the
-// tag-64 layout with the trailing extra requests.
-func decodeProposeFmt(r *codec.Reader, batched bool) (*Propose, error) {
-	m := &Propose{View: r.Uvarint(), Seq: r.Uvarint(), CmdDigest: r.Bytes32()}
-	m.Sig = r.Blob()
-	if err := decodeRequestInto(r, &m.Req); err != nil {
-		return nil, err
-	}
-	if batched {
-		var err error
-		if m.Batch, err = engine.DecodeBatch(r, maxBatch-2, decodeRequestInto); err != nil {
-			return nil, err
-		}
-	}
-	return m, r.Err()
-}
-
-// Accept is an acceptor's vote, broadcast to all learners.
-type Accept struct {
-	View      uint64
-	Seq       uint64
-	CmdDigest types.Digest
-	Replica   types.ReplicaID
-	Sig       []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// Tag implements codec.Message.
-func (m *Accept) Tag() uint8 { return tagAccept }
-
-// MarshalTo implements codec.Message.
-func (m *Accept) MarshalTo(w *codec.Writer) {
-	m.MarshalBody(w)
-	w.Blob(m.Sig)
-}
-
-func (m *Accept) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Uvarint(m.Seq)
-	w.Bytes32(m.CmdDigest)
-	w.Int32(int32(m.Replica))
-}
-
-func decodeAccept(r *codec.Reader) (*Accept, error) {
-	m := &Accept{
-		View:      r.Uvarint(),
-		Seq:       r.Uvarint(),
-		CmdDigest: r.Bytes32(),
-		Replica:   types.ReplicaID(r.Int32()),
-	}
-	m.Sig = r.Blob()
-	return m, r.Err()
-}
-
-// Reply carries a learner's execution result to the client.
-type Reply struct {
-	View      uint64
-	Timestamp uint64
-	Client    types.ClientID
-	Replica   types.ReplicaID
-	Result    types.Result
-	Sig       []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// Tag implements codec.Message.
-func (m *Reply) Tag() uint8 { return tagReply }
-
-// Info implements engine.QuorumReply.
-func (m *Reply) Info() engine.ReplyInfo {
-	return engine.ReplyInfo{View: m.View, Timestamp: m.Timestamp, Client: m.Client, Replica: m.Replica, Result: m.Result, Sig: m.Sig}
-}
-
-// MarshalTo implements codec.Message.
-func (m *Reply) MarshalTo(w *codec.Writer) {
-	m.MarshalBody(w)
-	w.Blob(m.Sig)
-}
-
-func (m *Reply) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Uvarint(m.Timestamp)
-	w.Int32(int32(m.Client))
-	w.Int32(int32(m.Replica))
-	w.Bool(m.Result.OK)
-	w.Blob(m.Result.Value)
-}
-
-func decodeReply(r *codec.Reader) (*Reply, error) {
-	m := &Reply{
-		View:      r.Uvarint(),
-		Timestamp: r.Uvarint(),
-		Client:    types.ClientID(r.Int32()),
-		Replica:   types.ReplicaID(r.Int32()),
-	}
-	m.Result.OK = r.Bool()
-	m.Result.Value = r.Blob()
-	m.Sig = r.Blob()
-	return m, r.Err()
-}
-
-// Suspect is a replica's vote to replace the leader.
-type Suspect struct {
-	View    uint64
-	Replica types.ReplicaID
-	Sig     []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// Tag implements codec.Message.
-func (m *Suspect) Tag() uint8 { return tagSuspect }
-
-// MarshalTo implements codec.Message.
-func (m *Suspect) MarshalTo(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Int32(int32(m.Replica))
-	w.Blob(m.Sig)
-}
-
-// MarshalBody writes the bytes the replica signature covers.
-func (m *Suspect) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Int32(int32(m.Replica))
-}
-
-func decodeSuspect(r *codec.Reader) (*Suspect, error) {
-	m := &Suspect{View: r.Uvarint(), Replica: types.ReplicaID(r.Int32())}
-	m.Sig = r.Blob()
-	return m, r.Err()
-}
-
-// NewLeader announces the next view's leader with the adopted history
-// bound (simplified recovery).
-type NewLeader struct {
-	View    uint64
-	Replica types.ReplicaID
-	MaxSeq  uint64
-	Sig     []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// Tag implements codec.Message.
-func (m *NewLeader) Tag() uint8 { return tagNewLeader }
-
-// MarshalTo implements codec.Message.
-func (m *NewLeader) MarshalTo(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Int32(int32(m.Replica))
-	w.Uvarint(m.MaxSeq)
-	w.Blob(m.Sig)
-}
-
-// MarshalBody writes the bytes the new leader's signature covers.
-func (m *NewLeader) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Int32(int32(m.Replica))
-	w.Uvarint(m.MaxSeq)
-}
-
-func decodeNewLeader(r *codec.Reader) (*NewLeader, error) {
-	m := &NewLeader{View: r.Uvarint(), Replica: types.ReplicaID(r.Int32()), MaxSeq: r.Uvarint()}
-	m.Sig = r.Blob()
-	return m, r.Err()
-}
-
 func init() {
-	codec.Register(tagRequest, "fab.Request", func(r *codec.Reader) (codec.Message, error) { return decodeRequest(r) })
-	codec.Register(tagPropose, "fab.Propose", func(r *codec.Reader) (codec.Message, error) { return decodePropose(r) })
-	codec.Register(tagAccept, "fab.Accept", func(r *codec.Reader) (codec.Message, error) { return decodeAccept(r) })
-	codec.Register(tagReply, "fab.Reply", func(r *codec.Reader) (codec.Message, error) { return decodeReply(r) })
-	codec.Register(tagSuspect, "fab.Suspect", func(r *codec.Reader) (codec.Message, error) { return decodeSuspect(r) })
-	codec.Register(tagNewLeader, "fab.NewLeader", func(r *codec.Reader) (codec.Message, error) { return decodeNewLeader(r) })
-	codec.Register(tagProposeBatch, "fab.ProposeB", func(r *codec.Reader) (codec.Message, error) { return decodeProposeFmt(r, true) })
+	engine.RegisterRequest[requestTag]("fab")
+	engine.RegisterVote[acceptTag]("fab", "Accept")
+	engine.RegisterReply[replyTag]("fab")
+	engine.RegisterProposal[requestTag]("fab", "Propose", maxBatch)
+	engine.RegisterViewMessages("fab", viewTags, logTags.Checkpoint)
 }
 
 // --- replica ---
@@ -353,8 +100,8 @@ type ReplicaConfig = engine.SeqConfig
 
 type slotState struct {
 	engine.Batch
-	havePro bool
-	accepts map[types.ReplicaID]bool
+	// accepts keeps the ACCEPTs, a learned slot's certificate.
+	accepts engine.Votes[acceptTag]
 	learned bool
 }
 
@@ -362,27 +109,24 @@ type sequencer = engine.Sequencer[Request, *Request, *Reply, *slotState]
 
 // Replica is one FaB replica; it implements proc.Process. Admission,
 // batching, frame checks, execution, the reply cache and the log lifecycle
-// are its engine.Sequencer's; this package adds the accept phase, the
-// leader change and the STATUS beacon.
+// are its engine.Sequencer's, and so is the view change; this package adds
+// the accept phase and the STATUS beacon.
 type Replica struct {
 	*sequencer
 	cfg ReplicaConfig
 	n   int
-	f   int
 
-	pending  map[uint64]*Propose // out-of-order buffer
-	suspects engine.Votes[bool]
+	pending map[uint64]*Propose // out-of-order buffer
 
 	stats ReplicaStats
 }
 
 // ReplicaStats exposes protocol counters.
 type ReplicaStats struct {
-	Proposed      uint64
-	Accepted      uint64
-	Learned       uint64
-	Executed      uint64
-	LeaderChanges uint64
+	Proposed uint64
+	Accepted uint64
+	Learned  uint64
+	Executed uint64
 	engine.SeqStats
 }
 
@@ -390,19 +134,12 @@ var _ proc.Process = (*Replica)(nil)
 
 // NewReplica constructs a FaB replica.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
-	r := &Replica{
-		cfg:      cfg,
-		n:        cfg.N,
-		f:        faults(cfg.N),
-		pending:  make(map[uint64]*Propose),
-		suspects: make(engine.Votes[bool]),
-	}
-	seq, err := engine.NewSequencer[Request, *Request, *Reply, *slotState]("fab", &r.cfg, maxBatch, logTags, host{r})
+	r := &Replica{cfg: cfg, n: cfg.N, pending: make(map[uint64]*Propose)}
+	seq, err := engine.NewSequencer[Request, *Request, *Reply, *slotState]("fab", &r.cfg, maxBatch, logTags, viewTags, host{r})
 	if err != nil {
 		return nil, err
 	}
 	r.sequencer = seq
-	r.TrackVotes(r.suspects)
 	return r, nil
 }
 
@@ -437,19 +174,15 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 		r.handleAccept(ctx, m)
 	case *Status:
 		r.handleStatus(ctx, m)
-	case *Suspect:
-		r.handleSuspect(ctx, m)
-	case *NewLeader:
-		r.handleNewLeader(ctx, m)
 	default:
-		if !r.ReceiveLog(ctx, msg) {
+		if !r.Route(ctx, msg) {
 			r.stats.DroppedInvalid++
 		}
 	}
 }
 
-// host is FaB's half of its Sequencer (engine.SeqHost) and of its
-// Lifecycle (checkpoint.go).
+// host is FaB's half of its Sequencer (engine.SeqHost, engine.ViewHost) and
+// of its Lifecycle (checkpoint.go).
 type host struct{ *Replica }
 
 // Order broadcasts one PROPOSE — one leader signature, one wire frame —
@@ -474,20 +207,8 @@ func (h host) Reply(ctx proc.Context, s *slotState, i int) *Reply {
 // learned is FaB's execution rule: a slot executes once learned.
 func learned(s *slotState) bool { return s.learned }
 
-// Suspect votes to replace the leader.
-func (h host) Suspect(ctx proc.Context) { h.voteSuspect(ctx) }
-
-func (r *Replica) slot(seq uint64) *slotState {
-	s, ok := r.Log[seq]
-	if !ok {
-		s = &slotState{Batch: engine.Batch{Seq: seq}, accepts: make(map[types.ReplicaID]bool, r.n)}
-		r.Log[seq] = s
-	}
-	return s
-}
-
 func (r *Replica) handlePropose(ctx proc.Context, m *Propose) {
-	if m.View != r.View() {
+	if m.View != r.View() || r.InVC {
 		r.stats.DroppedInvalid++
 		return
 	}
@@ -495,7 +216,7 @@ func (r *Replica) handlePropose(ctx proc.Context, m *Propose) {
 	if digests == nil {
 		return
 	}
-	if s, ok := r.Log[m.Seq]; ok && s.havePro {
+	if s, ok := r.Log[m.Seq]; ok && s.Accepted {
 		return
 	}
 	if m.Seq == r.contiguous()+1 {
@@ -528,69 +249,55 @@ func (r *Replica) contiguous() uint64 {
 	seq := r.Truncated()
 	for {
 		s, ok := r.Log[seq+1]
-		if !ok || !s.havePro {
+		if !ok || !s.Accepted {
 			return seq
 		}
 		seq++
 	}
 }
 
-// acceptPropose records the proposal, votes ACCEPT (broadcast to all
-// learners), and counts its own vote. digests carries the per-command
-// digests the caller already computed (nil recomputes them — the
-// out-of-order drain path).
+// acceptPropose records the proposal and accepts it. digests carries the
+// per-command digests the caller already computed (nil recomputes them —
+// the out-of-order drain path).
 func (r *Replica) acceptPropose(ctx proc.Context, m *Propose, digests []types.Digest) {
-	s := r.slot(m.Seq)
-	if s.havePro {
+	s := r.SlotAt(m.Seq)
+	if s.Accepted {
 		return
 	}
-	if digests == nil {
-		digests = make([]types.Digest, m.BatchSize())
-		for i := range digests {
-			digests[i] = m.ReqAt(i).Cmd.Digest()
-		}
-	}
-	s.havePro = true
-	s.Digest = m.CmdDigest
-	s.Cmds = make([]types.Command, m.BatchSize())
-	s.Digests = digests
-	for i := range s.Cmds {
-		s.Cmds[i] = m.ReqAt(i).Cmd
-		r.Assign(&s.Cmds[i], m.Seq)
-	}
+	r.Place(s, m.View, m, m.CmdDigest, digests)
+	r.accept(ctx, s)
+}
 
-	acc := &Accept{View: m.View, Seq: m.Seq, CmdDigest: m.CmdDigest, Replica: r.cfg.Self}
+// accept votes ACCEPT for a slot accepted in its view (broadcast to all
+// learners) and counts its own vote; ACCEPTs that arrived first for another
+// batch are dropped.
+func (r *Replica) accept(ctx proc.Context, s *slotState) {
+	s.accepts.Keep(s.View, s.Digest)
+	acc := &Accept{View: s.View, Seq: s.Seq, CmdDigest: s.Digest, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
 	acc.Sig = engine.SignBody(r.cfg.Auth, acc)
 	r.stats.Accepted++
 	r.Broadcast(ctx, acc)
-	s.accepts[r.cfg.Self] = true
+	s.accepts[r.cfg.Self] = acc
 	r.checkLearned(ctx, s)
 }
 
 func (r *Replica) handleAccept(ctx proc.Context, m *Accept) {
-	if m.View != r.View() {
+	if !r.AdmitVote(ctx, m) {
 		return
 	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	s := r.slot(m.Seq)
-	if s.havePro && s.Digest != m.CmdDigest {
+	s := r.SlotAt(m.Seq)
+	if s.Accepted && s.Digest != m.CmdDigest {
 		return
 	}
-	s.accepts[m.Replica] = true
+	s.accepts[m.Replica] = m
 	r.checkLearned(ctx, s)
 }
 
 // checkLearned: a learner learns the value with ⌈(N+f+1)/2⌉ matching
 // accepts; execution is sequential.
 func (r *Replica) checkLearned(ctx proc.Context, s *slotState) {
-	if s.learned || !s.havePro || len(s.accepts) < acceptQuorum(r.n) {
+	if s.learned || !s.Accepted || s.accepts.Count() < acceptQuorum(r.n) {
 		return
 	}
 	s.learned = true
@@ -598,81 +305,36 @@ func (r *Replica) checkLearned(ctx proc.Context, s *slotState) {
 	r.ExecuteReady(ctx, learned)
 }
 
-// --- leader change (skeleton) ---
+// FaB's half of the view change (engine.ViewHost).
 
-func (r *Replica) voteSuspect(ctx proc.Context) {
-	sus := &Suspect{View: r.View(), Replica: r.cfg.Self}
-	r.cfg.Costs.ChargeSign(ctx)
-	sus.Sig = engine.SignBody(r.cfg.Auth, sus)
-	r.Broadcast(ctx, sus)
-	r.recordSuspect(ctx, r.View(), r.cfg.Self)
+func (h host) NewSlot(seq uint64) *slotState {
+	return &slotState{Batch: engine.Batch{Seq: seq}, accepts: make(engine.Votes[acceptTag], h.n)}
 }
 
-func (r *Replica) handleSuspect(ctx proc.Context, m *Suspect) {
-	if m.View != r.View() {
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	r.recordSuspect(ctx, m.View, m.Replica)
+// Adopt accepts a slot a NEW-VIEW ordered again, in this view; one that
+// executed already votes without executing twice.
+func (h host) Adopt(ctx proc.Context, s *slotState) {
+	clear(s.accepts)
+	s.learned = false
+	h.accept(ctx, s)
 }
 
-func (r *Replica) recordSuspect(ctx proc.Context, view uint64, from types.ReplicaID) {
-	votes := r.suspects.Add(view, from, true, r.f+1)
-	if len(votes) < r.f+1 || view != r.View() {
-		return
+// Certificate is a learned slot's accept quorum.
+func (h host) Certificate(s *slotState) []codec.Message {
+	if !s.learned {
+		return nil
 	}
-	newView := r.View() + 1
-	if leaderOf(newView, r.n) == r.cfg.Self {
-		nl := &NewLeader{View: newView, Replica: r.cfg.Self, MaxSeq: r.MaxExec}
-		r.cfg.Costs.ChargeSign(ctx)
-		nl.Sig = engine.SignBody(r.cfg.Auth, nl)
-		r.Broadcast(ctx, nl)
-		r.applyNewLeader(nl)
-	}
+	return s.accepts.Cert(s.View, s.Digest, acceptQuorum(h.n))
 }
 
-func (r *Replica) handleNewLeader(ctx proc.Context, m *NewLeader) {
-	if m.View <= r.View() || leaderOf(m.View, r.n) != m.Replica {
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	r.applyNewLeader(m)
+// CheckCert accepts ⌈(N+f+1)/2⌉ ACCEPTs of one view.
+func (h host) CheckCert(ctx proc.Context, seq uint64, _ codec.Message, digest types.Digest, cert []codec.Message) bool {
+	return h.CheckVotes(ctx, cert, seq, digest, acceptQuorum(h.n), false)
 }
 
-func (r *Replica) applyNewLeader(m *NewLeader) {
-	if m.View <= r.View() {
-		return
-	}
-	r.enterView(m.View)
-	r.stats.LeaderChanges++
-	if r.IsPrimary() && m.MaxSeq+1 > r.NextSeq {
-		r.NextSeq = m.MaxSeq + 1
-	}
-}
-
-// enterView moves to a later view: besides the Sequencer's reset,
-// unlearned slots are re-driven by client retransmission in the new view.
-func (r *Replica) enterView(view uint64) {
-	r.EnterView(view)
-	for seq, s := range r.Log {
-		if !s.Executed {
-			delete(r.Log, seq)
-			delete(r.pending, seq)
-		}
-	}
-}
+// EnteredView forgets the out-of-order buffer: the old view's proposals
+// are the new view's to make again.
+func (h host) EnteredView(proc.Context, uint64) { clear(h.pending) }
 
 // --- client ---
 
@@ -706,14 +368,7 @@ func (fabEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 
 // NewClient implements engine.Engine.
 func (fabEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
-	cfg := ClientConfig{
-		ID: o.ID, N: o.N, Primary: o.Primary, Auth: o.Auth, Costs: o.Costs,
-		Driver: o.Driver,
-	}
-	if o.LatencyBound > 0 {
-		cfg.RetryTimeout = 8 * o.LatencyBound
-	}
-	c, err := NewClient(cfg)
+	c, err := NewClient(o.Quorum())
 	if err != nil {
 		return nil, err
 	}
@@ -729,7 +384,7 @@ func (fabEngine) InboundVerifier(a auth.Authenticator, n int) func(msg codec.Mes
 // PreVerifier returns the transport-side verification predicate for a FaB
 // node (replica or client) in a cluster of n: every signature the process
 // loop checks unconditionally — the PROPOSE leader + embedded client
-// signatures, REQUEST client signatures, ACCEPT votes, leader-change
+// signatures, REQUEST client signatures, ACCEPT votes, view-change
 // traffic, and REPLY learner signatures at clients — is checked on the
 // pool workers and the message marked, so the loop skips re-verifying it;
 // unknown message types pass through untouched. Safe for concurrent use.
@@ -746,12 +401,8 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *Reply:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *Suspect:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *NewLeader:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		default:
-			ok, handled := engine.PreVerifyLog(a, msg)
+			ok, handled := engine.PreVerifyShared(a, msg)
 			return ok || !handled
 		}
 	}

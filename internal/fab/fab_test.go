@@ -122,25 +122,6 @@ func TestLearnedDespiteOneSilentAcceptor(t *testing.T) {
 	}
 }
 
-// TestLeaderChangeOnCrash: a crashed leader is replaced and the remaining
-// requests complete in the new view.
-func TestLeaderChangeOnCrash(t *testing.T) {
-	spec := &bench.Spec{}
-	cluster, drivers := harness(t, spec, [][]types.Command{puts("a", 6)})
-	cluster.RT.Start()
-	cluster.RT.RunUntil(func() bool { return len(drivers[0].Results) >= 2 }, 20*time.Second)
-	cluster.RT.Crash(types.ReplicaNode(0))
-	done := cluster.RT.RunUntil(func() bool { return len(drivers[0].Results) == 6 }, 120*time.Second)
-	if !done {
-		t.Fatalf("only %d/6 completed after leader crash", len(drivers[0].Results))
-	}
-	for i := 1; i < 4; i++ {
-		if cluster.FBReplicas[i].View() == 0 {
-			t.Fatalf("replica %d never left view 0", i)
-		}
-	}
-}
-
 // TestConfigValidation covers constructor errors.
 func TestConfigValidation(t *testing.T) {
 	if _, err := fab.NewReplica(fab.ReplicaConfig{N: 6}); err == nil {

@@ -48,10 +48,10 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 		acc.Sig = engine.SignBody(rauth(2), acc)
 		return acc
 	}
-	suspect := func() *Suspect {
-		s := &Suspect{View: 0, Replica: 2}
-		s.Sig = engine.SignBody(rauth(2), s)
-		return s
+	viewChange := func() *engine.ViewChange {
+		vc := &engine.ViewChange{View: 1, Replica: 2}
+		vc.Sig = engine.SignBody(rauth(2), vc)
+		return vc
 	}
 
 	cases := []struct {
@@ -66,8 +66,8 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 		{"propose/bad-client-sig", func() codec.Message { m := propose(); m.Req.Sig[0] ^= 0xFF; return m }, false},
 		{"accept/valid", func() codec.Message { return accept() }, true},
 		{"accept/bad-sig", func() codec.Message { m := accept(); m.Sig[0] ^= 0xFF; return m }, false},
-		{"suspect/valid", func() codec.Message { return suspect() }, true},
-		{"suspect/bad-sig", func() codec.Message { m := suspect(); m.Sig[0] ^= 0xFF; return m }, false},
+		{"viewchange/valid", func() codec.Message { return viewChange() }, true},
+		{"viewchange/bad-sig", func() codec.Message { m := viewChange(); m.Sig[0] ^= 0xFF; return m }, false},
 	}
 
 	fresh := func() *Replica {

@@ -43,29 +43,6 @@ func TestPrimaryBatching(t *testing.T) {
 	requireConvergence(t, cluster, nil)
 }
 
-// TestBatchedViewChange: the primary crashes with batched slots in flight;
-// the new view re-proposes the surviving history whole (batches are never
-// split) and the remaining commands still commit.
-func TestBatchedViewChange(t *testing.T) {
-	spec := &bench.Spec{BatchSize: 3, BatchDelay: 20 * time.Millisecond}
-	cluster, drivers := harness(t, spec, [][]types.Command{puts("a", 6)})
-	cluster.RT.Start()
-	cluster.RT.RunUntil(func() bool { return len(drivers[0].Results) >= 2 }, 20*time.Second)
-	cluster.RT.Crash(types.ReplicaNode(0))
-	done := cluster.RT.RunUntil(func() bool {
-		return len(drivers[0].Results) == 6
-	}, 120*time.Second)
-	if !done {
-		t.Fatalf("only %d/6 completed after primary crash", len(drivers[0].Results))
-	}
-	for i := 1; i < 4; i++ {
-		if v := cluster.PBReplicas[i].View(); v == 0 {
-			t.Fatalf("replica %d still in view 0", i)
-		}
-	}
-	requireConvergence(t, cluster, map[int]bool{0: true})
-}
-
 // TestBatchedPrePrepareWire pins the batched PRE-PREPARE wire layout and
 // that batches of one keep the original tag (and byte layout).
 func TestBatchedPrePrepareWire(t *testing.T) {

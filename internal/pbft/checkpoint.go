@@ -38,7 +38,7 @@ func (h host) ExecutedSuffix(mark uint64) []engine.CatchupSlot {
 		for i := range s.Cmds {
 			reqs[i] = engine.CatchupCmd{Cmd: s.Cmds[i], Sig: s.sigs[i]}
 		}
-		out = append(out, engine.CatchupSlot{Seq: seq, View: s.view, Reqs: reqs})
+		out = append(out, engine.CatchupSlot{Seq: seq, View: s.View, Reqs: reqs})
 	}
 	return out
 }
@@ -53,24 +53,13 @@ func (h host) Truncate(mark uint64) {
 func (h host) DropLog(mark uint64, _ types.Digest) { h.DropBelow(mark) }
 
 func (h host) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
-	delete(h.Log, cs.Seq)
-	s := h.slot(cs.Seq)
-	s.view = cs.View
-	s.havePre, s.prepared, s.committed = true, true, true
-	s.Cmds = make([]types.Command, len(cs.Reqs))
+	s := h.NewSlot(cs.Seq)
+	s.prepared, s.committed = true, true
 	s.sigs = make([][]byte, len(cs.Reqs))
-	s.Digests = make([]types.Digest, len(cs.Reqs))
-	s.Results = make([]types.Result, len(cs.Reqs))
 	for j := range cs.Reqs {
-		s.Cmds[j], s.sigs[j] = cs.Reqs[j].Cmd, cs.Reqs[j].Sig
-		s.Digests[j] = s.Cmds[j].Digest()
-		h.cfg.Costs.ChargeExecute(ctx)
-		s.Results[j] = h.cfg.App.Apply(s.Cmds[j])
-		h.Record(&s.Cmds[j], cs.Seq)
+		s.sigs[j] = cs.Reqs[j].Sig
 	}
-	s.Digest = engine.BatchDigest(s.Digests)
-	s.Executed = true
-	h.MaxExec = cs.Seq
+	h.Replay(ctx, cs, s)
 	h.stats.Executed += uint64(len(cs.Reqs))
 }
 

@@ -38,7 +38,7 @@ func decodeAllocs(t *testing.T, m codec.Message) float64 {
 }
 
 // TestEmbeddedRequestsDecodeInPlace: a request inside a batched PRE-PREPARE,
-// a view-change history entry or a CATCHUP-RESP suffix decodes straight into
+// the PRE-PREPARE a VIEW-CHANGE reports or a CATCHUP-RESP suffix decodes straight into
 // its slot of the enclosing slice, so each costs one allocation fewer than a
 // top-level REQUEST, which keeps its one *Request.
 func TestEmbeddedRequestsDecodeInPlace(t *testing.T) {
@@ -47,7 +47,15 @@ func TestEmbeddedRequestsDecodeInPlace(t *testing.T) {
 		return &PrePrepare{View: 1, Seq: 2, Req: reqs[0], Batch: reqs[1 : 1+k], Sig: []byte("sig")}
 	}
 	viewChange := func(k int) codec.Message {
-		return &ViewChange{NewView: 1, Entries: []VCEntry{{Seq: 1, Cmd: reqs[0].Cmd, Extra: reqs[1 : 1+k]}}}
+		// Decoded from a frame, so the VIEW-CHANGE carries PBFT's tag.
+		w := codec.NewWriter(256)
+		w.Uint8(viewTags.ViewChange)
+		(&engine.ViewChange{View: 2, Entries: []engine.ViewEntry{{Seq: 2, Frame: prePrepare(k)}}, Sig: []byte("sig")}).MarshalTo(w)
+		m, err := codec.Unmarshal(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 	cmds := make([]engine.CatchupCmd, len(reqs))
 	for i := range reqs {

@@ -28,14 +28,18 @@ import (
 //     and the reply cache.
 //   - walVoteKind — every CHECKPOINT vote this replica signs or accepts,
 //     so the stable low-water mark is re-established on restart.
-//   - walViewKind — the view adopted by a NEW-VIEW, so a restarted backup
+//   - walViewKind — the view entered through a NEW-VIEW, so a restarted backup
 //     does not regress to an old primary.
+//   - walCertKind — a slot's prepared certificate with its PRE-PREPARE,
+//     appended in checkPrepared before the COMMIT leaves, so a restarted
+//     replica still reports it in its VIEW-CHANGEs (engine.Sequencer.Hold).
 //
 // The snapshot cut: each newly stable checkpoint persists a self-describing
 // snapshot — adopted view, the stable mark with its agreed digest and 2f+1
-// vote proof, the application snapshot captured at exactly that mark, and
-// every retained slot above the mark with its agreement flags. Saving it
-// truncates all WAL segments below it (bounded disk).
+// vote proof, the application snapshot captured at exactly that mark,
+// every retained slot above the mark with its agreement flags, and the
+// certificates held above the mark. Saving it truncates all WAL segments
+// below it (bounded disk).
 //
 // Recovery (Init): restore the snapshot, re-seed the checkpoint tracker
 // from the persisted proof, replay the WAL in LSN order (later records win;
@@ -51,18 +55,23 @@ const (
 	walCommitKind
 	walVoteKind
 	walViewKind
+	walCertKind
 )
 
-// walAppend appends one record; the write is made durable by the next
-// walSync — triggered by the first outbound send after the append, with an
-// end-of-handler sweep for handlers that log without sending — so no
-// message derived from a record can reach the wire before the record is
-// stable.
-func (r *Replica) walAppend(kind uint8, data []byte) {
+// walAppend appends one record, which fill writes; the write is made
+// durable by the next walSync — triggered by the first outbound send after
+// the append, with an end-of-handler sweep for handlers that log without
+// sending — so no message derived from a record can reach the wire before
+// the record is stable.
+func (r *Replica) walAppend(kind uint8, fill func(w *codec.Writer)) {
 	if r.store == nil || r.recovering || r.walErr != nil {
 		return
 	}
-	if _, err := r.store.Append(kind, data); err != nil {
+	w := codec.GetWriter()
+	fill(w)
+	_, err := r.store.Append(kind, w.Bytes())
+	codec.PutWriter(w)
+	if err != nil {
 		r.walErr = err
 		return
 	}
@@ -85,46 +94,43 @@ func (r *Replica) walSync() {
 
 // walPre logs an accepted proposal: seq, view, and the ordered batch.
 func (r *Replica) walPre(s *slotState) {
-	if r.store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	w := codec.GetWriter()
-	w.Uvarint(s.Seq)
-	w.Uvarint(s.view)
-	s.marshalReqs(w)
-	r.walAppend(walPreKind, w.Bytes())
-	codec.PutWriter(w)
+	r.walAppend(walPreKind, func(w *codec.Writer) {
+		w.Uvarint(s.Seq)
+		w.Uvarint(s.View)
+		s.marshalReqs(w)
+	})
 }
 
 // walCommit logs a slot reaching committed-local.
 func (r *Replica) walCommit(s *slotState) {
-	if r.store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	w := codec.GetWriter()
-	w.Uvarint(s.Seq)
-	w.Uvarint(s.view)
-	r.walAppend(walCommitKind, w.Bytes())
-	codec.PutWriter(w)
+	r.walAppend(walCommitKind, func(w *codec.Writer) {
+		w.Uvarint(s.Seq)
+		w.Uvarint(s.View)
+	})
 }
 
 // walVote logs one checkpoint vote (self-signed wire message, verbatim).
 func (r *Replica) walVote(m *Checkpoint) {
-	if r.store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	r.walAppend(walVoteKind, codec.Marshal(m))
+	r.walAppend(walVoteKind, func(w *codec.Writer) {
+		w.Uint8(m.Tag())
+		m.MarshalTo(w)
+	})
 }
 
 // walView logs the adopted view.
 func (r *Replica) walView(view uint64) {
-	if r.store == nil || r.recovering || r.walErr != nil {
-		return
+	r.walAppend(walViewKind, func(w *codec.Writer) { w.Uvarint(view) })
+}
+
+// walCert logs a prepared slot's certificate and the frame it certifies
+// (none for a slot recovered without its frame).
+func (r *Replica) walCert(s *slotState) {
+	if s.Frame != nil || len(s.Cmds) == 0 {
+		r.walAppend(walCertKind, func(w *codec.Writer) {
+			e := engine.ViewEntry{Seq: s.Seq, Frame: s.Frame, Cert: host{r}.Certificate(s)}
+			e.MarshalTo(w)
+		})
 	}
-	w := codec.GetWriter()
-	w.Uvarint(view)
-	r.walAppend(walViewKind, w.Bytes())
-	codec.PutWriter(w)
 }
 
 // persistSnapshot cuts a durable snapshot at the current stable checkpoint
@@ -161,7 +167,7 @@ func (r *Replica) persistSnapshot() {
 	// everything they proved.
 	seqs := make([]uint64, 0, len(r.Log))
 	for seq, s := range r.Log {
-		if seq > st.Mark && s.havePre {
+		if seq > st.Mark && s.Accepted {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -170,7 +176,7 @@ func (r *Replica) persistSnapshot() {
 	for _, seq := range seqs {
 		s := r.Log[seq]
 		w.Uvarint(s.Seq)
-		w.Uvarint(s.view)
+		w.Uvarint(s.View)
 		var flags uint8
 		if s.prepared {
 			flags |= 1
@@ -180,6 +186,11 @@ func (r *Replica) persistSnapshot() {
 		}
 		w.Uint8(flags)
 		s.marshalReqs(w)
+	}
+	held := r.HeldCerts()
+	w.Uvarint(uint64(len(held)))
+	for i := range held {
+		held[i].MarshalTo(w)
 	}
 	data := append([]byte(nil), w.Bytes()...)
 	codec.PutWriter(w)
@@ -264,13 +275,21 @@ func (r *Replica) restoreSnapshot(data []byte) {
 	for i := uint64(0); i < nSlots; i++ {
 		ss := snapSlot{seq: rd.Uvarint(), view: rd.Uvarint(), flags: rd.Uint8()}
 		var err error
-		if ss.reqs, err = engine.DecodeBatch(rd, maxBatch, decodeRequestInto); err != nil {
+		if ss.reqs, err = decodeReqs(rd); err != nil {
 			return
 		}
 		slots = append(slots, ss)
 	}
-	if rd.Err() != nil {
+	nHeld := rd.Uvarint()
+	if rd.Err() != nil || nHeld > 1<<20 {
 		return
+	}
+	held := make([]engine.ViewEntry, nHeld)
+	for i := range held {
+		var err error
+		if held[i], err = engine.DecodeViewEntry(rd, &viewTags); err != nil {
+			return
+		}
 	}
 	// Decoded clean — install our own bytes without re-verifying them.
 	if snap, ok := r.cfg.App.(types.Snapshotter); ok && len(appSnap) > 0 {
@@ -284,6 +303,9 @@ func (r *Replica) restoreSnapshot(data []byte) {
 	for _, ss := range slots {
 		r.installRecoveredSlot(ss.seq, ss.view, ss.reqs, ss.flags&1 != 0, ss.flags&2 != 0)
 	}
+	for _, e := range held {
+		r.Hold(e)
+	}
 }
 
 // installRecoveredSlot rebuilds one slot (and its per-request bookkeeping)
@@ -293,9 +315,9 @@ func (r *Replica) installRecoveredSlot(seq, view uint64, reqs []Request, prepare
 	if seq <= r.MaxExec {
 		return // covered by the restored application snapshot
 	}
-	s := r.newSlot(seq)
-	s.view = view
-	s.havePre = true
+	s := host{r}.NewSlot(seq)
+	s.View = view
+	s.Accepted = true
 	s.Cmds = make([]types.Command, len(reqs))
 	s.sigs = make([][]byte, len(reqs))
 	s.Digests = make([]types.Digest, len(reqs))
@@ -321,11 +343,11 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 	case walPreKind:
 		seq := rd.Uvarint()
 		view := rd.Uvarint()
-		reqs, err := engine.DecodeBatch(rd, maxBatch, decodeRequestInto)
+		reqs, err := decodeReqs(rd)
 		if err != nil {
 			return
 		}
-		if s, ok := r.Log[seq]; ok && s.view > view {
+		if s, ok := r.Log[seq]; ok && s.View > view {
 			return // a later view superseded this proposal
 		}
 		r.installRecoveredSlot(seq, view, reqs, false, false)
@@ -336,7 +358,7 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 			return
 		}
 		s, ok := r.Log[seq]
-		if !ok || s.view != view {
+		if !ok || s.View != view {
 			return // slot truncated below the cut, or re-proposed since
 		}
 		s.prepared = true
@@ -352,14 +374,18 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 			// recovery ends.
 			r.Life().Record(ctx, ck)
 		}
+	case walCertKind:
+		if e, err := engine.DecodeViewEntry(rd, &viewTags); err == nil {
+			r.Hold(e)
+		}
 	case walViewKind:
 		if v := rd.Uvarint(); rd.Err() == nil && v > r.View() {
 			r.EnterView(v)
-			// Mirror applyNewView's backup reset: uncommitted slots from
-			// older views are the new primary's to re-drive. Committed slots
-			// are final and stay.
+			// Mirror the view entry: uncommitted slots from older views are
+			// the new view's to re-order. Committed slots are final and
+			// stay.
 			for seq, s := range r.Log {
-				if s.view < v && !s.committed {
+				if s.View < v && !s.committed {
 					delete(r.Log, seq)
 				}
 			}

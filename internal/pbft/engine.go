@@ -25,14 +25,7 @@ func (pbftEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 
 // NewClient implements engine.Engine.
 func (pbftEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
-	cfg := ClientConfig{
-		ID: o.ID, N: o.N, Primary: o.Primary, Auth: o.Auth, Costs: o.Costs,
-		Driver: o.Driver,
-	}
-	if o.LatencyBound > 0 {
-		cfg.RetryTimeout = 8 * o.LatencyBound
-	}
-	c, err := NewClient(cfg)
+	c, err := NewClient(o.Quorum())
 	if err != nil {
 		return nil, err
 	}
@@ -64,14 +57,10 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *Commit:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *ViewChange:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *NewView:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *Reply:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		default:
-			ok, handled := engine.PreVerifyLog(a, msg)
+			ok, handled := engine.PreVerifyShared(a, msg)
 			return ok || !handled
 		}
 	}

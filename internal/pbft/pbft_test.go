@@ -140,42 +140,6 @@ func TestGetSeesPriorPut(t *testing.T) {
 	}
 }
 
-// TestViewChangeOnPrimaryCrash: crash the primary mid-run; the cluster
-// elects a new view and the remaining commands still commit.
-func TestViewChangeOnPrimaryCrash(t *testing.T) {
-	spec := &bench.Spec{}
-	cluster, drivers := harness(t, spec, [][]types.Command{puts("a", 6)})
-	cluster.RT.Start()
-	cluster.RT.RunUntil(func() bool { return len(drivers[0].Results) >= 2 }, 20*time.Second)
-	cluster.RT.Crash(types.ReplicaNode(0))
-	done := cluster.RT.RunUntil(func() bool {
-		return len(drivers[0].Results) == 6
-	}, 120*time.Second)
-	if !done {
-		t.Fatalf("only %d/6 completed after primary crash", len(drivers[0].Results))
-	}
-	for i := 1; i < 4; i++ {
-		if v := cluster.PBReplicas[i].View(); v == 0 {
-			t.Fatalf("replica %d still in view 0", i)
-		}
-	}
-	requireConvergence(t, cluster, map[int]bool{0: true})
-}
-
-// TestMutePrimaryViewChange: a fail-silent primary (receives but never
-// sends) is deposed the same way.
-func TestMutePrimaryViewChange(t *testing.T) {
-	spec := &bench.Spec{Mute: map[types.ReplicaID]bool{0: true}}
-	cluster, drivers := harness(t, spec, [][]types.Command{puts("a", 3)})
-	runUntilDone(t, cluster, drivers, 120*time.Second)
-	for i := 1; i < 4; i++ {
-		if v := cluster.PBReplicas[i].View(); v == 0 {
-			t.Fatalf("replica %d never left view 0", i)
-		}
-	}
-	requireConvergence(t, cluster, map[int]bool{0: true})
-}
-
 // TestCheckpointGarbageCollection: with a small checkpoint interval the
 // stable checkpoint advances and old slots are discarded.
 func TestCheckpointGarbageCollection(t *testing.T) {

@@ -58,6 +58,11 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 		ck.Sig = engine.SignBody(rauth(2), ck)
 		return ck
 	}
+	viewChange := func() *engine.ViewChange {
+		vc := &engine.ViewChange{View: 1, Replica: 2}
+		vc.Sig = engine.SignBody(rauth(2), vc)
+		return vc
+	}
 
 	cases := []struct {
 		name  string
@@ -75,6 +80,8 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 		{"commit/bad-sig", func() codec.Message { m := commit(); m.Sig[0] ^= 0xFF; return m }, false},
 		{"checkpoint/valid", func() codec.Message { return checkpoint() }, true},
 		{"checkpoint/bad-sig", func() codec.Message { m := checkpoint(); m.Sig[0] ^= 0xFF; return m }, false},
+		{"viewchange/valid", func() codec.Message { return viewChange() }, true},
+		{"viewchange/bad-sig", func() codec.Message { m := viewChange(); m.Sig[0] ^= 0xFF; return m }, false},
 	}
 
 	fresh := func() *Replica {

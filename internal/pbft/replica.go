@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"sort"
 	"time"
 
 	"ezbft/internal/auth"
@@ -47,14 +46,14 @@ type ReplicaConfig struct {
 }
 
 type slotState struct {
-	engine.Batch // the ordered batch, its digests and results
-	view         uint64
+	engine.Batch          // the ordered batch, its view, frame, digests and results
 	sigs         [][]byte // the client signatures, in batch order
-	prepares     map[types.ReplicaID]bool
-	commits      map[types.ReplicaID]bool
-	havePre      bool
-	prepared     bool
-	committed    bool
+	// prepares are the backups' PREPAREs (the primary's PRE-PREPARE counts
+	// as its prepare), the certificate a VIEW-CHANGE reports.
+	prepares  engine.Votes[prepareTag]
+	commits   engine.Votes[commitTag]
+	prepared  bool
+	committed bool
 }
 
 // req returns the slot's i'th client request.
@@ -70,12 +69,22 @@ func (s *slotState) marshalReqs(w *codec.Writer) {
 	}
 }
 
+// decodeReqs reads what marshalReqs writes; a no-op slot has no requests.
+func decodeReqs(r *codec.Reader) ([]Request, error) {
+	off := r.Offset()
+	if r.Uvarint() == 0 {
+		return nil, r.Err()
+	}
+	r.Rewind(off)
+	return engine.DecodeBatch(r, maxBatch, engine.DecodeRequestInto[requestTag])
+}
+
 type sequencer = engine.Sequencer[Request, *Request, *Reply, *slotState]
 
 // Replica is one PBFT replica; it implements proc.Process. Admission,
 // batching, frame checks, execution, the reply cache and the log lifecycle
-// are its engine.Sequencer's; this package adds the three phases, the view
-// change and the write-ahead log.
+// are its engine.Sequencer's, and so is the view change; this package adds
+// the three phases and the write-ahead log.
 type Replica struct {
 	*sequencer
 	cfg   engine.SeqConfig
@@ -91,8 +100,6 @@ type Replica struct {
 	walDirty   bool
 	walErr     error
 
-	vcMsgs vcTable
-
 	stats ReplicaStats
 }
 
@@ -102,7 +109,6 @@ type ReplicaStats struct {
 	Prepared    uint64
 	Committed   uint64
 	Executed    uint64
-	ViewChanges uint64
 	engine.SeqStats
 
 	// Durability observables (see durable.go).
@@ -127,13 +133,12 @@ func newReplica(cfg engine.SeqConfig, st store.Store) (*Replica, error) {
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
-	r := &Replica{cfg: cfg, store: st, n: cfg.N, f: faults(cfg.N), vcMsgs: make(vcTable)}
-	seq, err := engine.NewSequencer[Request, *Request, *Reply, *slotState]("pbft", &r.cfg, maxBatch, logTags, host{r})
+	r := &Replica{cfg: cfg, store: st, n: cfg.N, f: faults(cfg.N)}
+	seq, err := engine.NewSequencer[Request, *Request, *Reply, *slotState]("pbft", &r.cfg, maxBatch, logTags, viewTags, host{r})
 	if err != nil {
 		return nil, err
 	}
 	r.sequencer = seq
-	r.TrackVotes(r.vcMsgs)
 	return r, nil
 }
 
@@ -174,20 +179,16 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 		r.handlePrepare(ctx, m)
 	case *Commit:
 		r.handleCommit(ctx, m)
-	case *ViewChange:
-		r.handleViewChange(ctx, m)
-	case *NewView:
-		r.handleNewView(ctx, m)
 	default:
-		if !r.ReceiveLog(ctx, msg) {
+		if !r.Route(ctx, msg) {
 			r.stats.DroppedInvalid++
 		}
 	}
 	r.walSync()
 }
 
-// host is PBFT's half of its Sequencer (engine.SeqHost, engine.SendGate)
-// and of its Lifecycle (checkpoint.go).
+// host is PBFT's half of its Sequencer (engine.SeqHost, engine.SendGate,
+// engine.ViewHost) and of its Lifecycle (checkpoint.go).
 type host struct{ *Replica }
 
 // Order broadcasts one PRE-PREPARE for a flushed batch.
@@ -204,7 +205,7 @@ func (h host) Order(ctx proc.Context, seq uint64, digest types.Digest, digests [
 // Reply signs the REPLY to one executed command.
 func (h host) Reply(ctx proc.Context, s *slotState, i int) *Reply {
 	cmd := &s.Cmds[i]
-	reply := &Reply{View: s.view, Timestamp: cmd.Timestamp, Client: cmd.Client, Replica: h.cfg.Self, Result: s.Results[i]}
+	reply := &Reply{View: s.View, Timestamp: cmd.Timestamp, Client: cmd.Client, Replica: h.cfg.Self, Result: s.Results[i]}
 	h.cfg.Costs.ChargeSign(ctx)
 	reply.Sig = engine.SignBody(h.cfg.Auth, reply)
 	return reply
@@ -212,9 +213,6 @@ func (h host) Reply(ctx proc.Context, s *slotState, i int) *Reply {
 
 // committed is PBFT's execution rule: a slot executes once committed-local.
 func committed(s *slotState) bool { return s.committed }
-
-// Suspect starts a view change.
-func (h host) Suspect(ctx proc.Context) { h.startViewChange(ctx) }
 
 // SendOpen suppresses sends while the replica recovers and otherwise makes
 // durable first what this handler appended: records must be stable before
@@ -228,23 +226,6 @@ func (h host) SendOpen() bool {
 	return true
 }
 
-func (r *Replica) slot(seq uint64) *slotState {
-	s, ok := r.Log[seq]
-	if !ok {
-		s = r.newSlot(seq)
-		r.Log[seq] = s
-	}
-	return s
-}
-
-func (r *Replica) newSlot(seq uint64) *slotState {
-	return &slotState{
-		Batch:    engine.Batch{Seq: seq},
-		prepares: make(map[types.ReplicaID]bool, r.n),
-		commits:  make(map[types.ReplicaID]bool, r.n),
-	}
-}
-
 func (r *Replica) handlePrePrepare(ctx proc.Context, m *PrePrepare) {
 	if m.View != r.View() || r.InVC {
 		r.stats.DroppedInvalid++
@@ -254,8 +235,8 @@ func (r *Replica) handlePrePrepare(ctx proc.Context, m *PrePrepare) {
 	if digests == nil {
 		return
 	}
-	s := r.slot(m.Seq)
-	if s.havePre && s.Digest != m.CmdDigest {
+	s := r.SlotAt(m.Seq)
+	if s.Accepted && s.Digest != m.CmdDigest {
 		// Equivocating primary; refuse the second assignment.
 		r.stats.DroppedInvalid++
 		return
@@ -263,282 +244,137 @@ func (r *Replica) handlePrePrepare(ctx proc.Context, m *PrePrepare) {
 	r.acceptPrePrepare(ctx, m, digests)
 }
 
-// acceptPrePrepare records a validated proposal. digests carries the
-// per-command digests the caller already computed (nil recomputes them —
-// the view-change re-proposal path).
+// acceptPrePrepare records a validated proposal; digests carries the
+// per-command digests the caller already computed.
 func (r *Replica) acceptPrePrepare(ctx proc.Context, m *PrePrepare, digests []types.Digest) {
-	s := r.slot(m.Seq)
-	if s.havePre {
+	s := r.SlotAt(m.Seq)
+	if s.Accepted {
 		return
 	}
-	if digests == nil {
-		digests = make([]types.Digest, m.BatchSize())
-		for i := range digests {
-			digests[i] = m.ReqAt(i).Cmd.Digest()
-		}
-	}
-	s.havePre = true
-	s.view = m.View
-	s.Digest = m.CmdDigest
-	s.Digests = digests
-	s.Cmds = make([]types.Command, m.BatchSize())
+	r.Place(s, m.View, m, m.CmdDigest, digests)
 	s.sigs = make([][]byte, m.BatchSize())
-	for i := range s.Cmds {
-		req := m.ReqAt(i)
-		s.Cmds[i], s.sigs[i] = req.Cmd, req.Sig
-		r.Assign(&s.Cmds[i], m.Seq)
+	for i := range s.sigs {
+		s.sigs[i] = m.ReqAt(i).Sig
 	}
-	// A restarted replica must remember what it accepted in this view
-	// before its PREPARE leaves the building.
-	r.walPre(s)
+	r.prepare(ctx, s)
+}
 
+// prepare starts agreement on a slot accepted in its view: it logs the
+// slot — a restarted replica must remember what it accepted in this view
+// before its PREPARE leaves the building; a slot that executed already is
+// final — drops votes that arrived first for another batch, and at a
+// backup broadcasts the PREPARE.
+func (r *Replica) prepare(ctx proc.Context, s *slotState) {
+	if !s.Executed {
+		r.walPre(s)
+	}
+	s.prepares.Keep(s.View, s.Digest)
+	s.commits.Keep(s.View, s.Digest)
 	// The primary's PRE-PREPARE counts as its prepare; backups broadcast
 	// their own PREPARE.
-	s.prepares[primaryOf(m.View, r.n)] = true
-	if primaryOf(m.View, r.n) != r.cfg.Self {
-		p := &Prepare{View: m.View, Seq: m.Seq, CmdDigest: m.CmdDigest, Replica: r.cfg.Self}
+	if primaryOf(s.View, r.n) != r.cfg.Self {
+		p := &Prepare{View: s.View, Seq: s.Seq, CmdDigest: s.Digest, Replica: r.cfg.Self}
 		r.cfg.Costs.ChargeSign(ctx)
 		p.Sig = engine.SignBody(r.cfg.Auth, p)
 		r.Broadcast(ctx, p)
-		s.prepares[r.cfg.Self] = true
+		s.prepares[r.cfg.Self] = p
 	}
 	r.checkPrepared(ctx, s)
 }
 
 func (r *Replica) handlePrepare(ctx proc.Context, m *Prepare) {
-	if m.View != r.View() || r.InVC {
+	if !r.AdmitVote(ctx, m) || m.Replica == primaryOf(m.View, r.n) {
 		return
 	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	s := r.slot(m.Seq)
-	if s.havePre && s.Digest != m.CmdDigest {
+	s := r.SlotAt(m.Seq)
+	if s.Accepted && s.Digest != m.CmdDigest {
 		return
 	}
-	s.prepares[m.Replica] = true
+	s.prepares[m.Replica] = m
 	r.checkPrepared(ctx, s)
 }
 
 // checkPrepared: prepared(m, v, n, i) holds with the pre-prepare and 2f
-// prepares from distinct replicas (the pre-prepare counts for the primary).
+// prepares from distinct backups.
 func (r *Replica) checkPrepared(ctx proc.Context, s *slotState) {
-	if s.prepared || !s.havePre || len(s.prepares) < quorum(r.n) {
+	if s.prepared || !s.Accepted || s.prepares.Count() < quorum(r.n)-1 {
 		return
 	}
 	s.prepared = true
 	r.stats.Prepared++
-	c := &Commit{View: s.view, Seq: s.Seq, CmdDigest: s.Digest, Replica: r.cfg.Self}
+	r.walCert(s)
+	c := &Commit{View: s.View, Seq: s.Seq, CmdDigest: s.Digest, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
 	c.Sig = engine.SignBody(r.cfg.Auth, c)
 	r.Broadcast(ctx, c)
-	s.commits[r.cfg.Self] = true
+	s.commits[r.cfg.Self] = c
 	r.checkCommitted(ctx, s)
 }
 
 func (r *Replica) handleCommit(ctx proc.Context, m *Commit) {
-	if m.View != r.View() || r.InVC {
+	if !r.AdmitVote(ctx, m) {
 		return
 	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	s := r.slot(m.Seq)
-	if s.havePre && s.Digest != m.CmdDigest {
+	s := r.SlotAt(m.Seq)
+	if s.committed || (s.Accepted && s.Digest != m.CmdDigest) {
 		return
 	}
-	s.commits[m.Replica] = true
+	s.commits[m.Replica] = m
 	r.checkCommitted(ctx, s)
 }
 
 // checkCommitted: committed-local holds with 2f+1 commits; execution is
-// sequential in sequence-number order.
+// sequential in sequence-number order. The COMMITs are let go once counted
+// (only the PREPAREs are a certificate).
 func (r *Replica) checkCommitted(ctx proc.Context, s *slotState) {
-	if s.committed || !s.prepared || len(s.commits) < quorum(r.n) {
+	if s.committed || !s.prepared || s.commits.Count() < quorum(r.n) {
 		return
 	}
+	clear(s.commits)
 	s.committed = true
 	r.stats.Committed++
 	r.walCommit(s)
 	r.ExecuteReady(ctx, committed)
 }
 
-// --- view change (simplified) ---
+// PBFT's half of the view change (engine.ViewHost).
 
-// vcTable holds each replica's pending VIEW-CHANGE: the one for the highest
-// view it asked for. An honest replica sends one per view-change episode,
-// so the table stays at n entries however many views a faulty one names.
-type vcTable map[types.ReplicaID]*ViewChange
-
-// Prune implements engine.ViewPruner.
-func (t vcTable) Prune(view uint64) {
-	for id, vc := range t {
-		if vc.NewView <= view {
-			delete(t, id)
-		}
+func (h host) NewSlot(seq uint64) *slotState {
+	return &slotState{
+		Batch:    engine.Batch{Seq: seq},
+		prepares: make(engine.Votes[prepareTag], h.n),
+		commits:  make(engine.Votes[commitTag], h.n),
 	}
 }
 
-// forView returns the pending VIEW-CHANGEs for view, by sender.
-func (t vcTable) forView(view uint64) map[types.ReplicaID]*ViewChange {
-	g := make(map[types.ReplicaID]*ViewChange, len(t))
-	for id, vc := range t {
-		if vc.NewView == view {
-			g[id] = vc
+// Adopt prepares and commits a slot a NEW-VIEW ordered again, in this
+// view; one that executed already votes without executing twice.
+func (h host) Adopt(ctx proc.Context, s *slotState) {
+	if pp, ok := s.Frame.(*PrePrepare); ok && !s.Executed {
+		s.sigs = make([][]byte, pp.BatchSize())
+		for i := range s.sigs {
+			s.sigs[i] = pp.ReqAt(i).Sig
 		}
 	}
-	return g
+	clear(s.prepares)
+	clear(s.commits)
+	s.prepared, s.committed = false, false
+	h.prepare(ctx, s)
 }
 
-// startViewChange broadcasts this replica's VIEW-CHANGE for the next view
-// and returns it; nil while a view change is already under way.
-func (r *Replica) startViewChange(ctx proc.Context) *ViewChange {
-	if r.InVC {
+// Certificate is a prepared slot's 2f PREPAREs.
+func (h host) Certificate(s *slotState) []codec.Message {
+	if !s.prepared {
 		return nil
 	}
-	r.InVC = true
-	vc := &ViewChange{NewView: r.View() + 1, Replica: r.cfg.Self, MaxSeq: r.MaxExec}
-	seqs := make([]uint64, 0, len(r.Log))
-	for seq := range r.Log {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		s := r.Log[seq]
-		if !s.havePre {
-			continue
-		}
-		e := VCEntry{
-			Seq: seq, CmdDigest: s.Digest, Cmd: s.Cmds[0], ReqSig: s.sigs[0],
-			Prepared: s.prepared,
-		}
-		if len(s.Cmds) > 1 {
-			// Batched slots are reported whole so the view change can never
-			// split a batch.
-			e.Extra = make([]Request, len(s.Cmds)-1)
-			for i := range e.Extra {
-				e.Extra[i] = s.req(i + 1)
-			}
-		}
-		vc.Entries = append(vc.Entries, e)
-	}
-	r.cfg.Costs.ChargeSign(ctx)
-	vc.Sig = engine.SignBody(r.cfg.Auth, vc)
-	r.Broadcast(ctx, vc)
-	r.acceptViewChange(ctx, vc)
-	return vc
+	return s.prepares.Cert(s.View, s.Digest, quorum(h.n)-1)
 }
 
-func (r *Replica) handleViewChange(ctx proc.Context, m *ViewChange) {
-	if m.NewView <= r.View() {
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	r.acceptViewChange(ctx, m)
+// CheckCert accepts 2f PREPAREs of one view's backups.
+func (h host) CheckCert(ctx proc.Context, seq uint64, _ codec.Message, digest types.Digest, cert []codec.Message) bool {
+	return h.CheckVotes(ctx, cert, seq, digest, 2*h.f, true)
 }
 
-func (r *Replica) acceptViewChange(ctx proc.Context, m *ViewChange) {
-	if prev := r.vcMsgs[m.Replica]; prev != nil && prev.NewView > m.NewView {
-		return // the sender has since asked for a later view
-	}
-	r.vcMsgs[m.Replica] = m
-	g := r.vcMsgs.forView(m.NewView)
-	// Join the view change once f+1 replicas demand it.
-	if len(g) >= r.f+1 && !r.InVC {
-		if vc := r.startViewChange(ctx); vc.NewView == m.NewView {
-			g[r.cfg.Self] = vc
-		}
-	}
-	if len(g) < quorum(r.n) || primaryOf(m.NewView, r.n) != r.cfg.Self {
-		return
-	}
-	// New primary: consolidate the prepared history (longest wins) and
-	// announce the new view.
-	var best *ViewChange
-	for _, rid := range engine.SortedReplicas(g) {
-		vc := g[rid]
-		if best == nil || vc.MaxSeq > best.MaxSeq || (vc.MaxSeq == best.MaxSeq && len(vc.Entries) > len(best.Entries)) {
-			best = vc
-		}
-	}
-	nv := &NewView{View: m.NewView, Replica: r.cfg.Self, Entries: best.Entries}
-	r.cfg.Costs.ChargeSign(ctx)
-	nv.Sig = engine.SignBody(r.cfg.Auth, nv)
-	r.Broadcast(ctx, nv)
-	r.applyNewView(ctx, nv)
-}
-
-func (r *Replica) handleNewView(ctx proc.Context, m *NewView) {
-	if m.View <= r.View() || primaryOf(m.View, r.n) != m.Replica {
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	r.applyNewView(ctx, m)
-}
-
-func (r *Replica) applyNewView(ctx proc.Context, m *NewView) {
-	if m.View <= r.View() {
-		return
-	}
-	r.EnterView(m.View)
-	r.stats.ViewChanges++
-	r.walView(m.View)
-	maxSeq := r.MaxExec
-	// Re-run the protocol for prepared-but-unexecuted entries in the new
-	// view: the new primary re-pre-prepares them in order.
-	if r.IsPrimary() {
-		for _, e := range m.Entries {
-			if e.Seq > maxSeq {
-				maxSeq = e.Seq
-			}
-			if e.Seq <= r.MaxExec {
-				continue
-			}
-			if s, ok := r.Log[e.Seq]; ok && s.Executed {
-				continue
-			}
-			// Reset agreement state for the new view.
-			r.Log[e.Seq] = r.newSlot(e.Seq)
-			pp := &PrePrepare{
-				View: m.View, Seq: e.Seq, CmdDigest: e.CmdDigest,
-				Req: Request{Cmd: e.Cmd, Sig: e.ReqSig},
-			}
-			if len(e.Extra) > 0 {
-				pp.Batch = append([]Request(nil), e.Extra...)
-			}
-			r.cfg.Costs.ChargeSign(ctx)
-			pp.Sig = engine.SignBody(r.cfg.Auth, pp)
-			r.Broadcast(ctx, pp)
-			r.acceptPrePrepare(ctx, pp, nil)
-		}
-		r.NextSeq = maxSeq + 1
-	} else {
-		// Backups reset agreement state for unexecuted slots; the new
-		// primary's PRE-PREPAREs re-drive them.
-		for seq, s := range r.Log {
-			if !s.Executed {
-				delete(r.Log, seq)
-			}
-		}
-	}
-}
+// EnteredView logs the view, so a restarted backup does not return to an
+// old primary.
+func (h host) EnteredView(_ proc.Context, view uint64) { h.walView(view) }

@@ -82,11 +82,11 @@
 // counted in CatchupMismatches.
 //
 // Shapes() adds the hostile network catalogue, including the
-// view-change-storm shape: repeated isolate/heal cycles that chase the
-// advancing leadership (cut the primary, let the view change elect a
-// successor, cut the successor), forcing back-to-back view changes while
-// each deposed primary returns with a log gap only state transfer can
-// close. DefaultMatrix crosses both catalogues with all four protocols ×
-// batching × checkpointing; `ezbft-bench -e scenarios` runs it and
-// renders the per-cell pass/latency report.
+// view-change-storm shape: isolate/heal cycles that rotate through the
+// replicas starting with the primary. At the default Config they end
+// before any backup's ForwardTimeout, so the storm cells run no view
+// change (the silent-owner and equivocating-owner cells do); the cut
+// replica returns with a log gap. DefaultMatrix crosses both catalogues
+// with all four protocols × batching × checkpointing; `ezbft-bench -e
+// scenarios` runs it and renders the per-cell report.
 package scenario

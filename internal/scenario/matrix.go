@@ -147,6 +147,9 @@ type Result struct {
 	// (cross-validation's lie detector).
 	CatchupInstalls   uint64
 	CatchupMismatches uint64
+	// ViewChanges sums the views the correct replicas of a sequenced
+	// protocol entered through a NEW-VIEW.
+	ViewChanges uint64
 	// SlowTimeouts and SilentSkips sum the clients' counters of the same
 	// names: requests that waited out the slow-path timer, and slow-path
 	// commits sent without that wait (engine.ReplyWatch).
@@ -431,26 +434,23 @@ func Run(cell Cell, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Catch-up telemetry, summed over the correct replicas.
+	// Catch-up and view-change telemetry, summed over the correct replicas.
 	for _, i := range correct {
+		var st engine.SeqStats
 		switch {
 		case len(cl.EZReplicas) == n:
-			st := cl.EZReplicas[i].Stats()
-			res.CatchupInstalls += st.CatchupsInstalled
-			res.CatchupMismatches += st.CatchupMismatches
+			ez := cl.EZReplicas[i].Stats()
+			st.CatchupsInstalled, st.CatchupMismatches = ez.CatchupsInstalled, ez.CatchupMismatches
 		case len(cl.PBReplicas) == n:
-			st := cl.PBReplicas[i].Stats()
-			res.CatchupInstalls += st.CatchupsInstalled
-			res.CatchupMismatches += st.CatchupMismatches
+			st = cl.PBReplicas[i].Stats().SeqStats
 		case len(cl.ZYReplicas) == n:
-			st := cl.ZYReplicas[i].Stats()
-			res.CatchupInstalls += st.CatchupsInstalled
-			res.CatchupMismatches += st.CatchupMismatches
+			st = cl.ZYReplicas[i].Stats().SeqStats
 		case len(cl.FBReplicas) == n:
-			st := cl.FBReplicas[i].Stats()
-			res.CatchupInstalls += st.CatchupsInstalled
-			res.CatchupMismatches += st.CatchupMismatches
+			st = cl.FBReplicas[i].Stats().SeqStats
 		}
+		res.CatchupInstalls += st.CatchupsInstalled
+		res.CatchupMismatches += st.CatchupMismatches
+		res.ViewChanges += st.ViewChanges
 	}
 
 	// No conflicting commit certificates (ezBFT's dependency agreement).
@@ -550,19 +550,6 @@ func DefaultMatrix() []Cell {
 			}
 		}
 	}
-	for i := range cells {
-		c := &cells[i]
-		// Known deficiency, kept visible: FaB's leader change is a
-		// simplified skeleton, so a backup that accepted an equivocated
-		// proposal is never re-synchronized by the agreement path. With
-		// checkpointing on, checkpoint-anchored state transfer re-syncs the
-		// victim and the cells are enforced; without checkpoints nothing
-		// anchors a transfer and the victim stays diverged.
-		if c.Protocol == engine.FaB && !c.Checkpointing &&
-			c.Strategy != nil && c.Strategy.Name == "equivocating-owner" {
-			c.XFail = "FaB skeleton leader change cannot re-sync an equivocation victim without checkpointed state transfer"
-		}
-	}
 	// The durability dimension: crash-restart cells for the two protocols
 	// with a recovery path, appended so every earlier cell keeps its
 	// seed-of-record. Checkpointing variants exercise snapshot-cut
@@ -638,7 +625,7 @@ func (r *MatrixReport) Failures() []*Result {
 func (r *MatrixReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scenario matrix: %d cells, %d failing\n", len(r.Results), len(r.Failures()))
-	fmt.Fprintf(&b, "%-48s %-5s %9s %10s %6s %8s\n", "cell", "ok", "done", "mean", "POMs", "vtime")
+	fmt.Fprintf(&b, "%-48s %-5s %9s %10s %6s %5s %8s\n", "cell", "ok", "done", "mean", "POMs", "VCs", "vtime")
 	for _, res := range r.Results {
 		ok := "pass"
 		switch {
@@ -649,9 +636,9 @@ func (r *MatrixReport) Render() string {
 		case res.Cell.XFail != "":
 			ok = "XPASS"
 		}
-		fmt.Fprintf(&b, "%-48s %-5s %4d/%-4d %10s %6d %8s\n",
+		fmt.Fprintf(&b, "%-48s %-5s %4d/%-4d %10s %6d %5d %8s\n",
 			res.Cell.Name(), ok, res.Completed, res.Expected,
-			res.Mean.Round(time.Millisecond), res.POMs, res.VirtualTime.Round(time.Second))
+			res.Mean.Round(time.Millisecond), res.POMs, res.ViewChanges, res.VirtualTime.Round(time.Second))
 	}
 	for _, res := range r.Results {
 		if !res.Pass {

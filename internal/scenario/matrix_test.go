@@ -25,8 +25,9 @@ func TestSmokeMatrix(t *testing.T) {
 
 // TestFullMatrix runs every cell of the fault matrix — all four
 // protocols × batching × checkpointing × the strategy and shape
-// catalogues, plus the crash-restart cells. Known deficiencies are encoded
-// as XFail on their cells; an unexpected failure prints its replay line.
+// catalogues, plus the crash-restart cells. A known deficiency would be
+// encoded as XFail on its cells (none is); a failure prints its replay
+// line.
 func TestFullMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 309-cell matrix (not short)")
@@ -116,5 +117,32 @@ func TestCataloguesResolve(t *testing.T) {
 	}
 	if StrategyByName("no-such-strategy") != nil || ShapeByName("no-such-shape") != nil {
 		t.Error("unknown names must resolve to nil")
+	}
+}
+
+// TestFaultyPrimaryCellsChangeViews: in every silent-owner and
+// equivocating-owner cell of a sequenced protocol the correct replicas
+// depose the primary through the shared view change at least once, so the
+// matrix exercises that path and not only its outcome.
+func TestFaultyPrimaryCellsChangeViews(t *testing.T) {
+	seed := SeedFromEnv(1)
+	var cells []Cell
+	for _, c := range DefaultMatrix() {
+		if c.Protocol != engine.EZBFT && c.Shape == nil && c.Strategy != nil &&
+			(c.Strategy.Name == "silent-owner" || c.Strategy.Name == "equivocating-owner") {
+			cells = append(cells, c)
+		}
+	}
+	if len(cells) != 24 {
+		t.Fatalf("found %d cells, want 3 protocols × 2 strategies × batching × checkpointing = 24", len(cells))
+	}
+	rep, err := RunMatrix(cells, Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range rep.Results {
+		if !res.Pass || res.ViewChanges == 0 {
+			t.Errorf("%s: %d view changes (EZBFT_SCENARIO_SEED=%d)", res, res.ViewChanges, seed)
+		}
 	}
 }

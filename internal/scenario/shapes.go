@@ -107,14 +107,17 @@ func flappingPartition(env ShapeEnv) sim.Filter {
 	}
 }
 
-// viewChangeStorm repeatedly decapitates the cluster: on a 4s cycle it
-// isolates replica (cycle mod N-1) for the first 2s, then reconnects it
-// for 2s. The rotation chases the advancing leadership — cutting the
-// view-0 primary forces a view change, the next cycle cuts the replica
-// that just inherited the role, and so on — so the cluster must absorb
-// back-to-back view changes while each deposed primary returns with a
-// log gap only state transfer can close. Replica N-1 is never cut,
-// keeping at least one replica with guaranteed full state.
+// viewChangeStorm isolates one replica at a time: on a 4s cycle it cuts
+// replica (cycle mod N-1) off for the first 2s and reconnects it for 2s,
+// a rotation meant to cut each primary the previous cycle installed.
+// Replica N-1 is never cut, keeping one replica with full state. At the
+// default Config it forces no view change: the view-0 primary's 2s cut is
+// shorter than ForwardTimeout (4 × the 600 ms latency bound, 2.4s), and
+// HealAt (3s) ends the storm inside the first cycle. What it does exercise
+// is a primary that misses 2s of traffic and returns with a log gap, which
+// retransmission or, with checkpointing, state transfer closes. Forcing
+// back-to-back view changes takes longer cuts and a later HealAt, which
+// would move ezBFT's storm cells too.
 func viewChangeStorm(env ShapeEnv) sim.Filter {
 	const period = 4 * time.Second
 	rotation := env.N - 1

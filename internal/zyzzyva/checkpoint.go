@@ -39,43 +39,22 @@ func (h host) DropLog(mark uint64, histHash types.Digest) {
 }
 
 func (h host) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
-	e := &logEntry{Batch: engine.Batch{
-		Seq:      cs.Seq,
-		Cmds:     make([]types.Command, len(cs.Reqs)),
-		Digests:  make([]types.Digest, len(cs.Reqs)),
-		Results:  make([]types.Result, len(cs.Reqs)),
-		Executed: true,
-	}}
-	for j := range cs.Reqs {
-		cmd := cs.Reqs[j].Cmd
-		e.Cmds[j], e.Digests[j] = cmd, cmd.Digest()
-		h.cfg.Costs.ChargeExecute(ctx)
-		e.Results[j] = h.cfg.App.Apply(cmd)
-		h.Record(&e.Cmds[j], cs.Seq)
-		h.stats.SpecExecuted++
-	}
-	e.Digest = engine.BatchDigest(e.Digests)
+	e := &logEntry{}
+	h.Replay(ctx, cs, e)
 	e.histHash = chainHash(h.histHash, e.Digest)
-	h.Log[cs.Seq] = e
-	h.MaxExec = cs.Seq
 	h.histHash = e.histHash
+	h.stats.SpecExecuted += uint64(len(cs.Reqs))
 }
 
-// AdoptView moves a replica that missed view changes while partitioned to
-// the view its responders vouch for; it would otherwise drop every
-// ORDERREQ of the current view.
-func (h host) AdoptView(_ proc.Context, view uint64) {
-	if view > h.View() {
-		h.EnterView(view)
-	}
-}
-
-// Installed executes the buffered assignments above the transfer through
-// the regular drain.
+// Installed executes what a NEW-VIEW ordered above the transfer, then the
+// buffered assignments through the regular drain. A replica that missed
+// view changes while partitioned has already moved to the view its
+// responders vouch for (the Sequencer's AdoptView).
 func (h host) Installed(ctx proc.Context) {
 	if h.IsPrimary() {
-		h.NextSeq = h.MaxExec + 1
+		h.NextSeq = max(h.NextSeq, h.MaxExec+1)
 	}
+	h.executeLog(ctx)
 	h.drain(ctx)
 	h.Life().MaybeEmit(ctx, h.histHash)
 }

@@ -75,14 +75,8 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			return true
 		case *LocalCommit:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *HatePrimary:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *ViewChange:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *NewView:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		default:
-			ok, handled := engine.PreVerifyLog(a, msg)
+			ok, handled := engine.PreVerifyShared(a, msg)
 			return ok || !handled
 		}
 	}

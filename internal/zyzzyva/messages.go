@@ -7,10 +7,12 @@
 // 2f+1. The paper reimplemented Zyzzyva in its common evaluation framework;
 // this package does the same on this repository's substrate.
 //
-// View changes are implemented in skeleton form (primary failure detection
-// via client retransmission + I-HATE-THE-PRIMARY voting, history carry-over
-// from the highest commit certificate): enough to restore progress when the
-// primary fails, which is all the paper's experiments exercise.
+// The view change that deposes a faulty primary is the engine's
+// (internal/engine/viewchange.go): a backup whose forwarded request is not
+// ordered asks for the next view, a slot's commit certificate is what a
+// VIEW-CHANGE proves it with, and a batch f+1 VIEW-CHANGEs report — as any
+// batch a client completed on the fast path is — survives into the new
+// view.
 package zyzzyva
 
 import (
@@ -21,16 +23,14 @@ import (
 
 // Message tags reserved by Zyzzyva (40-49, plus 61-63 and 65 from the
 // shared expansion block 60-69; 48, 49 and 65 are the log-lifecycle
-// messages in checkpoint.go).
+// messages in checkpoint.go, 46 and 47 the engine's view-change pair; 45 is
+// free).
 const (
 	tagRequest      = 40
 	tagOrderReq     = 41
 	tagSpecResponse = 42
 	tagCommitCert   = 43
 	tagLocalCommit  = 44
-	tagHatePrimary  = 45
-	tagViewChange   = 46
-	tagNewView      = 47
 	// Batched variants (primary-side batches of ≥ 2 requests); batches of
 	// one keep the original tags and their exact byte layouts.
 	tagOrderReqBatch     = 61
@@ -41,57 +41,19 @@ const (
 // maxBatch bounds the requests decoded per batched ORDERREQ.
 const maxBatch = 4096
 
-// Request is the client's signed command submission.
-type Request struct {
-	Cmd types.Command
-	Sig []byte
+type requestTag struct{}
 
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
+func (requestTag) Tag() uint8 { return tagRequest }
 
-// Clone returns a copy safe to take while other nodes' verifier pools may
-// still be marking the shared original (client retransmissions hand one
-// decoded Request to every replica on the in-process mesh): the embedded
-// Verified flag is re-read atomically instead of plain-copied.
-func (m *Request) Clone() Request {
-	cp := Request{Cmd: m.Cmd, Sig: m.Sig}
-	if m.SigVerified() {
-		cp.MarkSigVerified()
-	}
-	return cp
-}
+// Request is the client's signed command submission (the engine's shared
+// shape).
+type Request = engine.Request[requestTag]
 
-// Tag implements codec.Message.
-func (m *Request) Tag() uint8 { return tagRequest }
-
-// Command, Signature and SetSignature implement engine.ClientRequest.
-func (m *Request) Command() *types.Command { return &m.Cmd }
-func (m *Request) Signature() []byte       { return m.Sig }
-func (m *Request) SetSignature(sig []byte) { m.Sig = sig }
-
-// MarshalTo implements codec.Message.
-func (m *Request) MarshalTo(w *codec.Writer) {
-	w.Command(m.Cmd)
-	w.Blob(m.Sig)
-}
-
-// MarshalBody writes the bytes the client signature covers.
-func (m *Request) MarshalBody(w *codec.Writer) {
-	w.Command(m.Cmd)
-}
-
-func decodeRequest(r *codec.Reader) (*Request, error) {
-	m := &Request{}
-	return m, decodeRequestInto(r, m)
-}
-
-// decodeRequestInto parses a REQUEST into m, which is where messages that
-// embed requests by value (ordering batches, catch-up suffixes, WAL records)
-// want it.
-func decodeRequestInto(r *codec.Reader, m *Request) error {
-	m.Cmd = r.Command()
-	m.Sig = r.Blob()
-	return r.Err()
+// viewTags are Zyzzyva's view-change tags: a VIEW-CHANGE carries ORDERREQs
+// and commit certificates' SPECRESPONSEs.
+var viewTags = engine.ViewTags{
+	ViewChange: 46, NewView: 47,
+	Frames: []uint8{tagOrderReq, tagOrderReqBatch}, Votes: []uint8{tagSpecResponse, tagSpecResponseBatch},
 }
 
 // OrderReq is the primary's ordering assignment ⟨ORDERREQ, v, n, h, d⟩σp.
@@ -117,6 +79,9 @@ type OrderReq struct {
 
 // Signature implements engine.Frame.
 func (m *OrderReq) Signature() []byte { return m.Sig }
+
+// Position implements engine.Frame.
+func (m *OrderReq) Position() (uint64, uint64, types.Digest) { return m.View, m.Seq, m.CmdDigest }
 
 // BatchSize returns the number of requests this ORDERREQ assigns.
 func (m *OrderReq) BatchSize() int { return 1 + len(m.Batch) }
@@ -166,12 +131,12 @@ func decodeOrderReqFmt(r *codec.Reader, batched bool) (*OrderReq, error) {
 		CmdDigest: r.Bytes32(),
 	}
 	m.Sig = r.Blob()
-	if err := decodeRequestInto(r, &m.Req); err != nil {
+	if err := engine.DecodeRequestInto(r, &m.Req); err != nil {
 		return nil, err
 	}
 	if batched {
 		var err error
-		if m.Batch, err = engine.DecodeBatch(r, maxBatch-2, decodeRequestInto); err != nil {
+		if m.Batch, err = engine.DecodeBatch(r, maxBatch-2, engine.DecodeRequestInto[requestTag]); err != nil {
 			return nil, err
 		}
 	}
@@ -205,6 +170,12 @@ func (m *SpecResponse) Tag() uint8 {
 		return tagSpecResponseBatch
 	}
 	return tagSpecResponse
+}
+
+// Voted implements engine.CertVote: a commit certificate's votes are
+// SPECRESPONSEs for one command.
+func (m *SpecResponse) Voted() (uint64, uint64, types.Digest, types.ReplicaID, []byte) {
+	return m.View, m.Seq, m.CmdDigest, m.Replica, m.Sig
 }
 
 // MarshalTo implements codec.Message.
@@ -372,214 +343,13 @@ func decodeLocalCommit(r *codec.Reader) (*LocalCommit, error) {
 	return m, r.Err()
 }
 
-// HatePrimary is a replica's vote to depose the current primary.
-type HatePrimary struct {
-	View    uint64
-	Replica types.ReplicaID
-	Sig     []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// Tag implements codec.Message.
-func (m *HatePrimary) Tag() uint8 { return tagHatePrimary }
-
-// MarshalTo implements codec.Message.
-func (m *HatePrimary) MarshalTo(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Int32(int32(m.Replica))
-	w.Blob(m.Sig)
-}
-
-// MarshalBody writes the bytes the replica signature covers.
-func (m *HatePrimary) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Int32(int32(m.Replica))
-}
-
-func decodeHatePrimary(r *codec.Reader) (*HatePrimary, error) {
-	m := &HatePrimary{View: r.Uvarint(), Replica: types.ReplicaID(r.Int32())}
-	m.Sig = r.Blob()
-	return m, r.Err()
-}
-
-// ViewChange carries a replica's ordered history to the new primary.
-type ViewChange struct {
-	NewView uint64
-	Replica types.ReplicaID
-	// MaxSeq is the highest sequence number this replica holds.
-	MaxSeq uint64
-	// Entries are the commands ordered since the last stable point.
-	Entries []VCEntry
-	Sig     []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// VCEntry is one history entry in a view change. Batched assignments are
-// carried — and adopted — whole: Cmd is the first command and Extra the
-// rest, so a view change can never split a batch.
-type VCEntry struct {
-	Seq       uint64
-	CmdDigest types.Digest // batch digest for batched assignments
-	Cmd       types.Command
-	Committed bool
-	Extra     []types.Command // commands 2..k of a batched assignment
-}
-
-// vcBatchFlag marks a batched history entry; it is OR'ed into the
-// committed byte on the wire so unbatched entries keep the pre-batching
-// layout (Committed encoded as 0 or 1).
-const vcBatchFlag = 0x80
-
-func (e *VCEntry) marshalTo(w *codec.Writer) {
-	w.Uvarint(e.Seq)
-	w.Bytes32(e.CmdDigest)
-	w.Command(e.Cmd)
-	status := uint8(0)
-	if e.Committed {
-		status = 1
-	}
-	if len(e.Extra) > 0 {
-		status |= vcBatchFlag
-	}
-	w.Uint8(status)
-	engine.MarshalBatch(w, e.Extra, encodeCommand)
-}
-
-func decodeVCEntry(r *codec.Reader) (VCEntry, error) {
-	e := VCEntry{
-		Seq:       r.Uvarint(),
-		CmdDigest: r.Bytes32(),
-		Cmd:       r.Command(),
-	}
-	status := r.Uint8()
-	e.Committed = status&1 != 0
-	if status&vcBatchFlag != 0 {
-		var err error
-		if e.Extra, err = engine.DecodeBatch(r, maxBatch-2, decodeCommandInto); err != nil {
-			return e, err
-		}
-	}
-	return e, r.Err()
-}
-
-func encodeCommand(c *types.Command, w *codec.Writer) { w.Command(*c) }
-
-func decodeCommandInto(r *codec.Reader, c *types.Command) error {
-	*c = r.Command()
-	return r.Err()
-}
-
-// Cmds returns the entry's full command batch.
-func (e *VCEntry) Cmds() []types.Command {
-	out := make([]types.Command, 0, 1+len(e.Extra))
-	out = append(out, e.Cmd)
-	return append(out, e.Extra...)
-}
-
-// Tag implements codec.Message.
-func (m *ViewChange) Tag() uint8 { return tagViewChange }
-
-// MarshalTo implements codec.Message.
-func (m *ViewChange) MarshalTo(w *codec.Writer) {
-	m.MarshalBody(w)
-	w.Blob(m.Sig)
-}
-
-func (m *ViewChange) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.NewView)
-	w.Int32(int32(m.Replica))
-	w.Uvarint(m.MaxSeq)
-	w.Uvarint(uint64(len(m.Entries)))
-	for i := range m.Entries {
-		m.Entries[i].marshalTo(w)
-	}
-}
-
-func decodeViewChange(r *codec.Reader) (*ViewChange, error) {
-	m := &ViewChange{
-		NewView: r.Uvarint(),
-		Replica: types.ReplicaID(r.Int32()),
-		MaxSeq:  r.Uvarint(),
-	}
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, codec.ErrOverflow
-	}
-	m.Entries = make([]VCEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		e, err := decodeVCEntry(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Entries = append(m.Entries, e)
-	}
-	m.Sig = r.Blob()
-	return m, r.Err()
-}
-
-// NewView announces the new primary's consolidated history.
-type NewView struct {
-	View    uint64
-	Replica types.ReplicaID
-	Entries []VCEntry
-	Sig     []byte
-
-	codec.Verified // transport-side pre-verification marker; never marshaled
-}
-
-// Tag implements codec.Message.
-func (m *NewView) Tag() uint8 { return tagNewView }
-
-// MarshalTo implements codec.Message.
-func (m *NewView) MarshalTo(w *codec.Writer) {
-	m.MarshalBody(w)
-	w.Blob(m.Sig)
-}
-
-func (m *NewView) MarshalBody(w *codec.Writer) {
-	w.Uvarint(m.View)
-	w.Int32(int32(m.Replica))
-	w.Uvarint(uint64(len(m.Entries)))
-	for i := range m.Entries {
-		m.Entries[i].marshalTo(w)
-	}
-}
-
-func decodeNewView(r *codec.Reader) (*NewView, error) {
-	m := &NewView{View: r.Uvarint(), Replica: types.ReplicaID(r.Int32())}
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, codec.ErrOverflow
-	}
-	m.Entries = make([]VCEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		e, err := decodeVCEntry(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Entries = append(m.Entries, e)
-	}
-	m.Sig = r.Blob()
-	return m, r.Err()
-}
-
 func init() {
-	codec.Register(tagRequest, "zyzzyva.Request", func(r *codec.Reader) (codec.Message, error) { return decodeRequest(r) })
+	engine.RegisterRequest[requestTag]("zyzzyva")
 	codec.Register(tagOrderReq, "zyzzyva.OrderReq", func(r *codec.Reader) (codec.Message, error) { return decodeOrderReq(r) })
 	codec.Register(tagSpecResponse, "zyzzyva.SpecResponse", func(r *codec.Reader) (codec.Message, error) { return decodeSpecResponse(r) })
 	codec.Register(tagCommitCert, "zyzzyva.CommitCert", func(r *codec.Reader) (codec.Message, error) { return decodeCommitCert(r, false) })
 	codec.Register(tagLocalCommit, "zyzzyva.LocalCommit", func(r *codec.Reader) (codec.Message, error) { return decodeLocalCommit(r) })
-	codec.Register(tagHatePrimary, "zyzzyva.HatePrimary", func(r *codec.Reader) (codec.Message, error) { return decodeHatePrimary(r) })
-	codec.Register(tagViewChange, "zyzzyva.ViewChange", func(r *codec.Reader) (codec.Message, error) { return decodeViewChange(r) })
-	codec.Register(tagNewView, "zyzzyva.NewView", func(r *codec.Reader) (codec.Message, error) { return decodeNewView(r) })
+	engine.RegisterViewMessages("zyzzyva", viewTags, logTags.Checkpoint)
 	codec.Register(tagOrderReqBatch, "zyzzyva.OrderReqB", func(r *codec.Reader) (codec.Message, error) { return decodeOrderReqFmt(r, true) })
 	codec.Register(tagSpecResponseBatch, "zyzzyva.SpecResponseB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecResponseFmt(r, true) })
 	codec.Register(tagCommitCertBatch, "zyzzyva.CommitCertB", func(r *codec.Reader) (codec.Message, error) { return decodeCommitCert(r, true) })

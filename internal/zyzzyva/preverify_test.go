@@ -66,10 +66,10 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 			Cert:      cert,
 		}
 	}
-	hate := func() *HatePrimary {
-		hp := &HatePrimary{View: 0, Replica: 2}
-		hp.Sig = engine.SignBody(rauth(2), hp)
-		return hp
+	viewChange := func() *engine.ViewChange {
+		vc := &engine.ViewChange{View: 1, Replica: 2}
+		vc.Sig = engine.SignBody(rauth(2), vc)
+		return vc
 	}
 
 	cases := []struct {
@@ -84,8 +84,8 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 		{"orderreq/bad-client-sig", func() codec.Message { m := orderReq(); m.Req.Sig[0] ^= 0xFF; return m }, false},
 		{"commitcert/valid", func() codec.Message { return commitCert() }, true},
 		{"commitcert/bad-cert-sig", func() codec.Message { m := commitCert(); m.Cert[1].Sig[0] ^= 0xFF; return m }, false},
-		{"hateprimary/valid", func() codec.Message { return hate() }, true},
-		{"hateprimary/bad-sig", func() codec.Message { m := hate(); m.Sig[0] ^= 0xFF; return m }, false},
+		{"viewchange/valid", func() codec.Message { return viewChange() }, true},
+		{"viewchange/bad-sig", func() codec.Message { m := viewChange(); m.Sig[0] ^= 0xFF; return m }, false},
 	}
 
 	fresh := func() *Replica {

@@ -2,7 +2,6 @@ package zyzzyva
 
 import (
 	"crypto/sha256"
-	"sort"
 
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
@@ -19,39 +18,36 @@ func primaryOf(view uint64, n int) types.ReplicaID {
 }
 
 // ReplicaConfig configures one Zyzzyva replica. Zyzzyva executes
-// speculatively in sequence order (rollback happens only across view
-// changes, which re-propose the same suffix, so the state is applied
-// directly). CheckpointInterval 0 (the default) disables checkpointing —
-// byte-identical original flow.
+// speculatively in sequence order and keeps no undo log: a view change
+// carries every batch a client may have completed into the new view, and
+// a replica there re-executes nothing it executed (see the limits in
+// internal/engine/viewchange.go). CheckpointInterval 0 (the default)
+// disables checkpointing — byte-identical original flow.
 type ReplicaConfig = engine.SeqConfig
 
 // logEntry is one ordered slot (a whole batch of commands with primary-side
 // batching; the history hash chains the batch digest).
 type logEntry struct {
 	engine.Batch
-	view      uint64 // the view the slot was ordered in
-	histHash  types.Digest
-	committed bool
+	histHash types.Digest
+	// cert is a commit certificate the slot received, the certificate a
+	// VIEW-CHANGE reports.
+	cert []*SpecResponse
 }
 
 type sequencer = engine.Sequencer[Request, *Request, *SpecResponse, *logEntry]
 
 // Replica is one Zyzzyva replica; it implements proc.Process. Admission,
 // batching, frame checks, execution, the reply cache and the log lifecycle
-// are its engine.Sequencer's; this package adds the history chain,
-// speculative responses, commit certificates and the view change.
+// are its engine.Sequencer's, and so is the view change; this package adds
+// the history chain, speculative responses and commit certificates.
 type Replica struct {
 	*sequencer
 	cfg ReplicaConfig
 	n   int
-	f   int
 
 	histHash types.Digest
 	pending  map[uint64]*OrderReq // out-of-order buffer
-
-	// view change state
-	hateVotes engine.Votes[bool]
-	vcMsgs    engine.Votes[*ViewChange]
 
 	stats ReplicaStats
 }
@@ -61,7 +57,6 @@ type ReplicaStats struct {
 	Ordered      uint64
 	SpecExecuted uint64
 	LocalCommits uint64
-	ViewChanges  uint64
 	engine.SeqStats
 }
 
@@ -69,20 +64,12 @@ var _ proc.Process = (*Replica)(nil)
 
 // NewReplica constructs a Zyzzyva replica.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
-	r := &Replica{
-		cfg:       cfg,
-		n:         cfg.N,
-		f:         faults(cfg.N),
-		pending:   make(map[uint64]*OrderReq),
-		hateVotes: make(engine.Votes[bool]),
-		vcMsgs:    make(engine.Votes[*ViewChange]),
-	}
-	seq, err := engine.NewSequencer[Request, *Request, *SpecResponse, *logEntry]("zyzzyva", &r.cfg, maxBatch, logTags, host{r})
+	r := &Replica{cfg: cfg, n: cfg.N, pending: make(map[uint64]*OrderReq)}
+	seq, err := engine.NewSequencer[Request, *Request, *SpecResponse, *logEntry]("zyzzyva", &r.cfg, maxBatch, logTags, viewTags, host{r})
 	if err != nil {
 		return nil, err
 	}
 	r.sequencer = seq
-	r.TrackVotes(r.hateVotes, r.vcMsgs)
 	return r, nil
 }
 
@@ -109,21 +96,16 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 		r.handleOrderReq(ctx, m)
 	case *CommitCert:
 		r.handleCommitCert(ctx, m)
-	case *HatePrimary:
-		r.handleHatePrimary(ctx, m)
-	case *ViewChange:
-		r.handleViewChange(ctx, m)
-	case *NewView:
-		r.handleNewView(ctx, m)
 	default:
-		if !r.ReceiveLog(ctx, msg) {
+		if !r.Route(ctx, msg) {
 			r.stats.DroppedInvalid++
 		}
 	}
 }
 
 // host is Zyzzyva's half of its Sequencer (engine.SeqHost,
-// engine.ReplyRefresher) and of its Lifecycle (checkpoint.go).
+// engine.ReplyRefresher, engine.ViewHost) and of its Lifecycle
+// (checkpoint.go).
 type host struct{ *Replica }
 
 // Order broadcasts one ORDERREQ — one primary signature, one wire frame,
@@ -145,16 +127,13 @@ func (h host) Order(ctx proc.Context, seq uint64, digest types.Digest, digests [
 
 // Reply signs the SPECRESPONSE to one speculatively executed command.
 func (h host) Reply(ctx proc.Context, e *logEntry, i int) *SpecResponse {
-	return h.specResponse(ctx, e.view, e, i)
+	return h.specResponse(ctx, e.View, e, i)
 }
-
-// Suspect votes to depose the primary.
-func (h host) Suspect(ctx proc.Context) { h.voteHatePrimary(ctx) }
 
 // RefreshReply resends a cached SPECRESPONSE only within its view. Either
 // a cached response predates a view change (SPECRESPONSEs only match within
 // one view, so a stale copy can never complete the client's quorum) or the
-// entry was adopted from a NEW-VIEW without ever being answered: the
+// entry executed before the NEW-VIEW that adopted it: the
 // response is rebuilt from the log at the current view so every honest
 // replica serves a matching copy.
 func (h host) RefreshReply(ctx proc.Context, key engine.ReqKey, cached *SpecResponse, ok bool) (*SpecResponse, bool) {
@@ -225,7 +204,9 @@ func (r *Replica) drain(ctx proc.Context) {
 // acceptOrderReq speculatively executes one contiguous assignment — the
 // whole batch, in batch order — and answers every client with its own
 // SPECRESPONSE. digests carries the per-command digests the caller already
-// computed (nil recomputes them — the out-of-order drain path).
+// computed (nil recomputes them — the out-of-order drain path). Entering
+// the commands in the exactly-once table also stops a backup suspecting
+// the primary over them: the ORDERREQ is evidence the primary is alive.
 func (r *Replica) acceptOrderReq(ctx proc.Context, m *OrderReq, digests []types.Digest) {
 	// Verify the history chain: a faulty primary that diverges produces a
 	// mismatched hash, which surfaces as unequal responses at the client.
@@ -234,26 +215,23 @@ func (r *Replica) acceptOrderReq(ctx proc.Context, m *OrderReq, digests []types.
 		r.stats.DroppedInvalid++
 		return
 	}
-	if digests == nil {
-		digests = make([]types.Digest, m.BatchSize())
-		for i := range digests {
-			digests[i] = m.ReqAt(i).Cmd.Digest()
+	r.Place(&logEntry{Batch: engine.Batch{Seq: m.Seq}}, m.View, m, m.CmdDigest, digests)
+	r.executeLog(ctx)
+}
+
+// executeLog speculatively executes, in sequence order, the accepted
+// entries above the executed watermark, extending the history chain.
+func (r *Replica) executeLog(ctx proc.Context) {
+	for {
+		e, ok := r.Log[r.MaxExec+1]
+		if !ok || e.Executed {
+			return
 		}
+		e.histHash = chainHash(r.histHash, e.Digest)
+		r.histHash = e.histHash
+		r.Execute(ctx, e)
+		r.Life().MaybeEmit(ctx, r.histHash)
 	}
-	e := &logEntry{
-		Batch:    engine.Batch{Seq: m.Seq, Cmds: make([]types.Command, m.BatchSize()), Digests: digests, Digest: m.CmdDigest},
-		view:     m.View,
-		histHash: m.HistHash,
-	}
-	r.Log[m.Seq] = e
-	r.histHash = m.HistHash
-	for i := range e.Cmds {
-		e.Cmds[i] = m.ReqAt(i).Cmd
-		// The ORDERREQ doubles as evidence the primary is alive.
-		r.Assign(&e.Cmds[i], m.Seq)
-	}
-	r.Execute(ctx, e)
-	r.Life().MaybeEmit(ctx, r.histHash)
 }
 
 // specResponse signs the SPECRESPONSE to command i of an executed entry at
@@ -326,208 +304,79 @@ func (r *Replica) handleCommitCert(ctx proc.Context, m *CommitCert) {
 		}
 		seen[sr.Replica] = true
 	}
-	e, ok := r.Log[m.Seq]
-	if !ok {
-		if m.Seq <= r.StableCheckpoint() {
-			// The slot was truncated — meaning it executed under a stable
-			// checkpoint, a strictly stronger durability guarantee than a
-			// local commit. Acknowledge from the reply cache so a client
-			// whose certificate raced log truncation can still finish.
-			if sr, ok := r.CachedReply(engine.ReqKey{Client: m.Client, TS: m.Timestamp}); ok && sr.CmdDigest == m.CmdDigest {
-				lc := &LocalCommit{
-					View:      r.View(),
-					Seq:       m.Seq,
-					CmdDigest: m.CmdDigest,
-					Replica:   r.cfg.Self,
-					Result:    sr.Result,
-				}
-				r.cfg.Costs.ChargeSign(ctx)
-				lc.Sig = engine.SignBody(r.cfg.Auth, lc)
-				r.stats.LocalCommits++
-				r.Send(ctx, types.ClientNode(m.Client), lc)
-			}
+	var result types.Result
+	switch e, ok := r.Log[m.Seq]; {
+	case ok && e.Executed:
+		// Locate the certificate's command inside the (possibly batched)
+		// assignment: the batch position is signed into every response.
+		idx := int(m.Cert[0].BatchIdx)
+		if idx >= len(e.Cmds) || e.Digests[idx] != m.CmdDigest || m.Cert[0].Batched != (len(e.Cmds) > 1) {
 			return
 		}
+		e.cert = m.Cert
+		result = e.Results[idx]
+	case !ok && m.Seq <= r.StableCheckpoint():
+		// The slot was truncated — meaning it executed under a stable
+		// checkpoint, a strictly stronger durability guarantee than a
+		// local commit. Acknowledge from the reply cache so a client whose
+		// certificate raced log truncation can still finish.
+		sr, ok := r.CachedReply(engine.ReqKey{Client: m.Client, TS: m.Timestamp})
+		if !ok || sr.CmdDigest != m.CmdDigest {
+			return
+		}
+		result = sr.Result
+	default:
 		// We have not executed this sequence number yet; the certificate
 		// proves the order, but without the ORDERREQ we cannot execute.
 		// The client's retransmission machinery will re-drive it.
 		return
 	}
-	// Locate the certificate's command inside the (possibly batched)
-	// assignment: the batch position is signed into every response.
-	idx := int(m.Cert[0].BatchIdx)
-	if idx >= len(e.Cmds) || e.Digests[idx] != m.CmdDigest {
-		return
-	}
-	e.committed = true
-	lc := &LocalCommit{
-		View:      r.View(),
-		Seq:       m.Seq,
-		CmdDigest: m.CmdDigest,
-		Replica:   r.cfg.Self,
-		Result:    e.Results[idx],
-	}
+	lc := &LocalCommit{View: r.View(), Seq: m.Seq, CmdDigest: m.CmdDigest, Replica: r.cfg.Self, Result: result}
 	r.cfg.Costs.ChargeSign(ctx)
 	lc.Sig = engine.SignBody(r.cfg.Auth, lc)
 	r.stats.LocalCommits++
 	r.Send(ctx, types.ClientNode(m.Client), lc)
 }
 
-// --- view change (skeleton) ---
+// Zyzzyva's half of the view change (engine.ViewHost).
 
-func (r *Replica) voteHatePrimary(ctx proc.Context) {
-	if r.InVC {
-		return
+func (host) NewSlot(seq uint64) *logEntry { return &logEntry{Batch: engine.Batch{Seq: seq}} }
+
+// Adopt executes a slot a NEW-VIEW ordered once it is contiguous; one that
+// executed already is left as it is.
+func (h host) Adopt(ctx proc.Context, _ *logEntry) { h.executeLog(ctx) }
+
+// Certificate is the commit certificate the slot received, if any.
+func (host) Certificate(e *logEntry) []codec.Message {
+	if e.cert == nil {
+		return nil
 	}
-	hp := &HatePrimary{View: r.View(), Replica: r.cfg.Self}
-	r.cfg.Costs.ChargeSign(ctx)
-	hp.Sig = engine.SignBody(r.cfg.Auth, hp)
-	r.Broadcast(ctx, hp)
-	r.recordHate(ctx, r.View(), r.cfg.Self)
+	cert := make([]codec.Message, len(e.cert))
+	for i, sr := range e.cert {
+		cert[i] = sr
+	}
+	return cert
 }
 
-func (r *Replica) handleHatePrimary(ctx proc.Context, m *HatePrimary) {
-	if m.View != r.View() {
-		return
+// CheckCert accepts a commit certificate — 2f+1 matching SPECRESPONSEs of
+// distinct replicas — for one command of the batch frame orders.
+func (h host) CheckCert(ctx proc.Context, seq uint64, frame codec.Message, _ types.Digest, cert []codec.Message) bool {
+	or, ok := frame.(*OrderReq)
+	if !ok {
+		return false
 	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
+	first, ok := cert[0].(*SpecResponse)
+	if !ok || int(first.BatchIdx) >= or.BatchSize() || first.Batched != (or.BatchSize() > 1) {
+		return false
+	}
+	for _, c := range cert {
+		if sr, ok := c.(*SpecResponse); !ok || !sr.Matches(first) {
+			return false
 		}
 	}
-	r.recordHate(ctx, m.View, m.Replica)
+	return h.CheckVotes(ctx, cert, seq, or.ReqAt(int(first.BatchIdx)).Cmd.Digest(), commQuorum(h.n), false)
 }
 
-func (r *Replica) recordHate(ctx proc.Context, view uint64, from types.ReplicaID) {
-	votes := r.hateVotes.Add(view, from, true, r.f+1)
-	if len(votes) < r.f+1 || r.InVC {
-		return
-	}
-	// f+1 votes prove at least one correct replica suspects the primary:
-	// move to the next view.
-	r.InVC = true
-	newView := r.View() + 1
-	vc := &ViewChange{NewView: newView, Replica: r.cfg.Self, MaxSeq: r.MaxExec}
-	seqs := make([]uint64, 0, len(r.Log))
-	for seq := range r.Log {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		e := r.Log[seq]
-		entry := VCEntry{
-			Seq: seq, CmdDigest: e.Digest, Cmd: e.Cmds[0], Committed: e.committed,
-		}
-		if len(e.Cmds) > 1 {
-			// Batched assignments are reported whole so a view change can
-			// never split a batch.
-			entry.Extra = append([]types.Command(nil), e.Cmds[1:]...)
-		}
-		vc.Entries = append(vc.Entries, entry)
-	}
-	r.cfg.Costs.ChargeSign(ctx)
-	vc.Sig = engine.SignBody(r.cfg.Auth, vc)
-	newPrimary := primaryOf(newView, r.n)
-	if newPrimary == r.cfg.Self {
-		r.acceptViewChange(ctx, vc)
-	} else {
-		r.Send(ctx, types.ReplicaNode(newPrimary), vc)
-	}
-	// Amplify the vote so every correct replica joins.
-	hp := &HatePrimary{View: r.View(), Replica: r.cfg.Self}
-	r.cfg.Costs.ChargeSign(ctx)
-	hp.Sig = engine.SignBody(r.cfg.Auth, hp)
-	r.Broadcast(ctx, hp)
-}
-
-func (r *Replica) handleViewChange(ctx proc.Context, m *ViewChange) {
-	if m.NewView != r.View()+1 || primaryOf(m.NewView, r.n) != r.cfg.Self {
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	r.acceptViewChange(ctx, m)
-}
-
-func (r *Replica) acceptViewChange(ctx proc.Context, m *ViewChange) {
-	g := r.vcMsgs.Add(m.NewView, m.Replica, m, commQuorum(r.n))
-	if len(g) < commQuorum(r.n) {
-		return
-	}
-	// Consolidate: take the longest history among 2f+1 replicas.
-	var best *ViewChange
-	for _, rid := range engine.SortedReplicas(g) {
-		vc := g[rid]
-		if best == nil || vc.MaxSeq > best.MaxSeq {
-			best = vc
-		}
-	}
-	nv := &NewView{View: m.NewView, Replica: r.cfg.Self, Entries: best.Entries}
-	r.cfg.Costs.ChargeSign(ctx)
-	nv.Sig = engine.SignBody(r.cfg.Auth, nv)
-	r.Broadcast(ctx, nv)
-	r.applyNewView(ctx, nv)
-}
-
-func (r *Replica) handleNewView(ctx proc.Context, m *NewView) {
-	if m.View <= r.View() || primaryOf(m.View, r.n) != m.Replica {
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	r.applyNewView(ctx, m)
-}
-
-func (r *Replica) applyNewView(ctx proc.Context, m *NewView) {
-	if m.View <= r.View() {
-		return
-	}
-	r.EnterView(m.View)
-	r.stats.ViewChanges++
-	// Adopt any history entries we missed, executing them — whole batches,
-	// in batch order — as we go.
-	for _, e := range m.Entries {
-		if _, ok := r.Log[e.Seq]; ok || e.Seq != r.MaxExec+1 {
-			continue
-		}
-		cmds := e.Cmds()
-		le := &logEntry{
-			Batch: engine.Batch{
-				Seq: e.Seq, Cmds: cmds,
-				Digests:  make([]types.Digest, len(cmds)),
-				Digest:   e.CmdDigest,
-				Results:  make([]types.Result, len(cmds)),
-				Executed: true,
-			},
-			histHash:  chainHash(r.histHashAt(e.Seq-1), e.CmdDigest),
-			committed: e.Committed,
-		}
-		for i, cmd := range cmds {
-			r.cfg.Costs.ChargeExecute(ctx)
-			le.Digests[i] = cmd.Digest()
-			le.Results[i] = r.cfg.App.Apply(cmd)
-		}
-		r.Log[e.Seq] = le
-		r.MaxExec = e.Seq
-		r.histHash = le.histHash
-		for i := range cmds {
-			r.Record(&cmds[i], e.Seq)
-		}
-	}
-	r.Life().MaybeEmit(ctx, r.histHash)
-	if r.IsPrimary() {
-		r.NextSeq = r.MaxExec + 1
-	}
-}
+// EnteredView forgets the out-of-order buffer: the old view's assignments
+// are the new view's to make again.
+func (h host) EnteredView(proc.Context, uint64) { clear(h.pending) }

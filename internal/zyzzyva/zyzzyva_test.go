@@ -122,30 +122,6 @@ func TestCommitCertSlowPath(t *testing.T) {
 	}
 }
 
-// TestViewChangeOnPrimaryCrash: the cluster recovers from a crashed
-// primary and completes the remaining requests in a new view.
-func TestViewChangeOnPrimaryCrash(t *testing.T) {
-	spec := &bench.Spec{}
-	cluster, drivers := harness(t, spec, [][]types.Command{puts("a", 6)})
-	cluster.RT.Start()
-	cluster.RT.RunUntil(func() bool { return len(drivers[0].Results) >= 2 }, 20*time.Second)
-	cluster.RT.Crash(types.ReplicaNode(0))
-	done := cluster.RT.RunUntil(func() bool { return len(drivers[0].Results) == 6 }, 120*time.Second)
-	if !done {
-		t.Fatalf("only %d/6 completed after primary crash", len(drivers[0].Results))
-	}
-	for i := 1; i < 4; i++ {
-		if cluster.ZYReplicas[i].View() == 0 {
-			t.Fatalf("replica %d never left view 0", i)
-		}
-	}
-	for i := 2; i < 4; i++ {
-		if cluster.Apps[i].Digest() != cluster.Apps[1].Digest() {
-			t.Fatalf("replica %d diverged", i)
-		}
-	}
-}
-
 // TestHistoryHashChain: responses for consecutive requests carry distinct
 // chained history hashes, and a forged ORDERREQ with a broken chain is
 // rejected.
