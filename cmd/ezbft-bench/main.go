@@ -5,26 +5,18 @@
 // ezBFT's owner-side batching against the baselines' primary-side batching
 // — so high-load comparisons stay apples-to-apples.
 //
-// The `shard` experiment measures sharded scaling on the simulator:
-// aggregate throughput over 1/2/4/8 independent consensus groups behind
-// the consistent-hash router, at cross-shard transaction ratios
-// 0/0.05/0.2, for all four protocols, with per-shard stat rollups.
-// Virtual-time, but not part of `-e all` (it is a systems extension, not a
-// paper artifact); `-json` writes the snapshot (BENCH_shard.json).
-//
 // The `scenarios` experiment runs the adversarial fault matrix (see
 // internal/scenario): every Byzantine strategy and hostile network shape
 // against all four protocols, with invariants checked after every cell.
-// Also not part of `-e all`; it exits nonzero when any cell fails
+// It is not part of `-e all`; it exits nonzero when any cell fails
 // unexpectedly, and every failing cell prints a replay line (cell name +
 // seed). The seed comes from -seed, or EZBFT_SCENARIO_SEED when the flag
 // is not given.
 //
 // Usage:
 //
-//	ezbft-bench [-e table1|table2|fig4|fig5a|fig5b|fig6|fig7|ablation|batch|all|shard|scenarios]
+//	ezbft-bench [-e table1|table2|fig4|fig5a|fig5b|fig6|fig7|ablation|batch|all|scenarios]
 //	            [-duration 30s] [-warmup 2s] [-clients 3] [-seed 1]
-//	            [-json out.json]
 package main
 
 import (
@@ -46,12 +38,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("ezbft-bench", flag.ContinueOnError)
-	experiment := fs.String("e", "all", "experiment: table1, table2, fig4, fig5a, fig5b, fig6, fig7, ablation, batch, shard, scenarios, or all (shard and scenarios run only when named)")
+	experiment := fs.String("e", "all", "experiment: table1, table2, fig4, fig5a, fig5b, fig6, fig7, ablation, batch, scenarios, or all (scenarios runs only when named)")
 	duration := fs.Duration("duration", 30*time.Second, "simulated measurement window")
 	warmup := fs.Duration("warmup", 2*time.Second, "simulated warmup (discarded)")
 	clients := fs.Int("clients", 3, "closed-loop clients per region (latency experiments)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	jsonOut := fs.String("json", "", "also write the shard sweep result as JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,42 +69,6 @@ func run(args []string) error {
 		fmt.Printf("(scenarios simulated in %.1fs wall time, seed %d)\n\n", time.Since(start).Seconds(), matrixSeed)
 		if n := len(rep.Failures()); n > 0 {
 			return fmt.Errorf("scenarios: %d cell(s) failed unexpectedly", n)
-		}
-		return nil
-	}
-
-	if *experiment == "shard" {
-		// The shard sweep simulates 4 protocols × 3 cross-shard ratios ×
-		// shard counts up to 8 — 15 consensus groups of virtual time per
-		// ratio — so it carries its own shorter window defaults; only
-		// explicitly set flags override them.
-		ps := p
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if !explicit["duration"] {
-			ps.Duration = 0
-		}
-		if !explicit["warmup"] {
-			ps.Warmup = 0
-		}
-		if !explicit["clients"] {
-			ps.ClientsPerRegion = 0
-		}
-		start := time.Now()
-		res, err := bench.ShardSweep(ps)
-		if err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		fmt.Println(res.Render())
-		fmt.Printf("(shard simulated in %.1fs wall time)\n\n", time.Since(start).Seconds())
-		if *jsonOut != "" {
-			blob, err := res.WriteJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
 		}
 		return nil
 	}

@@ -12,41 +12,18 @@
 //	ezbft-client -replicas ... -secret demo incr counter
 //	ezbft-client -replicas ... -secret demo bench -count 200 -inflight 8
 //	ezbft-client -p pbft -replicas ... -secret demo put greeting hello
-//
-// Against a sharded deployment (servers started with -shards S), pass the
-// same -shards S: single-key commands route to their owning shard by
-// consistent hashing, and `txn k1=v1 k2=v2 ...` applies a multi-key write
-// atomically across shards through the two-phase commit coordinator:
-//
-//	ezbft-client -shards 2 -replicas ... -secret demo txn a=1 b=2
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"ezbft"
 )
-
-// offsetPort shifts an address's port by s — shard s of an ezbft-server
-// -shards deployment listens at the base port + s on every host.
-func offsetPort(addr string, s int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "", err
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil {
-		return "", fmt.Errorf("sharded deployments need explicit numeric ports: %w", err)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+s)), nil
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -65,19 +42,15 @@ func run(args []string) error {
 	secret := fs.String("secret", "", "shared HMAC secret (required unless -key is given)")
 	keyFile := fs.String("key", "", "ECDSA PEM key bundle file (switches authentication to ECDSA)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-command timeout")
-	shards := fs.Int("shards", 1, "shard count of the deployment: shard s's replicas are dialed at the -replicas ports + s (the ezbft-server -shards convention); keys route by consistent hashing")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *secret == "" && *keyFile == "" {
 		return fmt.Errorf("-secret or -key is required")
 	}
-	if *shards < 1 {
-		*shards = 1
-	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing command: put|get|incr|txn|bench")
+		return fmt.Errorf("missing command: put|get|incr|bench")
 	}
 
 	addrs := make(map[ezbft.ReplicaID]string)
@@ -93,71 +66,28 @@ func run(args []string) error {
 		addrs[ezbft.ReplicaID(rid)] = kv[1]
 	}
 
-	cfg := ezbft.TCPClientConfig{
+	client, err := ezbft.NewTCPClient(ezbft.TCPClientConfig{
 		Protocol: ezbft.Protocol(*proto),
 		ID:       ezbft.ClientID(*id),
 		N:        *n,
 		Nearest:  ezbft.ReplicaID(*leader),
+		Replicas: addrs,
 		Secret:   []byte(*secret),
 		KeyFile:  *keyFile,
 		OnConnectError: func(rid ezbft.ReplicaID, err error) {
 			fmt.Fprintf(os.Stderr, "ezbft-client: R%d unreachable (continuing): %v\n", rid, err)
 		},
+	})
+	if err != nil {
+		return err
 	}
-
-	// A sharded deployment (or a txn command, which runs the transaction
-	// coordinator even at one shard) goes through the sharded client: one
-	// connection per shard, one parsed keyring shared across them.
-	var (
-		client  *ezbft.Client
-		sharded *ezbft.ShardedClient
-	)
-	if *shards > 1 || rest[0] == "txn" {
-		shardReplicas := make([]map[ezbft.ReplicaID]string, *shards)
-		for s := range shardReplicas {
-			m := make(map[ezbft.ReplicaID]string, len(addrs))
-			for rid, addr := range addrs {
-				a := addr
-				if *shards > 1 {
-					var err error
-					if a, err = offsetPort(addr, s); err != nil {
-						return fmt.Errorf("-replicas: %w", err)
-					}
-				}
-				m[rid] = a
-			}
-			shardReplicas[s] = m
-		}
-		sc, err := ezbft.NewShardedTCPClient(cfg, shardReplicas)
-		if err != nil {
-			return err
-		}
-		defer sc.Close()
-		sharded = sc
-		client = sc.Conn(0)
-	} else {
-		cfg.Replicas = addrs
-		c, err := ezbft.NewTCPClient(cfg)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		client = c
-	}
+	defer client.Close()
 
 	execute := func(cmd ezbft.Command) (ezbft.Result, time.Duration, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
 		start := time.Now()
-		var (
-			res ezbft.Result
-			err error
-		)
-		if sharded != nil {
-			res, err = sharded.Execute(ctx, cmd)
-		} else {
-			res, err = client.Execute(ctx, cmd)
-		}
+		res, err := client.Execute(ctx, cmd)
 		return res, time.Since(start), err
 	}
 
@@ -193,31 +123,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("OK=%v (%.1fms)\n", res.OK, float64(lat)/float64(time.Millisecond))
-	case "txn":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: txn <key>=<value> [<key>=<value> ...]")
-		}
-		ops := make([]ezbft.TxnOp, 0, len(rest)-1)
-		for _, pair := range rest[1:] {
-			kv := strings.SplitN(pair, "=", 2)
-			if len(kv) != 2 || kv[0] == "" {
-				return fmt.Errorf("bad txn operation %q (want key=value)", pair)
-			}
-			ops = append(ops, ezbft.TxnOp{Op: ezbft.OpPut, Key: kv[0], Value: []byte(kv[1])})
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		start := time.Now()
-		err := sharded.Txn(ctx, ops)
-		lat := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("txn (%.1fms): %w", float64(lat)/float64(time.Millisecond), err)
-		}
-		fmt.Printf("COMMITTED %d key(s) (%.1fms)\n", len(ops), float64(lat)/float64(time.Millisecond))
 	case "bench":
-		if sharded != nil {
-			return fmt.Errorf("bench drives one consensus group; run it without -shards (or against one shard's ports)")
-		}
 		bfs := flag.NewFlagSet("bench", flag.ContinueOnError)
 		count := bfs.Int("count", 100, "number of requests")
 		inflight := bfs.Int("inflight", 8, "max commands in flight (1 = closed-loop)")
@@ -228,7 +134,7 @@ func run(args []string) error {
 			return err
 		}
 	default:
-		return fmt.Errorf("unknown command %q (want put|get|incr|txn|bench)", rest[0])
+		return fmt.Errorf("unknown command %q (want put|get|incr|bench)", rest[0])
 	}
 	st := client.Stats()
 	fmt.Printf("client stats: fast=%d slow=%d retries=%d\n", st.FastDecisions, st.SlowDecisions, st.Retries)

@@ -14,11 +14,7 @@
 //
 // then drive it with ezbft-client (pass the same -p). All nodes must share
 // -secret (HMAC key material) and -p; unknown protocol names are rejected
-// with the registered ones listed. -shards S hosts this replica for every
-// shard of an S-shard deployment — S independent consensus groups, shard s
-// listening (and dialing peers) at the configured port + s — which
-// ezbft-client's -shards S dials with the same port convention. -batch
-// enables leader-side request
+// with the registered ones listed. -batch enables leader-side request
 // batching on any protocol. -store-dir gives the replica a disk-backed
 // WAL + snapshot store: killed and restarted over the same directory, it
 // recovers its pre-crash state instead of state-transferring it from
@@ -28,11 +24,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -64,107 +57,45 @@ func run(args []string) error {
 	verifyWorkers := fs.Int("verify-workers", 0, "signature-verification workers (0 = GOMAXPROCS)")
 	storeDir := fs.String("store-dir", "", "durable-store directory: persist the WAL+snapshot there and recover state when restarted over it (empty = no durability)")
 	fsync := fs.Bool("fsync", false, "fsync the durable store at every group-commit point (crash-safe; requires -store-dir)")
-	shards := fs.Int("shards", 1, "host this replica for every shard of an S-shard deployment: shard s listens (and dials peers) at the configured port + s, stores under <store-dir>/s<s>")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *secret == "" && *keyFile == "" {
 		return fmt.Errorf("-secret or -key is required")
 	}
-	if *shards < 1 {
-		*shards = 1
-	}
-	// An explicit -shards (even 1) opts the replica into the transaction
-	// layer: the served application gains the lock tables the cross-shard
-	// commit protocol executes against. Without the flag the replica serves
-	// the plain store, byte-identical to previous behaviour.
-	shardedApp := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardedApp = true
-		}
-	})
-	var newApp ezbft.ApplicationFactory
-	if shardedApp {
-		newApp = ezbft.ShardedApp(nil)
-	}
 	addrs, err := parsePeers(*peers)
 	if err != nil {
 		return err
 	}
 
-	reps := make([]*ezbft.TCPReplica, 0, *shards)
-	defer func() {
-		for _, rep := range reps {
-			_ = rep.Close()
-		}
-	}()
-	for s := 0; s < *shards; s++ {
-		listenAddr, peerAddrs := *listen, addrs
-		dir := *storeDir
-		if *shards > 1 {
-			if listenAddr, err = offsetPort(*listen, s); err != nil {
-				return fmt.Errorf("-listen: %w", err)
-			}
-			peerAddrs = make(map[ezbft.ReplicaID]string, len(addrs))
-			for rid, addr := range addrs {
-				if peerAddrs[rid], err = offsetPort(addr, s); err != nil {
-					return fmt.Errorf("-peers: %w", err)
-				}
-			}
-			if dir != "" {
-				dir = filepath.Join(dir, fmt.Sprintf("s%d", s))
-			}
-		}
-		rep, err := ezbft.StartTCPReplica(ezbft.TCPReplicaConfig{
-			Protocol:           ezbft.Protocol(*proto),
-			ID:                 ezbft.ReplicaID(*id),
-			N:                  *n,
-			Primary:            ezbft.ReplicaID(*primary),
-			Listen:             listenAddr,
-			Peers:              peerAddrs,
-			Secret:             []byte(*secret),
-			KeyFile:            *keyFile,
-			NewApp:             newApp,
-			BatchSize:          *batch,
-			BatchDelay:         *batchDelay,
-			CheckpointInterval: *ckpt,
-			LogRetention:       *retention,
-			VerifyWorkers:      *verifyWorkers,
-			StoreDir:           dir,
-			Fsync:              *fsync,
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-		reps = append(reps, rep)
-		if *shards > 1 {
-			fmt.Printf("ezbft-server: %s replica R%d shard %d/%d listening on %s (cluster n=%d, batch=%d)\n",
-				rep.Protocol(), *id, s, *shards, rep.Addr(), *n, *batch)
-		} else {
-			fmt.Printf("ezbft-server: %s replica R%d listening on %s (cluster n=%d, batch=%d)\n",
-				rep.Protocol(), *id, rep.Addr(), *n, *batch)
-		}
+	rep, err := ezbft.StartTCPReplica(ezbft.TCPReplicaConfig{
+		Protocol:           ezbft.Protocol(*proto),
+		ID:                 ezbft.ReplicaID(*id),
+		N:                  *n,
+		Primary:            ezbft.ReplicaID(*primary),
+		Listen:             *listen,
+		Peers:              addrs,
+		Secret:             []byte(*secret),
+		KeyFile:            *keyFile,
+		BatchSize:          *batch,
+		BatchDelay:         *batchDelay,
+		CheckpointInterval: *ckpt,
+		LogRetention:       *retention,
+		VerifyWorkers:      *verifyWorkers,
+		StoreDir:           *storeDir,
+		Fsync:              *fsync,
+	})
+	if err != nil {
+		return err
 	}
+	defer rep.Close()
+	fmt.Printf("ezbft-server: %s replica R%d listening on %s (cluster n=%d, batch=%d)\n",
+		rep.Protocol(), *id, rep.Addr(), *n, *batch)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	return nil
-}
-
-// offsetPort shifts an address's port by s: shard s of a sharded deployment
-// listens at the base port + s on every host.
-func offsetPort(addr string, s int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "", err
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil {
-		return "", fmt.Errorf("sharded deployments need explicit numeric ports: %w", err)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+s)), nil
 }
 
 func parsePeers(s string) (map[ezbft.ReplicaID]string, error) {

@@ -146,35 +146,6 @@
 // exposed through ReplicaStats; the `durability` experiment of
 // cmd/ezbft-bench measures what each backend costs and how fast a cold
 // restart recovers.
-//
-// # Sharding: scale writes past one quorum
-//
-// One consensus group is bounded by per-replica crypto and ordering no
-// matter the protocol. A sharded deployment (internal/shard) partitions
-// the keyspace across N independent groups behind a consistent-hash
-// router: each shard runs any registered protocol engine completely
-// unchanged, no message ever crosses shards, and aggregate throughput
-// scales with the shard count (the `shard` experiment of cmd/ezbft-bench
-// charts it). Single-key commands route to their owning shard and cost
-// exactly one unsharded consensus round. Multi-key transactions spanning
-// shards commit atomically through a client-driven two-phase
-// lock-and-apply: the lowest touched shard is deterministically the
-// coordinator, locks are taken in ascending shard order (deadlock-free by
-// construction), the apply fans out only after every shard granted, and
-// aborts fan out to every touched shard with tombstones refusing late
-// locks. Phases are ordinary client commands underneath — deduplicated by
-// the per-client timestamp tables, made idempotent by the shards'
-// replicated lock tables — so duplicated coordinators commit exactly
-// once. Every substrate is covered: NewShardedSimCluster (deterministic
-// lockstep simulation with a transaction pump), NewShardedLiveCluster
-// (in-process groups sharing one auth keyring and verify cache),
-// NewShardedTCPClient against ezbft-server -shards (shard s at the base
-// port + s, one parsed keyring across all shard connections), and
-// `ezbft-client -shards S txn k=v ...` from the command line. At shards=1
-// the router is the identity, the transaction wrapper digests pass
-// through, and behaviour is byte-identical to an unsharded deployment.
-// See internal/shard's package documentation for the routing, the commit
-// protocol, and the determinism argument in full.
 package ezbft
 
 import (

@@ -100,11 +100,6 @@ type ClientGroup struct {
 // Spec describes one simulated deployment.
 type Spec struct {
 	Protocol Protocol
-	// Shards is the number of independent consensus groups. Build
-	// constructs exactly one group (rejecting Shards > 1 — use BuildSharded
-	// for a sharded deployment); the field exists so deployment configs can
-	// carry the shard count through one Spec.
-	Shards int
 	// Topology provides regions and latencies; replica i is placed in
 	// ReplicaRegions[i].
 	Topology       *wan.Topology
@@ -149,7 +144,8 @@ type Spec struct {
 	// StoreDir is the root directory for disk-backed stores; each replica
 	// uses the subdirectory r<id>. Required when Durability is "disk".
 	StoreDir string
-	// Fsync makes the disk backend fsync at every group-commit point.
+	// Fsync makes the disk backend fsync at every group-commit point; with
+	// no disk backend it is an error.
 	Fsync bool
 	// NewStore, when non-nil, overrides the store factory entirely
 	// (Durability/StoreDir/Fsync are ignored): fault-injection harnesses
@@ -206,9 +202,6 @@ func Build(spec Spec) (*Cluster, error) {
 	n := len(spec.ReplicaRegions)
 	if n == 0 {
 		return nil, fmt.Errorf("bench: no replica regions")
-	}
-	if spec.Shards > 1 {
-		return nil, fmt.Errorf("bench: Build constructs one consensus group (Shards=%d); use BuildSharded", spec.Shards)
 	}
 	eng, err := engine.Lookup(spec.Protocol)
 	if err != nil {
@@ -432,44 +425,6 @@ func (c *Cluster) CloseStores() {
 func (c *Cluster) Run(until time.Duration) {
 	c.RT.Start()
 	c.RT.Run(until)
-}
-
-// ReplicaCounters flattens and sums every replica's protocol stats into one
-// counter map (see metrics.Counters); each protocol's own ReplicaStats type
-// contributes its exported numeric fields.
-func (c *Cluster) ReplicaCounters() map[string]uint64 {
-	agg := make(map[string]uint64)
-	for _, r := range c.EZReplicas {
-		metrics.AddCounters(agg, metrics.Counters(r.Stats()))
-	}
-	for _, r := range c.PBReplicas {
-		metrics.AddCounters(agg, metrics.Counters(r.Stats()))
-	}
-	for _, r := range c.ZYReplicas {
-		metrics.AddCounters(agg, metrics.Counters(r.Stats()))
-	}
-	for _, r := range c.FBReplicas {
-		metrics.AddCounters(agg, metrics.Counters(r.Stats()))
-	}
-	return agg
-}
-
-// BatcherCounters sums every replica's batcher stats into one counter map.
-func (c *Cluster) BatcherCounters() map[string]uint64 {
-	agg := make(map[string]uint64)
-	for _, r := range c.EZReplicas {
-		metrics.AddCounters(agg, metrics.Counters(r.BatcherStats()))
-	}
-	for _, r := range c.PBReplicas {
-		metrics.AddCounters(agg, metrics.Counters(r.BatcherStats()))
-	}
-	for _, r := range c.ZYReplicas {
-		metrics.AddCounters(agg, metrics.Counters(r.BatcherStats()))
-	}
-	for _, r := range c.FBReplicas {
-		metrics.AddCounters(agg, metrics.Counters(r.BatcherStats()))
-	}
-	return agg
 }
 
 // MeanLatencyByRegion returns mean client latency per region label.

@@ -117,9 +117,9 @@ type Replica struct {
 
 	// execObserver, when set, is told of every final execution in execution
 	// order. It is a test seam: no constructor of a running system (sim,
-	// live, TCP, sharding) sets it, so a product replica keeps no record of
-	// what it executed; RecordExecutions installs the one that fills execLog
-	// for the cross-replica consistency checks.
+	// live, TCP) sets it, so a product replica keeps no record of what it
+	// executed; RecordExecutions installs the one that fills execLog for
+	// the cross-replica consistency checks.
 	execObserver func(ExecRecord)
 	execLog      []ExecRecord
 

@@ -1,16 +1,13 @@
 package metrics
 
-import (
-	"reflect"
-	"sort"
-)
+import "reflect"
 
 // Counters flattens a stats struct (or pointer to one) into a name → value
 // map via reflection: exported unsigned fields are taken as-is, non-negative
 // signed fields are widened, bools count as 0/1, and nested structs recurse
 // with a dotted prefix. Every protocol defines its own ReplicaStats type, so
-// a reflective flattener is what lets the bench harness aggregate stats
-// across protocols — and across shards — without a per-protocol adapter.
+// a reflective flattener is what lets a harness aggregate stats across
+// protocols without a per-protocol adapter.
 func Counters(v any) map[string]uint64 {
 	out := make(map[string]uint64)
 	flattenCounters(reflect.ValueOf(v), "", out)
@@ -59,61 +56,4 @@ func AddCounters(dst, src map[string]uint64) {
 	for k, v := range src {
 		dst[k] += v
 	}
-}
-
-// ShardRollup aggregates one counter family across shards: the cluster-wide
-// totals plus the per-shard breakdown and, per counter, which shard carried
-// the least and the most of it — the straggler check a sharded sweep needs
-// to show its aggregate isn't hiding one overloaded group.
-type ShardRollup struct {
-	Total    map[string]uint64   `json:"total"`
-	PerShard []map[string]uint64 `json:"per_shard"`
-	MinShard map[string]uint64   `json:"min_shard"`
-	MaxShard map[string]uint64   `json:"max_shard"`
-}
-
-// RollupShards builds a ShardRollup from per-shard counter maps (index =
-// shard).
-func RollupShards(perShard []map[string]uint64) ShardRollup {
-	r := ShardRollup{
-		Total:    make(map[string]uint64),
-		PerShard: perShard,
-		MinShard: make(map[string]uint64),
-		MaxShard: make(map[string]uint64),
-	}
-	for _, k := range CounterKeys(perShard) {
-		first := true
-		var total, min, max uint64
-		for _, m := range perShard {
-			v := m[k]
-			total += v
-			if first || v < min {
-				min = v
-			}
-			if first || v > max {
-				max = v
-			}
-			first = false
-		}
-		r.Total[k] = total
-		r.MinShard[k] = min
-		r.MaxShard[k] = max
-	}
-	return r
-}
-
-// CounterKeys returns the sorted union of keys across counter maps.
-func CounterKeys(ms []map[string]uint64) []string {
-	seen := make(map[string]struct{})
-	for _, m := range ms {
-		for k := range m {
-			seen[k] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -43,26 +43,3 @@ func TestAddCounters(t *testing.T) {
 		t.Fatalf("AddCounters = %v", dst)
 	}
 }
-
-func TestRollupShards(t *testing.T) {
-	per := []map[string]uint64{
-		{"Executed": 10, "Checkpoints": 2},
-		{"Executed": 30},
-		{"Executed": 20, "Checkpoints": 1},
-	}
-	r := RollupShards(per)
-	if r.Total["Executed"] != 60 || r.Total["Checkpoints"] != 3 {
-		t.Fatalf("totals = %v", r.Total)
-	}
-	if r.MinShard["Executed"] != 10 || r.MaxShard["Executed"] != 30 {
-		t.Fatalf("Executed min/max = %d/%d", r.MinShard["Executed"], r.MaxShard["Executed"])
-	}
-	// A key missing from a shard counts as zero there — the straggler
-	// check must surface a shard that never produced the counter at all.
-	if r.MinShard["Checkpoints"] != 0 || r.MaxShard["Checkpoints"] != 2 {
-		t.Fatalf("Checkpoints min/max = %d/%d", r.MinShard["Checkpoints"], r.MaxShard["Checkpoints"])
-	}
-	if got := CounterKeys(per); !reflect.DeepEqual(got, []string{"Checkpoints", "Executed"}) {
-		t.Fatalf("CounterKeys = %v", got)
-	}
-}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -70,10 +71,19 @@ type Store interface {
 	Close() error
 }
 
+// ErrFsyncNeedsDisk is returned by Open when fsync is asked of a backend
+// that keeps nothing on disk: the off and memory backends cannot make a
+// record survive power loss, so the request would go silently unmet.
+var ErrFsyncNeedsDisk = errors.New("store: fsync requires the disk backend")
+
 // Open builds a Store for the named backend. BackendOff (and "") with
 // an empty dir returns (nil, nil): durability disabled. dir is only
-// used by BackendDisk, where it must be a per-replica directory.
+// used by BackendDisk, where it must be a per-replica directory. fsync
+// with any backend but BackendDisk is ErrFsyncNeedsDisk.
 func Open(backend Backend, dir string, fsync bool) (Store, error) {
+	if fsync && (backend == BackendOff || backend == "" || backend == BackendMemory) {
+		return nil, ErrFsyncNeedsDisk
+	}
 	switch backend {
 	case BackendOff, "":
 		return nil, nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -181,10 +182,17 @@ func TestOpenFactory(t *testing.T) {
 		t.Fatalf("memory backend: %v %v", s, err)
 	}
 	d, err := Open(BackendDisk, filepath.Join(t.TempDir(), "r0"), true)
-	if err != nil || d == nil {
-		t.Fatalf("disk backend: %v %v", d, err)
+	if err != nil || d == nil || !d.(*Disk).fsync {
+		t.Fatalf("disk backend with fsync: %v %v", d, err)
 	}
 	d.Close()
+	// Fsync is a promise only the disk backend keeps: off and memory
+	// refuse it instead of silently not syncing.
+	for _, backend := range []Backend{"", BackendOff, BackendMemory} {
+		if s, err := Open(backend, t.TempDir(), true); !errors.Is(err, ErrFsyncNeedsDisk) || s != nil {
+			t.Errorf("Open(%q, dir, fsync) = %v, %v; want ErrFsyncNeedsDisk", backend, s, err)
+		}
+	}
 	if _, err := Open(Backend("bogus"), "", false); err == nil {
 		t.Fatal("bogus backend should error")
 	}

@@ -114,20 +114,7 @@ const (
 	OpPut
 	OpIncr // read-modify-write: demonstrates commutativity-based interference
 	OpNoop // used to finalize unrecoverable instances after owner changes
-
-	// Cross-shard transaction phases (internal/shard). Each phase is an
-	// ordinary client command ordered through one shard's consensus group;
-	// the shard-aware application wrapper interprets them and plain
-	// applications never see them.
-	OpTxnLock  // phase 1: acquire per-key locks and stage the writes
-	OpTxnApply // phase 2: apply the staged writes, release the locks
-	OpTxnAbort // abort: release locks and tombstone the transaction
 )
-
-// IsTxn reports whether the op is a cross-shard transaction phase.
-func (o Op) IsTxn() bool {
-	return o == OpTxnLock || o == OpTxnApply || o == OpTxnAbort
-}
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
@@ -140,12 +127,6 @@ func (o Op) String() string {
 		return "INCR"
 	case OpNoop:
 		return "NOOP"
-	case OpTxnLock:
-		return "TXN-LOCK"
-	case OpTxnApply:
-		return "TXN-APPLY"
-	case OpTxnAbort:
-		return "TXN-ABORT"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -191,15 +172,6 @@ func (c Command) Digest() Digest {
 func (c Command) Interferes(o Command) bool {
 	if c.Op == OpNoop || o.Op == OpNoop {
 		return false
-	}
-	if c.Op.IsTxn() || o.Op.IsTxn() {
-		// Transaction phases mutate the shard's lock table and may write any
-		// of the transaction's staged keys at apply time, so their outcome
-		// depends on their order relative to every other command. They are
-		// conservatively ordered against everything. Deployments without
-		// cross-shard transactions never issue these ops, leaving the
-		// paper's interference relation untouched.
-		return true
 	}
 	if c.Key != o.Key {
 		return false

@@ -116,19 +116,6 @@ func (t *Topology) Assign(node types.NodeID, r Region) error {
 	return nil
 }
 
-// Clone returns a topology sharing the (immutable) latency matrix but with
-// an independent node-placement map, so multiple deployments — the shard
-// groups of a sharded simulation — can place the same node ids without
-// interfering.
-func (t *Topology) Clone() *Topology {
-	c := *t
-	c.nodes = make(map[types.NodeID]Region, len(t.nodes))
-	for n, r := range t.nodes {
-		c.nodes[n] = r
-	}
-	return &c
-}
-
 // RegionOf returns a node's region.
 func (t *Topology) RegionOf(node types.NodeID) (Region, bool) {
 	r, ok := t.nodes[node]

@@ -84,20 +84,9 @@ type LiveConfig struct {
 	// StoreDir is the root directory for disk-backed replica stores;
 	// replica i writes under StoreDir/r<i>.
 	StoreDir string
-	// Fsync makes the disk backend fsync at every group-commit point.
+	// Fsync makes the disk backend fsync at every group-commit point; with
+	// no disk backend it is an error.
 	Fsync bool
-	// Shards partitions the deployment into this many independent consensus
-	// groups behind a consistent-hash router (0 or 1 = the unsharded
-	// cluster, byte-identical to previous behaviour). Values above 1 are
-	// only valid through NewShardedLiveCluster; NewLiveCluster rejects them.
-	Shards int
-
-	// provider carries a pre-built authentication provider into the
-	// cluster, so a sharded deployment's groups share one keyring and one
-	// verified-signature cache instead of provisioning one per shard. Nil
-	// (the only state reachable from outside the package) provisions a
-	// fresh provider from AuthScheme.
-	provider *auth.Provider
 }
 
 // LiveCluster is a real-time in-process deployment: N replica goroutines
@@ -139,9 +128,6 @@ func NewLiveCluster(cfg LiveConfig) (*LiveCluster, error) {
 	if cfg.N < 4 || (cfg.N-1)%3 != 0 {
 		return nil, fmt.Errorf("ezbft: cluster size must be 3f+1, got %d", cfg.N)
 	}
-	if cfg.Shards > 1 {
-		return nil, fmt.Errorf("ezbft: LiveConfig.Shards=%d: use NewShardedLiveCluster", cfg.Shards)
-	}
 	if cfg.AuthScheme == 0 {
 		cfg.AuthScheme = auth.SchemeHMAC
 	}
@@ -151,12 +137,9 @@ func NewLiveCluster(cfg LiveConfig) (*LiveCluster, error) {
 	if cfg.MaxClients <= 0 {
 		cfg.MaxClients = DefaultMaxClients
 	}
-	provider := cfg.provider
-	if provider == nil {
-		provider, err = newLiveProvider(cfg)
-		if err != nil {
-			return nil, err
-		}
+	provider, err := newLiveProvider(cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	lc := &LiveCluster{
@@ -217,8 +200,7 @@ func NewLiveCluster(cfg LiveConfig) (*LiveCluster, error) {
 // identities for the replicas plus the configured client space, behind one
 // shared verified-signature memo — every node shares the provider's key
 // material already, so each broadcast frame costs one real verification
-// cluster-wide (and, when a sharded deployment passes the provider to all
-// of its groups, deployment-wide).
+// cluster-wide.
 func newLiveProvider(cfg LiveConfig) (*auth.Provider, error) {
 	nodes := make([]types.NodeID, 0, cfg.N+cfg.MaxClients)
 	for i := 0; i < cfg.N; i++ {

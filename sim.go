@@ -65,13 +65,9 @@ type SimConfig struct {
 	// StoreDir is the root directory for disk-backed replica stores;
 	// replica i writes under StoreDir/r<i>.
 	StoreDir string
-	// Fsync makes the disk backend fsync at every group-commit point.
+	// Fsync makes the disk backend fsync at every group-commit point; with
+	// no disk backend it is an error.
 	Fsync bool
-	// Shards partitions the deployment into this many independent consensus
-	// groups behind a consistent-hash router (0 or 1 = the unsharded
-	// cluster, byte-identical to previous behaviour). Values above 1 are
-	// only valid through NewShardedSimCluster; NewSimCluster rejects them.
-	Shards int
 }
 
 // SimCluster is a deterministic simulated deployment. It is driven by
@@ -93,9 +89,6 @@ type RegionSummary struct {
 
 // NewSimCluster builds a simulated deployment.
 func NewSimCluster(cfg SimConfig) (*SimCluster, error) {
-	if cfg.Shards > 1 {
-		return nil, fmt.Errorf("ezbft: SimConfig.Shards=%d: use NewShardedSimCluster", cfg.Shards)
-	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = EZBFT
 	}

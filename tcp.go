@@ -94,7 +94,8 @@ type TCPReplicaConfig struct {
 	StoreDir string
 	// Fsync makes the disk backend fsync at every group-commit point —
 	// the crash-safe setting; without it a kernel or power failure can
-	// lose the tail of the WAL (process crashes alone cannot).
+	// lose the tail of the WAL (process crashes alone cannot). With no
+	// disk backend it is an error.
 	Fsync bool
 }
 
@@ -282,20 +283,25 @@ type TCPClientConfig struct {
 	VerifyWorkers int
 }
 
-// tcpKeyring is a TCP deployment's key material parsed exactly once —
-// either the ECDSA keyring from a PEM bundle or the shared-secret HMAC
-// keyring — from which per-node authenticators derive without re-parsing.
-// The sharded TCP client hands one parsed keyring to all of its per-shard
-// connections.
-type tcpKeyring struct {
-	ecdsa *auth.ECDSAKeyring
-	hmac  *auth.HMACKeyring
+// tcpVerifyMemoCapacity sizes a TCP node's private verified-signature memo
+// to its in-flight window: a signature is looked up again within the same
+// request (a SPECORDER verified on arrival reappears inside the commit
+// certificate; a replica's own SPECREPLY comes back in it), so a few
+// thousand entries cover every pipelined request. auth.DefaultCacheCapacity
+// is meant for a whole in-process cluster sharing one memo.
+const tcpVerifyMemoCapacity = 1 << 12
+
+// tcpVerifyMemo puts a node's ECDSA authenticator behind its private memo.
+func tcpVerifyMemo(a auth.Authenticator, self types.NodeID) auth.Authenticator {
+	return auth.Cached(a, self, auth.NewVerifyCache(tcpVerifyMemoCapacity))
 }
 
-// parseTCPKeyring parses a TCP config's key material: ECDSA when a PEM
-// bundle is supplied (bytes or file), the shared-secret HMAC keyring
-// otherwise.
-func parseTCPKeyring(secret, keyPEM []byte, keyFile string) (*tcpKeyring, error) {
+// tcpAuthenticator builds a node's authenticator from a TCP config's key
+// material: ECDSA when a PEM bundle is supplied (bytes or file), behind a
+// node-private memo of verified signatures; the shared-secret HMAC keyring
+// otherwise, with no memo (a memo probe costs what the MAC costs, see
+// auth.Cached).
+func tcpAuthenticator(self types.NodeID, secret, keyPEM []byte, keyFile string) (auth.Authenticator, error) {
 	if len(keyPEM) == 0 && keyFile != "" {
 		data, err := os.ReadFile(keyFile)
 		if err != nil {
@@ -308,50 +314,16 @@ func parseTCPKeyring(secret, keyPEM []byte, keyFile string) (*tcpKeyring, error)
 		if err != nil {
 			return nil, fmt.Errorf("ezbft: %w", err)
 		}
-		return &tcpKeyring{ecdsa: ring}, nil
-	}
-	if len(secret) == 0 {
-		return nil, fmt.Errorf("ezbft: TCP deployments require a shared secret or ECDSA key material")
-	}
-	return &tcpKeyring{hmac: auth.NewHMACKeyring(secret)}, nil
-}
-
-// tcpVerifyMemoCapacity sizes a TCP node's private verified-signature memo
-// to its in-flight window: a signature is looked up again within the same
-// request (a SPECORDER verified on arrival reappears inside the commit
-// certificate; a replica's own SPECREPLY comes back in it), so a few
-// thousand entries cover every pipelined request. auth.DefaultCacheCapacity
-// is meant for a whole in-process cluster sharing one memo.
-const tcpVerifyMemoCapacity = 1 << 12
-
-// forNode derives one node's authenticator from the parsed keyring. ECDSA
-// authenticators sit behind a node-private memo of verified signatures;
-// HMAC ones need none (a memo probe costs what the MAC costs, see
-// auth.Cached).
-func (k *tcpKeyring) forNode(self types.NodeID) (auth.Authenticator, error) {
-	if k.ecdsa != nil {
-		a, err := k.ecdsa.ForNode(self)
+		a, err := ring.ForNode(self)
 		if err != nil {
 			return nil, fmt.Errorf("ezbft: %w", err)
 		}
 		return tcpVerifyMemo(a, self), nil
 	}
-	return k.hmac.ForNode(self), nil
-}
-
-// tcpVerifyMemo puts a node's ECDSA authenticator behind its private memo.
-func tcpVerifyMemo(a auth.Authenticator, self types.NodeID) auth.Authenticator {
-	return auth.Cached(a, self, auth.NewVerifyCache(tcpVerifyMemoCapacity))
-}
-
-// tcpAuthenticator builds a node's authenticator from a TCP config's key
-// material.
-func tcpAuthenticator(self types.NodeID, secret, keyPEM []byte, keyFile string) (auth.Authenticator, error) {
-	ring, err := parseTCPKeyring(secret, keyPEM, keyFile)
-	if err != nil {
-		return nil, err
+	if len(secret) == 0 {
+		return nil, fmt.Errorf("ezbft: TCP deployments require a shared secret or ECDSA key material")
 	}
-	return ring.forNode(self)
+	return auth.NewHMACKeyring(secret).ForNode(self), nil
 }
 
 // GenerateTCPKeys creates fresh ECDSA P-256 identities for a TCP deployment
@@ -396,9 +368,7 @@ func NewTCPClient(cfg TCPClientConfig) (*Client, error) {
 }
 
 // newTCPClientAuthed builds a TCP client around an already-derived
-// authenticator; the sharded client derives one authenticator (and with it
-// one verify memo) from one parsed keyring and reuses it across all of its
-// shard connections.
+// authenticator.
 func newTCPClientAuthed(cfg TCPClientConfig, a auth.Authenticator) (*Client, error) {
 	if cfg.Protocol == "" {
 		cfg.Protocol = EZBFT

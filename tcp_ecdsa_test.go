@@ -119,19 +119,20 @@ func TestTCPECDSAVerifyMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	var verifies atomic.Int64
-	// nodeAuth is what tcpKeyring.forNode builds, with the counter between
+	// nodeAuth is what tcpAuthenticator builds, with the counter between
 	// the memo and the ECDSA authenticator.
 	nodeAuth := func(self types.NodeID) auth.Authenticator {
-		ring, err := parseTCPKeyring(nil, bundles[self.String()], "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, err := ring.forNode(self); err != nil {
+		bundle := bundles[self.String()]
+		if a, err := tcpAuthenticator(self, nil, bundle, ""); err != nil {
 			t.Fatal(err)
 		} else if _, ok := a.(*auth.CachedAuth); !ok {
 			t.Fatalf("ECDSA authenticator for %s is a %T, want it behind the verify memo", self, a)
 		}
-		inner, err := ring.ecdsa.ForNode(self)
+		ring, err := auth.ParseECDSAKeyringPEM(bundle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, err := ring.ForNode(self)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,12 +198,8 @@ func TestTCPECDSAVerifyMemo(t *testing.T) {
 	}
 
 	// HMAC stays without the memo: probing it costs what the MAC costs.
-	ring, err := parseTCPKeyring([]byte("secret"), nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, _ := ring.forNode(types.ReplicaNode(0)); a == nil || a.Scheme() != auth.SchemeHMAC {
-		t.Fatalf("HMAC keyring produced %T", a)
+	if a, err := tcpAuthenticator(types.ReplicaNode(0), []byte("secret"), nil, ""); err != nil || a.Scheme() != auth.SchemeHMAC {
+		t.Fatalf("HMAC keyring produced %T (%v)", a, err)
 	} else if _, ok := a.(*auth.HMACAuth); !ok {
 		t.Fatalf("HMAC authenticator is a %T, want it unwrapped", a)
 	}
