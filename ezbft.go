@@ -149,8 +149,6 @@
 package ezbft
 
 import (
-	"time"
-
 	"ezbft/internal/bench"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/store"
@@ -283,14 +281,3 @@ type (
 	// ExperimentParams scales the paper-reproduction experiments.
 	ExperimentParams = bench.Params
 )
-
-// DefaultExperimentParams returns the full-scale parameters used by
-// cmd/ezbft-bench.
-func DefaultExperimentParams() ExperimentParams {
-	return ExperimentParams{
-		Duration:         30 * time.Second,
-		Warmup:           2 * time.Second,
-		ClientsPerRegion: 3,
-		Seed:             1,
-	}
-}

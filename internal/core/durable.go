@@ -236,6 +236,9 @@ func (r *Replica) recoverFromStore(ctx proc.Context) {
 	r.tryExecute(ctx)
 	r.recovering = false
 	r.stats.Recoveries++
+	// Commits that were in flight when the previous incarnation stopped
+	// never come again from their clients; fetch them (commitfetch.go).
+	r.armCommitWait(ctx)
 	// The durable prefix may end short of the cluster's stable frontier
 	// (the last pre-crash handler's records, at most, are lost). Ask a
 	// checkpoint voter for the difference; with the request's per-space

@@ -280,21 +280,14 @@ type CommitCert struct {
 	CmdDigest types.Digest
 }
 
-// CommittedCerts returns the certificate of every retained instance that
-// reached committed (or executed) status, in no particular order.
-// Truncated slots are absent; callers intersect across replicas. Each
-// certificate's dependency set is an independent copy, safe to hold across
-// further protocol activity.
-func (r *Replica) CommittedCerts() []CommitCert { return r.committedCerts(true) }
-
-// CommittedCertsShared is CommittedCerts without the per-certificate
-// dependency-set clones: Deps alias the live log and must only be read, and
-// only before the replica processes further messages. The scenario matrix
-// compares certificates across every replica of every cell each run, where
-// the clones dominated the check's cost.
-func (r *Replica) CommittedCertsShared() []CommitCert { return r.committedCerts(false) }
-
-func (r *Replica) committedCerts(cloneDeps bool) []CommitCert {
+// CommittedCertsShared returns the certificate of every retained instance
+// that reached committed (or executed) status, in no particular order.
+// Truncated slots are absent; callers intersect across replicas. Deps alias
+// the live log and must only be read, and only before the replica processes
+// further messages: the scenario matrix compares certificates across every
+// replica of every cell each run, where cloning them dominated the check's
+// cost.
+func (r *Replica) CommittedCertsShared() []CommitCert {
 	total := 0
 	for i := 0; i < r.n; i++ {
 		total += len(r.log.space(types.ReplicaID(i)).entries)
@@ -306,13 +299,9 @@ func (r *Replica) committedCerts(cloneDeps bool) []CommitCert {
 			if e.status < StatusCommitted {
 				continue
 			}
-			deps := e.deps
-			if cloneDeps {
-				deps = deps.Clone()
-			}
 			out = append(out, CommitCert{
 				Inst:      e.inst,
-				Deps:      deps,
+				Deps:      e.deps,
 				Seq:       e.seq,
 				CmdDigest: e.cmdDigest,
 			})

@@ -63,8 +63,11 @@ type entry struct {
 	// RESENDREQ.
 	so *SpecOrder
 	// clientCommit retains the client-signed COMMIT for slow-path commits;
-	// it is the Condition-1 proof in owner-change histories.
+	// it is the Condition-1 proof in owner-change histories. fastCommit
+	// retains the COMMITFAST for fast-path ones. Either is what this replica
+	// answers a peer's COMMITFETCH with (commitfetch.go).
 	clientCommit *Commit
+	fastCommit   *CommitFast
 
 	// commitReplyTo records, per batch position, the slow-path client to
 	// answer after final execution (nil until a COMMIT arrives).
@@ -88,28 +91,6 @@ func (e *entry) digestAt(i int) types.Digest {
 		return e.cmdDigest
 	}
 	return e.cmdDigests[i]
-}
-
-// cmdIndex returns the batch position of the command issued by (client, ts),
-// or -1 if the entry does not order it.
-func (e *entry) cmdIndex(client types.ClientID, ts uint64) int {
-	if e.cmd.Client == client && e.cmd.Timestamp == ts {
-		return 0
-	}
-	for i, cmd := range e.extra {
-		if cmd.Client == client && cmd.Timestamp == ts {
-			return i + 1
-		}
-	}
-	return -1
-}
-
-// specResultAt returns the i'th command's speculative result.
-func (e *entry) specResultAt(i int) types.Result {
-	if i == 0 {
-		return e.specResult
-	}
-	return e.extraSpec[i-1]
 }
 
 // setSpecResult records the i'th command's speculative result.
@@ -171,6 +152,10 @@ type space struct {
 	// message freezes the space for good.
 	suspended bool
 	frozen    bool
+	// fetchMark is maxSlot as the previous commit-wait scan found it: an
+	// entry at or below it that is still uncommitted has been so for a
+	// whole scan period (commitfetch.go).
+	fetchMark uint64
 
 	// Log-lifecycle state (checkpointing / garbage collection; see
 	// checkpoint.go). execMark is the contiguously finally-executed prefix:

@@ -77,6 +77,20 @@
 // an instance it never saw, after binding it to what the first reply signed
 // (commitEntry); and evidence of equivocation travels in a POM.
 //
+// # Where a replica's commits come from
+//
+// A replica learns that an instance committed from the client: its
+// COMMITFAST or COMMIT, broadcast to every replica. The client sends it once.
+// When a replica is down, the client's transport stops dialling it for a
+// while (transport.TCPPeer's back-off), so a replica that comes back during
+// that pause never receives the commits the client skipped, and the network
+// may lose one too. The replica keeps each certificate it received in the
+// entry, and one that holds an entry uncommitted for a whole DepWaitTimeout
+// asks its peers for theirs with a COMMITFETCH (commitfetch.go). The answer
+// is the client's own certificate, which verifies by itself, so one honest
+// peer is enough. A slot that no correct replica holds a certificate for is
+// still settled by the owner change (armDepWait) or a state transfer.
+//
 // # Client timers
 //
 // The fast path needs a reply from every replica, so a client holding a slow
@@ -137,8 +151,8 @@ import (
 	"ezbft/internal/types"
 )
 
-// Message type tags reserved by ezBFT (10–29; 30+ belong to the baseline
-// protocols).
+// Message type tags reserved by ezBFT (10–29, and COMMITFETCH's 66; 30–65
+// belong to the baseline protocols).
 const (
 	tagRequest          = 10
 	tagSpecOrder        = 11

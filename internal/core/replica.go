@@ -109,9 +109,12 @@ type Replica struct {
 	// depWait tracks dependency instances we are waiting on before final
 	// execution; expiry triggers an owner change for the dependency's
 	// space.
-	depWait  map[types.InstanceID]bool
-	timerSeq uint64
-	timerAct map[proc.TimerID]func(ctx proc.Context)
+	depWait map[types.InstanceID]bool
+	// commitWaitArmed is set while the one commit-wait timer is armed (see
+	// commitfetch.go).
+	commitWaitArmed bool
+	timerSeq        uint64
+	timerAct        map[proc.TimerID]func(ctx proc.Context)
 
 	oc ownerChangeState
 
@@ -154,15 +157,16 @@ type resendState struct {
 	timer proc.TimerID
 }
 
-// deferredCommit is one commit decision waiting for its SPECORDER.
+// deferredCommit is one commit decision waiting for its SPECORDER: a
+// COMMITFAST's or a COMMIT's, whichever of the two is set.
 type deferredCommit struct {
 	deps       types.InstanceSet
 	seq        types.SeqNumber
 	from       *SpecReply
-	fast       bool
 	needsReply bool
 	replyTo    types.ClientID
-	commit     *Commit // the slow-path COMMIT (nil for fast commits)
+	fastCommit *CommitFast
+	commit     *Commit
 }
 
 // ReplicaStats exposes protocol counters for tests and experiments.
@@ -175,6 +179,7 @@ type ReplicaStats struct {
 	OwnerChanges    uint64
 	DroppedInvalid  uint64 // messages rejected by validation
 	DeferredCommits uint64 // slim commit certificates parked for their SPECORDER
+	CommitFetches   uint64 // COMMITFETCHes sent for entries left uncommitted (commitfetch.go)
 
 	// Log-lifecycle observables (checkpointing / GC / state transfer).
 	Checkpoints       uint64 // stable checkpoints established
@@ -333,6 +338,8 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 		r.handleCatchupResp(ctx, m)
 	case *SOFetch:
 		r.handleSOFetch(ctx, m)
+	case *CommitFetch:
+		r.handleCommitFetch(ctx, m)
 	default:
 		r.stats.DroppedInvalid++
 	}
@@ -535,6 +542,7 @@ func (r *Replica) leadBatch(ctx proc.Context, reqs []*Request, spaceID types.Rep
 	}
 	e.so = so
 	r.log.put(e)
+	r.armCommitWait(ctx)
 	for _, m := range reqs {
 		r.deps.update(inst, m.Cmd, seq)
 		r.instByCmd[cmdKey{m.Cmd.Client, m.Cmd.Timestamp}] = inst
@@ -819,6 +827,7 @@ func (r *Replica) acceptSpecOrder(ctx proc.Context, m *SpecOrder, digests []type
 	}
 	e.so = m
 	r.log.put(e)
+	r.armCommitWait(ctx)
 	for i := 0; i < m.BatchSize(); i++ {
 		cmd := m.ReqAt(i).Cmd
 		r.deps.update(m.Inst, cmd, seq)
@@ -849,8 +858,11 @@ func (r *Replica) drainDeferredCommits(ctx proc.Context, inst types.InstanceID) 
 	delete(r.deferredCommits, inst)
 	for _, dc := range dcs {
 		ce := r.commitEntry(ctx, inst, dc.deps, dc.seq, dc.from, dc.needsReply, dc.replyTo)
-		if dc.fast {
+		if dc.fastCommit != nil {
 			r.stats.FastCommits++
+			if ce != nil {
+				ce.fastCommit = dc.fastCommit
+			}
 		} else {
 			r.stats.SlowCommits++
 			if ce != nil {
@@ -919,10 +931,12 @@ func (r *Replica) handleCommitFast(ctx proc.Context, m *CommitFast) {
 	if r.log.get(m.Inst) == nil && first.SO == nil {
 		// Evidence-slimmed certificate for an instance whose SPECORDER has
 		// not arrived yet: park the decision until it does.
-		r.deferCommit(m.Inst, deferredCommit{deps: first.Deps, seq: first.Seq, from: first, fast: true})
+		r.deferCommit(m.Inst, deferredCommit{deps: first.Deps, seq: first.Seq, from: first, fastCommit: m})
 		return
 	}
-	r.commitEntry(ctx, m.Inst, first.Deps, first.Seq, first, false, 0)
+	if e := r.commitEntry(ctx, m.Inst, first.Deps, first.Seq, first, false, 0); e != nil {
+		e.fastCommit = m
+	}
 	r.stats.FastCommits++
 	r.tryExecute(ctx)
 	// This certificate may have installed the entry that parked slim
@@ -989,7 +1003,7 @@ func (r *Replica) deferCommit(inst types.InstanceID, dc deferredCommit) {
 	}
 	dcs := r.deferredCommits[inst]
 	for i := range dcs {
-		if dcs[i].from.Client == dc.from.Client && dcs[i].fast == dc.fast {
+		if dcs[i].from.Client == dc.from.Client && (dcs[i].fastCommit != nil) == (dc.fastCommit != nil) {
 			dcs[i] = dc
 			return
 		}
@@ -1121,6 +1135,8 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 			r.instByCmd[cmdKey{cmd.Client, cmd.Timestamp}] = inst
 			r.window.Seen(cmd.Client, cmd.Timestamp)
 		}
+		// Installed past maxSlot+1, an entry leaves a hole behind it.
+		r.armCommitWait(ctx)
 	}
 	idx := int(from.BatchIdx)
 	if idx >= e.nCmds() {

@@ -13,9 +13,10 @@ import (
 // signatures, SPECORDER leader + embedded client signatures, COMMIT client
 // signatures, the SPECREPLY signatures inside COMMIT/COMMITFAST
 // certificates, SPECREPLY/COMMITREPLY replica signatures at clients,
-// owner-change sender signatures, and POM evidence signatures — is checked
-// on the verifier-pool workers and the message marked, so the
-// single-threaded process loop re-checks nothing but semantic bindings.
+// owner-change sender signatures, COMMITFETCH requester signatures, and POM
+// evidence signatures — is checked on the verifier-pool workers and the
+// message marked, so the single-threaded process loop re-checks nothing but
+// semantic bindings.
 // Signatures the loop verifies only conditionally (a RESENDREQ's embedded
 // request, OWNERCHANGE history proofs, NEWOWNER proof elements) are verified
 // opportunistically: valid ones are marked, invalid ones pass through
@@ -93,6 +94,8 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			return true
 		case *SOFetch:
 			return engine.VerifySigned(a, types.ClientNode(m.Client), m, m.Sig)
+		case *CommitFetch:
+			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		default:
 			return true
 		}

@@ -504,18 +504,6 @@ func conflictingCerts(replicas []*core.Replica, correct []int) []string {
 	return out
 }
 
-// HasStateTransfer reports whether a protocol implements a catch-up /
-// state-transfer path (CATCHUP request/response). All four protocols do,
-// f+1 cross-validated: ezBFT through its own catch-up subsystem, PBFT,
-// Zyzzyva and FaB through the shared engine.Lifecycle.
-func HasStateTransfer(p engine.Protocol) bool {
-	switch p {
-	case engine.EZBFT, engine.PBFT, engine.Zyzzyva, engine.FaB:
-		return true
-	}
-	return false
-}
-
 // DefaultMatrix enumerates the full fault matrix: every strategy and
 // every shape (plus the honest/clean baseline and two composed
 // strategy×shape cells) for all four protocols × batching on/off ×

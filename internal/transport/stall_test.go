@@ -125,10 +125,11 @@ func TestWriteDeadlineGrowsWithFrame(t *testing.T) {
 }
 
 // TestRefusedPeerIsNotRedialledOnEverySend: a replica whose address refuses
-// connections (it is down) is dialed by its peer replicas a handful of times,
-// not once per message, and is reachable again as soon as it connects itself —
-// a restarted replica dials out first — without waiting the pause out. A
-// client, which no replica can dial, keeps trying.
+// connections (it is down) is dialed by its peer replicas and by clients a
+// handful of times, not once per message. It is reachable again from a
+// replica as soon as it connects itself — a restarted replica dials out first
+// — without waiting the pause out; a client, which nobody dials, dials afresh
+// once its pause has run out.
 func TestRefusedPeerIsNotRedialledOnEverySend(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -146,18 +147,23 @@ func TestRefusedPeerIsNotRedialledOnEverySend(t *testing.T) {
 	defer send.Close()
 
 	msg := &blobMsg{B: []byte("x")}
-	dials := 0
-	for i := 0; i < 1000; i++ {
-		err := send.Send(types.ReplicaNode(0), down, msg)
-		if err == nil {
-			t.Fatalf("send %d to a closed address succeeded", i)
+	// dials sends 1000 messages from p to the closed address and counts the
+	// sends that dialled rather than being skipped.
+	dials := func(p *TCPPeer) int {
+		n := 0
+		for i := 0; i < 1000; i++ {
+			err := p.Send(p.self, down, msg)
+			if err == nil {
+				t.Fatalf("%s: send %d to a closed address succeeded", p.self, i)
+			}
+			if !errors.Is(err, ErrPeerBackoff) {
+				n++
+			}
 		}
-		if !errors.Is(err, ErrPeerBackoff) {
-			dials++
-		}
+		return n
 	}
-	if dials == 0 || dials > 10 {
-		t.Fatalf("1000 sends to an address nobody listens on made %d dial attempts, want 1..10", dials)
+	if n := dials(send); n == 0 || n > 10 {
+		t.Fatalf("1000 replica sends to an address nobody listens on made %d dial attempts, want 1..10", n)
 	}
 	client, err := NewTCPPeer(types.ClientNode(0), "127.0.0.1:0",
 		map[types.NodeID]string{down: addr}, func(types.NodeID, codec.Message) {})
@@ -165,10 +171,21 @@ func TestRefusedPeerIsNotRedialledOnEverySend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	for i := 0; i < 20; i++ {
-		if err := client.Send(types.ClientNode(0), down, msg); err == nil || errors.Is(err, ErrPeerBackoff) {
-			t.Fatalf("client send %d to a closed address: %v, want a dial error", i, err)
-		}
+	if n := dials(client); n == 0 || n > 10 {
+		t.Fatalf("1000 client sends to an address nobody listens on made %d dial attempts, want 1..10", n)
+	}
+	// Nothing but time ends a client's pause; once it has, the next send dials.
+	client.mu.Lock()
+	client.backoff[down] = peerPause{until: time.Now().Add(-time.Millisecond), step: peerBackoff}
+	client.mu.Unlock()
+	if err := client.Send(client.self, down, msg); err == nil || errors.Is(err, ErrPeerBackoff) {
+		t.Fatalf("client send after its pause ran out: %v, want a dial error", err)
+	}
+	client.mu.Lock()
+	again := client.backoff[down]
+	client.mu.Unlock()
+	if again.step != peerBackoff || !time.Now().Before(again.until) {
+		t.Fatalf("pause after a further refused dial: %+v, want a new %v pause", again, peerBackoff)
 	}
 
 	// However long the pause has grown, the peer's own connection ends it.

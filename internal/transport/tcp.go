@@ -30,14 +30,14 @@ const maxFrame = 16 << 20
 // fresh connection costs the loop a bounded share of its time rather than a
 // wait per refill. A dial that fails at once (nobody listens there: the
 // replica is down) costs a socket and a dialer per attempt, which at one
-// attempt per message is a fifth of a replica's processor time, so between
-// replicas it starts a pause too: minBackoff, doubling with each further
-// failure up to peerBackoff, and over as soon as a dial succeeds or the peer
-// itself connects — which a replica does when it starts. A client is never
-// dialed (its address is not known), so nothing could end its pause but its
-// own next attempt, and a COMMIT it skipped meanwhile is one the replica that
-// came back never gets: a client keeps dialling. The messages are lost, which
-// the protocols tolerate; a healthy peer drains its socket in far less than
+// attempt per message is a fifth of a replica's processor time, so it starts
+// a pause too, on replicas and clients alike: minBackoff, doubling with each
+// further failure up to peerBackoff, and over as soon as a dial succeeds or
+// the peer itself connects — which a replica does when it starts. Messages
+// skipped during a pause are lost, which the protocols tolerate: nobody dials
+// a client, so a client's pause ends only when it runs out, and a replica that
+// came back meanwhile fetches the commits the client skipped from its peers
+// (core's commit fetch). A healthy peer drains its socket in far less than
 // any of these bounds.
 const (
 	dialTimeout  = 2 * time.Second
@@ -252,13 +252,13 @@ func (p *TCPPeer) write(to types.NodeID, conn net.Conn, frame []byte) error {
 
 // backOff starts the peer's pause after a failed dial (hello included) or
 // write: the full peerBackoff after a timeout, which held the loop that long;
-// after a replica's dial that failed at once, twice the last pause, from
-// minBackoff up to peerBackoff; after a write that failed at once, or a
-// client's dial, none — the next send dials.
+// after a dial that failed at once, twice the last pause, from minBackoff up
+// to peerBackoff; after a write that failed at once, none — the next send
+// dials.
 func (p *TCPPeer) backOff(to types.NodeID, err error, dialing bool) {
 	var ne net.Error
 	timeout := errors.As(err, &ne) && ne.Timeout()
-	if !timeout && !(dialing && p.self.IsReplica()) {
+	if !timeout && !dialing {
 		return
 	}
 	p.mu.Lock()

@@ -209,9 +209,6 @@ func (c Command) String() string {
 // Digest is a SHA-256 digest.
 type Digest [32]byte
 
-// IsZero reports whether the digest is all zeroes.
-func (d Digest) IsZero() bool { return d == Digest{} }
-
 // String implements fmt.Stringer; prints a short prefix.
 func (d Digest) String() string { return fmt.Sprintf("%x", d[:4]) }
 

@@ -238,7 +238,12 @@ func (r *TCPReplica) Close() error {
 	return err
 }
 
-// TCPClientConfig describes one client of a TCP deployment.
+// TCPClientConfig describes one client of a TCP deployment. A replica whose
+// address refuses connections (it is down) is not dialled again for a pause
+// that starts at 20 ms and doubles with each further refusal up to 5 s, as
+// between replicas; what the client sends it meanwhile is skipped. A replica
+// that comes back during the pause fetches the COMMITs and COMMITFASTs it
+// missed from its peers.
 type TCPClientConfig struct {
 	// Protocol selects the consensus protocol (default EZBFT; must match
 	// the replicas).

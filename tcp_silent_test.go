@@ -114,10 +114,11 @@ const (
 // TestTCPFaultFreeMarksNobodyAndTransfersNothing: where every replica
 // answers, no client skips a replica (nobody is marked silent) and no
 // replica asks for a state transfer — a COMMITFAST merely in flight when a
-// checkpoint becomes stable is not a hole. On wall-clock loopback TCP a
-// client may legitimately wait out its slow-path timer once (a host stall
-// of 500 ms delays one reply), so the exact count of timeouts, zero, is
-// asserted by the simulator twin, TestSimFaultFreeMarksNobodyAndTransfersNothing.
+// checkpoint becomes stable is not a hole — or fetches a commit. On
+// wall-clock loopback TCP a client may legitimately wait out its slow-path
+// timer once (a host stall of 500 ms delays one reply), so the exact count of
+// timeouts, zero, is asserted by the simulator twin,
+// TestSimFaultFreeMarksNobodyAndTransfersNothing.
 func TestTCPFaultFreeMarksNobodyAndTransfersNothing(t *testing.T) {
 	const interval, clients, perClient, inflight = faultFreeInterval, faultFreeClients, faultFreePerClient, faultFreeInflight
 	replicas, addrs := startTCPCluster(t, interval)
@@ -161,8 +162,9 @@ func TestTCPFaultFreeMarksNobodyAndTransfersNothing(t *testing.T) {
 		if st.Checkpoints == 0 {
 			t.Errorf("replica %d: no stable checkpoint in %d commands at interval %d", i, clients*perClient, interval)
 		}
-		if st.CatchupsInstalled != 0 || st.CatchupsServed != 0 {
-			t.Errorf("replica %d installed %d and served %d state transfers on a fault-free run", i, st.CatchupsInstalled, st.CatchupsServed)
+		if st.CatchupsInstalled != 0 || st.CatchupsServed != 0 || st.CommitFetches != 0 {
+			t.Errorf("replica %d installed %d and served %d state transfers and sent %d COMMITFETCHes on a fault-free run",
+				i, st.CatchupsInstalled, st.CatchupsServed, st.CommitFetches)
 		}
 	}
 }
@@ -170,7 +172,7 @@ func TestTCPFaultFreeMarksNobodyAndTransfersNothing(t *testing.T) {
 // TestSimFaultFreeMarksNobodyAndTransfersNothing is the fault-free TCP run on
 // the simulator, where time is virtual and a stall cannot happen: no client
 // waits out its slow-path timer even once, nobody is marked, every decision
-// is fast, and no replica transfers state.
+// is fast, and no replica transfers state or fetches a commit.
 func TestSimFaultFreeMarksNobodyAndTransfersNothing(t *testing.T) {
 	regions := []wan.Region{"r0", "r1", "r2", "r3"}
 	links := make(map[[2]wan.Region]float64)
@@ -212,9 +214,9 @@ func TestSimFaultFreeMarksNobodyAndTransfersNothing(t *testing.T) {
 	}
 	for i, rep := range cl.EZReplicas {
 		st := rep.Stats()
-		if st.Checkpoints == 0 || st.CatchupsInstalled != 0 || st.CatchupsServed != 0 {
-			t.Errorf("replica %d: %d stable checkpoints, %d transfers installed, %d served; want some, none, none",
-				i, st.Checkpoints, st.CatchupsInstalled, st.CatchupsServed)
+		if st.Checkpoints == 0 || st.CatchupsInstalled != 0 || st.CatchupsServed != 0 || st.CommitFetches != 0 {
+			t.Errorf("replica %d: %d stable checkpoints, %d transfers installed, %d served, %d COMMITFETCHes; want some, none, none, none",
+				i, st.Checkpoints, st.CatchupsInstalled, st.CatchupsServed, st.CommitFetches)
 		}
 	}
 }
