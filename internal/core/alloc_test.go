@@ -90,6 +90,54 @@ func TestFastPathDecodeAllocations(t *testing.T) {
 	}
 }
 
+// TestSlowPathDecodeAllocations pins what decoding the COMMIT of a request
+// slow-committed around a silent replica costs: the message and the
+// client's signature, the one-element certificate slice and its SPECREPLY
+// (with its SPECORDER), the signer list and 2 signatures — and, as bytes,
+// well under the form that carries the three agreeing replies whole.
+func TestSlowPathDecodeAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	_, replies, _ := fastPathFrames()
+	sr := replies[0]
+	full := &Commit{
+		Client: sr.Client, Timestamp: sr.Timestamp, Inst: sr.Inst, Seq: sr.Seq,
+		Cert: replies[:3], Sig: bytes.Repeat([]byte{0x5A}, 32),
+	}
+	compact := *full
+	compact.Cert = replies[:1]
+	compact.Sigs = []ReplySig{{Replica: 1, Sig: replies[1].Sig}, {Replica: 2, Sig: replies[2].Sig}}
+	const specReply = 2 + 5 // TestFastPathDecodeAllocations
+	decode := func(m *Commit) (objects float64, bytes uint64) {
+		frame := codec.Marshal(m)
+		objects = testing.AllocsPerRun(200, func() {
+			if _, err := codec.Unmarshal(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const runs = 2000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := codec.Unmarshal(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return objects, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	objects, compactBytes := decode(&compact)
+	if want := float64(2 + 1 + specReply + 1 + 2); objects != want {
+		t.Errorf("decoding a compact COMMIT allocates %v objects, want %v", objects, want)
+	}
+	_, fullBytes := decode(full)
+	if compactBytes*4 > fullBytes*3 {
+		t.Errorf("a compact COMMIT decodes to %d B, the full form to %d B: want at least a quarter less", compactBytes, fullBytes)
+	}
+	t.Logf("COMMIT decoded: compact %d B, full %d B", compactBytes, fullBytes)
+}
+
 // idleDriver is a workload.Driver that does nothing.
 type idleDriver struct{}
 

@@ -852,15 +852,15 @@ func TestValidateCertRejectsMixedBatches(t *testing.T) {
 		return sr
 	}
 	good := []*SpecReply{mk(0, true, 1), mk(1, true, 1), mk(2, true, 1)}
-	if !r0.validateCert(noopCtx{}, good, inst, SlowQuorum(4)) {
+	if !r0.validateCert(noopCtx{}, inst, &Commit{Cert: good}, SlowQuorum(4)) {
 		t.Fatal("homogeneous cert rejected")
 	}
 	mixed := []*SpecReply{mk(0, true, 1), mk(1, false, 0), mk(2, true, 1)}
-	if r0.validateCert(noopCtx{}, mixed, inst, SlowQuorum(4)) {
+	if r0.validateCert(noopCtx{}, inst, &Commit{Cert: mixed}, SlowQuorum(4)) {
 		t.Fatal("cert mixing batched and unbatched replies accepted")
 	}
 	mixedIdx := []*SpecReply{mk(0, true, 1), mk(1, true, 2), mk(2, true, 1)}
-	if r0.validateCert(noopCtx{}, mixedIdx, inst, SlowQuorum(4)) {
+	if r0.validateCert(noopCtx{}, inst, &Commit{Cert: mixedIdx}, SlowQuorum(4)) {
 		t.Fatal("cert mixing batch positions accepted")
 	}
 }

@@ -1120,7 +1120,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 	r.replyCache = make(map[cmdKey]*SpecReply)
 	r.pendingExec = make(map[types.InstanceID]*entry)
 	r.executed = make(map[cmdKey]types.Result)
-	r.deferredCommits = make(map[types.InstanceID][]deferredCommit)
+	r.deferredCommits = make(map[types.InstanceID][]certified)
 	for key, rs := range r.resendWait {
 		delete(r.resendWait, key)
 		delete(r.timerAct, rs.timer)

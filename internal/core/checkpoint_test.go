@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -477,4 +478,61 @@ func TestDuplicateRequestAfterCatchup(t *testing.T) {
 	if ref := tc.apps[0].Digest(); tc.apps[3].Digest() != ref {
 		t.Fatal("caught-up replica diverged from the cluster")
 	}
+}
+
+// TestDepWaitIgnoresTruncatedDependency: a dependency that commits, executes
+// and is truncated by a stable checkpoint while a dependent waits on it is
+// settled, not suspect. Client 1's first command depends on client 0's
+// (same key, its REQUEST held until R1 has client 0's SPECORDER), and client
+// 0's commit is held back from every replica, so every replica arms the
+// dependency-wait timer for it. Client 0 keeps its space moving on private
+// keys, so once the commit lands the space checkpoints and truncates past
+// it well before the timer fires. The timer must then find the slot below
+// the truncation point and leave the space alone.
+func TestDepWaitIgnoresTruncatedDependency(t *testing.T) {
+	opts := defaultOpts()
+	opts.ckptInterval = 2
+	scripts := [][]types.Command{{putCmd("hot", "a")}, {putCmd("hot", "b")}}
+	for i := 0; i < 30; i++ {
+		scripts[0] = append(scripts[0], putCmd(fmt.Sprintf("own-%d", i), "v"))
+	}
+	tc := newTestCluster(t, opts, []types.ReplicaID{0, 1}, scripts)
+	held := opts.resendTimeout * 3 / 5 // past the dependent's commit, short of the timer
+	tc.rt.SetFilter(func(from, to types.NodeID, msg codec.Message) (sim.Verdict, time.Duration) {
+		switch m := msg.(type) {
+		case *Request:
+			if m.Cmd.Client == 1 && m.Cmd.Timestamp == 1 {
+				return sim.Deliver, 3 * opts.delay
+			}
+		case *CommitFast:
+			if m.Client == 0 && len(m.Cert) == 1 && m.Cert[0].Timestamp == 1 {
+				return sim.Deliver, held
+			}
+		case *Commit:
+			if m.Client == 0 && m.Timestamp == 1 {
+				return sim.Deliver, held
+			}
+		}
+		return sim.Deliver, 0
+	})
+	if !tc.run(30 * time.Second) {
+		t.Fatal("workload did not complete")
+	}
+	tc.rt.Run(tc.rt.Kernel().Now() + 2*opts.resendTimeout)
+	for i, r := range tc.replicas {
+		st := r.Stats()
+		if st.TruncatedEntries == 0 {
+			t.Fatalf("replica %d truncated nothing: the test lost its shape", i)
+		}
+		if st.OwnerChanges != 0 {
+			t.Errorf("replica %d led %d owner changes", i, st.OwnerChanges)
+		}
+		for s := 0; s < tc.n; s++ {
+			if sp := r.log.space(types.ReplicaID(s)); sp.suspended || sp.frozen {
+				t.Errorf("replica %d gave up space %d", i, s)
+			}
+		}
+	}
+	tc.checkConsistency()
+	tc.checkStateConvergence()
 }

@@ -556,6 +556,17 @@ func (g *replyGroup) allMatch() bool {
 	return true
 }
 
+// agree reports whether a slow quorum's replies all match the first, so
+// that its certificate takes the compact form.
+func agree(chosen []*SpecReply) bool {
+	for _, sr := range chosen[1:] {
+		if !sr.Matches(chosen[0]) {
+			return false
+		}
+	}
+	return true
+}
+
 // finishFast completes a request on the fast path: return to the
 // application, then asynchronously send COMMITFAST — the group's reference
 // reply, neither copied nor written to (on the mesh and the simulator it is
@@ -576,8 +587,9 @@ func (c *Client) finishFast(ctx proc.Context, ts uint64, p *pendingReq, inst typ
 
 // trySlowPath implements step 4.2: with at least 2f+1 replies for one
 // instance, combine their dependency sets, take the maximum sequence
-// number, and broadcast the signed COMMIT. Reports whether the commit was
-// sent (or the request is already done).
+// number, and broadcast the signed COMMIT — in the compact form when the
+// replies agree. Reports whether the commit was sent (or the request is
+// already done).
 func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 	if p.commitSent {
 		return true
@@ -630,6 +642,15 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 		Deps:      deps,
 		Seq:       seq,
 		Cert:      chosen,
+	}
+	if agree(chosen) {
+		// Replies that agree differ only in sender and signature: send the
+		// first once, with the others' signatures over its body.
+		commit.Cert = chosen[:1]
+		commit.Sigs = make([]ReplySig, 0, len(chosen)-1)
+		for _, sr := range chosen[1:] {
+			commit.Sigs = append(commit.Sigs, ReplySig{Replica: sr.Replica, Sig: sr.Sig})
+		}
 	}
 	c.cfg.Costs.ChargeSign(ctx)
 	commit.Sig = engine.SignBody(c.cfg.Auth, commit)

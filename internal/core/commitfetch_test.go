@@ -9,8 +9,10 @@ import (
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
+	"ezbft/internal/kvstore"
 	"ezbft/internal/proc"
 	"ezbft/internal/sim"
+	"ezbft/internal/store"
 	"ezbft/internal/types"
 )
 
@@ -228,4 +230,63 @@ func FuzzCommitFetch(f *testing.F) {
 			t.Fatalf("a COMMITFETCH decoded %d instances", n)
 		}
 	})
+}
+
+// TestCompactCommitSurvivesRestart: the compact COMMIT a replica keeps for
+// an entry is logged with the commit decision, so a replica restarted over
+// its disk store still holds it, byte for byte, and answers a peer's
+// COMMITFETCH with it.
+func TestCompactCommitSurvivesRestart(t *testing.T) {
+	rig := newPVRig(t)
+	dir := t.TempDir()
+	const self = types.ReplicaID(3)
+	start := func() (*Replica, *store.Disk) {
+		t.Helper()
+		disk, err := store.OpenDisk(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := NewReplica(ReplicaConfig{Self: self, N: rig.n, App: kvstore.New(), Auth: rig.replicaAuth(self), Store: disk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Init(noopCtx{})
+		return rep, disk
+	}
+
+	cc := rig.compactCommit()
+	want := codec.Marshal(cc)
+	rep, disk := start()
+	rep.Receive(noopCtx{}, types.ClientNode(5), roundTrip(t, cc))
+	if e := rep.log.get(cc.Inst); e == nil || e.status != StatusExecuted || e.clientCommit == nil {
+		t.Fatalf("compact COMMIT did not commit and execute: %+v", e)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, disk = start()
+	defer disk.Close()
+	if rep.Stats().Recoveries != 1 {
+		t.Fatal("the restarted replica did not recover from its store")
+	}
+	e := rep.log.get(cc.Inst)
+	if e == nil || e.status != StatusExecuted || e.clientCommit == nil {
+		t.Fatalf("entry after restart: %+v, want executed with its COMMIT", e)
+	}
+	if got := codec.Marshal(e.clientCommit); !bytes.Equal(got, want) {
+		t.Fatalf("COMMIT after restart is %x, want %x", got, want)
+	}
+
+	fetch := &CommitFetch{Replica: 0, Insts: types.NewInstanceSet(cc.Inst)}
+	fetch.Sig = engine.SignBody(rig.replicaAuth(0), fetch)
+	var answers [][]byte
+	rep.Receive(&sendProbeCtx{onSend: func(to types.NodeID, msg codec.Message) {
+		if to == types.ReplicaNode(0) {
+			answers = append(answers, codec.Marshal(msg))
+		}
+	}}, types.ReplicaNode(0), fetch)
+	if len(answers) != 1 || !bytes.Equal(answers[0], want) {
+		t.Fatalf("COMMITFETCH answered with %x, want the compact COMMIT %x", answers, want)
+	}
 }

@@ -154,6 +154,9 @@ func (r *Replica) armDepWait(ctx proc.Context, blockers []types.InstanceID) {
 		dep := dep
 		r.afterTimer(ctx, r.cfg.DepWaitTimeout, func(ctx proc.Context) {
 			delete(r.depWait, dep)
+			if dep.Slot <= r.log.space(dep.Space).truncated {
+				return // executed and truncated by a stable checkpoint meanwhile
+			}
 			de := r.log.get(dep)
 			if de != nil && de.status >= StatusCommitted {
 				return // committed in the meantime
@@ -229,19 +232,12 @@ func (r *Replica) finalExecute(ctx proc.Context, e *entry) {
 	// increments) must survive a crash before replies reveal it.
 	r.walExec(e)
 	r.advanceExecMark(ctx, e.inst.Space)
-	if len(e.commitReplyTo) > 0 {
-		// Deterministic send order keeps simulations replayable. The index
-		// buffer is replica-owned scratch (commit-reply fan-outs run once per
-		// slow-committed entry on the hot path).
-		idxs := r.execIdxs[:0]
-		for idx := range e.commitReplyTo {
-			idxs = append(idxs, idx)
+	if e.commitReplyTo != nil {
+		// Sorted by position: the send order is deterministic, which keeps
+		// simulations replayable.
+		for _, rt := range e.commitReplyTo.list {
+			r.sendCommitReply(ctx, e, int(rt.idx), rt.client)
 		}
-		slices.Sort(idxs)
-		for _, idx := range idxs {
-			r.sendCommitReply(ctx, e, idx, e.commitReplyTo[idx])
-		}
-		r.execIdxs = idxs[:0]
 		e.commitReplyTo = nil
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"slices"
 
 	"ezbft/internal/types"
 )
@@ -70,8 +72,23 @@ type entry struct {
 	fastCommit   *CommitFast
 
 	// commitReplyTo records, per batch position, the slow-path client to
-	// answer after final execution (nil until a COMMIT arrives).
-	commitReplyTo map[int]types.ClientID
+	// answer after final execution (nil until a COMMIT arrives). A pointer,
+	// not a slice, keeps entry in its allocation size class.
+	commitReplyTo *replyList
+}
+
+// replyTo is a slow-path client owed a COMMITREPLY for the command at batch
+// position idx.
+type replyTo struct {
+	idx    int32
+	client types.ClientID
+}
+
+// replyList is an entry's replyTo records, sorted by position, with room
+// for the usual single one inline: recording it is one small allocation.
+type replyList struct {
+	list []replyTo
+	one  [1]replyTo
 }
 
 // nCmds returns the number of commands the entry orders.
@@ -133,10 +150,20 @@ func (e *entry) setFinalResult(i int, res types.Result) {
 // needCommitReply records a slow-path client to answer after the i'th
 // command finally executes.
 func (e *entry) needCommitReply(i int, to types.ClientID) {
-	if e.commitReplyTo == nil {
-		e.commitReplyTo = make(map[int]types.ClientID, 1)
+	l := e.commitReplyTo
+	if l == nil {
+		l = new(replyList)
+		l.list = l.one[:0]
+		e.commitReplyTo = l
 	}
-	e.commitReplyTo[i] = to
+	at, found := slices.BinarySearchFunc(l.list, int32(i), func(rt replyTo, idx int32) int {
+		return cmp.Compare(rt.idx, idx)
+	})
+	if found {
+		l.list[at].client = to
+		return
+	}
+	l.list = slices.Insert(l.list, at, replyTo{idx: int32(i), client: to})
 }
 
 // space is one replica's view of one instance space.

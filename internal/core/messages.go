@@ -67,15 +67,20 @@
 //
 // A client commits by showing replicas the SPECREPLYs it decided on, and a
 // certificate carries each thing once. Matching replies differ only in
-// sender and signature, so a COMMITFAST is the SPECREPLY all 3f+1 replicas
-// sent — CommitFast.Cert has exactly one element — plus the other senders'
-// (replica, signature) pairs in CommitFast.Sigs, each checked over that one
-// body with the signer's id in place. A COMMIT keeps its 2f+1 replies, whose
-// dependencies and sequence numbers may differ, but only the first travels
-// with the SPECORDER. One is enough: all replies of a certificate vouch for
-// one proposal (validateCert); a replica reads the SPECORDER only to install
-// an instance it never saw, after binding it to what the first reply signed
-// (commitEntry); and evidence of equivocation travels in a POM.
+// sender and signature, so a certificate of agreeing replies is the one
+// SPECREPLY they all sent — Cert has exactly one element — plus the other
+// senders' (replica, signature) pairs in Sigs, each checked over that one
+// body with the signer's id in place. A COMMITFAST is always of this compact
+// form (3f+1 replies agree by definition), and so is a COMMIT whose 2f+1
+// replies agree, which is every slow commit a silent replica causes. Only a
+// COMMIT whose replies differ in dependencies, sequence number or result
+// carries them whole, and then only the first travels with the SPECORDER.
+// One is enough: all replies of a certificate vouch for one proposal; a
+// replica reads the SPECORDER only to install an instance it never saw,
+// after binding it to what the first reply signed (commitEntry); and
+// evidence of equivocation travels in a POM. Both messages, in both forms,
+// pass the same checks: signatures on the verifier pool (preVerifyCert) and
+// signers, quorum and proposal in the loop (validateCert).
 //
 // # Where a replica's commits come from
 //
@@ -130,9 +135,9 @@
 // every replica answers both stay zero and the client does what it did
 // before it kept a watch.
 //
-// This file defines the wire messages (codec tags 10–25). Signed messages
-// carry their signature separately from the body; the signature covers the
-// deterministic codec encoding of the body (signedBody).
+// This file defines the wire messages (codec tags 10–25, 67 and 68). Signed
+// messages carry their signature separately from the body; the signature
+// covers the deterministic codec encoding of the body (signedBody).
 //
 // Batching (owner-side request batching): a SPECORDER may order a batch of
 // client requests in a single instance. Batches of one use the original
@@ -146,13 +151,15 @@
 package core
 
 import (
+	"errors"
+
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/types"
 )
 
-// Message type tags reserved by ezBFT (10–29, and COMMITFETCH's 66; 30–65
-// belong to the baseline protocols).
+// Message type tags reserved by ezBFT (10–29, COMMITFETCH's 66 and the
+// compact COMMIT's 67–68; 30–65 belong to the baseline protocols).
 const (
 	tagRequest          = 10
 	tagSpecOrder        = 11
@@ -171,6 +178,11 @@ const (
 	tagCommitFastBatch = 23
 	tagCommitBatch     = 24
 	tagPOMBatch        = 25
+	// A COMMIT whose certificate is one reply plus the other signers'
+	// signatures (unbatched and batched layouts); tags 14 and 24 keep the
+	// form that carries every reply whole.
+	tagCommitCompact      = 67
+	tagCommitCompactBatch = 68
 )
 
 // maxBatch bounds the requests decoded per SPECORDER batch.
@@ -184,6 +196,28 @@ const (
 	fmtSingle  = 1
 	fmtBatched = 2
 )
+
+// A history entry's COMMIT marker is fmtAbsent or names the COMMIT's layout:
+// fmtSingle and fmtBatched for the form that carries every reply whole (the
+// values the SPECORDER markers use), these two for the compact form.
+const (
+	fmtCompactSingle  = 3
+	fmtCompactBatched = 4
+)
+
+// commitMarker returns the history marker for a COMMIT with the given tag.
+func commitMarker(tag uint8) uint8 {
+	switch tag {
+	case tagCommitBatch:
+		return fmtBatched
+	case tagCommitCompact:
+		return fmtCompactSingle
+	case tagCommitCompactBatch:
+		return fmtCompactBatched
+	default:
+		return fmtSingle
+	}
+}
 
 // noOrig marks a Request that is not a retry broadcast.
 const noOrig types.ReplicaID = -1
@@ -617,8 +651,8 @@ func decodeSpecReplyFmt(r *codec.Reader, batched, withSO bool) (*SpecReply, erro
 // cluster size: engine.ReplicaSet is one machine word.
 const maxSigners = engine.MaxReplicas
 
-// ReplySig is one more signer of a COMMITFAST's reply: Replica's signature
-// over that reply's body with its own id in the Replica field.
+// ReplySig is one more signer of a compact certificate's reply: Replica's
+// signature over that reply's body with its own id in the Replica field.
 type ReplySig struct {
 	Replica types.ReplicaID
 	Sig     []byte
@@ -656,12 +690,11 @@ func (m *CommitFast) MarshalTo(w *codec.Writer) {
 	w.Int32(int32(m.Client))
 	w.Instance(m.Inst)
 	m.Cert[0].MarshalTo(w)
-	w.Uvarint(uint64(len(m.Sigs)))
-	for _, s := range m.Sigs {
-		w.Int32(int32(s.Replica))
-		w.Blob(s.Sig)
-	}
+	marshalSigs(w, m.Sigs)
 }
+
+// certificate returns the replies and signer pairs the message carries.
+func (m *CommitFast) certificate() ([]*SpecReply, []ReplySig) { return m.Cert, m.Sigs }
 
 func decodeCommitFast(r *codec.Reader, batched bool) (*CommitFast, error) {
 	m := &CommitFast{
@@ -673,23 +706,45 @@ func decodeCommitFast(r *codec.Reader, batched bool) (*CommitFast, error) {
 		return nil, err
 	}
 	m.Cert = []*SpecReply{sr}
-	n := r.Uvarint() // 0 after a read error, which r.Err() below reports
-	if n > maxSigners {
-		return nil, codec.ErrOverflow
-	}
-	m.Sigs = make([]ReplySig, n)
-	for i := range m.Sigs {
-		m.Sigs[i] = ReplySig{Replica: types.ReplicaID(r.Int32()), Sig: r.Blob()}
+	if m.Sigs, err = decodeSigs(r); err != nil {
+		return nil, err
 	}
 	return m, r.Err()
 }
 
+// marshalSigs writes a compact certificate's signer pairs.
+func marshalSigs(w *codec.Writer, sigs []ReplySig) {
+	w.Uvarint(uint64(len(sigs)))
+	for _, s := range sigs {
+		w.Int32(int32(s.Replica))
+		w.Blob(s.Sig)
+	}
+}
+
+// decodeSigs parses the counterpart of marshalSigs.
+func decodeSigs(r *codec.Reader) ([]ReplySig, error) {
+	n := r.Uvarint() // 0 after a read error, which r.Err() below reports
+	if n > maxSigners {
+		return nil, codec.ErrOverflow
+	}
+	sigs := make([]ReplySig, n)
+	for i := range sigs {
+		sigs[i] = ReplySig{Replica: types.ReplicaID(r.Int32()), Sig: r.Blob()}
+	}
+	return sigs, r.Err()
+}
+
 // decodeCert parses a COMMIT's certificate; every element uses the layout
-// the message's tag selects, and only the first has a SPECORDER.
+// the message's tag selects, and only the first has a SPECORDER. A
+// certificate of no replies is refused: it proves nothing, and its layout
+// would not survive a re-marshal.
 func decodeCert(r *codec.Reader, batched bool) ([]*SpecReply, error) {
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	if n == 0 {
+		return nil, errCertShape
 	}
 	if n > maxSigners {
 		return nil, codec.ErrOverflow
@@ -706,7 +761,11 @@ func decodeCert(r *codec.Reader, batched bool) ([]*SpecReply, error) {
 }
 
 // Commit is the client's signed slow-path commit,
-// ⟨COMMIT, c, I, D′, S′, CC⟩σc with CC = 2f+1 SPECREPLY messages.
+// ⟨COMMIT, c, I, D′, S′, CC⟩σc with CC = 2f+1 SPECREPLY messages. When the
+// replies agree, CC travels as a COMMITFAST's does: Cert holds the one reply
+// (with its SPECORDER) and Sigs the other signers' signatures over its body
+// (tags 67 and 68). Otherwise Cert holds every reply and Sigs is empty (tags
+// 14 and 24); only Cert[0]'s SPECORDER travels then.
 type Commit struct {
 	Client    types.ClientID
 	Timestamp uint64
@@ -714,6 +773,7 @@ type Commit struct {
 	Deps      types.InstanceSet // final combined dependency set
 	Seq       types.SeqNumber   // final sequence number
 	Cert      []*SpecReply      // only Cert[0]'s SPECORDER travels (MarshalTo)
+	Sigs      []ReplySig        // compact form: the other signers of Cert[0]
 	Sig       []byte
 
 	// Verified marks the client signature and every certificate signature
@@ -723,19 +783,30 @@ type Commit struct {
 
 // Tag implements codec.Message.
 func (m *Commit) Tag() uint8 {
-	if certBatched(m.Cert) {
+	switch batched := certBatched(m.Cert); {
+	case len(m.Sigs) > 0 && batched:
+		return tagCommitCompactBatch
+	case len(m.Sigs) > 0:
+		return tagCommitCompact
+	case batched:
 		return tagCommitBatch
+	default:
+		return tagCommit
 	}
-	return tagCommit
 }
 
-// MarshalTo implements codec.Message.
+// certificate returns the replies and signer pairs the message carries.
+func (m *Commit) certificate() ([]*SpecReply, []ReplySig) { return m.Cert, m.Sigs }
+
+// MarshalTo implements codec.Message. The compact form is the full form of
+// its one reply followed by the signer pairs; only a well-formed compact
+// message (one Cert element) has an encoding.
 func (m *Commit) MarshalTo(w *codec.Writer) {
 	m.MarshalBody(w)
 	w.Blob(m.Sig)
-	// The replies may differ in dependencies and sequence number, so each
-	// travels whole, but all vouch for one proposal: only the first carries
-	// the SPECORDER, which is the one replicas install from.
+	// Replies that differ in dependencies or sequence number travel whole,
+	// but all vouch for one proposal: only the first carries the
+	// SPECORDER, which is the one replicas install from.
 	w.Uvarint(uint64(len(m.Cert)))
 	for i, sr := range m.Cert {
 		if i == 0 {
@@ -743,6 +814,9 @@ func (m *Commit) MarshalTo(w *codec.Writer) {
 		} else {
 			sr.marshalSigned(w)
 		}
+	}
+	if len(m.Sigs) > 0 {
+		marshalSigs(w, m.Sigs)
 	}
 }
 
@@ -754,7 +828,11 @@ func (m *Commit) MarshalBody(w *codec.Writer) {
 	w.Uvarint(uint64(m.Seq))
 }
 
-func decodeCommit(r *codec.Reader, batched bool) (*Commit, error) {
+// errCertShape rejects a COMMIT frame with no reply, or a compact one
+// without exactly one reply and at least one more signer.
+var errCertShape = errors.New("core: COMMIT certificate of the wrong shape")
+
+func decodeCommit(r *codec.Reader, batched, compact bool) (*Commit, error) {
 	m := &Commit{
 		Client:    types.ClientID(r.Int32()),
 		Timestamp: r.Uvarint(),
@@ -768,6 +846,17 @@ func decodeCommit(r *codec.Reader, batched bool) (*Commit, error) {
 		return nil, err
 	}
 	m.Cert = cert
+	if compact {
+		if len(cert) != 1 {
+			return nil, errCertShape
+		}
+		if m.Sigs, err = decodeSigs(r); err != nil {
+			return nil, err
+		}
+		if len(m.Sigs) == 0 {
+			return nil, errCertShape
+		}
+	}
 	return m, r.Err()
 }
 
@@ -920,14 +1009,10 @@ func (h *HistEntry) marshalTo(w *codec.Writer) {
 	w.Uvarint(uint64(h.Seq))
 	w.Uvarint(uint64(h.Owner))
 	marshalSpecOrderPtr(w, h.SO)
-	switch {
-	case h.ClientCommit == nil:
+	if h.ClientCommit == nil {
 		w.Uint8(fmtAbsent)
-	case certBatched(h.ClientCommit.Cert):
-		w.Uint8(fmtBatched)
-		h.ClientCommit.MarshalTo(w)
-	default:
-		w.Uint8(fmtSingle)
+	} else {
+		w.Uint8(commitMarker(h.ClientCommit.Tag()))
 		h.ClientCommit.MarshalTo(w)
 	}
 	if len(h.Batch) > 0 {
@@ -954,8 +1039,9 @@ func decodeHistEntry(r *codec.Reader) (HistEntry, error) {
 	h.SO = so
 	switch marker := r.Uint8(); marker {
 	case fmtAbsent:
-	case fmtSingle, fmtBatched:
-		c, err := decodeCommit(r, marker == fmtBatched)
+	case fmtSingle, fmtBatched, fmtCompactSingle, fmtCompactBatched:
+		c, err := decodeCommit(r, marker == fmtBatched || marker == fmtCompactBatched,
+			marker >= fmtCompactSingle)
 		if err != nil {
 			return h, err
 		}
@@ -1200,7 +1286,7 @@ func init() {
 	codec.Register(tagSpecOrder, "ezbft.SpecOrder", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrder(r) })
 	codec.Register(tagSpecReply, "ezbft.SpecReply", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, false, true) })
 	codec.Register(tagCommitFast, "ezbft.CommitFast", func(r *codec.Reader) (codec.Message, error) { return decodeCommitFast(r, false) })
-	codec.Register(tagCommit, "ezbft.Commit", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, false) })
+	codec.Register(tagCommit, "ezbft.Commit", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, false, false) })
 	codec.Register(tagCommitReply, "ezbft.CommitReply", func(r *codec.Reader) (codec.Message, error) { return decodeCommitReply(r) })
 	codec.Register(tagResendReq, "ezbft.ResendReq", func(r *codec.Reader) (codec.Message, error) { return decodeResendReq(r) })
 	codec.Register(tagStartOwnerChange, "ezbft.StartOwnerChange", func(r *codec.Reader) (codec.Message, error) { return decodeStartOwnerChange(r) })
@@ -1210,6 +1296,8 @@ func init() {
 	codec.Register(tagSpecOrderBatch, "ezbft.SpecOrderB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrderFmt(r, true) })
 	codec.Register(tagSpecReplyBatch, "ezbft.SpecReplyB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, true, true) })
 	codec.Register(tagCommitFastBatch, "ezbft.CommitFastB", func(r *codec.Reader) (codec.Message, error) { return decodeCommitFast(r, true) })
-	codec.Register(tagCommitBatch, "ezbft.CommitB", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, true) })
+	codec.Register(tagCommitBatch, "ezbft.CommitB", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, true, false) })
+	codec.Register(tagCommitCompact, "ezbft.CommitC", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, false, true) })
+	codec.Register(tagCommitCompactBatch, "ezbft.CommitCB", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, true, true) })
 	codec.Register(tagPOMBatch, "ezbft.POMB", func(r *codec.Reader) (codec.Message, error) { return decodePOM(r, true) })
 }

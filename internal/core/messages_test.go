@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"testing"
 
 	"ezbft/internal/codec"
@@ -135,52 +139,66 @@ func fastCertOf(client types.ClientID, replies []*SpecReply) *CommitFast {
 
 func fastCert(n int, batched bool) *CommitFast { return fastCertOf(3, certOf(n, batched)) }
 
-// certificateFrames is one message per certificate tag (13, 14, 23, 24) and
-// an owner-change history embedding a COMMIT, each built from replies that
-// all embed the SPECORDER.
+// certificateFrames is one message per certificate tag (13, 14, 23, 24, 67,
+// 68) and an owner-change history embedding a COMMIT in either form, each
+// built from replies that all embed the SPECORDER.
 func certificateFrames() map[string]codec.Message {
 	inst := types.InstanceID{Space: 1, Slot: 9}
 	commit := func(cert []*SpecReply) *Commit {
 		return &Commit{Client: 3, Timestamp: 7, Inst: inst, Deps: types.NewInstanceSet(), Seq: 4, Cert: cert, Sig: []byte{8}}
 	}
+	compact := func(cert []*SpecReply) *Commit {
+		cf := fastCertOf(3, cert)
+		c := commit(cf.Cert)
+		c.Sigs = cf.Sigs
+		return c
+	}
+	history := func(c *Commit) *OwnerChange {
+		return &OwnerChange{Suspect: 1, NewOwner: 2, Replica: 3, Sig: []byte{6}, History: []HistEntry{{
+			Inst: inst, Status: HistCommitted, Deps: types.NewInstanceSet(), Seq: 4, Owner: 1, ClientCommit: c,
+		}}}
+	}
 	return map[string]codec.Message{
-		"commitfast":         fastCert(4, false),
-		"commit":             commit(certOf(3, false)),
-		"commitfast-batched": fastCert(4, true),
-		"commit-batched":     commit(certOf(3, true)),
-		"ownerchange-history": &OwnerChange{Suspect: 1, NewOwner: 2, Replica: 3, Sig: []byte{6}, History: []HistEntry{{
-			Inst: inst, Status: HistCommitted, Deps: types.NewInstanceSet(), Seq: 4, Owner: 1, ClientCommit: commit(certOf(3, false)),
-		}}},
+		"commitfast":                  fastCert(4, false),
+		"commit":                      commit(certOf(3, false)),
+		"commitfast-batched":          fastCert(4, true),
+		"commit-batched":              commit(certOf(3, true)),
+		"commit-compact":              compact(certOf(3, false)),
+		"commit-compact-batched":      compact(certOf(3, true)),
+		"ownerchange-history":         history(commit(certOf(3, false))),
+		"ownerchange-history-compact": history(compact(certOf(3, true))),
 	}
 }
 
 // TestCertCarriesOneSpecOrder: whatever its replies held in memory, a
 // certificate travels with one SPECORDER — its first reply's — and every
-// signer: a COMMITFAST decodes to one reply plus the other signers' pairs, a
-// COMMIT to its 2f+1 replies with the later ones bare, and both re-marshal
-// to the bytes they came from.
+// signer: a COMMITFAST or compact COMMIT decodes to one reply plus the other
+// signers' pairs, a full COMMIT to its 2f+1 replies with the later ones
+// bare, and all re-marshal to the bytes they came from.
 func TestCertCarriesOneSpecOrder(t *testing.T) {
 	for name, m := range certificateFrames() {
 		out := roundTrip(t, m)
 		var cert []*SpecReply
+		var sigs []ReplySig
 		switch d := out.(type) {
 		case *CommitFast:
-			cert = d.Cert
-			if len(cert) != 1 || len(d.Sigs) != 3 {
-				t.Fatalf("%s: decoded %d replies and %d other signers, want 1 and 3", name, len(cert), len(d.Sigs))
+			cert, sigs = d.certificate()
+		case *Commit:
+			cert, sigs = d.certificate()
+		case *OwnerChange:
+			cert, sigs = d.History[0].ClientCommit.certificate()
+		}
+		if len(sigs) > 0 {
+			if len(cert) != 1 {
+				t.Fatalf("%s: decoded %d replies beside %d signer pairs, want 1", name, len(cert), len(sigs))
 			}
-			for i, s := range d.Sigs {
+			for i, s := range sigs {
 				if s.Replica != types.ReplicaID(i+1) || len(s.Sig) != 2 || s.Sig[0] != byte(i+1) {
 					t.Errorf("%s: signer %d decoded as replica %d with signature %v", name, i+1, s.Replica, s.Sig)
 				}
 			}
-		case *Commit:
-			cert = d.Cert
-		case *OwnerChange:
-			cert = d.History[0].ClientCommit.Cert
-		}
-		if _, fast := out.(*CommitFast); !fast && len(cert) != 3 {
-			t.Fatalf("%s: decoded %d replies, want 3", name, len(cert))
+		} else if len(cert) != 3 {
+			t.Fatalf("%s: decoded %d replies and no signer pairs, want 3 replies", name, len(cert))
 		}
 		for i, sr := range cert {
 			if sr.Replica != types.ReplicaID(i) {
@@ -200,6 +218,24 @@ func TestCertCarriesOneSpecOrder(t *testing.T) {
 	slim.Cert[0].SO = nil
 	if out := roundTrip(t, slim).(*CommitFast); out.Cert[0].SO != nil || len(out.Sigs) != 3 {
 		t.Error("slimmed COMMITFAST gained a SPECORDER or lost a signer")
+	}
+}
+
+// TestFullCommitBytesUnchanged: a COMMIT whose replies travel whole, on its
+// own (tags 14 and 24) or inside a history (marker 1), encodes to the bytes
+// it did before the compact form existed, so COMMITs already stored in WAL
+// records, snapshots and histories keep decoding to the same values. The
+// digests are of certificateFrames' encodings taken before that change.
+func TestFullCommitBytesUnchanged(t *testing.T) {
+	frames := certificateFrames()
+	for name, want := range map[string]string{
+		"commit":              "d87efca29e7b8de973d1e4a202b5c893357be274ff7f94934948d51e8fec0170",
+		"commit-batched":      "d28a66fc29f3b1bc1e237ddd6550d9af1aeea5705c71ffce7f30da98287f27df",
+		"ownerchange-history": "af46696eb6571d3c62e9962f9d603eb4fc4c34e1816222b0c842d6be9c2080d2",
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(codec.Marshal(frames[name]))); got != want {
+			t.Errorf("%s encodes to bytes with digest %s, want %s", name, got, want)
+		}
 	}
 }
 
@@ -295,4 +331,39 @@ func TestReplicaConfigValidation(t *testing.T) {
 	if _, err := NewClient(ClientConfig{N: 4, Leader: 9}); err == nil {
 		t.Fatal("client accepted bad leader")
 	}
+}
+
+// certTags are the certificate-carrying frames FuzzCommitCert decodes:
+// COMMITFAST, COMMIT in the full and the compact form, each unbatched and
+// batched.
+var certTags = []uint8{tagCommitFast, tagCommitFastBatch, tagCommit, tagCommitBatch, tagCommitCompact, tagCommitCompactBatch}
+
+// FuzzCommitCert: decoding any certificate frame never panics, what decodes
+// re-marshals to the same bytes, and a compact COMMIT decodes only with
+// exactly one reply and one to maxSigners signer pairs. The seed corpus
+// (testdata/fuzz/FuzzCommitCert) holds compact frames at those bounds: no
+// reply, two replies, no signer pair and maxSigners+1 of them, all refused,
+// and maxSigners, accepted; and a batched COMMIT of no replies, which would
+// re-marshal under the unbatched tag and is refused too.
+func FuzzCommitCert(f *testing.F) {
+	for _, m := range certificateFrames() {
+		frame := codec.Marshal(m)
+		if i := slices.Index(certTags, frame[0]); i >= 0 {
+			f.Add(uint8(i), frame[1:])
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
+		frame := append([]byte{certTags[int(kind)%len(certTags)]}, body...)
+		m, err := codec.Unmarshal(frame)
+		if err != nil {
+			return
+		}
+		if got := codec.Marshal(m); !bytes.Equal(got, frame) {
+			t.Fatalf("certificate accepted from %x re-marshals to %x", frame, got)
+		}
+		if c, ok := m.(*Commit); ok && (frame[0] == tagCommitCompact || frame[0] == tagCommitCompactBatch) &&
+			(len(c.Cert) != 1 || len(c.Sigs) == 0 || len(c.Sigs) > maxSigners) {
+			t.Fatalf("compact COMMIT decoded with %d replies and %d signer pairs", len(c.Cert), len(c.Sigs))
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"ezbft/internal/engine"
@@ -283,7 +284,8 @@ func (r *Replica) acceptOwnerChange(ctx proc.Context, m *OwnerChange) {
 // histories, per slot:
 //
 //   - Condition 1: an entry backed by a valid client-signed COMMIT with the
-//     current owner number is adopted as committed.
+//     current owner number, whose certificate holds (validateCert) for the
+//     entry's leader-signed SPECORDER, is adopted as committed.
 //   - Condition 2: entries reported spec-ordered by at least f+1 histories
 //     with matching instance and command are adopted; their dependency sets
 //     are unioned and the maximum sequence number taken (at least one of
@@ -315,16 +317,22 @@ func (r *Replica) selectSafeHistory(ctx proc.Context, key changeKey, proof []*Ow
 			// additionally be bound to a leader-signed SPECORDER for the
 			// same instance — otherwise a byzantine history sender could
 			// pair a genuine COMMIT with substituted commands (whole
-			// batches ride along, so the check covers every command).
+			// batches ride along, so the check covers every command). And
+			// the client's word alone proves nothing: its certificate must
+			// hold as a replica receiving the COMMIT would check it, with
+			// 2f+1 replicas vouching for that SPECORDER's proposal.
 			if h.Status == HistCommitted && h.ClientCommit != nil && !committedSlots[h.Inst.Slot] &&
 				h.SO != nil && h.SO.Inst == h.Inst && histBoundToSO(&h) {
 				cc := h.ClientCommit
-				r.cfg.Costs.ChargeVerify(ctx, 2)
+				// One verification here and one in validateCert: the two
+				// this proof was always charged.
+				r.cfg.Costs.ChargeVerify(ctx, 1)
 				// The Verified mark binds the SPECORDER signature to its own
 				// Owner field; it substitutes for the key.owner check only
 				// when the two owner rounds agree.
 				if cc.Inst == h.Inst &&
 					(cc.SigVerified() || engine.VerifyBody(r.cfg.Auth, types.ClientNode(cc.Client), cc, cc.Sig) == nil) &&
+					r.validateCert(ctx, h.Inst, cc, SlowQuorum(r.n)) && certVouchesFor(cc.Cert[0], h.SO, key.owner) &&
 					((h.SO.Owner == key.owner && h.SO.SigVerified()) ||
 						engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(key.owner.OwnerOf(r.n)), h.SO, h.SO.Sig) == nil) {
 					committedSlots[h.Inst.Slot] = true
@@ -396,6 +404,16 @@ func (r *Replica) selectSafeHistory(ctx proc.Context, key changeKey, proof []*Ow
 	}
 	sort.Slice(safe, func(i, j int) bool { return safe[i].Inst.Less(safe[j].Inst) })
 	return safe
+}
+
+// certVouchesFor reports whether a valid certificate's first reply — and
+// with it every reply — vouches for proposal so in owner round owner.
+func certVouchesFor(first *SpecReply, so *SpecOrder, owner types.OwnerNumber) bool {
+	ref := first.CmdDigest // a batch of one's digest is its command's
+	if first.Batched {
+		ref = first.SORef
+	}
+	return first.Owner == owner && ref == so.CmdDigest
 }
 
 // handleNewOwner validates and applies a NEWOWNER announcement.
@@ -500,10 +518,10 @@ func (r *Replica) applyNewOwner(ctx proc.Context, m *NewOwnerMsg) {
 		// COMMIT referred to (different batch, or a no-op): drop reply
 		// obligations that no longer name a command of this entry — the
 		// affected client re-drives its request at a live leader.
-		for idx, to := range e.commitReplyTo {
-			if idx >= e.nCmds() || e.cmdAt(idx).Client != to {
-				delete(e.commitReplyTo, idx)
-			}
+		if l := e.commitReplyTo; l != nil {
+			l.list = slices.DeleteFunc(l.list, func(rt replyTo) bool {
+				return int(rt.idx) >= e.nCmds() || e.cmdAt(int(rt.idx)).Client != rt.client
+			})
 		}
 		for j := 0; j < e.nCmds(); j++ {
 			r.deps.update(e.inst, e.cmdAt(j), e.seq)

@@ -103,6 +103,17 @@ func (r *pvRig) commit() *Commit {
 	return c
 }
 
+// compactCommit is commit() as a client sends it when the replies agree:
+// the first reply and the other two signers' signatures over its body.
+func (r *pvRig) compactCommit() *Commit {
+	c := r.commit()
+	for _, sr := range c.Cert[1:] {
+		c.Sigs = append(c.Sigs, ReplySig{Replica: sr.Replica, Sig: sr.Sig})
+	}
+	c.Cert = c.Cert[:1] // the client's signature covers neither form
+	return c
+}
+
 // startOwnerChange builds replica 2's signed vote against replica 1.
 func (r *pvRig) startOwnerChange() *StartOwnerChange {
 	m := &StartOwnerChange{Suspect: 1, Owner: 1, Replica: 2}
@@ -148,8 +159,9 @@ func TestCertEmbeddedSpecOrderMarkRequiresClientSigs(t *testing.T) {
 // TestPreVerifierLoopEquivalence proves the pool path and the in-loop path
 // reject exactly the same corrupted frames: for every case the predicate's
 // verdict matches whether a fresh replica's loop drops the (unmarked)
-// message as invalid, and every predicate-accepted (marked) message drives
-// a second replica to the same stats as the unmarked original.
+// message as invalid, a value the predicate refused is still dropped by a
+// loop it reaches, and every predicate-accepted (marked) message drives a
+// second replica to the same stats as the unmarked original.
 func TestPreVerifierLoopEquivalence(t *testing.T) {
 	rig := newPVRig(t)
 
@@ -184,6 +196,17 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 		{"commit/bad-cert-sig", func() codec.Message {
 			m := rig.commit()
 			m.Cert[1].Sig[0] ^= 0xFF
+			return m
+		}, false},
+		{"commit-compact/valid", func() codec.Message { return rig.compactCommit() }, true},
+		{"commit-compact/bad-reply-sig", func() codec.Message {
+			m := rig.compactCommit()
+			m.Cert[0].Sig[0] ^= 0xFF
+			return m
+		}, false},
+		{"commit-compact/bad-signer-sig", func() codec.Message {
+			m := rig.compactCommit()
+			m.Sigs[1].Sig[0] ^= 0xFF
 			return m
 		}, false},
 		{"commitfast/valid", func() codec.Message { return rig.commitFast() }, true},
@@ -225,6 +248,17 @@ func TestPreVerifierLoopEquivalence(t *testing.T) {
 			dropped := inLoop.Stats().DroppedInvalid > 0
 			if dropped == tc.valid {
 				t.Fatalf("in-loop dropped=%v, want %v (pool and loop must reject the same frames)", dropped, !tc.valid)
+			}
+
+			// One decoded value reaches every recipient on the mesh, so a
+			// value the pool refused must carry no mark that spares another
+			// replica's loop a check.
+			if refused := tc.mk(); !pred(refused) {
+				other := rig.freshReplica(3)
+				other.Receive(noopCtx{}, types.ReplicaNode(1), refused)
+				if other.Stats().DroppedInvalid == 0 {
+					t.Fatal("a value the pool refused passed the loop of a replica it also reached")
+				}
 			}
 
 			// A marked (pool-verified) copy must drive a replica to the same

@@ -58,7 +58,7 @@ type Replica struct {
 	// embedded SPECORDER (evidence-slimmed batched replies) and whose
 	// instance this replica has not spec-ordered yet; they are re-applied
 	// when the SPECORDER arrives.
-	deferredCommits map[types.InstanceID][]deferredCommit
+	deferredCommits map[types.InstanceID][]certified
 
 	// ckpt is the engine-level checkpoint tracker (nil-safe; disabled when
 	// CheckpointInterval is 0). See checkpoint.go.
@@ -137,8 +137,8 @@ type Replica struct {
 	// execSeen / execStack / execClosure / execBlockers per-call scratch for
 	// depClosure — reused across commits so contended workloads (which
 	// re-run the pass over a large stuck backlog on every commit arrival)
-	// do not rebuild them each time. execGraph and execIdxs extend the same
-	// idea to the closure's dependency graph and the commit-reply index sort.
+	// do not rebuild them each time. execGraph extends the same idea to the
+	// closure's dependency graph.
 	execPending  []types.InstanceID
 	execBlocked  map[types.InstanceID]bool
 	execSeen     map[types.InstanceID]bool
@@ -146,7 +146,6 @@ type Replica struct {
 	execClosure  []*entry
 	execBlockers []types.InstanceID
 	execGraph    *graph.DepGraph
-	execIdxs     []int
 
 	stats ReplicaStats
 }
@@ -155,18 +154,6 @@ type Replica struct {
 type resendState struct {
 	req   *Request
 	timer proc.TimerID
-}
-
-// deferredCommit is one commit decision waiting for its SPECORDER: a
-// COMMITFAST's or a COMMIT's, whichever of the two is set.
-type deferredCommit struct {
-	deps       types.InstanceSet
-	seq        types.SeqNumber
-	from       *SpecReply
-	needsReply bool
-	replyTo    types.ClientID
-	fastCommit *CommitFast
-	commit     *Commit
 }
 
 // ReplicaStats exposes protocol counters for tests and experiments.
@@ -222,7 +209,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		replyCache:      make(map[cmdKey]*SpecReply),
 		pendingExec:     make(map[types.InstanceID]*entry),
 		executed:        make(map[cmdKey]types.Result),
-		deferredCommits: make(map[types.InstanceID][]deferredCommit),
+		deferredCommits: make(map[types.InstanceID][]certified),
 		executedTs:      make(map[types.ClientID]uint64),
 		settled:         make(map[types.ClientID]tsSet),
 		resendWait:      make(map[cmdKey]*resendState),
@@ -856,18 +843,12 @@ func (r *Replica) drainDeferredCommits(ctx proc.Context, inst types.InstanceID) 
 		return
 	}
 	delete(r.deferredCommits, inst)
-	for _, dc := range dcs {
-		ce := r.commitEntry(ctx, inst, dc.deps, dc.seq, dc.from, dc.needsReply, dc.replyTo)
-		if dc.fastCommit != nil {
+	for _, m := range dcs {
+		r.commitEntry(ctx, inst, m)
+		if _, fast := m.(*CommitFast); fast {
 			r.stats.FastCommits++
-			if ce != nil {
-				ce.fastCommit = dc.fastCommit
-			}
 		} else {
 			r.stats.SlowCommits++
-			if ce != nil {
-				ce.clientCommit = dc.commit
-			}
 		}
 	}
 	r.tryExecute(ctx)
@@ -923,20 +904,19 @@ func (r *Replica) specExecuteAndReply(ctx proc.Context, e *entry, so *SpecOrder)
 // and its 3f+1 signers, mark committed, and enqueue final execution. No
 // reply is sent (the client already returned).
 func (r *Replica) handleCommitFast(ctx proc.Context, m *CommitFast) {
-	if !r.validateFastCert(ctx, m) {
+	// 3f+1 replies agree by definition, so the certificate is always the
+	// compact form, even with no signer pairs.
+	if len(m.Cert) != 1 || !r.validateCert(ctx, m.Inst, m, FastQuorum(r.n)) {
 		r.stats.DroppedInvalid++
 		return
 	}
-	first := m.Cert[0]
-	if r.log.get(m.Inst) == nil && first.SO == nil {
+	if r.log.get(m.Inst) == nil && m.Cert[0].SO == nil {
 		// Evidence-slimmed certificate for an instance whose SPECORDER has
 		// not arrived yet: park the decision until it does.
-		r.deferCommit(m.Inst, deferredCommit{deps: first.Deps, seq: first.Seq, from: first, fastCommit: m})
+		r.deferCommit(m.Inst, m)
 		return
 	}
-	if e := r.commitEntry(ctx, m.Inst, first.Deps, first.Seq, first, false, 0); e != nil {
-		e.fastCommit = m
-	}
+	r.commitEntry(ctx, m.Inst, m)
 	r.stats.FastCommits++
 	r.tryExecute(ctx)
 	// This certificate may have installed the entry that parked slim
@@ -958,21 +938,15 @@ func (r *Replica) handleCommit(ctx proc.Context, m *Commit) {
 			return
 		}
 	}
-	if !r.validateCert(ctx, m.Cert, m.Inst, SlowQuorum(r.n)) {
+	if !r.validateCert(ctx, m.Inst, m, SlowQuorum(r.n)) {
 		r.stats.DroppedInvalid++
 		return
 	}
 	if r.log.get(m.Inst) == nil && m.Cert[0].SO == nil {
-		r.deferCommit(m.Inst, deferredCommit{
-			deps: m.Deps, seq: m.Seq, from: m.Cert[0],
-			needsReply: true, replyTo: m.Client, commit: m,
-		})
+		r.deferCommit(m.Inst, m)
 		return
 	}
-	e := r.commitEntry(ctx, m.Inst, m.Deps, m.Seq, m.Cert[0], true, m.Client)
-	if e != nil {
-		e.clientCommit = m
-	}
+	r.commitEntry(ctx, m.Inst, m)
 	r.stats.SlowCommits++
 	r.tryExecute(ctx)
 	// This certificate may have installed the entry that parked slim
@@ -997,14 +971,17 @@ const maxDeferredPerInstance = 2 * MaxBatchSize
 // the existing resend and owner-change machinery. A replayed decision from
 // the same client replaces its predecessor rather than accumulating, so a
 // spammed COMMIT can neither grow memory nor apply twice.
-func (r *Replica) deferCommit(inst types.InstanceID, dc deferredCommit) {
+func (r *Replica) deferCommit(inst types.InstanceID, m certified) {
 	if inst.Slot <= r.log.space(inst.Space).truncated {
 		return // below the truncation point: stable-executed long ago
 	}
 	dcs := r.deferredCommits[inst]
-	for i := range dcs {
-		if dcs[i].from.Client == dc.from.Client && (dcs[i].fastCommit != nil) == (dc.fastCommit != nil) {
-			dcs[i] = dc
+	_, fast := m.(*CommitFast)
+	cert, _ := m.certificate()
+	for i, dc := range dcs {
+		dcCert, _ := dc.certificate()
+		if _, dcFast := dc.(*CommitFast); dcFast == fast && dcCert[0].Client == cert[0].Client {
+			dcs[i] = m
 			return
 		}
 	}
@@ -1012,7 +989,7 @@ func (r *Replica) deferCommit(inst types.InstanceID, dc deferredCommit) {
 		r.stats.DroppedInvalid++
 		return
 	}
-	r.deferredCommits[inst] = append(dcs, dc)
+	r.deferredCommits[inst] = append(dcs, m)
 	r.stats.DeferredCommits++
 }
 
@@ -1022,77 +999,72 @@ func soBound(first *SpecReply) bool {
 	return !first.Batched || first.SO == nil || first.SO.CmdDigest == first.SORef
 }
 
-// validateFastCert checks a COMMITFAST: one reply, for the instance, whose
-// sender and other signers are 3f+1 distinct replicas with valid signatures
-// over the one body — who therefore cannot disagree: nothing is compared.
-func (r *Replica) validateFastCert(ctx proc.Context, m *CommitFast) bool {
-	if len(m.Cert) != 1 || 1+len(m.Sigs) < FastQuorum(r.n) {
+// validateCert is the loop's one check of a commit certificate — a
+// COMMITFAST's, a COMMIT's in either form, or one an owner-change history
+// carries: at least quorum distinct replicas vouching for the same command
+// of the same proposal at inst, each signature valid (verifyCertSigs, unless
+// the message is marked). Signer pairs vouch for the first reply's very
+// body, so they agree with it by construction; replies carried whole may
+// differ in dependencies, sequence number and result, never in what they
+// vouch for.
+func (r *Replica) validateCert(ctx proc.Context, inst types.InstanceID, m certified, quorum int) bool {
+	cert, sigs := m.certificate()
+	if !certShaped(cert, sigs) || len(cert)+len(sigs) < quorum {
 		return false
 	}
 	// Certificates are MAC-authenticated in the modeled deployment; charge
 	// one verification (the cryptographic checks below still run).
 	r.cfg.Costs.ChargeVerify(ctx, 1)
-	sr := m.Cert[0]
-	if sr.Inst != m.Inst || !soBound(sr) {
-		return false
-	}
-	var signers engine.ReplicaSet
-	ok := signers.Add(sr.Replica, r.n)
-	for _, s := range m.Sigs {
-		ok = ok && signers.Add(s.Replica, r.n)
-	}
-	return ok && (m.SigVerified() || verifyFastCert(r.cfg.Auth, m))
-}
-
-// validateCert checks a COMMIT's certificate: at least quorum correctly
-// signed SPECREPLYs from distinct replicas for the same command of the same
-// proposal.
-func (r *Replica) validateCert(ctx proc.Context, cert []*SpecReply, inst types.InstanceID, quorum int) bool {
-	if len(cert) < quorum {
-		return false
-	}
-	r.cfg.Costs.ChargeVerify(ctx, 1) // as in validateFastCert
+	first := cert[0]
 	var signers engine.ReplicaSet
 	for _, sr := range cert {
 		if sr.Inst != inst || !signers.Add(sr.Replica, r.n) {
 			return false
 		}
-		// All elements must vouch for the same command of the same
-		// proposal — a certificate mixing replies built from different
-		// batches (an equivocating leader's doing) is not a quorum for
-		// anything, and mixed layouts would not even survive the wire. The
-		// signed SORef keeps this check sound for the replies that carry no
-		// SPECORDER, which is all but the first.
-		if sr.Batched != cert[0].Batched || sr.BatchIdx != cert[0].BatchIdx ||
-			sr.CmdDigest != cert[0].CmdDigest || sr.SORef != cert[0].SORef {
+		// A certificate mixing replies built from different batches (an
+		// equivocating leader's doing) is not a quorum for anything, and
+		// mixed layouts would not even survive the wire. The signed SORef
+		// keeps this check sound for the replies that carry no SPECORDER,
+		// which is all but the first.
+		if sr.Batched != first.Batched || sr.BatchIdx != first.BatchIdx ||
+			sr.CmdDigest != first.CmdDigest || sr.SORef != first.SORef {
 			return false
 		}
-		if !sr.SigVerified() {
-			if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(sr.Replica), sr, sr.Sig); err != nil {
-				return false
-			}
+	}
+	for _, s := range sigs {
+		if !signers.Add(s.Replica, r.n) {
+			return false
 		}
 	}
-	return soBound(cert[0])
+	return soBound(first) && (m.SigVerified() || verifyCertSigs(r.cfg.Auth, cert, sigs))
 }
 
-// commitEntry installs the final dependencies and sequence number for an
-// instance, creating the entry from the certificate if this replica never
-// saw the SPECORDER. The whole batch commits as a unit; `from` identifies
-// the certificate's command via its batch index. It returns the entry (nil
-// if the certificate was unusable or the entry is already executed).
-func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps types.InstanceSet, seq types.SeqNumber, from *SpecReply, needsReply bool, replyTo types.ClientID) *entry {
+// commitEntry installs a validated certificate's decision — the final
+// dependencies and sequence number — for an instance, creating the entry
+// from the certificate if this replica never saw the SPECORDER, and keeps
+// the certificate in the entry before the decision is logged. The whole
+// batch commits as a unit; the certificate's first reply identifies its
+// command via its batch index. A COMMIT's client is owed a COMMITREPLY after
+// final execution.
+func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, m certified) {
+	cert, _ := m.certificate()
+	from := cert[0]
+	deps, seq := from.Deps, from.Seq // a COMMITFAST's: every signer sent them
+	commit, slow := m.(*Commit)
+	if slow {
+		deps, seq = commit.Deps, commit.Seq // the client's combination
+	}
 	if inst.Slot <= r.log.space(inst.Space).truncated {
 		// A late duplicate decision for an instance the stable checkpoint
 		// already covers (2f+1 executed it) and truncation freed; nothing
 		// left to do — re-installing it would regrow the log.
-		return nil
+		return
 	}
 	e := r.log.get(inst)
 	if e == nil {
-		if from == nil || from.SO == nil {
+		if from.SO == nil {
 			r.stats.DroppedInvalid++
-			return nil
+			return
 		}
 		so := from.SO
 		// The SPECORDER travels outside the reply's signed body, so bind it
@@ -1113,7 +1085,7 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 			(!so.SigVerified() &&
 				engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(so.Owner.OwnerOf(r.n)), so, so.Sig) != nil) {
 			r.stats.DroppedInvalid++
-			return nil
+			return
 		}
 		e = &entry{
 			inst:      inst,
@@ -1141,7 +1113,7 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 	idx := int(from.BatchIdx)
 	if idx >= e.nCmds() {
 		r.stats.DroppedInvalid++
-		return nil
+		return
 	}
 	if e.status >= StatusCommitted && e.digestAt(idx) != from.CmdDigest {
 		// The instance was already finalized with a different command at
@@ -1149,7 +1121,7 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 		// conflicting late commit certificate cannot override it. The client
 		// will re-drive its request at a live leader.
 		r.stats.DroppedInvalid++
-		return nil
+		return
 	}
 	if ref := from.ProposalRef(); ref != (types.Digest{}) && e.status < StatusCommitted && e.cmdDigest != ref {
 		// The certificate was built from a different batch than the one
@@ -1159,15 +1131,15 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 		// replicas; leave the slot to the owner-change protocol (driven by
 		// the clients' POMs and the resend timeouts) to arbitrate.
 		r.stats.DroppedInvalid++
-		return nil
+		return
 	}
 	if e.status >= StatusExecuted {
 		// Already finally executed; a late slow-path commit still needs its
 		// reply.
-		if needsReply {
-			r.sendCommitReply(ctx, e, idx, replyTo)
+		if slow {
+			r.sendCommitReply(ctx, e, idx, commit.Client)
 		}
-		return nil
+		return
 	}
 	if e.status == StatusCommitted {
 		// A second commit decision for an already-committed instance:
@@ -1187,8 +1159,14 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 		e.status = StatusCommitted
 	}
 	seq = e.seq
-	if needsReply {
-		e.needCommitReply(idx, replyTo)
+	// The certificate is this replica's answer to a COMMITFETCH and, for a
+	// COMMIT, its Condition-1 proof in an owner change: it is logged with
+	// the decision.
+	if slow {
+		e.needCommitReply(idx, commit.Client)
+		e.clientCommit = commit
+	} else {
+		e.fastCommit = m.(*CommitFast)
 	}
 	for i := 0; i < e.nCmds(); i++ {
 		r.deps.update(inst, e.cmdAt(i), seq)
@@ -1197,7 +1175,6 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, deps type
 	// crash before execution acts on it.
 	r.walHist(walCommitKind, e)
 	r.pendingExec[inst] = e
-	return e
 }
 
 // sendCommitReply answers a slow-path client after final execution of the

@@ -11,10 +11,10 @@ import (
 // ezBFT node (replica or client) in a cluster of n: every signature the
 // receiving process loop checks unconditionally — REQUEST client
 // signatures, SPECORDER leader + embedded client signatures, COMMIT client
-// signatures, the SPECREPLY signatures inside COMMIT/COMMITFAST
-// certificates, SPECREPLY/COMMITREPLY replica signatures at clients,
-// owner-change sender signatures, COMMITFETCH requester signatures, and POM
-// evidence signatures — is checked on the verifier-pool workers and the
+// signatures, the SPECREPLY signatures and signer pairs of COMMIT and
+// COMMITFAST certificates, SPECREPLY/COMMITREPLY replica signatures at
+// clients, owner-change sender signatures, COMMITFETCH requester signatures,
+// and POM evidence signatures — is checked on the verifier-pool workers and the
 // message marked, so the single-threaded process loop re-checks nothing but
 // semantic bindings.
 // Signatures the loop verifies only conditionally (a RESENDREQ's embedded
@@ -34,27 +34,8 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			return preVerifySpecOrder(a, n, m)
 		case *SpecReply:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
-		case *CommitFast:
-			// A malformed certificate is the loop's to drop and count.
-			if len(m.Cert) == 1 && !m.SigVerified() {
-				if !verifyFastCert(a, m) {
-					return false
-				}
-				m.MarkSigVerified()
-			}
-			return true
-		case *Commit:
-			if !engine.VerifySigned(a, types.ClientNode(m.Client), m, m.Sig) {
-				return false
-			}
-			// The 2f+1 verifications validateCert would otherwise run serially
-			// on the loop.
-			for _, sr := range m.Cert {
-				if !engine.VerifySigned(a, types.ReplicaNode(sr.Replica), sr, sr.Sig) {
-					return false
-				}
-			}
-			return true
+		case *CommitFast, *Commit:
+			return preVerifyCert(a, m.(certified))
 		case *CommitReply:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *ResendReq:
@@ -125,20 +106,59 @@ func preVerifySpecOrder(a auth.Authenticator, n int, so *SpecOrder) bool {
 	return true
 }
 
-// verifyFastCert checks the signatures a COMMITFAST carries: its reply's own
-// and, over the same body under each signer's id, the other signers'. Who
-// the signers are — replicas, distinct, a fast quorum — is for the loop
-// (validateFastCert), marked message or not.
-func verifyFastCert(a auth.Authenticator, m *CommitFast) bool {
-	sr := m.Cert[0]
-	if !sr.SigVerified() && engine.VerifyBody(a, types.ReplicaNode(sr.Replica), sr, sr.Sig) != nil {
+// certified is a COMMITFAST or a COMMIT: a client's announcement of the
+// certificate it decided on, in either form (see "Certificates" in the
+// package comment).
+type certified interface {
+	certificate() (cert []*SpecReply, sigs []ReplySig)
+	SigVerified() bool
+	MarkSigVerified()
+}
+
+// certShaped reports whether a certificate has the shape its form requires:
+// at least one reply, and exactly one when signer pairs ride along.
+func certShaped(cert []*SpecReply, sigs []ReplySig) bool {
+	return len(cert) == 1 || (len(cert) > 1 && len(sigs) == 0)
+}
+
+// preVerifyCert is the pool's check of a COMMITFAST or COMMIT: every
+// signature it carries — a COMMIT's client signature and the certificate's
+// (verifyCertSigs) — and only then the mark, since one decoded value may
+// reach several replicas. Who the signers are is for the loop
+// (validateCert), marked message or not; a misshapen certificate passes
+// unmarked for the loop to drop and count.
+func preVerifyCert(a auth.Authenticator, m certified) bool {
+	cert, sigs := m.certificate()
+	if m.SigVerified() || !certShaped(cert, sigs) {
+		return true
+	}
+	if c, ok := m.(*Commit); ok && engine.VerifyBody(a, types.ClientNode(c.Client), c, c.Sig) != nil {
 		return false
+	}
+	if !verifyCertSigs(a, cert, sigs) {
+		return false
+	}
+	m.MarkSigVerified()
+	return true
+}
+
+// verifyCertSigs checks a certificate's replica signatures: each reply's
+// own and, over the first reply's body under each signer's id, the signer
+// pairs'.
+func verifyCertSigs(a auth.Authenticator, cert []*SpecReply, sigs []ReplySig) bool {
+	for _, sr := range cert {
+		if !engine.VerifySigned(a, types.ReplicaNode(sr.Replica), sr, sr.Sig) {
+			return false
+		}
+	}
+	if len(sigs) == 0 {
+		return true
 	}
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
-	for _, s := range m.Sigs {
+	for _, s := range sigs {
 		w.Reset()
-		sr.marshalBodyAs(w, s.Replica)
+		cert[0].marshalBodyAs(w, s.Replica)
 		if a.Verify(types.ReplicaNode(s.Replica), w.Bytes(), s.Sig) != nil {
 			return false
 		}
