@@ -20,24 +20,40 @@
 // key blocks, about a dozen allocations) runs after a signer's first use.
 // Tokens are exactly HMAC(HMAC(master, signer), payload).
 //
-// ECDSA: a P-256 verification costs three orders of magnitude more than a
-// MAC (about 100 us against 0.5 us), and the protocols meet the same
-// signature repeatedly: the SPECORDER a replica verified on arrival comes
-// back inside every commit certificate, as does the SPECREPLY it signed
-// itself. VerifyCache is the memo that absorbs those: CachedAuth looks a
-// (signer, payload digest, token) triple up before verifying and records
-// successes and its own fresh signatures. An in-process ECDSA cluster shares
-// one memo through Provider.UseCache; a TCP node keeps a private one.
+// ECDSA: a token is a P-256 signature's r and s, 32 big-endian bytes each,
+// and each call allocates only what crypto/ecdsa's P-256 code allocates on
+// its own (go1.24, amd64; pinned by TestECDSAAllocations):
 //
-// The memo is for ECDSA only. A probe hashes the payload with SHA-256,
-// copies the token into a key and looks it up in a locked map: about 0.3 us
-// and one allocation, which is what the pre-keyed MAC costs in the first
-// place, and a miss pays both. Cached therefore returns HMAC authenticators
-// unchanged, as it does Noop, and Provider.UseCache builds no memo for
-// either scheme.
+//   - Verify writes the token's minimal DER form into a pooled buffer and
+//     calls ecdsa.VerifyASN1: 576 B in 10 allocations per call. Going
+//     through big.Int, an ASN.1 encoder and ecdsa.Verify cost 1280 B in 26.
+//   - Sign makes the RFC 6979 deterministic signature ((*ecdsa.PrivateKey).
+//     Sign with a nil reader) and unpacks its DER into r‖s in place: 4184 B
+//     in 63 allocations and no entropy read. A randomized ecdsa.Sign plus
+//     big.Int packing cost 6608 B in 72 and one getrandom call. A node's
+//     token over a given body is therefore always the same.
+//
+// A verification still costs three orders of magnitude more than a MAC
+// (about 100 us against 0.5 us), and the protocols meet the same signature
+// repeatedly: the SPECORDER a replica verified on arrival comes back inside
+// every commit certificate, as does the SPECREPLY it signed itself.
+// VerifyCache is the memo that absorbs those: CachedAuth looks a (signer,
+// payload digest, token) triple up before verifying and records successes
+// and its own fresh signatures. A verification hashes the payload once,
+// for the key and for an *ECDSAAuth behind the memo alike, and the key
+// holds the token by value, so a hit allocates nothing (a string copy of
+// the token cost one 64-byte allocation). An in-process ECDSA cluster shares one memo
+// through Provider.UseCache; a TCP node keeps a private one.
+//
+// The memo is for ECDSA only. A probe hashes the payload with SHA-256 and
+// looks the key up in a locked map, about 0.2 us, which is what the
+// pre-keyed MAC costs in the first place, and a miss pays both. Cached
+// therefore returns HMAC authenticators unchanged, as it does Noop, and
+// Provider.UseCache builds no memo for either scheme.
 package auth
 
 import (
+	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/hmac"
@@ -47,7 +63,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"math/big"
 	"sync"
 
 	"ezbft/internal/types"
@@ -318,50 +333,120 @@ func (k *ECDSAKeyring) ForNode(self types.NodeID) (*ECDSAAuth, error) {
 // Scheme implements Authenticator.
 func (a *ECDSAAuth) Scheme() Scheme { return SchemeECDSA }
 
-// Sign implements Authenticator.
+// tokenSize is the length of an ECDSA token: r and s of a P-256 signature,
+// each as 32 big-endian bytes.
+const tokenSize = 64
+
+// maxDERSize bounds the DER form of a P-256 signature: a SEQUENCE header and
+// two INTEGERs of up to 33 content bytes (32 plus a sign-padding zero).
+const maxDERSize = 2 + 2*(2+33)
+
+// Sign implements Authenticator. The signature is the RFC 6979
+// deterministic one, so a node's token over a given body is always the same
+// and no entropy is read.
 func (a *ECDSAAuth) Sign(payload []byte) []byte {
 	digest := sha256.Sum256(payload)
-	r, s, err := ecdsa.Sign(rand.Reader, a.key, digest[:])
+	der, err := a.key.Sign(nil, digest[:], crypto.SHA256)
 	if err != nil {
-		// Signing with a valid key and entropy source cannot fail in
-		// practice; an empty token will simply fail verification downstream.
+		// Only a key on a curve other than P-256 fails here, and keyrings
+		// hold none (see ParseECDSAKeyringPEM); an empty token would simply
+		// fail verification downstream.
 		return nil
 	}
-	return encodeSig(r, s)
+	return tokenFromDER(der)
 }
 
 // Verify implements Authenticator.
 func (a *ECDSAAuth) Verify(signer types.NodeID, payload, token []byte) error {
+	return a.verifyDigest(signer, sha256.Sum256(payload), token)
+}
+
+// verifyDigest checks a token over a payload given the payload's SHA-256
+// digest.
+func (a *ECDSAAuth) verifyDigest(signer types.NodeID, digest [sha256.Size]byte, token []byte) error {
 	pub, ok := a.ring.pub[signer]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSigner, signer)
 	}
-	r, s, err := decodeSig(token)
-	if err != nil {
-		return err
+	if len(token) != tokenSize {
+		return fmt.Errorf("%w: token length %d", ErrBadSignature, len(token))
 	}
-	digest := sha256.Sum256(payload)
-	if !ecdsa.Verify(pub, digest[:], r, s) {
+	der := derBufs.Get().(*[maxDERSize]byte)
+	ok = ecdsa.VerifyASN1(pub, digest[:], appendDER(der[:0], token))
+	derBufs.Put(der)
+	if !ok {
 		return fmt.Errorf("%w: ecdsa from %s", ErrBadSignature, signer)
 	}
 	return nil
 }
 
-// encodeSig packs (r, s) as two 32-byte big-endian values.
-func encodeSig(r, s *big.Int) []byte {
-	out := make([]byte, 64)
-	r.FillBytes(out[:32])
-	s.FillBytes(out[32:])
-	return out
+// derBufs holds the buffers verifyDigest builds DER signatures in. To escape
+// analysis crypto/ecdsa keeps its signature argument, so an array on the
+// stack would move to the heap on every call; crypto/ecdsa does not in fact
+// retain it, so a buffer is reused as soon as the call returns.
+var derBufs = sync.Pool{New: func() any { return new([maxDERSize]byte) }}
+
+// appendDER appends the DER form of a 64-byte r‖s token to b: a SEQUENCE of
+// two INTEGERs, each in its shortest form, as crypto/ecdsa encodes (r, s)
+// itself. A zero half becomes INTEGER 0, which verification refuses.
+func appendDER(b, token []byte) []byte {
+	r, s := derInt(token[:tokenSize/2]), derInt(token[tokenSize/2:])
+	b = append(b, 0x30, byte(derIntSize(r)+derIntSize(s)))
+	return appendDERInt(appendDERInt(b, r), s)
 }
 
-func decodeSig(token []byte) (*big.Int, *big.Int, error) {
-	if len(token) != 64 {
-		return nil, nil, fmt.Errorf("%w: token length %d", ErrBadSignature, len(token))
+// derInt strips the leading zeros of a big-endian value, keeping one byte.
+func derInt(v []byte) []byte {
+	for len(v) > 1 && v[0] == 0 {
+		v = v[1:]
 	}
-	r := new(big.Int).SetBytes(token[:32])
-	s := new(big.Int).SetBytes(token[32:])
-	return r, s, nil
+	return v
+}
+
+// derIntSize is the encoded size of the INTEGER appendDERInt writes for v.
+func derIntSize(v []byte) int { return 2 + int(v[0]>>7) + len(v) }
+
+// appendDERInt appends v, stripped by derInt, as a DER INTEGER.
+func appendDERInt(b, v []byte) []byte {
+	b = append(b, 0x02, byte(derIntSize(v)-2))
+	if v[0]&0x80 != 0 {
+		b = append(b, 0) // keeps the integer positive
+	}
+	return append(b, v...)
+}
+
+// tokenFromDER rewrites a DER signature from crypto/ecdsa — a SEQUENCE of two
+// non-negative INTEGERs of at most 32 significant bytes — as the 64-byte r‖s
+// token, in der's own storage when it is large enough. Anything else yields
+// nil.
+func tokenFromDER(der []byte) []byte {
+	if len(der) < 2 || der[0] != 0x30 || int(der[1]) != len(der)-2 {
+		return nil
+	}
+	var rs [tokenSize]byte
+	rest := der[2:]
+	for half := range 2 {
+		if len(rest) < 2 || rest[0] != 0x02 || int(rest[1]) > len(rest)-2 {
+			return nil
+		}
+		v := rest[2 : 2+int(rest[1])]
+		rest = rest[2+int(rest[1]):]
+		if len(v) == 0 || v[0]&0x80 != 0 {
+			return nil
+		}
+		if v = derInt(v); len(v) > tokenSize/2 {
+			return nil
+		}
+		copy(rs[(half+1)*tokenSize/2-len(v):], v)
+	}
+	if len(rest) != 0 {
+		return nil
+	}
+	out := der[:0]
+	if cap(out) < tokenSize {
+		out = make([]byte, 0, tokenSize)
+	}
+	return append(out, rs[:]...)
 }
 
 // --- Provider ---

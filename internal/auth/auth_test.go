@@ -119,3 +119,13 @@ func TestProviderUnknownScheme(t *testing.T) {
 		t.Fatal("invalid scheme accepted")
 	}
 }
+
+// BenchmarkECDSASign measures one signature over a typical message body.
+func BenchmarkECDSASign(b *testing.B) {
+	_, a := testSigner(b)
+	body := []byte("benchmark body benchmark body benchmark body")
+	b.ReportAllocs()
+	for b.Loop() {
+		a.Sign(body)
+	}
+}

@@ -8,9 +8,9 @@ import (
 )
 
 // DefaultCacheCapacity is the verified-signature memo size used when a
-// caller enables caching without choosing one. At 64-byte ECDSA tokens a
-// full cache holds on the order of 10 MB of keys — far more entries than a
-// cluster keeps in flight.
+// caller enables caching without choosing one. At 100 bytes a key, the two
+// generations of a full cache hold about 13 MB of keys — far more entries
+// than a cluster keeps in flight.
 const DefaultCacheCapacity = 1 << 16
 
 // cacheKey identifies one verification: who allegedly signed, the digest of
@@ -18,11 +18,12 @@ const DefaultCacheCapacity = 1 << 16
 // take part in the key, so a signature that verified for one body can never
 // vouch for a different body (a forgery with a reused token misses the
 // cache and fails the real verification), and a body signed by one node can
-// never be replayed as another's.
+// never be replayed as another's. The token is held by value: only tokens
+// of the ECDSA length are memoized.
 type cacheKey struct {
 	signer types.NodeID
 	digest [sha256.Size]byte
-	sig    string
+	sig    [tokenSize]byte
 }
 
 // VerifyCache is a bounded, concurrency-safe memo of signature
@@ -37,8 +38,8 @@ type cacheKey struct {
 // caching it would let one malformed arrival censor a later valid one).
 // Boundedness uses two generations: inserts go to the current generation,
 // lookups consult both, and when the current generation fills it becomes
-// the previous one — an O(1) wholesale eviction that keeps the hot working
-// set resident.
+// the previous one — a wholesale eviction that keeps the hot working set
+// resident, paid once per generation.
 type VerifyCache struct {
 	mu       sync.RWMutex
 	capacity int
@@ -56,10 +57,6 @@ func NewVerifyCache(capacity int) *VerifyCache {
 		capacity: capacity,
 		cur:      make(map[cacheKey]struct{}, capacity),
 	}
-}
-
-func (c *VerifyCache) key(signer types.NodeID, payload, token []byte) cacheKey {
-	return cacheKey{signer: signer, digest: sha256.Sum256(payload), sig: string(token)}
 }
 
 // hit reports whether the exact (signer, payload, token) triple verified
@@ -101,8 +98,13 @@ func (c *VerifyCache) Len() int {
 // Several nodes of one trust domain (an in-process cluster sharing a
 // keyring) may share one cache; the memo only ever asserts facts that are
 // receiver-independent.
+//
+// A verification hashes the payload once: the digest that keys the memo is
+// the one an *ECDSAAuth checks the signature over. Any other inner
+// authenticator is handed the payload and hashes it again.
 type CachedAuth struct {
 	inner Authenticator
+	ecdsa *ECDSAAuth // inner, when it is one; else nil
 	self  types.NodeID
 	cache *VerifyCache
 }
@@ -120,7 +122,8 @@ func Cached(a Authenticator, self types.NodeID, cache *VerifyCache) Authenticato
 	if cache == nil {
 		cache = NewVerifyCache(0)
 	}
-	return &CachedAuth{inner: a, self: self, cache: cache}
+	e, _ := a.(*ECDSAAuth)
+	return &CachedAuth{inner: a, ecdsa: e, self: self, cache: cache}
 }
 
 // Scheme implements Authenticator.
@@ -133,20 +136,34 @@ func (a *CachedAuth) Unwrap() Authenticator { return a.inner }
 // cache as already-verified (signing with our own key proves it verifies).
 func (a *CachedAuth) Sign(payload []byte) []byte {
 	sig := a.inner.Sign(payload)
-	if len(sig) > 0 {
-		a.cache.put(a.cache.key(a.self, payload, sig))
+	if len(sig) == tokenSize {
+		k := cacheKey{signer: a.self, digest: sha256.Sum256(payload)}
+		copy(k.sig[:], sig)
+		a.cache.put(k)
 	}
 	return sig
 }
 
 // Verify implements Authenticator: a memo hit costs one SHA-256 of the
-// payload; a miss runs the real verification and memoizes success.
+// payload and allocates nothing; a miss runs the real verification over the
+// same digest and memoizes success. A token of any length but the ECDSA
+// one bypasses the memo.
 func (a *CachedAuth) Verify(signer types.NodeID, payload, token []byte) error {
-	k := a.cache.key(signer, payload, token)
+	if len(token) != tokenSize {
+		return a.inner.Verify(signer, payload, token)
+	}
+	k := cacheKey{signer: signer, digest: sha256.Sum256(payload)}
+	copy(k.sig[:], token)
 	if a.cache.hit(k) {
 		return nil
 	}
-	if err := a.inner.Verify(signer, payload, token); err != nil {
+	var err error
+	if a.ecdsa != nil {
+		err = a.ecdsa.verifyDigest(signer, k.digest, token)
+	} else {
+		err = a.inner.Verify(signer, payload, token)
+	}
+	if err != nil {
 		return err
 	}
 	a.cache.put(k)

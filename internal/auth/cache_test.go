@@ -87,13 +87,13 @@ func TestCacheSignSeedsVerification(t *testing.T) {
 func TestCacheBounded(t *testing.T) {
 	cache := NewVerifyCache(16)
 	for i := 0; i < 1000; i++ {
-		cache.put(cacheKey{signer: types.NodeID(i), sig: "s"})
+		cache.put(cacheKey{signer: types.NodeID(i)})
 	}
 	if cache.Len() > 32 {
 		t.Fatalf("cache grew to %d entries, capacity 16 allows at most 32", cache.Len())
 	}
 	// The most recent insert is always resident.
-	if !cache.hit(cacheKey{signer: types.NodeID(999), sig: "s"}) {
+	if !cache.hit(cacheKey{signer: types.NodeID(999)}) {
 		t.Fatal("most recent entry evicted")
 	}
 }

@@ -11,8 +11,10 @@ package auth
 
 import (
 	"crypto/ecdsa"
+	"crypto/elliptic"
 	"crypto/x509"
 	"encoding/pem"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -26,6 +28,10 @@ const (
 	pemPublicType  = "PUBLIC KEY"
 	pemNodeHeader  = "node"
 )
+
+// ErrUnsupportedCurve refuses key material on any curve but P-256, whose
+// signatures are the only ones a 64-byte r‖s token holds.
+var ErrUnsupportedCurve = errors.New("auth: unsupported curve, want P-256")
 
 // ExportPEM serializes the keyring as one node's key bundle: self's private
 // key (which must be in the ring) followed by every node's public key, in
@@ -66,7 +72,8 @@ func (k *ECDSAKeyring) ExportPEM(self types.NodeID) ([]byte, error) {
 // ParseECDSAKeyringPEM rebuilds a keyring from PEM key material produced by
 // ExportPEM: any number of public-key blocks and (usually one) private-key
 // blocks, each naming its node in the "node" header. A private key also
-// registers the matching public key.
+// registers the matching public key. A key on a curve other than P-256 is
+// refused with ErrUnsupportedCurve.
 func ParseECDSAKeyringPEM(data []byte) (*ECDSAKeyring, error) {
 	k := &ECDSAKeyring{
 		pub:  make(map[types.NodeID]*ecdsa.PublicKey),
@@ -94,6 +101,9 @@ func ParseECDSAKeyringPEM(data []byte) (*ECDSAKeyring, error) {
 			if err != nil {
 				return nil, fmt.Errorf("auth: parsing private key for %s: %w", node, err)
 			}
+			if priv.Curve != elliptic.P256() {
+				return nil, fmt.Errorf("%w: private key for %s is on %s", ErrUnsupportedCurve, node, priv.Curve.Params().Name)
+			}
 			k.priv[node] = priv
 			k.pub[node] = &priv.PublicKey
 		case pemPublicType:
@@ -104,6 +114,9 @@ func ParseECDSAKeyringPEM(data []byte) (*ECDSAKeyring, error) {
 			ecPub, ok := pub.(*ecdsa.PublicKey)
 			if !ok {
 				return nil, fmt.Errorf("auth: public key for %s is %T, want ECDSA", node, pub)
+			}
+			if ecPub.Curve != elliptic.P256() {
+				return nil, fmt.Errorf("%w: public key for %s is on %s", ErrUnsupportedCurve, node, ecPub.Curve.Params().Name)
 			}
 			if _, dup := k.pub[node]; !dup {
 				k.pub[node] = ecPub

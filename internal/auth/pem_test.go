@@ -2,6 +2,13 @@ package auth
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/x509"
+	"encoding/pem"
+	"errors"
+	"strconv"
 	"testing"
 
 	"ezbft/internal/types"
@@ -99,5 +106,43 @@ func TestPEMRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ParseECDSAKeyringPEM(bytes.Repeat([]byte("x"), 128)); err == nil {
 		t.Fatal("garbage material parsed")
+	}
+}
+
+// TestPEMRefusesOtherCurves: a token is a P-256 signature's r‖s, so a bundle
+// holding a key on another curve is refused when it is parsed, whether the
+// key is the node's own private key or a peer's public key.
+func TestPEMRefusesOtherCurves(t *testing.T) {
+	self, peer := types.ReplicaNode(0), types.ReplicaNode(1)
+	ring, err := NewECDSAKeyring(nil, []types.NodeID{self, peer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p256, err := ring.ExportPEM(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p384, err := ecdsa.GenerateKey(elliptic.P384(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	privDER, err := x509.MarshalECPrivateKey(p384)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pubDER, err := x509.MarshalPKIXPublicKey(&p384.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(typ string, node types.NodeID, der []byte) []byte {
+		return pem.EncodeToMemory(&pem.Block{Type: typ, Headers: map[string]string{pemNodeHeader: strconv.Itoa(int(node))}, Bytes: der})
+	}
+	for name, bundle := range map[string][]byte{
+		"own-private-key": block(pemPrivateType, self, privDER),
+		"peer-public-key": append(bytes.Clone(p256), block(pemPublicType, types.ReplicaNode(2), pubDER)...),
+	} {
+		if _, err := ParseECDSAKeyringPEM(bundle); !errors.Is(err, ErrUnsupportedCurve) {
+			t.Errorf("%s: parsing a P-384 key returned %v, want ErrUnsupportedCurve", name, err)
+		}
 	}
 }

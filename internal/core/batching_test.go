@@ -851,16 +851,21 @@ func TestValidateCertRejectsMixedBatches(t *testing.T) {
 		sr.Sig = engine.SignBody(tc.replicas[from].cfg.Auth, sr)
 		return sr
 	}
+	// Each COMMIT claims what its replies combine to, as a client's does.
+	commit := func(cert []*SpecReply) *Commit {
+		deps, seq := certDecision(cert)
+		return &Commit{Deps: deps, Seq: seq, Cert: cert}
+	}
 	good := []*SpecReply{mk(0, true, 1), mk(1, true, 1), mk(2, true, 1)}
-	if !r0.validateCert(noopCtx{}, inst, &Commit{Cert: good}, SlowQuorum(4)) {
+	if !r0.validateCert(noopCtx{}, inst, commit(good), SlowQuorum(4)) {
 		t.Fatal("homogeneous cert rejected")
 	}
 	mixed := []*SpecReply{mk(0, true, 1), mk(1, false, 0), mk(2, true, 1)}
-	if r0.validateCert(noopCtx{}, inst, &Commit{Cert: mixed}, SlowQuorum(4)) {
+	if r0.validateCert(noopCtx{}, inst, commit(mixed), SlowQuorum(4)) {
 		t.Fatal("cert mixing batched and unbatched replies accepted")
 	}
 	mixedIdx := []*SpecReply{mk(0, true, 1), mk(1, true, 2), mk(2, true, 1)}
-	if r0.validateCert(noopCtx{}, inst, &Commit{Cert: mixedIdx}, SlowQuorum(4)) {
+	if r0.validateCert(noopCtx{}, inst, commit(mixedIdx), SlowQuorum(4)) {
 		t.Fatal("cert mixing batch positions accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -265,4 +266,65 @@ func TestSlowCommitFormFollowsAgreement(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCommitDecisionFromCertificate: a replica takes a slow-path decision
+// from the replies the COMMIT's certificate carries, never from the client's
+// claim alone. The three valid replies say sequence number 1 and no
+// dependencies; a client-signed COMMIT claiming sequence number 9, or a
+// dependency none of them reported, commits nothing when it arrives (through
+// the verifier pool or straight to the loop) and proves nothing in an owner
+// change, in either certificate form.
+func TestCommitDecisionFromCertificate(t *testing.T) {
+	rig := newPVRig(t)
+	so := rig.specOrder()
+	lies := []struct {
+		name string
+		edit func(*Commit)
+	}{
+		{"seq", func(c *Commit) { c.Seq = 9 }},
+		{"dep", func(c *Commit) { c.Deps = types.NewInstanceSet(types.InstanceID{Space: 2, Slot: 9}) }},
+	}
+	for _, compact := range []bool{false, true} {
+		for _, lie := range lies {
+			mk := func() *Commit {
+				c := rig.commit()
+				if compact {
+					c = rig.compactCommit()
+				}
+				lie.edit(c)
+				c.Sig = engine.SignBody(rig.clientAuth(5), c)
+				return roundTrip(t, c).(*Commit)
+			}
+			t.Run(fmt.Sprintf("compact=%v/%s", compact, lie.name), func(t *testing.T) {
+				for _, pool := range []bool{false, true} {
+					rep := rig.freshReplica(3)
+					msg := mk()
+					if pool && !InboundVerifier(rig.replicaAuth(3), rig.n)(msg) {
+						t.Fatal("the pool refused a COMMIT whose signatures are all valid")
+					}
+					rep.Receive(noopCtx{}, types.ClientNode(5), msg)
+					if s := rep.Stats(); s.DroppedInvalid != 1 || s.SlowCommits+s.DeferredCommits+s.FinalExecutions != 0 || rep.log.get(so.Inst) != nil {
+						t.Errorf("pool=%v: the client's claim took effect: %+v", pool, s)
+					}
+				}
+
+				hist := func(status HistStatus, cc *Commit) []HistEntry {
+					return []HistEntry{{
+						Inst: so.Inst, Status: status, Cmd: so.Req.Cmd, Deps: so.Deps,
+						Seq: so.Seq, Owner: so.Owner, SO: so, ClientCommit: cc,
+					}}
+				}
+				proof := []*OwnerChange{
+					{Suspect: 1, NewOwner: 2, Replica: 0, History: hist(HistCommitted, mk())},
+					{Suspect: 1, NewOwner: 2, Replica: 2, History: hist(HistSpecOrdered, nil)},
+					{Suspect: 1, NewOwner: 2, Replica: 3, History: hist(HistSpecOrdered, nil)},
+				}
+				safe := rig.freshReplica(2).selectSafeHistory(noopCtx{}, changeKey{suspect: 1, owner: so.Owner}, proof)
+				if len(safe) != 1 || safe[0].Seq != so.Seq || !safe[0].Deps.Equal(so.Deps) {
+					t.Fatalf("safe history %+v, want the proposal's seq %d and deps %v (Condition 2)", safe, so.Seq, so.Deps)
+				}
+			})
+		}
+	}
 }

@@ -626,15 +626,7 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 		}
 	}
 
-	var deps types.InstanceSet
-	var seq types.SeqNumber
-	for _, sr := range chosen {
-		deps.Union(sr.Deps)
-		if sr.Seq > seq {
-			seq = sr.Seq
-		}
-	}
-
+	deps, seq := certDecision(chosen)
 	commit := &Commit{
 		Client:    c.cfg.ID,
 		Timestamp: ts,

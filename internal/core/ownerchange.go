@@ -285,7 +285,8 @@ func (r *Replica) acceptOwnerChange(ctx proc.Context, m *OwnerChange) {
 //
 //   - Condition 1: an entry backed by a valid client-signed COMMIT with the
 //     current owner number, whose certificate holds (validateCert) for the
-//     entry's leader-signed SPECORDER, is adopted as committed.
+//     entry's leader-signed SPECORDER and combines to the COMMIT's
+//     dependencies and sequence number, is adopted as committed.
 //   - Condition 2: entries reported spec-ordered by at least f+1 histories
 //     with matching instance and command are adopted; their dependency sets
 //     are unioned and the maximum sequence number taken (at least one of
@@ -320,7 +321,8 @@ func (r *Replica) selectSafeHistory(ctx proc.Context, key changeKey, proof []*Ow
 			// batches ride along, so the check covers every command). And
 			// the client's word alone proves nothing: its certificate must
 			// hold as a replica receiving the COMMIT would check it, with
-			// 2f+1 replicas vouching for that SPECORDER's proposal.
+			// 2f+1 replicas vouching for that SPECORDER's proposal and
+			// their replies combining to the decision the client claims.
 			if h.Status == HistCommitted && h.ClientCommit != nil && !committedSlots[h.Inst.Slot] &&
 				h.SO != nil && h.SO.Inst == h.Inst && histBoundToSO(&h) {
 				cc := h.ClientCommit

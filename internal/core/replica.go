@@ -927,9 +927,10 @@ func (r *Replica) handleCommitFast(ctx proc.Context, m *CommitFast) {
 }
 
 // handleCommit processes the slow-path ⟨COMMIT, c, I, D′, S′, CC⟩σc:
-// adopt the client's combined dependencies and sequence number, invalidate
-// the speculative result, and enqueue final execution; the COMMITREPLY is
-// sent after final execution.
+// adopt the dependencies and sequence number the client combined from its
+// certificate (refused unless the replies combine to them), invalidate the
+// speculative result, and enqueue final execution; the COMMITREPLY is sent
+// after final execution.
 func (r *Replica) handleCommit(ctx proc.Context, m *Commit) {
 	if !m.SigVerified() {
 		r.cfg.Costs.ChargeVerify(ctx, 1)
@@ -1006,10 +1007,14 @@ func soBound(first *SpecReply) bool {
 // the message is marked). Signer pairs vouch for the first reply's very
 // body, so they agree with it by construction; replies carried whole may
 // differ in dependencies, sequence number and result, never in what they
-// vouch for.
+// vouch for. A COMMIT must also claim the decision its replies combine to
+// (decidedByCert).
 func (r *Replica) validateCert(ctx proc.Context, inst types.InstanceID, m certified, quorum int) bool {
 	cert, sigs := m.certificate()
 	if !certShaped(cert, sigs) || len(cert)+len(sigs) < quorum {
+		return false
+	}
+	if c, slow := m.(*Commit); slow && !decidedByCert(c) {
 		return false
 	}
 	// Certificates are MAC-authenticated in the modeled deployment; charge
@@ -1052,7 +1057,7 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, m certifi
 	deps, seq := from.Deps, from.Seq // a COMMITFAST's: every signer sent them
 	commit, slow := m.(*Commit)
 	if slow {
-		deps, seq = commit.Deps, commit.Seq // the client's combination
+		deps, seq = commit.Deps, commit.Seq // the replies' combination (validateCert)
 	}
 	if inst.Slot <= r.log.space(inst.Space).truncated {
 		// A late duplicate decision for an instance the stable checkpoint

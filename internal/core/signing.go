@@ -115,6 +115,28 @@ type certified interface {
 	MarkSigVerified()
 }
 
+// certDecision is the slow-path decision a certificate carries: the union
+// of its replies' dependencies and the largest of their sequence numbers.
+// The client combines its chosen replies this way, and a replica recomputes
+// it rather than take the client's word. Signer pairs vouch for the first
+// reply's very body, so the compact form's decision is that reply's own.
+func certDecision(cert []*SpecReply) (deps types.InstanceSet, seq types.SeqNumber) {
+	for _, sr := range cert {
+		deps.Union(sr.Deps)
+		seq = max(seq, sr.Seq)
+	}
+	return deps, seq
+}
+
+// decidedByCert reports whether a COMMIT claims the decision its
+// certificate carries. The client's signature does not make its claim true:
+// a COMMIT naming other dependencies or another sequence number decides
+// nothing.
+func decidedByCert(c *Commit) bool {
+	deps, seq := certDecision(c.Cert)
+	return c.Seq == seq && c.Deps.Equal(deps)
+}
+
 // certShaped reports whether a certificate has the shape its form requires:
 // at least one reply, and exactly one when signer pairs ride along.
 func certShaped(cert []*SpecReply, sigs []ReplySig) bool {

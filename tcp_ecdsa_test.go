@@ -1,7 +1,14 @@
 package ezbft
 
 import (
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/x509"
+	"encoding/pem"
+	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -90,6 +97,33 @@ func TestTCPClusterECDSAKeys(t *testing.T) {
 	// Missing key material surfaces loudly.
 	if _, err := StartTCPReplica(TCPReplicaConfig{ID: 0, N: 4}); err == nil {
 		t.Fatal("replica started without secret or key material")
+	}
+}
+
+// TestTCPReplicaRefusesOtherCurves: a key bundle on a curve other than
+// P-256 fails StartTCPReplica with auth.ErrUnsupportedCurve, rather than
+// starting a replica that cannot make a token its peers accept.
+func TestTCPReplicaRefusesOtherCurves(t *testing.T) {
+	key, err := ecdsa.GenerateKey(elliptic.P384(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	der, err := x509.MarshalECPrivateKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := pem.EncodeToMemory(&pem.Block{
+		Type:    "EC PRIVATE KEY",
+		Headers: map[string]string{"node": strconv.Itoa(int(types.ReplicaNode(0)))},
+		Bytes:   der,
+	})
+	rep, err := StartTCPReplica(TCPReplicaConfig{ID: 0, N: 4, Listen: "127.0.0.1:0", KeyPEM: bundle})
+	if err == nil {
+		rep.Close()
+		t.Fatal("replica started with a P-384 key bundle")
+	}
+	if !errors.Is(err, auth.ErrUnsupportedCurve) {
+		t.Fatalf("StartTCPReplica returned %v, want auth.ErrUnsupportedCurve", err)
 	}
 }
 
