@@ -239,7 +239,7 @@ func TestBatchingByzantineEquivocation(t *testing.T) {
 	opts := defaultOpts()
 	opts.batchSize = 2
 	opts.batchDelay = 5 * time.Millisecond
-	opts.byz = map[types.ReplicaID]*ByzantineBehavior{0: {EquivocateInstances: true}}
+	opts.byz = map[types.ReplicaID]byzantine{0: newEquivocator}
 	opts.retryTimeout = 300 * time.Millisecond
 	opts.resendTimeout = 200 * time.Millisecond
 	const clients = 4
@@ -316,7 +316,7 @@ func TestBatchingOwnerChangeMidBatch(t *testing.T) {
 	opts := defaultOpts()
 	opts.batchSize = 4
 	opts.batchDelay = 5 * time.Millisecond
-	opts.byz = map[types.ReplicaID]*ByzantineBehavior{0: {Mute: true}}
+	opts.mute = map[types.ReplicaID]bool{0: true}
 	opts.retryTimeout = 300 * time.Millisecond
 	opts.resendTimeout = 200 * time.Millisecond
 	const clients = 4
@@ -508,7 +508,7 @@ func TestSameInstanceBatchEquivocationPOM(t *testing.T) {
 	r3 := tc.replicas[3]
 	rctx := &captureCtx{}
 	r3.Receive(rctx, types.ClientNode(0), pom)
-	if !r3.oc.sentStart[changeKey{0, 0}] {
+	if rd := r3.rounds[changeKey{0, 0}]; rd == nil || !rd.sent {
 		t.Fatal("replica did not start an owner change on the POM")
 	}
 }

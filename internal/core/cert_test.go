@@ -238,7 +238,7 @@ func TestSlowCommitFormFollowsAgreement(t *testing.T) {
 
 	t.Run("silent-replica", func(t *testing.T) {
 		opts := defaultOpts()
-		opts.byz = map[types.ReplicaID]*ByzantineBehavior{3: {Mute: true}}
+		opts.mute = map[types.ReplicaID]bool{3: true}
 		opts.slowTimeout = 100 * time.Millisecond
 		sent := run(t, opts, []types.ReplicaID{0},
 			[][]types.Command{{putCmd("x", "1"), putCmd("y", "2"), putCmd("z", "3")}}, nil)

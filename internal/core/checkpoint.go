@@ -857,14 +857,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 			return
 		}
 		if sc.LowWater > 0 {
-			okProof := engine.VerifyCheckpointProof(r.n, checkpointVotes(m.Proof, sc.Space), sc.LowWater, sc.StableDigest,
-				func(msg codec.Message) (types.ReplicaID, uint64, types.Digest, bool) {
-					cm := msg.(*CheckpointMsg)
-					valid := cm.SigVerified() ||
-						engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(cm.Replica), cm, cm.Sig) == nil
-					return cm.Replica, cm.Slot, cm.Digest, valid
-				})
-			if !okProof {
+			if !engine.VerifyCheckpointProof(r.n, checkpointVotes(m.Proof, sc.Space), sc.LowWater, sc.StableDigest, r.checkpointVote) {
 				r.stats.DroppedInvalid++
 				return
 			}
@@ -1073,6 +1066,14 @@ func checkpointVotes(proof []*CheckpointMsg, space types.ReplicaID) []codec.Mess
 		}
 	}
 	return out
+}
+
+// checkpointVote reads one vote of a stable-mark proof for
+// engine.VerifyCheckpointProof, checking its signature.
+func (r *Replica) checkpointVote(msg codec.Message) (types.ReplicaID, uint64, types.Digest, bool) {
+	cm := msg.(*CheckpointMsg)
+	valid := cm.SigVerified() || engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(cm.Replica), cm, cm.Sig) == nil
+	return cm.Replica, cm.Slot, cm.Digest, valid
 }
 
 // installCatchup replaces this replica's application and protocol state

@@ -76,27 +76,12 @@ type ReplicaConfig struct {
 	// from it. Nil (the default) keeps the replica memoryless across
 	// restarts — byte-identical to the pre-durability behaviour.
 	Store store.Store
-	// Byzantine, when non-nil, makes this replica misbehave (tests and
-	// fault-injection experiments only).
-	Byzantine *ByzantineBehavior
+	// Mute makes the replica send nothing while it still receives:
+	// fail-silent, distinguishable from a crash only from outside.
+	Mute bool
 	// Behavior, when non-nil, intercepts every message this replica sends
 	// and receives (adversarial scenario harness; see engine.Behavior).
 	Behavior engine.Behavior
-}
-
-// ByzantineBehavior selects misbehaviours for fault-injection runs.
-type ByzantineBehavior struct {
-	// EquivocateInstances makes the replica, as command-leader, assign
-	// different instance numbers for the same request to different replica
-	// subsets — the misbehaviour the client's POM check detects.
-	EquivocateInstances bool
-	// LieAboutDeps makes the replica, as a participant, always report an
-	// empty dependency set and sequence number 1 (the paper's Fig 3
-	// scenario).
-	LieAboutDeps bool
-	// Mute makes the replica stop sending any messages (fail-silent while
-	// still receiving; distinguishable from a crash only externally).
-	Mute bool
 }
 
 func (c *ReplicaConfig) validate() error {

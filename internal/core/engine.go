@@ -34,15 +34,13 @@ func (ezEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 		CheckpointInterval: o.CheckpointInterval,
 		LogRetention:       o.LogRetention,
 		Store:              o.Store,
+		Mute:               o.Mute,
+		Behavior:           o.Behavior,
 	}
 	if o.LatencyBound > 0 {
 		cfg.ResendTimeout = 2 * o.LatencyBound
 		cfg.DepWaitTimeout = 2 * o.LatencyBound
 	}
-	if o.Mute {
-		cfg.Byzantine = &ByzantineBehavior{Mute: true}
-	}
-	cfg.Behavior = o.Behavior
 	return NewReplica(cfg)
 }
 

@@ -14,7 +14,7 @@ import (
 // replica and commits; the suspect's space ends frozen.
 func TestMuteLeaderOwnerChange(t *testing.T) {
 	opts := defaultOpts()
-	opts.byz = map[types.ReplicaID]*ByzantineBehavior{0: {Mute: true}}
+	opts.mute = map[types.ReplicaID]bool{0: true}
 	opts.retryTimeout = 300 * time.Millisecond
 	opts.resendTimeout = 200 * time.Millisecond
 	tc := newTestCluster(t, opts,
@@ -91,7 +91,7 @@ func TestCrashedLeaderOwnerChange(t *testing.T) {
 // commands still complete exactly once via retry rotation.
 func TestEquivocatingLeaderPOM(t *testing.T) {
 	opts := defaultOpts()
-	opts.byz = map[types.ReplicaID]*ByzantineBehavior{0: {EquivocateInstances: true}}
+	opts.byz = map[types.ReplicaID]byzantine{0: newEquivocator}
 	opts.retryTimeout = 300 * time.Millisecond
 	opts.resendTimeout = 200 * time.Millisecond
 	tc := newTestCluster(t, opts,
@@ -124,7 +124,7 @@ func TestEquivocatingLeaderPOM(t *testing.T) {
 // path (2f+1), demonstrating liveness with f faults.
 func TestSlowPathWithOneSilentReplica(t *testing.T) {
 	opts := defaultOpts()
-	opts.byz = map[types.ReplicaID]*ByzantineBehavior{2: {Mute: true}}
+	opts.mute = map[types.ReplicaID]bool{2: true}
 	opts.slowTimeout = 100 * time.Millisecond
 	tc := newTestCluster(t, opts,
 		[]types.ReplicaID{0},
@@ -213,7 +213,7 @@ func TestOwnerChangeRecoversSpecOrderedEntries(t *testing.T) {
 // dropped — the owner change permanently retires the suspect's space.
 func TestStaleSpecOrderRejectedAfterFreeze(t *testing.T) {
 	opts := defaultOpts()
-	opts.byz = map[types.ReplicaID]*ByzantineBehavior{0: {Mute: true}}
+	opts.mute = map[types.ReplicaID]bool{0: true}
 	opts.retryTimeout = 300 * time.Millisecond
 	opts.resendTimeout = 200 * time.Millisecond
 	tc := newTestCluster(t, opts,

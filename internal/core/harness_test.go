@@ -31,7 +31,8 @@ type testCluster struct {
 type clusterOpts struct {
 	n             int
 	delay         time.Duration
-	byz           map[types.ReplicaID]*ByzantineBehavior
+	mute          map[types.ReplicaID]bool
+	byz           map[types.ReplicaID]byzantine
 	slowTimeout   time.Duration
 	retryTimeout  time.Duration
 	resendTimeout time.Duration
@@ -97,6 +98,10 @@ func newTestCluster(t *testing.T, opts clusterOpts, leaders []types.ReplicaID, s
 			}
 			rep = p.(*Replica)
 		} else {
+			var behavior engine.Behavior
+			if mk := opts.byz[rid]; mk != nil {
+				behavior = mk(rid, opts.n, a)
+			}
 			rep, err = NewReplica(ReplicaConfig{
 				Self:               rid,
 				N:                  opts.n,
@@ -107,7 +112,8 @@ func newTestCluster(t *testing.T, opts clusterOpts, leaders []types.ReplicaID, s
 				BatchDelay:         opts.batchDelay,
 				CheckpointInterval: opts.ckptInterval,
 				LogRetention:       opts.logRetention,
-				Byzantine:          opts.byz[rid],
+				Mute:               opts.mute[rid],
+				Behavior:           behavior,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -167,11 +173,14 @@ func (tc *testCluster) run(deadline time.Duration) bool {
 	}, deadline)
 }
 
+// faulty reports whether a replica was built mute or Byzantine.
+func faulty(r *Replica) bool { return r.cfg.Mute || r.cfg.Behavior != nil }
+
 // correctReplicas returns the replicas without byzantine behaviour.
 func (tc *testCluster) correctReplicas() []*Replica {
 	out := make([]*Replica, 0, tc.n)
 	for _, r := range tc.replicas {
-		if r.cfg.Byzantine == nil {
+		if !faulty(r) {
 			out = append(out, r)
 		}
 	}

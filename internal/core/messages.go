@@ -1081,11 +1081,16 @@ func (h *HistEntry) CmdAt(i int) types.Command {
 }
 
 // OwnerChange carries a replica's view of the suspect's instance space to
-// the prospective new owner, ⟨OWNERCHANGE⟩.
+// the prospective new owner, ⟨OWNERCHANGE⟩: its stable checkpoint of the
+// space (Mark, Digest, proved by 2f+1 CHECKPOINT votes; Mark 0 when it has
+// none) and every entry above that mark it holds, with each entry's proof.
 type OwnerChange struct {
 	Suspect  types.ReplicaID
 	NewOwner types.OwnerNumber
 	Replica  types.ReplicaID // sender
+	Mark     uint64
+	Digest   types.Digest
+	Votes    []*CheckpointMsg
 	History  []HistEntry
 	Sig      []byte
 
@@ -1093,6 +1098,13 @@ type OwnerChange struct {
 	// validated selectively in-loop); never marshaled.
 	codec.Verified
 }
+
+// Decode bounds: the entries one history reports (and the slots above its
+// base an owner change plans) and the CHECKPOINT votes of one stable mark.
+const (
+	maxHistory   = 1 << 16
+	maxCkptVotes = 64
+)
 
 // Tag implements codec.Message.
 func (m *OwnerChange) Tag() uint8 { return tagOwnerChange }
@@ -1107,6 +1119,12 @@ func (m *OwnerChange) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Suspect))
 	w.Uvarint(uint64(m.NewOwner))
 	w.Int32(int32(m.Replica))
+	w.Uvarint(m.Mark)
+	w.Bytes32(m.Digest)
+	w.Uvarint(uint64(len(m.Votes)))
+	for _, v := range m.Votes {
+		v.MarshalTo(w)
+	}
 	w.Uvarint(uint64(len(m.History)))
 	for i := range m.History {
 		m.History[i].marshalTo(w)
@@ -1118,12 +1136,29 @@ func decodeOwnerChange(r *codec.Reader) (*OwnerChange, error) {
 		Suspect:  types.ReplicaID(r.Int32()),
 		NewOwner: types.OwnerNumber(r.Uvarint()),
 		Replica:  types.ReplicaID(r.Int32()),
+		Mark:     r.Uvarint(),
+		Digest:   r.Bytes32(),
+	}
+	nv := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if nv > maxCkptVotes {
+		return nil, codec.ErrOverflow
+	}
+	m.Votes = make([]*CheckpointMsg, 0, nv)
+	for i := uint64(0); i < nv; i++ {
+		v, err := decodeCheckpoint(r)
+		if err != nil {
+			return nil, err
+		}
+		m.Votes = append(m.Votes, v)
 	}
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n > 1<<16 {
+	if n > maxHistory {
 		return nil, codec.ErrOverflow
 	}
 	m.History = make([]HistEntry, 0, n)
@@ -1138,14 +1173,14 @@ func decodeOwnerChange(r *codec.Reader) (*OwnerChange, error) {
 	return m, r.Err()
 }
 
-// NewOwnerMsg announces the new owner of a frozen instance space together
-// with the proof set P and the safe instances G, ⟨NEWOWNER⟩.
+// NewOwnerMsg announces the new owner of a frozen instance space with the
+// proof P, the 2f+1 OWNERCHANGE messages it gathered, ⟨NEWOWNER⟩. It carries
+// no safe set: every replica derives G from P itself (adoptOwnerChange).
 type NewOwnerMsg struct {
 	Suspect     types.ReplicaID
 	NewOwnerNum types.OwnerNumber
 	Replica     types.ReplicaID // the new owner
-	Proof       []*OwnerChange  // the f+1 OWNERCHANGE messages collected
-	Safe        []HistEntry     // G: instances to finalize
+	Proof       []*OwnerChange
 	Sig         []byte
 
 	// Verified marks the new owner's signature checked (each proof element
@@ -1170,10 +1205,6 @@ func (m *NewOwnerMsg) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Suspect))
 	w.Uvarint(uint64(m.NewOwnerNum))
 	w.Int32(int32(m.Replica))
-	w.Uvarint(uint64(len(m.Safe)))
-	for i := range m.Safe {
-		m.Safe[i].marshalTo(w)
-	}
 }
 
 func decodeNewOwner(r *codec.Reader) (*NewOwnerMsg, error) {
@@ -1181,21 +1212,6 @@ func decodeNewOwner(r *codec.Reader) (*NewOwnerMsg, error) {
 		Suspect:     types.ReplicaID(r.Int32()),
 		NewOwnerNum: types.OwnerNumber(r.Uvarint()),
 		Replica:     types.ReplicaID(r.Int32()),
-	}
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n > 1<<16 {
-		return nil, codec.ErrOverflow
-	}
-	m.Safe = make([]HistEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		h, err := decodeHistEntry(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Safe = append(m.Safe, h)
 	}
 	m.Sig = r.Blob()
 	np := r.Uvarint()

@@ -92,11 +92,14 @@ func TestMessageRoundTrips(t *testing.T) {
 		},
 		&NewOwnerMsg{
 			Suspect: 1, NewOwnerNum: 2, Replica: 2,
-			Proof: []*OwnerChange{{Suspect: 1, NewOwner: 2, Replica: 3, Sig: []byte{6}}},
-			Safe: []HistEntry{{
-				Inst: types.InstanceID{Space: 1, Slot: 1}, Status: HistCommitted,
-				Cmd: types.Command{Op: types.OpNoop}, Deps: types.NewInstanceSet(),
-			}},
+			Proof: []*OwnerChange{
+				{Suspect: 1, NewOwner: 2, Replica: 3, Sig: []byte{6}},
+				{
+					Suspect: 1, NewOwner: 2, Replica: 0, Mark: 8, Digest: types.Digest{9},
+					Votes: []*CheckpointMsg{{Space: 1, Slot: 8, Digest: types.Digest{9}, Replica: 1, Sig: []byte{2}}},
+					Sig:   []byte{3},
+				},
+			},
 			Sig: []byte{7},
 		},
 		&POM{Suspect: 1, Owner: 1, Client: 3, A: sampleSpecOrder(), B: sampleSpecOrder()},
@@ -222,18 +225,26 @@ func TestCertCarriesOneSpecOrder(t *testing.T) {
 }
 
 // TestFullCommitBytesUnchanged: a COMMIT whose replies travel whole, on its
-// own (tags 14 and 24) or inside a history (marker 1), encodes to the bytes
-// it did before the compact form existed, so COMMITs already stored in WAL
-// records, snapshots and histories keep decoding to the same values. The
-// digests are of certificateFrames' encodings taken before that change.
+// own (tags 14 and 24) or inside a history entry (marker 1), encodes to the
+// bytes it did before the compact form existed, so COMMITs already stored in
+// WAL records, snapshots and histories keep decoding to the same values. The
+// digests are of certificateFrames' encodings taken before that change; the
+// history's is of its entry alone, which an OWNERCHANGE, a state-transfer
+// suffix and a WAL record all embed.
 func TestFullCommitBytesUnchanged(t *testing.T) {
 	frames := certificateFrames()
+	w := codec.NewWriter(256)
+	frames["ownerchange-history"].(*OwnerChange).History[0].marshalTo(w)
 	for name, want := range map[string]string{
-		"commit":              "d87efca29e7b8de973d1e4a202b5c893357be274ff7f94934948d51e8fec0170",
-		"commit-batched":      "d28a66fc29f3b1bc1e237ddd6550d9af1aeea5705c71ffce7f30da98287f27df",
-		"ownerchange-history": "af46696eb6571d3c62e9962f9d603eb4fc4c34e1816222b0c842d6be9c2080d2",
+		"commit":         "d87efca29e7b8de973d1e4a202b5c893357be274ff7f94934948d51e8fec0170",
+		"commit-batched": "d28a66fc29f3b1bc1e237ddd6550d9af1aeea5705c71ffce7f30da98287f27df",
+		"history-entry":  "b5a644cdfeddbf53cc958a69d229dd64a65337b51424eeaf5923cef7c70753f7",
 	} {
-		if got := fmt.Sprintf("%x", sha256.Sum256(codec.Marshal(frames[name]))); got != want {
+		enc := w.Bytes()
+		if m, ok := frames[name]; ok {
+			enc = codec.Marshal(m)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != want {
 			t.Errorf("%s encodes to bytes with digest %s, want %s", name, got, want)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -9,22 +10,40 @@ import (
 	"ezbft/internal/types"
 )
 
-// This file implements the owner-change protocol (paper §IV-D/E): when a
-// command-leader is suspected faulty — via client proof of misbehaviour
-// (POM) or RESENDREQ timeouts — replicas vote with STARTOWNERCHANGE; on f+1
-// votes a replica commits to the change, stops participating in the
-// suspect's instance space, and sends its view of that space (OWNERCHANGE)
-// to the next owner. The new owner selects the safe history (Condition 1:
-// entries proven by client-signed COMMITs with the highest owner number;
-// Condition 2: entries proven by f+1 matching leader-signed SPECORDERs) and
-// announces it in NEWOWNER. Replicas apply the safe instances, fill
-// unrecoverable slots with no-ops, and freeze the space: no new commands
-// are ever ordered in it, because every replica has its own space.
+// This file implements the owner-change protocol (paper §IV-D/E). When a
+// command-leader is suspected faulty — through a client's proof of
+// misbehaviour (POM) or a RESENDREQ timeout — replicas vote with
+// STARTOWNERCHANGE. On f+1 votes a replica commits to the change, stops
+// participating in the suspect's instance space and sends the next owner
+// its view of that space (OWNERCHANGE): its stable checkpoint of the space
+// with the 2f+1 CHECKPOINT votes behind it, and every entry above it with
+// the entry's proof. The next owner gathers 2f+1 OWNERCHANGEs and announces
+// them in NEWOWNER, which carries that proof and nothing else.
+//
+// The safe instances G are never shipped. Every replica, the new owner
+// included, derives them from a proof it checked with one function,
+// adoptOwnerChange: above the highest stable mark the proof proves,
+// Condition 1 adopts an entry a client-signed COMMIT with a valid
+// certificate proves, Condition 2 an entry f+1 histories report under the
+// same leader-signed SPECORDER, and any other slot becomes a no-op.
+// Replicas install G and freeze the space: no new commands are ever
+// ordered in it, because every replica has its own space.
 
 // changeKey identifies one owner-change round.
 type changeKey struct {
 	suspect types.ReplicaID
 	owner   types.OwnerNumber // the owner number being abandoned
+}
+
+// round is this replica's bookkeeping for one owner-change round.
+type round struct {
+	votes     map[types.ReplicaID]bool // STARTOWNERCHANGE senders
+	sent      bool                     // we voted
+	committed bool                     // we committed to the change
+	// gathered collects OWNERCHANGEs, one per sender, when we are the new
+	// owner; announced marks the round whose NEWOWNER we sent.
+	gathered  map[types.ReplicaID]*OwnerChange
+	announced bool
 }
 
 // claim accumulates Condition-2 evidence for one (slot, command) pair.
@@ -35,42 +54,39 @@ type claim struct {
 	seq    types.SeqNumber
 }
 
-// ownerChangeState is the per-replica owner-change bookkeeping.
-type ownerChangeState struct {
-	// votes collects STARTOWNERCHANGE senders per round.
-	votes map[changeKey]map[types.ReplicaID]bool
-	// sentStart marks rounds we have voted in.
-	sentStart map[changeKey]bool
-	// committed marks rounds we have committed to.
-	committed map[changeKey]bool
-	// gathered collects OWNERCHANGE histories when we are the new owner.
-	gathered map[changeKey]map[types.ReplicaID]*OwnerChange
-	// announced marks rounds for which we (as new owner) sent NEWOWNER.
-	announced map[changeKey]bool
-}
-
-func (s *ownerChangeState) init() {
-	s.votes = make(map[changeKey]map[types.ReplicaID]bool)
-	s.sentStart = make(map[changeKey]bool)
-	s.committed = make(map[changeKey]bool)
-	s.gathered = make(map[changeKey]map[types.ReplicaID]*OwnerChange)
-	s.announced = make(map[changeKey]bool)
+// round returns the bookkeeping of one round, creating it.
+func (r *Replica) round(key changeKey) *round {
+	rd := r.rounds[key]
+	if rd == nil {
+		rd = &round{}
+		r.rounds[key] = rd
+	}
+	return rd
 }
 
 // initiateOwnerChange votes to change the owner of suspect's space (called
 // on RESENDREQ timeout or validated POM).
 func (r *Replica) initiateOwnerChange(ctx proc.Context, suspect types.ReplicaID) {
-	key := changeKey{suspect, r.owners[suspect]}
-	if r.oc.sentStart[key] || r.log.space(suspect).frozen {
+	if r.log.space(suspect).frozen {
 		return
 	}
-	r.oc.sentStart[key] = true
-	msg := &StartOwnerChange{Suspect: suspect, Owner: key.owner, Replica: r.cfg.Self}
+	key := changeKey{suspect, r.owners[suspect]}
+	rd := r.round(key)
+	if rd.sent {
+		return
+	}
+	rd.sent = true
+	r.sendStartOwnerChange(ctx, key)
+	// Count our own vote locally.
+	r.recordStartVote(ctx, key, r.cfg.Self)
+}
+
+// sendStartOwnerChange broadcasts this replica's vote in a round.
+func (r *Replica) sendStartOwnerChange(ctx proc.Context, key changeKey) {
+	msg := &StartOwnerChange{Suspect: key.suspect, Owner: key.owner, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
 	msg.Sig = engine.SignBody(r.cfg.Auth, msg)
 	r.broadcastReplicas(ctx, msg)
-	// Count our own vote locally.
-	r.recordStartVote(ctx, key, r.cfg.Self)
 }
 
 // handlePOM validates a client's proof of misbehaviour: two SPECORDERs
@@ -152,25 +168,21 @@ func (r *Replica) handleStartOwnerChange(ctx proc.Context, m *StartOwnerChange) 
 // recordStartVote tallies one STARTOWNERCHANGE vote and commits to the
 // change at f+1 distinct voters.
 func (r *Replica) recordStartVote(ctx proc.Context, key changeKey, from types.ReplicaID) {
-	votes, ok := r.oc.votes[key]
-	if !ok {
-		votes = make(map[types.ReplicaID]bool, r.f+1)
-		r.oc.votes[key] = votes
+	rd := r.round(key)
+	if rd.votes == nil {
+		rd.votes = make(map[types.ReplicaID]bool, r.f+1)
 	}
-	votes[from] = true
-	if len(votes) < WeakQuorum(r.n) || r.oc.committed[key] {
+	rd.votes[from] = true
+	if len(rd.votes) < WeakQuorum(r.n) || rd.committed {
 		return
 	}
-	r.oc.committed[key] = true
+	rd.committed = true
 	// Stop participating in the suspect's space at this owner number.
 	r.log.space(key.suspect).suspended = true
 	// Amplify: join the change so every correct replica converges.
-	if !r.oc.sentStart[key] {
-		r.oc.sentStart[key] = true
-		msg := &StartOwnerChange{Suspect: key.suspect, Owner: key.owner, Replica: r.cfg.Self}
-		r.cfg.Costs.ChargeSign(ctx)
-		msg.Sig = engine.SignBody(r.cfg.Auth, msg)
-		r.broadcastReplicas(ctx, msg)
+	if !rd.sent {
+		rd.sent = true
+		r.sendStartOwnerChange(ctx, key)
 	}
 
 	// From this point the replica no longer participates in the suspect's
@@ -181,8 +193,18 @@ func (r *Replica) recordStartVote(ctx proc.Context, key changeKey, from types.Re
 		Suspect:  key.suspect,
 		NewOwner: newOwnerNum,
 		Replica:  r.cfg.Self,
-		History:  r.historyOf(key.suspect),
 	}
+	if st := r.ckpt.Stable(engine.CheckpointSpace(key.suspect)); st != nil {
+		oc.Mark, oc.Digest = st.Mark, st.Digest
+		for _, v := range st.Votes {
+			if cm, ok := v.(*CheckpointMsg); ok {
+				oc.Votes = append(oc.Votes, cm)
+			}
+		}
+	}
+	// Entries at or below the mark would be ignored: every plan starts
+	// above the highest mark its proof proves.
+	oc.History = r.historyOf(key.suspect, oc.Mark)
 	r.cfg.Costs.ChargeSign(ctx)
 	oc.Sig = engine.SignBody(r.cfg.Auth, oc)
 	if newOwner == r.cfg.Self {
@@ -192,15 +214,17 @@ func (r *Replica) recordStartVote(ctx proc.Context, key changeKey, from types.Re
 	}
 }
 
-// historyOf serializes this replica's view of a space: every known entry
-// with its strongest proof.
-func (r *Replica) historyOf(suspect types.ReplicaID) []HistEntry {
+// historyOf serializes this replica's view of a space above slot floor:
+// every known entry with its strongest proof.
+func (r *Replica) historyOf(suspect types.ReplicaID, floor uint64) []HistEntry {
 	sp := r.log.space(suspect)
 	slots := make([]uint64, 0, len(sp.entries))
 	for slot := range sp.entries {
-		slots = append(slots, slot)
+		if slot > floor {
+			slots = append(slots, slot)
+		}
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+	slices.Sort(slots)
 	hist := make([]HistEntry, 0, len(slots))
 	for _, slot := range slots {
 		e := sp.entries[slot]
@@ -244,40 +268,89 @@ func (r *Replica) handleOwnerChange(ctx proc.Context, m *OwnerChange) {
 	r.acceptOwnerChange(ctx, m)
 }
 
+// acceptOwnerChange gathers one OWNERCHANGE at the new owner. At 2f+1 it
+// announces them in NEWOWNER and adopts them as every other replica will.
 func (r *Replica) acceptOwnerChange(ctx proc.Context, m *OwnerChange) {
-	key := changeKey{m.Suspect, m.NewOwner - 1}
-	g, ok := r.oc.gathered[key]
-	if !ok {
-		g = make(map[types.ReplicaID]*OwnerChange, r.f+1)
-		r.oc.gathered[key] = g
+	rd := r.round(changeKey{m.Suspect, m.NewOwner - 1})
+	if rd.announced {
+		return
 	}
-	g[m.Replica] = m
+	if rd.gathered == nil {
+		rd.gathered = make(map[types.ReplicaID]*OwnerChange, SlowQuorum(r.n))
+	}
+	rd.gathered[m.Replica] = m
 	// The paper's §IV-E text says f+1 OWNERCHANGE messages suffice, but its
 	// own Stability argument (§IV-F) requires 2f+1 histories — with only
 	// f+1, a slow-path commit known to a single correct replica can be
 	// missed and overwritten by a no-op. We follow the stronger 2f+1.
-	if len(g) < SlowQuorum(r.n) || r.oc.announced[key] {
+	if len(rd.gathered) < SlowQuorum(r.n) {
 		return
 	}
-	r.oc.announced[key] = true
-
-	proof := make([]*OwnerChange, 0, len(g))
-	for _, rid := range sortedReplicaKeys(g) {
-		proof = append(proof, g[rid])
+	rd.announced = true
+	proof := make([]*OwnerChange, 0, len(rd.gathered))
+	for _, oc := range rd.gathered {
+		proof = append(proof, oc)
 	}
-	safe := r.selectSafeHistory(ctx, key, proof)
+	rd.gathered = nil
+	slices.SortFunc(proof, func(a, b *OwnerChange) int { return cmp.Compare(a.Replica, b.Replica) })
 	msg := &NewOwnerMsg{
 		Suspect:     m.Suspect,
 		NewOwnerNum: m.NewOwner,
 		Replica:     r.cfg.Self,
 		Proof:       proof,
-		Safe:        safe,
 	}
 	r.cfg.Costs.ChargeSign(ctx)
 	msg.Sig = engine.SignBody(r.cfg.Auth, msg)
 	r.broadcastReplicas(ctx, msg)
-	r.applyNewOwner(ctx, msg)
+	r.adoptOwnerChange(ctx, m.Suspect, m.NewOwner, proof)
 	r.stats.OwnerChanges++
+}
+
+// adoptOwnerChange is where an owner change takes effect, at the new owner
+// and at every other replica alike. It keeps one validly signed
+// OWNERCHANGE per replica for the round, in replica order — Condition 1
+// takes the first valid COMMIT per slot, so the plan must not depend on
+// the order the sender chose — refuses fewer than 2f+1 of them, derives
+// the safe instances from them and installs those. It reports whether the
+// proof held.
+func (r *Replica) adoptOwnerChange(ctx proc.Context, suspect types.ReplicaID, num types.OwnerNumber, proof []*OwnerChange) bool {
+	byReplica := make([]*OwnerChange, r.n)
+	valid := 0
+	for _, oc := range proof {
+		if oc.Suspect != suspect || oc.NewOwner != num || oc.Replica < 0 || int(oc.Replica) >= r.n ||
+			byReplica[oc.Replica] != nil {
+			continue
+		}
+		if oc.SigVerified() || engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(oc.Replica), oc, oc.Sig) == nil {
+			byReplica[oc.Replica] = oc
+			valid++
+		}
+	}
+	if valid < SlowQuorum(r.n) {
+		return false
+	}
+	checked := slices.DeleteFunc(byReplica, func(oc *OwnerChange) bool { return oc == nil })
+	r.applyNewOwner(ctx, suspect, num, r.selectSafeHistory(ctx, changeKey{suspect, num - 1}, checked))
+	return true
+}
+
+// proofBase is the highest stable mark of the suspect's space that a
+// history in the proof carries with 2f+1 valid CHECKPOINT votes. Slots at
+// or below it were executed by 2f+1 replicas — every functioning quorum
+// already reflects them — so a plan neither re-finalizes them nor fills
+// them with no-ops, at any replica, however far it truncated itself.
+func (r *Replica) proofBase(ctx proc.Context, suspect types.ReplicaID, proof []*OwnerChange) uint64 {
+	byMark := slices.SortedFunc(slices.Values(proof), func(a, b *OwnerChange) int { return cmp.Compare(b.Mark, a.Mark) })
+	for _, oc := range byMark {
+		if oc.Mark == 0 {
+			break
+		}
+		r.cfg.Costs.ChargeVerify(ctx, len(oc.Votes))
+		if engine.VerifyCheckpointProof(r.n, checkpointVotes(oc.Votes, suspect), oc.Mark, oc.Digest, r.checkpointVote) {
+			return oc.Mark
+		}
+	}
+	return 0
 }
 
 // selectSafeHistory computes the safe instance set G from the collected
@@ -297,16 +370,14 @@ func (r *Replica) selectSafeHistory(ctx proc.Context, key changeKey, proof []*Ow
 	var committed []HistEntry
 	committedSlots := make(map[uint64]bool)
 	maxSlot := uint64(0)
-	// Recovery clamps to the checkpoint watermark: slots at or below this
-	// replica's truncation point are covered by a 2f+1-stable checkpoint
-	// (every functioning quorum already reflects them), so the owner change
-	// must neither re-finalize them nor fill them with no-ops. Histories
-	// from peers that truncated further simply lack those entries.
-	base := r.log.space(key.suspect).truncated
+	// The plan starts above the proof's stable mark. It also ends at most a
+	// history's length above it, so a history that claims a far slot cannot
+	// make every replica fill the gap with no-ops.
+	base := r.proofBase(ctx, key.suspect, proof)
 
 	for _, oc := range proof {
 		for _, h := range oc.History {
-			if h.Inst.Space != key.suspect || h.Owner != key.owner || h.Inst.Slot <= base {
+			if h.Inst.Space != key.suspect || h.Owner != key.owner || h.Inst.Slot <= base || h.Inst.Slot > base+maxHistory {
 				continue
 			}
 			if h.Inst.Slot > maxSlot {
@@ -418,7 +489,8 @@ func certVouchesFor(first *SpecReply, so *SpecOrder, owner types.OwnerNumber) bo
 	return first.Owner == owner && ref == so.CmdDigest
 }
 
-// handleNewOwner validates and applies a NEWOWNER announcement.
+// handleNewOwner checks a NEWOWNER's header and signature and adopts the
+// owner change its proof supports.
 func (r *Replica) handleNewOwner(ctx proc.Context, m *NewOwnerMsg) {
 	if m.Suspect < 0 || int(m.Suspect) >= r.n {
 		r.stats.DroppedInvalid++
@@ -434,33 +506,20 @@ func (r *Replica) handleNewOwner(ctx proc.Context, m *NewOwnerMsg) {
 			return
 		}
 	}
-	// The proof must contain 2f+1 valid OWNERCHANGE messages for this round
-	// (see acceptOwnerChange for why 2f+1 rather than the paper's f+1).
-	valid := make(map[types.ReplicaID]bool, len(m.Proof))
-	for _, oc := range m.Proof {
-		if oc.Suspect != m.Suspect || oc.NewOwner != m.NewOwnerNum {
-			continue
-		}
-		if oc.SigVerified() || engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(oc.Replica), oc, oc.Sig) == nil {
-			valid[oc.Replica] = true
-		}
-	}
-	if len(valid) < SlowQuorum(r.n) {
+	if !r.adoptOwnerChange(ctx, m.Suspect, m.NewOwnerNum, m.Proof) {
 		r.stats.DroppedInvalid++
-		return
 	}
-	r.applyNewOwner(ctx, m)
 }
 
-// applyNewOwner installs the safe instances, freezes the space, and bumps
-// the owner number. Requests that were waiting on the faulty leader are
-// re-proposed in this replica's own space.
-func (r *Replica) applyNewOwner(ctx proc.Context, m *NewOwnerMsg) {
-	sp := r.log.space(m.Suspect)
-	if r.owners[m.Suspect] >= m.NewOwnerNum {
+// applyNewOwner installs the safe instances this replica derived, freezes
+// the space, and bumps the owner number. Requests that were waiting on the
+// faulty leader are re-proposed in this replica's own space.
+func (r *Replica) applyNewOwner(ctx proc.Context, suspect types.ReplicaID, num types.OwnerNumber, safe []HistEntry) {
+	sp := r.log.space(suspect)
+	if r.owners[suspect] >= num {
 		return // already applied
 	}
-	r.owners[m.Suspect] = m.NewOwnerNum
+	r.owners[suspect] = num
 	sp.frozen = true
 	sp.suspended = false
 	sp.pending = make(map[uint64]*SpecOrder)
@@ -468,14 +527,14 @@ func (r *Replica) applyNewOwner(ctx proc.Context, m *NewOwnerMsg) {
 	// superseded by the owner change's authoritative history; drop them
 	// (acceptSpecOrder, their normal drain, never runs for a frozen space).
 	for inst := range r.deferredCommits {
-		if inst.Space == m.Suspect {
+		if inst.Space == suspect {
 			delete(r.deferredCommits, inst)
 		}
 	}
 
-	for i := range m.Safe {
-		h := &m.Safe[i]
-		if h.Inst.Space != m.Suspect || h.Inst.Slot <= sp.truncated {
+	for i := range safe {
+		h := &safe[i]
+		if h.Inst.Space != suspect || h.Inst.Slot <= sp.truncated {
 			// Slots below the local truncation point are stable-executed and
 			// freed; a new owner with a lower watermark may still report them.
 			continue
@@ -537,7 +596,7 @@ func (r *Replica) applyNewOwner(ctx proc.Context, m *NewOwnerMsg) {
 	// replies would otherwise stop retry rotation from re-leading requests
 	// that were lost with the faulty leader.
 	for key, inst := range r.instByCmd {
-		if inst.Space != m.Suspect {
+		if inst.Space != suspect {
 			continue
 		}
 		e := r.log.get(inst)
@@ -551,7 +610,7 @@ func (r *Replica) applyNewOwner(ctx proc.Context, m *NewOwnerMsg) {
 	// Requests stuck waiting on the faulty leader are the client's to
 	// re-drive (retry rotation picks a live leader); just drop the waits.
 	for key, rs := range r.resendWait {
-		if rs.req.Orig == m.Suspect {
+		if rs.req.Orig == suspect {
 			delete(r.resendWait, key)
 			delete(r.timerAct, rs.timer)
 		}
@@ -585,15 +644,6 @@ func histBoundToSO(h *HistEntry) bool {
 		digests[i] = d
 	}
 	return so.CmdDigest == BatchDigest(digests)
-}
-
-func sortedReplicaKeys(m map[types.ReplicaID]*OwnerChange) []types.ReplicaID {
-	out := make([]types.ReplicaID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func sortedDigests(m map[types.Digest]*claim) []types.Digest {

@@ -204,9 +204,7 @@ func TestFig2SlowPathLatency(t *testing.T) {
 // set, so all correct replicas still execute L1 before L2.
 func TestFig3FaultyReplicaTrace(t *testing.T) {
 	opts := defaultOpts()
-	opts.byz = map[types.ReplicaID]*ByzantineBehavior{
-		2: {LieAboutDeps: true},
-	}
+	opts.byz = map[types.ReplicaID]byzantine{2: newDepLiar}
 	tc := newTestCluster(t, opts,
 		[]types.ReplicaID{0, 3},
 		[][]types.Command{{putCmd("k", "L1")}, {putCmd("k", "L2")}},
@@ -308,7 +306,7 @@ func TestMixedContention(t *testing.T) {
 
 	// All four INCRs committed exactly once.
 	for i := range tc.apps {
-		if tc.replicas[i].cfg.Byzantine != nil {
+		if faulty(tc.replicas[i]) {
 			continue
 		}
 		v, ok := tc.apps[i].Get("ctr")

@@ -116,7 +116,7 @@ type Replica struct {
 	timerSeq        uint64
 	timerAct        map[proc.TimerID]func(ctx proc.Context)
 
-	oc ownerChangeState
+	rounds map[changeKey]*round // owner-change rounds (ownerchange.go)
 
 	// execObserver, when set, is told of every final execution in execution
 	// order. It is a test seam: no constructor of a running system (sim,
@@ -125,10 +125,6 @@ type Replica struct {
 	// the cross-replica consistency checks.
 	execObserver func(ExecRecord)
 	execLog      []ExecRecord
-
-	// byzSkewed / byzLag drive the equivocating-leader fault injection.
-	byzSkewed bool
-	byzLag    uint64
 
 	// peers lists every other replica's address, precomputed for broadcasts.
 	peers []types.NodeID
@@ -216,6 +212,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		depWait:         make(map[types.InstanceID]bool),
 		timerAct:        make(map[proc.TimerID]func(ctx proc.Context)),
 		catchupResps:    make(map[types.ReplicaID]*CatchupResp),
+		rounds:          make(map[changeKey]*round),
 	}
 	r.window = engine.NewRequestWindow(r.releaseRequest)
 	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
@@ -230,7 +227,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	r.execBlocked = make(map[types.InstanceID]bool)
 	r.execGraph = graph.NewDepGraph()
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
-	r.oc.init()
 	return r, nil
 }
 
@@ -333,14 +329,14 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 	r.walSync()
 }
 
-// send transmits a message unless the replica is byzantine-muted or
+// send transmits a message unless the replica is muted or
 // rebuilding itself from its durable store (recovery re-runs handlers
 // whose messages already went out in a previous incarnation).
 func (r *Replica) send(ctx proc.Context, to types.NodeID, msg codec.Message) {
 	if r.recovering {
 		return
 	}
-	if r.cfg.Byzantine != nil && r.cfg.Byzantine.Mute {
+	if r.cfg.Mute {
 		return
 	}
 	if r.cfg.Behavior != nil && !r.cfg.Behavior.Outbound(ctx, to, msg) {
@@ -361,7 +357,7 @@ func (r *Replica) broadcastReplicas(ctx proc.Context, msg codec.Message) {
 	if r.recovering {
 		return
 	}
-	if r.cfg.Byzantine != nil && r.cfg.Byzantine.Mute {
+	if r.cfg.Mute {
 		return
 	}
 	// Durability before dispatch — see send.
@@ -540,68 +536,13 @@ func (r *Replica) leadBatch(ctx proc.Context, reqs []*Request, spaceID types.Rep
 	// or client can act on it.
 	r.walHist(walOrderKind, e)
 
-	if byz := r.cfg.Byzantine; byz != nil && byz.EquivocateInstances {
-		r.equivocate(ctx, so)
-	} else {
-		r.broadcastReplicas(ctx, so)
-	}
+	r.broadcastReplicas(ctx, so)
 
 	// The leader speculatively executes and answers the clients like any
 	// other replica (it is one of the 3f+1 fast-quorum members).
 	r.specExecuteAndReply(ctx, e, so)
 	for _, m := range reqs {
 		r.resolveResendWait(cmdKey{m.Cmd.Client, m.Cmd.Timestamp}, spaceID)
-	}
-}
-
-// equivocate is the byzantine command-leader behaviour. A naive "different
-// slot to different replicas" is rejected by the contiguity check
-// (I = maxI+1), so the leader first desynchronizes the halves: the first
-// request's SPECORDER is withheld from half B, leaving half B one slot
-// behind. Every later request is then signed twice — at the honest slot for
-// half A and at the lagging slot for half B — and both variants pass each
-// half's validation. Clients detect the differing instance numbers through
-// the SPECORDERs embedded in the SPECREPLYs (paper step 4.4) and emit a POM.
-func (r *Replica) equivocate(ctx proc.Context, honest *SpecOrder) {
-	var halfA, halfB []types.ReplicaID
-	for i := 0; i < r.n; i++ {
-		rid := types.ReplicaID(i)
-		if rid == r.cfg.Self {
-			continue
-		}
-		if len(halfA) < (r.n-1)/2 {
-			halfA = append(halfA, rid)
-		} else {
-			halfB = append(halfB, rid)
-		}
-	}
-	if !r.byzSkewed {
-		// Starve half B of this SPECORDER to create the slot skew.
-		r.byzSkewed = true
-		r.byzLag = honest.Inst.Slot
-		for _, rid := range halfA {
-			r.send(ctx, types.ReplicaNode(rid), honest)
-		}
-		return
-	}
-	alt := &SpecOrder{
-		Owner:     honest.Owner,
-		Inst:      types.InstanceID{Space: honest.Inst.Space, Slot: r.byzLag},
-		Deps:      honest.Deps.Clone(),
-		Seq:       honest.Seq,
-		LogHash:   honest.LogHash,
-		CmdDigest: honest.CmdDigest,
-		Req:       honest.Req,
-		Batch:     honest.Batch,
-	}
-	r.byzLag++
-	r.cfg.Costs.ChargeSign(ctx)
-	alt.Sig = engine.SignBody(r.cfg.Auth, alt)
-	for _, rid := range halfA {
-		r.send(ctx, types.ReplicaNode(rid), honest)
-	}
-	for _, rid := range halfB {
-		r.send(ctx, types.ReplicaNode(rid), alt)
 	}
 }
 
@@ -786,11 +727,6 @@ func (r *Replica) acceptSpecOrder(ctx proc.Context, m *SpecOrder, digests []type
 		if localMax+1 > seq {
 			seq = localMax + 1
 		}
-	}
-	if byz := r.cfg.Byzantine; byz != nil && byz.LieAboutDeps {
-		// Fig 3 behaviour: claim no dependencies regardless of the log.
-		deps = nil
-		seq = 1
 	}
 
 	e := &entry{

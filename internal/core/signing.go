@@ -18,12 +18,12 @@ import (
 // message marked, so the single-threaded process loop re-checks nothing but
 // semantic bindings.
 // Signatures the loop verifies only conditionally (a RESENDREQ's embedded
-// request, OWNERCHANGE history proofs, NEWOWNER proof elements) are verified
-// opportunistically: valid ones are marked, invalid ones pass through
-// unmarked for the loop to judge, so pool-on and pool-off behaviour stay
-// equivalent. A certificate's embedded SPECORDER is not touched at all: the
-// loop reads its signature only to install an instance it never saw
-// (commitEntry). The predicate is safe for concurrent use — feed it to
+// request, OWNERCHANGE history proofs and stable-mark votes, NEWOWNER proof
+// elements) are verified opportunistically: valid ones are marked, invalid
+// ones pass through unmarked for the loop to judge, so pool-on and pool-off
+// behaviour stay equivalent. A certificate's embedded SPECORDER is not
+// touched at all: the loop reads its signature only to install an instance
+// it never saw (commitEntry). The predicate is safe for concurrent use — feed it to
 // transport.NewVerifyPool.
 func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 	return func(msg codec.Message) bool {
@@ -46,15 +46,21 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 		case *StartOwnerChange:
 			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
 		case *OwnerChange:
-			return engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig)
+			if !engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig) {
+				return false
+			}
+			markCheckpointVotes(a, m.Votes)
+			return true
 		case *NewOwnerMsg:
 			if !engine.VerifySigned(a, types.ReplicaNode(m.Replica), m, m.Sig) {
 				return false
 			}
-			// Proof elements are counted (not all required) in-loop; mark the
-			// valid ones so the count costs no further verification.
+			// Proof elements, and the votes behind their stable marks, are
+			// counted (not all required) in-loop; mark the valid ones so the
+			// count costs no further verification.
 			for _, oc := range m.Proof {
 				engine.TryMarkSigned(a, types.ReplicaNode(oc.Replica), oc, oc.Sig)
+				markCheckpointVotes(a, oc.Votes)
 			}
 			return true
 		case *POM:
@@ -69,9 +75,7 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 			}
 			// Proof votes are counted (2f+1 of them required, not all) in
 			// the loop; mark the valid ones so the count re-verifies nothing.
-			for _, v := range m.Proof {
-				engine.TryMarkSigned(a, types.ReplicaNode(v.Replica), v, v.Sig)
-			}
+			markCheckpointVotes(a, m.Proof)
 			return true
 		case *SOFetch:
 			return engine.VerifySigned(a, types.ClientNode(m.Client), m, m.Sig)
@@ -80,6 +84,14 @@ func InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 		default:
 			return true
 		}
+	}
+}
+
+// markCheckpointVotes marks the validly signed votes of a stable-mark
+// proof.
+func markCheckpointVotes(a auth.Authenticator, votes []*CheckpointMsg) {
+	for _, v := range votes {
+		engine.TryMarkSigned(a, types.ReplicaNode(v.Replica), v, v.Sig)
 	}
 }
 
