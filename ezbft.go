@@ -132,8 +132,9 @@
 // ezbft-server) gives ezBFT and PBFT replicas a pluggable durable store:
 // ordering-critical state — accepted SPECORDERs and PRE-PREPAREs, commit
 // decisions, checkpoint votes, per-client executed timestamps — is
-// write-ahead-logged before the replica acts on it, group-fsynced once
-// per handler invocation, and pruned whenever a stable checkpoint
+// write-ahead-logged before the replica acts on it, synced before the
+// first message that depends on it leaves (once per handler invocation at
+// most), and pruned whenever a stable checkpoint
 // persists the application snapshot (so the durable footprint stays
 // bounded alongside the in-memory log). A replica restarted over its
 // store directory recovers locally — snapshot restore, WAL replay,
@@ -142,10 +143,11 @@
 // log-suffix merge rather than a wholesale snapshot install. The memory
 // backend exists for harnesses that tear replicas down in-process; off
 // (the default) keeps every paper-reproduction figure byte-identical.
-// Recovery statistics (WALRecords, Recoveries, TailsInstalled) are
-// exposed through ReplicaStats; the `durability` experiment of
-// cmd/ezbft-bench measures what each backend costs and how fast a cold
-// restart recovers.
+// Zyzzyva and FaB keep no write-ahead log: a cluster of either built with a
+// durable backend is refused rather than run memoryless. Recovery
+// statistics (WALRecords, Recoveries, TailsInstalled) are exposed through
+// ReplicaStats; the repository benchmark's tcp_wal workload measures what
+// the disk backend costs an ezBFT cluster.
 package ezbft
 
 import (
@@ -190,6 +192,15 @@ const (
 	DurabilityMemory = store.BackendMemory
 	DurabilityDisk   = store.BackendDisk
 )
+
+// backend is the durability a configuration asks for: a StoreDir with no
+// explicit backend implies disk.
+func backend(d Durability, storeDir string) Durability {
+	if d == "" && storeDir != "" {
+		return DurabilityDisk
+	}
+	return d
+}
 
 // Application is the replicated state machine the cluster serves: a
 // deterministic Apply over committed commands plus a state Digest for

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/proc"
@@ -236,9 +237,10 @@ func TestReproposedOldRequestIsNotExecutedAgain(t *testing.T) {
 	script := []types.Command{incrCmd("ctr")}
 	script = append(script, uniqueKeyScripts(1, newer)[0]...)
 	other := uniqueKeyScripts(2, 64)[1]
+	byz := &reproposer{ts: 1}
+	opts.byz = map[types.ReplicaID]byzantine{0: func(types.ReplicaID, int, auth.Authenticator) engine.Behavior { return byz }}
 	tc := newTestCluster(t, opts, []types.ReplicaID{0, 1}, [][]types.Command{script, other})
-	byz := &reproposer{r: tc.replicas[0], ts: 1}
-	tc.replicas[0].cfg.Behavior = byz
+	byz.r = tc.replicas[0]
 	if !tc.run(600 * time.Second) {
 		t.Fatal("workload did not complete")
 	}

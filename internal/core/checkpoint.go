@@ -458,7 +458,7 @@ func (r *Replica) emitCheckpoint(ctx proc.Context, spaceID types.ReplicaID, sp *
 	m.Sig = engine.SignBody(r.cfg.Auth, m)
 	// Durability point: the vote must survive a crash before peers tally it.
 	r.walVote(m)
-	r.broadcastReplicas(ctx, m)
+	r.Broadcast(ctx, m)
 	if st := r.ckpt.Record(engine.CheckpointSpace(spaceID), m.Slot, r.cfg.Self, m.Digest, m); st != nil {
 		r.applyStableCheckpoint(ctx, st)
 	}
@@ -517,22 +517,22 @@ func (r *Replica) applyStableCheckpoint(ctx proc.Context, st *engine.StableCheck
 		// never be sent again.
 		var uncommitted bool
 		need, uncommitted = sp.holeThrough(st.Mark)
-		if !need && uncommitted && !r.recovering {
+		if !need && uncommitted && !r.Recovering() {
 			// So is a slot whose entry is here and whose COMMIT is not: 2f+1
 			// replicas executed it, its client is done, and nobody sends that
 			// COMMIT again. One merely in flight would buy a needless
 			// transfer, so look again after the catch-up retry delay and ask
 			// only if a slot is still uncommitted then.
-			r.afterTimer(ctx, 2*r.cfg.ResendTimeout, func(ctx proc.Context) {
+			r.AfterTimer(ctx, 2*r.cfg.ResendTimeout, func(ctx proc.Context) {
 				if missing, uncommitted := r.log.space(spaceID).holeThrough(st.Mark); missing || uncommitted {
 					r.requestCatchup(ctx, st)
 				}
 			})
 		}
 	}
-	if need && !r.recovering {
+	if need && !r.Recovering() {
 		// During recovery the gap is expected mid-replay; the post-replay
-		// sweep in recoverFromStore issues the (tail) catch-up instead.
+		// sweep in Init issues the (tail) catch-up instead.
 		r.requestCatchup(ctx, st)
 	}
 	// Durability point: a newly stable checkpoint cuts the store snapshot,
@@ -670,13 +670,13 @@ func (r *Replica) requestCatchup(ctx proc.Context, st *engine.StableCheckpoint) 
 		want = len(voters)
 	}
 	for k := 0; k < want; k++ {
-		r.send(ctx, types.ReplicaNode(voters[(base+k)%len(voters)]), req)
+		r.Send(ctx, types.ReplicaNode(voters[(base+k)%len(voters)]), req)
 	}
 	// The retry delay backs off with jitter (the shared helper the client's
 	// request retry uses): a healed partition releasing many laggards at
 	// once must not have them re-request — and re-storm — in lockstep.
 	retry := proc.Backoff(ctx, 2*r.cfg.ResendTimeout, r.catchupRetries)
-	r.afterTimer(ctx, retry, func(ctx proc.Context) {
+	r.AfterTimer(ctx, retry, func(ctx proc.Context) {
 		if !r.catchupPending {
 			return // a transfer installed in the meantime
 		}
@@ -736,7 +736,7 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 	resp := r.buildTransferState(snap, marks)
 	r.cfg.Costs.ChargeSign(ctx)
 	resp.Sig = engine.SignBody(r.cfg.Auth, resp)
-	r.send(ctx, types.ReplicaNode(m.Replica), resp)
+	r.Send(ctx, types.ReplicaNode(m.Replica), resp)
 	r.stats.CatchupsServed++
 }
 
@@ -792,25 +792,14 @@ func (r *Replica) buildTransferState(snap types.Snapshotter, marks []SpaceMark) 
 		sort.Slice(slots, func(a, b int) bool { return slots[a] < slots[b] })
 		for _, slot := range slots {
 			e := sp.entries[slot]
-			h := HistEntry{
-				Inst:  e.inst,
-				Cmd:   e.cmd,
-				Batch: e.extra,
-				Deps:  e.deps.Clone(),
-				Seq:   e.seq,
-				Owner: e.owner,
-				SO:    e.so,
-			}
+			status := HistSpecOrdered
 			switch {
 			case e.status >= StatusExecuted:
-				h.Status = HistExecuted
+				status = HistExecuted
 			case e.status >= StatusCommitted:
-				h.Status = HistCommitted
-				h.ClientCommit = e.clientCommit
-			default:
-				h.Status = HistSpecOrdered
+				status = HistCommitted
 			}
-			resp.Suffix = append(resp.Suffix, h)
+			resp.Suffix = append(resp.Suffix, e.hist(status))
 		}
 	}
 	if marks == nil {
@@ -1040,16 +1029,8 @@ func (r *Replica) installTail(ctx proc.Context, m *CatchupResp) {
 	// merged tail.
 	for i := 0; i < r.n; i++ {
 		sp := r.log.space(types.ReplicaID(i))
-		if sp.frozen {
-			continue
-		}
-		for {
-			nxt, ok := sp.pending[sp.maxSlot+1]
-			if !ok {
-				break
-			}
-			delete(sp.pending, sp.maxSlot+1)
-			r.acceptSpecOrder(ctx, nxt, nil)
+		if !sp.frozen {
+			r.drainPending(ctx, sp)
 		}
 	}
 	r.stats.CatchupsInstalled++
@@ -1124,7 +1105,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 	r.deferredCommits = make(map[types.InstanceID][]certified)
 	for key, rs := range r.resendWait {
 		delete(r.resendWait, key)
-		delete(r.timerAct, rs.timer)
+		r.ForgetTimer(rs.timer)
 	}
 	r.depWait = make(map[types.InstanceID]bool)
 	r.execLog = nil // records post-transfer executions only
@@ -1158,34 +1139,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 
 	for i := range m.Suffix {
 		h := &m.Suffix[i]
-		e := &entry{
-			inst:  h.Inst,
-			owner: h.Owner,
-			cmd:   h.Cmd,
-			extra: h.Batch,
-			deps:  h.Deps.Clone(),
-			seq:   h.Seq,
-			so:    h.SO,
-		}
-		if len(h.Batch) > 0 {
-			digests := make([]types.Digest, h.BatchSize())
-			for j := range digests {
-				digests[j] = h.CmdAt(j).Digest()
-			}
-			e.cmdDigests = digests
-			e.cmdDigest = BatchDigest(digests)
-		} else {
-			e.cmdDigest = h.Cmd.Digest()
-		}
-		switch h.Status {
-		case HistExecuted:
-			e.status = StatusExecuted
-		case HistCommitted:
-			e.status = StatusCommitted
-			e.clientCommit = h.ClientCommit
-		default:
-			e.status = StatusSpecOrdered
-		}
+		e := entryFromHist(h)
 		sp := r.log.space(h.Inst.Space)
 		sp.entries[h.Inst.Slot] = e
 		if h.Inst.Slot > sp.maxSlot {
@@ -1230,14 +1184,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 				sp.pending[slot] = so
 			}
 		}
-		for {
-			nxt, ok := sp.pending[sp.maxSlot+1]
-			if !ok {
-				break
-			}
-			delete(sp.pending, sp.maxSlot+1)
-			r.acceptSpecOrder(ctx, nxt, nil)
-		}
+		r.drainPending(ctx, sp)
 	}
 	for inst, dcs := range oldDeferred {
 		if inst.Slot <= r.log.space(inst.Space).truncated {
@@ -1270,7 +1217,7 @@ func (r *Replica) handleSOFetch(ctx proc.Context, m *SOFetch) {
 	if e == nil || e.so == nil || e.so.CmdDigest != m.Ref {
 		return // unknown, truncated, or a different proposal — nothing to serve
 	}
-	r.send(ctx, types.ClientNode(m.Client), e.so)
+	r.Send(ctx, types.ClientNode(m.Client), e.so)
 }
 
 // Lifecycle inspection helpers (tests, experiments, operators).

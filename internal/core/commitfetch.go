@@ -80,7 +80,7 @@ func (r *Replica) armCommitWait(ctx proc.Context) {
 		return
 	}
 	r.commitWaitArmed = true
-	r.afterTimer(ctx, r.cfg.DepWaitTimeout, r.scanCommitWait)
+	r.AfterTimer(ctx, r.cfg.DepWaitTimeout, r.scanCommitWait)
 }
 
 // scanCommitWait is the commit-wait timer's expiry: fetch what has stayed
@@ -110,7 +110,7 @@ func (r *Replica) scanCommitWait(ctx proc.Context) {
 		r.cfg.Costs.ChargeSign(ctx)
 		m.Sig = engine.SignBody(r.cfg.Auth, m)
 		r.stats.CommitFetches++
-		r.broadcastReplicas(ctx, m)
+		r.Broadcast(ctx, m)
 	}
 	if waiting {
 		r.armCommitWait(ctx)
@@ -143,10 +143,10 @@ func (r *Replica) handleCommitFetch(ctx proc.Context, m *CommitFetch) {
 		// Both, when both committed the entry here: the requester merges
 		// them as commitEntry did on this replica.
 		if e.fastCommit != nil {
-			r.send(ctx, to, e.fastCommit)
+			r.Send(ctx, to, e.fastCommit)
 		}
 		if e.clientCommit != nil {
-			r.send(ctx, to, e.clientCommit)
+			r.Send(ctx, to, e.clientCommit)
 		}
 	}
 }

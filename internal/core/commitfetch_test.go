@@ -126,8 +126,9 @@ func (forgeCommitFast) Outbound(ctx proc.Context, to types.NodeID, msg codec.Mes
 // certificate whose signature was tampered with is counted as invalid and
 // commits nothing; the entry waits for the honest answers.
 func TestCommitFetchIgnoresForgedAnswer(t *testing.T) {
-	tc := newTestCluster(t, defaultOpts(), []types.ReplicaID{0}, [][]types.Command{{putCmd("a", "1")}})
-	tc.replicas[0].cfg.Behavior = forgeCommitFast{}
+	opts := defaultOpts()
+	opts.byz = map[types.ReplicaID]byzantine{0: func(types.ReplicaID, int, auth.Authenticator) engine.Behavior { return forgeCommitFast{} }}
+	tc := newTestCluster(t, opts, []types.ReplicaID{0}, [][]types.Command{{putCmd("a", "1")}})
 	honest := false
 	tc.rt.SetFilter(dropCommitsTo(fetchVictim, func(from, to types.NodeID, msg codec.Message) bool {
 		_, fast := msg.(*CommitFast)

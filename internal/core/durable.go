@@ -8,21 +8,17 @@ import (
 	"ezbft/internal/types"
 )
 
-// This file integrates the pluggable durability layer (internal/store) into
-// the ezBFT replica: what gets write-ahead-logged, when the store snapshot
-// is cut, and how a restarted replica rebuilds itself from the two.
+// ezBFT's write-ahead log: its record kinds, its replay, and its snapshot.
+// engine.Shell states the contract — when records are synced, what the
+// snapshot cut does, how recovery runs and what a store error does.
 //
-// # What gets logged
-//
-// A record is appended *before* the replica acts on each ordering-critical
-// event, so a crash can lose at most the in-flight handler's work (see the
-// group-commit note below):
+// Records, each appended before the replica acts on the event it records:
 //
 //   - walOrderKind: an accepted SPECORDER — own proposal or a participant's
-//     acceptance — as a HistEntry with the leader-signed proof, logged before
-//     the SPECORDER is broadcast or the SPECREPLY sent;
+//     acceptance — as a HistEntry with the leader-signed proof, before the
+//     SPECORDER is broadcast or the SPECREPLY sent;
 //   - walCommitKind: an installed commit decision (final dependencies and
-//     sequence number) as a HistEntry, logged when the entry reaches
+//     sequence number) as a HistEntry, when the entry reaches
 //     StatusCommitted and on every later deterministic merge;
 //   - walExecKind: one entry's final execution with its per-command
 //     (client, timestamp) pairs — the durable increments of the per-client
@@ -30,56 +26,20 @@ import (
 //   - walCkptVoteKind: a validated CHECKPOINT vote (own or a peer's), so the
 //     tracker's quorum state and the stable low-water marks survive.
 //
-// # Snapshot cut
-//
-// When a checkpoint becomes 2f+1-stable the replica persists its entire
-// transferable state — the same CatchupResp payload a lagging peer would be
+// The snapshot, cut when a checkpoint becomes 2f+1-stable, is the replica's
+// entire transferable state — the CatchupResp a lagging peer would be
 // served: per-space lifecycle state, the checkpoint proof, the application
-// snapshot, the executed-timestamp table, and the retained log suffix. The
-// store deletes every WAL segment the cut subsumes, so disk usage is
-// bounded by one snapshot plus the WAL written since the last stable
-// checkpoint — the durable mirror of in-memory log truncation.
+// snapshot, the executed-timestamp table, and the retained log suffix.
 //
-// # Group commit
-//
-// Appends buffer; the sync point is the *first outbound send* after the
-// appends (send/broadcastReplicas trigger the pending sync before the
-// message reaches the wire), with an end-of-handler sweep (Receive/OnTimer)
-// covering handlers that log without sending. Records precede the messages
-// derived from them, so a handler's whole record burst still normally costs
-// one fsync — but nothing a peer or client can act on ever escapes before
-// the state backing it is stable. The crash window this leaves open is the
-// final handler before the crash: records whose derived messages had not
-// been sent yet — and only those — may be lost. Recovery tolerates that
-// tail loss by design: the replica rejoins one handler behind and fetches
-// the difference through the ordinary CATCHUP path (served as a tail
-// transfer, not a wholesale install).
-//
-// # Recovery
-//
-// Init (which the runtimes invoke before any delivery) checks the store:
-// if it holds state, the replica restores the snapshot through the same
-// installer the catch-up path uses (minus signature re-verification — the
-// replica wrote those bytes itself), then replays the WAL in LSN order with
-// outbound messages suppressed, re-running acceptance, commit, and vote
-// handling idempotently. Final execution is *re-derived*, not replayed:
-// committed entries above the snapshot re-execute deterministically through
-// the ordinary execution path, which also rebuilds the exactly-once memo
-// and the executed-timestamp table in lockstep with the application state
-// (replaying the table alone could claim executions the restored state does
-// not reflect). Replayed records are not re-appended — the surviving WAL
-// already covers them, and replay is idempotent, so a crash during or
-// after recovery just replays again. Afterwards the replica compares its
-// executed prefix against the replayed stable marks and requests a
-// CATCHUP for any space still behind — receiving only the tail.
-//
-// # Degradation
-//
-// The first store error permanently disables logging (walErr): the replica
-// keeps running non-durably rather than wedging consensus on a full disk,
-// and the operator sees the error through ReplicaStats.WALFailed. A replica
-// that restarts from such a store recovers the prefix written before the
-// failure and catch-ups the rest.
+// Recovery installs the snapshot through the installer the catch-up path
+// uses (without re-verifying proofs: the replica wrote those bytes itself)
+// and replays the records through the live handlers' own idempotent
+// guards. Final execution is re-derived, not replayed: committed entries
+// above the snapshot re-execute through the ordinary execution path, which
+// rebuilds the exactly-once memo and the executed-timestamp table in
+// lockstep with the application state. Afterwards the replica fetches the
+// commits still in flight and requests a tail CATCHUP for any space still
+// behind its stable mark.
 const (
 	walOrderKind    uint8 = 1 // accepted SPECORDER (HistEntry + proof)
 	walCommitKind   uint8 = 2 // installed commit decision (HistEntry)
@@ -87,155 +47,68 @@ const (
 	walCkptVoteKind uint8 = 4 // validated CHECKPOINT vote (wire message)
 )
 
-// walAppend appends one framed record, buffering until the handler-end
-// sync. A store error permanently degrades the replica to non-durable.
-func (r *Replica) walAppend(kind uint8, data []byte) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	if _, err := r.cfg.Store.Append(kind, data); err != nil {
-		r.walErr = err
-		return
-	}
-	r.walDirty = true
-	r.stats.WALRecords++
-}
-
-// walSync is the group-commit point: one fsync per handler invocation that
-// appended, called at the end of Receive and OnTimer.
-func (r *Replica) walSync() {
-	if r.cfg.Store == nil || !r.walDirty || r.walErr != nil {
-		return
-	}
-	r.walDirty = false
-	if err := r.cfg.Store.Sync(); err != nil {
-		r.walErr = err
-	}
-}
-
-// walHist logs an entry's current protocol state (acceptance or commit) as
-// a HistEntry record.
+// walHist logs an entry's acceptance (walOrderKind) or commit decision
+// (walCommitKind) as a HistEntry record.
 func (r *Replica) walHist(kind uint8, e *entry) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	h := HistEntry{
-		Inst:  e.inst,
-		Cmd:   e.cmd,
-		Batch: e.extra,
-		Deps:  e.deps,
-		Seq:   e.seq,
-		Owner: e.owner,
-		SO:    e.so,
-	}
+	status := HistSpecOrdered
 	if kind == walCommitKind {
-		h.Status = HistCommitted
-		h.ClientCommit = e.clientCommit
-	} else {
-		h.Status = HistSpecOrdered
+		status = HistCommitted
 	}
-	w := codec.GetWriter()
-	h.marshalTo(w)
-	r.walAppend(kind, w.Bytes())
-	codec.PutWriter(w)
+	r.Append(kind, func(w *codec.Writer) {
+		h := e.hist(status)
+		h.marshalTo(w)
+	})
 }
 
 // walExec logs one entry's final execution: the instance and each ordered
 // command's (client, timestamp) pair.
 func (r *Replica) walExec(e *entry) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	w := codec.GetWriter()
-	w.Instance(e.inst)
-	w.Uvarint(uint64(e.nCmds()))
-	for i := 0; i < e.nCmds(); i++ {
-		cmd := e.cmdAt(i)
-		w.Int32(int32(cmd.Client))
-		w.Uvarint(cmd.Timestamp)
-	}
-	r.walAppend(walExecKind, w.Bytes())
-	codec.PutWriter(w)
+	r.Append(walExecKind, func(w *codec.Writer) {
+		w.Instance(e.inst)
+		w.Uvarint(uint64(e.nCmds()))
+		for i := 0; i < e.nCmds(); i++ {
+			cmd := e.cmdAt(i)
+			w.Int32(int32(cmd.Client))
+			w.Uvarint(cmd.Timestamp)
+		}
+	})
 }
 
 // walVote logs one validated CHECKPOINT vote as its tagged wire encoding.
 func (r *Replica) walVote(m *CheckpointMsg) {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	r.walAppend(walCkptVoteKind, codec.Marshal(m))
+	r.Append(walCkptVoteKind, func(w *codec.Writer) {
+		w.Uint8(m.Tag())
+		m.MarshalTo(w)
+	})
 }
 
 // persistSnapshot cuts the store snapshot at the replica's current
-// transferable state — the same payload a CATCHUP-RESP carries — and lets
-// the store discard the WAL prefix the cut subsumes. Called when a
-// checkpoint becomes stable; suppressed during recovery (the state is
-// still partial there, and the surviving WAL must not be discarded under
-// it).
-//
-// Known cost: the cut runs synchronously inside the message handler, so on
-// large application state the replica loop stalls for one serialize (+
-// fsync when enabled) per checkpoint interval — visible as a periodic
-// latency spike in the durability experiment. Moving the write off the
-// critical path needs a completion barrier before the store may delete the
-// WAL below the cut; see ROADMAP.md.
+// transferable state. The cut runs synchronously in the handler, so on
+// large application state the loop stalls for one serialization (and
+// fsync, when enabled) per checkpoint interval; see ROADMAP.md.
 func (r *Replica) persistSnapshot() {
-	if r.cfg.Store == nil || r.recovering || r.walErr != nil {
-		return
-	}
 	snap, ok := types.Application(r.cfg.App).(types.Snapshotter)
 	if !ok {
 		return
 	}
-	resp := r.buildTransferState(snap, nil)
-	data := codec.AppendMarshal(make([]byte, 0, resp.sizeHint()), resp)
-	if err := r.cfg.Store.SaveSnapshot(data); err != nil {
-		r.walErr = err
-		return
-	}
-	r.walDirty = false // the snapshot write persisted everything pending
+	r.SaveSnapshot(func() []byte {
+		resp := r.buildTransferState(snap, nil)
+		return codec.AppendMarshal(make([]byte, 0, resp.sizeHint()), resp)
+	})
 }
 
-// recoverFromStore rebuilds the replica from its durable state: install
-// the snapshot, replay the WAL above its cut, re-derive final execution,
-// and request a tail catch-up for anything still missing. Runs from Init
-// with r.recovering set, which suppresses every outbound message, WAL
-// re-append, and snapshot cut.
-func (r *Replica) recoverFromStore(ctx proc.Context) {
-	r.recovering = true
-	if data, _, err := r.cfg.Store.LoadSnapshot(); err == nil && len(data) > 0 {
-		if msg, err := codec.Unmarshal(data); err == nil {
-			if resp, ok := msg.(*CatchupResp); ok && len(resp.Spaces) == r.n {
-				if snap, ok := types.Application(r.cfg.App).(types.Snapshotter); ok {
-					// Own bytes: install without re-verifying proofs, through
-					// the same path a validated network transfer takes.
-					r.installTransfer(ctx, resp, snap)
-					// Re-seed the tracker's stable marks from the persisted
-					// proof so post-restart catch-up decisions see them.
-					for _, v := range resp.Proof {
-						r.ckpt.Record(engine.CheckpointSpace(v.Space), v.Slot, v.Replica, v.Digest, v)
-					}
-				}
-			}
+// Init implements proc.Process: a replica whose store holds state from a
+// previous incarnation rebuilds itself from it before any delivery.
+func (r *Replica) Init(ctx proc.Context) {
+	if !r.Recover(func(data []byte) { r.restoreSnapshot(ctx, data) }, func(rec store.Record) { r.replayRecord(ctx, rec) }, func() {
+		// Never reuse an own-space slot the replayed log says is taken.
+		if own := r.log.space(r.cfg.Self); own.maxSlot+1 > r.nextSlot {
+			r.nextSlot = own.maxSlot + 1
 		}
+		r.tryExecute(ctx)
+	}) {
+		return
 	}
-	if err := r.cfg.Store.Replay(func(rec store.Record) error {
-		r.replayRecord(ctx, rec)
-		return nil
-	}); err != nil {
-		// A read error mid-replay leaves the replica only partially
-		// recovered; latch it so the degradation is observable (WALFailed)
-		// and no new records are appended on top of a prefix that was never
-		// applied. The catch-up sweep below still closes the gap.
-		r.walErr = err
-	}
-	// Never reuse an own-space slot the replayed log says is taken.
-	if own := r.log.space(r.cfg.Self); own.maxSlot+1 > r.nextSlot {
-		r.nextSlot = own.maxSlot + 1
-	}
-	r.tryExecute(ctx)
-	r.recovering = false
-	r.stats.Recoveries++
 	// Commits that were in flight when the previous incarnation stopped
 	// never come again from their clients; fetch them (commitfetch.go).
 	r.armCommitWait(ctx)
@@ -248,6 +121,24 @@ func (r *Replica) recoverFromStore(ctx proc.Context) {
 			r.log.space(types.ReplicaID(i)).execMark < st.Mark {
 			r.requestCatchup(ctx, st)
 		}
+	}
+}
+
+// restoreSnapshot installs a persisted snapshot and re-seeds the
+// checkpoint tracker's stable marks from its proof.
+func (r *Replica) restoreSnapshot(ctx proc.Context, data []byte) {
+	msg, err := codec.Unmarshal(data)
+	if err != nil {
+		return
+	}
+	resp, ok := msg.(*CatchupResp)
+	snap, isSnap := types.Application(r.cfg.App).(types.Snapshotter)
+	if !ok || len(resp.Spaces) != r.n || !isSnap {
+		return
+	}
+	r.installTransfer(ctx, resp, snap)
+	for _, v := range resp.Proof {
+		r.ckpt.Record(engine.CheckpointSpace(v.Space), v.Slot, v.Replica, v.Digest, v)
 	}
 }
 
@@ -333,8 +224,8 @@ func (r *Replica) adoptHist(ctx proc.Context, h *HistEntry, replaying bool) {
 		}
 		if replaying && e.so != nil {
 			// Rebuild the speculative overlay and the per-request reply
-			// cache exactly as the original acceptance did; r.send is
-			// suppressed while recovering, so nothing leaves the replica.
+			// cache exactly as the original acceptance did; the gate is closed
+			// while recovering, so nothing leaves the replica.
 			r.specExecuteAndReply(ctx, e, e.so)
 		}
 		if e.status == StatusCommitted {
@@ -342,12 +233,14 @@ func (r *Replica) adoptHist(ctx proc.Context, h *HistEntry, replaying bool) {
 		}
 		return
 	}
-	if !replaying && e.cmdDigest != histBatchDigest(h) {
-		// A tail transfer disagreeing with the local log about an
-		// instance's content is conflicting evidence (an equivocating
-		// leader's, or a lying responder's); the owner-change protocol
-		// arbitrates such slots, never a state transfer.
-		return
+	if !replaying {
+		if _, d := h.digests(); e.cmdDigest != d {
+			// A tail transfer disagreeing with the local log about an
+			// instance's content is conflicting evidence (an equivocating
+			// leader's, or a lying responder's); the owner-change protocol
+			// arbitrates such slots, never a state transfer.
+			return
+		}
 	}
 	if h.Status == HistSpecOrdered || e.status >= StatusExecuted {
 		return
@@ -374,17 +267,23 @@ func (r *Replica) adoptHist(ctx proc.Context, h *HistEntry, replaying bool) {
 	r.pendingExec[e.inst] = e
 }
 
-// entryFromHist builds a log entry from a transferred HistEntry (digests
-// recomputed from the carried commands).
-func entryFromHist(h *HistEntry) *entry {
-	e := &entry{
-		inst:  h.Inst,
-		owner: h.Owner,
-		cmd:   h.Cmd,
-		deps:  h.Deps.Clone(),
-		seq:   h.Seq,
-		so:    h.SO,
+// hist reports the entry as a HistEntry of the given status — the record a
+// WAL, a catch-up suffix and an owner-change history all carry; a committed
+// report carries the client's COMMIT, if any. Deps is shared, which the
+// InstanceSet contract allows.
+func (e *entry) hist(status HistStatus) HistEntry {
+	h := HistEntry{Inst: e.inst, Status: status, Cmd: e.cmd, Batch: e.extra, Deps: e.deps, Seq: e.seq, Owner: e.owner, SO: e.so}
+	if status == HistCommitted {
+		h.ClientCommit = e.clientCommit
 	}
+	return h
+}
+
+// entryFromHist builds a log entry from a transferred or replayed
+// HistEntry.
+func entryFromHist(h *HistEntry) *entry {
+	e := &entry{inst: h.Inst, owner: h.Owner, deps: h.Deps.Clone(), seq: h.Seq, so: h.SO}
+	e.setCmds(h)
 	switch h.Status {
 	case HistExecuted:
 		e.status = StatusExecuted
@@ -394,29 +293,26 @@ func entryFromHist(h *HistEntry) *entry {
 	default:
 		e.status = StatusSpecOrdered
 	}
-	if len(h.Batch) > 0 {
-		e.extra = h.Batch
-		digests := make([]types.Digest, h.BatchSize())
-		for j := range digests {
-			digests[j] = h.CmdAt(j).Digest()
-		}
-		e.cmdDigests = digests
-		e.cmdDigest = BatchDigest(digests)
-	} else {
-		e.cmdDigest = h.Cmd.Digest()
-	}
 	return e
 }
 
-// histBatchDigest recomputes the batch digest binding a HistEntry's
-// commands.
-func histBatchDigest(h *HistEntry) types.Digest {
+// setCmds installs a HistEntry's commands in the entry, with their digests
+// recomputed.
+func (e *entry) setCmds(h *HistEntry) {
+	e.cmd, e.extra = h.Cmd, h.Batch
+	e.cmdDigests, e.cmdDigest = h.digests()
+}
+
+// digests recomputes the digest of each of a batched HistEntry's commands
+// (nil when unbatched) and the batch digest binding them (the command's
+// own digest when unbatched).
+func (h *HistEntry) digests() ([]types.Digest, types.Digest) {
 	if len(h.Batch) == 0 {
-		return h.Cmd.Digest()
+		return nil, h.Cmd.Digest()
 	}
 	digests := make([]types.Digest, h.BatchSize())
 	for j := range digests {
 		digests[j] = h.CmdAt(j).Digest()
 	}
-	return BatchDigest(digests)
+	return digests, BatchDigest(digests)
 }

@@ -145,23 +145,6 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 	}
 }
 
-// syncProbeStore counts records appended since the last Sync, so a test can
-// observe whether anything was sent while WAL records were still volatile.
-type syncProbeStore struct {
-	*store.Memory
-	unsynced int
-}
-
-func (s *syncProbeStore) Append(kind uint8, data []byte) (uint64, error) {
-	s.unsynced++
-	return s.Memory.Append(kind, data)
-}
-
-func (s *syncProbeStore) Sync() error {
-	s.unsynced = 0
-	return s.Memory.Sync()
-}
-
 // sendProbeCtx reports every outbound message to the test.
 type sendProbeCtx struct {
 	noopCtx
@@ -175,10 +158,11 @@ func (c *sendProbeCtx) Send(to types.NodeID, msg codec.Message) { c.onSend(to, m
 // still unsynced. On the live TCP substrate ctx.Send writes the socket
 // immediately, so syncing only at handler end would let a SPECREPLY escape
 // whose backing acceptance record a power loss could erase.
+// The memory store counts the records appended since its last Sync.
 func TestWALSyncedBeforeSend(t *testing.T) {
 	const n = 4
 	auths := reviewCluster(t)
-	st := &syncProbeStore{Memory: store.NewMemory()}
+	st := store.NewMemory()
 	r, err := NewReplica(ReplicaConfig{Self: 0, N: n, App: kvstore.New(), Auth: auths[0], Store: st, CheckpointInterval: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +170,8 @@ func TestWALSyncedBeforeSend(t *testing.T) {
 	sent := 0
 	ctx := &sendProbeCtx{onSend: func(to types.NodeID, msg codec.Message) {
 		sent++
-		if st.unsynced != 0 {
-			t.Fatalf("%T sent with %d unsynced WAL records", msg, st.unsynced)
+		if st.Unsynced() != 0 {
+			t.Fatalf("%T sent with %d unsynced WAL records", msg, st.Unsynced())
 		}
 	}}
 

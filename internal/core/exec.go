@@ -152,7 +152,7 @@ func (r *Replica) armDepWait(ctx proc.Context, blockers []types.InstanceID) {
 		}
 		r.depWait[dep] = true
 		dep := dep
-		r.afterTimer(ctx, r.cfg.DepWaitTimeout, func(ctx proc.Context) {
+		r.AfterTimer(ctx, r.cfg.DepWaitTimeout, func(ctx proc.Context) {
 			delete(r.depWait, dep)
 			if dep.Slot <= r.log.space(dep.Space).truncated {
 				return // executed and truncated by a stable checkpoint meanwhile

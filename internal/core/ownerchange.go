@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
+	"maps"
 	"slices"
 	"sort"
 
@@ -86,7 +88,7 @@ func (r *Replica) sendStartOwnerChange(ctx proc.Context, key changeKey) {
 	msg := &StartOwnerChange{Suspect: key.suspect, Owner: key.owner, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
 	msg.Sig = engine.SignBody(r.cfg.Auth, msg)
-	r.broadcastReplicas(ctx, msg)
+	r.Broadcast(ctx, msg)
 }
 
 // handlePOM validates a client's proof of misbehaviour: two SPECORDERs
@@ -210,7 +212,7 @@ func (r *Replica) recordStartVote(ctx proc.Context, key changeKey, from types.Re
 	if newOwner == r.cfg.Self {
 		r.acceptOwnerChange(ctx, oc)
 	} else {
-		r.send(ctx, types.ReplicaNode(newOwner), oc)
+		r.Send(ctx, types.ReplicaNode(newOwner), oc)
 	}
 }
 
@@ -228,22 +230,11 @@ func (r *Replica) historyOf(suspect types.ReplicaID, floor uint64) []HistEntry {
 	hist := make([]HistEntry, 0, len(slots))
 	for _, slot := range slots {
 		e := sp.entries[slot]
-		h := HistEntry{
-			Inst:  e.inst,
-			Cmd:   e.cmd,
-			Batch: e.extra, // batches are reported whole
-			Deps:  e.deps.Clone(),
-			Seq:   e.seq,
-			Owner: e.owner,
-			SO:    e.so,
-		}
+		status := HistSpecOrdered
 		if e.status >= StatusCommitted {
-			h.Status = HistCommitted
-			h.ClientCommit = e.clientCommit
-		} else {
-			h.Status = HistSpecOrdered
+			status = HistCommitted
 		}
-		hist = append(hist, h)
+		hist = append(hist, e.hist(status)) // batches are reported whole
 	}
 	return hist
 }
@@ -301,7 +292,7 @@ func (r *Replica) acceptOwnerChange(ctx proc.Context, m *OwnerChange) {
 	}
 	r.cfg.Costs.ChargeSign(ctx)
 	msg.Sig = engine.SignBody(r.cfg.Auth, msg)
-	r.broadcastReplicas(ctx, msg)
+	r.Broadcast(ctx, msg)
 	r.adoptOwnerChange(ctx, m.Suspect, m.NewOwner, proof)
 	r.stats.OwnerChanges++
 }
@@ -559,19 +550,7 @@ func (r *Replica) applyNewOwner(ctx proc.Context, suspect types.ReplicaID, num t
 		}
 		// Install the safe entry's content — the whole batch, never a
 		// fragment of one — so every replica finalizes identical commands.
-		e.cmd = h.Cmd
-		e.extra = h.Batch
-		if len(h.Batch) > 0 {
-			digests := make([]types.Digest, h.BatchSize())
-			for j := range digests {
-				digests[j] = h.CmdAt(j).Digest()
-			}
-			e.cmdDigests = digests
-			e.cmdDigest = BatchDigest(digests)
-		} else {
-			e.cmdDigests = nil
-			e.cmdDigest = h.Cmd.Digest()
-		}
+		e.setCmds(h)
 		e.deps = h.Deps.Clone()
 		e.seq = h.Seq
 		e.status = StatusCommitted
@@ -612,7 +591,7 @@ func (r *Replica) applyNewOwner(ctx proc.Context, suspect types.ReplicaID, num t
 	for key, rs := range r.resendWait {
 		if rs.req.Orig == suspect {
 			delete(r.resendWait, key)
-			delete(r.timerAct, rs.timer)
+			r.ForgetTimer(rs.timer)
 		}
 	}
 }
@@ -632,32 +611,23 @@ func (r *Replica) OwnerNumber(space types.ReplicaID) types.OwnerNumber { return 
 // requirement that the embedded request matches the signed digest.
 func histBoundToSO(h *HistEntry) bool {
 	so := h.SO
-	if h.BatchSize() != so.BatchSize() {
+	digests, d := h.digests()
+	if so.CmdDigest != d || h.BatchSize() != so.BatchSize() {
 		return false
 	}
-	digests := make([]types.Digest, h.BatchSize())
+	if digests == nil {
+		return so.ReqAt(0).Cmd.Digest() == d
+	}
 	for i := range digests {
-		d := h.CmdAt(i).Digest()
-		if d != so.ReqAt(i).Cmd.Digest() {
+		if digests[i] != so.ReqAt(i).Cmd.Digest() {
 			return false
 		}
-		digests[i] = d
 	}
-	return so.CmdDigest == BatchDigest(digests)
+	return true
 }
 
 func sortedDigests(m map[types.Digest]*claim) []types.Digest {
-	out := make([]types.Digest, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for b := 0; b < len(out[i]); b++ {
-			if out[i][b] != out[j][b] {
-				return out[i][b] < out[j][b]
-			}
-		}
-		return false
-	})
+	out := slices.Collect(maps.Keys(m))
+	slices.SortFunc(out, func(a, b types.Digest) int { return bytes.Compare(a[:], b[:]) })
 	return out
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/graph"
@@ -20,9 +18,10 @@ type cmdKey struct {
 // requests, participant for every other replica's instance space, and
 // executor of the committed dependency graph. It implements proc.Process.
 type Replica struct {
-	cfg ReplicaConfig
-	n   int
-	f   int
+	engine.Shell // timers, gated sends, the write-ahead log
+	cfg          ReplicaConfig
+	n            int
+	f            int
 
 	log  *cmdLog
 	deps *depIndex
@@ -94,15 +93,6 @@ type Replica struct {
 	// system quiesces.
 	catchupHeard bool
 
-	// Durability state (see durable.go). recovering is set while Init
-	// rebuilds the replica from its store: it suppresses outbound messages,
-	// WAL re-appends, and snapshot cuts. walDirty marks appends awaiting
-	// the handler-end group sync; the first store error is retained in
-	// walErr and permanently degrades the replica to non-durable.
-	recovering bool
-	walDirty   bool
-	walErr     error
-
 	// resendWait tracks RESENDREQs we forwarded and are waiting on
 	// (paper step 4.3): cmdKey → armed timer.
 	resendWait map[cmdKey]*resendState
@@ -113,8 +103,6 @@ type Replica struct {
 	// commitWaitArmed is set while the one commit-wait timer is armed (see
 	// commitfetch.go).
 	commitWaitArmed bool
-	timerSeq        uint64
-	timerAct        map[proc.TimerID]func(ctx proc.Context)
 
 	rounds map[changeKey]*round // owner-change rounds (ownerchange.go)
 
@@ -125,9 +113,6 @@ type Replica struct {
 	// the cross-replica consistency checks.
 	execObserver func(ExecRecord)
 	execLog      []ExecRecord
-
-	// peers lists every other replica's address, precomputed for broadcasts.
-	peers []types.NodeID
 
 	// execPending / execBlocked are per-pass scratch for tryExecute, and
 	// execSeen / execStack / execClosure / execBlockers per-call scratch for
@@ -174,9 +159,7 @@ type ReplicaStats struct {
 	CatchupMismatches uint64 // responders disagreeing with the installed f+1 majority
 
 	// Durability observables (nonzero only with a configured store).
-	WALRecords uint64 // records appended to the write-ahead log
-	Recoveries uint64 // restarts that rebuilt state from the store
-	WALFailed  bool   // a store error degraded the replica to non-durable
+	engine.WALStats
 
 	// Batch-size observables: batches this leader flushed, requests across
 	// them (BatchedRequests/Batches = mean batch), and the largest single
@@ -194,6 +177,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		return nil, err
 	}
 	r := &Replica{
+		Shell:           engine.NewShell(cfg.Self, cfg.N, cfg.Mute, cfg.Behavior, cfg.Store),
 		cfg:             cfg,
 		n:               cfg.N,
 		f:               F(cfg.N),
@@ -210,7 +194,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		settled:         make(map[types.ClientID]tsSet),
 		resendWait:      make(map[cmdKey]*resendState),
 		depWait:         make(map[types.InstanceID]bool),
-		timerAct:        make(map[proc.TimerID]func(ctx proc.Context)),
 		catchupResps:    make(map[types.ReplicaID]*CatchupResp),
 		rounds:          make(map[changeKey]*round),
 	}
@@ -219,19 +202,11 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	for i := range r.owners {
 		r.owners[i] = types.OwnerNumber(i)
 	}
-	for i := 0; i < cfg.N; i++ {
-		if types.ReplicaID(i) != cfg.Self {
-			r.peers = append(r.peers, types.ReplicaNode(types.ReplicaID(i)))
-		}
-	}
 	r.execBlocked = make(map[types.InstanceID]bool)
 	r.execGraph = graph.NewDepGraph()
 	r.batcher = engine.NewBatcher[cmdKey, *Request](cfg.BatchSize, cfg.BatchDelay, r, r.flushBatch)
 	return r, nil
 }
-
-// ID implements proc.Process.
-func (r *Replica) ID() types.NodeID { return types.ReplicaNode(r.cfg.Self) }
 
 // Stats returns a snapshot of the replica's counters, including the batch
 // sizes the batcher actually produced.
@@ -244,54 +219,16 @@ func (r *Replica) Stats() ReplicaStats {
 	cs := r.ckpt.Stats()
 	s.Checkpoints = cs.Checkpoints
 	s.LowWaterMark = cs.LowWaterMark
-	s.WALFailed = r.walErr != nil
+	s.WALStats = r.WALStats()
 	return s
 }
 
 // BatcherStats returns the leader-side batch-size observables.
 func (r *Replica) BatcherStats() engine.BatcherStats { return r.batcher.Stats() }
 
-// Init implements proc.Process. A replica whose store holds state from a
-// previous incarnation rebuilds itself from it before any delivery (see
-// durable.go).
-func (r *Replica) Init(ctx proc.Context) {
-	if r.cfg.Store != nil && !r.cfg.Store.Empty() {
-		r.recoverFromStore(ctx)
-	}
-}
-
-// OnTimer implements proc.Process.
-func (r *Replica) OnTimer(ctx proc.Context, id proc.TimerID) {
-	if fn, ok := r.timerAct[id]; ok {
-		delete(r.timerAct, id)
-		fn(ctx)
-	}
-	r.walSync()
-}
-
-// afterTimer arms a one-shot timer bound to fn.
-func (r *Replica) afterTimer(ctx proc.Context, d time.Duration, fn func(ctx proc.Context)) proc.TimerID {
-	r.timerSeq++
-	id := proc.TimerID(r.timerSeq)
-	r.timerAct[id] = fn
-	ctx.SetTimer(id, d)
-	return id
-}
-
-// AfterTimer implements engine.BatchHost.
-func (r *Replica) AfterTimer(ctx proc.Context, d time.Duration, fn func(ctx proc.Context)) proc.TimerID {
-	return r.afterTimer(ctx, d, fn)
-}
-
-// DisarmTimer implements engine.BatchHost.
-func (r *Replica) DisarmTimer(ctx proc.Context, id proc.TimerID) {
-	delete(r.timerAct, id)
-	ctx.CancelTimer(id)
-}
-
 // Receive implements proc.Process.
 func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message) {
-	if r.cfg.Behavior != nil && !r.cfg.Behavior.Inbound(ctx, from, msg) {
+	if !r.Inbound(ctx, from, msg) {
 		return
 	}
 	switch m := msg.(type) {
@@ -326,53 +263,20 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 	default:
 		r.stats.DroppedInvalid++
 	}
-	r.walSync()
+	r.Sync()
 }
 
-// send transmits a message unless the replica is muted or
-// rebuilding itself from its durable store (recovery re-runs handlers
-// whose messages already went out in a previous incarnation).
-func (r *Replica) send(ctx proc.Context, to types.NodeID, msg codec.Message) {
-	if r.recovering {
-		return
-	}
-	if r.cfg.Mute {
-		return
-	}
-	if r.cfg.Behavior != nil && !r.cfg.Behavior.Outbound(ctx, to, msg) {
-		return
-	}
-	// Durability before dispatch: every record this handler appended so far
-	// must be stable before a message derived from it reaches the wire — on
-	// the live substrate ctx.Send writes the socket immediately, so syncing
-	// only at handler end would let a SPECORDER/SPECREPLY/vote escape that a
-	// power loss could then make this replica forget (see durable.go).
-	r.walSync()
-	ctx.Send(to, msg)
-}
-
-// broadcastReplicas sends to every other replica — one encode for all
-// destinations on runtimes with an encode-once broadcast transport.
-func (r *Replica) broadcastReplicas(ctx proc.Context, msg codec.Message) {
-	if r.recovering {
-		return
-	}
-	if r.cfg.Mute {
-		return
-	}
-	// Durability before dispatch — see send.
-	r.walSync()
-	if r.cfg.Behavior != nil {
-		// Per-destination interception forfeits the encode-once fan-out;
-		// acceptable on the adversarial replica only.
-		for _, p := range r.peers {
-			if r.cfg.Behavior.Outbound(ctx, p, msg) {
-				ctx.Send(p, msg)
-			}
+// drainPending accepts a space's buffered proposals while the next one is
+// contiguous with its log.
+func (r *Replica) drainPending(ctx proc.Context, sp *space) {
+	for {
+		nxt, ok := sp.pending[sp.maxSlot+1]
+		if !ok {
+			return
 		}
-		return
+		delete(sp.pending, sp.maxSlot+1)
+		r.acceptSpecOrder(ctx, nxt, nil)
 	}
-	proc.Broadcast(ctx, r.peers, msg)
 }
 
 // --- step 2: command-leader path ---
@@ -396,7 +300,7 @@ func (r *Replica) handleRequest(ctx proc.Context, from types.NodeID, m *Request)
 	// reply retransmitted (never re-ordered).
 	if cached, ok := r.replyCache[key]; ok {
 		r.cfg.Costs.ChargeSign(ctx)
-		r.send(ctx, types.ClientNode(m.Cmd.Client), cached)
+		r.Send(ctx, types.ClientNode(m.Cmd.Client), cached)
 		return
 	}
 	if r.window.Below(m.Cmd.Client, m.Cmd.Timestamp) {
@@ -436,7 +340,7 @@ func (r *Replica) lostOwnSpace() bool {
 // replica as a RESENDREQ — any replica can order it — as the client's retry
 // would after its timer.
 func (r *Replica) handOff(ctx proc.Context, m *Request) {
-	r.send(ctx, types.ReplicaNode((r.cfg.Self+1)%types.ReplicaID(r.n)), &ResendReq{Req: m.Clone(), Replica: r.cfg.Self})
+	r.Send(ctx, types.ReplicaNode((r.cfg.Self+1)%types.ReplicaID(r.n)), &ResendReq{Req: m.Clone(), Replica: r.cfg.Self})
 }
 
 // flushBatch opens one instance for everything the batcher accumulated.
@@ -536,7 +440,7 @@ func (r *Replica) leadBatch(ctx proc.Context, reqs []*Request, spaceID types.Rep
 	// or client can act on it.
 	r.walHist(walOrderKind, e)
 
-	r.broadcastReplicas(ctx, so)
+	r.Broadcast(ctx, so)
 
 	// The leader speculatively executes and answers the clients like any
 	// other replica (it is one of the 3f+1 fast-quorum members).
@@ -569,7 +473,7 @@ func (r *Replica) handleRetryForOther(ctx proc.Context, m *Request) {
 	}
 	fwd := m.Clone()
 	rs := &resendState{req: m}
-	rs.timer = r.afterTimer(ctx, r.cfg.ResendTimeout, func(ctx proc.Context) {
+	rs.timer = r.AfterTimer(ctx, r.cfg.ResendTimeout, func(ctx proc.Context) {
 		if _, still := r.resendWait[key]; !still {
 			return
 		}
@@ -577,7 +481,7 @@ func (r *Replica) handleRetryForOther(ctx proc.Context, m *Request) {
 		r.initiateOwnerChange(ctx, orig)
 	})
 	r.resendWait[key] = rs
-	r.send(ctx, types.ReplicaNode(orig), &ResendReq{Req: fwd, Replica: r.cfg.Self})
+	r.Send(ctx, types.ReplicaNode(orig), &ResendReq{Req: fwd, Replica: r.cfg.Self})
 }
 
 // resolveResendWait cancels a pending resend timer once the request has
@@ -590,7 +494,7 @@ func (r *Replica) resolveResendWait(key cmdKey, orderedBy types.ReplicaID) {
 		return
 	}
 	delete(r.resendWait, key)
-	delete(r.timerAct, rs.timer)
+	r.ForgetTimer(rs.timer)
 }
 
 // handleResendReq processes ⟨RESENDREQ, m, Rj⟩ at the original leader: if
@@ -605,7 +509,7 @@ func (r *Replica) handleResendReq(ctx proc.Context, m *ResendReq) {
 	}
 	if inst, ok := r.instByCmd[key]; ok {
 		if e := r.log.get(inst); e != nil && e.so != nil {
-			r.send(ctx, types.ReplicaNode(m.Replica), e.so)
+			r.Send(ctx, types.ReplicaNode(m.Replica), e.so)
 		}
 		return
 	}
@@ -691,15 +595,7 @@ func (r *Replica) handleSpecOrder(ctx proc.Context, from types.NodeID, m *SpecOr
 	switch {
 	case m.Inst.Slot == next:
 		r.acceptSpecOrder(ctx, m, kept)
-		// Drain any buffered successors.
-		for {
-			nxt, ok := sp.pending[sp.maxSlot+1]
-			if !ok {
-				break
-			}
-			delete(sp.pending, sp.maxSlot+1)
-			r.acceptSpecOrder(ctx, nxt, nil)
-		}
+		r.drainPending(ctx, sp)
 	case m.Inst.Slot > next:
 		sp.pending[m.Inst.Slot] = m
 	default:
@@ -829,7 +725,7 @@ func (r *Replica) specExecuteAndReply(ctx proc.Context, e *entry, so *SpecOrder)
 		r.cfg.Costs.ChargeSign(ctx)
 		reply.Sig = engine.SignBody(r.cfg.Auth, reply)
 		r.replyCache[cmdKey{cmd.Client, cmd.Timestamp}] = reply
-		r.send(ctx, types.ClientNode(cmd.Client), reply)
+		r.Send(ctx, types.ClientNode(cmd.Client), reply)
 	}
 	e.specExecuted = true
 }
@@ -1129,5 +1025,5 @@ func (r *Replica) sendCommitReply(ctx proc.Context, e *entry, idx int, to types.
 	}
 	r.cfg.Costs.ChargeSign(ctx)
 	reply.Sig = engine.SignBody(r.cfg.Auth, reply)
-	r.send(ctx, types.ClientNode(to), reply)
+	r.Send(ctx, types.ClientNode(to), reply)
 }

@@ -26,9 +26,11 @@
 // what a replica installs nor wedge it: the solicited voters rotate until
 // f+1 correct ones answer.
 //
-// Around the Lifecycle the sequenced protocols share one replica core,
-// Sequencer. It owns the configuration defaults, the timer table and the
-// gated send paths; request admission (client signature, reply-cache
+// Every replica, ezBFT's included, embeds one Shell: the timer table, the
+// outbound gate and the write-ahead log's runtime (shell.go states the
+// durability contract). Around the Lifecycle the sequenced protocols share
+// one replica core, Sequencer. It embeds the Shell and owns the
+// configuration defaults; request admission (client signature, reply-cache
 // resend, the RequestWindow floor, forwarding to the primary under a
 // suspicion timer, duplicate suppression, the Batcher); the flush that
 // assigns a batch its sequence number; the in-loop check of an ordering
@@ -45,6 +47,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -110,12 +113,13 @@ type ReplicaOptions struct {
 	// (0 = the protocol default).
 	BatchDelay time.Duration
 	// Store, when non-nil, is the replica's durability layer (see
-	// internal/store): ordering-critical protocol state is
+	// internal/store and Shell): ordering-critical protocol state is
 	// write-ahead-logged through it before the replica acts on it, stable
 	// checkpoints cut durable snapshots, and a replica rebuilt with the
 	// same store recovers its state on Init instead of starting empty.
-	// Nil (the default) keeps replicas memoryless across restarts —
-	// byte-identical to the pre-durability behaviour.
+	// Only ezBFT and PBFT keep a write-ahead log; Zyzzyva and FaB refuse a
+	// store (ErrNoWAL). Nil (the default) keeps replicas memoryless across
+	// restarts — byte-identical to the pre-durability behaviour.
 	Store store.Store
 	// Mute makes the replica fail-silent (fault-injection runs).
 	Mute bool
@@ -125,6 +129,11 @@ type ReplicaOptions struct {
 	// nil check.
 	Behavior Behavior
 }
+
+// ErrNoWAL refuses a store for a protocol that write-ahead-logs nothing:
+// its replicas would run memoryless where the configuration asked for
+// recovery.
+var ErrNoWAL = errors.New("protocol keeps no write-ahead log: a durable store needs ezbft or pbft")
 
 // ClientOptions configures one workload-driven client.
 type ClientOptions struct {

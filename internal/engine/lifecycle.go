@@ -37,6 +37,9 @@ type LogHost interface {
 	Send(ctx proc.Context, to types.NodeID, msg codec.Message)
 	Broadcast(ctx proc.Context, msg codec.Message)
 	AfterTimer(ctx proc.Context, d time.Duration, fn func(ctx proc.Context)) proc.TimerID
+	// Recovering reports whether the replica is rebuilding itself from its
+	// store: it requests no transfer then.
+	Recovering() bool
 	// View is the replica's current view.
 	View() uint64
 	// MaxExecuted is the highest contiguously executed sequence number.
@@ -61,12 +64,8 @@ type LogHost interface {
 }
 
 // DurableLogHost is implemented by a LogHost with a write-ahead log: every
-// vote it signs or accepts is logged before it is tallied, and it requests
-// no transfer while it rebuilds itself from its store.
-type DurableLogHost interface {
-	LogVote(m *Checkpoint)
-	Recovering() bool
-}
+// vote it signs or accepts is logged before it is tallied.
+type DurableLogHost interface{ LogVote(m *Checkpoint) }
 
 // LogStats is a Lifecycle's counters.
 type LogStats struct {
@@ -199,7 +198,7 @@ func (l *Lifecycle) Record(ctx proc.Context, m *Checkpoint) {
 	if ck, ok := l.cfg.App.(types.Checkpointer); ok {
 		ck.Checkpoint(st.Mark, st.Digest)
 	}
-	if l.host.MaxExecuted() < st.Mark && (l.durable == nil || !l.durable.Recovering()) {
+	if l.host.MaxExecuted() < st.Mark && !l.host.Recovering() {
 		l.request(ctx, st)
 	}
 }

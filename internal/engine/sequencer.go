@@ -185,11 +185,6 @@ type SeqHost[R any, Y any, S any] interface {
 	Reply(ctx proc.Context, slot S, i int) Y
 }
 
-// SendGate is implemented by a SeqHost that must see every send first:
-// SendOpen reports whether the replica may send now, after making durable
-// whatever the message could depend on (PBFT's write-ahead log).
-type SendGate interface{ SendOpen() bool }
-
 // ReplyRefresher is implemented by a SeqHost whose cached replies can go
 // stale (a Zyzzyva SPECRESPONSE matches only within its view). It decides,
 // for a retransmitted request, which reply to resend (cached and ok are the
@@ -216,11 +211,11 @@ type SeqStats struct {
 }
 
 // Sequencer is the replica core PBFT, Zyzzyva and FaB share: everything a
-// single-primary protocol does around its phase handlers. It owns the
-// configuration defaults, the peer list, the timer table and the gated
-// send paths; request admission (client signature, reply-cache resend,
-// RequestWindow floor, forwarding to the primary under a suspicion timer,
-// duplicate suppression, the Batcher); the flush that turns a batch into
+// single-primary protocol does around its phase handlers. It embeds the
+// replica's Shell (timers, gated sends, write-ahead log) and owns the
+// configuration defaults; request admission (client signature,
+// reply-cache resend, RequestWindow floor, forwarding to the primary under
+// a suspicion timer, duplicate suppression, the Batcher); the flush that turns a batch into
 // the protocol's ordering frame; the check of an inbound ordering frame;
 // the per-request tables and their release through the RequestWindow; the
 // log of slots with in-order execution and one reply per command, and its
@@ -229,13 +224,12 @@ type SeqStats struct {
 // Y its reply, S its slot. A Sequencer belongs to one replica and is
 // touched only from its loop.
 type Sequencer[R any, P ClientRequest[R], Y codec.Message, S Slot] struct {
+	Shell
 	cfg     SeqConfig
 	host    SeqHost[R, Y, S]
 	vhost   ViewHost[S]
 	vtags   ViewTags
-	gate    SendGate          // nil unless the host gates sends
 	refresh ReplyRefresher[Y] // nil unless cached replies can go stale
-	peers   []types.NodeID
 	life    *Lifecycle
 
 	// Log holds the retained slots by sequence number.
@@ -260,9 +254,6 @@ type Sequencer[R any, P ClientRequest[R], Y codec.Message, S Slot] struct {
 	window    *RequestWindow
 	batcher   *Batcher[ReqKey, P]
 
-	timerSeq uint64
-	timerAct map[proc.TimerID]func(ctx proc.Context)
-
 	dropped, truncatedEntries, executedCmds, viewChanges uint64
 }
 
@@ -281,6 +272,7 @@ func NewSequencer[R any, P ClientRequest[R], Y codec.Message, S Slot](
 		return nil, err
 	}
 	s := &Sequencer[R, P, Y, S]{
+		Shell:     NewShell(cfg.Self, cfg.N, cfg.Mute, cfg.Behavior, nil),
 		cfg:       *cfg,
 		host:      host,
 		vhost:     host,
@@ -293,9 +285,7 @@ func NewSequencer[R any, P ClientRequest[R], Y codec.Message, S Slot](
 		byCmd:     make(map[ReqKey]uint64),
 		replies:   make(map[ReqKey]Y),
 		forwarded: make(map[ReqKey]proc.TimerID),
-		timerAct:  make(map[proc.TimerID]func(ctx proc.Context)),
 	}
-	s.gate, _ = host.(SendGate)
 	s.refresh, _ = host.(ReplyRefresher[Y])
 	s.window = NewRequestWindow(s.release)
 	s.batcher = NewBatcher[ReqKey, P](cfg.BatchSize, cfg.BatchDelay, s, s.flush)
@@ -303,16 +293,8 @@ func NewSequencer[R any, P ClientRequest[R], Y codec.Message, S Slot](
 		Self: cfg.Self, N: cfg.N, App: cfg.App, Auth: cfg.Auth, Costs: cfg.Costs,
 		Tags: tags, Interval: cfg.CheckpointInterval, RetryBase: 2 * cfg.ForwardTimeout,
 	}, host)
-	for i := 0; i < cfg.N; i++ {
-		if types.ReplicaID(i) != cfg.Self {
-			s.peers = append(s.peers, types.ReplicaNode(types.ReplicaID(i)))
-		}
-	}
 	return s, nil
 }
-
-// ID implements proc.Process for the embedding replica.
-func (s *Sequencer[R, P, Y, S]) ID() types.NodeID { return types.ReplicaNode(s.cfg.Self) }
 
 // Life returns the replica's log lifecycle.
 func (s *Sequencer[R, P, Y, S]) Life() *Lifecycle { return s.life }
@@ -339,7 +321,7 @@ func (s *Sequencer[R, P, Y, S]) EnterView(view uint64) {
 	s.batcher.Drop()
 	for key, id := range s.forwarded {
 		delete(s.forwarded, key)
-		delete(s.timerAct, id)
+		s.ForgetTimer(id)
 	}
 	for id, vc := range s.vcs {
 		if vc.View <= view {
@@ -381,71 +363,6 @@ func (s *Sequencer[R, P, Y, S]) MergeStats(own SeqStats) SeqStats {
 	own.TruncatedEntries += s.truncatedEntries
 	own.ViewChanges += s.viewChanges
 	return own
-}
-
-// --- timers ---
-
-// AfterTimer arms a one-shot timer that runs fn on expiry (BatchHost).
-func (s *Sequencer[R, P, Y, S]) AfterTimer(ctx proc.Context, d time.Duration, fn func(ctx proc.Context)) proc.TimerID {
-	s.timerSeq++
-	id := proc.TimerID(s.timerSeq)
-	s.timerAct[id] = fn
-	ctx.SetTimer(id, d)
-	return id
-}
-
-// DisarmTimer cancels a timer armed with AfterTimer (BatchHost).
-func (s *Sequencer[R, P, Y, S]) DisarmTimer(ctx proc.Context, id proc.TimerID) {
-	delete(s.timerAct, id)
-	ctx.CancelTimer(id)
-}
-
-// OnTimer implements proc.Process for the embedding replica: it runs the
-// expired timer's action.
-func (s *Sequencer[R, P, Y, S]) OnTimer(ctx proc.Context, id proc.TimerID) {
-	if fn, ok := s.timerAct[id]; ok {
-		delete(s.timerAct, id)
-		fn(ctx)
-	}
-}
-
-// --- sends ---
-
-// open reports whether the replica may send at all.
-func (s *Sequencer[R, P, Y, S]) open() bool {
-	return !s.cfg.Mute && (s.gate == nil || s.gate.SendOpen())
-}
-
-// Send sends msg to one node through the replica's gates.
-func (s *Sequencer[R, P, Y, S]) Send(ctx proc.Context, to types.NodeID, msg codec.Message) {
-	if !s.open() || (s.cfg.Behavior != nil && !s.cfg.Behavior.Outbound(ctx, to, msg)) {
-		return
-	}
-	ctx.Send(to, msg)
-}
-
-// Broadcast sends msg to every other replica through the replica's gates.
-func (s *Sequencer[R, P, Y, S]) Broadcast(ctx proc.Context, msg codec.Message) {
-	if !s.open() {
-		return
-	}
-	if s.cfg.Behavior != nil {
-		// Per-destination interception forfeits the encode-once fan-out;
-		// acceptable on the adversarial replica only.
-		for _, p := range s.peers {
-			if s.cfg.Behavior.Outbound(ctx, p, msg) {
-				ctx.Send(p, msg)
-			}
-		}
-		return
-	}
-	// One encode serves every destination on broadcast-capable transports.
-	proc.Broadcast(ctx, s.peers, msg)
-}
-
-// Inbound reports whether the replica's Behavior lets msg through.
-func (s *Sequencer[R, P, Y, S]) Inbound(ctx proc.Context, from types.NodeID, msg codec.Message) bool {
-	return s.cfg.Behavior == nil || s.cfg.Behavior.Inbound(ctx, from, msg)
 }
 
 // Route delivers the messages the engine owns — the three lifecycle
@@ -644,7 +561,7 @@ func (s *Sequencer[R, P, Y, S]) Assign(cmd *types.Command, seq uint64) {
 	key := KeyOf(cmd)
 	if id, ok := s.forwarded[key]; ok {
 		delete(s.forwarded, key)
-		delete(s.timerAct, id)
+		s.ForgetTimer(id)
 	}
 }
 

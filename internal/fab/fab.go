@@ -18,6 +18,8 @@
 package fab
 
 import (
+	"fmt"
+
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
@@ -363,6 +365,9 @@ func (fabEngine) Protocol() engine.Protocol { return engine.FaB }
 
 // NewReplica implements engine.Engine.
 func (fabEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
+	if o.Store != nil {
+		return nil, fmt.Errorf("fab: %w", engine.ErrNoWAL)
+	}
 	return NewReplica(o.Sequenced())
 }
 

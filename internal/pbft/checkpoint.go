@@ -25,7 +25,6 @@ func init() { engine.RegisterLogMessages("pbft", logTags) }
 // from its Sequencer.
 
 func (h host) LogVote(m *Checkpoint) { h.walVote(m) }
-func (h host) Recovering() bool      { return h.recovering }
 
 func (h host) ExecutedSuffix(mark uint64) []engine.CatchupSlot {
 	var out []engine.CatchupSlot

@@ -10,46 +10,31 @@ import (
 	"ezbft/internal/types"
 )
 
-// Durability integration (PBFT mirror of internal/core/durable.go): when
-// ReplicaConfig.Store is set, the replica write-ahead-logs every
-// ordering-critical step before acting on it and can rebuild itself from
-// the store after a crash.
+// PBFT's write-ahead log: its record kinds, its replay, and its snapshot.
+// engine.Shell states the contract — when records are synced, what the
+// snapshot cut does, how recovery runs and what a store error does.
 //
-// What gets logged:
+// Records, each appended before the step it records has any effect:
 //
 //   - walPreKind — an accepted PRE-PREPARE (sequence number, view, and the
-//     full request batch), appended in acceptPrePrepare before the backup
-//     broadcasts its PREPARE. A restarted replica must remember what it
-//     prepared in a view or it could countersign an equivocating primary.
+//     full request batch), before the backup broadcasts its PREPARE. A
+//     restarted replica must remember what it prepared in a view or it
+//     could countersign an equivocating primary.
 //   - walCommitKind — a slot reaching committed-local (sequence number and
-//     view), appended in checkCommitted before execution. Execution itself
-//     is not logged: PBFT executes sequentially, so re-executing committed
-//     slots in order during replay deterministically reproduces results
-//     and the reply cache.
+//     view), before execution. Execution is not logged: re-executing the
+//     committed slots in order reproduces results and the reply cache.
 //   - walVoteKind — every CHECKPOINT vote this replica signs or accepts,
 //     so the stable low-water mark is re-established on restart.
-//   - walViewKind — the view entered through a NEW-VIEW, so a restarted backup
-//     does not regress to an old primary.
+//   - walViewKind — the view entered through a NEW-VIEW, so a restarted
+//     backup does not regress to an old primary.
 //   - walCertKind — a slot's prepared certificate with its PRE-PREPARE,
-//     appended in checkPrepared before the COMMIT leaves, so a restarted
-//     replica still reports it in its VIEW-CHANGEs (engine.Sequencer.Hold).
+//     before the COMMIT leaves, so a restarted replica still reports it in
+//     its VIEW-CHANGEs (engine.Sequencer.Hold).
 //
-// The snapshot cut: each newly stable checkpoint persists a self-describing
-// snapshot — adopted view, the stable mark with its agreed digest and 2f+1
-// vote proof, the application snapshot captured at exactly that mark,
-// every retained slot above the mark with its agreement flags, and the
-// certificates held above the mark. Saving it truncates all WAL segments
-// below it (bounded disk).
-//
-// Recovery (Init): restore the snapshot, re-seed the checkpoint tracker
-// from the persisted proof, replay the WAL in LSN order (later records win;
-// duplicate replay after a crash-during-recovery is idempotent), re-execute
-// the committed contiguous prefix with sends suppressed to rebuild the
-// reply cache and application state, and finally request a checkpoint
-// state transfer if the stable mark still exceeds what was recovered.
-//
-// A store error permanently disables logging for the process (fail-open:
-// availability over durability) and is surfaced as ReplicaStats.WALFailed.
+// The snapshot, cut at each newly stable checkpoint: the adopted view, the
+// stable mark with its agreed digest and 2f+1 vote proof, the application
+// snapshot at exactly that mark, every retained slot above the mark with
+// its agreement flags, and the certificates held above the mark.
 const (
 	walPreKind uint8 = iota + 1
 	walCommitKind
@@ -58,43 +43,9 @@ const (
 	walCertKind
 )
 
-// walAppend appends one record, which fill writes; the write is made
-// durable by the next walSync — triggered by the first outbound send after
-// the append, with an end-of-handler sweep for handlers that log without
-// sending — so no message derived from a record can reach the wire before
-// the record is stable.
-func (r *Replica) walAppend(kind uint8, fill func(w *codec.Writer)) {
-	if r.store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	w := codec.GetWriter()
-	fill(w)
-	_, err := r.store.Append(kind, w.Bytes())
-	codec.PutWriter(w)
-	if err != nil {
-		r.walErr = err
-		return
-	}
-	r.walDirty = true
-	r.stats.WALRecords++
-}
-
-// walSync is the group-commit point: one fsync covers every record the
-// current message or timer appended.
-func (r *Replica) walSync() {
-	if r.store == nil || !r.walDirty || r.walErr != nil {
-		return
-	}
-	if err := r.store.Sync(); err != nil {
-		r.walErr = err
-		return
-	}
-	r.walDirty = false
-}
-
 // walPre logs an accepted proposal: seq, view, and the ordered batch.
 func (r *Replica) walPre(s *slotState) {
-	r.walAppend(walPreKind, func(w *codec.Writer) {
+	r.Append(walPreKind, func(w *codec.Writer) {
 		w.Uvarint(s.Seq)
 		w.Uvarint(s.View)
 		s.marshalReqs(w)
@@ -103,7 +54,7 @@ func (r *Replica) walPre(s *slotState) {
 
 // walCommit logs a slot reaching committed-local.
 func (r *Replica) walCommit(s *slotState) {
-	r.walAppend(walCommitKind, func(w *codec.Writer) {
+	r.Append(walCommitKind, func(w *codec.Writer) {
 		w.Uvarint(s.Seq)
 		w.Uvarint(s.View)
 	})
@@ -111,7 +62,7 @@ func (r *Replica) walCommit(s *slotState) {
 
 // walVote logs one checkpoint vote (self-signed wire message, verbatim).
 func (r *Replica) walVote(m *Checkpoint) {
-	r.walAppend(walVoteKind, func(w *codec.Writer) {
+	r.Append(walVoteKind, func(w *codec.Writer) {
 		w.Uint8(m.Tag())
 		m.MarshalTo(w)
 	})
@@ -119,124 +70,101 @@ func (r *Replica) walVote(m *Checkpoint) {
 
 // walView logs the adopted view.
 func (r *Replica) walView(view uint64) {
-	r.walAppend(walViewKind, func(w *codec.Writer) { w.Uvarint(view) })
+	r.Append(walViewKind, func(w *codec.Writer) { w.Uvarint(view) })
 }
 
 // walCert logs a prepared slot's certificate and the frame it certifies
 // (none for a slot recovered without its frame).
 func (r *Replica) walCert(s *slotState) {
 	if s.Frame != nil || len(s.Cmds) == 0 {
-		r.walAppend(walCertKind, func(w *codec.Writer) {
+		r.Append(walCertKind, func(w *codec.Writer) {
 			e := engine.ViewEntry{Seq: s.Seq, Frame: s.Frame, Cert: host{r}.Certificate(s)}
 			e.MarshalTo(w)
 		})
 	}
 }
 
-// persistSnapshot cuts a durable snapshot at the current stable checkpoint
-// and truncates the WAL below it. Suppressed during recovery: cutting a
-// snapshot over partially rebuilt state would delete the WAL it is being
-// rebuilt from. A checkpoint itself costs the loop O(1) for an application
-// that retains its state (engine.StateKeeper); the state is serialized
-// here, synchronously in the handler, so only a replica with a store pays a
+// persistSnapshot cuts the snapshot at the current stable checkpoint. A
+// checkpoint itself costs the loop O(1) for an application that retains
+// its state (engine.StateKeeper); the state is serialized here,
+// synchronously in the handler, so only a replica with a store pays a
 // stall proportional to the application state size, once per stable
 // checkpoint.
 func (r *Replica) persistSnapshot() {
-	if r.store == nil || r.recovering || r.walErr != nil {
-		return
-	}
-	st := r.Life().Stable()
-	if st == nil {
-		return
-	}
-	appSnap, ok := r.Life().StateAt(st.Mark)
-	if !ok {
-		return // non-Snapshotter application: WAL-only durability
-	}
-	w := codec.GetWriter()
-	w.Uvarint(r.View())
-	w.Uvarint(st.Mark)
-	w.Bytes32(st.Digest)
-	w.Blob(appSnap)
-	w.Uvarint(uint64(len(st.Votes)))
-	for _, v := range st.Votes {
-		v.MarshalTo(w)
-	}
-	// Every retained slot above the mark, with its agreement flags: the
-	// snapshot replaces the WAL records below the cut, so it must carry
-	// everything they proved.
-	seqs := make([]uint64, 0, len(r.Log))
-	for seq, s := range r.Log {
-		if seq > st.Mark && s.Accepted {
-			seqs = append(seqs, seq)
+	r.SaveSnapshot(func() []byte {
+		st := r.Life().Stable()
+		if st == nil {
+			return nil
 		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	w.Uvarint(uint64(len(seqs)))
-	for _, seq := range seqs {
-		s := r.Log[seq]
-		w.Uvarint(s.Seq)
-		w.Uvarint(s.View)
-		var flags uint8
-		if s.prepared {
-			flags |= 1
+		appSnap, ok := r.Life().StateAt(st.Mark)
+		if !ok {
+			return nil // non-Snapshotter application: WAL-only durability
 		}
-		if s.committed || s.Executed {
-			flags |= 2
+		w := codec.GetWriter()
+		defer codec.PutWriter(w)
+		w.Uvarint(r.View())
+		w.Uvarint(st.Mark)
+		w.Bytes32(st.Digest)
+		w.Blob(appSnap)
+		w.Uvarint(uint64(len(st.Votes)))
+		for _, v := range st.Votes {
+			v.MarshalTo(w)
 		}
-		w.Uint8(flags)
-		s.marshalReqs(w)
-	}
-	held := r.HeldCerts()
-	w.Uvarint(uint64(len(held)))
-	for i := range held {
-		held[i].MarshalTo(w)
-	}
-	data := append([]byte(nil), w.Bytes()...)
-	codec.PutWriter(w)
-	if err := r.store.SaveSnapshot(data); err != nil {
-		r.walErr = err
-		return
-	}
-	r.walDirty = false
+		// Every retained slot above the mark, with its agreement flags: the
+		// snapshot replaces the WAL records below the cut, so it must carry
+		// everything they proved.
+		seqs := make([]uint64, 0, len(r.Log))
+		for seq, s := range r.Log {
+			if seq > st.Mark && s.Accepted {
+				seqs = append(seqs, seq)
+			}
+		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		w.Uvarint(uint64(len(seqs)))
+		for _, seq := range seqs {
+			s := r.Log[seq]
+			w.Uvarint(s.Seq)
+			w.Uvarint(s.View)
+			var flags uint8
+			if s.prepared {
+				flags |= 1
+			}
+			if s.committed || s.Executed {
+				flags |= 2
+			}
+			w.Uint8(flags)
+			s.marshalReqs(w)
+		}
+		held := r.HeldCerts()
+		w.Uvarint(uint64(len(held)))
+		for i := range held {
+			held[i].MarshalTo(w)
+		}
+		return append([]byte(nil), w.Bytes()...)
+	})
 }
 
-// recoverFromStore rebuilds the replica from its durable state. Runs from
-// Init with r.recovering set, which suppresses every outbound message, WAL
-// re-append, and snapshot cut.
-func (r *Replica) recoverFromStore(ctx proc.Context) {
-	r.recovering = true
-	if data, _, err := r.store.LoadSnapshot(); err == nil && len(data) > 0 {
-		r.restoreSnapshot(data)
-	}
-	if err := r.store.Replay(func(rec store.Record) error {
-		r.replayRecord(ctx, rec)
-		return nil
-	}); err != nil {
-		// A read error mid-replay leaves the replica only partially
-		// recovered; latch it so the degradation is observable (WALFailed)
-		// and no new records are appended on top of a prefix that was never
-		// applied. The catch-up request below still closes the gap.
-		r.walErr = err
-	}
-	// Re-execute the committed contiguous prefix above the snapshot cut:
-	// deterministic sequential execution rebuilds the application state and
-	// the reply cache (replies are re-signed so cached retransmit answers
-	// stay servable); sends are suppressed.
-	r.ExecuteReady(ctx, committed)
-	if r.NextSeq <= r.MaxExec {
-		r.NextSeq = r.MaxExec + 1
-	}
-	for seq := range r.Log {
-		if seq >= r.NextSeq {
-			r.NextSeq = seq + 1
+// Init implements proc.Process: a replica handed a non-empty store
+// rebuilds itself from it — the snapshot, the records above it, then the
+// committed contiguous prefix re-executed to rebuild the application state
+// and the reply cache — and fetches by state transfer whatever lies
+// between its execution head and the cluster's stable mark (peers do not
+// retransmit old PRE-PREPAREs).
+func (r *Replica) Init(ctx proc.Context) {
+	if !r.Recover(r.restoreSnapshot, func(rec store.Record) { r.replayRecord(ctx, rec) }, func() {
+		// Replies are re-signed so cached retransmit answers stay servable.
+		r.ExecuteReady(ctx, committed)
+		if r.NextSeq <= r.MaxExec {
+			r.NextSeq = r.MaxExec + 1
 		}
+		for seq := range r.Log {
+			if seq >= r.NextSeq {
+				r.NextSeq = seq + 1
+			}
+		}
+	}) {
+		return
 	}
-	r.recovering = false
-	r.stats.Recoveries++
-	// Anything between our recovered execution head and the cluster's
-	// stable mark is unrecoverable locally (peers do not retransmit old
-	// PRE-PREPAREs); fetch it through the ordinary state transfer.
 	if st := r.Life().Stable(); st != nil && st.Mark > r.MaxExec {
 		r.Life().Pull(ctx)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ezbft/internal/auth"
+	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/store"
@@ -118,6 +119,61 @@ func TestPreparedCertSurvivesRestart(t *testing.T) {
 			}
 			if f, ok := held[0].Frame.(*PrePrepare); !ok || f.CmdDigest != pp.CmdDigest || string(f.Sig) != string(pp.Sig) {
 				t.Fatalf("held frame %+v, want the primary's PRE-PREPARE", held[0].Frame)
+			}
+		})
+	}
+}
+
+// sendProbeCtx reports every outbound message to the test.
+type sendProbeCtx struct {
+	pvCtx
+	onSend func(to types.NodeID, msg codec.Message)
+}
+
+func (c sendProbeCtx) Send(to types.NodeID, msg codec.Message) { c.onSend(to, msg) }
+
+// TestWALSyncedBeforeSend pins durability-before-dispatch in PBFT, as core's
+// test of the same name does in ezBFT: nothing leaves a replica while a
+// record the current handler appended is unsynced, so a PREPARE (or the
+// primary's PRE-PREPARE) never escapes ahead of the walPre record a restart
+// needs to refuse an equivocating primary. The memory store counts the
+// records appended since its last Sync.
+func TestWALSyncedBeforeSend(t *testing.T) {
+	ring := auth.NewHMACKeyring([]byte("pbft-wal-sync"))
+	req := &Request{Cmd: types.Command{Client: 5, Timestamp: 1, Op: types.OpPut, Key: "k", Value: []byte("v")}}
+	req.Sig = engine.SignBody(ring.ForNode(types.ClientNode(5)), req)
+	pp := &PrePrepare{Seq: 1, CmdDigest: req.Cmd.Digest(), Req: *req}
+	pp.Sig = engine.SignBody(ring.ForNode(types.ReplicaNode(0)), pp)
+
+	for _, tc := range []struct {
+		name string
+		self types.ReplicaID
+		from types.NodeID
+		msg  codec.Message
+		want func(codec.Message) bool // the message the record backs
+	}{
+		{"backup", 3, types.ReplicaNode(0), pp, func(m codec.Message) bool { _, ok := m.(*Prepare); return ok }},
+		{"primary", 0, types.ClientNode(5), req, func(m codec.Message) bool { _, ok := m.(*PrePrepare); return ok }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := store.NewMemory()
+			r, err := NewReplica(ReplicaConfig{Self: tc.self, N: 4, App: kvstore.New(), Auth: ring.ForNode(types.ReplicaNode(tc.self)), Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := false
+			ctx := sendProbeCtx{onSend: func(_ types.NodeID, msg codec.Message) {
+				if st.Unsynced() != 0 {
+					t.Fatalf("%T sent with %d unsynced WAL records", msg, st.Unsynced())
+				}
+				sent = sent || tc.want(msg)
+			}}
+			r.Receive(ctx, tc.from, tc.msg)
+			if !sent {
+				t.Fatal("accepting the proposal sent nothing it backs")
+			}
+			if r.Stats().WALRecords == 0 {
+				t.Fatal("accepting the proposal appended no WAL record")
 			}
 		})
 	}

@@ -83,22 +83,14 @@ type sequencer = engine.Sequencer[Request, *Request, *Reply, *slotState]
 
 // Replica is one PBFT replica; it implements proc.Process. Admission,
 // batching, frame checks, execution, the reply cache and the log lifecycle
-// are its engine.Sequencer's, and so is the view change; this package adds
-// the three phases and the write-ahead log.
+// are its engine.Sequencer's, and so are the view change and the
+// write-ahead log's runtime; this package adds the three phases and its
+// record kinds (durable.go).
 type Replica struct {
 	*sequencer
-	cfg   engine.SeqConfig
-	store store.Store // nil: memoryless across restarts
-	n     int
-	f     int
-
-	// Durability (see durable.go): recovering suppresses sends and WAL
-	// writes while the replica rebuilds from its store; walDirty marks
-	// appended-but-unsynced records (group commit); the first store error
-	// latches walErr and disables logging for the process.
-	recovering bool
-	walDirty   bool
-	walErr     error
+	cfg engine.SeqConfig
+	n   int
+	f   int
 
 	stats ReplicaStats
 }
@@ -110,11 +102,7 @@ type ReplicaStats struct {
 	Committed   uint64
 	Executed    uint64
 	engine.SeqStats
-
-	// Durability observables (see durable.go).
-	WALRecords uint64 // records appended to the write-ahead log
-	Recoveries uint64 // restarts recovered from the durable store
-	WALFailed  bool   // the store errored; logging is disabled
+	engine.WALStats
 }
 
 var _ proc.Process = (*Replica)(nil)
@@ -133,12 +121,13 @@ func newReplica(cfg engine.SeqConfig, st store.Store) (*Replica, error) {
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
-	r := &Replica{cfg: cfg, store: st, n: cfg.N, f: faults(cfg.N)}
+	r := &Replica{cfg: cfg, n: cfg.N, f: faults(cfg.N)}
 	seq, err := engine.NewSequencer[Request, *Request, *Reply, *slotState]("pbft", &r.cfg, maxBatch, logTags, viewTags, host{r})
 	if err != nil {
 		return nil, err
 	}
 	r.sequencer = seq
+	r.LogTo(st)
 	return r, nil
 }
 
@@ -147,22 +136,8 @@ func (r *Replica) Stats() ReplicaStats {
 	s := r.stats
 	s.SeqStats = r.MergeStats(s.SeqStats)
 	s.Executed += r.ExecutedCommands()
-	s.WALFailed = r.walErr != nil
+	s.WALStats = r.WALStats()
 	return s
-}
-
-// Init implements proc.Process. A replica handed a non-empty store
-// rebuilds itself from it (see durable.go).
-func (r *Replica) Init(ctx proc.Context) {
-	if r.store != nil && !r.store.Empty() {
-		r.recoverFromStore(ctx)
-	}
-}
-
-// OnTimer implements proc.Process.
-func (r *Replica) OnTimer(ctx proc.Context, id proc.TimerID) {
-	r.sequencer.OnTimer(ctx, id)
-	r.walSync()
 }
 
 // Receive implements proc.Process.
@@ -184,11 +159,11 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 			r.stats.DroppedInvalid++
 		}
 	}
-	r.walSync()
+	r.Sync()
 }
 
-// host is PBFT's half of its Sequencer (engine.SeqHost, engine.SendGate,
-// engine.ViewHost) and of its Lifecycle (checkpoint.go).
+// host is PBFT's half of its Sequencer (engine.SeqHost, engine.ViewHost)
+// and of its Lifecycle (checkpoint.go).
 type host struct{ *Replica }
 
 // Order broadcasts one PRE-PREPARE for a flushed batch.
@@ -213,18 +188,6 @@ func (h host) Reply(ctx proc.Context, s *slotState, i int) *Reply {
 
 // committed is PBFT's execution rule: a slot executes once committed-local.
 func committed(s *slotState) bool { return s.committed }
-
-// SendOpen suppresses sends while the replica recovers and otherwise makes
-// durable first what this handler appended: records must be stable before
-// any message derived from them reaches the wire (the live substrate sends
-// immediately; see durable.go).
-func (h host) SendOpen() bool {
-	if h.recovering {
-		return false
-	}
-	h.walSync()
-	return true
-}
 
 func (r *Replica) handlePrePrepare(ctx proc.Context, m *PrePrepare) {
 	if m.View != r.View() || r.InVC {

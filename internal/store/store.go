@@ -174,3 +174,8 @@ func (m *Memory) Close() error { return nil }
 // Records returns the number of retained (post-snapshot) records, for
 // tests and stats.
 func (m *Memory) Records() int { return len(m.records) }
+
+// Unsynced returns the number of records appended since the last Sync or
+// SaveSnapshot: a test reads it to see that nothing left a replica before
+// the records backing it were synced.
+func (m *Memory) Unsynced() int { return len(m.records) - m.synced }

@@ -1,6 +1,8 @@
 package zyzzyva
 
 import (
+	"fmt"
+
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
@@ -20,6 +22,9 @@ func (zyEngine) Protocol() engine.Protocol { return engine.Zyzzyva }
 
 // NewReplica implements engine.Engine.
 func (zyEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
+	if o.Store != nil {
+		return nil, fmt.Errorf("zyzzyva: %w", engine.ErrNoWAL)
+	}
 	return NewReplica(o.Sequenced())
 }
 

@@ -79,7 +79,8 @@ type LiveConfig struct {
 	VerifyWorkers int
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted), memory, or disk. A non-empty
-	// StoreDir with no explicit backend implies disk.
+	// StoreDir with no explicit backend implies disk. Zyzzyva and FaB keep
+	// no write-ahead log and refuse any backend but off.
 	Durability Durability
 	// StoreDir is the root directory for disk-backed replica stores;
 	// replica i writes under StoreDir/r<i>.
@@ -151,10 +152,7 @@ func NewLiveCluster(cfg LiveConfig) (*LiveCluster, error) {
 		maxClients:    cfg.MaxClients,
 		verifyWorkers: cfg.VerifyWorkers,
 	}
-	durability := cfg.Durability
-	if durability == "" && cfg.StoreDir != "" {
-		durability = DurabilityDisk
-	}
+	durability := backend(cfg.Durability, cfg.StoreDir) // before StoreDir gains r<i>
 	for i := 0; i < cfg.N; i++ {
 		rid := types.ReplicaID(i)
 		app := cfg.NewApp()

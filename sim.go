@@ -60,7 +60,8 @@ type SimConfig struct {
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted, byte-identical to the paper figures),
 	// memory, or disk. A non-empty StoreDir with no explicit backend
-	// implies disk.
+	// implies disk. Zyzzyva and FaB keep no write-ahead log and refuse any
+	// backend but off.
 	Durability Durability
 	// StoreDir is the root directory for disk-backed replica stores;
 	// replica i writes under StoreDir/r<i>.
@@ -117,12 +118,9 @@ func NewSimCluster(cfg SimConfig) (*SimCluster, error) {
 		BatchDelay:         cfg.BatchDelay,
 		CheckpointInterval: cfg.CheckpointInterval,
 		LogRetention:       cfg.LogRetention,
-		Durability:         cfg.Durability,
+		Durability:         backend(cfg.Durability, cfg.StoreDir),
 		StoreDir:           cfg.StoreDir,
 		Fsync:              cfg.Fsync,
-	}
-	if spec.Durability == "" && spec.StoreDir != "" {
-		spec.Durability = DurabilityDisk
 	}
 	if cfg.NewApp != nil {
 		spec.NewApp = func() types.Application { return cfg.NewApp() }

@@ -82,7 +82,8 @@ type TCPReplicaConfig struct {
 	VerifyWorkers int
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted), memory, or disk. A non-empty
-	// StoreDir with no explicit backend implies disk.
+	// StoreDir with no explicit backend implies disk. Zyzzyva and FaB keep
+	// no write-ahead log and refuse any backend but off.
 	Durability Durability
 	// StoreDir is this replica's durable-store directory (one replica
 	// per process, so the directory is used as-is — deployments give
@@ -139,10 +140,7 @@ func startTCPReplicaAuthed(cfg TCPReplicaConfig, a auth.Authenticator) (*TCPRepl
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	if cfg.Durability == "" && cfg.StoreDir != "" {
-		cfg.Durability = DurabilityDisk
-	}
-	st, err := store.Open(cfg.Durability, cfg.StoreDir, cfg.Fsync)
+	st, err := store.Open(backend(cfg.Durability, cfg.StoreDir), cfg.StoreDir, cfg.Fsync)
 	if err != nil {
 		return nil, err
 	}
