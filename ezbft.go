@@ -129,9 +129,9 @@
 // replica, and rejoining costs a full state transfer. The durability
 // subsystem (internal/store, plumbed through every substrate config as
 // Durability/StoreDir/Fsync and the -store-dir/-fsync flags of
-// ezbft-server) gives ezBFT and PBFT replicas a pluggable durable store:
-// ordering-critical state — accepted SPECORDERs and PRE-PREPAREs, commit
-// decisions, checkpoint votes, per-client executed timestamps — is
+// ezbft-server) gives every protocol's replicas a pluggable durable store:
+// ordering-critical state — accepted SPECORDERs and ordering frames, commit
+// decisions, checkpoint votes, views, per-client executed timestamps — is
 // write-ahead-logged before the replica acts on it, synced before the
 // first message that depends on it leaves (once per handler invocation at
 // most), and pruned whenever a stable checkpoint
@@ -143,10 +143,9 @@
 // log-suffix merge rather than a wholesale snapshot install. The memory
 // backend exists for harnesses that tear replicas down in-process; off
 // (the default) keeps every paper-reproduction figure byte-identical.
-// Zyzzyva and FaB keep no write-ahead log: a cluster of either built with a
-// durable backend is refused rather than run memoryless. Recovery
-// statistics (WALRecords, Recoveries, TailsInstalled) are exposed through
-// ReplicaStats; the repository benchmark's tcp_wal workload measures what
+// PBFT, Zyzzyva and FaB share one write-ahead log, their engine's.
+// Recovery statistics (WALRecords, Recoveries, TailsInstalled) are exposed
+// through ReplicaStats; the repository benchmark's tcp_wal workload measures what
 // the disk backend costs an ezBFT cluster.
 package ezbft
 

@@ -345,7 +345,11 @@ const maxDERSize = 2 + 2*(2+33)
 // deterministic one, so a node's token over a given body is always the same
 // and no entropy is read.
 func (a *ECDSAAuth) Sign(payload []byte) []byte {
-	digest := sha256.Sum256(payload)
+	return a.signDigest(sha256.Sum256(payload))
+}
+
+// signDigest signs a payload given the payload's SHA-256 digest.
+func (a *ECDSAAuth) signDigest(digest [sha256.Size]byte) []byte {
 	der, err := a.key.Sign(nil, digest[:], crypto.SHA256)
 	if err != nil {
 		// Only a key on a curve other than P-256 fails here, and keyrings

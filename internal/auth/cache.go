@@ -99,9 +99,10 @@ func (c *VerifyCache) Len() int {
 // keyring) may share one cache; the memo only ever asserts facts that are
 // receiver-independent.
 //
-// A verification hashes the payload once: the digest that keys the memo is
-// the one an *ECDSAAuth checks the signature over. Any other inner
-// authenticator is handed the payload and hashes it again.
+// A signature or a verification hashes the payload once: the digest that
+// keys the memo is the one an *ECDSAAuth signs or checks the signature
+// over. Any other inner authenticator is handed the payload and hashes it
+// again.
 type CachedAuth struct {
 	inner Authenticator
 	ecdsa *ECDSAAuth // inner, when it is one; else nil
@@ -135,9 +136,14 @@ func (a *CachedAuth) Unwrap() Authenticator { return a.inner }
 // Sign implements Authenticator; the fresh signature is seeded into the
 // cache as already-verified (signing with our own key proves it verifies).
 func (a *CachedAuth) Sign(payload []byte) []byte {
-	sig := a.inner.Sign(payload)
+	k := cacheKey{signer: a.self, digest: sha256.Sum256(payload)}
+	var sig []byte
+	if a.ecdsa != nil {
+		sig = a.ecdsa.signDigest(k.digest)
+	} else {
+		sig = a.inner.Sign(payload)
+	}
 	if len(sig) == tokenSize {
-		k := cacheKey{signer: a.self, digest: sha256.Sum256(payload)}
 		copy(k.sig[:], sig)
 		a.cache.put(k)
 	}

@@ -100,7 +100,7 @@ func (r *Replica) persistSnapshot() {
 // Init implements proc.Process: a replica whose store holds state from a
 // previous incarnation rebuilds itself from it before any delivery.
 func (r *Replica) Init(ctx proc.Context) {
-	if !r.Recover(func(data []byte) { r.restoreSnapshot(ctx, data) }, func(rec store.Record) { r.replayRecord(ctx, rec) }, func() {
+	if !r.Recover(func(data []byte) error { r.restoreSnapshot(ctx, data); return nil }, func(rec store.Record) { r.replayRecord(ctx, rec) }, func() {
 		// Never reuse an own-space slot the replayed log says is taken.
 		if own := r.log.space(r.cfg.Self); own.maxSlot+1 > r.nextSlot {
 			r.nextSlot = own.maxSlot + 1

@@ -30,7 +30,8 @@
 // outbound gate and the write-ahead log's runtime (shell.go states the
 // durability contract). Around the Lifecycle the sequenced protocols share
 // one replica core, Sequencer. It embeds the Shell and owns the
-// configuration defaults; request admission (client signature, reply-cache
+// configuration defaults; the write-ahead log, its snapshot and recovery
+// (wal.go); request admission (client signature, reply-cache
 // resend, the RequestWindow floor, forwarding to the primary under a
 // suspicion timer, duplicate suppression, the Batcher); the flush that
 // assigns a batch its sequence number; the in-loop check of an ordering
@@ -47,7 +48,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -117,9 +117,8 @@ type ReplicaOptions struct {
 	// write-ahead-logged through it before the replica acts on it, stable
 	// checkpoints cut durable snapshots, and a replica rebuilt with the
 	// same store recovers its state on Init instead of starting empty.
-	// Only ezBFT and PBFT keep a write-ahead log; Zyzzyva and FaB refuse a
-	// store (ErrNoWAL). Nil (the default) keeps replicas memoryless across
-	// restarts — byte-identical to the pre-durability behaviour.
+	// Nil (the default) keeps replicas memoryless across restarts —
+	// byte-identical to the pre-durability behaviour.
 	Store store.Store
 	// Mute makes the replica fail-silent (fault-injection runs).
 	Mute bool
@@ -129,11 +128,6 @@ type ReplicaOptions struct {
 	// nil check.
 	Behavior Behavior
 }
-
-// ErrNoWAL refuses a store for a protocol that write-ahead-logs nothing:
-// its replicas would run memoryless where the configuration asked for
-// recovery.
-var ErrNoWAL = errors.New("protocol keeps no write-ahead log: a durable store needs ezbft or pbft")
 
 // ClientOptions configures one workload-driven client.
 type ClientOptions struct {

@@ -29,14 +29,20 @@ type LogConfig struct {
 }
 
 // LogHost is a protocol's half of its Lifecycle: the replica's gated send
-// paths and timers, and the few log operations the shared checkpoint and
-// transfer code needs.
+// paths, timers and write-ahead log, and the few log operations the shared
+// checkpoint and transfer code needs.
 type LogHost interface {
 	// Send and Broadcast (to every other replica) go through the replica's
 	// own fault-injection and durability gates.
 	Send(ctx proc.Context, to types.NodeID, msg codec.Message)
 	Broadcast(ctx proc.Context, msg codec.Message)
 	AfterTimer(ctx proc.Context, d time.Duration, fn func(ctx proc.Context)) proc.TimerID
+	// Append logs one record (Shell.Append): every vote the replica signs or
+	// accepts, before it is tallied. Persist cuts the durable snapshot
+	// (Sequencer.Persist), at each newly stable checkpoint and after each
+	// installed transfer.
+	Append(kind uint8, fill func(w *codec.Writer))
+	Persist()
 	// Recovering reports whether the replica is rebuilding itself from its
 	// store: it requests no transfer then.
 	Recovering() bool
@@ -50,8 +56,9 @@ type LogHost interface {
 	// Truncate frees log state at and below a newly stable mark.
 	Truncate(mark uint64)
 	// DropLog forgets every slot at or below mark and makes mark the
-	// executed watermark: the application state there was just installed,
-	// with aux the value the protocol keeps beside it.
+	// executed watermark: the application state there was just installed
+	// (by a transfer or from the store), with aux the value the protocol
+	// keeps beside it.
 	DropLog(mark uint64, aux types.Digest)
 	// ReplaySlot executes one transferred slot at Executed()+1 and advances
 	// the watermark to it.
@@ -62,10 +69,6 @@ type LogHost interface {
 	// contiguous executes.
 	Installed(ctx proc.Context)
 }
-
-// DurableLogHost is implemented by a LogHost with a write-ahead log: every
-// vote it signs or accepts is logged before it is tallied.
-type DurableLogHost interface{ LogVote(m *Checkpoint) }
 
 // LogStats is a Lifecycle's counters.
 type LogStats struct {
@@ -86,7 +89,6 @@ type Lifecycle struct {
 	cfg     LogConfig
 	f       int
 	host    LogHost
-	durable DurableLogHost // nil unless the host write-ahead-logs
 	ckpt    *CheckpointTracker
 	states  *StateKeeper
 	emitted uint64 // highest sequence number this replica voted for
@@ -110,7 +112,7 @@ type Lifecycle struct {
 
 // NewLifecycle builds one replica's lifecycle over its protocol half.
 func NewLifecycle(cfg LogConfig, host LogHost) *Lifecycle {
-	l := &Lifecycle{
+	return &Lifecycle{
 		cfg:    cfg,
 		f:      (cfg.N - 1) / 3,
 		host:   host,
@@ -118,8 +120,6 @@ func NewLifecycle(cfg LogConfig, host LogHost) *Lifecycle {
 		states: NewStateKeeper(cfg.App, cfg.Interval),
 		resps:  make(map[types.ReplicaID]*CatchupResp),
 	}
-	l.durable, _ = host.(DurableLogHost)
-	return l
 }
 
 // Enabled reports whether checkpointing is on.
@@ -145,12 +145,24 @@ func (l *Lifecycle) Stats() LogStats {
 }
 
 // Recovered re-seeds the lifecycle from a durable snapshot: the proof of
-// the stable mark it was cut at, and the application state there.
-func (l *Lifecycle) Recovered(mark uint64, snap []byte, votes []*Checkpoint) {
+// the stable mark it was cut at, and the application state there (already
+// restored) with the protocol's aux value beside it, which the log adopts
+// as a transfer's would be (LogHost.DropLog).
+func (l *Lifecycle) Recovered(mark uint64, snap []byte, aux types.Digest, votes []*Checkpoint) {
 	for _, v := range votes {
 		l.ckpt.Record(0, v.Seq, v.Replica, v.Digest, v)
 	}
-	l.states.Adopt(mark, snap, types.Digest{})
+	l.states.Adopt(mark, snap, aux)
+	l.host.DropLog(mark, aux)
+}
+
+// logVote write-ahead-logs a vote the replica signed or accepted, as its
+// tagged frame.
+func (l *Lifecycle) logVote(m *Checkpoint) {
+	l.host.Append(WALVote, func(w *codec.Writer) {
+		w.Uint8(m.Tag())
+		m.MarshalTo(w)
+	})
 }
 
 // MaybeEmit votes for the executed watermark when it sits on a checkpoint
@@ -167,9 +179,7 @@ func (l *Lifecycle) MaybeEmit(ctx proc.Context, aux types.Digest) {
 	l.states.Keep(seq, aux)
 	l.cfg.Costs.ChargeSign(ctx)
 	ck.Sig = SignBody(l.cfg.Auth, ck)
-	if l.durable != nil {
-		l.durable.LogVote(ck)
-	}
+	l.logVote(ck)
 	l.host.Broadcast(ctx, ck)
 	l.Record(ctx, ck)
 }
@@ -179,22 +189,21 @@ func (l *Lifecycle) HandleCheckpoint(ctx proc.Context, m *Checkpoint) {
 	if !l.Enabled() || !l.Valid(ctx, m.Replica, m, m.Sig) {
 		return
 	}
-	if l.durable != nil {
-		l.durable.LogVote(m)
-	}
+	l.logVote(m)
 	l.Record(ctx, m)
 }
 
 // Record tallies one vote; a newly stable checkpoint truncates the log,
-// surfaces to the application's Checkpointer hook, and — when the executed
-// watermark trails the mark, whose gap peers may already have truncated —
-// starts a state transfer.
+// cuts the durable snapshot, surfaces to the application's Checkpointer
+// hook, and — when the executed watermark trails the mark, whose gap peers
+// may already have truncated — starts a state transfer.
 func (l *Lifecycle) Record(ctx proc.Context, m *Checkpoint) {
 	st := l.ckpt.Record(0, m.Seq, m.Replica, m.Digest, m)
 	if st == nil {
 		return
 	}
 	l.host.Truncate(st.Mark)
+	l.host.Persist()
 	if ck, ok := l.cfg.App.(types.Checkpointer); ok {
 		ck.Checkpoint(st.Mark, st.Digest)
 	}
@@ -210,9 +219,7 @@ func (l *Lifecycle) RecordProof(ctx proc.Context, proof []*Checkpoint) {
 		return
 	}
 	for _, v := range proof {
-		if l.durable != nil {
-			l.durable.LogVote(v)
-		}
+		l.logVote(v)
 		l.Record(ctx, v)
 	}
 }
@@ -399,6 +406,7 @@ func (l *Lifecycle) HandleCatchupResp(ctx proc.Context, m *CatchupResp) {
 		l.states.Adopt(m.Seq, m.Snapshot, m.Aux)
 	}
 	l.host.Installed(ctx)
+	l.host.Persist()
 	if st := l.Stable(); st != nil && l.behind(st) {
 		// Slots the group vouched for did not replay (its members disagreed
 		// on them): ask the next voters for the tail.

@@ -9,8 +9,8 @@ import (
 // The wire messages of the sequenced log lifecycle (lifecycle.go): one
 // CHECKPOINT vote and one CATCHUP-REQ / CATCHUP-RESP pair, shared by PBFT,
 // Zyzzyva and FaB. Each protocol keeps its own tag numbers (LogTags) and
-// the layouts are common. A CHECKPOINT's encoding must not change: PBFT's
-// write-ahead log stores votes as their frames.
+// the layouts are common. A CHECKPOINT's encoding must not change: the
+// write-ahead log stores votes as their frames (WALVote).
 
 // LogTags names the wire tags one protocol gives the lifecycle messages.
 type LogTags struct {

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"crypto/sha256"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"ezbft/internal/kvstore"
 	"ezbft/internal/pbft"
 	"ezbft/internal/proc"
+	"ezbft/internal/store"
 	"ezbft/internal/types"
 	"ezbft/internal/zyzzyva"
 )
@@ -27,6 +29,9 @@ type sequenced struct {
 	// ORDERREQ, PROPOSE); order builds one for req, signed with a.
 	frame func(m codec.Message) (int, bool)
 	order func(a auth.Authenticator, view, seq uint64, req codec.Message) codec.Message
+	// accepted reports whether m is what a backup sends on accepting a frame
+	// (PREPARE, SPECRESPONSE, ACCEPT).
+	accepted func(m codec.Message) bool
 	// final reports whether m is the vote whose quorum makes a slot final
 	// (COMMIT, ACCEPT; Zyzzyva executes on ORDERREQ and has none).
 	final func(m codec.Message) bool
@@ -54,6 +59,7 @@ var sequencedProtocols = []sequenced{
 			f.Sig = engine.SignBody(a, f)
 			return f
 		},
+		accepted: func(m codec.Message) bool { _, ok := m.(*pbft.Prepare); return ok },
 		final:    func(m codec.Message) bool { _, ok := m.(*pbft.Commit); return ok },
 		changes:  "ViewChanges",
 		executed: "Executed",
@@ -68,11 +74,14 @@ var sequencedProtocols = []sequenced{
 		},
 		order: func(a auth.Authenticator, view, seq uint64, req codec.Message) codec.Message {
 			r := req.(*zyzzyva.Request)
-			f := &zyzzyva.OrderReq{View: view, Seq: seq, CmdDigest: r.Cmd.Digest(), Req: r.Clone()}
+			// The history hash is right for a first slot only.
+			d := r.Cmd.Digest()
+			f := &zyzzyva.OrderReq{View: view, Seq: seq, HistHash: sha256.Sum256(append(make([]byte, 32), d[:]...)), CmdDigest: d, Req: r.Clone()}
 			f.Sig = engine.SignBody(a, f)
 			return f
 		},
-		final: func(codec.Message) bool { return false },
+		accepted: func(m codec.Message) bool { _, ok := m.(*zyzzyva.SpecResponse); return ok },
+		final:    func(codec.Message) bool { return false },
 		certify: func(c *pumped, i int) {
 			var cert []*zyzzyva.SpecResponse
 			for _, e := range c.client {
@@ -101,6 +110,7 @@ var sequencedProtocols = []sequenced{
 			f.Sig = engine.SignBody(a, f)
 			return f
 		},
+		accepted: func(m codec.Message) bool { _, ok := m.(*fab.Accept); return ok },
 		final:    func(m codec.Message) bool { _, ok := m.(*fab.Accept); return ok },
 		changes:  "ViewChanges",
 		executed: "Executed",
@@ -124,42 +134,77 @@ type envelope struct {
 // pumped is four replicas of one sequenced protocol behind an in-order
 // message pump: what a replica sends is delivered, in send order, when the
 // test pumps; drop filters deliveries; client-bound messages are kept;
-// timers are only recorded, and fire when the test fires them.
+// timers are only recorded, and fire when the test fires them. A durable
+// cluster gives each replica a memory store, and sent, when set, sees
+// every message as it is sent.
 type pumped struct {
 	t      *testing.T
 	p      sequenced
+	opts   engine.ReplicaOptions
 	ring   *auth.HMACKeyring
 	reps   []proc.Process
 	apps   []types.Application
+	stores []*store.Memory
 	queue  []envelope
 	client []envelope
 	timers []map[proc.TimerID]bool
 	drop   func(e envelope) bool
+	sent   func(from int, msg codec.Message)
 }
 
 func newPumped(t *testing.T, p sequenced, opts engine.ReplicaOptions) *pumped {
+	return newCluster(t, p, opts, false)
+}
+
+// newDurable is newPumped with a memory store per replica.
+func newDurable(t *testing.T, p sequenced, opts engine.ReplicaOptions) *pumped {
+	return newCluster(t, p, opts, true)
+}
+
+func newCluster(t *testing.T, p sequenced, opts engine.ReplicaOptions, durable bool) *pumped {
 	t.Helper()
-	e, err := engine.Lookup(p.name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &pumped{t: t, p: p, ring: auth.NewHMACKeyring([]byte("sequenced"))}
+	c := &pumped{t: t, p: p, opts: opts, ring: auth.NewHMACKeyring([]byte("sequenced"))}
 	for i := 0; i < 4; i++ {
-		o := opts
-		o.Self, o.N, o.App = types.ReplicaID(i), 4, kvstore.New()
-		o.Auth = c.ring.ForNode(types.ReplicaNode(o.Self))
-		rep, err := e.NewReplica(o)
-		if err != nil {
-			t.Fatal(err)
+		if durable {
+			c.stores = append(c.stores, store.NewMemory())
 		}
-		c.reps = append(c.reps, rep)
-		c.apps = append(c.apps, o.App)
-		c.timers = append(c.timers, make(map[proc.TimerID]bool))
+		c.reps = append(c.reps, nil)
+		c.apps = append(c.apps, nil)
+		c.timers = append(c.timers, nil)
+		c.build(i)
 	}
 	for i, rep := range c.reps {
 		rep.Init(nodeCtx{c, i})
 	}
 	return c
+}
+
+// build puts a new incarnation of replica i, with a fresh application and
+// no armed timers, over its store if it has one.
+func (c *pumped) build(i int) {
+	e, err := engine.Lookup(c.p.name)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	o := c.opts
+	o.Self, o.N, o.App = types.ReplicaID(i), 4, kvstore.New()
+	o.Auth = c.ring.ForNode(types.ReplicaNode(o.Self))
+	if c.stores != nil {
+		o.Store = c.stores[i]
+	}
+	rep, err := e.NewReplica(o)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.reps[i], c.apps[i], c.timers[i] = rep, o.App, make(map[proc.TimerID]bool)
+}
+
+// restart crash-restarts replica i over its store: what was in flight to
+// it is lost, and the new incarnation recovers before it sees anything.
+func (c *pumped) restart(i int) {
+	c.queue = slices.DeleteFunc(c.queue, func(e envelope) bool { return e.to == types.ReplicaNode(types.ReplicaID(i)) })
+	c.build(i)
+	c.reps[i].Init(nodeCtx{c, i})
 }
 
 // nodeCtx is one replica's proc.Context in a pumped cluster.
@@ -170,6 +215,9 @@ type nodeCtx struct {
 
 func (x nodeCtx) Now() time.Duration { return 0 }
 func (x nodeCtx) Send(to types.NodeID, m codec.Message) {
+	if x.c.sent != nil {
+		x.c.sent(x.self, m)
+	}
 	x.c.queue = append(x.c.queue, envelope{types.ReplicaNode(types.ReplicaID(x.self)), to, m})
 }
 func (x nodeCtx) SetTimer(id proc.TimerID, _ time.Duration) { x.c.timers[x.self][id] = true }

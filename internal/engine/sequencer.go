@@ -118,8 +118,8 @@ type ClientRequest[R any] interface {
 }
 
 // DecodeBatch reads a count-prefixed run of between 1 and limit elements,
-// decoding each in place with dec: the batch tail of an ordering frame, a
-// view-change entry or a WAL record.
+// decoding each in place with dec: the batch tail of an ordering frame or
+// a view-change entry.
 func DecodeBatch[T any](r *codec.Reader, limit uint64, dec func(*codec.Reader, *T) error) ([]T, error) {
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
@@ -160,11 +160,18 @@ type Batch struct {
 	Digest   types.Digest    // batch digest (the command digest when unbatched)
 	Results  []types.Result
 	Executed bool
+	// Final is set once the protocol's rule lets the batch execute
+	// (Finalize: PBFT's committed-local, FaB's learned); Zyzzyva executes
+	// on acceptance and leaves it unset.
+	Final bool
 	// Accepted is set once the batch is known (from an ordering frame, a
 	// NEW-VIEW, a transfer or a log); Frame is the primary-signed ordering
-	// frame it came from, nil where there was none.
+	// frame it came from, nil where there was none. Sigs are the client
+	// signatures of a batch without its frame, where it was transferred or
+	// logged with them (ClientSig).
 	Accepted bool
 	Frame    codec.Message
+	Sigs     [][]byte
 }
 
 // Ordered implements Slot.
@@ -174,7 +181,7 @@ func (b *Batch) Ordered() *Batch { return b }
 type Slot interface{ Ordered() *Batch }
 
 // SeqHost is what a protocol supplies to its Sequencer: its ordering
-// frame and its reply.
+// frame, its reply, and its execution rule.
 type SeqHost[R any, Y any, S any] interface {
 	// Order wraps a flushed batch (cloned, with per-command digests and the
 	// batch digest) in the protocol's signed ordering frame at seq and
@@ -183,6 +190,11 @@ type SeqHost[R any, Y any, S any] interface {
 	// Reply builds and signs the reply to command i of an executing slot
 	// (its result already in Results[i]).
 	Reply(ctx proc.Context, slot S, i int) Y
+	// Ready executes, in sequence order, every slot the protocol's rule lets
+	// execute: the final ones (ExecuteReady), or every accepted one
+	// (Zyzzyva, which chains its history hash as it executes). Recovery
+	// calls it after each step it replays (wal.go).
+	Ready(ctx proc.Context)
 }
 
 // ReplyRefresher is implemented by a SeqHost whose cached replies can go
@@ -208,6 +220,8 @@ type SeqStats struct {
 	CatchupsServed    uint64 // CATCHUP-RESPs served to lagging peers
 	CatchupsInstalled uint64 // transfers verified and installed locally
 	CatchupMismatches uint64 // responders outvoted by an installed f+1 agreement
+
+	WALStats
 }
 
 // Sequencer is the replica core PBFT, Zyzzyva and FaB share: everything a
@@ -220,7 +234,8 @@ type SeqStats struct {
 // the per-request tables and their release through the RequestWindow; the
 // log of slots with in-order execution and one reply per command, and its
 // truncation; the view and the view change (viewchange.go); and the
-// replica's Lifecycle. R is the protocol's REQUEST value and P its pointer,
+// replica's Lifecycle and the write-ahead log of all of it (wal.go). R is
+// the protocol's REQUEST value and P its pointer,
 // Y its reply, S its slot. A Sequencer belongs to one replica and is
 // touched only from its loop.
 type Sequencer[R any, P ClientRequest[R], Y codec.Message, S Slot] struct {
@@ -353,8 +368,8 @@ func (s *Sequencer[R, P, Y, S]) BatcherStats() BatcherStats { return s.batcher.S
 // ExecutedCommands counts the commands executed through Execute.
 func (s *Sequencer[R, P, Y, S]) ExecutedCommands() uint64 { return s.executedCmds }
 
-// MergeStats returns own with the Sequencer's and the Lifecycle's counters
-// added in.
+// MergeStats returns own with the Sequencer's, the Lifecycle's and the
+// write-ahead log's counters added in.
 func (s *Sequencer[R, P, Y, S]) MergeStats(own SeqStats) SeqStats {
 	ls := s.life.Stats()
 	own.Checkpoints, own.LowWaterMark = ls.Checkpoints, ls.LowWaterMark
@@ -362,6 +377,7 @@ func (s *Sequencer[R, P, Y, S]) MergeStats(own SeqStats) SeqStats {
 	own.DroppedInvalid += ls.DroppedInvalid + s.dropped
 	own.TruncatedEntries += s.truncatedEntries
 	own.ViewChanges += s.viewChanges
+	own.WALStats = s.WALStats()
 	return own
 }
 
@@ -491,6 +507,9 @@ func (s *Sequencer[R, P, Y, S]) flush(ctx proc.Context, reqs []P) {
 	}
 	seq := s.NextSeq
 	s.NextSeq++
+	// Logged before the protocol signs and sends its frame: the primary must
+	// not propose an assignment it could forget across a crash.
+	s.logPlace(seq, s.view, len(fresh), func(i int) P { return fresh[i] })
 	digests := make([]types.Digest, len(fresh))
 	for i, m := range fresh {
 		digests[i] = m.Command().Digest()
@@ -591,13 +610,24 @@ func (s *Sequencer[R, P, Y, S]) release(client types.ClientID, ts uint64) {
 
 // --- execution and truncation ---
 
+// Finalize marks a slot final (the protocol's rule: committed-local,
+// learned), logs it, and executes what that makes ready.
+func (s *Sequencer[R, P, Y, S]) Finalize(ctx proc.Context, slot S) {
+	b := slot.Ordered()
+	b.Final = true
+	s.Append(WALFinal, func(w *codec.Writer) {
+		w.Uvarint(b.Seq)
+		w.Uvarint(b.View)
+	})
+	s.ExecuteReady(ctx)
+}
+
 // ExecuteReady executes, in sequence order from MaxExec+1, every slot that
-// is final (the protocol's rule: committed, learned) and not yet executed,
-// voting a checkpoint where one falls due.
-func (s *Sequencer[R, P, Y, S]) ExecuteReady(ctx proc.Context, final func(S) bool) {
+// is final and not yet executed, voting a checkpoint where one falls due.
+func (s *Sequencer[R, P, Y, S]) ExecuteReady(ctx proc.Context) {
 	for {
 		slot, ok := s.Log[s.MaxExec+1]
-		if !ok || slot.Ordered().Executed || !final(slot) {
+		if !ok || slot.Ordered().Executed || !slot.Ordered().Final {
 			return
 		}
 		s.Execute(ctx, slot)
@@ -666,15 +696,17 @@ func (s *Sequencer[R, P, Y, S]) ExecutedSuffix(mark uint64) []CatchupSlot {
 }
 
 // Replay executes a transferred slot at MaxExec+1 into slot (empty): its
-// batch, results and exactly-once entries. It advances the watermark.
+// batch with the client signatures it came with, results and exactly-once
+// entries. It advances the watermark.
 func (s *Sequencer[R, P, Y, S]) Replay(ctx proc.Context, cs *CatchupSlot, slot S) {
 	b := slot.Ordered()
-	b.Seq, b.View, b.Accepted, b.Executed = cs.Seq, cs.View, true, true
+	b.Seq, b.View, b.Accepted, b.Final, b.Executed = cs.Seq, cs.View, true, true, true
 	b.Cmds = make([]types.Command, len(cs.Reqs))
+	b.Sigs = make([][]byte, len(cs.Reqs))
 	b.Digests = make([]types.Digest, len(cs.Reqs))
 	b.Results = make([]types.Result, len(cs.Reqs))
 	for j := range cs.Reqs {
-		b.Cmds[j] = cs.Reqs[j].Cmd
+		b.Cmds[j], b.Sigs[j] = cs.Reqs[j].Cmd, cs.Reqs[j].Sig
 		b.Digests[j] = b.Cmds[j].Digest()
 		s.cfg.Costs.ChargeExecute(ctx)
 		b.Results[j] = s.cfg.App.Apply(b.Cmds[j])

@@ -32,9 +32,10 @@ import (
 //
 // # Write-ahead log
 //
-// With a store attached, the protocol appends one record before it acts on
-// each ordering-critical event (Append; the protocol names the record kinds
-// and writes their bodies). Appends buffer; the group-commit point is the
+// With a store attached, the replica appends one record before it acts on
+// each ordering-critical event (Append; the record kinds and their bodies
+// are ezBFT's own, internal/core/durable.go, and the Sequencer's for the
+// sequenced protocols, wal.go). Appends buffer; the group-commit point is the
 // first send after them, with a sweep at the end of every delivery (the
 // protocol's Receive calls Sync; OnTimer does it itself). A handler's whole
 // record burst therefore costs one sync, and no message derived from a
@@ -237,14 +238,22 @@ func (s *Shell) SaveSnapshot(encode func() []byte) {
 // Recover rebuilds the replica from its store if the store holds state,
 // and reports whether it did: restore installs the snapshot (if there is
 // one), replay applies each record above it in LSN order, and settle
-// re-derives what they imply — all with the gate closed and logging off.
-func (s *Shell) Recover(restore func(data []byte), replay func(rec store.Record), settle func()) bool {
+// re-derives what they imply — all with the gate closed and logging off. A
+// snapshot that does not load, or that restore refuses, latches its error
+// and recovers nothing: the records above the cut mean nothing without it.
+func (s *Shell) Recover(restore func(data []byte) error, replay func(rec store.Record), settle func()) bool {
 	if s.store == nil || s.store.Empty() {
 		return false
 	}
 	s.recovering = true
-	if data, _, err := s.store.LoadSnapshot(); err == nil && len(data) > 0 {
-		restore(data)
+	defer func() { s.recovering = false }()
+	data, _, err := s.store.LoadSnapshot()
+	if err == nil && len(data) > 0 {
+		err = restore(data)
+	}
+	if err != nil {
+		s.walErr = err
+		return false
 	}
 	if err := s.store.Replay(func(rec store.Record) error {
 		replay(rec)
@@ -253,7 +262,6 @@ func (s *Shell) Recover(restore func(data []byte), replay func(rec store.Record)
 		s.walErr = err
 	}
 	settle()
-	s.recovering = false
 	s.stats.Recoveries++
 	return true
 }

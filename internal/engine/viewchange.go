@@ -155,7 +155,6 @@ func (s *Sequencer[R, P, Y, S]) recordViewChange(ctx proc.Context, m *ViewChange
 	nv := &NewView{View: view, Replica: s.cfg.Self, Changes: set, tag: s.vtags.NewView}
 	s.cfg.Costs.ChargeSign(ctx)
 	nv.Sig = SignBody(s.cfg.Auth, nv)
-	s.Broadcast(ctx, nv)
 	s.enterNewView(ctx, nv)
 }
 
@@ -357,14 +356,18 @@ func (s *Sequencer[R, P, Y, S]) plan(nv *NewView) (start uint64, proof []*Checkp
 	return start, proof, frames
 }
 
-// enterNewView enters the view nv starts and adopts its plan. A slot this
-// replica executed keeps its batch and results if the plan orders the same
-// batch there (and is left alone if not: see the limits above); one it
-// executed and truncated is skipped. A replica behind the plan's stable
-// mark tallies its proof, which fetches the state there.
+// enterNewView enters the view nv starts and adopts its plan; the new
+// primary broadcasts nv once the view is logged, before its first vote in
+// it. A slot this replica executed keeps its batch and results if the plan
+// orders the same batch there (and is left alone if not: see the limits
+// above); one it executed and truncated is skipped. A replica behind the
+// plan's stable mark tallies its proof, which fetches the state there.
 func (s *Sequencer[R, P, Y, S]) enterNewView(ctx proc.Context, nv *NewView) {
 	start, proof, frames := s.plan(nv)
 	s.enterView(ctx, nv.View)
+	if nv.Replica == s.cfg.Self {
+		s.Broadcast(ctx, nv)
+	}
 	s.viewChanges++
 	if start > s.MaxExec {
 		s.life.RecordProof(ctx, proof)
@@ -407,32 +410,41 @@ func (s *Sequencer[R, P, Y, S]) SlotAt(seq uint64) S {
 
 // Place fills slot's batch from an ordering frame accepted in view (nil: a
 // no-op) whose batch digest is digest, with the per-command digests (nil
-// computes them), enters its commands in the exactly-once table, and puts
-// the slot in the log.
+// computes them), enters its commands in the exactly-once table, logs the
+// slot (WALPlace), and puts it in the log.
 func (s *Sequencer[R, P, Y, S]) Place(slot S, view uint64, frame codec.Message, digest types.Digest, digests []types.Digest) {
 	b := slot.Ordered()
 	b.View, b.Frame, b.Digest, b.Accepted = view, frame, digest, true
-	if f, ok := frame.(Frame[P]); ok {
-		b.Cmds = make([]types.Command, f.BatchSize())
-		b.Digests = digests
-		if digests == nil {
-			b.Digests = make([]types.Digest, f.BatchSize())
-		}
-		for i := range b.Cmds {
-			b.Cmds[i] = *f.ReqAt(i).Command()
-			if digests == nil {
-				b.Digests[i] = b.Cmds[i].Digest()
-			}
-			s.Assign(&b.Cmds[i], b.Seq)
-		}
-	}
 	s.Log[b.Seq] = slot
+	f, ok := frame.(Frame[P])
+	if !ok {
+		s.logPlace(b.Seq, view, 0, nil)
+		return
+	}
+	b.Cmds = make([]types.Command, f.BatchSize())
+	b.Digests = digests
+	if digests == nil {
+		b.Digests = make([]types.Digest, f.BatchSize())
+	}
+	for i := range b.Cmds {
+		b.Cmds[i] = *f.ReqAt(i).Command()
+		if digests == nil {
+			b.Digests[i] = b.Cmds[i].Digest()
+		}
+		s.Assign(&b.Cmds[i], b.Seq)
+	}
+	// The primary's own proposal in its view was logged when flush assigned
+	// it.
+	if fview, _, _ := f.Position(); fview != s.view || !s.IsPrimary() {
+		s.logPlace(b.Seq, view, len(b.Cmds), f.ReqAt)
+	}
 }
 
-// enterView enters a later view: the Sequencer's reset, the old views'
-// unexecuted slots dropped (their requests may be ordered again, and their
-// certificates stay held), and the protocol's hook.
+// enterView enters a later view: logged (WALView), the Sequencer's reset,
+// the old views' unexecuted slots dropped (their requests may be ordered
+// again, and their certificates stay held), and the protocol's hook.
 func (s *Sequencer[R, P, Y, S]) enterView(ctx proc.Context, view uint64) {
+	s.Append(WALView, func(w *codec.Writer) { w.Uvarint(view) })
 	s.HeldCerts()
 	s.EnterView(view)
 	for seq, slot := range s.Log {
@@ -459,13 +471,28 @@ func (s *Sequencer[R, P, Y, S]) Hold(e ViewEntry) {
 	}
 }
 
+// Certify logs slot's certificate as it forms (WALHold), before the vote
+// it backs leaves, so a restarted replica still holds it (Hold) and
+// reports it in its VIEW-CHANGEs.
+func (s *Sequencer[R, P, Y, S]) Certify(slot S) {
+	if b := slot.Ordered(); provable(b) {
+		s.Append(WALHold, func(w *codec.Writer) {
+			e := ViewEntry{Seq: b.Seq, Frame: b.Frame, Cert: s.vhost.Certificate(slot)}
+			e.MarshalTo(w)
+		})
+	}
+}
+
+// provable reports whether an accepted batch can be reported with a
+// certificate: a slot installed without its frame proves only a no-op.
+func provable(b *Batch) bool { return b.Accepted && (b.Frame != nil || len(b.Cmds) == 0) }
+
 // HeldCerts holds every slot's certificate, forgets those at or below the
 // stable mark, and returns the rest in sequence order.
 func (s *Sequencer[R, P, Y, S]) HeldCerts() []ViewEntry {
 	for seq, slot := range s.Log {
-		// A slot installed without its frame proves only a no-op.
-		if b := slot.Ordered(); b.Accepted && (b.Frame != nil || len(b.Cmds) == 0) {
-			s.Hold(ViewEntry{Seq: seq, Frame: b.Frame, Cert: s.vhost.Certificate(slot)})
+		if provable(slot.Ordered()) {
+			s.Hold(ViewEntry{Seq: seq, Frame: slot.Ordered().Frame, Cert: s.vhost.Certificate(slot)})
 		}
 	}
 	var held []ViewEntry

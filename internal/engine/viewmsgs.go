@@ -104,8 +104,8 @@ func (m *ViewChange) MarshalBody(w *codec.Writer) {
 	}
 }
 
-// MarshalTo writes the entry as a VIEW-CHANGE carries it (and PBFT's
-// write-ahead log keeps a certificate).
+// MarshalTo writes the entry as a VIEW-CHANGE carries it (and the
+// write-ahead log keeps a certificate, WALHold).
 func (e *ViewEntry) MarshalTo(w *codec.Writer) {
 	w.Uvarint(e.Seq)
 	marshalNested(w, e.Frame)

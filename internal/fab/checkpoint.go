@@ -113,7 +113,6 @@ func (h host) DropLog(mark uint64, _ types.Digest) {
 // retransmissions are answered from it.
 func (h host) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
 	s := h.NewSlot(cs.Seq)
-	s.learned = true
 	h.Replay(ctx, cs, s)
 	for j := range s.Cmds {
 		h.CacheReply(engine.KeyOf(&s.Cmds[j]), h.Reply(ctx, s, j))

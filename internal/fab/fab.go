@@ -18,8 +18,6 @@
 package fab
 
 import (
-	"fmt"
-
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
@@ -100,19 +98,20 @@ func init() {
 // checkpointing — byte-identical original flow.
 type ReplicaConfig = engine.SeqConfig
 
+// slotState is one slot: the ordered batch (Final once learned) and its
+// ACCEPTs, a learned slot's certificate.
 type slotState struct {
 	engine.Batch
-	// accepts keeps the ACCEPTs, a learned slot's certificate.
 	accepts engine.Votes[acceptTag]
-	learned bool
 }
 
 type sequencer = engine.Sequencer[Request, *Request, *Reply, *slotState]
 
 // Replica is one FaB replica; it implements proc.Process. Admission,
 // batching, frame checks, execution, the reply cache and the log lifecycle
-// are its engine.Sequencer's, and so is the view change; this package adds
-// the accept phase and the STATUS beacon.
+// are its engine.Sequencer's, and so are the view change and the
+// write-ahead log; this package adds the accept phase and the STATUS
+// beacon.
 type Replica struct {
 	*sequencer
 	cfg ReplicaConfig
@@ -134,7 +133,7 @@ type ReplicaStats struct {
 
 var _ proc.Process = (*Replica)(nil)
 
-// NewReplica constructs a FaB replica.
+// NewReplica constructs a FaB replica; LogTo attaches its write-ahead log.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	r := &Replica{cfg: cfg, n: cfg.N, pending: make(map[uint64]*Propose)}
 	seq, err := engine.NewSequencer[Request, *Request, *Reply, *slotState]("fab", &r.cfg, maxBatch, logTags, viewTags, host{r})
@@ -153,10 +152,12 @@ func (r *Replica) Stats() ReplicaStats {
 	return s
 }
 
-// Init implements proc.Process. With checkpointing enabled it arms the
-// STATUS anti-entropy beacon (checkpoint.go); checkpointing off keeps the
-// protocol's original byte-identical flow.
+// Init implements proc.Process: it recovers from the replica's store, if
+// it has one (engine.Sequencer.Init), and with checkpointing enabled arms
+// the STATUS anti-entropy beacon (checkpoint.go); checkpointing off keeps
+// the protocol's original byte-identical flow.
 func (r *Replica) Init(ctx proc.Context) {
+	r.sequencer.Init(ctx)
 	if r.Life().Enabled() {
 		r.armStatusTimer(ctx)
 	}
@@ -181,6 +182,7 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 			r.stats.DroppedInvalid++
 		}
 	}
+	r.Sync()
 }
 
 // host is FaB's half of its Sequencer (engine.SeqHost, engine.ViewHost) and
@@ -206,8 +208,8 @@ func (h host) Reply(ctx proc.Context, s *slotState, i int) *Reply {
 	return reply
 }
 
-// learned is FaB's execution rule: a slot executes once learned.
-func learned(s *slotState) bool { return s.learned }
+// Ready executes the learned slots in order.
+func (h host) Ready(ctx proc.Context) { h.ExecuteReady(ctx) }
 
 func (r *Replica) handlePropose(ctx proc.Context, m *Propose) {
 	if m.View != r.View() || r.InVC {
@@ -299,12 +301,11 @@ func (r *Replica) handleAccept(ctx proc.Context, m *Accept) {
 // checkLearned: a learner learns the value with ⌈(N+f+1)/2⌉ matching
 // accepts; execution is sequential.
 func (r *Replica) checkLearned(ctx proc.Context, s *slotState) {
-	if s.learned || !s.Accepted || s.accepts.Count() < acceptQuorum(r.n) {
+	if s.Final || !s.Accepted || s.accepts.Count() < acceptQuorum(r.n) {
 		return
 	}
-	s.learned = true
 	r.stats.Learned++
-	r.ExecuteReady(ctx, learned)
+	r.Finalize(ctx, s)
 }
 
 // FaB's half of the view change (engine.ViewHost).
@@ -317,13 +318,13 @@ func (h host) NewSlot(seq uint64) *slotState {
 // executed already votes without executing twice.
 func (h host) Adopt(ctx proc.Context, s *slotState) {
 	clear(s.accepts)
-	s.learned = false
+	s.Final = false
 	h.accept(ctx, s)
 }
 
 // Certificate is a learned slot's accept quorum.
 func (h host) Certificate(s *slotState) []codec.Message {
-	if !s.learned {
+	if !s.Final {
 		return nil
 	}
 	return s.accepts.Cert(s.View, s.Digest, acceptQuorum(h.n))
@@ -365,10 +366,12 @@ func (fabEngine) Protocol() engine.Protocol { return engine.FaB }
 
 // NewReplica implements engine.Engine.
 func (fabEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
-	if o.Store != nil {
-		return nil, fmt.Errorf("fab: %w", engine.ErrNoWAL)
+	r, err := NewReplica(o.Sequenced())
+	if err != nil {
+		return nil, err
 	}
-	return NewReplica(o.Sequenced())
+	r.LogTo(o.Store)
+	return r, nil
 }
 
 // NewClient implements engine.Engine.

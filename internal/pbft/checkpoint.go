@@ -20,12 +20,12 @@ type Checkpoint = engine.Checkpoint
 
 func init() { engine.RegisterLogMessages("pbft", logTags) }
 
-// PBFT's half of the lifecycle (engine.LogHost and engine.DurableLogHost)
-// is its host; the gated sends, timers, view and execution watermark come
-// from its Sequencer.
+// PBFT's half of the lifecycle (engine.LogHost) is its host; the gated
+// sends, timers, write-ahead log, view, execution watermark and truncation
+// come from its Sequencer.
 
-func (h host) LogVote(m *Checkpoint) { h.walVote(m) }
-
+// ExecutedSuffix serves the executed slots above mark with their client
+// signatures.
 func (h host) ExecutedSuffix(mark uint64) []engine.CatchupSlot {
 	var out []engine.CatchupSlot
 	for seq := mark + 1; seq <= h.MaxExec; seq++ {
@@ -35,29 +35,18 @@ func (h host) ExecutedSuffix(mark uint64) []engine.CatchupSlot {
 		}
 		reqs := make([]engine.CatchupCmd, len(s.Cmds))
 		for i := range s.Cmds {
-			reqs[i] = engine.CatchupCmd{Cmd: s.Cmds[i], Sig: s.sigs[i]}
+			reqs[i] = engine.CatchupCmd{Cmd: s.Cmds[i], Sig: h.ClientSig(&s.Batch, i)}
 		}
 		out = append(out, engine.CatchupSlot{Seq: seq, View: s.View, Reqs: reqs})
 	}
 	return out
 }
 
-// Truncate also cuts a durable snapshot: a fresh stable checkpoint
-// supersedes everything the WAL proved below it.
-func (h host) Truncate(mark uint64) {
-	h.sequencer.Truncate(mark)
-	h.persistSnapshot()
-}
-
 func (h host) DropLog(mark uint64, _ types.Digest) { h.DropBelow(mark) }
 
 func (h host) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
 	s := h.NewSlot(cs.Seq)
-	s.prepared, s.committed = true, true
-	s.sigs = make([][]byte, len(cs.Reqs))
-	for j := range cs.Reqs {
-		s.sigs[j] = cs.Reqs[j].Sig
-	}
+	s.prepared = true
 	h.Replay(ctx, cs, s)
 	h.stats.Executed += uint64(len(cs.Reqs))
 }
@@ -65,9 +54,5 @@ func (h host) ReplaySlot(ctx proc.Context, cs *engine.CatchupSlot) {
 // AdoptView does nothing: PBFT moves to a new view only through NEW-VIEW.
 func (host) AdoptView(proc.Context, uint64) {}
 
-// Installed executes whatever the transfer made contiguous, and cuts a
-// durable snapshot of the installed state.
-func (h host) Installed(ctx proc.Context) {
-	h.ExecuteReady(ctx, committed)
-	h.persistSnapshot()
-}
+// Installed executes whatever the transfer made contiguous.
+func (h host) Installed(ctx proc.Context) { h.ExecuteReady(ctx) }

@@ -3,6 +3,8 @@ package pbft
 import (
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -25,7 +27,7 @@ func TestWALVoteRecordsReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Append(walVoteKind, frame); err != nil {
+		if _, err := st.Append(engine.WALVote, frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +137,7 @@ func (c sendProbeCtx) Send(to types.NodeID, msg codec.Message) { c.onSend(to, ms
 // TestWALSyncedBeforeSend pins durability-before-dispatch in PBFT, as core's
 // test of the same name does in ezBFT: nothing leaves a replica while a
 // record the current handler appended is unsynced, so a PREPARE (or the
-// primary's PRE-PREPARE) never escapes ahead of the walPre record a restart
+// primary's PRE-PREPARE) never escapes ahead of the WALPlace record a restart
 // needs to refuse an equivocating primary. The memory store counts the
 // records appended since its last Sync.
 func TestWALSyncedBeforeSend(t *testing.T) {
@@ -177,4 +179,80 @@ func TestWALSyncedBeforeSend(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLegacyStoreRecovers: a disk store the package's own write-ahead log
+// wrote (testdata/legacy-store, cut by the log kept before the shared
+// Sequencer took it over: a snapshot at stable mark 2 holding a prepared
+// slot 3, then committed, prepared and accepted slots, a vote, a NEW-VIEW
+// into view 1, and slots 3 and 4 ordered again there) recovers to the
+// state its writer held: view 1, stable mark 2, slots 1, 2 and the view-1
+// slot 3 executed, and the view-1 certificates of 3 and 4 held. A snapshot
+// that does not decode recovers nothing and turns the log off.
+func TestLegacyStoreRecovers(t *testing.T) {
+	ring := auth.NewHMACKeyring([]byte("pbft-store-fixture"))
+	dir := t.TempDir()
+	files, err := os.ReadDir("testdata/legacy-store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join("testdata/legacy-store", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.OpenDisk(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	app := kvstore.New()
+	r, err := NewReplica(ReplicaConfig{Self: 3, N: 4, App: app, Store: st, CheckpointInterval: 2,
+		Auth: ring.ForNode(types.ReplicaNode(3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Init(pvCtx{})
+	if s := r.Stats(); s.Recoveries != 1 || s.WALFailed {
+		t.Fatalf("recovery stats %+v", s.WALStats)
+	}
+	if r.View() != 1 || r.MaxExecuted() != 3 || r.StableCheckpoint() != 2 {
+		t.Fatalf("recovered view %d, executed %d, stable %d; want 1, 3, 2", r.View(), r.MaxExecuted(), r.StableCheckpoint())
+	}
+	want := kvstore.New()
+	for _, c := range []struct{ ts, view uint64 }{{1, 0}, {2, 0}, {101, 1}} {
+		want.Apply(types.Command{Client: 5, Timestamp: c.ts, Op: types.OpPut, Key: fmt.Sprintf("k%d", c.ts), Value: []byte(fmt.Sprintf("v%d.%d", c.ts, c.view))})
+	}
+	if app.Digest() != want.Digest() {
+		t.Fatal("the recovered application state is not the writer's")
+	}
+	held := r.HeldCerts()
+	if len(held) != 2 || held[0].Seq != 3 || held[1].Seq != 4 {
+		t.Fatalf("held %+v, want certificates at 3 and 4", held)
+	}
+	for _, e := range held {
+		if v, ok := e.Cert[0].(*Prepare); !ok || v.View != 1 {
+			t.Fatalf("held certificate at %d is not view 1's PREPAREs: %+v", e.Seq, e.Cert[0])
+		}
+	}
+
+	t.Run("undecodable-snapshot", func(t *testing.T) {
+		st := store.NewMemory()
+		if err := st.SaveSnapshot([]byte{0x01, 0x02, 0xff}); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplica(ReplicaConfig{Self: 3, N: 4, App: kvstore.New(), Store: st,
+			Auth: ring.ForNode(types.ReplicaNode(3))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Init(pvCtx{})
+		if s := r.Stats(); s.Recoveries != 0 || !s.WALFailed {
+			t.Fatalf("a snapshot that does not decode: stats %+v, want no recovery and the log off", s.WALStats)
+		}
+	})
 }

@@ -37,46 +37,23 @@ type ReplicaConfig struct {
 	BatchSize          int
 	BatchDelay         time.Duration
 	// Store, when non-nil, is the replica's durability layer (see
-	// internal/store and durable.go). Nil (the default) keeps the replica
-	// memoryless across restarts — byte-identical to the pre-durability
-	// behaviour.
+	// internal/store and engine.Sequencer's write-ahead log). Nil (the
+	// default) keeps the replica memoryless across restarts —
+	// byte-identical to the pre-durability behaviour.
 	Store    store.Store
 	Mute     bool
 	Behavior engine.Behavior
 }
 
+// slotState is one slot: the ordered batch (its view, frame, digests,
+// results, and Final once committed-local) and its two vote tables.
 type slotState struct {
-	engine.Batch          // the ordered batch, its view, frame, digests and results
-	sigs         [][]byte // the client signatures, in batch order
+	engine.Batch
 	// prepares are the backups' PREPAREs (the primary's PRE-PREPARE counts
 	// as its prepare), the certificate a VIEW-CHANGE reports.
-	prepares  engine.Votes[prepareTag]
-	commits   engine.Votes[commitTag]
-	prepared  bool
-	committed bool
-}
-
-// req returns the slot's i'th client request.
-func (s *slotState) req(i int) Request { return Request{Cmd: s.Cmds[i], Sig: s.sigs[i]} }
-
-// marshalReqs writes the slot's batch as WAL records and snapshots carry
-// it: the count, then each request in its wire layout.
-func (s *slotState) marshalReqs(w *codec.Writer) {
-	w.Uvarint(uint64(len(s.Cmds)))
-	for i := range s.Cmds {
-		w.Command(s.Cmds[i])
-		w.Blob(s.sigs[i])
-	}
-}
-
-// decodeReqs reads what marshalReqs writes; a no-op slot has no requests.
-func decodeReqs(r *codec.Reader) ([]Request, error) {
-	off := r.Offset()
-	if r.Uvarint() == 0 {
-		return nil, r.Err()
-	}
-	r.Rewind(off)
-	return engine.DecodeBatch(r, maxBatch, engine.DecodeRequestInto[requestTag])
+	prepares engine.Votes[prepareTag]
+	commits  engine.Votes[commitTag]
+	prepared bool
 }
 
 type sequencer = engine.Sequencer[Request, *Request, *Reply, *slotState]
@@ -84,8 +61,7 @@ type sequencer = engine.Sequencer[Request, *Request, *Reply, *slotState]
 // Replica is one PBFT replica; it implements proc.Process. Admission,
 // batching, frame checks, execution, the reply cache and the log lifecycle
 // are its engine.Sequencer's, and so are the view change and the
-// write-ahead log's runtime; this package adds the three phases and its
-// record kinds (durable.go).
+// write-ahead log; this package adds the three phases.
 type Replica struct {
 	*sequencer
 	cfg engine.SeqConfig
@@ -102,7 +78,6 @@ type ReplicaStats struct {
 	Committed   uint64
 	Executed    uint64
 	engine.SeqStats
-	engine.WALStats
 }
 
 var _ proc.Process = (*Replica)(nil)
@@ -136,7 +111,6 @@ func (r *Replica) Stats() ReplicaStats {
 	s := r.stats
 	s.SeqStats = r.MergeStats(s.SeqStats)
 	s.Executed += r.ExecutedCommands()
-	s.WALStats = r.WALStats()
 	return s
 }
 
@@ -171,8 +145,6 @@ func (h host) Order(ctx proc.Context, seq uint64, digest types.Digest, digests [
 	pp := &PrePrepare{View: h.View(), Seq: seq, CmdDigest: digest, Req: first, Batch: rest}
 	pp.Sig = engine.SignBody(h.cfg.Auth, pp)
 	h.stats.PrePrepares++
-	// Accept (and WAL, see durable.go) before the broadcast: the primary
-	// must not propose an assignment it could forget across a crash.
 	h.acceptPrePrepare(ctx, pp, digests)
 	h.Broadcast(ctx, pp)
 }
@@ -186,8 +158,8 @@ func (h host) Reply(ctx proc.Context, s *slotState, i int) *Reply {
 	return reply
 }
 
-// committed is PBFT's execution rule: a slot executes once committed-local.
-func committed(s *slotState) bool { return s.committed }
+// Ready executes the committed-local slots in order.
+func (h host) Ready(ctx proc.Context) { h.ExecuteReady(ctx) }
 
 func (r *Replica) handlePrePrepare(ctx proc.Context, m *PrePrepare) {
 	if m.View != r.View() || r.InVC {
@@ -215,22 +187,13 @@ func (r *Replica) acceptPrePrepare(ctx proc.Context, m *PrePrepare, digests []ty
 		return
 	}
 	r.Place(s, m.View, m, m.CmdDigest, digests)
-	s.sigs = make([][]byte, m.BatchSize())
-	for i := range s.sigs {
-		s.sigs[i] = m.ReqAt(i).Sig
-	}
 	r.prepare(ctx, s)
 }
 
-// prepare starts agreement on a slot accepted in its view: it logs the
-// slot — a restarted replica must remember what it accepted in this view
-// before its PREPARE leaves the building; a slot that executed already is
-// final — drops votes that arrived first for another batch, and at a
-// backup broadcasts the PREPARE.
+// prepare starts agreement on a slot accepted in its view (and logged,
+// engine.Sequencer.Place): it drops votes that arrived first for another
+// batch, and at a backup broadcasts the PREPARE.
 func (r *Replica) prepare(ctx proc.Context, s *slotState) {
-	if !s.Executed {
-		r.walPre(s)
-	}
 	s.prepares.Keep(s.View, s.Digest)
 	s.commits.Keep(s.View, s.Digest)
 	// The primary's PRE-PREPARE counts as its prepare; backups broadcast
@@ -265,7 +228,7 @@ func (r *Replica) checkPrepared(ctx proc.Context, s *slotState) {
 	}
 	s.prepared = true
 	r.stats.Prepared++
-	r.walCert(s)
+	r.Certify(s)
 	c := &Commit{View: s.View, Seq: s.Seq, CmdDigest: s.Digest, Replica: r.cfg.Self}
 	r.cfg.Costs.ChargeSign(ctx)
 	c.Sig = engine.SignBody(r.cfg.Auth, c)
@@ -279,7 +242,7 @@ func (r *Replica) handleCommit(ctx proc.Context, m *Commit) {
 		return
 	}
 	s := r.SlotAt(m.Seq)
-	if s.committed || (s.Accepted && s.Digest != m.CmdDigest) {
+	if s.Final || (s.Accepted && s.Digest != m.CmdDigest) {
 		return
 	}
 	s.commits[m.Replica] = m
@@ -290,14 +253,12 @@ func (r *Replica) handleCommit(ctx proc.Context, m *Commit) {
 // sequential in sequence-number order. The COMMITs are let go once counted
 // (only the PREPAREs are a certificate).
 func (r *Replica) checkCommitted(ctx proc.Context, s *slotState) {
-	if s.committed || !s.prepared || s.commits.Count() < quorum(r.n) {
+	if s.Final || !s.prepared || s.commits.Count() < quorum(r.n) {
 		return
 	}
 	clear(s.commits)
-	s.committed = true
 	r.stats.Committed++
-	r.walCommit(s)
-	r.ExecuteReady(ctx, committed)
+	r.Finalize(ctx, s)
 }
 
 // PBFT's half of the view change (engine.ViewHost).
@@ -313,15 +274,9 @@ func (h host) NewSlot(seq uint64) *slotState {
 // Adopt prepares and commits a slot a NEW-VIEW ordered again, in this
 // view; one that executed already votes without executing twice.
 func (h host) Adopt(ctx proc.Context, s *slotState) {
-	if pp, ok := s.Frame.(*PrePrepare); ok && !s.Executed {
-		s.sigs = make([][]byte, pp.BatchSize())
-		for i := range s.sigs {
-			s.sigs[i] = pp.ReqAt(i).Sig
-		}
-	}
 	clear(s.prepares)
 	clear(s.commits)
-	s.prepared, s.committed = false, false
+	s.prepared, s.Final = false, false
 	h.prepare(ctx, s)
 }
 
@@ -338,6 +293,6 @@ func (h host) CheckCert(ctx proc.Context, seq uint64, _ codec.Message, digest ty
 	return h.CheckVotes(ctx, cert, seq, digest, 2*h.f, true)
 }
 
-// EnteredView logs the view, so a restarted backup does not return to an
-// old primary.
-func (h host) EnteredView(_ proc.Context, view uint64) { h.walView(view) }
+// EnteredView has nothing to reset: the Sequencer dropped the old views'
+// unexecuted slots, votes and all.
+func (host) EnteredView(proc.Context, uint64) {}

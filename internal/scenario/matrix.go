@@ -417,19 +417,15 @@ func Run(cell Cell, cfg Config) (*Result, error) {
 	// restart means recovery failed and the replica re-fetched state it
 	// already held durable.
 	if cell.Restart {
-		switch {
-		case len(cl.EZReplicas) == n:
+		victim := engine.Unwrap(cl.Replicas[restartID]).(interface{ WALStats() engine.WALStats })
+		if victim.WALStats().Recoveries == 0 {
+			res.Violations = append(res.Violations, "restart: replica came back without recovering from its store")
+		}
+		if len(cl.EZReplicas) == n {
 			st := cl.EZReplicas[restartID].Stats()
-			if st.Recoveries == 0 {
-				res.Violations = append(res.Violations, "restart: replica came back without recovering from its store")
-			}
 			if wholesale := st.CatchupsInstalled - st.TailsInstalled; wholesale > 0 {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("restart: %d wholesale state transfer(s) after recovery (tail-only expected)", wholesale))
-			}
-		case len(cl.PBReplicas) == n:
-			if st := cl.PBReplicas[restartID].Stats(); st.Recoveries == 0 {
-				res.Violations = append(res.Violations, "restart: replica came back without recovering from its store")
 			}
 		}
 	}
@@ -507,8 +503,7 @@ func conflictingCerts(replicas []*core.Replica, correct []int) []string {
 // DefaultMatrix enumerates the full fault matrix: every strategy and
 // every shape (plus the honest/clean baseline and two composed
 // strategy×shape cells) for all four protocols × batching on/off ×
-// checkpointing on/off, plus crash-restart cells for the protocols with a
-// recovery path.
+// checkpointing on/off, plus crash-restart cells for every protocol.
 func DefaultMatrix() []Cell {
 	var cells []Cell
 	for _, p := range bench.Protocols {
@@ -538,19 +533,21 @@ func DefaultMatrix() []Cell {
 			}
 		}
 	}
-	// The durability dimension: crash-restart cells for the two protocols
-	// with a recovery path, appended so every earlier cell keeps its
-	// seed-of-record. Checkpointing variants exercise snapshot-cut
-	// recovery plus tail catch-up; the checkpointing-off ezBFT cell
-	// recovers by full WAL replay from genesis.
-	for _, p := range []engine.Protocol{engine.EZBFT, engine.PBFT} {
-		cells = append(cells,
-			Cell{Protocol: p, Restart: true, Checkpointing: true},
-			Cell{Protocol: p, Restart: true, Batching: true, Checkpointing: true},
-		)
+	// The durability dimension: crash-restart cells, appended so every
+	// earlier cell keeps its seed-of-record. Checkpointing variants exercise
+	// snapshot-cut recovery plus tail catch-up; the checkpointing-off ezBFT
+	// cell recovers by full WAL replay from genesis.
+	restarts := func(p engine.Protocol) []Cell {
+		return []Cell{
+			{Protocol: p, Restart: true, Checkpointing: true},
+			{Protocol: p, Restart: true, Batching: true, Checkpointing: true},
+		}
 	}
+	cells = append(cells, restarts(engine.EZBFT)...)
+	cells = append(cells, restarts(engine.PBFT)...)
 	cells = append(cells, Cell{Protocol: engine.EZBFT, Restart: true})
-	return cells
+	cells = append(cells, restarts(engine.Zyzzyva)...)
+	return append(cells, restarts(engine.FaB)...)
 }
 
 // SmokeMatrix is the downsized CI gate: one Byzantine strategy and one

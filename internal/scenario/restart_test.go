@@ -13,6 +13,10 @@ func TestRestartCells(t *testing.T) {
 		{Protocol: engine.EZBFT, Restart: true},
 		{Protocol: engine.PBFT, Restart: true, Checkpointing: true},
 		{Protocol: engine.PBFT, Restart: true, Batching: true, Checkpointing: true},
+		{Protocol: engine.Zyzzyva, Restart: true, Checkpointing: true},
+		{Protocol: engine.Zyzzyva, Restart: true, Batching: true, Checkpointing: true},
+		{Protocol: engine.FaB, Restart: true, Checkpointing: true},
+		{Protocol: engine.FaB, Restart: true, Batching: true, Checkpointing: true},
 	} {
 		res, err := Run(cell, Config{Seed: 1})
 		if err != nil {

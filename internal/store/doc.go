@@ -10,9 +10,9 @@
 // execution (carrying the per-client executed-timestamp updates), a
 // checkpoint vote — and persist a full state dump through SaveSnapshot
 // when a checkpoint becomes 2f+1-stable. Record kinds and payload
-// encodings belong to the protocol packages (see core/durable.go and
-// pbft/durable.go); the store only frames, checksums, and orders them
-// by LSN.
+// encodings belong to the replicas (see core/durable.go, and
+// engine/wal.go for the sequenced protocols); the store only frames,
+// checksums, and orders them by LSN.
 //
 // # Durability guarantees (group fsync)
 //

@@ -1,8 +1,6 @@
 package zyzzyva
 
 import (
-	"fmt"
-
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
@@ -22,10 +20,12 @@ func (zyEngine) Protocol() engine.Protocol { return engine.Zyzzyva }
 
 // NewReplica implements engine.Engine.
 func (zyEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
-	if o.Store != nil {
-		return nil, fmt.Errorf("zyzzyva: %w", engine.ErrNoWAL)
+	r, err := NewReplica(o.Sequenced())
+	if err != nil {
+		return nil, err
 	}
-	return NewReplica(o.Sequenced())
+	r.LogTo(o.Store)
+	return r, nil
 }
 
 // NewClient implements engine.Engine.

@@ -39,8 +39,9 @@ type sequencer = engine.Sequencer[Request, *Request, *SpecResponse, *logEntry]
 
 // Replica is one Zyzzyva replica; it implements proc.Process. Admission,
 // batching, frame checks, execution, the reply cache and the log lifecycle
-// are its engine.Sequencer's, and so is the view change; this package adds
-// the history chain, speculative responses and commit certificates.
+// are its engine.Sequencer's, and so are the view change and the
+// write-ahead log; this package adds the history chain, speculative
+// responses and commit certificates.
 type Replica struct {
 	*sequencer
 	cfg ReplicaConfig
@@ -62,7 +63,8 @@ type ReplicaStats struct {
 
 var _ proc.Process = (*Replica)(nil)
 
-// NewReplica constructs a Zyzzyva replica.
+// NewReplica constructs a Zyzzyva replica; LogTo attaches its write-ahead
+// log.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	r := &Replica{cfg: cfg, n: cfg.N, pending: make(map[uint64]*OrderReq)}
 	seq, err := engine.NewSequencer[Request, *Request, *SpecResponse, *logEntry]("zyzzyva", &r.cfg, maxBatch, logTags, viewTags, host{r})
@@ -81,9 +83,6 @@ func (r *Replica) Stats() ReplicaStats {
 	return s
 }
 
-// Init implements proc.Process.
-func (r *Replica) Init(proc.Context) {}
-
 // Receive implements proc.Process.
 func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message) {
 	if !r.Inbound(ctx, from, msg) {
@@ -101,6 +100,7 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 			r.stats.DroppedInvalid++
 		}
 	}
+	r.Sync()
 }
 
 // host is Zyzzyva's half of its Sequencer (engine.SeqHost,
@@ -144,6 +144,9 @@ func (h host) RefreshReply(ctx proc.Context, key engine.ReqKey, cached *SpecResp
 	sr := h.rebuildReply(ctx, key)
 	return sr, sr != nil
 }
+
+// Ready executes every accepted slot in order, as on acceptance.
+func (h host) Ready(ctx proc.Context) { h.executeLog(ctx) }
 
 // histHashAt returns the chained history hash up to seq.
 func (r *Replica) histHashAt(seq uint64) types.Digest {
@@ -315,6 +318,7 @@ func (r *Replica) handleCommitCert(ctx proc.Context, m *CommitCert) {
 		}
 		e.cert = m.Cert
 		result = e.Results[idx]
+		r.Certify(e)
 	case !ok && m.Seq <= r.StableCheckpoint():
 		// The slot was truncated — meaning it executed under a stable
 		// checkpoint, a strictly stronger durability guarantee than a

@@ -79,8 +79,7 @@ type LiveConfig struct {
 	VerifyWorkers int
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted), memory, or disk. A non-empty
-	// StoreDir with no explicit backend implies disk. Zyzzyva and FaB keep
-	// no write-ahead log and refuse any backend but off.
+	// StoreDir with no explicit backend implies disk.
 	Durability Durability
 	// StoreDir is the root directory for disk-backed replica stores;
 	// replica i writes under StoreDir/r<i>.

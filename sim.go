@@ -60,8 +60,7 @@ type SimConfig struct {
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted, byte-identical to the paper figures),
 	// memory, or disk. A non-empty StoreDir with no explicit backend
-	// implies disk. Zyzzyva and FaB keep no write-ahead log and refuse any
-	// backend but off.
+	// implies disk.
 	Durability Durability
 	// StoreDir is the root directory for disk-backed replica stores;
 	// replica i writes under StoreDir/r<i>.

@@ -82,8 +82,7 @@ type TCPReplicaConfig struct {
 	VerifyWorkers int
 	// Durability selects the replica durability backend: off (the
 	// default — nothing persisted), memory, or disk. A non-empty
-	// StoreDir with no explicit backend implies disk. Zyzzyva and FaB keep
-	// no write-ahead log and refuse any backend but off.
+	// StoreDir with no explicit backend implies disk.
 	Durability Durability
 	// StoreDir is this replica's durable-store directory (one replica
 	// per process, so the directory is used as-is — deployments give
