@@ -222,8 +222,17 @@ type Checkpointer = types.Checkpointer
 // Snapshotter is the optional state-transfer hook an Application may
 // implement: Snapshot serializes the final state and Restore replaces it,
 // which is what lets a replica that fell behind the checkpoint low-water
-// mark rejoin the cluster. The reference key-value store implements it.
+// mark rejoin the cluster, and what a replica with a store (StoreDir)
+// persists at each stable checkpoint. The reference key-value store
+// implements it, and StateWriter too.
 type Snapshotter = types.Snapshotter
+
+// StateWriter is the optional capability a Snapshotter adds so that a
+// replica with a store streams the state into its durable snapshot — the
+// same bytes Snapshot returns, written to an io.Writer after their length —
+// instead of building them in memory at every stable checkpoint. Without
+// it the Snapshot bytes are written.
+type StateWriter = types.StateWriter
 
 // ApplicationFactory builds one application instance per replica; every
 // substrate config accepts one (nil selects NewKVStore).

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"ezbft/internal/types"
@@ -70,6 +71,27 @@ func (w *Writer) Len() int { return len(w.buf) }
 
 // Reset truncates the writer for reuse.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// spillBytes is how much a Writer that streams (Spill) holds before it
+// writes out.
+const spillBytes = 4 << 10
+
+// Flush writes the encoded bytes to dst and empties the writer.
+func (w *Writer) Flush(dst io.Writer) error {
+	_, err := dst.Write(w.buf)
+	w.buf = w.buf[:0]
+	return err
+}
+
+// Spill flushes the writer to dst once it holds spillBytes or more, so an
+// encoding of any length streams through a buffer of about that size plus
+// its largest single field.
+func (w *Writer) Spill(dst io.Writer) error {
+	if len(w.buf) < spillBytes {
+		return nil
+	}
+	return w.Flush(dst)
+}
 
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(v uint64) {

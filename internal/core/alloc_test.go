@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/kvstore"
 	"ezbft/internal/proc"
 	"ezbft/internal/race"
+	"ezbft/internal/store"
 	"ezbft/internal/types"
 	"ezbft/internal/workload"
 )
@@ -175,5 +178,48 @@ func TestFinishFastAllocations(t *testing.T) {
 	}
 	if replies[0].Replica != 0 || replies[3].SO == nil {
 		t.Fatal("finishFast wrote to a collected reply")
+	}
+}
+
+// TestSnapshotCostIndependentOfState: cutting a store snapshot streams the
+// application state into the store instead of building it in memory, so it
+// allocates the same at 1 k and 8 k keys.
+func TestSnapshotCostIndependentOfState(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	// One P: a pooled writer put back on one P and asked for on another is
+	// allocated again, which would read as noise here.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bytesPerCut := func(keys int) uint64 {
+		st, err := store.OpenDisk(t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		r := snapshotFixture(t, st)
+		app := r.cfg.App.(*kvstore.Store)
+		for i := 0; i < keys; i++ {
+			app.Apply(types.Command{Op: types.OpPut, Key: fmt.Sprintf("key-%05d", i), Value: []byte("0123456789abcdef")})
+		}
+		r.persistSnapshot() // the first cut builds the key index
+		const rounds = 20
+		var before, after runtime.MemStats
+		runtime.GC() // no collection mid-measurement empties the writer pool
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			app.Apply(types.Command{Op: types.OpPut, Key: "key-00007", Value: []byte{byte(i)}})
+			r.persistSnapshot()
+		}
+		runtime.ReadMemStats(&after)
+		if r.Stats().WALFailed {
+			t.Fatal("a snapshot cut failed")
+		}
+		return (after.TotalAlloc - before.TotalAlloc) / rounds
+	}
+	small, large := bytesPerCut(1024), bytesPerCut(8192)
+	t.Logf("bytes per snapshot cut: %d at 1k keys, %d at 8k keys", small, large)
+	if large > small+256 {
+		t.Errorf("a snapshot cut allocates %d B at 8k keys against %d B at 1k: it grows with the state", large, small)
 	}
 }

@@ -2,8 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
-	"sort"
+	"slices"
 
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
@@ -266,14 +267,21 @@ func (m *CatchupResp) Tag() uint8 { return tagCatchupResp }
 // MarshalTo implements codec.Message.
 func (m *CatchupResp) MarshalTo(w *codec.Writer) {
 	m.MarshalBody(w)
-	w.Blob(m.Sig)
-	w.Uvarint(uint64(len(m.Proof)))
-	for _, v := range m.Proof {
-		v.MarshalTo(w)
-	}
+	m.marshalProof(w)
 }
 
 func (m *CatchupResp) MarshalBody(w *codec.Writer) {
+	m.marshalHead(w)
+	w.Blob(m.Snapshot)
+	w.Uvarint(uint64(len(m.Suffix)))
+	for i := range m.Suffix {
+		m.Suffix[i].marshalTo(w)
+	}
+}
+
+// marshalHead and marshalProof write what precedes the snapshot and what
+// follows the suffix, which persistSnapshot streams in between.
+func (m *CatchupResp) marshalHead(w *codec.Writer) {
 	w.Int32(int32(m.Replica))
 	w.Bool(m.Tail)
 	w.Uvarint(uint64(len(m.Spaces)))
@@ -285,19 +293,14 @@ func (m *CatchupResp) MarshalBody(w *codec.Writer) {
 		w.Int32(int32(cm.Client))
 		w.Uvarint(cm.Ts)
 	}
-	w.Blob(m.Snapshot)
-	w.Uvarint(uint64(len(m.Suffix)))
-	for i := range m.Suffix {
-		m.Suffix[i].marshalTo(w)
-	}
 }
 
-// sizeHint estimates the encoded size, so that a buffer for it is made once
-// instead of grown by doubling through a snapshot's worth of bytes: the
-// snapshot exactly, a suffix entry (command, SPECORDER, signatures) and a
-// CHECKPOINT vote at their usual sizes. An underestimate costs one regrowth.
-func (m *CatchupResp) sizeHint() int {
-	return len(m.Snapshot) + 256*len(m.Suffix) + 96*len(m.Proof) + 64*len(m.Spaces) + 12*len(m.Clients) + 256
+func (m *CatchupResp) marshalProof(w *codec.Writer) {
+	w.Blob(m.Sig)
+	w.Uvarint(uint64(len(m.Proof)))
+	for _, v := range m.Proof {
+		v.MarshalTo(w)
+	}
 }
 
 func decodeCatchupResp(r *codec.Reader) (*CatchupResp, error) {
@@ -496,9 +499,7 @@ func (r *Replica) handleCheckpoint(ctx proc.Context, m *CheckpointMsg) {
 func (r *Replica) applyStableCheckpoint(ctx proc.Context, st *engine.StableCheckpoint) {
 	spaceID := types.ReplicaID(st.Space)
 	sp := r.log.space(spaceID)
-	if st.Mark > sp.lowWater {
-		sp.lowWater = st.Mark
-	}
+	sp.lowWater = max(sp.lowWater, st.Mark)
 	r.truncateSpace(spaceID, sp)
 	if ck, ok := types.Application(r.cfg.App).(types.Checkpointer); ok {
 		ck.Checkpoint(st.Mark, st.Digest)
@@ -566,9 +567,7 @@ func (r *Replica) truncateSpace(spaceID types.ReplicaID, sp *space) {
 		return
 	}
 	limit -= r.cfg.LogRetention
-	if limit > sp.execMark {
-		limit = sp.execMark
-	}
+	limit = min(limit, sp.execMark)
 	if limit <= sp.truncated {
 		return
 	}
@@ -652,7 +651,7 @@ func (r *Replica) requestCatchup(ctx proc.Context, st *engine.StableCheckpoint) 
 	if len(voters) == 0 {
 		return
 	}
-	sort.Slice(voters, func(i, j int) bool { return voters[i] < voters[j] })
+	slices.Sort(voters)
 	base := int(r.catchupAttempts) % len(voters)
 	r.catchupAttempts++
 	r.catchupPending = true
@@ -665,10 +664,7 @@ func (r *Replica) requestCatchup(ctx proc.Context, st *engine.StableCheckpoint) 
 	}
 	r.cfg.Costs.ChargeSign(ctx)
 	req.Sig = engine.SignBody(r.cfg.Auth, req)
-	want := r.f + 1
-	if want > len(voters) {
-		want = len(voters)
-	}
+	want := min(r.f+1, len(voters))
 	for k := 0; k < want; k++ {
 		r.Send(ctx, types.ReplicaNode(voters[(base+k)%len(voters)]), req)
 	}
@@ -741,34 +737,40 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 }
 
 // buildTransferState assembles this replica's transferable state. With
-// marks == nil it is the wholesale CATCHUP-RESP payload (also what
-// persistSnapshot cuts the store snapshot at): per-space lifecycle state
-// and proofs, the application snapshot, the executed-timestamp table, and
-// every retained entry. With the requester's marks it is a tail response:
-// no snapshot, no timestamp table, and only the entries above the
-// requester's executed prefix.
+// marks == nil it is the wholesale CATCHUP-RESP payload (what
+// persistSnapshot streams to the store in the same layout): per-space
+// lifecycle state and proofs, the application snapshot, the
+// executed-timestamp table, and every retained entry. With the requester's
+// marks it is a tail response: no snapshot, no timestamp table, and only
+// the entries above the requester's executed prefix.
 func (r *Replica) buildTransferState(snap types.Snapshotter, marks []SpaceMark) *CatchupResp {
-	resp := &CatchupResp{Replica: r.cfg.Self, Tail: marks != nil}
+	resp := r.transferHead(marks)
 	if marks == nil {
 		resp.Snapshot = snap.Snapshot()
 	}
 	for i := 0; i < r.n; i++ {
-		spaceID := types.ReplicaID(i)
-		sp := r.log.space(spaceID)
-		sc := SpaceCkpt{
-			Space:      spaceID,
-			Owner:      r.owners[i],
-			Frozen:     sp.frozen,
-			LowWater:   sp.lowWater,
-			Truncated:  sp.truncated,
-			MaxSlot:    sp.maxSlot,
-			ExecMark:   sp.execMark,
-			ExecDigest: sp.execDigest,
-			LogHash:    sp.logHash,
+		floor := resp.Spaces[i].Truncated
+		if marks != nil {
+			floor = max(floor, marks[i].ExecMark) // a tail: above the requester's executed prefix
 		}
-		if st := r.ckpt.Stable(engine.CheckpointSpace(spaceID)); st != nil {
-			sc.LowWater = st.Mark
-			sc.StableDigest = st.Digest
+		for _, slot := range r.retained(i, floor) {
+			resp.Suffix = append(resp.Suffix, r.log.space(types.ReplicaID(i)).entries[slot].report())
+		}
+	}
+	return resp
+}
+
+// transferHead is a transfer without its snapshot and suffix: per-space
+// lifecycle state, the stable marks' proofs and, wholesale (marks == nil),
+// the executed-timestamp table in client order.
+func (r *Replica) transferHead(marks []SpaceMark) *CatchupResp {
+	resp := &CatchupResp{Replica: r.cfg.Self, Tail: marks != nil}
+	for i := 0; i < r.n; i++ {
+		sp := r.log.space(types.ReplicaID(i))
+		sc := SpaceCkpt{Space: types.ReplicaID(i), Owner: r.owners[i], Frozen: sp.frozen, LowWater: sp.lowWater,
+			Truncated: sp.truncated, MaxSlot: sp.maxSlot, ExecMark: sp.execMark, ExecDigest: sp.execDigest, LogHash: sp.logHash}
+		if st := r.ckpt.Stable(engine.CheckpointSpace(i)); st != nil {
+			sc.LowWater, sc.StableDigest = st.Mark, st.Digest
 			for _, v := range st.Votes {
 				if cm, ok := v.(*CheckpointMsg); ok {
 					resp.Proof = append(resp.Proof, cm)
@@ -776,43 +778,42 @@ func (r *Replica) buildTransferState(snap types.Snapshotter, marks []SpaceMark) 
 			}
 		}
 		resp.Spaces = append(resp.Spaces, sc)
-		// The retained suffix, in slot order, with each entry's status and
-		// strongest proof; a tail response starts above the requester's
-		// executed prefix instead of our truncation point.
-		floor := sp.truncated
-		if marks != nil && marks[i].ExecMark > floor {
-			floor = marks[i].ExecMark
-		}
-		slots := make([]uint64, 0, len(sp.entries))
-		for slot := range sp.entries {
-			if slot > floor {
-				slots = append(slots, slot)
-			}
-		}
-		sort.Slice(slots, func(a, b int) bool { return slots[a] < slots[b] })
-		for _, slot := range slots {
-			e := sp.entries[slot]
-			status := HistSpecOrdered
-			switch {
-			case e.status >= StatusExecuted:
-				status = HistExecuted
-			case e.status >= StatusCommitted:
-				status = HistCommitted
-			}
-			resp.Suffix = append(resp.Suffix, e.hist(status))
-		}
 	}
 	if marks == nil {
-		clients := make([]types.ClientID, 0, len(r.executedTs))
-		for c := range r.executedTs {
-			clients = append(clients, c)
+		for c, ts := range r.executedTs {
+			resp.Clients = append(resp.Clients, ClientMark{Client: c, Ts: ts})
 		}
-		sort.Slice(clients, func(a, b int) bool { return clients[a] < clients[b] })
-		for _, c := range clients {
-			resp.Clients = append(resp.Clients, ClientMark{Client: c, Ts: r.executedTs[c]})
-		}
+		slices.SortFunc(resp.Clients, func(a, b ClientMark) int { return cmp.Compare(a.Client, b.Client) })
 	}
 	return resp
+}
+
+// retained returns the slots of space i's retained entries above floor in
+// slot order, in scratch that the next call reuses. A space is sparse (a
+// far slot can sit far above the rest), so the present slots are sorted
+// rather than the range walked.
+func (r *Replica) retained(i int, floor uint64) []uint64 {
+	slots := r.slotScratch[:0]
+	for slot := range r.log.space(types.ReplicaID(i)).entries {
+		if slot > floor {
+			slots = append(slots, slot)
+		}
+	}
+	slices.Sort(slots)
+	r.slotScratch = slots
+	return slots
+}
+
+// report is the entry as a transfer carries it: with its status and
+// strongest proof.
+func (e *entry) report() HistEntry {
+	switch {
+	case e.status >= StatusExecuted:
+		return e.hist(HistExecuted)
+	case e.status >= StatusCommitted:
+		return e.hist(HistCommitted)
+	}
+	return e.hist(HistSpecOrdered)
 }
 
 // handleCatchupResp validates and installs a state transfer.
@@ -960,7 +961,7 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 // sequences). Everything that install touches is inside the key; nothing a
 // single liar controls escapes cross-validation.
 func catchupAgrees(a, b *CatchupResp) bool {
-	if len(a.Spaces) != len(b.Spaces) || len(a.Clients) != len(b.Clients) ||
+	if len(a.Spaces) != len(b.Spaces) || !slices.Equal(a.Clients, b.Clients) ||
 		len(a.Suffix) != len(b.Suffix) || !bytes.Equal(a.Snapshot, b.Snapshot) {
 		return false
 	}
@@ -972,11 +973,6 @@ func catchupAgrees(a, b *CatchupResp) bool {
 		ac, bc := a.Spaces[i], b.Spaces[i]
 		ac.LogHash, bc.LogHash = types.Digest{}, types.Digest{}
 		if ac != bc {
-			return false
-		}
-	}
-	for i := range a.Clients {
-		if a.Clients[i] != b.Clients[i] {
 			return false
 		}
 	}
@@ -1011,20 +1007,14 @@ func (r *Replica) installTail(ctx proc.Context, m *CatchupResp) {
 	for i := range m.Spaces {
 		sc := &m.Spaces[i]
 		sp := r.log.space(sc.Space)
-		if sc.LowWater > sp.lowWater {
-			sp.lowWater = sc.LowWater
-		}
-		if sc.Owner > r.owners[sc.Space] {
-			r.owners[sc.Space] = sc.Owner
-		}
+		sp.lowWater = max(sp.lowWater, sc.LowWater)
+		r.owners[sc.Space] = max(r.owners[sc.Space], sc.Owner)
 	}
 	for i := range m.Suffix {
 		r.adoptHist(ctx, &m.Suffix[i], false)
 	}
 	// Never reuse a slot of our own space the tail says is taken.
-	if own := r.log.space(r.cfg.Self); own.maxSlot+1 > r.nextSlot {
-		r.nextSlot = own.maxSlot + 1
-	}
+	r.nextSlot = max(r.nextSlot, r.log.space(r.cfg.Self).maxSlot+1)
 	// Proposals buffered out of order may have become contiguous with the
 	// merged tail.
 	for i := 0; i < r.n; i++ {
@@ -1132,9 +1122,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 		sp.execMark = sc.ExecMark
 		sp.execDigest = sc.ExecDigest
 		sp.logHash = sc.LogHash
-		if sc.Owner > r.owners[sc.Space] {
-			r.owners[sc.Space] = sc.Owner
-		}
+		r.owners[sc.Space] = max(r.owners[sc.Space], sc.Owner)
 	}
 
 	for i := range m.Suffix {
@@ -1142,9 +1130,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 		e := entryFromHist(h)
 		sp := r.log.space(h.Inst.Space)
 		sp.entries[h.Inst.Slot] = e
-		if h.Inst.Slot > sp.maxSlot {
-			sp.maxSlot = h.Inst.Slot
-		}
+		sp.maxSlot = max(sp.maxSlot, h.Inst.Slot)
 		for j := 0; j < e.nCmds(); j++ {
 			cmd := e.cmdAt(j)
 			if cmd.IsNoop() {
@@ -1167,10 +1153,7 @@ func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.S
 	}
 
 	// Never reuse a slot of our own space the transfer says is taken.
-	own := r.log.space(r.cfg.Self)
-	if own.maxSlot+1 > r.nextSlot {
-		r.nextSlot = own.maxSlot + 1
-	}
+	r.nextSlot = max(r.nextSlot, r.log.space(r.cfg.Self).maxSlot+1)
 
 	// Re-admit buffered proposals beyond the transferred head and drain
 	// whatever is now contiguous.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/proc"
@@ -83,17 +85,45 @@ func (r *Replica) walVote(m *CheckpointMsg) {
 }
 
 // persistSnapshot cuts the store snapshot at the replica's current
-// transferable state. The cut runs synchronously in the handler, so on
-// large application state the loop stalls for one serialization (and
-// fsync, when enabled) per checkpoint interval; see ROADMAP.md.
+// transferable state, streamed in the wholesale CATCHUP-RESP layout
+// (buildTransferState) straight from the log: the application state
+// through its writer, the rest through a small codec buffer. The cut runs
+// synchronously in the handler, so on large application state the loop
+// stalls for one pass over the state (and fsync, when enabled) per
+// checkpoint interval, but allocates nothing in proportion to it.
 func (r *Replica) persistSnapshot() {
 	snap, ok := types.Application(r.cfg.App).(types.Snapshotter)
 	if !ok {
 		return
 	}
-	r.SaveSnapshot(func() []byte {
-		resp := r.buildTransferState(snap, nil)
-		return codec.AppendMarshal(make([]byte, 0, resp.sizeHint()), resp)
+	r.SaveSnapshot(func(out io.Writer) error {
+		resp := r.transferHead(nil)
+		w := codec.GetWriter()
+		defer codec.PutWriter(w)
+		w.Uint8(resp.Tag())
+		resp.marshalHead(w)
+		if err := types.LiveState(snap).WriteState(out, func(n int) error {
+			w.Uvarint(uint64(n))
+			return w.Flush(out)
+		}); err != nil {
+			return err
+		}
+		n := 0
+		for i := range resp.Spaces {
+			n += len(r.retained(i, resp.Spaces[i].Truncated))
+		}
+		w.Uvarint(uint64(n))
+		for i := range resp.Spaces {
+			for _, slot := range r.retained(i, resp.Spaces[i].Truncated) {
+				h := r.log.space(types.ReplicaID(i)).entries[slot].report()
+				h.marshalTo(w)
+				if err := w.Spill(out); err != nil {
+					return err
+				}
+			}
+		}
+		resp.marshalProof(w)
+		return w.Flush(out)
 	})
 }
 
@@ -102,9 +132,7 @@ func (r *Replica) persistSnapshot() {
 func (r *Replica) Init(ctx proc.Context) {
 	if !r.Recover(func(data []byte) error { r.restoreSnapshot(ctx, data); return nil }, func(rec store.Record) { r.replayRecord(ctx, rec) }, func() {
 		// Never reuse an own-space slot the replayed log says is taken.
-		if own := r.log.space(r.cfg.Self); own.maxSlot+1 > r.nextSlot {
-			r.nextSlot = own.maxSlot + 1
-		}
+		r.nextSlot = max(r.nextSlot, r.log.space(r.cfg.Self).maxSlot+1)
 		r.tryExecute(ctx)
 	}) {
 		return
@@ -250,9 +278,7 @@ func (r *Replica) adoptHist(ctx proc.Context, h *HistEntry, replaying bool) {
 	// commitEntry.
 	if e.status == StatusCommitted {
 		e.deps.Union(h.Deps)
-		if h.Seq > e.seq {
-			e.seq = h.Seq
-		}
+		e.seq = max(e.seq, h.Seq)
 	} else {
 		e.deps = h.Deps.Clone()
 		e.seq = h.Seq

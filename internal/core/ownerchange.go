@@ -220,13 +220,7 @@ func (r *Replica) recordStartVote(ctx proc.Context, key changeKey, from types.Re
 // every known entry with its strongest proof.
 func (r *Replica) historyOf(suspect types.ReplicaID, floor uint64) []HistEntry {
 	sp := r.log.space(suspect)
-	slots := make([]uint64, 0, len(sp.entries))
-	for slot := range sp.entries {
-		if slot > floor {
-			slots = append(slots, slot)
-		}
-	}
-	slices.Sort(slots)
+	slots := r.retained(int(suspect), floor)
 	hist := make([]HistEntry, 0, len(slots))
 	for _, slot := range slots {
 		e := sp.entries[slot]
@@ -371,9 +365,7 @@ func (r *Replica) selectSafeHistory(ctx proc.Context, key changeKey, proof []*Ow
 			if h.Inst.Space != key.suspect || h.Owner != key.owner || h.Inst.Slot <= base || h.Inst.Slot > base+maxHistory {
 				continue
 			}
-			if h.Inst.Slot > maxSlot {
-				maxSlot = h.Inst.Slot
-			}
+			maxSlot = max(maxSlot, h.Inst.Slot)
 			// Condition 1: client-signed COMMIT proves the entry outright.
 			// The COMMIT signature covers (client, timestamp, instance,
 			// deps, seq) but not the commands, so the reported commands must
@@ -423,9 +415,7 @@ func (r *Replica) selectSafeHistory(ctx proc.Context, key changeKey, proof []*Ow
 			}
 			c.count++
 			c.deps.Union(h.Deps)
-			if h.Seq > c.seq {
-				c.seq = h.Seq
-			}
+			c.seq = max(c.seq, h.Seq)
 		}
 	}
 

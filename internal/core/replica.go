@@ -127,6 +127,7 @@ type Replica struct {
 	execClosure  []*entry
 	execBlockers []types.InstanceID
 	execGraph    *graph.DepGraph
+	slotScratch  []uint64 // a space's sorted slots (retained)
 
 	stats ReplicaStats
 }

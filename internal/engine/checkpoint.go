@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"ezbft/internal/codec"
 	"ezbft/internal/types"
 )
@@ -194,11 +196,18 @@ func (t *CheckpointTracker) Record(space CheckpointSpace, mark uint64, from type
 	if count < t.quorum {
 		return nil
 	}
-	st := &StableCheckpoint{Space: space, Mark: mark, Digest: digest}
-	for _, v := range ballots {
+	// The proof lists its votes in voter order, so a snapshot or transfer
+	// that carries it has the same bytes at every replica and every run.
+	voters := make([]types.ReplicaID, 0, len(ballots))
+	for id, v := range ballots {
 		if v.digest == digest && v.msg != nil {
-			st.Votes = append(st.Votes, v.msg)
+			voters = append(voters, id)
 		}
+	}
+	slices.Sort(voters)
+	st := &StableCheckpoint{Space: space, Mark: mark, Digest: digest}
+	for _, id := range voters {
+		st.Votes = append(st.Votes, ballots[id].msg)
 	}
 	t.stable[space] = st
 	t.stats.Checkpoints++

@@ -270,6 +270,8 @@ type Sequencer[R any, P ClientRequest[R], Y codec.Message, S Slot] struct {
 	batcher   *Batcher[ReqKey, P]
 
 	dropped, truncatedEntries, executedCmds, viewChanges uint64
+
+	snapSeqs []uint64 // Persist's scratch: the slots a snapshot carries
 }
 
 // NewSequencer validates cfg, filling in its defaults in place, and builds

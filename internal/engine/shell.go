@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"io"
 	"time"
 
 	"ezbft/internal/codec"
@@ -47,7 +49,13 @@ import (
 //
 // A newly stable checkpoint cuts the store snapshot (SaveSnapshot): it
 // subsumes every record so far, so the store drops them and the durable
-// footprint stays one snapshot plus the log since.
+// footprint stays one snapshot plus the log since. Every protocol streams
+// its snapshot into the store — the application state through its
+// types.StateWriter, or its Snapshot bytes where it has none, and the rest
+// through a small codec buffer — so a cut allocates nothing in proportion
+// to the state, though it still takes the loop time proportional to it.
+// A cut that fails, even halfway, leaves the previous snapshot and the
+// records after it in place, and latches WALFailed like any store error.
 //
 // Recover rebuilds a replica whose store holds state, before any delivery:
 // it installs the snapshot, replays the records in LSN order and lets the
@@ -217,18 +225,25 @@ func (s *Shell) Sync() {
 	}
 }
 
-// SaveSnapshot cuts the store snapshot at what encode returns, if the
-// replica is logging and encode returns anything; the store then drops
-// every record the snapshot subsumes.
-func (s *Shell) SaveSnapshot(encode func() []byte) {
+// SaveSnapshot cuts the store snapshot at what write streams into the
+// io.Writer it is handed, if the replica is logging; the store then drops
+// every record the snapshot subsumes. It is the one way every protocol
+// cuts its snapshot. A store that is no store.Streamer gets the stream
+// gathered into one buffer.
+func (s *Shell) SaveSnapshot(write func(w io.Writer) error) {
 	if !s.logging() {
 		return
 	}
-	data := encode()
-	if data == nil {
-		return
+	var err error
+	if st, ok := s.store.(store.Streamer); ok {
+		err = st.StreamSnapshot(write)
+	} else {
+		var buf bytes.Buffer
+		if err = write(&buf); err == nil {
+			err = s.store.SaveSnapshot(buf.Bytes())
+		}
 	}
-	if err := s.store.SaveSnapshot(data); err != nil {
+	if err != nil {
 		s.walErr = err
 		return
 	}

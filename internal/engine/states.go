@@ -71,6 +71,24 @@ func (k *StateKeeper) add(s keptState) {
 	k.states = append(k.states, s)
 }
 
+// Writer returns the state kept at seq as a writer, and its aux value. A
+// pin whose application streams (types.StateWriter) stays a pin, so the
+// state never exists serialized in memory; any other state is serialized
+// as Snapshot does. It reports false where Snapshot would, except that a
+// streaming pin the application dropped (a Restore since) fails the write.
+func (k *StateKeeper) Writer(seq uint64) (types.StateWriter, types.Digest, bool) {
+	for i := range k.states {
+		if s := &k.states[i]; s.seq == seq {
+			if sw, ok := s.ret.(types.StateWriter); ok {
+				return sw, s.aux, true
+			}
+			break
+		}
+	}
+	data, aux, ok := k.Snapshot(seq)
+	return types.StateBytes(data), aux, ok
+}
+
 // Snapshot returns the serialized state kept at seq and its aux value. It
 // reports false when no state is kept there — never recorded, forgotten, or
 // a pin the application dropped (a Restore since).

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 
 	"ezbft/internal/codec"
@@ -99,39 +100,51 @@ func (s *Sequencer[R, P, Y, S]) ClientSig(b *Batch, i int) []byte {
 
 // Persist cuts the store snapshot at the stable checkpoint. A checkpoint
 // itself costs the loop O(1) for an application that retains its state
-// (StateKeeper); the state is serialized here, synchronously in the
-// handler, so only a replica with a store pays a stall proportional to the
-// application state size, once per stable checkpoint.
-func (s *Sequencer[R, P, Y, S]) Persist() { s.SaveSnapshot(s.snapshot) }
-
-func (s *Sequencer[R, P, Y, S]) snapshot() []byte {
+// (StateKeeper). Here, synchronously in the handler, the snapshot streams
+// into the store through a small buffer, the state straight from its pin
+// when the application can stream it (types.StateWriter): a replica with a
+// store stalls for time proportional to the state once per stable
+// checkpoint, but allocates nothing in proportion to it.
+func (s *Sequencer[R, P, Y, S]) Persist() {
 	st := s.life.Stable()
-	if st == nil {
-		return nil
+	if st == nil || !s.logging() {
+		return
 	}
-	appSnap, aux, ok := s.life.states.Snapshot(st.Mark)
+	state, aux, ok := s.life.states.Writer(st.Mark)
 	if !ok {
-		return nil // non-Snapshotter application: WAL-only durability
+		return // non-Snapshotter application: WAL-only durability
 	}
+	s.SaveSnapshot(func(out io.Writer) error { return s.snapshot(out, st, state, aux) })
+}
+
+// snapshot streams the snapshot at st to out, with the state there and its
+// aux value, spilling its small codec buffer as it goes.
+func (s *Sequencer[R, P, Y, S]) snapshot(out io.Writer, st *StableCheckpoint, state types.StateWriter, aux types.Digest) error {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
 	w.Uvarint(s.view)
 	w.Uvarint(st.Mark)
 	w.Bytes32(st.Digest)
-	w.Blob(appSnap)
+	if err := state.WriteState(out, func(n int) error {
+		w.Uvarint(uint64(n))
+		return w.Flush(out)
+	}); err != nil {
+		return err
+	}
 	w.Uvarint(uint64(len(st.Votes)))
 	for _, v := range st.Votes {
 		v.MarshalTo(w)
 	}
 	// Every accepted slot above the mark: the snapshot replaces the records
 	// below the cut, so it must carry everything they proved.
-	var seqs []uint64
+	seqs := s.snapSeqs[:0]
 	for seq, slot := range s.Log {
 		if seq > st.Mark && slot.Ordered().Accepted {
 			seqs = append(seqs, seq)
 		}
 	}
 	slices.Sort(seqs)
+	s.snapSeqs = seqs
 	w.Uvarint(uint64(len(seqs)))
 	for _, seq := range seqs {
 		b := s.Log[seq].Ordered()
@@ -147,14 +160,20 @@ func (s *Sequencer[R, P, Y, S]) snapshot() []byte {
 			w.Command(b.Cmds[i])
 			w.Blob(s.ClientSig(b, i))
 		}
+		if err := w.Spill(out); err != nil {
+			return err
+		}
 	}
 	held := s.HeldCerts()
 	w.Uvarint(uint64(len(held)))
 	for i := range held {
 		held[i].MarshalTo(w)
+		if err := w.Spill(out); err != nil {
+			return err
+		}
 	}
 	w.Bytes32(aux)
-	return append([]byte(nil), w.Bytes()...)
+	return w.Flush(out)
 }
 
 // Init implements proc.Process: a replica handed a non-empty store rebuilds

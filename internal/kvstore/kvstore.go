@@ -12,29 +12,41 @@
 // it at the same time (Digest, Get, Len, Snapshot, retained states), as
 // types.Application requires of Digest. One read-write mutex guards it all.
 //
-// Cost model of the whole-store operations. Digest and Snapshot visit the
-// keys in sorted order; the store keeps that order as an index built on
-// their first call and maintained incrementally after it (a key new to the
-// final state is queued and merged in on the next whole-store call), so
-// neither re-sorts nor allocates key slices, and Digest allocates nothing at
-// steady state. A store that was never digested or snapshotted keeps no
-// index: ezBFT, whose CHECKPOINT votes an execution digest and which
-// snapshots only to serve a transfer, pays nothing on its loop. The store is
-// also a types.Retainer: Retain pins the current final state in O(1) by
-// keeping an undo record (key, previous value, existed) of every final
-// write made while any state is retained; serializing a retained state
-// replays those records over the current state. The records exist only
-// while a state is retained, their storage is reused, and Restore drops
-// them along with every retained state. PBFT, Zyzzyva and FaB retain a
-// state at each checkpoint (engine.StateKeeper) and serialize it only to
-// serve a state transfer or cut a durable snapshot.
+// Cost model of the whole-store operations. Digest, Snapshot and
+// WriteState visit the keys in sorted order; the store keeps that order as
+// an index built on their first call and maintained incrementally after it
+// (a key new to the final state is queued and merged in on the next
+// whole-store call), so none re-sorts or allocates key slices, and Digest
+// allocates nothing at steady state. A store that was never digested or
+// serialized keeps no index: ezBFT, whose CHECKPOINT votes an execution
+// digest, pays for it only with a durable store (a snapshot per stable
+// checkpoint) or when it serves a transfer. The store is also a
+// types.Retainer: Retain pins the current final state in O(1) by keeping an
+// undo record (key, previous value, existed) of every final write made
+// while any state is retained; serializing a retained state replays those
+// records over the current state. The records exist only while a state is
+// retained, their storage is reused, and Restore drops them along with
+// every retained state. PBFT, Zyzzyva and FaB retain a state at each
+// checkpoint (engine.StateKeeper) and serialize it only to serve a state
+// transfer or cut a durable snapshot.
+//
+// Snapshot builds the serialized state in one buffer of its exact size.
+// WriteState (types.StateWriter), on the store and on a retained state,
+// streams the same bytes to an io.Writer through the store's scratch in
+// chunks of a few KiB, allocating nothing in proportion to the state: it is
+// how a replica cuts a durable snapshot. It holds the store's lock for the
+// whole stream, so the owning replica and every observer wait for it: it
+// suits a writer that does not block, such as a file written into the
+// page cache, and a slow one stalls them all.
 package kvstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash"
+	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -66,6 +78,7 @@ type Store struct {
 	retained []*retainedState // live retained states, oldest first
 	hash     hash.Hash
 	scratch  []byte
+	then     map[string]undoRecord // a retained state's keys as they were, rebuilt per use
 
 	finalExecs atomic.Uint64
 	specExecs  atomic.Uint64
@@ -75,7 +88,17 @@ type Store struct {
 var (
 	_ types.SpeculativeApplication = (*Store)(nil)
 	_ types.Retainer               = (*Store)(nil)
+	_ types.StateWriter            = (*Store)(nil)
+	_ types.StateWriter            = (*retainedState)(nil)
 )
+
+// errReleased is what streaming a retained state that is no longer held
+// returns.
+var errReleased = errors.New("kvstore: the retained state is no longer held")
+
+// writeChunk is how many bytes of entries a streamed state gathers before
+// it writes them out.
+const writeChunk = 4 << 10
 
 // New returns an empty store.
 func New() *Store {
@@ -184,6 +207,15 @@ func (s *Store) Snapshot() []byte {
 	return s.serializeLocked(nil)
 }
 
+// WriteState implements types.StateWriter: it streams what Snapshot
+// returns to w, holding the lock throughout.
+func (s *Store) WriteState(w io.Writer, size func(n int) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.syncIndexLocked()
+	return s.writeLocked(w, nil, size)
+}
+
 // Retain implements types.Retainer: it pins the current final state in
 // O(1) by marking where the undo records for it begin.
 func (s *Store) Retain() types.Retained {
@@ -211,15 +243,37 @@ func (r *retainedState) Snapshot() ([]byte, bool) {
 	if !r.live {
 		return nil, false
 	}
+	return s.serializeLocked(r.thenLocked()), true
+}
+
+// WriteState implements types.StateWriter: it streams what Snapshot
+// returns to w, holding the store's lock throughout.
+func (r *retainedState) WriteState(w io.Writer, size func(n int) error) error {
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !r.live {
+		return errReleased
+	}
+	return s.writeLocked(w, r.thenLocked(), size)
+}
+
+// thenLocked syncs the key index and returns the first undo record of
+// each key written since the retention — its state then — in the store's
+// reused map.
+func (r *retainedState) thenLocked() map[string]undoRecord {
+	s := r.s
 	s.syncIndexLocked()
-	// The first record of a key since the retention is its state then.
-	then := make(map[string]undoRecord)
+	if s.then == nil {
+		s.then = make(map[string]undoRecord)
+	}
+	clear(s.then)
 	for _, u := range s.undo[r.start:] {
-		if _, seen := then[u.key]; !seen {
-			then[u.key] = u
+		if _, seen := s.then[u.key]; !seen {
+			s.then[u.key] = u
 		}
 	}
-	return s.serializeLocked(then), true
+	return s.then
 }
 
 // Release implements types.Retained: the undo records no remaining
@@ -296,26 +350,46 @@ func (s *Store) rebuildIndexLocked() {
 	s.added = s.added[:0]
 }
 
-// serializeLocked writes the final state in Snapshot's format, as it was
-// before the writes recorded in then (nil: as it is now). The index must be
-// in sync; no key is ever deleted except by Restore, so the keys of any
-// retained state are among the current ones.
+// serializeLocked returns the final state in Snapshot's format, as
+// writeLocked writes it.
 func (s *Store) serializeLocked(then map[string]undoRecord) []byte {
-	count, size := 0, 8
+	var out bytes.Buffer
+	_ = s.writeLocked(&out, then, func(n int) error { out.Grow(n); return nil }) // a bytes.Buffer does not fail
+	return out.Bytes()
+}
+
+// writeLocked writes the final state in Snapshot's format to w, as it was
+// before the writes recorded in then (nil: as it is now), after telling
+// size its length. The index must be in sync; no key is ever deleted
+// except by Restore, so the keys of any retained state are among the
+// current ones. The entries go out in chunks through the store's scratch.
+func (s *Store) writeLocked(w io.Writer, then map[string]undoRecord, size func(n int) error) error {
+	count, n := 0, 8
 	for _, k := range s.keys {
 		if v, ok := s.valueLocked(k, then); ok {
 			count++
-			size += 16 + len(k) + len(v)
+			n += 16 + len(k) + len(v)
 		}
 	}
-	out := make([]byte, 0, size)
-	out = binary.BigEndian.AppendUint64(out, uint64(count))
+	if err := size(n); err != nil {
+		return err
+	}
+	s.scratch = binary.BigEndian.AppendUint64(s.scratch[:0], uint64(count))
 	for _, k := range s.keys {
-		if v, ok := s.valueLocked(k, then); ok {
-			out = appendEntry(out, k, v)
+		v, ok := s.valueLocked(k, then)
+		if !ok {
+			continue
+		}
+		s.scratch = appendEntry(s.scratch, k, v)
+		if len(s.scratch) >= writeChunk {
+			if _, err := w.Write(s.scratch); err != nil {
+				return err
+			}
+			s.scratch = s.scratch[:0]
 		}
 	}
-	return out
+	_, err := w.Write(s.scratch)
+	return err
 }
 
 func (s *Store) valueLocked(k string, then map[string]undoRecord) ([]byte, bool) {

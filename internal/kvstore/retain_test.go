@@ -238,3 +238,45 @@ func TestDigestAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteStateMatchesSnapshot: streaming the live state, or a retained
+// one after later writes, writes exactly the bytes Snapshot returns, after
+// telling size their number; an error from size writes nothing, and a
+// released state refuses to stream.
+func TestWriteStateMatchesSnapshot(t *testing.T) {
+	s := New()
+	for i := 0; i < 900; i++ {
+		s.Apply(put(fmt.Sprintf("key-%04d", i), fmt.Sprintf("value-%d", i*i)))
+	}
+	ret, wantRet := s.Retain(), s.Snapshot()
+	for i := 0; i < 300; i++ {
+		s.Apply(put(fmt.Sprintf("key-%04d", i*3), "changed"))
+		s.Apply(put(fmt.Sprintf("new-%04d", i), "added"))
+	}
+	stream := func(sw types.StateWriter) []byte {
+		var out bytes.Buffer
+		told := -1
+		if err := sw.WriteState(&out, func(n int) error { told = n; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if told != out.Len() {
+			t.Fatalf("size told %d bytes, %d written", told, out.Len())
+		}
+		return out.Bytes()
+	}
+	if got, want := stream(s), s.Snapshot(); len(want) < 4*writeChunk || !bytes.Equal(got, want) {
+		t.Fatalf("the live state streamed %d bytes unlike its %d-byte snapshot", len(got), len(want))
+	}
+	if got := stream(ret.(types.StateWriter)); !bytes.Equal(got, wantRet) {
+		t.Fatalf("the retained state streamed %d bytes unlike its %d-byte snapshot", len(got), len(wantRet))
+	}
+	errStop := fmt.Errorf("stop")
+	var out bytes.Buffer
+	if err := s.WriteState(&out, func(int) error { return errStop }); err != errStop || out.Len() != 0 {
+		t.Fatalf("a refusing size returned %v after %d bytes; want its error and nothing written", err, out.Len())
+	}
+	ret.Release()
+	if err := ret.(types.StateWriter).WriteState(&out, func(int) error { return nil }); err == nil || out.Len() != 0 {
+		t.Fatal("a released state streamed")
+	}
+}

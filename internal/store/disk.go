@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,16 +35,22 @@ import (
 //
 //	"EZSN"[u64 cut][u32 crc][u32 len][payload]
 //
-// Snapshots are written to a temp file and atomically renamed into
-// place; SaveSnapshot then deletes every WAL segment (all existing
-// records are subsumed by the cut) and older snapshots, which is what
-// keeps the on-disk footprint bounded by one snapshot plus the WAL
-// since the last stable checkpoint.
+// Snapshots are streamed into a temp file behind a zero header, which is
+// patched with the checksum and length once the payload is written, and
+// then atomically renamed into place; SaveSnapshot then deletes every WAL
+// segment (all existing records are subsumed by the cut) and older
+// snapshots, which is what keeps the on-disk footprint bounded by one
+// snapshot plus the WAL since the last stable checkpoint. A temp file
+// left by a crash is never read, and Open removes it.
 const (
 	recHeader  = 4 + 4 // len + crc
 	recFixed   = 1 + 8 // kind + lsn
 	snapMagic  = "EZSN"
 	snapHeader = 4 + 8 + 4 + 4 // magic + cut + crc + len
+	snapTemp   = "snap.tmp"
+
+	// snapBufferBytes is the buffer a snapshot streams through to its file.
+	snapBufferBytes = 32 << 10
 
 	// DefaultSegmentBytes is the rotation threshold for WAL segments.
 	DefaultSegmentBytes = 1 << 20
@@ -66,9 +75,26 @@ type Disk struct {
 	segBytes int64
 	buf      []byte // frame scratch
 	unsynced bool
+
+	snapOut snapSink      // the temp file a snapshot streams into
+	snapBuf *bufio.Writer // in front of snapOut, reused across snapshots
 }
 
-var _ Store = (*Disk)(nil)
+// snapSink writes a snapshot's payload to its file, keeping the CRC-32 and
+// the length of what went through.
+type snapSink struct {
+	f   *os.File
+	crc uint32
+	n   int64
+}
+
+func (s *snapSink) Write(p []byte) (int, error) {
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p)
+	s.n += int64(len(p))
+	return s.f.Write(p)
+}
+
+var _ Streamer = (*Disk)(nil)
 
 // OpenDisk opens (or creates) the store under dir. When fsync is set,
 // Sync and SaveSnapshot force the data to stable storage; without it
@@ -99,6 +125,10 @@ type segment struct {
 // truncate the WAL at the first invalid record, and position the next
 // LSN after everything durable.
 func (d *Disk) recover() error {
+	// A temp snapshot is one a crash cut short: never adopted.
+	if err := os.Remove(filepath.Join(d.dir, snapTemp)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: %w", err)
+	}
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -244,10 +274,14 @@ func (d *Disk) Sync() error {
 	return nil
 }
 
-// SaveSnapshot implements Store: temp-write + atomic rename, then every
-// WAL segment (all subsumed by the cut) and older snapshots are
-// deleted.
-func (d *Disk) SaveSnapshot(data []byte) error {
+// SaveSnapshot implements Store.
+func (d *Disk) SaveSnapshot(data []byte) error { return d.StreamSnapshot(writeBytes(data)) }
+
+// StreamSnapshot implements Streamer: the payload streams into a temp file
+// through one reused buffer, the header is patched in, and the file is
+// atomically renamed into place; then every WAL segment (all subsumed by
+// the cut) and older snapshots are deleted.
+func (d *Disk) StreamSnapshot(write func(w io.Writer) error) error {
 	if d.seg == nil {
 		return fmt.Errorf("store: closed")
 	}
@@ -255,26 +289,8 @@ func (d *Disk) SaveSnapshot(data []byte) error {
 		return err
 	}
 	cut := d.next - 1
-	tmp := filepath.Join(d.dir, "snap.tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	hdr := make([]byte, 0, snapHeader)
-	hdr = append(hdr, snapMagic...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, cut)
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(data))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(data)))
-	if _, err := f.Write(hdr); err == nil {
-		_, err = f.Write(data)
-	}
-	if err == nil && d.fsync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	tmp := filepath.Join(d.dir, snapTemp)
+	if err := d.writeSnapshot(tmp, cut, write); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
@@ -310,6 +326,51 @@ func (d *Disk) SaveSnapshot(data []byte) error {
 	}
 	d.unsynced = false
 	return d.openSegment()
+}
+
+// writeSnapshot streams one snapshot file to path: a zero header, the
+// payload write produces, then the header with the payload's checksum and
+// length, and an fsync if configured.
+func (d *Disk) writeSnapshot(path string, cut uint64, write func(w io.Writer) error) (err error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	var hdr [snapHeader]byte
+	if _, err := f.Write(hdr[:]); err != nil {
+		return err
+	}
+	d.snapOut = snapSink{f: f}
+	defer func() { d.snapOut.f = nil }()
+	if d.snapBuf == nil {
+		d.snapBuf = bufio.NewWriterSize(&d.snapOut, snapBufferBytes)
+	}
+	d.snapBuf.Reset(&d.snapOut)
+	if err := write(d.snapBuf); err != nil {
+		return err
+	}
+	if err := d.snapBuf.Flush(); err != nil {
+		return err
+	}
+	if d.snapOut.n > math.MaxUint32 {
+		return fmt.Errorf("%d bytes do not fit the snapshot header", d.snapOut.n)
+	}
+	copy(hdr[:], snapMagic)
+	binary.LittleEndian.PutUint64(hdr[4:12], cut)
+	binary.LittleEndian.PutUint32(hdr[12:16], d.snapOut.crc)
+	binary.LittleEndian.PutUint32(hdr[16:20], uint32(d.snapOut.n))
+	if _, err := f.WriteAt(hdr[:], 0); err != nil {
+		return err
+	}
+	if d.fsync {
+		return f.Sync()
+	}
+	return nil
 }
 
 // LoadSnapshot implements Store.

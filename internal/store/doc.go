@@ -30,8 +30,10 @@
 // path; no safety property rests on the final handler's records
 // surviving. With fsync disabled (the default off the -fsync flag),
 // Sync only flushes to the OS: the WAL survives process crashes but not
-// power loss. SaveSnapshot runs synchronously in the checkpoint
-// handler; on large application state expect a periodic latency spike
+// power loss. A snapshot is cut synchronously in the checkpoint handler,
+// streamed (Streamer.StreamSnapshot) from the replica's state through a
+// small buffer into the file: nothing proportional to the state is
+// allocated, but the handler still takes time proportional to it, once
 // per checkpoint interval (fsync on makes it a stable-storage barrier).
 //
 // # On-disk format
@@ -43,8 +45,10 @@
 //
 // WAL records are framed [u32 len][u32 crc][u8 kind][u64 lsn][payload]
 // with CRC-32/IEEE over kind+lsn+payload; snapshots are
-// "EZSN"[u64 cut][u32 crc][u32 len][payload], written to a temp file
-// and atomically renamed. Segments rotate at Disk.MaxSegmentBytes;
+// "EZSN"[u64 cut][u32 crc][u32 len][payload], streamed into a temp file
+// (snap.tmp) behind a zero header that is patched once the payload is
+// written, and atomically renamed. A temp file a crash left is never
+// read; opening the store removes it. Segments rotate at Disk.MaxSegmentBytes;
 // SaveSnapshot deletes every segment (the cut subsumes them) and older
 // snapshots, bounding disk usage to one snapshot plus the WAL written
 // since the last stable checkpoint — the durable mirror of the

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Backend names a durability backend for the factory.
@@ -48,7 +50,7 @@ type Record struct {
 // subsumes every record appended so far, and prunes those records: a
 // subsequent Replay yields only records appended after the snapshot.
 // Tying SaveSnapshot to the checkpoint low-water mark is what keeps the
-// durable footprint bounded.
+// durable footprint bounded. A Streamer also takes the dump as a stream.
 type Store interface {
 	// Append buffers one record and returns its assigned LSN (>= 1).
 	Append(kind uint8, data []byte) (uint64, error)
@@ -69,6 +71,25 @@ type Store interface {
 	Empty() bool
 	// Close releases resources; the Store is unusable afterwards.
 	Close() error
+}
+
+// Streamer is a Store that takes its snapshot as a stream, so that
+// neither the replica nor the store holds the dump whole in memory.
+// StreamSnapshot does what SaveSnapshot does, with the bytes write writes
+// to the io.Writer it is handed; if write, or the store, fails, the
+// previous snapshot and the records stay as they were. Both backends are
+// Streamers, and their SaveSnapshot is StreamSnapshot of its bytes.
+type Streamer interface {
+	Store
+	StreamSnapshot(write func(w io.Writer) error) error
+}
+
+// writeBytes is the snapshot stream of data.
+func writeBytes(data []byte) func(w io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
 }
 
 // ErrFsyncNeedsDisk is returned by Open when fsync is asked of a backend
@@ -107,7 +128,7 @@ type Memory struct {
 	synced  int    // records made durable by the last Sync
 }
 
-var _ Store = (*Memory)(nil)
+var _ Streamer = (*Memory)(nil)
 
 // NewMemory builds an empty in-memory store.
 func NewMemory() *Memory {
@@ -134,8 +155,16 @@ func (m *Memory) Sync() error {
 }
 
 // SaveSnapshot implements Store.
-func (m *Memory) SaveSnapshot(data []byte) error {
-	m.snap = append(m.snap[:0:0], data...)
+func (m *Memory) SaveSnapshot(data []byte) error { return m.StreamSnapshot(writeBytes(data)) }
+
+// StreamSnapshot implements Streamer: the stream is copied into a new
+// buffer, which replaces the snapshot once write succeeded.
+func (m *Memory) StreamSnapshot(write func(w io.Writer) error) error {
+	buf := bytes.NewBuffer([]byte{}) // an empty snapshot is still a snapshot
+	if err := write(buf); err != nil {
+		return err
+	}
+	m.snap = buf.Bytes()
 	m.snapCut = m.next - 1
 	m.records = m.records[:0]
 	m.synced = 0

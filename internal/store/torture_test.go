@@ -22,7 +22,7 @@ func fill(t *testing.T, dir string, n int) []string {
 	var payloads []string
 	for i := 0; i < n; i++ {
 		p := fmt.Sprintf("payload-%04d", i)
-		if _, err := s.Append(uint8(i % 5), []byte(p)); err != nil {
+		if _, err := s.Append(uint8(i%5), []byte(p)); err != nil {
 			t.Fatal(err)
 		}
 		payloads = append(payloads, p)

@@ -24,7 +24,7 @@ type chanProc struct {
 	out chan codec.Message
 }
 
-func (p *chanProc) ID() types.NodeID { return p.id }
+func (p *chanProc) ID() types.NodeID  { return p.id }
 func (p *chanProc) Init(proc.Context) {}
 func (p *chanProc) Receive(_ proc.Context, _ types.NodeID, msg codec.Message) {
 	select {

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"slices"
 )
 
@@ -282,6 +283,40 @@ type Snapshotter interface {
 	// Restore replaces the application state with a previously captured
 	// snapshot.
 	Restore(snap []byte) error
+}
+
+// StateWriter is the optional capability that lets a replica stream a
+// serialized state into its durable snapshot instead of building it in
+// memory first: a Snapshotter implements it for its current final state, a
+// Retained for the state it pins (the reference key-value store does both).
+// Without it the state's Snapshot bytes are written (StateBytes).
+type StateWriter interface {
+	// WriteState writes exactly the bytes Snapshot returns to w. Before the
+	// first of them it calls size with their number, so the caller can
+	// length-prefix them; an error from size or from w aborts the write
+	// and is returned.
+	WriteState(w io.Writer, size func(n int) error) error
+}
+
+// StateBytes is a state already serialized, as a StateWriter.
+type StateBytes []byte
+
+// WriteState implements StateWriter.
+func (b StateBytes) WriteState(w io.Writer, size func(n int) error) error {
+	if err := size(len(b)); err != nil {
+		return err
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// LiveState returns the writer of app's current final state: app itself
+// if it is a StateWriter, else its Snapshot bytes.
+func LiveState(app Snapshotter) StateWriter {
+	if sw, ok := app.(StateWriter); ok {
+		return sw
+	}
+	return StateBytes(app.Snapshot())
 }
 
 // Retainer is the optional capability a Snapshotter adds so that a
