@@ -91,3 +91,19 @@ func TestReaderRefusesLongVarints(t *testing.T) {
 		t.Fatalf("shortest forms refused: %v", r.Err())
 	}
 }
+
+// TestMemoStats: lookups for decoded and for sent values are counted apart,
+// each as a hit or a miss, as the decoder that made them counts them.
+func TestMemoStats(t *testing.T) {
+	m := NewMemo()
+	m.Decoded.Count(true)
+	m.Decoded.Count(false)
+	m.Decoded.Count(false)
+	m.Sent.Count(true)
+	m.Sent.Count(true)
+	m.Sent.Count(false)
+	want := MemoStats{Hits: 1, Misses: 2, SentHits: 2, SentMisses: 1}
+	if got := m.Stats(); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+}

@@ -3,6 +3,8 @@ package codec
 import (
 	"fmt"
 	"sync"
+
+	"ezbft/internal/types"
 )
 
 // Message is the interface every wire message implements. Type tags are
@@ -49,14 +51,49 @@ func Marshal(m Message) []byte {
 	return w.Bytes()
 }
 
+// Tailored is implemented by a message whose encoding may depend on the
+// node it is sent to. Every encoding decodes to an equally valid message;
+// a transport that encodes per destination writes MarshalFor's, one that
+// hands the value over ignores it.
+type Tailored interface {
+	Message
+	// MarshalFor appends the body (excluding the tag) that destination to
+	// is sent, in the place of MarshalTo's.
+	MarshalFor(w *Writer, to types.NodeID)
+}
+
 // AppendMarshal appends a full framed message (tag byte + body) to dst and
 // returns the extended slice. It is the allocation-free variant of Marshal
 // for callers that manage their own (typically pooled) buffers.
 func AppendMarshal(dst []byte, m Message) []byte {
-	w := Writer{buf: dst}
-	w.Uint8(m.Tag())
-	m.MarshalTo(&w)
-	return w.buf
+	return appendMarshal(dst, m, nil, 0)
+}
+
+// AppendMarshalFor is AppendMarshal for a message sent to node to: a
+// Tailored message's encoding for that destination, any other's one
+// encoding.
+func AppendMarshalFor(dst []byte, m Message, to types.NodeID) []byte {
+	t, _ := m.(Tailored)
+	return appendMarshal(dst, m, t, to)
+}
+
+// appendMarshal writes m's tag and then its body into dst: t's for to when t
+// is not nil. A Writer handed to a method of an interface value escapes, so
+// a pooled one carries dst instead of one made here, and gets its own buffer
+// back before it returns to the pool.
+func appendMarshal(dst []byte, m Message, t Tailored, to types.NodeID) []byte {
+	w := writerPool.Get().(*Writer)
+	own := w.buf
+	w.buf = append(dst, m.Tag())
+	if t != nil {
+		t.MarshalFor(w, to)
+	} else {
+		m.MarshalTo(w)
+	}
+	dst = w.buf
+	w.buf = own[:0]
+	writerPool.Put(w)
+	return dst
 }
 
 // MarshalBody encodes only the message body (no tag). This is the byte

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"slices"
 
 	"ezbft/internal/codec"
@@ -433,19 +434,14 @@ func (r *Replica) advanceExecMark(ctx proc.Context, spaceID types.ReplicaID) {
 }
 
 // chainExecDigest extends a space's execution digest with one slot's
-// committed batch digest.
+// committed batch digest: the hash of prev ‖ slot (8 bytes, big-endian) ‖ d,
+// hashed in one call over a fixed array, which allocates nothing.
 func chainExecDigest(prev types.Digest, slot uint64, d types.Digest) types.Digest {
-	h := sha256.New()
-	h.Write(prev[:])
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(slot >> (56 - 8*i))
-	}
-	h.Write(buf[:])
-	h.Write(d[:])
-	var out types.Digest
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [32 + 8 + 32]byte
+	copy(buf[:32], prev[:])
+	binary.BigEndian.PutUint64(buf[32:40], slot)
+	copy(buf[40:], d[:])
+	return sha256.Sum256(buf[:])
 }
 
 // emitCheckpoint broadcasts this replica's vote for the space's current

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"slices"
 
 	"ezbft/internal/types"
@@ -207,21 +208,16 @@ func newSpace() *space {
 	}
 }
 
-// extendHash chains a new instance into the space digest.
+// extendHash chains a new instance into the space digest: the hash of the
+// digest so far ‖ space (4 bytes) ‖ slot (8 bytes, both big-endian) ‖ d,
+// hashed in one call over a fixed array, which allocates nothing.
 func (s *space) extendHash(inst types.InstanceID, d types.Digest) {
-	h := sha256.New()
-	h.Write(s.logHash[:])
-	var buf [12]byte
-	buf[0] = byte(uint32(inst.Space) >> 24)
-	buf[1] = byte(uint32(inst.Space) >> 16)
-	buf[2] = byte(uint32(inst.Space) >> 8)
-	buf[3] = byte(uint32(inst.Space))
-	for i := 0; i < 8; i++ {
-		buf[4+i] = byte(inst.Slot >> (56 - 8*i))
-	}
-	h.Write(buf[:])
-	h.Write(d[:])
-	copy(s.logHash[:], h.Sum(nil))
+	var buf [32 + 4 + 8 + 32]byte
+	copy(buf[:32], s.logHash[:])
+	binary.BigEndian.PutUint32(buf[32:36], uint32(inst.Space))
+	binary.BigEndian.PutUint64(buf[36:44], inst.Slot)
+	copy(buf[44:], d[:])
+	s.logHash = sha256.Sum256(buf[:])
 }
 
 // cmdLog is a replica's full command log: one space per replica.

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
+	"ezbft/internal/race"
 	"ezbft/internal/types"
 )
 
@@ -178,5 +181,51 @@ func TestDepIndexProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChainedDigestsMatchStreamingForm: a space's log hash and its execution
+// digest are hashed in one call over a fixed array, and equal, link by link,
+// what streaming the same fields through a SHA-256 state gives — the form
+// that wrote every recorded snapshot and signed SPECORDER before — while
+// allocating nothing.
+func TestChainedDigestsMatchStreamingForm(t *testing.T) {
+	streamed := func(prev types.Digest, fields ...[]byte) types.Digest {
+		h := sha256.New()
+		h.Write(prev[:])
+		for _, f := range fields {
+			h.Write(f)
+		}
+		var out types.Digest
+		copy(out[:], h.Sum(nil))
+		return out
+	}
+	sp := newSpace()
+	var logHash, execDigest types.Digest
+	for i, inst := range []types.InstanceID{
+		{Space: 0, Slot: 1}, {Space: 3, Slot: 2}, {Space: 1, Slot: 1 << 40}, {Space: -1, Slot: ^uint64(0)}, {Space: 1 << 30, Slot: 0},
+	} {
+		d := sha256.Sum256([]byte{byte(i)})
+		var where [12]byte
+		binary.BigEndian.PutUint32(where[:4], uint32(inst.Space))
+		binary.BigEndian.PutUint64(where[4:], inst.Slot)
+		logHash = streamed(logHash, where[:], d[:])
+		if sp.extendHash(inst, d); sp.logHash != logHash {
+			t.Fatalf("link %d: log hash %x, streamed %x", i, sp.logHash, logHash)
+		}
+		want := streamed(execDigest, where[4:], d[:])
+		if execDigest = chainExecDigest(execDigest, inst.Slot, d); execDigest != want {
+			t.Fatalf("link %d: execution digest %x, streamed %x", i, execDigest, want)
+		}
+	}
+	if race.Enabled {
+		return // the race detector changes allocation counts
+	}
+	d := types.Digest{9}
+	if got := testing.AllocsPerRun(100, func() {
+		sp.extendHash(types.InstanceID{Space: 2, Slot: 7}, d)
+		execDigest = chainExecDigest(execDigest, 7, d)
+	}); got != 0 {
+		t.Errorf("chaining one link allocates %v objects, want 0", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"ezbft/internal/codec"
 	"ezbft/internal/race"
+	"ezbft/internal/types"
 )
 
 // specOrderBytes is a SPECORDER's encoding without its tag: the span a
@@ -29,12 +30,26 @@ func batchedSpecOrder() *SpecOrder {
 	return so
 }
 
+// specReplyBytes is a SPECREPLY's encoding without its tag: the span a
+// replica's transport keeps it under when it sends it, and a certificate
+// carries it as.
+func specReplyBytes(sr *SpecReply) []byte {
+	w := codec.NewWriter(512)
+	sr.MarshalTo(w)
+	return w.Bytes()
+}
+
 // TestMemoizedDecodeAllocations: once a node holds a SPECORDER, a SPECREPLY
 // embedding it decodes to the message and its signature, a COMMITFAST to the
 // message, its certificate slice and reply, the reply's signature, the
 // signer list and 3 signatures — the SPECORDER's 5 objects are gone from
 // both (TestFastPathDecodeAllocations counts them without a memo) and the
-// reply points at the very value the node holds.
+// reply points at the very value the node holds. A certificate tailored to
+// the decoding replica, whose memo holds the reply it sent, allocates no
+// SPECREPLY and no SPECORDER: a COMMITFAST decodes to the message, its
+// certificate slice, the signer list and 3 signatures, a compact COMMIT to
+// the message and the client's signature, the certificate slice, the signer
+// list and 2 signatures, and both carry the very reply the replica sent.
 func TestMemoizedDecodeAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -46,15 +61,24 @@ func TestMemoizedDecodeAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := m.(*SpecOrder)
+	sent := replies[1] // what replica 1, the decoding node, sent
+	memo.Store(specReplyBytes(sent), sent)
+	compact := &Commit{
+		Client: sent.Client, Timestamp: sent.Timestamp, Inst: sent.Inst, Seq: sent.Seq,
+		Cert: replies[:1], Sigs: cf.Sigs[:2], Sig: bytes.Repeat([]byte{0x5A}, 32),
+	}
+	self := types.ReplicaNode(sent.Replica)
 	for _, tc := range []struct {
-		name string
-		msg  codec.Message
-		want float64
+		name  string
+		frame []byte
+		want  float64
 	}{
-		{"SPECREPLY", replies[1], 2},
-		{"COMMITFAST", cf, 8},
+		{"SPECREPLY", codec.Marshal(replies[1]), 2},
+		{"COMMITFAST", codec.Marshal(cf), 8},
+		{"COMMITFAST carrying the replica's own reply", codec.AppendMarshalFor(nil, cf, self), 6},
+		{"compact COMMIT carrying the replica's own reply", codec.AppendMarshalFor(nil, compact, self), 6},
 	} {
-		frame := codec.Marshal(tc.msg)
+		frame := tc.frame
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := memo.Unmarshal(frame); err != nil {
 				t.Fatal(err)
@@ -77,6 +101,15 @@ func TestMemoizedDecodeAllocations(t *testing.T) {
 	}
 	if got := out.(*CommitFast).Cert[0].SO; got != held {
 		t.Error("the COMMITFAST's SPECORDER is not the value the memo holds")
+	}
+	for _, msg := range []codec.Message{cf, compact} {
+		out, err := memo.Unmarshal(codec.AppendMarshalFor(nil, msg, self))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cert, _ := out.(certified).certificate(); cert[0] != sent {
+			t.Errorf("the %T tailored to replica 1 does not carry the reply it sent", msg)
+		}
 	}
 }
 
@@ -136,10 +169,13 @@ func TestMemoExactBytes(t *testing.T) {
 }
 
 // TestMemoConcurrentDecoders: four goroutines decode overlapping SPECORDER,
-// SPECREPLY and COMMITFAST frames through one memo, each in its own order;
-// every message re-marshals to its frame. Run it under the race detector.
+// SPECREPLY and COMMITFAST frames, the COMMITFASTs also tailored to replica
+// 1, through one memo, each in its own order, while a fifth stores replica
+// 1's replies as its transport does when it sends them; every message
+// re-marshals to its frame. Run it under the race detector.
 func TestMemoConcurrentDecoders(t *testing.T) {
-	var frames [][]byte
+	var frames, sent [][]byte
+	var sentReplies []*SpecReply
 	for k := 0; k < 24; k++ {
 		so, replies, cf := fastPathFrames()
 		so.Inst.Slot += uint64(k)
@@ -153,15 +189,25 @@ func TestMemoConcurrentDecoders(t *testing.T) {
 		for _, sr := range replies {
 			sr.SO = so
 		}
-		frames = append(frames, codec.Marshal(so), codec.Marshal(cf))
+		frames = append(frames, codec.Marshal(so), codec.Marshal(cf), codec.AppendMarshalFor(nil, cf, types.ReplicaNode(1)))
 		for _, sr := range replies {
 			frames = append(frames, codec.Marshal(sr))
 		}
+		sent, sentReplies = append(sent, specReplyBytes(replies[1])), append(sentReplies, replies[1])
 	}
 	memo := codec.NewMemo()
 	const workers, rounds = 4, 40
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := 0; round < rounds; round++ {
+			for j := range sent {
+				memo.Store(sent[j], sentReplies[j])
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -214,6 +260,48 @@ func FuzzSpecOrderSpan(f *testing.F) {
 		}
 		if !bytes.Equal(specOrderBytes(got), data[:dr.Offset()]) {
 			t.Fatalf("accepted %x re-marshals to %x", data[:dr.Offset()], specOrderBytes(got))
+		}
+	})
+}
+
+// FuzzSpecReplySpan pins the skip grammar a memoized decode uses to find the
+// span of a certificate's carried reply against the decoder itself, for
+// both layouts, with and without the SPECORDER: whatever the decoder
+// accepts, the skip consumes exactly the same bytes; an accepted value
+// re-marshals to them; and the skip fails only on input the decoder also
+// refuses.
+func FuzzSpecReplySpan(f *testing.F) {
+	so, replies, _ := fastPathFrames()
+	bare := *replies[1]
+	bare.SO = nil
+	batched := *replies[2]
+	batched.SO = batchedSpecOrder()
+	batched.Batched, batched.BatchIdx, batched.SORef = true, 0, batched.SO.CmdDigest
+	slimmed := batched
+	slimmed.SO, slimmed.BatchIdx = nil, 2
+	withDeps := sampleSpecReply()
+	withDeps.SO = so
+	f.Add(specReplyBytes(replies[1]), false)
+	f.Add(specReplyBytes(&bare), false)
+	f.Add(specReplyBytes(withDeps), false)
+	f.Add(specReplyBytes(&batched), true)
+	f.Add(specReplyBytes(&slimmed), true)
+	f.Fuzz(func(t *testing.T, data []byte, batched bool) {
+		dr := codec.NewReader(data)
+		got, derr := decodeSpecReplyFmt(dr, batched, true)
+		sr := codec.NewReader(data)
+		serr := skipSpecReply(sr, batched)
+		if derr != nil {
+			return
+		}
+		if serr != nil {
+			t.Fatalf("decoder accepted %x, skip failed: %v", data, serr)
+		}
+		if sr.Offset() != dr.Offset() {
+			t.Fatalf("decoder consumed %d bytes, skip %d", dr.Offset(), sr.Offset())
+		}
+		if !bytes.Equal(specReplyBytes(got), data[:dr.Offset()]) {
+			t.Fatalf("accepted %x re-marshals to %x", data[:dr.Offset()], specReplyBytes(got))
 		}
 	})
 }

@@ -82,6 +82,18 @@
 // pass the same checks: signatures on the verifier pool (preVerifyCert) and
 // signers, quorum and proposal in the loop (validateCert).
 //
+// Which signer's reply a compact certificate (a COMMITFAST's, or a COMMIT's
+// whose replies agree) carries is the client's choice, and over TCP it picks
+// per destination (codec.Tailored): each replica that signed gets its own
+// reply as the carried one, byte for byte as it sent it. A replica's
+// transport keeps every SPECREPLY it sends in its decode memo
+// (codec.KeptWhenSent), so the certificate decodes to the reply value the
+// replica already holds, SPECORDER included, and nothing of it is parsed
+// again. A replica that signed nothing, a COMMIT whose replies disagree, and
+// every replica on the mesh and the simulator get the one form MarshalTo
+// writes. What a replica stores of a COMMIT it writes in one form whichever
+// it was sent (Commit.marshalCanonical), so honest replicas' records agree.
+//
 // # Where a replica's commits come from
 //
 // A replica learns that an instance committed from the client: its
@@ -152,6 +164,7 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
@@ -390,7 +403,9 @@ func decodeSpecOrderFmt(r *codec.Reader, batched bool) (*SpecOrder, error) {
 	// The two layouts never share a span: the unbatched one is a strict
 	// prefix of the batched one.
 	span := r.Since(start)
-	if so, ok := memo.Lookup(span).(*SpecOrder); ok {
+	so, ok := memo.Lookup(span).(*SpecOrder)
+	memo.Decoded.Count(ok)
+	if ok {
 		return so, nil
 	}
 	r.Rewind(start)
@@ -517,6 +532,11 @@ func (m *SpecReply) MarshalTo(w *codec.Writer) {
 	m.marshalSigned(w)
 	marshalSpecOrderPtr(w, m.SO)
 }
+
+// KeepWhenSent implements codec.KeptWhenSent: the client's certificate
+// brings every replica that signed a reply that very reply back
+// (CommitFast.MarshalFor), so the replica's transport keeps what it sends.
+func (m *SpecReply) KeepWhenSent() {}
 
 // marshalSigned writes the signed body and the signature without the
 // SPECORDER riding along: the form of every COMMIT certificate element after
@@ -647,6 +667,67 @@ func decodeSpecReplyFmt(r *codec.Reader, batched, withSO bool) (*SpecReply, erro
 	return m, r.Err()
 }
 
+// skipSpecReply moves r past a SPECREPLY and the SPECORDER pointer after it
+// without decoding them. Wherever decodeSpecReplyFmt(r, batched, true)
+// succeeds, it succeeds too and consumes the same bytes.
+func skipSpecReply(r *codec.Reader, batched bool) error {
+	r.Uvarint()
+	r.Instance()
+	r.SkipInstanceSet()
+	r.Uvarint()
+	r.Bytes32()
+	r.Int32()
+	r.Uvarint()
+	r.Int32()
+	r.Bool()
+	r.SkipBlob()
+	if batched {
+		if r.Uvarint() >= maxBatch {
+			return codec.ErrOverflow
+		}
+		r.Bytes32()
+	}
+	r.SkipBlob()
+	switch marker := r.Uint8(); marker {
+	case fmtAbsent:
+	case fmtSingle, fmtBatched:
+		return skipSpecOrder(r, marker == fmtBatched)
+	default:
+		if err := r.Err(); err != nil {
+			return err
+		}
+		return codec.ErrUnknownType
+	}
+	return r.Err()
+}
+
+// decodeCarriedReply parses the reply a certificate carries with its
+// SPECORDER: a COMMITFAST's, or a COMMIT's first. The client sends each
+// replica that signed it the reply that replica sent (CommitFast.MarshalFor),
+// which the replica's memo holds, so with a memo on the reader it skips over
+// the reply first and returns the value the memo holds for exactly those
+// bytes; otherwise, or on a miss, it decodes them.
+func decodeCarriedReply(r *codec.Reader, batched bool) (*SpecReply, error) {
+	memo := r.Memo()
+	if memo == nil {
+		return decodeSpecReplyFmt(r, batched, true)
+	}
+	start := r.Offset()
+	if err := skipSpecReply(r, batched); err != nil {
+		return nil, err
+	}
+	// A held reply's layout is its own; one in the other layout that
+	// happened to share these bytes is not this frame's reply.
+	sr, ok := memo.Lookup(r.Since(start)).(*SpecReply)
+	ok = ok && sr.Batched == batched
+	memo.Sent.Count(ok)
+	if ok {
+		return sr, nil
+	}
+	r.Rewind(start)
+	return decodeSpecReplyFmt(r, batched, true)
+}
+
 // maxSigners bounds the replicas a certificate can name, and with them the
 // cluster size: engine.ReplicaSet is one machine word.
 const maxSigners = engine.MaxReplicas
@@ -661,7 +742,9 @@ type ReplySig struct {
 // CommitFast is the client's asynchronous fast-path commit announcement,
 // ⟨COMMITFAST, c, I, CC⟩. The paper's CC is 3f+1 matching SPECREPLYs, which
 // by definition differ only in sender and signature, so the message carries
-// the reply once and the other senders as (replica, signature) pairs.
+// the reply once and the other senders as (replica, signature) pairs. Over
+// TCP the carried reply is the recipient's own: every replica signed one,
+// and MarshalFor writes the certificate around it.
 type CommitFast struct {
 	Client types.ClientID
 	Inst   types.InstanceID
@@ -693,6 +776,60 @@ func (m *CommitFast) MarshalTo(w *codec.Writer) {
 	marshalSigs(w, m.Sigs)
 }
 
+// MarshalFor implements codec.Tailored: MarshalTo's encoding with the
+// carried reply the one replica to sent (marshalCompactAs).
+func (m *CommitFast) MarshalFor(w *codec.Writer, to types.NodeID) {
+	if !to.IsReplica() {
+		m.MarshalTo(w)
+		return
+	}
+	w.Int32(int32(m.Client))
+	w.Instance(m.Inst)
+	marshalCompactAs(w, m.Cert[0], m.Sigs, to.Replica())
+}
+
+// marshalCompactAs writes a compact certificate — the reply first, then the
+// signer pairs sigs — with the reply lead signed carried: first's body with
+// lead in the Replica field and lead's signature, which is byte for byte the
+// reply lead sent (matching replies differ only in signer and signature),
+// with first's SPECORDER, and then the other signers in replica order. Where
+// lead signed nothing, or the signers are not distinct replicas (no valid
+// certificate to rewrite), it writes the certificate as it is.
+func marshalCompactAs(w *codec.Writer, first *SpecReply, sigs []ReplySig, lead types.ReplicaID) {
+	var signers engine.ReplicaSet
+	ok := signers.Add(first.Replica, maxSigners)
+	for _, s := range sigs {
+		ok = signers.Add(s.Replica, maxSigners) && ok
+	}
+	if !ok || lead < 0 || lead >= maxSigners || !signers.Has(lead) {
+		first.MarshalTo(w)
+		marshalSigs(w, sigs)
+		return
+	}
+	first.marshalBodyAs(w, lead)
+	w.Blob(signatureOf(first, sigs, lead))
+	marshalSpecOrderPtr(w, first.SO)
+	w.Uvarint(uint64(len(sigs)))
+	for set := signers &^ (1 << lead); set != 0; set &= set - 1 {
+		id := types.ReplicaID(bits.TrailingZeros64(uint64(set)))
+		w.Int32(int32(id))
+		w.Blob(signatureOf(first, sigs, id))
+	}
+}
+
+// signatureOf returns signer id's signature in a compact certificate.
+func signatureOf(first *SpecReply, sigs []ReplySig, id types.ReplicaID) []byte {
+	if id == first.Replica {
+		return first.Sig
+	}
+	for _, s := range sigs {
+		if s.Replica == id {
+			return s.Sig
+		}
+	}
+	return nil
+}
+
 // certificate returns the replies and signer pairs the message carries.
 func (m *CommitFast) certificate() ([]*SpecReply, []ReplySig) { return m.Cert, m.Sigs }
 
@@ -701,7 +838,7 @@ func decodeCommitFast(r *codec.Reader, batched bool) (*CommitFast, error) {
 		Client: types.ClientID(r.Int32()),
 		Inst:   r.Instance(),
 	}
-	sr, err := decodeSpecReplyFmt(r, batched, true)
+	sr, err := decodeCarriedReply(r, batched)
 	if err != nil {
 		return nil, err
 	}
@@ -749,9 +886,14 @@ func decodeCert(r *codec.Reader, batched bool) ([]*SpecReply, error) {
 	if n > maxSigners {
 		return nil, codec.ErrOverflow
 	}
-	cert := make([]*SpecReply, 0, n)
-	for i := uint64(0); i < n; i++ {
-		sr, err := decodeSpecReplyFmt(r, batched, i == 0)
+	first, err := decodeCarriedReply(r, batched)
+	if err != nil {
+		return nil, err
+	}
+	cert := make([]*SpecReply, 1, n)
+	cert[0] = first
+	for i := uint64(1); i < n; i++ {
+		sr, err := decodeSpecReplyFmt(r, batched, false)
 		if err != nil {
 			return nil, err
 		}
@@ -765,7 +907,8 @@ func decodeCert(r *codec.Reader, batched bool) ([]*SpecReply, error) {
 // replies agree, CC travels as a COMMITFAST's does: Cert holds the one reply
 // (with its SPECORDER) and Sigs the other signers' signatures over its body
 // (tags 67 and 68). Otherwise Cert holds every reply and Sigs is empty (tags
-// 14 and 24); only Cert[0]'s SPECORDER travels then.
+// 14 and 24); only Cert[0]'s SPECORDER travels then. Over TCP the compact
+// form's reply is the recipient's own where it signed one (MarshalFor).
 type Commit struct {
 	Client    types.ClientID
 	Timestamp uint64
@@ -818,6 +961,44 @@ func (m *Commit) MarshalTo(w *codec.Writer) {
 	if len(m.Sigs) > 0 {
 		marshalSigs(w, m.Sigs)
 	}
+}
+
+// MarshalFor implements codec.Tailored: a compact COMMIT carries the reply
+// replica to sent, as a COMMITFAST does (marshalCompactAs). The full form,
+// whose replies disagree, is written as MarshalTo writes it for everyone.
+// The client's signature covers neither the certificate nor its order.
+func (m *Commit) MarshalFor(w *codec.Writer, to types.NodeID) {
+	if len(m.Sigs) == 0 || len(m.Cert) != 1 || !to.IsReplica() {
+		m.MarshalTo(w)
+		return
+	}
+	m.marshalCompactAs(w, to.Replica())
+}
+
+// marshalCanonical writes the encoding a replica stores for the commit (a
+// log record, a catch-up suffix, an owner-change history): MarshalTo's,
+// with a compact certificate in the one form its signer set determines —
+// the lowest signer's reply carried, the others in replica order — so that
+// replicas sent the certificate tailored each to itself store the same
+// bytes, which catch-up compares across responders (histEntryEqual).
+func (m *Commit) marshalCanonical(w *codec.Writer) {
+	if len(m.Sigs) == 0 || len(m.Cert) != 1 {
+		m.MarshalTo(w)
+		return
+	}
+	lowest := m.Cert[0].Replica
+	for _, s := range m.Sigs {
+		lowest = min(lowest, s.Replica)
+	}
+	m.marshalCompactAs(w, lowest)
+}
+
+// marshalCompactAs writes a compact COMMIT with lead's reply carried.
+func (m *Commit) marshalCompactAs(w *codec.Writer, lead types.ReplicaID) {
+	m.MarshalBody(w)
+	w.Blob(m.Sig)
+	w.Uvarint(1)
+	marshalCompactAs(w, m.Cert[0], m.Sigs, lead)
 }
 
 func (m *Commit) MarshalBody(w *codec.Writer) {
@@ -1013,7 +1194,7 @@ func (h *HistEntry) marshalTo(w *codec.Writer) {
 		w.Uint8(fmtAbsent)
 	} else {
 		w.Uint8(commitMarker(h.ClientCommit.Tag()))
-		h.ClientCommit.MarshalTo(w)
+		h.ClientCommit.marshalCanonical(w)
 	}
 	if len(h.Batch) > 0 {
 		w.Uvarint(uint64(len(h.Batch)))

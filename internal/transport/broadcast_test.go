@@ -34,9 +34,22 @@ func (p *chanProc) Receive(_ proc.Context, _ types.NodeID, msg codec.Message) {
 }
 func (p *chanProc) OnTimer(proc.Context, proc.TimerID) {}
 
+// tailoredMsg is a fakeMsg whose encoding for a destination carries 10 ×
+// its id plus the destination's.
+type tailoredMsg struct{ fakeMsg }
+
+func (m *tailoredMsg) MarshalFor(w *codec.Writer, to types.NodeID) { w.Uvarint(10*m.id + uint64(to)) }
+
+// keptMsg is a fakeMsg its sender keeps in its memo.
+type keptMsg struct{ fakeMsg }
+
+func (m *keptMsg) KeepWhenSent() {}
+
 // TestTCPSendAllEncodeOnce: SendAll writes one identical frame to every
 // peer; each receiver decodes the same logical message, and a self-send
-// loops back the decoded value.
+// loops back the decoded value. A codec.Tailored message reaches each peer
+// in its encoding for that peer, and a codec.KeptWhenSent one is in the
+// sender's memo under the span it marshaled to once it is sent.
 func TestTCPSendAllEncodeOnce(t *testing.T) {
 	const n = 3
 	type rx struct {
@@ -102,6 +115,35 @@ func TestTCPSendAllEncodeOnce(t *testing.T) {
 		}
 		if i == 0 && got != codec.Message(msg) {
 			t.Fatal("self-send must loop back the decoded message value")
+		}
+	}
+
+	if err := peers[0].SendAll(types.ReplicaNode(0), tos[1:], &tailoredMsg{fakeMsg{id: 4}}); err != nil {
+		t.Fatalf("SendAll: %v", err)
+	}
+	kept := &keptMsg{fakeMsg{id: 5}}
+	if err := peers[0].Send(types.ReplicaNode(0), types.ReplicaNode(1), kept); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if peers[0].memo.Lookup([]byte{5}) != codec.Message(kept) {
+		t.Error("a sent KeptWhenSent message is not in the sender's memo")
+	}
+	for i := 1; i < n; i++ {
+		want := uint64(40 + i)
+		for {
+			boxes[i].mu.Lock()
+			got := boxes[i].got
+			boxes[i].mu.Unlock()
+			if len(got) >= 2 {
+				if fm := got[1].(*fakeMsg); fm.id != want {
+					t.Fatalf("peer %d received the tailored message as %d, want %d", i, fm.id, want)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("peer %d did not receive the tailored message", i)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

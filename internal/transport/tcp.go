@@ -73,7 +73,7 @@ const (
 // connection and then circulate through the pool. Pooled buffers are safe
 // to reuse because no decoded value aliases a frame: decoding copies every
 // variable-length field out of it, and the peer's codec.Memo copies each
-// SPECORDER span it keeps into a slot of its own.
+// span it keeps into a slot of its own.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, frameBufSize)
@@ -100,7 +100,9 @@ type TCPPeer struct {
 	onMsg func(from types.NodeID, msg codec.Message)
 	// memo is this node's alone: every connection's frames decode through
 	// it, so a SPECORDER embedded in replies and certificates is decoded
-	// once per node.
+	// once per node, and it keeps what the node sends of a
+	// codec.KeptWhenSent type, so a certificate carrying a replica's own
+	// SPECREPLY back decodes to the value the replica sent.
 	memo *codec.Memo
 
 	ln net.Listener
@@ -227,13 +229,29 @@ func (p *TCPPeer) Send(from, to types.NodeID, msg codec.Message) error {
 	// Marshal directly into a pooled buffer with the length header inline:
 	// one allocation-free encode and one Write syscall per frame.
 	bp := framePool.Get().(*[]byte)
-	frame := append((*bp)[:0], 0, 0, 0, 0)
-	frame = codec.AppendMarshal(frame, msg)
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	frame := p.encode((*bp)[:0], msg, to)
 	werr := p.write(to, conn, frame)
 	putFrame(bp, frame)
 	return werr
 }
+
+// encode appends msg's frame for destination to — length header, tag and
+// body, a codec.Tailored message's body for that destination — to dst. A
+// codec.KeptWhenSent message goes into the node's memo under the span it
+// marshaled to before any of it is written, so the message that carries it
+// back cannot be decoded first.
+func (p *TCPPeer) encode(dst []byte, msg codec.Message, to types.NodeID) []byte {
+	frame := append(dst, 0, 0, 0, 0)
+	frame = codec.AppendMarshalFor(frame, msg, to)
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	if _, ok := msg.(codec.KeptWhenSent); ok {
+		p.memo.Store(frame[len(dst)+5:], msg) // after the length header and the tag
+	}
+	return frame
+}
+
+// MemoStats returns the lookup counts of the node's decode memo.
+func (p *TCPPeer) MemoStats() codec.MemoStats { return p.memo.Stats() }
 
 // write sends one frame under its write deadline; on any failure — expiry
 // included, which may leave a partial frame on the stream — the connection
@@ -273,14 +291,18 @@ func (p *TCPPeer) backOff(to types.NodeID, err error, dialing bool) {
 // SendAll implements MultiSender: the frame is marshaled once into a
 // pooled buffer and the same bytes are written to every destination's
 // socket — replacing one marshal per destination on the broadcast-heavy
-// protocol paths. Self-sends loop back the decoded message; a failed write
-// drops that destination's connection and moves on (message loss, which
-// the protocols tolerate). The first write error is returned.
+// protocol paths. A codec.Tailored message is marshaled once per
+// destination instead, into the same buffer. Self-sends loop back the
+// decoded message; a failed write drops that destination's connection and
+// moves on (message loss, which the protocols tolerate). The first write
+// error is returned.
 func (p *TCPPeer) SendAll(from types.NodeID, tos []types.NodeID, msg codec.Message) error {
 	bp := framePool.Get().(*[]byte)
-	frame := append((*bp)[:0], 0, 0, 0, 0)
-	frame = codec.AppendMarshal(frame, msg)
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	frame := (*bp)[:0]
+	_, tailored := msg.(codec.Tailored)
+	if !tailored {
+		frame = p.encode(frame, msg, from) // one frame serves every destination
+	}
 	var firstErr error
 	for _, to := range tos {
 		if to == p.self {
@@ -293,6 +315,9 @@ func (p *TCPPeer) SendAll(from types.NodeID, tos []types.NodeID, msg codec.Messa
 				firstErr = err
 			}
 			continue
+		}
+		if tailored {
+			frame = p.encode(frame[:0], msg, to)
 		}
 		if werr := p.write(to, conn, frame); werr != nil && firstErr == nil {
 			firstErr = werr

@@ -221,6 +221,12 @@ func (r *TCPReplica) Replica() any { return engine.Unwrap(r.rep) }
 // StateDigest returns the replica's application state digest.
 func (r *TCPReplica) StateDigest() string { return r.app.Digest().String() }
 
+// memoStats returns the lookup counts of the replica's decode memo: Hits
+// and Misses those for a SPECORDER embedded in what the replica receives,
+// SentHits and SentMisses those for the SPECREPLY it gets back in a
+// client's certificate. Safe to call while the replica runs.
+func (r *TCPReplica) memoStats() codec.MemoStats { return r.peer.MemoStats() }
+
 // Close stops the replica, its transport, and its durable store. The
 // store directory survives; a replica restarted over it recovers.
 func (r *TCPReplica) Close() error {
