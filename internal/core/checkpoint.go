@@ -13,9 +13,10 @@ import (
 	"ezbft/internal/types"
 )
 
-// This file implements ezBFT's log lifecycle: checkpointing, garbage
-// collection, and state-transfer catch-up (the §V garbage-collection sketch,
-// grown into a full subsystem on the engine-level checkpointing contract).
+// This file is ezBFT's half of its log lifecycle — checkpointing, garbage
+// collection and state-transfer catch-up (the §V garbage-collection sketch,
+// grown into a full subsystem) — on the engine's Lifecycle, which all four
+// protocols share.
 //
 // # Checkpoints and truncation
 //
@@ -57,39 +58,33 @@ import (
 //
 // # Catch-up
 //
-// A replica that observes a stable checkpoint beyond the end of its own log
-// (sp.maxSlot < mark) can no longer recover the gap from retransmissions —
-// peers may have truncated it. It sends CATCHUP-REQ to one of the vouching
-// replicas; the responder answers with CATCHUP-RESP carrying (1) the
-// checkpoint proof — the 2f+1 signed CHECKPOINT votes per space — (2) an
-// application snapshot of its final state (types.Snapshotter), (3) its
-// per-client executed-timestamp table for exactly-once semantics across the
-// transfer, and (4) the suffix: every retained log entry above its
-// truncation point, with status and SPECORDER proofs. The requester
-// verifies the proof (2f+1 valid signatures over the claimed marks and
-// digests), installs the snapshot, rebuilds its protocol state from the
-// suffix, and rejoins.
+// A replica that observes a stable checkpoint it cannot reach from its own
+// log can no longer recover the gap from retransmissions — peers may have
+// truncated it. It fetches the state in the Lifecycle's transfer rounds:
+// the votes, the proof check, the rotating window of f+1 voters, the
+// back-off retry and the f+1 agreement buffer are the engine's, and logHost
+// below supplies ezBFT's payloads and trust rule. A CATCHUP-RESP carries
+// (1) the checkpoint proof — the 2f+1 signed CHECKPOINT votes per space —
+// (2) an application snapshot of the responder's final state
+// (types.Snapshotter), (3) its per-client executed-timestamp table for
+// exactly-once semantics across the transfer, and (4) the suffix: every
+// retained log entry above its truncation point, with status and SPECORDER
+// proofs.
 //
-// Trust model: the checkpoint proof is verified against 2f+1 signatures,
-// and suffix entries are checked against their embedded leader-signed
-// SPECORDERs, but the snapshot bytes themselves are vouched for only by
-// the responders. ezBFT replicas execute non-interfering commands in
-// different orders, so no common sequence of application states exists for
-// a quorum to have co-signed (unlike the sequenced baselines, where PBFT's
-// snapshot digest is checked against the stable checkpoint digest). A
-// wholesale transfer is therefore installed only once f+1 distinct
-// responders agree byte-for-byte on the transferred state — per-space
-// checkpoint structs, the per-client executed-timestamp table, and the
-// snapshot itself (the quorum-anchored proofs pin the marks; the f+1
-// agreement pins the bytes behind them). With at most f Byzantine
-// replicas, any f+1 group contains a correct one, so a lying responder —
-// even one colluding with a checkpoint-forging voter — can neither corrupt
-// the rejoining replica nor wedge it: requests rotate through the voter
-// set, disagreeing minorities are discarded and counted
-// (CatchupMismatches), and responses accumulate across rounds until an
-// honest majority forms. Tail transfers carry per-entry evidence (proof
-// coverage or a verified SPECORDER signature) and merge incrementally, so
-// they remain single-responder.
+// Trust model: the proof is checked against 2f+1 signatures and suffix
+// entries against their embedded leader-signed SPECORDERs, but the snapshot
+// bytes are vouched for only by the responders: ezBFT replicas execute
+// non-interfering commands in different orders, so no common sequence of
+// application states exists for a quorum to have co-signed (unlike the
+// sequenced baselines, whose snapshot must digest to the stable
+// checkpoint's digest). A wholesale transfer therefore installs only once
+// f+1 distinct responders agree on all of it (catchupAgrees): any f+1 group
+// holds a correct replica, so a lying responder — even one colluding with a
+// checkpoint-forging voter — can neither corrupt the rejoining replica nor
+// wedge it. A tail, served when the requester's executed prefix covers the
+// responder's truncation point, carries per-entry evidence (proof coverage
+// or a verified SPECORDER signature) and merges incrementally from a single
+// responder.
 const (
 	tagCheckpoint  = 26
 	tagCatchupReq  = 27
@@ -116,6 +111,13 @@ func (m *CheckpointMsg) Tag() uint8 { return tagCheckpoint }
 func (m *CheckpointMsg) MarshalTo(w *codec.Writer) {
 	m.MarshalBody(w)
 	w.Blob(m.Sig)
+}
+
+// Signer and Ballot implement engine.CheckpointVote: the space is the
+// instance space.
+func (m *CheckpointMsg) Signer() (types.ReplicaID, []byte) { return m.Replica, m.Sig }
+func (m *CheckpointMsg) Ballot() (engine.CheckpointSpace, uint64, types.Digest) {
+	return engine.CheckpointSpace(m.Space), m.Slot, m.Digest
 }
 
 func (m *CheckpointMsg) MarshalBody(w *codec.Writer) {
@@ -166,6 +168,9 @@ func (m *CatchupReq) MarshalTo(w *codec.Writer) {
 	m.MarshalBody(w)
 	w.Blob(m.Sig)
 }
+
+// Signer implements engine.Signed.
+func (m *CatchupReq) Signer() (types.ReplicaID, []byte) { return m.Replica, m.Sig }
 
 func (m *CatchupReq) MarshalBody(w *codec.Writer) {
 	w.Int32(int32(m.Replica))
@@ -270,6 +275,9 @@ func (m *CatchupResp) MarshalTo(w *codec.Writer) {
 	m.MarshalBody(w)
 	m.marshalProof(w)
 }
+
+// Signer implements engine.Signed.
+func (m *CatchupResp) Signer() (types.ReplicaID, []byte) { return m.Replica, m.Sig }
 
 func (m *CatchupResp) MarshalBody(w *codec.Writer) {
 	m.marshalHead(w)
@@ -417,7 +425,7 @@ func init() {
 
 // advanceExecMark advances a space's contiguously executed prefix after one
 // of its entries finally executed, chaining the execution digest slot by
-// slot and emitting a CHECKPOINT vote at every interval boundary crossed.
+// slot and voting for every interval boundary crossed.
 func (r *Replica) advanceExecMark(ctx proc.Context, spaceID types.ReplicaID) {
 	sp := r.log.space(spaceID)
 	for {
@@ -427,8 +435,11 @@ func (r *Replica) advanceExecMark(ctx proc.Context, spaceID types.ReplicaID) {
 		}
 		sp.execMark++
 		sp.execDigest = chainExecDigest(sp.execDigest, sp.execMark, e.cmdDigest)
-		if r.ckpt.Boundary(sp.execMark) {
-			r.emitCheckpoint(ctx, spaceID, sp)
+		if r.life.Boundary(sp.execMark) {
+			m := &CheckpointMsg{Space: spaceID, Slot: sp.execMark, Digest: sp.execDigest, Replica: r.cfg.Self}
+			r.cfg.Costs.ChargeSign(ctx)
+			m.Sig = engine.SignBody(r.cfg.Auth, m)
+			r.life.Emit(ctx, m)
 		}
 	}
 }
@@ -444,99 +455,6 @@ func chainExecDigest(prev types.Digest, slot uint64, d types.Digest) types.Diges
 	return sha256.Sum256(buf[:])
 }
 
-// emitCheckpoint broadcasts this replica's vote for the space's current
-// execution watermark and tallies it locally.
-func (r *Replica) emitCheckpoint(ctx proc.Context, spaceID types.ReplicaID, sp *space) {
-	m := &CheckpointMsg{
-		Space:   spaceID,
-		Slot:    sp.execMark,
-		Digest:  sp.execDigest,
-		Replica: r.cfg.Self,
-	}
-	r.cfg.Costs.ChargeSign(ctx)
-	m.Sig = engine.SignBody(r.cfg.Auth, m)
-	// Durability point: the vote must survive a crash before peers tally it.
-	r.walVote(m)
-	r.Broadcast(ctx, m)
-	if st := r.ckpt.Record(engine.CheckpointSpace(spaceID), m.Slot, r.cfg.Self, m.Digest, m); st != nil {
-		r.applyStableCheckpoint(ctx, st)
-	}
-}
-
-// handleCheckpoint tallies a peer's vote; a completed 2f+1 quorum advances
-// the space's low-water mark and truncates.
-func (r *Replica) handleCheckpoint(ctx proc.Context, m *CheckpointMsg) {
-	if !r.ckpt.Enabled() {
-		return // checkpointing disabled locally; ignore peers' votes
-	}
-	if m.Space < 0 || int(m.Space) >= r.n || m.Replica < 0 || int(m.Replica) >= r.n {
-		r.stats.DroppedInvalid++
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
-	// Durability point: the validated vote is quorum state a restart must
-	// be able to re-tally.
-	r.walVote(m)
-	if st := r.ckpt.Record(engine.CheckpointSpace(m.Space), m.Slot, m.Replica, m.Digest, m); st != nil {
-		r.applyStableCheckpoint(ctx, st)
-	}
-}
-
-// applyStableCheckpoint reacts to a newly stable checkpoint: advance the
-// space's low-water mark, truncate, surface the checkpoint to the
-// application, and — if this replica cannot reach the mark by itself — start
-// a state transfer (peers may already have truncated the gap).
-func (r *Replica) applyStableCheckpoint(ctx proc.Context, st *engine.StableCheckpoint) {
-	spaceID := types.ReplicaID(st.Space)
-	sp := r.log.space(spaceID)
-	sp.lowWater = max(sp.lowWater, st.Mark)
-	r.truncateSpace(spaceID, sp)
-	if ck, ok := types.Application(r.cfg.App).(types.Checkpointer); ok {
-		ck.Checkpoint(st.Mark, st.Digest)
-	}
-	// A replica whose log ends below the stable mark, or whose executed
-	// prefix trails it by two full intervals, has holes it can no longer
-	// fill from retransmissions (peers may have truncated them; SPECORDERs
-	// are not re-broadcast): state transfer is the only way back. A commit
-	// certificate can install entries at high slots over holes, so maxSlot
-	// alone is not evidence of an intact prefix.
-	need := sp.maxSlot < st.Mark || sp.execMark+2*r.ckpt.Interval() <= st.Mark
-	if !need {
-		// The lag slack above tolerates in-flight execution, but an outright
-		// missing slot below the stable mark is a permanent hole: f+1
-		// replicas executed that prefix and moved on, and its SPECORDER will
-		// never be sent again.
-		var uncommitted bool
-		need, uncommitted = sp.holeThrough(st.Mark)
-		if !need && uncommitted && !r.Recovering() {
-			// So is a slot whose entry is here and whose COMMIT is not: 2f+1
-			// replicas executed it, its client is done, and nobody sends that
-			// COMMIT again. One merely in flight would buy a needless
-			// transfer, so look again after the catch-up retry delay and ask
-			// only if a slot is still uncommitted then.
-			r.AfterTimer(ctx, 2*r.cfg.ResendTimeout, func(ctx proc.Context) {
-				if missing, uncommitted := r.log.space(spaceID).holeThrough(st.Mark); missing || uncommitted {
-					r.requestCatchup(ctx, st)
-				}
-			})
-		}
-	}
-	if need && !r.Recovering() {
-		// During recovery the gap is expected mid-replay; the post-replay
-		// sweep in Init issues the (tail) catch-up instead.
-		r.requestCatchup(ctx, st)
-	}
-	// Durability point: a newly stable checkpoint cuts the store snapshot,
-	// letting the store discard the WAL prefix it subsumes (see durable.go).
-	r.persistSnapshot()
-}
-
 // holeThrough scans the slots this replica has neither executed nor truncated,
 // up to mark: missing reports one with no entry, uncommitted one whose entry
 // has not committed.
@@ -550,6 +468,60 @@ func (sp *space) holeThrough(mark uint64) (missing, uncommitted bool) {
 		}
 	}
 	return false, uncommitted
+}
+
+// logHost is ezBFT's half of its engine.Lifecycle: the reaction to a
+// stable checkpoint, and the payloads and trust rule of its transfer.
+type logHost struct{ *Replica }
+
+// lifecycle is ezBFT's Lifecycle over its vote and its transfer pair.
+type lifecycle = engine.Lifecycle[*CheckpointMsg, *CatchupReq, *CatchupResp]
+
+type stable = engine.StableCheckpoint[*CheckpointMsg]
+
+// Stabilized implements engine.LogHost: a newly stable checkpoint advances
+// the space's low-water mark, truncates, and cuts the store snapshot. The
+// replica must fetch the state when it cannot reach the mark by itself.
+func (r logHost) Stabilized(ctx proc.Context, st *stable) bool {
+	spaceID := types.ReplicaID(st.Space)
+	sp := r.log.space(spaceID)
+	sp.lowWater = max(sp.lowWater, st.Mark)
+	r.truncateSpace(spaceID, sp)
+	// Durability point: a newly stable checkpoint cuts the store snapshot,
+	// letting the store discard the WAL prefix it subsumes (see durable.go).
+	r.persistSnapshot()
+	// A replica whose log ends below the stable mark, or whose executed
+	// prefix trails it by two full intervals, has holes it can no longer
+	// fill from retransmissions (peers may have truncated them; SPECORDERs
+	// are not re-broadcast): state transfer is the only way back. A commit
+	// certificate can install entries at high slots over holes, so maxSlot
+	// alone is not evidence of an intact prefix.
+	if sp.maxSlot < st.Mark || sp.execMark+2*r.cfg.CheckpointInterval <= st.Mark {
+		return true
+	}
+	// The lag slack above tolerates in-flight execution, but an outright
+	// missing slot below the stable mark is a permanent hole: f+1 replicas
+	// executed that prefix and moved on, and its SPECORDER will never be
+	// sent again.
+	missing, uncommitted := sp.holeThrough(st.Mark)
+	if !missing && uncommitted && !r.Recovering() {
+		// So is a slot whose entry is here and whose COMMIT is not: 2f+1
+		// replicas executed it, its client is done, and nobody sends that
+		// COMMIT again. One merely in flight would buy a needless transfer,
+		// so look again after the transfer's retry delay and ask only if a
+		// slot is still uncommitted then.
+		r.AfterTimer(ctx, 2*r.cfg.ResendTimeout, func(ctx proc.Context) {
+			if missing, uncommitted := r.log.space(spaceID).holeThrough(st.Mark); missing || uncommitted {
+				r.life.Request(ctx, st)
+			}
+		})
+	}
+	return missing
+}
+
+// Behind implements engine.LogHost: the space's executed prefix trails st.
+func (r logHost) Behind(st *stable) bool {
+	return r.log.space(types.ReplicaID(st.Space)).execMark < st.Mark
 }
 
 // truncateSpace frees log entries the stable low-water mark has made dead
@@ -627,88 +599,27 @@ func (r *Replica) RequestStateCount() int {
 
 // --- catch-up ---
 
-// requestCatchup asks a window of a stable checkpoint's voters for a state
-// transfer. Wholesale installs require f+1 byte-identical responses (see
-// handleCatchupResp), so each round solicits f+1 distinct voters; the
-// window slides across the sorted voter set attempt by attempt, and a
-// timer clears the in-flight guard so lost responses retry — a Byzantine
-// voter that stays silent (or serves garbage) cannot wedge the rejoin
-// forever, and its divergent responses can never seat an f+1 group alone.
-func (r *Replica) requestCatchup(ctx proc.Context, st *engine.StableCheckpoint) {
-	if r.catchupPending {
-		return
-	}
-	var voters []types.ReplicaID
-	for _, v := range st.Votes {
-		if cm, ok := v.(*CheckpointMsg); ok && cm.Replica != r.cfg.Self {
-			voters = append(voters, cm.Replica)
-		}
-	}
-	if len(voters) == 0 {
-		return
-	}
-	slices.Sort(voters)
-	base := int(r.catchupAttempts) % len(voters)
-	r.catchupAttempts++
-	r.catchupPending = true
-	// Advertise our per-space positions so the responder can serve only the
-	// tail when our executed prefix already covers its truncation point.
+// Solicit implements engine.LogHost. The request advertises the replica's
+// per-space positions, so a responder serves only the tail when the
+// replica's executed prefix already covers its truncation point.
+func (r logHost) Solicit(ctx proc.Context, _ *stable) *CatchupReq {
 	req := &CatchupReq{Replica: r.cfg.Self, Marks: make([]SpaceMark, r.n)}
-	for i := 0; i < r.n; i++ {
+	for i := range req.Marks {
 		sp := r.log.space(types.ReplicaID(i))
 		req.Marks[i] = SpaceMark{ExecMark: sp.execMark, MaxSlot: sp.maxSlot}
 	}
 	r.cfg.Costs.ChargeSign(ctx)
 	req.Sig = engine.SignBody(r.cfg.Auth, req)
-	want := min(r.f+1, len(voters))
-	for k := 0; k < want; k++ {
-		r.Send(ctx, types.ReplicaNode(voters[(base+k)%len(voters)]), req)
-	}
-	// The retry delay backs off with jitter (the shared helper the client's
-	// request retry uses): a healed partition releasing many laggards at
-	// once must not have them re-request — and re-storm — in lockstep.
-	retry := proc.Backoff(ctx, 2*r.cfg.ResendTimeout, r.catchupRetries)
-	r.AfterTimer(ctx, retry, func(ctx proc.Context) {
-		if !r.catchupPending {
-			return // a transfer installed in the meantime
-		}
-		r.catchupPending = false
-		if r.catchupHeard {
-			// Responders answered but no f+1 group formed yet — keep the
-			// cadence tight rather than backing off; the skew resolves as
-			// soon as honest responders serve from the same state.
-			r.catchupHeard = false
-		} else {
-			r.catchupRetries++
-		}
-		// The request or its response was lost. Re-issue to the next voter
-		// right away: waiting for the next stability signal is not enough —
-		// in a quiesced system it may never come, and the rejoin would
-		// stall within one interval of the frontier forever.
-		if r.log.space(types.ReplicaID(st.Space)).execMark < st.Mark {
-			r.requestCatchup(ctx, st)
-		}
-	})
+	return req
 }
 
-// handleCatchupReq serves a state transfer from this replica's live state:
-// checkpoint proofs from the tracker, an application snapshot, the
+// Serve implements engine.LogHost: a state transfer from this replica's
+// live state — checkpoint proofs, an application snapshot, the
 // executed-timestamp table, and every retained log entry.
-func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
-	if m.Replica < 0 || int(m.Replica) >= r.n || m.Replica == r.cfg.Self {
-		r.stats.DroppedInvalid++
-		return
-	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
-	}
+func (r logHost) Serve(ctx proc.Context, m *CatchupReq) (*CatchupResp, bool) {
 	snap, ok := types.Application(r.cfg.App).(types.Snapshotter)
-	if !ok || !r.ckpt.Enabled() {
-		return // no state transfer without a snapshotting application
+	if !ok || !r.life.Enabled() {
+		return nil, false // no state transfer without a snapshotting application
 	}
 	// Serve a tail when the requester advertised its positions and its
 	// executed prefix covers everything we have truncated in every space:
@@ -728,8 +639,7 @@ func (r *Replica) handleCatchupReq(ctx proc.Context, m *CatchupReq) {
 	resp := r.buildTransferState(snap, marks)
 	r.cfg.Costs.ChargeSign(ctx)
 	resp.Sig = engine.SignBody(r.cfg.Auth, resp)
-	r.Send(ctx, types.ReplicaNode(m.Replica), resp)
-	r.stats.CatchupsServed++
+	return resp, true
 }
 
 // buildTransferState assembles this replica's transferable state. With
@@ -765,13 +675,9 @@ func (r *Replica) transferHead(marks []SpaceMark) *CatchupResp {
 		sp := r.log.space(types.ReplicaID(i))
 		sc := SpaceCkpt{Space: types.ReplicaID(i), Owner: r.owners[i], Frozen: sp.frozen, LowWater: sp.lowWater,
 			Truncated: sp.truncated, MaxSlot: sp.maxSlot, ExecMark: sp.execMark, ExecDigest: sp.execDigest, LogHash: sp.logHash}
-		if st := r.ckpt.Stable(engine.CheckpointSpace(i)); st != nil {
+		if st := r.life.Stable(engine.CheckpointSpace(i)); st != nil {
 			sc.LowWater, sc.StableDigest = st.Mark, st.Digest
-			for _, v := range st.Votes {
-				if cm, ok := v.(*CheckpointMsg); ok {
-					resp.Proof = append(resp.Proof, cm)
-				}
-			}
+			resp.Proof = append(resp.Proof, st.Votes...)
 		}
 		resp.Spaces = append(resp.Spaces, sc)
 	}
@@ -812,41 +718,27 @@ func (e *entry) report() HistEntry {
 	return e.hist(HistSpecOrdered)
 }
 
-// handleCatchupResp validates and installs a state transfer.
-func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
-	if !r.catchupPending {
-		return // unsolicited
+// Admit implements engine.LogHost: a response's proofs and the internal
+// consistency of its per-space state, then the trust rule of the file
+// comment — f+1 agreement for a wholesale transfer, per-entry evidence for
+// a tail.
+func (r logHost) Admit(ctx proc.Context, m *CatchupResp) engine.Admission {
+	if len(m.Spaces) != r.n {
+		return engine.Reject
 	}
-	if m.Replica < 0 || int(m.Replica) >= r.n || len(m.Spaces) != r.n {
-		r.stats.DroppedInvalid++
-		return
+	if !r.life.Valid(ctx, m.Replica, m, m.Sig) {
+		return engine.Ignore
 	}
-	if !m.SigVerified() {
-		r.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			r.stats.DroppedInvalid++
-			return
-		}
+	if _, ok := types.Application(r.cfg.App).(types.Snapshotter); !ok && !m.Tail {
+		return engine.Ignore // a wholesale install needs a snapshot-restoring application
 	}
-	snap, ok := types.Application(r.cfg.App).(types.Snapshotter)
-	if !ok && !m.Tail {
-		return // a wholesale install needs a snapshot-restoring application
-	}
-	// Verify the checkpoint proof: 2f+1 valid, distinct signatures per
-	// claimed stable mark, and internal consistency of the per-space state.
 	r.cfg.Costs.ChargeVerify(ctx, len(m.Proof))
 	ahead := false
 	for i := range m.Spaces {
 		sc := &m.Spaces[i]
-		if sc.Space != types.ReplicaID(i) || sc.Truncated > sc.ExecMark || sc.ExecMark > sc.MaxSlot {
-			r.stats.DroppedInvalid++
-			return
-		}
-		if sc.LowWater > 0 {
-			if !engine.VerifyCheckpointProof(r.n, checkpointVotes(m.Proof, sc.Space), sc.LowWater, sc.StableDigest, r.checkpointVote) {
-				r.stats.DroppedInvalid++
-				return
-			}
+		if sc.Space != types.ReplicaID(i) || sc.Truncated > sc.ExecMark || sc.ExecMark > sc.MaxSlot ||
+			sc.LowWater > 0 && !r.life.ProofValid(engine.CheckpointSpace(sc.Space), sc.LowWater, sc.StableDigest, m.Proof) {
+			return engine.Reject
 		}
 		if m.Tail {
 			// A tail merges incrementally, so the wholesale ahead-ness bar
@@ -859,18 +751,12 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 		// Installing replaces this replica's state wholesale, so it is only
 		// sound when the responder is at least as far along everywhere.
 		if sc.ExecMark < sp.execMark || sc.MaxSlot < sp.maxSlot {
-			return
+			return engine.Ignore
 		}
-		if sc.ExecMark > sp.execMark || sc.MaxSlot > sp.maxSlot {
-			ahead = true
-		}
+		ahead = ahead || sc.ExecMark > sp.execMark || sc.MaxSlot > sp.maxSlot
 	}
 	if !m.Tail && !ahead {
-		r.catchupPending = false
-		// Caught up by other means: buffered responses describe a state we
-		// have reached and can only go stale from here.
-		r.catchupResps = make(map[types.ReplicaID]*CatchupResp)
-		return // nothing to gain
+		return engine.Settled // nothing to gain
 	}
 	// Suffix entries must be bound to their leader-signed SPECORDER proofs
 	// (executed entries from truncation-adjacent slots may predate proof
@@ -878,76 +764,49 @@ func (r *Replica) handleCatchupResp(ctx proc.Context, m *CatchupResp) {
 	// be re-agreed by the commit machinery).
 	for i := range m.Suffix {
 		h := &m.Suffix[i]
-		if h.Inst.Space < 0 || int(h.Inst.Space) >= r.n {
-			r.stats.DroppedInvalid++
-			return
-		}
-		if h.SO != nil && (h.SO.Inst != h.Inst || !histBoundToSO(h)) {
-			r.stats.DroppedInvalid++
-			return
+		if h.Inst.Space < 0 || int(h.Inst.Space) >= r.n || h.SO != nil && (h.SO.Inst != h.Inst || !histBoundToSO(h)) {
+			return engine.Reject
 		}
 	}
-	if m.Tail {
-		// A tail merges into the live log without the wholesale path's
-		// snapshot install and strict ahead-ness gate, so each suffix entry
-		// must carry its own evidence before adoptHist may touch live state:
-		// either coverage by the checkpoint proof verified above (slot at or
-		// below a space's proven low-water mark) or a leader-signed
-		// SPECORDER — signature-verified here, not merely digest-bound. An
-		// entry with neither (a lying responder's fabricated "committed"
-		// entry, or a legitimate SO-less owner-change no-op fill whose
-		// provenance a single responder cannot prove) is dropped, not
-		// adopted: the owner-change protocol arbitrates such slots, never a
-		// state transfer.
-		kept := m.Suffix[:0]
-		for i := range m.Suffix {
-			h := &m.Suffix[i]
-			sc := &m.Spaces[h.Inst.Space]
-			if sc.LowWater > 0 && h.Inst.Slot <= sc.LowWater {
-				kept = append(kept, m.Suffix[i])
-				continue
-			}
-			if h.SO == nil {
+	if !m.Tail {
+		return engine.Agree
+	}
+	// A tail merges into the live log without the wholesale path's snapshot
+	// install and strict ahead-ness gate, so each suffix entry must carry
+	// its own evidence before adoptHist may touch live state: either
+	// coverage by the checkpoint proof verified above (slot at or below a
+	// space's proven low-water mark) or a leader-signed SPECORDER —
+	// signature-verified here, not merely digest-bound. An entry with
+	// neither (a lying responder's fabricated "committed" entry, or a
+	// legitimate SO-less owner-change no-op fill whose provenance a single
+	// responder cannot prove) is dropped, not adopted: the owner-change
+	// protocol arbitrates such slots, never a state transfer.
+	kept := m.Suffix[:0]
+	for i := range m.Suffix {
+		h := &m.Suffix[i]
+		if sc := &m.Spaces[h.Inst.Space]; sc.LowWater > 0 && h.Inst.Slot <= sc.LowWater {
+			kept = append(kept, m.Suffix[i])
+			continue
+		}
+		if h.SO == nil {
+			r.stats.DroppedInvalid++
+			continue
+		}
+		if !h.SO.SigVerified() {
+			r.cfg.Costs.ChargeVerify(ctx, 1)
+			if engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(h.SO.Owner.OwnerOf(r.n)), h.SO, h.SO.Sig) != nil {
 				r.stats.DroppedInvalid++
 				continue
 			}
-			if !h.SO.SigVerified() {
-				r.cfg.Costs.ChargeVerify(ctx, 1)
-				if engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(h.SO.Owner.OwnerOf(r.n)), h.SO, h.SO.Sig) != nil {
-					r.stats.DroppedInvalid++
-					continue
-				}
-			}
-			kept = append(kept, m.Suffix[i])
 		}
-		m.Suffix = kept
-		r.installTail(ctx, m)
-		return
+		kept = append(kept, m.Suffix[i])
 	}
-	// f+1 cross-validation: a wholesale response replaces this replica's
-	// state with bytes only the responders vouch for, so buffer it and
-	// install only once f+1 distinct responders agree byte-for-byte on the
-	// whole transfer (per-space checkpoint state, timestamp table, snapshot,
-	// suffix). At most f replicas are Byzantine, so an agreeing f+1 group
-	// contains a correct one and its transfer is the real state; responders
-	// outside the group are the discarded — and counted — minority. The
-	// buffer survives retry rounds so agreement can form across voter-window
-	// rotations even when single responses trickle in.
-	r.catchupResps[m.Replica] = m
-	agreeing := 0
-	for _, o := range r.catchupResps {
-		if catchupAgrees(m, o) {
-			agreeing++
-		}
-	}
-	if agreeing < r.f+1 {
-		r.catchupHeard = true
-		return
-	}
-	r.stats.CatchupMismatches += uint64(len(r.catchupResps) - agreeing)
-	r.catchupResps = make(map[types.ReplicaID]*CatchupResp)
-	r.installCatchup(ctx, m, snap)
+	m.Suffix = kept
+	return engine.Adopt
 }
+
+// Agree implements engine.LogHost with catchupAgrees.
+func (logHost) Agree(a, b *CatchupResp) bool { return catchupAgrees(a, b) }
 
 // catchupAgrees reports whether two validated wholesale responses describe
 // the same transfer: identical per-space checkpoint structs, per-client
@@ -989,17 +848,22 @@ func histEntryEqual(a, b *HistEntry) bool {
 	return bytes.Equal(wa.Bytes(), wb.Bytes())
 }
 
+// Install implements engine.LogHost: a tail merges, a wholesale transfer
+// replaces the replica's state.
+func (r logHost) Install(ctx proc.Context, m *CatchupResp, _ []*CatchupResp) bool {
+	if m.Tail {
+		r.installTail(ctx, m)
+		return true
+	}
+	return r.installTransfer(ctx, m, types.Application(r.cfg.App).(types.Snapshotter))
+}
+
 // installTail merges a tail response into the live state: adopt the
 // proof-backed low-water marks, install (or deterministically merge) each
 // suffix entry through the same adoption path recovery replay uses, and
 // let the ordinary execution machinery run the recovered tail — the
 // executed prefix below it is never transferred, which is the point.
 func (r *Replica) installTail(ctx proc.Context, m *CatchupResp) {
-	r.catchupPending = false
-	r.catchupRetries = 0
-	// Any buffered wholesale responses predate this merge; left around they
-	// could later seat an f+1 group and regress the state the tail advanced.
-	r.catchupResps = make(map[types.ReplicaID]*CatchupResp)
 	for i := range m.Spaces {
 		sc := &m.Spaces[i]
 		sp := r.log.space(sc.Space)
@@ -1019,47 +883,15 @@ func (r *Replica) installTail(ctx proc.Context, m *CatchupResp) {
 			r.drainPending(ctx, sp)
 		}
 	}
-	r.stats.CatchupsInstalled++
 	r.stats.TailsInstalled++
 	r.tryExecute(ctx)
 }
 
-// checkpointVotes selects a proof's votes for one space.
-func checkpointVotes(proof []*CheckpointMsg, space types.ReplicaID) []codec.Message {
-	out := make([]codec.Message, 0, len(proof))
-	for _, v := range proof {
-		if v.Space == space {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// checkpointVote reads one vote of a stable-mark proof for
-// engine.VerifyCheckpointProof, checking its signature.
-func (r *Replica) checkpointVote(msg codec.Message) (types.ReplicaID, uint64, types.Digest, bool) {
-	cm := msg.(*CheckpointMsg)
-	valid := cm.SigVerified() || engine.VerifyBody(r.cfg.Auth, types.ReplicaNode(cm.Replica), cm, cm.Sig) == nil
-	return cm.Replica, cm.Slot, cm.Digest, valid
-}
-
-// installCatchup replaces this replica's application and protocol state
-// with a validated state transfer and resumes normal operation from it.
-func (r *Replica) installCatchup(ctx proc.Context, m *CatchupResp, snap types.Snapshotter) {
-	if !r.installTransfer(ctx, m, snap) {
-		return
-	}
-	r.catchupPending = false
-	r.catchupRetries = 0
-	r.stats.CatchupsInstalled++
-}
-
 // installTransfer is the wholesale state-install shared by the network
-// catch-up path and crash recovery (durable.go replays the persisted
+// transfer and crash recovery (durable.go replays the persisted
 // snapshot through it). It reports whether the transfer was applied.
 func (r *Replica) installTransfer(ctx proc.Context, m *CatchupResp, snap types.Snapshotter) bool {
 	if err := snap.Restore(m.Snapshot); err != nil {
-		r.stats.DroppedInvalid++
 		return false
 	}
 	// The restored final state supersedes any speculative overlay.

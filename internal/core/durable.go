@@ -76,14 +76,6 @@ func (r *Replica) walExec(e *entry) {
 	})
 }
 
-// walVote logs one validated CHECKPOINT vote as its tagged wire encoding.
-func (r *Replica) walVote(m *CheckpointMsg) {
-	r.Append(walCkptVoteKind, func(w *codec.Writer) {
-		w.Uint8(m.Tag())
-		m.MarshalTo(w)
-	})
-}
-
 // persistSnapshot cuts the store snapshot at the replica's current
 // transferable state, streamed in the wholesale CATCHUP-RESP layout
 // (buildTransferState) straight from the log: the application state
@@ -145,9 +137,8 @@ func (r *Replica) Init(ctx proc.Context) {
 	// checkpoint voter for the difference; with the request's per-space
 	// marks attached, the responder serves only the tail.
 	for i := 0; i < r.n; i++ {
-		if st := r.ckpt.Stable(engine.CheckpointSpace(i)); st != nil &&
-			r.log.space(types.ReplicaID(i)).execMark < st.Mark {
-			r.requestCatchup(ctx, st)
+		if st := r.life.Stable(engine.CheckpointSpace(i)); st != nil && (logHost{r}).Behind(st) {
+			r.life.Request(ctx, st)
 		}
 	}
 }
@@ -165,9 +156,7 @@ func (r *Replica) restoreSnapshot(ctx proc.Context, data []byte) {
 		return
 	}
 	r.installTransfer(ctx, resp, snap)
-	for _, v := range resp.Proof {
-		r.ckpt.Record(engine.CheckpointSpace(v.Space), v.Slot, v.Replica, v.Digest, v)
-	}
+	r.life.Adopt(resp.Proof...)
 }
 
 // replayRecord applies one WAL record. Replay is idempotent: records whose
@@ -201,19 +190,14 @@ func (r *Replica) replayRecord(ctx proc.Context, rec store.Record) {
 			}
 		}
 	case walCkptVoteKind:
-		msg, err := codec.Unmarshal(rec.Data)
-		if err != nil {
-			return
-		}
-		cm, ok := msg.(*CheckpointMsg)
-		if !ok {
-			return
-		}
 		// Logged votes were validated before logging; re-tally without
-		// re-verifying. applyStableCheckpoint's catch-up and snapshot
-		// side effects are recovery-gated.
-		if st := r.ckpt.Record(engine.CheckpointSpace(cm.Space), cm.Slot, cm.Replica, cm.Digest, cm); st != nil {
-			r.applyStableCheckpoint(ctx, st)
+		// re-verifying. A stable checkpoint's transfer and snapshot cut are
+		// recovery-gated.
+		rd := codec.NewReader(rec.Data)
+		if rd.Uint8() == tagCheckpoint {
+			if cm, err := decodeCheckpoint(rd); err == nil && rd.Finish() == nil {
+				r.life.Record(ctx, cm)
+			}
 		}
 	}
 }

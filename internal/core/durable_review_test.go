@@ -50,6 +50,8 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := noopCtx{}
+	// A stable checkpoint R1 voted for, to solicit a transfer round from.
+	solicited := &engine.StableCheckpoint[*CheckpointMsg]{Votes: []*CheckpointMsg{{Replica: 1}}}
 	spaces := func() []SpaceCkpt {
 		out := make([]SpaceCkpt, n)
 		for i := range out {
@@ -72,10 +74,10 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 	// A solicited tail whose "committed" entry has neither checkpoint
 	// coverage (LowWater 0: no proof was verified) nor a SPECORDER: the
 	// entry must be dropped, not merged into the live log.
-	r.catchupPending = true
+	r.life.Request(ctx, solicited)
 	m := &CatchupResp{Replica: 1, Tail: true, Spaces: spaces(), Suffix: []HistEntry{unproven}}
 	m.Sig = engine.SignBody(auths[1], m)
-	r.handleCatchupResp(ctx, m)
+	r.life.HandleCatchupResp(ctx, m)
 	if r.log.get(inst) != nil || len(r.pendingExec) != 0 {
 		t.Fatal("unproven tail entry was adopted into the live log")
 	}
@@ -96,10 +98,10 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 	forged.Sig = engine.SignBody(auths[2], forged) // signed by R2; space 1 is R1's
 	bad := unproven
 	bad.SO = forged
-	r.catchupPending = true
+	r.life.Request(ctx, solicited)
 	m = &CatchupResp{Replica: 1, Tail: true, Spaces: spaces(), Suffix: []HistEntry{bad}}
 	m.Sig = engine.SignBody(auths[1], m)
-	r.handleCatchupResp(ctx, m)
+	r.life.HandleCatchupResp(ctx, m)
 	if r.log.get(inst) != nil {
 		t.Fatal("tail entry with a forged SPECORDER signature was adopted")
 	}
@@ -116,10 +118,10 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 	so.Sig = engine.SignBody(auths[1], so)
 	proven := unproven
 	proven.SO = so
-	r.catchupPending = true
+	r.life.Request(ctx, solicited)
 	m = &CatchupResp{Replica: 1, Tail: true, Spaces: spaces(), Suffix: []HistEntry{proven}}
 	m.Sig = engine.SignBody(auths[1], m)
-	r.handleCatchupResp(ctx, m)
+	r.life.HandleCatchupResp(ctx, m)
 	if e := r.log.get(inst); e == nil || e.status < StatusCommitted {
 		t.Fatal("leader-signed tail entry was not adopted")
 	}
@@ -139,7 +141,7 @@ func TestTailCatchupEntryEvidence(t *testing.T) {
 	h2 := HistEntry{Inst: inst2, Status: HistCommitted, Cmd: cmd2, Deps: types.NewInstanceSet(), Seq: 2, Owner: 1, SO: so2}
 	m = &CatchupResp{Replica: 1, Tail: true, Spaces: spaces(), Suffix: []HistEntry{h2}}
 	m.Sig = engine.SignBody(auths[1], m)
-	r.handleCatchupResp(ctx, m) // catchupPending is false here
+	r.life.HandleCatchupResp(ctx, m) // no round is in flight here
 	if r.log.get(inst2) != nil {
 		t.Fatal("unsolicited catch-up response was installed")
 	}

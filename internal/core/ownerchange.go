@@ -196,13 +196,8 @@ func (r *Replica) recordStartVote(ctx proc.Context, key changeKey, from types.Re
 		NewOwner: newOwnerNum,
 		Replica:  r.cfg.Self,
 	}
-	if st := r.ckpt.Stable(engine.CheckpointSpace(key.suspect)); st != nil {
-		oc.Mark, oc.Digest = st.Mark, st.Digest
-		for _, v := range st.Votes {
-			if cm, ok := v.(*CheckpointMsg); ok {
-				oc.Votes = append(oc.Votes, cm)
-			}
-		}
+	if st := r.life.Stable(engine.CheckpointSpace(key.suspect)); st != nil {
+		oc.Mark, oc.Digest, oc.Votes = st.Mark, st.Digest, st.Votes
 	}
 	// Entries at or below the mark would be ignored: every plan starts
 	// above the highest mark its proof proves.
@@ -331,7 +326,7 @@ func (r *Replica) proofBase(ctx proc.Context, suspect types.ReplicaID, proof []*
 			break
 		}
 		r.cfg.Costs.ChargeVerify(ctx, len(oc.Votes))
-		if engine.VerifyCheckpointProof(r.n, checkpointVotes(oc.Votes, suspect), oc.Mark, oc.Digest, r.checkpointVote) {
+		if r.life.ProofValid(engine.CheckpointSpace(suspect), oc.Mark, oc.Digest, oc.Votes) {
 			return oc.Mark
 		}
 	}

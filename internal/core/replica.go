@@ -59,9 +59,9 @@ type Replica struct {
 	// when the SPECORDER arrives.
 	deferredCommits map[types.InstanceID][]certified
 
-	// ckpt is the engine-level checkpoint tracker (nil-safe; disabled when
-	// CheckpointInterval is 0). See checkpoint.go.
-	ckpt *engine.CheckpointTracker
+	// life is the log lifecycle — checkpoint votes, truncation and state
+	// transfer — with ezBFT's half in checkpoint.go (logHost).
+	life *lifecycle
 	// executedTs tracks the highest finally-executed timestamp per client,
 	// exported in state transfers for cross-transfer exactly-once semantics.
 	executedTs map[types.ClientID]uint64
@@ -74,25 +74,6 @@ type Replica struct {
 	// execution, so releasing the memo on schedule costs exactly-once
 	// nothing.
 	settled map[types.ClientID]tsSet
-	// catchupPending guards against concurrent state-transfer requests;
-	// catchupAttempts rotates the request target across checkpoint voters;
-	// catchupRetries counts timer-driven re-issues of the current episode
-	// (reset on install) and drives the retry backoff.
-	catchupPending  bool
-	catchupAttempts uint64
-	catchupRetries  int
-	// catchupResps buffers validated wholesale CATCHUP-RESPs per responder
-	// until f+1 distinct responders agree on the transfer (see
-	// handleCatchupResp); it survives retry rounds so agreement can form
-	// across voter-window rotations, and clears on every install.
-	catchupResps map[types.ReplicaID]*CatchupResp
-	// catchupHeard notes that the current round produced responses that
-	// merely failed to agree (live-state skew between honest responders
-	// under load) rather than silence; such rounds retry at the base delay
-	// instead of growing the backoff, so agreement lands promptly once the
-	// system quiesces.
-	catchupHeard bool
-
 	// resendWait tracks RESENDREQs we forwarded and are waiting on
 	// (paper step 4.3): cmdKey → armed timer.
 	resendWait map[cmdKey]*resendState
@@ -146,18 +127,14 @@ type ReplicaStats struct {
 	SlowCommits     uint64
 	FinalExecutions uint64
 	OwnerChanges    uint64
-	DroppedInvalid  uint64 // messages rejected by validation
 	DeferredCommits uint64 // slim commit certificates parked for their SPECORDER
 	CommitFetches   uint64 // COMMITFETCHes sent for entries left uncommitted (commitfetch.go)
 
-	// Log-lifecycle observables (checkpointing / GC / state transfer).
-	Checkpoints       uint64 // stable checkpoints established
-	TruncatedEntries  uint64 // log entries freed by truncation
-	LowWaterMark      uint64 // smallest stable mark across spaces with one
-	CatchupsServed    uint64 // state transfers served to lagging peers
-	CatchupsInstalled uint64 // state transfers installed locally (incl. tails)
-	TailsInstalled    uint64 // of those, incremental tail merges (no snapshot)
-	CatchupMismatches uint64 // responders disagreeing with the installed f+1 majority
+	// Log-lifecycle observables: checkpoints, truncation, state transfer,
+	// and DroppedInvalid, the messages rejected by validation.
+	engine.LogStats
+	TruncatedEntries uint64 // log entries freed by truncation
+	TailsInstalled   uint64 // of CatchupsInstalled, incremental tail merges (no snapshot)
 
 	// Durability observables (nonzero only with a configured store).
 	engine.WALStats
@@ -195,11 +172,13 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		settled:         make(map[types.ClientID]tsSet),
 		resendWait:      make(map[cmdKey]*resendState),
 		depWait:         make(map[types.InstanceID]bool),
-		catchupResps:    make(map[types.ReplicaID]*CatchupResp),
 		rounds:          make(map[changeKey]*round),
 	}
 	r.window = engine.NewRequestWindow(r.releaseRequest)
-	r.ckpt = engine.NewCheckpointTracker(cfg.N, cfg.CheckpointInterval)
+	r.life = engine.NewLifecycle[*CheckpointMsg, *CatchupReq, *CatchupResp](engine.LogConfig{
+		Self: cfg.Self, N: cfg.N, App: cfg.App, Auth: cfg.Auth, Costs: cfg.Costs,
+		VoteRecord: walCkptVoteKind, Interval: cfg.CheckpointInterval, RetryBase: 2 * cfg.ResendTimeout,
+	}, &r.Shell, logHost{r})
 	for i := range r.owners {
 		r.owners[i] = types.OwnerNumber(i)
 	}
@@ -217,9 +196,9 @@ func (r *Replica) Stats() ReplicaStats {
 	s.Batches = bs.Flushes
 	s.BatchedRequests = bs.Items
 	s.MaxBatch = bs.MaxBatch
-	cs := r.ckpt.Stats()
-	s.Checkpoints = cs.Checkpoints
-	s.LowWaterMark = cs.LowWaterMark
+	dropped := s.DroppedInvalid
+	s.LogStats = r.life.Stats()
+	s.DroppedInvalid += dropped
 	s.WALStats = r.WALStats()
 	return s
 }
@@ -252,11 +231,11 @@ func (r *Replica) Receive(ctx proc.Context, from types.NodeID, msg codec.Message
 	case *POM:
 		r.handlePOM(ctx, m)
 	case *CheckpointMsg:
-		r.handleCheckpoint(ctx, m)
+		r.life.HandleCheckpoint(ctx, m)
 	case *CatchupReq:
-		r.handleCatchupReq(ctx, m)
+		r.life.HandleCatchupReq(ctx, m)
 	case *CatchupResp:
-		r.handleCatchupResp(ctx, m)
+		r.life.HandleCatchupResp(ctx, m)
 	case *SOFetch:
 		r.handleSOFetch(ctx, m)
 	case *CommitFetch:

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"ezbft/internal/codec"
-	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/store"
 	"ezbft/internal/types"
@@ -64,7 +63,7 @@ func snapshotFixture(t *testing.T, st store.Store) *Replica {
 	sp0.truncated, sp0.lowWater, sp0.execMark = 4, 4, 5
 	sp0.execDigest, sp0.logHash = types.Digest{9}, types.Digest{8}
 	for v := types.ReplicaID(0); v < 3; v++ {
-		r.ckpt.Record(engine.CheckpointSpace(0), 4, v, types.Digest{7}, &CheckpointMsg{Space: 0, Slot: 4, Digest: types.Digest{7}, Replica: v, Sig: sig(byte(10 + v))})
+		r.life.Adopt(&CheckpointMsg{Space: 0, Slot: 4, Digest: types.Digest{7}, Replica: v, Sig: sig(byte(10 + v))})
 	}
 	put(types.InstanceID{Space: 0, Slot: 5}, StatusExecuted, nil, cmd(1, 1, "a"))
 	put(types.InstanceID{Space: 0, Slot: 7}, StatusSpecOrdered, types.InstanceSet{{Space: 0, Slot: 5}},
@@ -189,7 +188,7 @@ func TestFailedSnapshotKeepsThePrevious(t *testing.T) {
 		t.Fatalf("the first cut left no snapshot: %v", err)
 	}
 	vote := &CheckpointMsg{Space: 1, Slot: 8, Replica: 2, Sig: []byte("vote")}
-	r.walVote(vote)
+	r.life.RecordProof(noopCtx{}, []*CheckpointMsg{vote})
 	r.Sync()
 	st.room = len(first) / 2
 	r.persistSnapshot()

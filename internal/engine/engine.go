@@ -15,16 +15,14 @@
 // of the contract: the leader-side request Batcher and the BatchDigest
 // binding a batch of commands under one ordering signature.
 //
-// The sequenced protocols (PBFT, Zyzzyva, FaB) share one log lifecycle,
-// Lifecycle: checkpoint votes, truncation below stable checkpoints, and
-// state transfer for a replica that fell behind one. Its trust rule is f+1
-// agreement: a transfer installs only once f+1 distinct responders — so at
-// least one correct replica — send the same anchor (sequence number,
-// quorum-signed digest, aux value, snapshot bytes) under a valid 2f+1
-// checkpoint proof, and only the executed-suffix prefix every one of them
-// vouches for replays. A single Byzantine responder can neither corrupt
-// what a replica installs nor wedge it: the solicited voters rotate until
-// f+1 correct ones answer.
+// All four protocols share one log lifecycle, Lifecycle: checkpoint votes
+// per space, truncation below stable checkpoints, and the state-transfer
+// rounds of a replica that fell behind one. A transfer the responders vouch
+// for installs only once f+1 distinct responders — so at least one correct
+// replica — agree on it, and the solicited voters rotate until f+1 correct
+// ones answer: a single Byzantine responder can neither corrupt what a
+// replica installs nor wedge it. A protocol supplies the payloads and the
+// trust rule, the Sequencer for the sequenced ones (seqlog.go).
 //
 // Every replica, ezBFT's included, embeds one Shell: the timer table, the
 // outbound gate and the write-ahead log's runtime (shell.go states the

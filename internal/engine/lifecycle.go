@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-	"slices"
 	"time"
 
 	"ezbft/internal/auth"
@@ -18,57 +16,52 @@ type LogConfig struct {
 	App   types.Application
 	Auth  auth.Authenticator
 	Costs proc.Costs
-	// Tags are the wire tags the protocol gives the lifecycle messages.
-	Tags LogTags
-	// Interval is the checkpoint distance in sequence numbers; 0 disables
+	// VoteRecord is the write-ahead-log record kind of a vote.
+	VoteRecord uint8
+	// Interval is the checkpoint distance in marks; 0 disables
 	// checkpointing, and with it truncation and state transfer.
 	Interval uint64
-	// RetryBase is how long an unanswered transfer request waits before it
-	// goes to the next voters; later rounds back off (proc.Backoff).
+	// RetryBase is how long an unanswered transfer round waits before the
+	// next one goes to the next voters; later rounds back off (proc.Backoff).
 	RetryBase time.Duration
 }
 
-// LogHost is a protocol's half of its Lifecycle: the replica's gated send
-// paths, timers and write-ahead log, and the few log operations the shared
-// checkpoint and transfer code needs.
-type LogHost interface {
-	// Send and Broadcast (to every other replica) go through the replica's
-	// own fault-injection and durability gates.
-	Send(ctx proc.Context, to types.NodeID, msg codec.Message)
-	Broadcast(ctx proc.Context, msg codec.Message)
-	AfterTimer(ctx proc.Context, d time.Duration, fn func(ctx proc.Context)) proc.TimerID
-	// Append logs one record (Shell.Append): every vote the replica signs or
-	// accepts, before it is tallied. Persist cuts the durable snapshot
-	// (Sequencer.Persist), at each newly stable checkpoint and after each
-	// installed transfer.
-	Append(kind uint8, fill func(w *codec.Writer))
-	Persist()
-	// Recovering reports whether the replica is rebuilding itself from its
-	// store: it requests no transfer then.
-	Recovering() bool
-	// View is the replica's current view.
-	View() uint64
-	// MaxExecuted is the highest contiguously executed sequence number.
-	MaxExecuted() uint64
-	// ExecutedSuffix returns the contiguous executed slots above mark that
-	// the replica still holds.
-	ExecutedSuffix(mark uint64) []CatchupSlot
-	// Truncate frees log state at and below a newly stable mark.
-	Truncate(mark uint64)
-	// DropLog forgets every slot at or below mark and makes mark the
-	// executed watermark: the application state there was just installed
-	// (by a transfer or from the store), with aux the value the protocol
-	// keeps beside it.
-	DropLog(mark uint64, aux types.Digest)
-	// ReplaySlot executes one transferred slot at Executed()+1 and advances
-	// the watermark to it.
-	ReplaySlot(ctx proc.Context, s *CatchupSlot)
-	// AdoptView moves the replica forward to view, if it is behind it.
-	AdoptView(ctx proc.Context, view uint64)
-	// Installed runs after a transfer installed: whatever it made
-	// contiguous executes.
-	Installed(ctx proc.Context)
+// LogHost is a protocol's half of its Lifecycle: what a newly stable
+// checkpoint does to its log, and the payloads and the trust rule of its
+// state transfer. V is the protocol's vote, Q its transfer request and T
+// its transfer response.
+type LogHost[V CheckpointVote, Q, T Signed] interface {
+	// Stabilized truncates the log below a newly stable checkpoint, cuts the
+	// durable snapshot, and reports whether the replica must fetch the state
+	// there (peers may already have truncated its gap).
+	Stabilized(ctx proc.Context, st *StableCheckpoint[V]) bool
+	// Behind reports whether a round that went unanswered must go out again.
+	Behind(st *StableCheckpoint[V]) bool
+	// Solicit builds the signed request of a round anchored at st.
+	Solicit(ctx proc.Context, st *StableCheckpoint[V]) Q
+	// Serve builds the signed response to a valid request, if it has one.
+	Serve(ctx proc.Context, m Q) (T, bool)
+	// Admit judges a response to the round in flight. It checks the
+	// signature itself (Lifecycle.Valid), so that what it can judge without
+	// one costs no verification.
+	Admit(ctx proc.Context, m T) Admission
+	// Agree reports whether two responses describe the same transfer.
+	Agree(a, b T) bool
+	// Install installs a response with the agreeing group it came in (itself
+	// alone, when admitted Adopt), and reports whether it did.
+	Install(ctx proc.Context, m T, group []T) bool
 }
+
+// Admission is a LogHost's verdict on a transfer response.
+type Admission uint8
+
+const (
+	Ignore  Admission = iota // nothing to act on (a failed signature is already counted)
+	Reject                   // invalid: counted as dropped
+	Settled                  // the replica no longer needs the round, which ends
+	Agree                    // buffered until f+1 distinct responders agree on it
+	Adopt                    // installed as it is: it carries its own evidence
+)
 
 // LogStats is a Lifecycle's counters.
 type LogStats struct {
@@ -76,376 +69,243 @@ type LogStats struct {
 	CatchupsServed    uint64 // transfers served to lagging peers
 	CatchupsInstalled uint64 // transfers installed, snapshot or tail
 	CatchupMismatches uint64 // responders outvoted by an installed f+1 agreement
-	DroppedInvalid    uint64 // lifecycle messages rejected
+	DroppedInvalid    uint64 // messages rejected
 }
 
-// Lifecycle is the sequenced log lifecycle PBFT, Zyzzyva and FaB share:
-// CHECKPOINT votes and their tally, truncation below stable checkpoints,
-// the application states kept for transfer, and checkpoint-anchored state
-// transfer under the f+1 rule of the package comment. A protocol routes the
-// three lifecycle messages here and supplies the rest as a LogHost. A
-// Lifecycle belongs to one replica and is touched only from its loop.
-type Lifecycle struct {
-	cfg     LogConfig
-	f       int
-	host    LogHost
-	ckpt    *CheckpointTracker
-	states  *StateKeeper
-	emitted uint64 // highest sequence number this replica voted for
+// Lifecycle is the log lifecycle all four protocols share: CHECKPOINT votes
+// — emitted, validated, write-ahead-logged and tallied per space — the
+// reaction to each newly stable checkpoint, the check of a 2f+1 proof, and
+// the state-transfer round of a replica that fell behind one. A protocol
+// routes its lifecycle messages here and supplies the rest as a LogHost.
+//
+// # The transfer round
+//
+// One transfer is in flight per replica. A round asks f+1 of the stable
+// checkpoint's voters other than the replica itself — enough that one is
+// correct — and the window of voters rotates round by round, so f silent
+// or lying voters cannot wedge the transfer. Responses the host admits for
+// agreement are buffered per responder across rounds and install once f+1
+// distinct responders — so at least one correct replica — agree; the
+// responders outside that group are counted (CatchupMismatches) and
+// discarded.
+//
+// Retry rule: a round that ends without an install — unanswered, or
+// answered without f+1 agreement — goes out again to the next voters after
+// a delay that doubles with every such round (proc.Backoff from RetryBase,
+// with jitter), whether or not it heard anything; an install resets it. A
+// replica whose responders keep disagreeing therefore backs off as one
+// that hears nothing does, and neither hammers its peers in lockstep.
+//
+// A Lifecycle belongs to one replica and is touched only from its loop.
+type Lifecycle[V CheckpointVote, Q, T Signed] struct {
+	// The tracker's marks and stable checkpoints, per space.
+	*CheckpointTracker[V]
+	cfg   LogConfig
+	f     int
+	shell *Shell
+	host  LogHost[V, Q, T]
 
-	// One transfer is solicited at a time. The voter window rotates round
-	// by round (attempts), unanswered rounds back off (retries), and tail
-	// marks a round that asked only for the executed suffix above a
-	// watermark already at the stable mark. resps buffers validated
-	// responses per responder until f+1 agree; it survives retry rounds so
-	// agreement can form across rotations. vouched is the highest slot that
-	// every responder of an installed agreement claimed to have executed.
+	// The round in flight (pending): attempts rotates the voter window,
+	// retries backs off the rounds since the last install, and resps
+	// buffers validated responses per responder until f+1 agree.
 	pending  bool
-	tail     bool
 	attempts uint64
 	retries  int
-	resps    map[types.ReplicaID]*CatchupResp
-	vouched  uint64
+	resps    map[types.ReplicaID]T
 
 	stats LogStats
 }
 
-// NewLifecycle builds one replica's lifecycle over its protocol half.
-func NewLifecycle(cfg LogConfig, host LogHost) *Lifecycle {
-	return &Lifecycle{
-		cfg:    cfg,
-		f:      (cfg.N - 1) / 3,
-		host:   host,
-		ckpt:   NewCheckpointTracker(cfg.N, cfg.Interval),
-		states: NewStateKeeper(cfg.App, cfg.Interval),
-		resps:  make(map[types.ReplicaID]*CatchupResp),
+// NewLifecycle builds one replica's lifecycle over its shell and its
+// protocol half.
+func NewLifecycle[V CheckpointVote, Q, T Signed](cfg LogConfig, shell *Shell, host LogHost[V, Q, T]) *Lifecycle[V, Q, T] {
+	return &Lifecycle[V, Q, T]{
+		CheckpointTracker: NewCheckpointTracker[V](cfg.N, cfg.Interval),
+		cfg:               cfg,
+		f:                 (cfg.N - 1) / 3,
+		shell:             shell,
+		host:              host,
+		resps:             make(map[types.ReplicaID]T),
 	}
-}
-
-// Enabled reports whether checkpointing is on.
-func (l *Lifecycle) Enabled() bool { return l.ckpt.Enabled() }
-
-// Mark returns the latest stable checkpoint's sequence number (0 = none).
-func (l *Lifecycle) Mark() uint64 { return l.ckpt.Mark(0) }
-
-// Stable returns the latest stable checkpoint with its proof, or nil.
-func (l *Lifecycle) Stable() *StableCheckpoint { return l.ckpt.Stable(0) }
-
-// StateAt returns the serialized application state kept at seq.
-func (l *Lifecycle) StateAt(seq uint64) ([]byte, bool) {
-	snap, _, ok := l.states.Snapshot(seq)
-	return snap, ok
 }
 
 // Stats returns the lifecycle's counters.
-func (l *Lifecycle) Stats() LogStats {
+func (l *Lifecycle[V, Q, T]) Stats() LogStats {
 	s := l.stats
-	s.CheckpointStats = l.ckpt.Stats()
+	s.CheckpointStats = l.CheckpointTracker.Stats()
 	return s
 }
 
-// Recovered re-seeds the lifecycle from a durable snapshot: the proof of
-// the stable mark it was cut at, and the application state there (already
-// restored) with the protocol's aux value beside it, which the log adopts
-// as a transfer's would be (LogHost.DropLog).
-func (l *Lifecycle) Recovered(mark uint64, snap []byte, aux types.Digest, votes []*Checkpoint) {
+// Adopt tallies the votes of a proof the replica trusts — its own durable
+// snapshot's, or a transfer's it installed — with no reaction: the state
+// they vouch for is already in place.
+func (l *Lifecycle[V, Q, T]) Adopt(votes ...V) {
 	for _, v := range votes {
-		l.ckpt.Record(0, v.Seq, v.Replica, v.Digest, v)
-	}
-	l.states.Adopt(mark, snap, aux)
-	l.host.DropLog(mark, aux)
-}
-
-// logVote write-ahead-logs a vote the replica signed or accepted, as its
-// tagged frame.
-func (l *Lifecycle) logVote(m *Checkpoint) {
-	l.host.Append(WALVote, func(w *codec.Writer) {
-		w.Uint8(m.Tag())
-		m.MarshalTo(w)
-	})
-}
-
-// MaybeEmit votes for the executed watermark when it sits on a checkpoint
-// boundary not voted for yet. The application state there is kept, with
-// aux beside it, as the transfer payload should the checkpoint become
-// stable.
-func (l *Lifecycle) MaybeEmit(ctx proc.Context, aux types.Digest) {
-	seq := l.host.MaxExecuted()
-	if !l.ckpt.Boundary(seq) || seq <= l.emitted {
-		return
-	}
-	l.emitted = seq
-	ck := &Checkpoint{Seq: seq, Digest: l.cfg.App.Digest(), Replica: l.cfg.Self, tag: l.cfg.Tags.Checkpoint}
-	l.states.Keep(seq, aux)
-	l.cfg.Costs.ChargeSign(ctx)
-	ck.Sig = SignBody(l.cfg.Auth, ck)
-	l.logVote(ck)
-	l.host.Broadcast(ctx, ck)
-	l.Record(ctx, ck)
-}
-
-// HandleCheckpoint validates and tallies a peer's vote.
-func (l *Lifecycle) HandleCheckpoint(ctx proc.Context, m *Checkpoint) {
-	if !l.Enabled() || !l.Valid(ctx, m.Replica, m, m.Sig) {
-		return
-	}
-	l.logVote(m)
-	l.Record(ctx, m)
-}
-
-// Record tallies one vote; a newly stable checkpoint truncates the log,
-// cuts the durable snapshot, surfaces to the application's Checkpointer
-// hook, and — when the executed watermark trails the mark, whose gap peers
-// may already have truncated — starts a state transfer.
-func (l *Lifecycle) Record(ctx proc.Context, m *Checkpoint) {
-	st := l.ckpt.Record(0, m.Seq, m.Replica, m.Digest, m)
-	if st == nil {
-		return
-	}
-	l.host.Truncate(st.Mark)
-	l.host.Persist()
-	if ck, ok := l.cfg.App.(types.Checkpointer); ok {
-		ck.Checkpoint(st.Mark, st.Digest)
-	}
-	if l.host.MaxExecuted() < st.Mark && !l.host.Recovering() {
-		l.request(ctx, st)
+		l.CheckpointTracker.Record(v)
 	}
 }
 
-// RecordProof tallies the proof of a stable checkpoint a NEW-VIEW starts
-// from, so a replica behind it fetches the state there.
-func (l *Lifecycle) RecordProof(ctx proc.Context, proof []*Checkpoint) {
+// Emit logs and tallies the replica's own signed vote, and broadcasts it.
+func (l *Lifecycle[V, Q, T]) Emit(ctx proc.Context, v V) {
+	l.Record(ctx, v)
+	l.shell.Broadcast(ctx, v)
+}
+
+// HandleCheckpoint validates, logs and tallies a peer's vote. One that
+// names a space or a voter outside the cluster is dropped and counted.
+func (l *Lifecycle[V, Q, T]) HandleCheckpoint(ctx proc.Context, v V) {
 	if !l.Enabled() {
 		return
 	}
-	for _, v := range proof {
-		l.logVote(v)
+	if space, _, _ := v.Ballot(); space < 0 || int(space) >= l.cfg.N {
+		l.stats.DroppedInvalid++
+		return
+	}
+	if from, sig := v.Signer(); l.Valid(ctx, from, v, sig) {
 		l.Record(ctx, v)
 	}
 }
 
-// Pull requests a transfer anchored at the latest stable checkpoint, if
-// there is one: a replica that learned it is behind by other means than a
-// stable vote (FaB's STATUS beacon, recovery from a store) calls it.
-func (l *Lifecycle) Pull(ctx proc.Context) {
-	if st := l.Stable(); st != nil {
-		l.request(ctx, st)
-	}
-}
-
-// behind reports whether the watermark trails the stable mark st, or a
-// slot an installed agreement's responders all vouched for.
-func (l *Lifecycle) behind(st *StableCheckpoint) bool {
-	exec := l.host.MaxExecuted()
-	return exec < st.Mark || exec < l.vouched
-}
-
-// request solicits a transfer anchored at st from f+1 of its voters —
-// enough that at least one is correct — so the responses can cross-validate
-// each other. The voter window rotates round by round, so silent or lying
-// voters cannot wedge the transfer, and an unanswered round is re-issued
-// with jittered exponential backoff.
-func (l *Lifecycle) request(ctx proc.Context, st *StableCheckpoint) {
-	if l.pending {
+// Record write-ahead-logs a vote the replica signed or accepted, as its
+// tagged frame, and tallies it. A newly stable checkpoint goes to the host
+// (truncation, durable snapshot), surfaces to the application's
+// Checkpointer hook, and starts a state transfer if the host is behind it
+// and not rebuilding itself from its store.
+func (l *Lifecycle[V, Q, T]) Record(ctx proc.Context, v V) {
+	l.shell.Append(l.cfg.VoteRecord, func(w *codec.Writer) {
+		w.Uint8(v.Tag())
+		v.MarshalTo(w)
+	})
+	st := l.CheckpointTracker.Record(v)
+	if st == nil {
 		return
 	}
-	var voters []types.ReplicaID
+	lags := l.host.Stabilized(ctx, st)
+	if ck, ok := l.cfg.App.(types.Checkpointer); ok {
+		ck.Checkpoint(st.Mark, st.Digest)
+	}
+	if lags && !l.shell.Recovering() {
+		l.Request(ctx, st)
+	}
+}
+
+// RecordProof logs and tallies the votes of a proof received inside
+// another message (a NEW-VIEW's), reacting to the checkpoint they make
+// stable.
+func (l *Lifecycle[V, Q, T]) RecordProof(ctx proc.Context, proof []V) {
+	if !l.Enabled() {
+		return
+	}
+	for _, v := range proof {
+		l.Record(ctx, v)
+	}
+}
+
+// Request starts a transfer round anchored at st (see the type comment),
+// unless one is in flight or st is nil.
+func (l *Lifecycle[V, Q, T]) Request(ctx proc.Context, st *StableCheckpoint[V]) {
+	if l.pending || st == nil {
+		return
+	}
+	var voters []types.ReplicaID // in voter order, as the proof holds them
 	for _, v := range st.Votes {
-		if ck := v.(*Checkpoint); ck.Replica != l.cfg.Self {
-			voters = append(voters, ck.Replica)
+		if id, _ := v.Signer(); id != l.cfg.Self {
+			voters = append(voters, id)
 		}
 	}
 	if len(voters) == 0 {
 		return
 	}
-	slices.Sort(voters)
 	base := int(l.attempts) % len(voters)
 	l.attempts++
 	l.pending = true
-	l.tail = l.host.MaxExecuted() >= st.Mark
-	req := &CatchupReq{Replica: l.cfg.Self, tag: l.cfg.Tags.CatchupReq}
-	l.cfg.Costs.ChargeSign(ctx)
-	req.Sig = SignBody(l.cfg.Auth, req)
+	req := l.host.Solicit(ctx, st)
 	for k := 0; k < min(l.f+1, len(voters)); k++ {
-		l.host.Send(ctx, types.ReplicaNode(voters[(base+k)%len(voters)]), req)
+		l.shell.Send(ctx, types.ReplicaNode(voters[(base+k)%len(voters)]), req)
 	}
-	l.host.AfterTimer(ctx, proc.Backoff(ctx, l.cfg.RetryBase, l.retries), func(ctx proc.Context) {
+	space := st.Space
+	l.shell.AfterTimer(ctx, proc.Backoff(ctx, l.cfg.RetryBase, l.retries), func(ctx proc.Context) {
 		if !l.pending {
-			return
+			return // the round installed or settled
 		}
 		l.pending = false
 		l.retries++
-		if st := l.Stable(); st != nil && l.behind(st) {
-			l.request(ctx, st)
+		// Waiting for the next stability signal is not enough: in a quiesced
+		// cluster it may never come.
+		if st := l.Stable(space); l.host.Behind(st) {
+			l.Request(ctx, st)
 		}
 	})
 }
 
-// HandleCatchupReq serves a state transfer: the latest stable checkpoint's
-// proof, the state kept at exactly its sequence number, and every retained
-// executed slot above it.
-func (l *Lifecycle) HandleCatchupReq(ctx proc.Context, m *CatchupReq) {
-	if m.Replica == l.cfg.Self {
+// HandleCatchupReq serves a validly signed transfer request from a peer.
+func (l *Lifecycle[V, Q, T]) HandleCatchupReq(ctx proc.Context, m Q) {
+	from, sig := m.Signer()
+	if from == l.cfg.Self {
 		l.stats.DroppedInvalid++
 		return
 	}
-	if !l.Valid(ctx, m.Replica, m, m.Sig) {
+	if !l.Valid(ctx, from, m, sig) {
 		return
 	}
-	st := l.Stable()
-	if st == nil {
-		return
+	if resp, ok := l.host.Serve(ctx, m); ok {
+		l.shell.Send(ctx, types.ReplicaNode(from), resp)
+		l.stats.CatchupsServed++
 	}
-	snap, aux, ok := l.states.Snapshot(st.Mark)
-	if !ok {
-		return // no state kept for the stable point (non-Snapshotter app)
-	}
-	resp := &CatchupResp{
-		Replica:  l.cfg.Self,
-		View:     l.host.View(),
-		Seq:      st.Mark,
-		Digest:   st.Digest,
-		Aux:      aux,
-		Snapshot: snap,
-		Suffix:   l.host.ExecutedSuffix(st.Mark),
-		tag:      l.cfg.Tags.CatchupResp,
-	}
-	for _, v := range st.Votes {
-		resp.Proof = append(resp.Proof, v.(*Checkpoint))
-	}
-	l.cfg.Costs.ChargeSign(ctx)
-	resp.Sig = SignBody(l.cfg.Auth, resp)
-	l.host.Send(ctx, types.ReplicaNode(m.Replica), resp)
-	l.stats.CatchupsServed++
 }
 
-// HandleCatchupResp validates a state transfer and buffers it until f+1
-// distinct responders agree on its anchor. A response anchored above the
-// watermark installs wholesale: the snapshot is restored and must digest to
-// the checkpoint's 2f+1-signed digest, or it is rolled back. A response
-// anchored at or below it (a tail round) installs no snapshot. Either way
-// only the suffix prefix every agreeing responder vouches for replays.
-func (l *Lifecycle) HandleCatchupResp(ctx proc.Context, m *CatchupResp) {
+// HandleCatchupResp takes a response to the round in flight (an
+// unsolicited one is ignored) through the host's verdict, the f+1
+// agreement buffer and the install. A failed install is counted and ends
+// the round.
+func (l *Lifecycle[V, Q, T]) HandleCatchupResp(ctx proc.Context, m T) {
 	if !l.pending {
 		return
 	}
-	exec := l.host.MaxExecuted()
-	wholesale := m.Seq > exec
-	if !wholesale {
-		if !l.tail {
-			return
+	group := []T{m}
+	switch l.host.Admit(ctx, m) {
+	case Reject:
+		l.stats.DroppedInvalid++
+		return
+	case Settled:
+		// Caught up by other means: what is buffered describes a state the
+		// replica has reached, and can only go stale.
+		l.pending = false
+		clear(l.resps)
+		return
+	case Agree:
+		from, _ := m.Signer()
+		l.resps[from] = m
+		group = group[:0]
+		for _, o := range l.resps {
+			if l.host.Agree(o, m) {
+				group = append(group, o)
+			}
 		}
-		if m.Seq+uint64(len(m.Suffix)) <= exec {
-			l.pending = false // caught up by other means
-			return
+		if len(group) < l.f+1 {
+			return // keep soliciting; the retry timer rotates to more voters
 		}
-	}
-	if !l.Valid(ctx, m.Replica, m, m.Sig) {
+		// The group provably holds a correct replica, so responders outside
+		// it are a lying or stale minority.
+		l.stats.CatchupMismatches += uint64(len(l.resps) - len(group))
+	case Adopt:
+	default:
 		return
 	}
-	snap, isSnap := l.cfg.App.(types.Snapshotter)
-	if wholesale && !isSnap {
-		return
-	}
-	if !l.proofValid(ctx, m.Seq, m.Digest, m.Proof) {
+	// Whatever else is buffered predates this install; left around it could
+	// later seat an f+1 group and regress the state.
+	clear(l.resps)
+	l.pending, l.retries = false, 0
+	if !l.host.Install(ctx, m, group) {
 		l.stats.DroppedInvalid++
 		return
 	}
-	l.resps[m.Replica] = m
-	var group []*CatchupResp
-	for _, o := range l.resps {
-		if sameAnchor(o, m) {
-			group = append(group, o)
-		}
-	}
-	if len(group) < l.f+1 {
-		return // keep soliciting; the retry timer rotates to more voters
-	}
-	// The group provably holds a correct replica, so responders outside it
-	// are a lying or stale minority: count and discard them.
-	l.stats.CatchupMismatches += uint64(len(l.resps) - len(group))
-	clear(l.resps)
-	if wholesale {
-		// Keep the pre-transfer state: should the agreed bytes still not
-		// digest to the quorum-signed digest, nothing of them may stay.
-		prev := snap.Snapshot()
-		if err := snap.Restore(m.Snapshot); err != nil {
-			l.stats.DroppedInvalid++
-			return
-		}
-		if l.cfg.App.Digest() != m.Digest {
-			_ = snap.Restore(prev)
-			l.pending = false
-			l.stats.DroppedInvalid++
-			return
-		}
-		l.host.DropLog(m.Seq, m.Aux)
-		l.emitted = max(l.emitted, m.Seq)
-	}
-	// The lowest view and the shortest suffix in the group are what every
-	// member, so at least one correct replica, vouches for.
-	view, end := m.View, m.Seq+uint64(len(m.Suffix))
-	for _, o := range group {
-		view = min(view, o.View)
-		end = min(end, o.Seq+uint64(len(o.Suffix)))
-	}
-	l.vouched = max(l.vouched, end)
-	l.host.AdoptView(ctx, view)
-	l.replay(ctx, m, group)
-	if cs := l.Stable(); cs == nil || cs.Mark < m.Seq {
-		// Adopt the transferred checkpoint as the stable point, so stats and
-		// later truncation reflect it before fresh votes arrive.
-		for _, v := range m.Proof {
-			l.ckpt.Record(0, v.Seq, v.Replica, v.Digest, v)
-		}
-	}
-	l.pending = false
-	l.retries = 0
 	l.stats.CatchupsInstalled++
-	if wholesale {
-		l.states.Adopt(m.Seq, m.Snapshot, m.Aux)
-	}
-	l.host.Installed(ctx)
-	l.host.Persist()
-	if st := l.Stable(); st != nil && l.behind(st) {
-		// Slots the group vouched for did not replay (its members disagreed
-		// on them): ask the next voters for the tail.
-		l.request(ctx, st)
-	}
-}
-
-// replay executes, from the watermark up, the suffix prefix every member
-// of the agreeing group vouches for: a liar inside the group (agreeing on
-// the anchor) cannot smuggle in a forged slot.
-func (l *Lifecycle) replay(ctx proc.Context, m *CatchupResp, group []*CatchupResp) {
-	agreed := len(m.Suffix)
-	for _, o := range group {
-		agreed = min(agreed, len(o.Suffix))
-	}
-	for i := 0; i < agreed; i++ {
-		for _, o := range group {
-			if !slotsAgree(&m.Suffix[i], &o.Suffix[i]) {
-				agreed = i
-				break
-			}
-		}
-	}
-	for i := 0; i < agreed; i++ {
-		s := &m.Suffix[i]
-		exec := l.host.MaxExecuted()
-		if s.Seq <= exec {
-			continue // a tail overlaps what already executed here
-		}
-		if s.Seq != exec+1 {
-			break
-		}
-		l.host.ReplaySlot(ctx, s)
-	}
 }
 
 // Valid checks a replica message's claimed sender and, unless the
 // transport already did, its signature, counting what it rejects.
-func (l *Lifecycle) Valid(ctx proc.Context, from types.ReplicaID, m SignedMessage, sig []byte) bool {
+func (l *Lifecycle[V, Q, T]) Valid(ctx proc.Context, from types.ReplicaID, m SignedMessage, sig []byte) bool {
 	if from < 0 || int(from) >= l.cfg.N {
 		l.stats.DroppedInvalid++
 		return false
@@ -460,38 +320,22 @@ func (l *Lifecycle) Valid(ctx proc.Context, from types.ReplicaID, m SignedMessag
 	return true
 }
 
-// proofValid checks that a proof carries valid votes of 2f+1 distinct
-// replicas for the checkpoint (seq, digest).
-func (l *Lifecycle) proofValid(ctx proc.Context, seq uint64, digest types.Digest, proof []*Checkpoint) bool {
-	l.cfg.Costs.ChargeVerify(ctx, len(proof))
+// ProofValid reports whether proof holds validly signed votes of 2f+1
+// distinct replicas for (space, mark, digest); votes for anything else are
+// skipped. It is the one check of a stable checkpoint's proof — in a
+// transfer, a NEW-VIEW, an owner change — and charges nothing: its callers
+// charge the verifications where they take them.
+func (l *Lifecycle[V, Q, T]) ProofValid(space CheckpointSpace, mark uint64, digest types.Digest, proof []V) bool {
 	voted := make(map[types.ReplicaID]bool, len(proof))
 	for _, v := range proof {
-		if v.Seq == seq && v.Digest == digest && v.Replica >= 0 && int(v.Replica) < l.cfg.N &&
-			(v.SigVerified() || VerifyBody(l.cfg.Auth, types.ReplicaNode(v.Replica), v, v.Sig) == nil) {
-			voted[v.Replica] = true
+		s, m, d := v.Ballot()
+		from, sig := v.Signer()
+		if s != space || m != mark || d != digest || from < 0 || int(from) >= l.cfg.N || voted[from] {
+			continue
+		}
+		if v.SigVerified() || VerifyBody(l.cfg.Auth, types.ReplicaNode(from), v, sig) == nil {
+			voted[from] = true
 		}
 	}
 	return len(voted) >= 2*l.f+1
-}
-
-// sameAnchor reports whether two responses anchor the same install: the
-// same checkpoint, aux value and snapshot bytes.
-func sameAnchor(a, b *CatchupResp) bool {
-	return a.Seq == b.Seq && a.Digest == b.Digest && a.Aux == b.Aux && bytes.Equal(a.Snapshot, b.Snapshot)
-}
-
-// slotsAgree reports whether two responders vouch for the same executed
-// slot: one sequence number ordering the same commands. The view is
-// advisory (a replica that itself rejoined by transfer records the view it
-// learned the slot in) and stays outside agreement.
-func slotsAgree(a, b *CatchupSlot) bool {
-	if a.Seq != b.Seq || len(a.Reqs) != len(b.Reqs) {
-		return false
-	}
-	for i := range a.Reqs {
-		if a.Reqs[i].Cmd.Digest() != b.Reqs[i].Cmd.Digest() {
-			return false
-		}
-	}
-	return true
 }

@@ -6,7 +6,7 @@ import (
 	"ezbft/internal/types"
 )
 
-// The wire messages of the sequenced log lifecycle (lifecycle.go): one
+// The wire messages of the sequenced log lifecycle (seqlog.go): one
 // CHECKPOINT vote and one CATCHUP-REQ / CATCHUP-RESP pair, shared by PBFT,
 // Zyzzyva and FaB. Each protocol keeps its own tag numbers (LogTags) and
 // the layouts are common. A CHECKPOINT's encoding must not change: the
@@ -60,6 +60,12 @@ func (m *Checkpoint) MarshalTo(w *codec.Writer) {
 	w.Blob(m.Sig)
 }
 
+// Signer and Ballot implement CheckpointVote: a sequenced protocol has one space.
+func (m *Checkpoint) Signer() (types.ReplicaID, []byte) { return m.Replica, m.Sig }
+func (m *Checkpoint) Ballot() (CheckpointSpace, uint64, types.Digest) {
+	return 0, m.Seq, m.Digest
+}
+
 // MarshalBody writes the bytes the replica signature covers.
 func (m *Checkpoint) MarshalBody(w *codec.Writer) {
 	w.Uvarint(m.Seq)
@@ -100,6 +106,9 @@ func (m *CatchupReq) MarshalTo(w *codec.Writer) {
 
 // MarshalBody writes the bytes the replica signature covers.
 func (m *CatchupReq) MarshalBody(w *codec.Writer) { w.Int32(int32(m.Replica)) }
+
+// Signer implements Signed.
+func (m *CatchupReq) Signer() (types.ReplicaID, []byte) { return m.Replica, m.Sig }
 
 // CatchupCmd is one request of a transferred slot, encoded as the
 // sequenced protocols encode a REQUEST. Sig is the client's signature
@@ -160,6 +169,9 @@ func (m *CatchupResp) MarshalTo(w *codec.Writer) {
 		v.MarshalTo(w)
 	}
 }
+
+// Signer implements Signed.
+func (m *CatchupResp) Signer() (types.ReplicaID, []byte) { return m.Replica, m.Sig }
 
 // MarshalBody writes the bytes the responder's signature covers.
 func (m *CatchupResp) MarshalBody(w *codec.Writer) {

@@ -208,19 +208,10 @@ type ReplyRefresher[Y any] interface {
 // SeqStats are the counters every sequenced replica reports; each
 // protocol's ReplicaStats embeds them beside its own.
 type SeqStats struct {
-	DroppedInvalid uint64
-	ViewChanges    uint64 // views entered through a NEW-VIEW
-
-	// Log-lifecycle observables (checkpointing / GC).
-	Checkpoints      uint64 // stable checkpoints established
+	ViewChanges      uint64 // views entered through a NEW-VIEW
 	TruncatedEntries uint64 // slots freed by truncation
-	LowWaterMark     uint64 // latest stable checkpoint sequence number
 
-	// State-transfer observables (Lifecycle).
-	CatchupsServed    uint64 // CATCHUP-RESPs served to lagging peers
-	CatchupsInstalled uint64 // transfers verified and installed locally
-	CatchupMismatches uint64 // responders outvoted by an installed f+1 agreement
-
+	LogStats // checkpoints and state transfers; DroppedInvalid counts every drop
 	WALStats
 }
 
@@ -245,7 +236,17 @@ type Sequencer[R any, P ClientRequest[R], Y codec.Message, S Slot] struct {
 	vhost   ViewHost[S]
 	vtags   ViewTags
 	refresh ReplyRefresher[Y] // nil unless cached replies can go stale
-	life    *Lifecycle
+	life    *Lifecycle[*Checkpoint, *CatchupReq, *CatchupResp]
+	lhost   SeqLogHost
+	tags    LogTags
+	states  *StateKeeper // the states at recent checkpoints, for transfer
+	emitted uint64       // highest sequence number this replica voted for
+	// tail marks a round that asked only for the executed suffix above a
+	// watermark already at the stable mark; vouched is the highest slot
+	// that every responder of an installed agreement claimed to have
+	// executed.
+	tail    bool
+	vouched uint64
 
 	// Log holds the retained slots by sequence number.
 	Log map[uint64]S
@@ -282,7 +283,7 @@ type Sequencer[R any, P ClientRequest[R], Y codec.Message, S Slot] struct {
 func NewSequencer[R any, P ClientRequest[R], Y codec.Message, S Slot](
 	name string, cfg *SeqConfig, maxBatch int, tags LogTags, vtags ViewTags, host interface {
 		SeqHost[R, Y, S]
-		LogHost
+		SeqLogHost
 		ViewHost[S]
 	}) (*Sequencer[R, P, Y, S], error) {
 	if err := cfg.validate(name, maxBatch); err != nil {
@@ -293,6 +294,9 @@ func NewSequencer[R any, P ClientRequest[R], Y codec.Message, S Slot](
 		cfg:       *cfg,
 		host:      host,
 		vhost:     host,
+		lhost:     host,
+		tags:      tags,
+		states:    NewStateKeeper(cfg.App, cfg.CheckpointInterval),
 		vtags:     vtags,
 		vcs:       make(map[types.ReplicaID]*ViewChange),
 		certs:     make(map[uint64]ViewEntry),
@@ -306,15 +310,17 @@ func NewSequencer[R any, P ClientRequest[R], Y codec.Message, S Slot](
 	s.refresh, _ = host.(ReplyRefresher[Y])
 	s.window = NewRequestWindow(s.release)
 	s.batcher = NewBatcher[ReqKey, P](cfg.BatchSize, cfg.BatchDelay, s, s.flush)
-	s.life = NewLifecycle(LogConfig{
+	s.life = NewLifecycle[*Checkpoint, *CatchupReq, *CatchupResp](LogConfig{
 		Self: cfg.Self, N: cfg.N, App: cfg.App, Auth: cfg.Auth, Costs: cfg.Costs,
-		Tags: tags, Interval: cfg.CheckpointInterval, RetryBase: 2 * cfg.ForwardTimeout,
-	}, host)
+		VoteRecord: WALVote, Interval: cfg.CheckpointInterval, RetryBase: 2 * cfg.ForwardTimeout,
+	}, &s.Shell, seqLife[R, P, Y, S]{s})
 	return s, nil
 }
 
 // Life returns the replica's log lifecycle.
-func (s *Sequencer[R, P, Y, S]) Life() *Lifecycle { return s.life }
+func (s *Sequencer[R, P, Y, S]) Life() *Lifecycle[*Checkpoint, *CatchupReq, *CatchupResp] {
+	return s.life
+}
 
 // View returns the current view.
 func (s *Sequencer[R, P, Y, S]) View() uint64 { return s.view }
@@ -354,7 +360,7 @@ func (s *Sequencer[R, P, Y, S]) MaxExecuted() uint64 { return s.MaxExec }
 func (s *Sequencer[R, P, Y, S]) Truncated() uint64 { return s.truncated }
 
 // StableCheckpoint returns the latest stable checkpoint sequence number.
-func (s *Sequencer[R, P, Y, S]) StableCheckpoint() uint64 { return s.life.Mark() }
+func (s *Sequencer[R, P, Y, S]) StableCheckpoint() uint64 { return s.life.Mark(0) }
 
 // SlotCount returns the number of retained slots (soak-test observable).
 func (s *Sequencer[R, P, Y, S]) SlotCount() int { return len(s.Log) }
@@ -373,10 +379,9 @@ func (s *Sequencer[R, P, Y, S]) ExecutedCommands() uint64 { return s.executedCmd
 // MergeStats returns own with the Sequencer's, the Lifecycle's and the
 // write-ahead log's counters added in.
 func (s *Sequencer[R, P, Y, S]) MergeStats(own SeqStats) SeqStats {
-	ls := s.life.Stats()
-	own.Checkpoints, own.LowWaterMark = ls.Checkpoints, ls.LowWaterMark
-	own.CatchupsServed, own.CatchupsInstalled, own.CatchupMismatches = ls.CatchupsServed, ls.CatchupsInstalled, ls.CatchupMismatches
-	own.DroppedInvalid += ls.DroppedInvalid + s.dropped
+	dropped := own.DroppedInvalid + s.dropped
+	own.LogStats = s.life.Stats()
+	own.DroppedInvalid += dropped
 	own.TruncatedEntries += s.truncatedEntries
 	own.ViewChanges += s.viewChanges
 	own.WALStats = s.WALStats()
@@ -633,7 +638,7 @@ func (s *Sequencer[R, P, Y, S]) ExecuteReady(ctx proc.Context) {
 			return
 		}
 		s.Execute(ctx, slot)
-		s.life.MaybeEmit(ctx, types.Digest{})
+		s.MaybeEmit(ctx, types.Digest{})
 	}
 }
 
@@ -656,10 +661,10 @@ func (s *Sequencer[R, P, Y, S]) Execute(ctx proc.Context, slot S) {
 	s.executedCmds += uint64(len(b.Cmds))
 }
 
-// Truncate implements LogHost: it frees the executed slots at and below a
-// stable mark (keeping LogRetention extra sequence numbers, and never beyond
-// this replica's own executed prefix) and hands their per-request
-// bookkeeping to the client window to release.
+// Truncate frees the executed slots at and below a stable mark (keeping
+// LogRetention extra sequence numbers, and never beyond this replica's own
+// executed prefix) and hands their per-request bookkeeping to the client
+// window to release.
 func (s *Sequencer[R, P, Y, S]) Truncate(mark uint64) {
 	if s.cfg.LogRetention >= mark {
 		return
@@ -682,7 +687,7 @@ func (s *Sequencer[R, P, Y, S]) Truncate(mark uint64) {
 	s.truncated = mark
 }
 
-// ExecutedSuffix implements LogHost's ExecutedSuffix for a protocol whose
+// ExecutedSuffix implements SeqLogHost's ExecutedSuffix for a protocol whose
 // transferred slots carry commands without their client signatures, in the
 // current view.
 func (s *Sequencer[R, P, Y, S]) ExecutedSuffix(mark uint64) []CatchupSlot {

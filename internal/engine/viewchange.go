@@ -83,11 +83,8 @@ func (s *Sequencer[R, P, Y, S]) startViewChange(ctx proc.Context, view uint64) {
 	}
 	s.InVC, s.vcTarget = true, view
 	vc := &ViewChange{View: view, Replica: s.cfg.Self, tag: s.vtags.ViewChange}
-	if st := s.life.Stable(); st != nil {
-		vc.Mark, vc.Digest = st.Mark, st.Digest
-		for _, v := range st.Votes {
-			vc.Proof = append(vc.Proof, v.(*Checkpoint))
-		}
+	if st := s.life.Stable(0); st != nil {
+		vc.Mark, vc.Digest, vc.Proof = st.Mark, st.Digest, st.Votes
 	}
 	vc.Entries = s.HeldCerts()
 	for seq, slot := range s.Log {
@@ -180,9 +177,14 @@ func (s *Sequencer[R, P, Y, S]) validNewView(ctx proc.Context, m *NewView) bool 
 // frame of an earlier view at its sequence number, and a valid certificate
 // of an earlier view where one is reported.
 func (s *Sequencer[R, P, Y, S]) validViewChange(ctx proc.Context, m *ViewChange) bool {
-	if m.Replica < 0 || int(m.Replica) >= s.cfg.N || !s.verified(ctx, m.Replica, m, m.Sig) ||
-		(m.Mark > 0 && !s.life.proofValid(ctx, m.Mark, m.Digest, m.Proof)) {
+	if m.Replica < 0 || int(m.Replica) >= s.cfg.N || !s.verified(ctx, m.Replica, m, m.Sig) {
 		return false
+	}
+	if m.Mark > 0 {
+		s.cfg.Costs.ChargeVerify(ctx, len(m.Proof))
+		if !s.life.ProofValid(0, m.Mark, m.Digest, m.Proof) {
+			return false
+		}
 	}
 	prev := m.Mark
 	for i := range m.Entries {
@@ -497,7 +499,7 @@ func (s *Sequencer[R, P, Y, S]) HeldCerts() []ViewEntry {
 	}
 	var held []ViewEntry
 	for _, seq := range slices.Sorted(maps.Keys(s.certs)) {
-		if seq <= s.life.Mark() {
+		if seq <= s.life.Mark(0) {
 			delete(s.certs, seq)
 		} else {
 			held = append(held, s.certs[seq])
@@ -506,7 +508,7 @@ func (s *Sequencer[R, P, Y, S]) HeldCerts() []ViewEntry {
 	return held
 }
 
-// AdoptView implements LogHost for a protocol that follows the view a
+// AdoptView implements SeqLogHost for a protocol that follows the view a
 // state transfer vouches for: it enters it as a NEW-VIEW would, without a
 // plan.
 func (s *Sequencer[R, P, Y, S]) AdoptView(ctx proc.Context, view uint64) {

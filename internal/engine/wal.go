@@ -106,11 +106,11 @@ func (s *Sequencer[R, P, Y, S]) ClientSig(b *Batch, i int) []byte {
 // store stalls for time proportional to the state once per stable
 // checkpoint, but allocates nothing in proportion to it.
 func (s *Sequencer[R, P, Y, S]) Persist() {
-	st := s.life.Stable()
+	st := s.life.Stable(0)
 	if st == nil || !s.logging() {
 		return
 	}
-	state, aux, ok := s.life.states.Writer(st.Mark)
+	state, aux, ok := s.states.Writer(st.Mark)
 	if !ok {
 		return // non-Snapshotter application: WAL-only durability
 	}
@@ -119,7 +119,7 @@ func (s *Sequencer[R, P, Y, S]) Persist() {
 
 // snapshot streams the snapshot at st to out, with the state there and its
 // aux value, spilling its small codec buffer as it goes.
-func (s *Sequencer[R, P, Y, S]) snapshot(out io.Writer, st *StableCheckpoint, state types.StateWriter, aux types.Digest) error {
+func (s *Sequencer[R, P, Y, S]) snapshot(out io.Writer, st *StableCheckpoint[*Checkpoint], state types.StateWriter, aux types.Digest) error {
 	w := codec.GetWriter()
 	defer codec.PutWriter(w)
 	w.Uvarint(s.view)
@@ -189,8 +189,8 @@ func (s *Sequencer[R, P, Y, S]) Init(ctx proc.Context) {
 	}) {
 		return
 	}
-	if st := s.life.Stable(); st != nil && st.Mark > s.MaxExec {
-		s.life.Pull(ctx)
+	if st := s.life.Stable(0); st != nil && st.Mark > s.MaxExec {
+		s.life.Request(ctx, st)
 	}
 }
 
@@ -205,7 +205,7 @@ func (s *Sequencer[R, P, Y, S]) restore(ctx proc.Context, data []byte) error {
 	rd.Bytes32() // the agreed digest, which the votes carry too
 	appSnap := rd.Blob()
 	votes, err := decodeList(rd, maxSnapVotes, func(r *codec.Reader) (*Checkpoint, error) {
-		return DecodeCheckpoint(r, s.life.cfg.Tags.Checkpoint)
+		return DecodeCheckpoint(r, s.tags.Checkpoint)
 	})
 	var slots []S
 	var held []ViewEntry
@@ -230,7 +230,10 @@ func (s *Sequencer[R, P, Y, S]) restore(ctx proc.Context, data []byte) error {
 		return fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
 	s.EnterView(view)
-	s.life.Recovered(mark, appSnap, aux, votes)
+	// The state at the mark adopts as a transfer's would (DropLog).
+	s.life.Adopt(votes...)
+	s.states.Adopt(mark, appSnap, aux)
+	s.lhost.DropLog(mark, aux)
 	for _, slot := range slots {
 		s.install(slot)
 	}
@@ -256,8 +259,8 @@ func (s *Sequencer[R, P, Y, S]) replay(ctx proc.Context, rec store.Record) {
 			slot.Ordered().Final = true
 		}
 	case WALVote:
-		if msg, err := codec.Unmarshal(rec.Data); err == nil {
-			if ck, ok := msg.(*Checkpoint); ok {
+		if rd.Uint8() == s.tags.Checkpoint {
+			if ck, err := DecodeCheckpoint(rd, s.tags.Checkpoint); err == nil && rd.Finish() == nil {
 				s.life.Record(ctx, ck)
 			}
 		}

@@ -90,12 +90,12 @@ func (r *Replica) handleStatus(ctx proc.Context, m *Status) {
 		return
 	}
 	if r.Life().Valid(ctx, m.Replica, m, m.Sig) && m.MaxExec > r.MaxExec {
-		r.Life().Pull(ctx)
+		r.Life().Request(ctx, r.Life().Stable(0))
 	}
 }
 
-// FaB's half of the lifecycle (engine.LogHost) is its host; the gated
-// sends, timers, view, execution watermark, truncation and executed suffix
+// FaB's half of the lifecycle (engine.SeqLogHost) is its host; the
+// snapshot cut, view, execution watermark, truncation and executed suffix
 // come from its Sequencer.
 
 // DropLog also advances the truncation point, so contiguous() scans from
@@ -133,5 +133,5 @@ func (h host) Installed(ctx proc.Context) {
 	if s, ok := h.Log[h.MaxExec+1]; ok {
 		h.checkLearned(ctx, s)
 	}
-	h.Life().MaybeEmit(ctx, types.Digest{})
+	h.MaybeEmit(ctx, types.Digest{})
 }

@@ -64,13 +64,13 @@ func TestCheckpointEmissionCostIndependentOfState(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.MaxExec = interval
-		r.Life().MaybeEmit(pvCtx{}, types.Digest{}) // first digest builds the key index
+		r.MaybeEmit(pvCtx{}, types.Digest{}) // first digest builds the key index
 		const rounds = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := uint64(2); i < 2+rounds; i++ {
 			r.MaxExec = i * interval
-			r.Life().MaybeEmit(pvCtx{}, types.Digest{})
+			r.MaybeEmit(pvCtx{}, types.Digest{})
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / rounds
@@ -114,7 +114,7 @@ func TestSnapshotCostIndependentOfState(t *testing.T) {
 		cut := func(round uint64) {
 			r.MaxExec = round * interval
 			d := app.Digest()
-			r.Life().MaybeEmit(pvCtx{}, types.Digest{})
+			r.MaybeEmit(pvCtx{}, types.Digest{})
 			for k := 0; k < 8; k++ {
 				app.Apply(types.Command{Op: types.OpPut, Key: fmt.Sprintf("key-%05d", k), Value: []byte{byte(round)}})
 			}

@@ -20,9 +20,9 @@ type Checkpoint = engine.Checkpoint
 
 func init() { engine.RegisterLogMessages("pbft", logTags) }
 
-// PBFT's half of the lifecycle (engine.LogHost) is its host; the gated
-// sends, timers, write-ahead log, view, execution watermark and truncation
-// come from its Sequencer.
+// PBFT's half of the lifecycle (engine.SeqLogHost) is its host; the
+// snapshot cut, view, execution watermark and truncation come from its
+// Sequencer.
 
 // ExecutedSuffix serves the executed slots above mark with their client
 // signatures.

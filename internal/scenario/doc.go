@@ -76,10 +76,10 @@
 // The forged transfers pass every per-message check. What defeats them is
 // the one rule every protocol's state transfer follows: nothing installs on
 // a single responder's word. A transfer installs only once f+1 distinct
-// responders — so at least one correct replica — agree on it, and for the
-// sequenced protocols (engine.Lifecycle) only the executed-suffix prefix
-// all of them vouch for replays; a responder outside the agreement is
-// counted in CatchupMismatches.
+// responders — so at least one correct replica — agree on it (the transfer
+// round all four share, engine.Lifecycle), and for the sequenced protocols
+// only the executed-suffix prefix all of them vouch for replays; a
+// responder outside the agreement is counted in CatchupMismatches.
 //
 // Shapes() adds the hostile network catalogue, including the
 // view-change-storm shape: isolate/heal cycles that rotate through the

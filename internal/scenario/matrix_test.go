@@ -30,7 +30,7 @@ func TestSmokeMatrix(t *testing.T) {
 // line.
 func TestFullMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 309-cell matrix (not short)")
+		t.Skip("full 313-cell matrix (not short)")
 	}
 	seed := SeedFromEnv(1)
 	rep, err := RunMatrix(DefaultMatrix(), Config{Seed: seed})

@@ -22,8 +22,8 @@ var logTags = engine.LogTags{Checkpoint: 48, CatchupReq: 49, CatchupResp: 65}
 
 func init() { engine.RegisterLogMessages("zyzzyva", logTags) }
 
-// Zyzzyva's half of the lifecycle (engine.LogHost) is its host; the gated
-// sends, timers, view, execution watermark, truncation and executed suffix
+// Zyzzyva's half of the lifecycle (engine.SeqLogHost) is its host; the
+// snapshot cut, view, execution watermark, truncation and executed suffix
 // come from its Sequencer.
 
 // DropLog adopts the history hash at the installed checkpoint, from which
@@ -56,5 +56,5 @@ func (h host) Installed(ctx proc.Context) {
 	}
 	h.executeLog(ctx)
 	h.drain(ctx)
-	h.Life().MaybeEmit(ctx, h.histHash)
+	h.MaybeEmit(ctx, h.histHash)
 }

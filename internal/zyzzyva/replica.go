@@ -233,7 +233,7 @@ func (r *Replica) executeLog(ctx proc.Context) {
 		e.histHash = chainHash(r.histHash, e.Digest)
 		r.histHash = e.histHash
 		r.Execute(ctx, e)
-		r.Life().MaybeEmit(ctx, r.histHash)
+		r.MaybeEmit(ctx, r.histHash)
 	}
 }
 
