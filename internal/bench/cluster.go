@@ -177,7 +177,6 @@ type Cluster struct {
 
 	// Protocol-specific handles (nil for other protocols).
 	EZReplicas  []*core.Replica
-	EZClients   []*core.Client
 	PBReplicas  []*pbft.Replica
 	ZYReplicas  []*zyzzyva.Replica
 	FBReplicas  []*fab.Replica
@@ -321,9 +320,6 @@ func Build(spec Spec) (*Cluster, error) {
 				return nil, err
 			}
 			cl.Clients = append(cl.Clients, c)
-			if ez, ok := engine.Unwrap(c).(*core.Client); ok {
-				cl.EZClients = append(cl.EZClients, ez)
-			}
 			if err := rt.AddNode(c, *spec.ClientCost); err != nil {
 				return nil, err
 			}
@@ -358,7 +354,7 @@ func (c *Cluster) buildReplica(rid types.ReplicaID, app types.Application, a aut
 	} else {
 		c.Replicas = append(c.Replicas, p)
 	}
-	switch rep := engine.Unwrap(p).(type) {
+	switch rep := p.(type) {
 	case *core.Replica:
 		c.EZReplicas = placeAt(c.EZReplicas, i, rep)
 	case *pbft.Replica:

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ezbft/internal/core"
-	"ezbft/internal/engine"
 	"ezbft/internal/store"
 	"ezbft/internal/types"
 	"ezbft/internal/wan"
@@ -77,7 +76,7 @@ func TestClusterRestartDiskRecovery(t *testing.T) {
 			t.Fatalf("digests diverged after restart: %v", digests)
 		}
 	}
-	st := engine.Unwrap(cl.Replicas[3]).(*core.Replica).Stats()
+	st := cl.Replicas[3].(*core.Replica).Stats()
 	if st.Recoveries == 0 {
 		t.Error("restarted replica reports no recovery from its disk store")
 	}

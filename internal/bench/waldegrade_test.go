@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ezbft/internal/core"
-	"ezbft/internal/engine"
 	"ezbft/internal/pbft"
 	"ezbft/internal/store"
 	"ezbft/internal/types"
@@ -100,7 +99,7 @@ func TestWALDegrade(t *testing.T) {
 			defer cl.CloseStores()
 
 			walStats := func(i int) (failed bool, recoveries uint64) {
-				switch rep := engine.Unwrap(cl.Replicas[i]).(type) {
+				switch rep := cl.Replicas[i].(type) {
 				case *core.Replica:
 					st := rep.Stats()
 					return st.WALFailed, st.Recoveries

@@ -8,6 +8,7 @@ import (
 
 	"ezbft/internal/auth"
 	"ezbft/internal/codec"
+	"ezbft/internal/engine"
 	"ezbft/internal/kvstore"
 	"ezbft/internal/proc"
 	"ezbft/internal/race"
@@ -162,12 +163,12 @@ func TestFinishFastAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &pendingReq{cmd: replies[0].SO.Req.Cmd}
+	p := &pendingReq{Pending: engine.Pending{Cmd: replies[0].SO.Req.Cmd}}
 	group := &replyGroup{replies: replies, count: len(replies)}
 	ctx := &captureCtx{sends: make([]codec.Message, 0, 8)}
 	got := testing.AllocsPerRun(200, func() {
 		ctx.sends = ctx.sends[:0]
-		cl.finishFast(ctx, p.cmd.Timestamp, p, replies[0].Inst, group)
+		cl.finishFast(ctx, p, replies[0].Inst, group)
 	})
 	if got != 3 {
 		t.Errorf("finishFast allocates %v objects, want 3", got)

@@ -7,8 +7,10 @@ import (
 
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
+	"ezbft/internal/proc"
 	"ezbft/internal/sim"
 	"ezbft/internal/types"
+	"ezbft/internal/workload"
 )
 
 // --- wire format ---
@@ -451,7 +453,7 @@ func TestSameInstanceBatchEquivocationPOM(t *testing.T) {
 
 	ctx := &captureCtx{}
 	cl.Submit(ctx, putCmd("k", "v"))
-	p := cl.pending[1]
+	p := cl.Pending[1]
 
 	mkSO := func(extraKey string) *SpecOrder {
 		extra := Request{Cmd: types.Command{Client: 99, Timestamp: 1, Op: types.OpPut, Key: extraKey}, Orig: noOrig, Sig: []byte{1}}
@@ -460,7 +462,7 @@ func TestSameInstanceBatchEquivocationPOM(t *testing.T) {
 			Inst:  types.InstanceID{Space: 0, Slot: 1},
 			Deps:  types.NewInstanceSet(),
 			Seq:   1,
-			Req:   *p.req,
+			Req:   *p.Req.(*Request),
 			Batch: []Request{extra},
 		}
 		so.CmdDigest = BatchDigest(so.CmdDigests())
@@ -475,7 +477,7 @@ func TestSameInstanceBatchEquivocationPOM(t *testing.T) {
 	mkReply := func(from types.ReplicaID, so *SpecOrder) *SpecReply {
 		sr := &SpecReply{
 			Owner: 0, Inst: so.Inst, Deps: types.NewInstanceSet(), Seq: 1,
-			CmdDigest: p.digest, Client: cl.cfg.ID, Timestamp: 1,
+			CmdDigest: p.Digest, Client: cl.Cfg.ID, Timestamp: 1,
 			Replica: from, Result: types.Result{OK: true},
 			Batched: true, BatchIdx: 0, SORef: so.CmdDigest, SO: so,
 		}
@@ -488,8 +490,8 @@ func TestSameInstanceBatchEquivocationPOM(t *testing.T) {
 	cl.handleSpecReply(ctx, mkReply(1, so1))
 	cl.handleSpecReply(ctx, mkReply(2, so2))
 
-	if cl.stats.POMsSent != 1 {
-		t.Fatalf("POMs sent = %d, want 1 (same-instance batch equivocation)", cl.stats.POMsSent)
+	if cl.Count.POMsSent != 1 {
+		t.Fatalf("POMs sent = %d, want 1 (same-instance batch equivocation)", cl.Count.POMsSent)
 	}
 	// Replies for different proposals must not share a quorum group.
 	if len(p.groups) != 2 {
@@ -582,19 +584,19 @@ func TestDeferredSlimCommit(t *testing.T) {
 
 	ctx := &captureCtx{}
 	cl.Submit(ctx, putCmd("k", "v"))
-	p := cl.pending[1]
+	p := cl.Pending[1]
 
 	// Leader R0 signs a batch of two: client 1's command first, our
 	// client's command at BatchIdx 1.
 	other := Request{Cmd: types.Command{Client: 1, Timestamp: 1, Op: types.OpPut, Key: "o"}, Orig: noOrig}
-	other.Sig = engine.SignBody(tc.clients[1].cfg.Auth, &other)
+	other.Sig = engine.SignBody(tc.clients[1].Cfg.Auth, &other)
 	so := &SpecOrder{
 		Owner: 0,
 		Inst:  types.InstanceID{Space: 0, Slot: 1},
 		Deps:  types.NewInstanceSet(),
 		Seq:   1,
 		Req:   other,
-		Batch: []Request{*p.req},
+		Batch: []Request{*p.Req.(*Request)},
 	}
 	so.CmdDigest = BatchDigest(so.CmdDigests())
 	sp := tc.replicas[0].log.space(0)
@@ -607,7 +609,7 @@ func TestDeferredSlimCommit(t *testing.T) {
 	for _, rid := range []types.ReplicaID{0, 1, 2} {
 		sr := &SpecReply{
 			Owner: 0, Inst: so.Inst, Deps: types.NewInstanceSet(), Seq: 1,
-			CmdDigest: p.digest, Client: cl.cfg.ID, Timestamp: 1,
+			CmdDigest: p.Digest, Client: cl.Cfg.ID, Timestamp: 1,
 			Replica: rid, Result: types.Result{OK: true},
 			Batched: true, BatchIdx: 1, SORef: so.CmdDigest,
 		}
@@ -615,16 +617,16 @@ func TestDeferredSlimCommit(t *testing.T) {
 		cert = append(cert, sr)
 	}
 	commit := &Commit{
-		Client: cl.cfg.ID, Timestamp: 1, Inst: so.Inst,
+		Client: cl.Cfg.ID, Timestamp: 1, Inst: so.Inst,
 		Deps: types.NewInstanceSet(), Seq: 1, Cert: cert,
 	}
-	commit.Sig = engine.SignBody(cl.cfg.Auth, commit)
+	commit.Sig = engine.SignBody(cl.Cfg.Auth, commit)
 
 	// R3 sees the COMMIT before the SPECORDER: the decision must be
 	// parked, not dropped.
 	r3 := tc.replicas[3]
 	rctx := &captureCtx{}
-	r3.Receive(rctx, types.ClientNode(cl.cfg.ID), commit)
+	r3.Receive(rctx, types.ClientNode(cl.Cfg.ID), commit)
 	if r3.stats.DeferredCommits != 1 {
 		t.Fatalf("deferred commits = %d, want 1", r3.stats.DeferredCommits)
 	}
@@ -663,9 +665,9 @@ func TestDeferredSlimCommitDrainedByFullCert(t *testing.T) {
 
 	ctx := &captureCtx{}
 	cl0.Submit(ctx, putCmd("k", "v"))
-	p0 := cl0.pending[1]
+	p0 := cl0.Pending[1]
 	cl1.Submit(ctx, putCmd("o", "w"))
-	p1 := cl1.pending[1]
+	p1 := cl1.Pending[1]
 
 	// Leader R0 signs a batch of two: client 1's command at idx 0, client
 	// 0's at idx 1.
@@ -674,8 +676,8 @@ func TestDeferredSlimCommitDrainedByFullCert(t *testing.T) {
 		Inst:  types.InstanceID{Space: 0, Slot: 1},
 		Deps:  types.NewInstanceSet(),
 		Seq:   1,
-		Req:   *p1.req,
-		Batch: []Request{*p0.req},
+		Req:   *p1.Req.(*Request),
+		Batch: []Request{*p0.Req.(*Request)},
 	}
 	so.CmdDigest = BatchDigest(so.CmdDigests())
 	so.Sig = engine.SignBody(leaderAuth, so)
@@ -700,13 +702,13 @@ func TestDeferredSlimCommitDrainedByFullCert(t *testing.T) {
 
 	// Client 0's slim commit (idx 1, no SPECORDER) arrives first: parked.
 	commit0 := &Commit{
-		Client: cl0.cfg.ID, Timestamp: 1, Inst: so.Inst,
-		Deps: types.NewInstanceSet(), Seq: 1, Cert: mkCert(p0.digest, cl0.cfg.ID, 1, false),
+		Client: cl0.Cfg.ID, Timestamp: 1, Inst: so.Inst,
+		Deps: types.NewInstanceSet(), Seq: 1, Cert: mkCert(p0.Digest, cl0.Cfg.ID, 1, false),
 	}
-	commit0.Sig = engine.SignBody(cl0.cfg.Auth, commit0)
+	commit0.Sig = engine.SignBody(cl0.Cfg.Auth, commit0)
 	r3 := tc.replicas[3]
 	rctx := &captureCtx{}
-	r3.Receive(rctx, types.ClientNode(cl0.cfg.ID), commit0)
+	r3.Receive(rctx, types.ClientNode(cl0.Cfg.ID), commit0)
 	if r3.stats.DeferredCommits != 1 {
 		t.Fatalf("deferred commits = %d, want 1", r3.stats.DeferredCommits)
 	}
@@ -714,11 +716,11 @@ func TestDeferredSlimCommitDrainedByFullCert(t *testing.T) {
 	// Client 1's full-evidence commit (idx 0, SPECORDER embedded) installs
 	// the entry — and must drain client 0's parked decision with it.
 	commit1 := &Commit{
-		Client: cl1.cfg.ID, Timestamp: 1, Inst: so.Inst,
-		Deps: types.NewInstanceSet(), Seq: 1, Cert: mkCert(p1.digest, cl1.cfg.ID, 0, true),
+		Client: cl1.Cfg.ID, Timestamp: 1, Inst: so.Inst,
+		Deps: types.NewInstanceSet(), Seq: 1, Cert: mkCert(p1.Digest, cl1.Cfg.ID, 0, true),
 	}
-	commit1.Sig = engine.SignBody(cl1.cfg.Auth, commit1)
-	r3.Receive(rctx, types.ClientNode(cl1.cfg.ID), commit1)
+	commit1.Sig = engine.SignBody(cl1.Cfg.Auth, commit1)
+	r3.Receive(rctx, types.ClientNode(cl1.Cfg.ID), commit1)
 
 	e := r3.log.get(so.Inst)
 	if e == nil || e.status < StatusCommitted {
@@ -747,7 +749,7 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 
 	ctx := &captureCtx{}
 	cl.Submit(ctx, putCmd("k", "v"))
-	p := cl.pending[1]
+	p := cl.Pending[1]
 
 	mkSO := func(first Request, extra *Request) *SpecOrder {
 		so := &SpecOrder{
@@ -765,19 +767,19 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 		return so
 	}
 	other := Request{Cmd: types.Command{Client: 1, Timestamp: 1, Op: types.OpPut, Key: "o"}, Orig: noOrig}
-	other.Sig = engine.SignBody(tc.clients[1].cfg.Auth, &other)
+	other.Sig = engine.SignBody(tc.clients[1].Cfg.Auth, &other)
 	evil := Request{Cmd: types.Command{Client: 1, Timestamp: 1, Op: types.OpPut, Key: "evil"}, Orig: noOrig}
-	evil.Sig = engine.SignBody(tc.clients[1].cfg.Auth, &evil)
+	evil.Sig = engine.SignBody(tc.clients[1].Cfg.Auth, &evil)
 
 	// Batched: replies vouch (via signed SORef) for batch A, but the
 	// certificate embeds the leader's other signed batch B.
-	soA := mkSO(*p.req, &other)
-	soB := mkSO(*p.req, &evil)
+	soA := mkSO(*p.Req.(*Request), &other)
+	soB := mkSO(*p.Req.(*Request), &evil)
 	cert := make([]*SpecReply, 0, 3)
 	for _, rid := range []types.ReplicaID{0, 1, 2} {
 		sr := &SpecReply{
 			Owner: 0, Inst: soA.Inst, Deps: types.NewInstanceSet(), Seq: 1,
-			CmdDigest: p.digest, Client: cl.cfg.ID, Timestamp: 1,
+			CmdDigest: p.Digest, Client: cl.Cfg.ID, Timestamp: 1,
 			Replica: rid, Result: types.Result{OK: true},
 			Batched: true, BatchIdx: 0, SORef: soA.CmdDigest,
 		}
@@ -786,12 +788,12 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 	}
 	cert[0].SO = soB // the swap
 	commit := &Commit{
-		Client: cl.cfg.ID, Timestamp: 1, Inst: soA.Inst,
+		Client: cl.Cfg.ID, Timestamp: 1, Inst: soA.Inst,
 		Deps: types.NewInstanceSet(), Seq: 1, Cert: cert,
 	}
-	commit.Sig = engine.SignBody(cl.cfg.Auth, commit)
+	commit.Sig = engine.SignBody(cl.Cfg.Auth, commit)
 	r3 := tc.replicas[3]
-	r3.Receive(&captureCtx{}, types.ClientNode(cl.cfg.ID), commit)
+	r3.Receive(&captureCtx{}, types.ClientNode(cl.Cfg.ID), commit)
 	if e := r3.log.get(soA.Inst); e != nil {
 		t.Fatalf("swapped batched SPECORDER installed an entry: %v", e)
 	}
@@ -807,7 +809,7 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 	for _, rid := range []types.ReplicaID{0, 1, 2} {
 		sr := &SpecReply{
 			Owner: 0, Inst: soEvil.Inst, Deps: types.NewInstanceSet(), Seq: 1,
-			CmdDigest: p.digest, Client: cl.cfg.ID, Timestamp: 1,
+			CmdDigest: p.Digest, Client: cl.Cfg.ID, Timestamp: 1,
 			Replica: rid, Result: types.Result{OK: true},
 			SO: soEvil,
 		}
@@ -815,12 +817,12 @@ func TestCommitRejectsSwappedSpecOrder(t *testing.T) {
 		cert2 = append(cert2, sr)
 	}
 	commit2 := &Commit{
-		Client: cl.cfg.ID, Timestamp: 1, Inst: soEvil.Inst,
+		Client: cl.Cfg.ID, Timestamp: 1, Inst: soEvil.Inst,
 		Deps: types.NewInstanceSet(), Seq: 1, Cert: cert2,
 	}
-	commit2.Sig = engine.SignBody(cl.cfg.Auth, commit2)
+	commit2.Sig = engine.SignBody(cl.Cfg.Auth, commit2)
 	dropped := r3.stats.DroppedInvalid
-	r3.Receive(&captureCtx{}, types.ClientNode(cl.cfg.ID), commit2)
+	r3.Receive(&captureCtx{}, types.ClientNode(cl.Cfg.ID), commit2)
 	if e := r3.log.get(soEvil.Inst); e != nil {
 		t.Fatalf("swapped unbatched SPECORDER installed an entry: %v", e)
 	}
@@ -867,5 +869,44 @@ func TestValidateCertRejectsMixedBatches(t *testing.T) {
 	mixedIdx := []*SpecReply{mk(0, true, 1), mk(1, true, 2), mk(2, true, 1)}
 	if r0.validateCert(noopCtx{}, inst, commit(mixedIdx), SlowQuorum(4)) {
 		t.Fatal("cert mixing batch positions accepted")
+	}
+}
+
+// burstScript submits its whole script at once instead of one command at a
+// time.
+type burstScript struct{ *workload.FixedScript }
+
+func (d burstScript) Start(ctx proc.Context, s workload.Submitter) {
+	for _, cmd := range d.Commands {
+		s.Submit(ctx, cmd)
+	}
+}
+
+func (d burstScript) Completed(_ proc.Context, _ workload.Submitter, c workload.Completion) {
+	d.Results = append(d.Results, c)
+}
+
+// TestPipelinedSlowPathCommitReplies: one client's pipelined requests share
+// batch instances, and with a replica silent each commits on the slow path,
+// where the replicas answer every command of a batch with its own
+// COMMITREPLY. Each reply must complete the request whose digest it
+// carries, not whichever request of its instance the client finds first;
+// a reply credited to the wrong request is dropped, and its own request
+// waits for a retry.
+func TestPipelinedSlowPathCommitReplies(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		opts := defaultOpts()
+		opts.seed = seed
+		opts.batchSize = 4
+		opts.batchDelay = 5 * time.Millisecond
+		opts.mute = map[types.ReplicaID]bool{3: true}
+		opts.driver = func(_ int, script *workload.FixedScript) workload.Driver { return burstScript{script} }
+		tc := newTestCluster(t, opts, []types.ReplicaID{0}, uniqueKeyScripts(1, 8))
+		if !tc.run(30 * time.Second) {
+			t.Fatalf("seed %d: %d of 8 commands completed", seed, len(tc.drivers[0].Results))
+		}
+		if st := tc.clients[0].Stats(); st.Retries != 0 || st.SlowDecisions != 8 {
+			t.Fatalf("seed %d: %d retries and %d slow decisions, want 0 and 8", seed, st.Retries, st.SlowDecisions)
+		}
 	}
 }

@@ -113,7 +113,7 @@ func (d *replayDriver) OnTimer(ctx proc.Context, s workload.Submitter, id proc.T
 	}
 	if !d.replayed {
 		d.replayed = true
-		s.(*Client).nextTS = 0 // the next Submit is stamped with timestamp 1 again
+		s.(*Client).LastTS = 0 // the next Submit is stamped with timestamp 1 again
 		s.Submit(ctx, d.Commands[0])
 	}
 }
@@ -145,7 +145,7 @@ func TestReplayedOldRequestIsNotExecutedAgain(t *testing.T) {
 	}
 	tc.rt.Run(tc.rt.Kernel().Now() + 5*time.Second)
 
-	first := cmdKey{tc.clients[0].cfg.ID, 1}
+	first := cmdKey{tc.clients[0].Cfg.ID, 1}
 	type snapshot struct {
 		digest types.Digest
 		stats  ReplicaStats
@@ -246,7 +246,7 @@ func TestReproposedOldRequestIsNotExecutedAgain(t *testing.T) {
 	}
 	tc.rt.Run(tc.rt.Kernel().Now() + 5*time.Second)
 
-	first := cmdKey{tc.clients[0].cfg.ID, 1}
+	first := cmdKey{tc.clients[0].Cfg.ID, 1}
 	digests := make([]types.Digest, tc.n)
 	executions := make([]uint64, tc.n)
 	for i, r := range tc.replicas {

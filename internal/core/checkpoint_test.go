@@ -228,7 +228,7 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 
 	cctx := &captureCtx{}
 	ts := cl.Submit(cctx, putCmd("k", "v"))
-	cmd := types.Command{Client: cl.cfg.ID, Timestamp: ts, Op: types.OpPut, Key: "k", Value: []byte("v")}
+	cmd := types.Command{Client: cl.Cfg.ID, Timestamp: ts, Op: types.OpPut, Key: "k", Value: []byte("v")}
 	other := types.Command{Client: 99, Timestamp: 1, Op: types.OpPut, Key: "x", Value: []byte("y")}
 
 	// An equivocating leader (R0) signs two different batches ordering the
@@ -255,7 +255,7 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 	mkReply := func(rid types.ReplicaID, so *SpecOrder) *SpecReply {
 		sr := &SpecReply{
 			Owner: 0, Inst: so.Inst, Deps: types.NewInstanceSet(), Seq: 1,
-			CmdDigest: cmd.Digest(), Client: cl.cfg.ID, Timestamp: ts, Replica: rid,
+			CmdDigest: cmd.Digest(), Client: cl.Cfg.ID, Timestamp: ts, Replica: rid,
 			Result: types.Result{OK: true}, Batched: true, BatchIdx: 0, SORef: so.CmdDigest,
 		}
 		sr.Sig = engine.SignBody(tc.replicas[rid].cfg.Auth, sr)
@@ -296,7 +296,7 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 
 	// A replica receiving the POM must accept it and vote an owner change.
 	repCtx := &captureCtx{}
-	tc.replicas[1].Receive(repCtx, types.ClientNode(cl.cfg.ID), pom)
+	tc.replicas[1].Receive(repCtx, types.ClientNode(cl.Cfg.ID), pom)
 	voted := false
 	for _, msg := range repCtx.sends {
 		if _, ok := msg.(*StartOwnerChange); ok {
@@ -311,10 +311,10 @@ func TestSOFetchRestoresPOM(t *testing.T) {
 	// SPECORDER.
 	r2 := tc.replicas[2]
 	r2.handleSpecOrder(&captureCtx{}, types.ReplicaNode(0), soA)
-	fetch := &SOFetch{Client: cl.cfg.ID, Inst: soA.Inst, Ref: soA.CmdDigest}
-	fetch.Sig = engine.SignBody(cl.cfg.Auth, fetch)
+	fetch := &SOFetch{Client: cl.Cfg.ID, Inst: soA.Inst, Ref: soA.CmdDigest}
+	fetch.Sig = engine.SignBody(cl.Cfg.Auth, fetch)
 	serveCtx := &captureCtx{}
-	r2.Receive(serveCtx, types.ClientNode(cl.cfg.ID), fetch)
+	r2.Receive(serveCtx, types.ClientNode(cl.Cfg.ID), fetch)
 	servedSO := false
 	for _, msg := range serveCtx.sends {
 		if so, ok := msg.(*SpecOrder); ok && so.CmdDigest == soA.CmdDigest {
@@ -421,13 +421,13 @@ func TestDuplicateRequestAfterCatchup(t *testing.T) {
 
 	// Replay client 0's first command, byte-identical to the original.
 	cl := tc.clients[0]
-	cmd := types.Command{Client: cl.cfg.ID, Timestamp: 1, Op: types.OpIncr, Key: "ctr"}
+	cmd := types.Command{Client: cl.Cfg.ID, Timestamp: 1, Op: types.OpIncr, Key: "ctr"}
 	dup := &Request{Cmd: cmd, Orig: noOrig}
-	dup.Sig = engine.SignBody(cl.cfg.Auth, dup)
+	dup.Sig = engine.SignBody(cl.Cfg.Auth, dup)
 
 	before := tc.apps[3].Digest()
 	cctx := &captureCtx{}
-	r3.Receive(cctx, types.ClientNode(cl.cfg.ID), dup)
+	r3.Receive(cctx, types.ClientNode(cl.Cfg.ID), dup)
 
 	var so *SpecOrder
 	var served *SpecReply
@@ -436,7 +436,7 @@ func TestDuplicateRequestAfterCatchup(t *testing.T) {
 		case *SpecOrder:
 			so = v
 		case *SpecReply:
-			if v.Client == cl.cfg.ID && v.Timestamp == 1 {
+			if v.Client == cl.Cfg.ID && v.Timestamp == 1 {
 				served = v
 			}
 		}
@@ -455,7 +455,7 @@ func TestDuplicateRequestAfterCatchup(t *testing.T) {
 			pctx := &captureCtx{}
 			tc.replicas[rid].Receive(pctx, types.ReplicaNode(3), so)
 			for _, m := range pctx.sends {
-				if sr, ok := m.(*SpecReply); ok && sr.Client == cl.cfg.ID && sr.Timestamp == 1 {
+				if sr, ok := m.(*SpecReply); ok && sr.Client == cl.Cfg.ID && sr.Timestamp == 1 {
 					cert = append(cert, sr)
 				}
 			}
@@ -464,12 +464,12 @@ func TestDuplicateRequestAfterCatchup(t *testing.T) {
 			t.Fatalf("collected %d replies for the duplicate instance, want %d", len(cert), SlowQuorum(tc.n))
 		}
 		commit := &Commit{
-			Client: cl.cfg.ID, Timestamp: 1,
+			Client: cl.Cfg.ID, Timestamp: 1,
 			Inst: so.Inst, Deps: cert[0].Deps.Clone(), Seq: cert[0].Seq,
 			Cert: cert[:SlowQuorum(tc.n)],
 		}
-		commit.Sig = engine.SignBody(cl.cfg.Auth, commit)
-		r3.Receive(&captureCtx{}, types.ClientNode(cl.cfg.ID), commit)
+		commit.Sig = engine.SignBody(cl.Cfg.Auth, commit)
+		r3.Receive(&captureCtx{}, types.ClientNode(cl.Cfg.ID), commit)
 	}
 
 	if got := tc.apps[3].Digest(); got != before {

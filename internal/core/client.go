@@ -1,78 +1,21 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
-	"ezbft/internal/workload"
 )
 
-// Client-side defaults; experiments tune these to their topology.
-const (
-	DefaultSlowPathTimeout = 400 * time.Millisecond
-	DefaultRetryTimeout    = 4 * time.Second
-)
+// ClientConfig configures one ezBFT client: Leader is the replica it sends
+// requests to (its closest), SlowPathTimeout the paper's step-4.2 timer and
+// RetryTimeout its step-4.3 timer.
+type ClientConfig = engine.ClientConfig
 
-// ErrNilDriver reports a client configured without a workload driver.
-var ErrNilDriver = errors.New("core: client driver must not be nil")
-
-// ClientConfig configures one ezBFT client.
-type ClientConfig struct {
-	// ID is this client's identifier.
-	ID types.ClientID
-	// N is the cluster size (3f+1).
-	N int
-	// Leader is the replica this client sends requests to (its closest).
-	Leader types.ReplicaID
-	// Auth signs requests and verifies replica replies.
-	Auth auth.Authenticator
-	// Costs holds virtual processing costs for simulation.
-	Costs proc.Costs
-	// Driver decides what to submit and receives completions.
-	Driver workload.Driver
-	// SlowPathTimeout is the paper's step-4.2 timer: how long to wait for
-	// matching replies before combining a 2f+1 quorum's dependencies.
-	SlowPathTimeout time.Duration
-	// RetryTimeout is the paper's step-4.3 timer: how long to wait for
-	// 2f+1 replies before re-broadcasting the request to all replicas.
-	RetryTimeout time.Duration
-	// DisableFastPath makes the client ignore fast-path opportunities and
-	// always commit through the slow path. Ablation only: it quantifies
-	// what speculative execution plus the 3f+1 fast quorum buy (DESIGN.md
-	// §5); never enable it in production use.
-	DisableFastPath bool
-}
-
-func (c *ClientConfig) validate() error {
-	if c.N < 4 || (c.N-1)%3 != 0 || c.N > maxSigners {
-		return fmt.Errorf("%w: N=%d", ErrBadClusterSize, c.N)
-	}
-	if c.Leader < 0 || int(c.Leader) >= c.N {
-		return fmt.Errorf("%w: leader %d", ErrBadReplicaID, c.Leader)
-	}
-	if c.Auth == nil {
-		return ErrNilAuth
-	}
-	if c.Driver == nil {
-		return ErrNilDriver
-	}
-	if c.SlowPathTimeout <= 0 {
-		c.SlowPathTimeout = DefaultSlowPathTimeout
-	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = DefaultRetryTimeout
-	}
-	return nil
-}
-
-// ClientStats exposes client-side protocol counters.
+// ClientStats exposes the client core's counters.
 type ClientStats = engine.ClientStats
 
 // replyKey identifies one proposal a SPECREPLY vouches for: the instance
@@ -129,10 +72,7 @@ func (g *replyGroup) lowest() *SpecReply {
 
 // pendingReq tracks one outstanding request.
 type pendingReq struct {
-	cmd    types.Command
-	digest types.Digest // cmd.Digest(), computed once per request
-	req    *Request
-	issued time.Duration
+	engine.Pending
 	// leader is the replica the request was sent to: the client's own
 	// leader unless that one is marked silent.
 	leader types.ReplicaID
@@ -145,8 +85,6 @@ type pendingReq struct {
 	// answered holds the replicas with a verified reply in any group.
 	answered engine.ReplicaSet
 	pomSent  bool
-	retries  int
-	timedOut bool
 
 	// Fetch-on-conflict (evidence slimming): fetched holds full SPECORDERs
 	// retrieved via SOFETCH for proposals whose replies carried only the
@@ -177,97 +115,40 @@ func (p *pendingReq) group(key replyKey) *replyGroup {
 // final order (paper §III: "the client is actively involved in the
 // consensus process"). It implements proc.Process.
 type Client struct {
-	cfg ClientConfig
-	n   int
-	f   int
-
-	nextTS  uint64
-	pending map[uint64]*pendingReq
-	stats   ClientStats
+	engine.ClientCore[pendingReq, *pendingReq]
 	// watch knows which replicas have stopped answering (see "Client timers"
 	// in the package comment); all is every replica.
 	watch engine.ReplyWatch
 	all   engine.ReplicaSet
-
-	// replicas lists every replica's address, precomputed for broadcasts.
-	replicas []types.NodeID
 }
 
-var (
-	_ proc.Process       = (*Client)(nil)
-	_ workload.Submitter = (*Client)(nil)
-)
-
-// timer id layout: ts*4 + kind (kinds below); driver timers pass through.
-const (
-	timerKindSlow  = 1
-	timerKindRetry = 2
-)
+var _ engine.Client = (*Client)(nil)
 
 // NewClient constructs a client.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if err := cfg.validate(); err != nil {
+	if cfg.N > maxSigners {
+		return nil, fmt.Errorf("%w: N=%d", ErrBadClusterSize, cfg.N)
+	}
+	c := &Client{}
+	if err := c.Setup("core", cfg, c, true); err != nil {
 		return nil, err
 	}
-	c := &Client{
-		cfg:     cfg,
-		n:       cfg.N,
-		f:       F(cfg.N),
-		pending: make(map[uint64]*pendingReq),
-		watch:   engine.NewReplyWatch(cfg.N, cfg.SlowPathTimeout),
-		all:     engine.AllReplicas(cfg.N),
-	}
-	for i := 0; i < cfg.N; i++ {
-		c.replicas = append(c.replicas, types.ReplicaNode(types.ReplicaID(i)))
-	}
+	c.watch = engine.NewReplyWatch(cfg.N, c.Cfg.SlowPathTimeout)
+	c.all = engine.AllReplicas(cfg.N)
 	return c, nil
 }
 
-// ID implements proc.Process.
-func (c *Client) ID() types.NodeID { return types.ClientNode(c.cfg.ID) }
-
-// ClientID implements workload.Submitter.
-func (c *Client) ClientID() types.ClientID { return c.cfg.ID }
-
-// InFlight implements workload.Submitter.
-func (c *Client) InFlight() int { return len(c.pending) }
-
 // Stats returns a snapshot of client counters.
-func (c *Client) Stats() ClientStats { return c.stats }
-
-// Init implements proc.Process.
-func (c *Client) Init(ctx proc.Context) {
-	c.cfg.Driver.Start(ctx, c)
-}
+func (c *Client) Stats() ClientStats { return c.Count }
 
 // Submit implements workload.Submitter: stamp the command, sign the
 // REQUEST, send it to the nearest replica that is answering, and arm the
 // slow-path and retry timers. It returns the timestamp assigned to the
 // command.
 func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
-	c.nextTS++
-	ts := c.nextTS
-	cmd.Client = c.cfg.ID
-	cmd.Timestamp = ts
-
-	req := &Request{Cmd: cmd, Orig: noOrig}
-	c.cfg.Costs.ChargeSign(ctx)
-	req.Sig = engine.SignBody(c.cfg.Auth, req)
-
-	p := &pendingReq{
-		cmd:    cmd,
-		digest: cmd.Digest(),
-		req:    req,
-		issued: ctx.Now(),
-		leader: c.leader(),
-	}
+	p := &pendingReq{leader: c.leader()}
 	p.groups = p.groupBuf[:0]
-	c.pending[ts] = p
-	c.stats.Submitted++
-	ctx.Send(types.ReplicaNode(p.leader), req)
-	ctx.SetTimer(proc.TimerID(ts*4+timerKindSlow), c.cfg.SlowPathTimeout)
-	ctx.SetTimer(proc.TimerID(ts*4+timerKindRetry), c.cfg.RetryTimeout)
-	return ts
+	return c.Issue(ctx, p, &Request{Cmd: cmd, Orig: noOrig}, p.leader)
 }
 
 // leader returns the replica to send a new request to: the first at or after
@@ -276,12 +157,12 @@ func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
 // be found out again by the retry timer.
 func (c *Client) leader() types.ReplicaID {
 	silent := c.watch.Silent()
-	for i := 0; i < c.n; i++ {
-		if id := types.ReplicaID((int(c.cfg.Leader) + i) % c.n); !silent.Has(id) {
+	for i := 0; i < c.Cfg.N; i++ {
+		if id := types.ReplicaID((int(c.Cfg.Leader) + i) % c.Cfg.N); !silent.Has(id) {
 			return id
 		}
 	}
-	return c.cfg.Leader
+	return c.Cfg.Leader
 }
 
 // Receive implements proc.Process.
@@ -298,46 +179,29 @@ func (c *Client) Receive(ctx proc.Context, from types.NodeID, msg codec.Message)
 
 // OnTimer implements proc.Process.
 func (c *Client) OnTimer(ctx proc.Context, id proc.TimerID) {
-	if id >= workload.DriverTimerBase {
-		c.cfg.Driver.OnTimer(ctx, c, id)
-		return
-	}
-	ts := uint64(id) / 4
-	p, ok := c.pending[ts]
-	if !ok {
-		return
-	}
-	switch uint64(id) % 4 {
-	case timerKindSlow:
+	switch kind, p := c.Expired(ctx, id); kind {
+	case engine.SlowTimer:
 		waited := !p.commitSent
-		if !c.trySlowPath(ctx, ts, p) {
+		if !c.trySlowPath(ctx, p) {
 			// Not enough replies yet; check again after another period.
-			ctx.SetTimer(id, c.cfg.SlowPathTimeout)
+			c.Arm(ctx, p, engine.SlowTimer, c.Cfg.SlowPathTimeout)
 		} else if waited {
 			// The timer, not a reply, sent this COMMIT: the request waited
 			// for replicas that did not answer in time.
-			c.stats.SlowTimeouts++
-			c.watch.Expired(c.all&^p.answered, p.issued, ctx.Now())
+			c.Count.SlowTimeouts++
+			c.watch.Expired(c.all&^p.answered, p.Issued, ctx.Now())
 		}
-	case timerKindRetry:
-		c.retry(ctx, ts, p)
+	case engine.RetryTimer:
+		c.retry(ctx, p)
 	}
 }
 
 // handleSpecReply processes step 4: collect replies, check for proofs of
 // misbehaviour, and decide fast path on 3f+1 matching replies.
 func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
-	p, ok := c.pending[m.Timestamp]
-	if !ok || m.Client != c.cfg.ID || m.Replica < 0 || int(m.Replica) >= c.n {
-		return
-	}
-	if !m.SigVerified() {
-		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			return
-		}
-	}
-	if m.CmdDigest != p.digest {
+	p, ok := c.Pending[m.Timestamp]
+	if !ok || m.Client != c.Cfg.ID || m.Replica < 0 || int(m.Replica) >= c.Cfg.N ||
+		!c.Verified(ctx, m.Replica, m, m.Sig) || m.CmdDigest != p.Digest {
 		return
 	}
 	if m.SO != nil && m.Batched && m.SO.CmdDigest != m.SORef {
@@ -350,7 +214,7 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 	// one on the instance number proves command-leader equivocation. Only
 	// SPECORDERs that actually order this request are compared — a batched
 	// SPECORDER proves equivocation only if our command is in the batch.
-	if !p.pomSent && m.SO != nil && m.SO.OrdersCommand(p.cmd) {
+	if !p.pomSent && m.SO != nil && m.SO.OrdersCommand(p.Cmd) {
 		c.checkPOM(ctx, p, m)
 	}
 
@@ -358,7 +222,7 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 	key := keyOf(m)
 	group := p.group(key)
 	if group == nil {
-		p.groups = append(p.groups, replyGroup{key: key, replies: make([]*SpecReply, c.n)})
+		p.groups = append(p.groups, replyGroup{key: key, replies: make([]*SpecReply, c.Cfg.N)})
 		group = &p.groups[len(p.groups)-1]
 	}
 	if group.replies[m.Replica] == nil {
@@ -374,8 +238,8 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 	}
 
 	// Step 4.1: 3f+1 matching responses constitute a fast decision.
-	if !c.cfg.DisableFastPath && group.count == FastQuorum(c.n) && group.allMatch() {
-		c.finishFast(ctx, m.Timestamp, p, m.Inst, group)
+	if !c.Cfg.DisableFastPath && group.count == FastQuorum(c.Cfg.N) && group.allMatch() {
+		c.finishFast(ctx, p, m.Inst, group)
 		return
 	}
 	// If every replica worth waiting for has answered and no fast decision
@@ -383,8 +247,8 @@ func (c *Client) handleSpecReply(ctx proc.Context, m *SpecReply) {
 	// the timer. A silent replica's reply still counts if it comes: above
 	// when it completes a fast quorum, after the COMMIT included.
 	if missing := c.all &^ p.answered; !p.commitSent && missing&^c.watch.Silent() == 0 {
-		if c.trySlowPath(ctx, m.Timestamp, p) && missing != 0 {
-			c.stats.SilentSkips++
+		if c.trySlowPath(ctx, p) && missing != 0 {
+			c.Count.SilentSkips++
 		}
 	}
 }
@@ -403,24 +267,24 @@ func (c *Client) checkPOM(ctx proc.Context, p *pendingReq, m *SpecReply) {
 			// Remaining cases are equivocation evidence: the same request
 			// ordered at two instances, or — with batching — two different
 			// batches signed for the same instance.
-			if !prev.SO.OrdersCommand(p.cmd) {
+			if !prev.SO.OrdersCommand(p.Cmd) {
 				continue // the earlier SPECORDER does not order this request
 			}
 			// Same owner ordered the same request at two instances; verify
 			// both signatures before accusing (pre-marked ones are already
 			// proven).
-			owner := m.SO.Owner.OwnerOf(c.n)
-			c.cfg.Costs.ChargeVerify(ctx, 2)
-			if !m.SO.SigVerified() && engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(owner), m.SO, m.SO.Sig) != nil {
+			owner := m.SO.Owner.OwnerOf(c.Cfg.N)
+			c.Cfg.Costs.ChargeVerify(ctx, 2)
+			if !m.SO.SigVerified() && engine.VerifyBody(c.Cfg.Auth, types.ReplicaNode(owner), m.SO, m.SO.Sig) != nil {
 				return
 			}
-			if !prev.SO.SigVerified() && engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(owner), prev.SO, prev.SO.Sig) != nil {
+			if !prev.SO.SigVerified() && engine.VerifyBody(c.Cfg.Auth, types.ReplicaNode(owner), prev.SO, prev.SO.Sig) != nil {
 				return
 			}
-			pom := &POM{Suspect: owner, Owner: m.SO.Owner, Client: c.cfg.ID, A: prev.SO, B: m.SO}
-			proc.Broadcast(ctx, c.replicas, pom)
+			pom := &POM{Suspect: owner, Owner: m.SO.Owner, Client: c.Cfg.ID, A: prev.SO, B: m.SO}
+			proc.Broadcast(ctx, c.Replicas, pom)
 			p.pomSent = true
-			c.stats.POMsSent++
+			c.Count.POMsSent++
 			return
 		}
 	}
@@ -445,9 +309,8 @@ func (c *Client) fetchConflictEvidence(ctx proc.Context, p *pendingReq) {
 			p.fetchReqs = make(map[replyKey]bool, 2)
 		}
 		p.fetchReqs[key] = true
-		req := &SOFetch{Client: c.cfg.ID, Inst: key.inst, Ref: key.batch}
-		c.cfg.Costs.ChargeSign(ctx)
-		req.Sig = engine.SignBody(c.cfg.Auth, req)
+		req := &SOFetch{Client: c.Cfg.ID, Inst: key.inst, Ref: key.batch}
+		req.Sig = c.Sign(ctx, req)
 		// Ask the lowest-id replica that vouched for the proposal; it holds
 		// the SPECORDER (it signed a reply derived from it).
 		ctx.Send(types.ReplicaNode(group.lowest().Replica), req)
@@ -472,7 +335,7 @@ func (c *Client) soForGroup(p *pendingReq, group *replyGroup) *SpecOrder {
 func (c *Client) handleFetchedSO(ctx proc.Context, so *SpecOrder) {
 	key := replyKey{inst: so.Inst, batch: so.CmdDigest}
 	var p *pendingReq
-	for _, cand := range c.pending {
+	for _, cand := range c.Pending {
 		if cand.fetchReqs[key] {
 			p = cand
 			break
@@ -485,16 +348,13 @@ func (c *Client) handleFetchedSO(ctx proc.Context, so *SpecOrder) {
 	// actually order this client's command, and the owner signature must
 	// verify — the same checks a replica applies before trusting a
 	// SPECORDER that arrived outside its own frame.
-	if so.CmdDigest != BatchDigest(so.CmdDigests()) || !so.OrdersCommand(p.cmd) {
+	if so.CmdDigest != BatchDigest(so.CmdDigests()) || !so.OrdersCommand(p.Cmd) {
 		return
 	}
-	if !so.SigVerified() {
-		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(so.Owner.OwnerOf(c.n)), so, so.Sig) != nil {
-			return
-		}
-		so.MarkSigVerified()
+	if !c.Verified(ctx, so.Owner.OwnerOf(c.Cfg.N), so, so.Sig) {
+		return
 	}
+	so.MarkSigVerified()
 	if p.fetched == nil {
 		p.fetched = make(map[replyKey]*SpecOrder, 2)
 	}
@@ -516,29 +376,29 @@ func (c *Client) tryPOMFromEvidence(ctx proc.Context, p *pendingReq) {
 	sort.Slice(groups, func(i, j int) bool { return groups[i].key.Less(groups[j].key) })
 	for i := 0; i < len(groups); i++ {
 		a := c.soForGroup(p, groups[i])
-		if a == nil || !a.OrdersCommand(p.cmd) {
+		if a == nil || !a.OrdersCommand(p.Cmd) {
 			continue
 		}
 		for j := i + 1; j < len(groups); j++ {
 			b := c.soForGroup(p, groups[j])
-			if b == nil || a.Owner != b.Owner || !b.OrdersCommand(p.cmd) {
+			if b == nil || a.Owner != b.Owner || !b.OrdersCommand(p.Cmd) {
 				continue
 			}
 			if a.Inst == b.Inst && a.CmdDigest == b.CmdDigest {
 				continue // the same proposal
 			}
-			owner := a.Owner.OwnerOf(c.n)
-			c.cfg.Costs.ChargeVerify(ctx, 2)
-			if !a.SigVerified() && engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(owner), a, a.Sig) != nil {
+			owner := a.Owner.OwnerOf(c.Cfg.N)
+			c.Cfg.Costs.ChargeVerify(ctx, 2)
+			if !a.SigVerified() && engine.VerifyBody(c.Cfg.Auth, types.ReplicaNode(owner), a, a.Sig) != nil {
 				continue
 			}
-			if !b.SigVerified() && engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(owner), b, b.Sig) != nil {
+			if !b.SigVerified() && engine.VerifyBody(c.Cfg.Auth, types.ReplicaNode(owner), b, b.Sig) != nil {
 				continue
 			}
-			pom := &POM{Suspect: owner, Owner: a.Owner, Client: c.cfg.ID, A: a, B: b}
-			proc.Broadcast(ctx, c.replicas, pom)
+			pom := &POM{Suspect: owner, Owner: a.Owner, Client: c.Cfg.ID, A: a, B: b}
+			proc.Broadcast(ctx, c.Replicas, pom)
 			p.pomSent = true
-			c.stats.POMsSent++
+			c.Count.POMsSent++
 			return
 		}
 	}
@@ -571,7 +431,7 @@ func agree(chosen []*SpecReply) bool {
 // application, then asynchronously send COMMITFAST — the group's reference
 // reply, neither copied nor written to (on the mesh and the simulator it is
 // the sender's own cached object), and the other repliers' signatures.
-func (c *Client) finishFast(ctx proc.Context, ts uint64, p *pendingReq, inst types.InstanceID, group *replyGroup) {
+func (c *Client) finishFast(ctx proc.Context, p *pendingReq, inst types.InstanceID, group *replyGroup) {
 	first := group.lowest()
 	sigs := make([]ReplySig, 0, group.count-1)
 	for _, sr := range group.replies {
@@ -579,10 +439,10 @@ func (c *Client) finishFast(ctx proc.Context, ts uint64, p *pendingReq, inst typ
 			sigs = append(sigs, ReplySig{Replica: sr.Replica, Sig: sr.Sig})
 		}
 	}
-	cf := &CommitFast{Client: c.cfg.ID, Inst: inst, Cert: []*SpecReply{first}, Sigs: sigs}
-	proc.Broadcast(ctx, c.replicas, cf)
-	c.stats.FastDecisions++
-	c.finish(ctx, ts, p, first.Result, true)
+	cf := &CommitFast{Client: c.Cfg.ID, Inst: inst, Cert: []*SpecReply{first}, Sigs: sigs}
+	proc.Broadcast(ctx, c.Replicas, cf)
+	c.Count.FastDecisions++
+	c.finish(ctx, p, first.Result, true)
 }
 
 // trySlowPath implements step 4.2: with at least 2f+1 replies for one
@@ -590,20 +450,20 @@ func (c *Client) finishFast(ctx proc.Context, ts uint64, p *pendingReq, inst typ
 // number, and broadcast the signed COMMIT — in the compact form when the
 // replies agree. Reports whether the commit was sent (or the request is
 // already done).
-func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
+func (c *Client) trySlowPath(ctx proc.Context, p *pendingReq) bool {
 	if p.commitSent {
 		return true
 	}
 	group := c.bestGroup(p)
-	if group == nil || group.count < SlowQuorum(c.n) {
+	if group == nil || group.count < SlowQuorum(c.Cfg.N) {
 		return false
 	}
 	inst := group.key.inst
 	// Prefer the command-leader's known slow quorum (the paper's
 	// "Nitpick"); fall back to the lowest 2f+1 replica IDs that answered.
-	leader := group.lowest().Owner.OwnerOf(c.n)
-	chosen := make([]*SpecReply, 0, SlowQuorum(c.n))
-	known := SlowQuorumMembers(leader, c.n)
+	leader := group.lowest().Owner.OwnerOf(c.Cfg.N)
+	chosen := make([]*SpecReply, 0, SlowQuorum(c.Cfg.N))
+	known := SlowQuorumMembers(leader, c.Cfg.N)
 	complete := true
 	for _, rid := range known {
 		sr := group.replies[rid]
@@ -620,7 +480,7 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 				continue
 			}
 			chosen = append(chosen, sr)
-			if len(chosen) == SlowQuorum(c.n) {
+			if len(chosen) == SlowQuorum(c.Cfg.N) {
 				break
 			}
 		}
@@ -628,8 +488,8 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 
 	deps, seq := certDecision(chosen)
 	commit := &Commit{
-		Client:    c.cfg.ID,
-		Timestamp: ts,
+		Client:    c.Cfg.ID,
+		Timestamp: p.Cmd.Timestamp,
 		Inst:      inst,
 		Deps:      deps,
 		Seq:       seq,
@@ -644,12 +504,11 @@ func (c *Client) trySlowPath(ctx proc.Context, ts uint64, p *pendingReq) bool {
 			commit.Sigs = append(commit.Sigs, ReplySig{Replica: sr.Replica, Sig: sr.Sig})
 		}
 	}
-	c.cfg.Costs.ChargeSign(ctx)
-	commit.Sig = engine.SignBody(c.cfg.Auth, commit)
-	proc.Broadcast(ctx, c.replicas, commit)
+	commit.Sig = c.Sign(ctx, commit)
+	proc.Broadcast(ctx, c.Replicas, commit)
 	p.commitSent = true
 	p.commitInst = inst
-	c.stats.SlowDecisions++
+	c.Count.SlowDecisions++
 	return true
 }
 
@@ -671,30 +530,20 @@ func (c *Client) bestGroup(p *pendingReq) *replyGroup {
 // handleCommitReply processes step 6.2: the request completes when 2f+1
 // replicas report the same final-execution result.
 func (c *Client) handleCommitReply(ctx proc.Context, m *CommitReply) {
-	var (
-		ts uint64
-		p  *pendingReq
-	)
-	for candTS, cand := range c.pending {
-		if cand.commitSent && cand.commitInst == m.Inst {
-			ts, p = candTS, cand
+	// One batch instance can order several of this client's requests, each
+	// answered by its own COMMITREPLY: the digest tells them apart.
+	var p *pendingReq
+	for _, cand := range c.Pending {
+		if cand.commitSent && cand.commitInst == m.Inst && cand.Digest == m.CmdDigest {
+			p = cand
 			break
 		}
 	}
-	if p == nil || m.Replica < 0 || int(m.Replica) >= c.n {
-		return
-	}
-	if !m.SigVerified() {
-		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			return
-		}
-	}
-	if m.CmdDigest != p.digest {
+	if p == nil || m.Replica < 0 || int(m.Replica) >= c.Cfg.N || !c.Verified(ctx, m.Replica, m, m.Sig) {
 		return
 	}
 	if p.commitReplies == nil {
-		p.commitReplies = make([]*CommitReply, c.n)
+		p.commitReplies = make([]*CommitReply, c.Cfg.N)
 	}
 	p.commitReplies[m.Replica] = m
 
@@ -706,18 +555,17 @@ func (c *Client) handleCommitReply(ctx proc.Context, m *CommitReply) {
 			matching++
 		}
 	}
-	if matching >= SlowQuorum(c.n) {
-		c.finish(ctx, ts, p, m.Result, false)
+	if matching >= SlowQuorum(c.Cfg.N) {
+		c.finish(ctx, p, m.Result, false)
 	}
 }
 
 // retry implements step 4.3: too few replies within the timeout, so the
 // client re-broadcasts the request to all replicas, naming the original
 // recipient.
-func (c *Client) retry(ctx proc.Context, ts uint64, p *pendingReq) {
-	p.retries++
-	p.timedOut = true
-	c.stats.Retries++
+func (c *Client) retry(ctx proc.Context, p *pendingReq) {
+	p.Retries++
+	c.Count.Retries++
 	// A COMMIT sent just before an owner change may have been dropped by
 	// suspended replicas; allow a fresh slow-path decision on whatever
 	// groups form after the retry.
@@ -727,40 +575,30 @@ func (c *Client) retry(ctx proc.Context, ts uint64, p *pendingReq) {
 	// Broadcast the request naming the original leader: replicas that
 	// already spec-ordered it resend their cached replies, and the rest
 	// forward RESENDREQs that (on timeout) trigger an owner change.
-	retryReq := &Request{Cmd: p.cmd, Orig: p.leader}
-	c.cfg.Costs.ChargeSign(ctx)
-	retryReq.Sig = engine.SignBody(c.cfg.Auth, retryReq)
-	proc.Broadcast(ctx, c.replicas, retryReq)
+	retryReq := &Request{Cmd: p.Cmd, Orig: p.leader}
+	retryReq.Sig = c.Sign(ctx, retryReq)
+	proc.Broadcast(ctx, c.Replicas, retryReq)
 	// Additionally rotate to the next replica as a fresh command-leader so
 	// the request gets ordered even if the original leader never did. At
 	// most one replica adopts per retry round: orphan duplicates would
 	// otherwise interfere with each other across instance spaces.
-	rotated := types.ReplicaID((int(p.leader) + p.retries) % c.n)
-	direct := &Request{Cmd: p.cmd, Orig: noOrig}
-	c.cfg.Costs.ChargeSign(ctx)
-	direct.Sig = engine.SignBody(c.cfg.Auth, direct)
+	rotated := types.ReplicaID((int(p.leader) + p.Retries) % c.Cfg.N)
+	direct := &Request{Cmd: p.Cmd, Orig: noOrig}
+	direct.Sig = c.Sign(ctx, direct)
 	ctx.Send(types.ReplicaNode(rotated), direct)
 
 	// Capped exponential backoff with deterministic jitter on subsequent
 	// retries (proc.Backoff). The first retry timer (armed at Submit) is
 	// un-jittered, so default behavior up to and including the first
 	// retry is byte-identical.
-	ctx.SetTimer(proc.TimerID(ts*4+timerKindRetry), proc.Backoff(ctx, c.cfg.RetryTimeout, p.retries))
-	ctx.SetTimer(proc.TimerID(ts*4+timerKindSlow), c.cfg.SlowPathTimeout)
+	c.Arm(ctx, p, engine.RetryTimer, proc.Backoff(ctx, c.Cfg.RetryTimeout, p.Retries))
+	c.Arm(ctx, p, engine.SlowTimer, c.Cfg.SlowPathTimeout)
 }
 
-// finish completes a request and notifies the driver.
-func (c *Client) finish(ctx proc.Context, ts uint64, p *pendingReq, res types.Result, fast bool) {
-	delete(c.pending, ts)
-	ctx.CancelTimer(proc.TimerID(ts*4 + timerKindSlow))
-	ctx.CancelTimer(proc.TimerID(ts*4 + timerKindRetry))
-	c.stats.Completed++
+// finish completes a request. The ReplyWatch learns who answered first: the
+// driver may submit the next request from Finish, and that request's
+// choice of leader reads the watch.
+func (c *Client) finish(ctx proc.Context, p *pendingReq, res types.Result, fast bool) {
 	c.watch.Decided(p.answered, ctx.Now())
-	c.cfg.Driver.Completed(ctx, c, workload.Completion{
-		Cmd:      p.cmd,
-		Result:   res,
-		Latency:  ctx.Now() - p.issued,
-		At:       ctx.Now(),
-		FastPath: fast,
-	})
+	c.Finish(ctx, p, res, fast)
 }

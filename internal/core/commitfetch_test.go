@@ -176,7 +176,7 @@ func TestCommitFetchFromAClientOrItselfIsDropped(t *testing.T) {
 		ok   bool
 	}{
 		{"signed by its peer", signed(2, tc.replicas[2].cfg.Auth), true},
-		{"signed by a client", signed(2, tc.clients[0].cfg.Auth), false},
+		{"signed by a client", signed(2, tc.clients[0].Cfg.Auth), false},
 		{"naming the receiver", signed(receiver, r.cfg.Auth), false},
 	} {
 		ctx := &captureCtx{}

@@ -47,20 +47,13 @@ func (ezEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 // NewClient implements engine.Engine. ezBFT clients submit to their
 // co-located replica (opts.Nearest); the protocol has no primary.
 func (ezEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
-	cfg := ClientConfig{
-		ID: o.ID, N: o.N, Leader: o.Nearest, Auth: o.Auth, Costs: o.Costs,
-		Driver:          o.Driver,
-		DisableFastPath: o.DisableFastPath,
-	}
-	if o.LatencyBound > 0 {
-		cfg.SlowPathTimeout = o.LatencyBound
-		cfg.RetryTimeout = 8 * o.LatencyBound
-	}
+	cfg := o.Config()
+	cfg.Leader = o.Nearest
 	c, err := NewClient(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return ezClient{c}, nil
+	return c, nil
 }
 
 // InboundVerifier implements engine.Engine: every signed ezBFT message —
@@ -70,17 +63,3 @@ func (ezEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
 func (ezEngine) InboundVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 	return InboundVerifier(a, n)
 }
-
-// ezClient adapts *Client to the engine contract.
-type ezClient struct{ *Client }
-
-var (
-	_ engine.Client    = ezClient{}
-	_ engine.Unwrapper = ezClient{}
-)
-
-// ClientStats implements engine.Client.
-func (c ezClient) ClientStats() engine.ClientStats { return c.Client.Stats() }
-
-// Unwrap implements engine.Unwrapper.
-func (c ezClient) Unwrap() any { return c.Client }

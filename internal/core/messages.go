@@ -258,6 +258,10 @@ func (m *Request) Clone() Request {
 	return cp
 }
 
+// Command and SetSignature implement engine.SignedRequest.
+func (m *Request) Command() *types.Command { return &m.Cmd }
+func (m *Request) SetSignature(sig []byte) { m.Sig = sig }
+
 // Tag implements codec.Message.
 func (m *Request) Tag() uint8 { return tagRequest }
 

@@ -161,10 +161,10 @@ func TestOnlyVerifiedRepliesToPendingRequestsAreEvidence(t *testing.T) {
 	tc.rt.Start()
 	c := tc.clients[0]
 	// Stop with the first request pending and R0–R2's replies in.
-	if !tc.rt.RunUntil(func() bool { p := c.pending[1]; return p != nil && p.answered == 0b0111 }, time.Second) {
+	if !tc.rt.RunUntil(func() bool { p := c.Pending[1]; return p != nil && p.answered == 0b0111 }, time.Second) {
 		t.Fatal("replies of R0-R2 did not arrive")
 	}
-	p := c.pending[1]
+	p := c.Pending[1]
 	genuine := p.groups[0].lowest()
 	forged := *genuine
 	forged.Replica = 3 // R0's signature does not cover this body

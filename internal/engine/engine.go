@@ -41,8 +41,15 @@
 // ViewHost — its certificate and how it accepts a slot again — and keeps
 // its phases and quorum rules. The REQUEST, phase-vote, REPLY and
 // proposal messages are shared shapes each protocol instantiates with its
-// tags (seqmsgs.go). PBFT's and FaB's clients are one QuorumClient, which
-// completes a request once f+1 replicas report the same result.
+// tags (seqmsgs.go).
+//
+// Every protocol's client embeds one ClientCore (client.go): its identity,
+// the table of outstanding requests, signing and reply verification, the
+// request timers, completion and the retransmission PBFT, FaB and Zyzzyva
+// share. A protocol adds only the rule that decides a request: ezBFT's
+// reply groups and certificates (internal/core), Zyzzyva's fast path and
+// commit certificate, and the f+1 matching replies of QuorumClient, which
+// is PBFT's and FaB's client.
 package engine
 
 import (
@@ -127,7 +134,9 @@ type ReplicaOptions struct {
 	Behavior Behavior
 }
 
-// ClientOptions configures one workload-driven client.
+// ClientOptions configures one workload-driven client, independent of
+// protocol and substrate; Config turns it into the client core's
+// ClientConfig.
 type ClientOptions struct {
 	// ID is the client's identifier.
 	ID types.ClientID
@@ -157,9 +166,10 @@ type ClientOptions struct {
 	DisableFastPath bool
 }
 
-// ClientStats is the protocol-neutral snapshot of a client's counters.
-// Protocols without a fast/slow path split leave the inapplicable fields
-// zero (PBFT and FaB count every completion as a slow decision).
+// ClientStats is the protocol-neutral snapshot of a client's counters, the
+// ones every protocol's ClientCore keeps. Protocols without a fast/slow
+// path split leave the inapplicable fields zero (PBFT and FaB count every
+// completion as a slow decision).
 type ClientStats struct {
 	Submitted     uint64
 	Completed     uint64
@@ -184,18 +194,9 @@ type Client interface {
 	ClientStats() ClientStats
 }
 
-// Unwrapper exposes the concrete protocol value behind an engine adapter,
-// for callers (experiments, tests) that need protocol-specific inspection.
-type Unwrapper interface{ Unwrap() any }
-
-// Unwrap returns the concrete protocol value behind v if v is an engine
-// adapter, and v itself otherwise.
-func Unwrap(v any) any {
-	if u, ok := v.(Unwrapper); ok {
-		return u.Unwrap()
-	}
-	return v
-}
+// Unwrap returns v: engines hand out their protocols' own process values,
+// replicas and clients alike, with nothing wrapped around them.
+func Unwrap(v any) any { return v }
 
 // Engine builds one protocol's processes. Implementations are stateless
 // factories, safe for concurrent use.

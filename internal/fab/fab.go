@@ -341,9 +341,9 @@ func (h host) EnteredView(proc.Context, uint64) { clear(h.pending) }
 
 // --- client ---
 
-// ClientConfig configures a FaB client; Primary is the leader it starts
+// ClientConfig configures a FaB client; Leader is the leader it starts
 // with.
-type ClientConfig = engine.QuorumClientConfig
+type ClientConfig = engine.ClientConfig
 
 // Client is a FaB client: it sends each request to the leader and accepts
 // a result backed by f+1 matching replies.
@@ -376,7 +376,7 @@ func (fabEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 
 // NewClient implements engine.Engine.
 func (fabEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
-	c, err := NewClient(o.Quorum())
+	c, err := NewClient(o.Config())
 	if err != nil {
 		return nil, err
 	}

@@ -105,12 +105,13 @@ func TestSnapshotCostIndependentOfState(t *testing.T) {
 		}
 		defer st.Close()
 		r, err := NewReplica(ReplicaConfig{
-			Self: 0, N: 4, App: app, CheckpointInterval: interval, Store: st,
+			Self: 0, N: 4, App: app, CheckpointInterval: interval,
 			Auth: auth.NewHMACKeyring([]byte("pbft-alloc")).ForNode(types.ReplicaNode(0)),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.LogTo(st)
 		cut := func(round uint64) {
 			r.MaxExec = round * interval
 			d := app.Digest()

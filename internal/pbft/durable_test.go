@@ -32,12 +32,13 @@ func TestWALVoteRecordsReplay(t *testing.T) {
 		}
 	}
 	r, err := NewReplica(ReplicaConfig{
-		Self: 3, N: 4, App: kvstore.New(), Store: st,
+		Self: 3, N: 4, App: kvstore.New(),
 		Auth: auth.NewHMACKeyring([]byte("pbft-wal")).ForNode(types.ReplicaNode(3)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.LogTo(st)
 	r.Init(pvCtx{})
 	if got := r.StableCheckpoint(); got != 128 {
 		t.Fatalf("recovered stable checkpoint %d, want 128", got)
@@ -85,11 +86,12 @@ func TestPreparedCertSurvivesRestart(t *testing.T) {
 		t.Run(map[bool]string{false: "wal", true: "snapshot"}[snapshot], func(t *testing.T) {
 			st := store.NewMemory()
 			replica := func() *Replica {
-				r, err := NewReplica(ReplicaConfig{Self: 3, N: 4, App: kvstore.New(), Store: st, CheckpointInterval: 1,
+				r, err := NewReplica(ReplicaConfig{Self: 3, N: 4, App: kvstore.New(), CheckpointInterval: 1,
 					Auth: ring.ForNode(types.ReplicaNode(3))})
 				if err != nil {
 					t.Fatal(err)
 				}
+				r.LogTo(st)
 				r.Init(pvCtx{})
 				return r
 			}
@@ -159,10 +161,11 @@ func TestWALSyncedBeforeSend(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := store.NewMemory()
-			r, err := NewReplica(ReplicaConfig{Self: tc.self, N: 4, App: kvstore.New(), Auth: ring.ForNode(types.ReplicaNode(tc.self)), Store: st})
+			r, err := NewReplica(ReplicaConfig{Self: tc.self, N: 4, App: kvstore.New(), Auth: ring.ForNode(types.ReplicaNode(tc.self))})
 			if err != nil {
 				t.Fatal(err)
 			}
+			r.LogTo(st)
 			sent := false
 			ctx := sendProbeCtx{onSend: func(_ types.NodeID, msg codec.Message) {
 				if st.Unsynced() != 0 {
@@ -211,11 +214,12 @@ func TestLegacyStoreRecovers(t *testing.T) {
 	}
 	defer st.Close()
 	app := kvstore.New()
-	r, err := NewReplica(ReplicaConfig{Self: 3, N: 4, App: app, Store: st, CheckpointInterval: 2,
+	r, err := NewReplica(ReplicaConfig{Self: 3, N: 4, App: app, CheckpointInterval: 2,
 		Auth: ring.ForNode(types.ReplicaNode(3))})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.LogTo(st)
 	r.Init(pvCtx{})
 	if s := r.Stats(); s.Recoveries != 1 || s.WALFailed {
 		t.Fatalf("recovery stats %+v", s.WALStats)
@@ -245,11 +249,12 @@ func TestLegacyStoreRecovers(t *testing.T) {
 		if err := st.SaveSnapshot([]byte{0x01, 0x02, 0xff}); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewReplica(ReplicaConfig{Self: 3, N: 4, App: kvstore.New(), Store: st,
+		r, err := NewReplica(ReplicaConfig{Self: 3, N: 4, App: kvstore.New(),
 			Auth: ring.ForNode(types.ReplicaNode(3))})
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.LogTo(st)
 		r.Init(pvCtx{})
 		if s := r.Stats(); s.Recoveries != 0 || !s.WALFailed {
 			t.Fatalf("a snapshot that does not decode: stats %+v, want no recovery and the log off", s.WALStats)

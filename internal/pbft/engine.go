@@ -20,12 +20,17 @@ func (pbftEngine) Protocol() engine.Protocol { return engine.PBFT }
 
 // NewReplica implements engine.Engine.
 func (pbftEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
-	return newReplica(o.Sequenced(), o.Store)
+	r, err := NewReplica(o.Sequenced())
+	if err != nil {
+		return nil, err
+	}
+	r.LogTo(o.Store)
+	return r, nil
 }
 
 // NewClient implements engine.Engine.
 func (pbftEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
-	c, err := NewClient(o.Quorum())
+	c, err := NewClient(o.Config())
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +72,7 @@ func PreVerifier(a auth.Authenticator, n int) func(msg codec.Message) bool {
 }
 
 // ClientConfig configures a PBFT client.
-type ClientConfig = engine.QuorumClientConfig
+type ClientConfig = engine.ClientConfig
 
 // Client is a PBFT client: it sends each request to the primary and
 // accepts a result backed by f+1 matching replies.

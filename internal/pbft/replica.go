@@ -1,13 +1,9 @@
 package pbft
 
 import (
-	"time"
-
-	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/proc"
-	"ezbft/internal/store"
 	"ezbft/internal/types"
 )
 
@@ -21,29 +17,9 @@ func primaryOf(view uint64, n int) types.ReplicaID {
 // checkpoints.
 const DefaultCheckpointInterval = 128
 
-// ReplicaConfig configures one PBFT replica; the fields it shares with
-// engine.SeqConfig mean what they mean there.
-type ReplicaConfig struct {
-	Self  types.ReplicaID
-	N     int
-	App   types.Application
-	Auth  auth.Authenticator
-	Costs proc.Costs
-	// InitialView selects the starting primary (primary = view mod N).
-	InitialView        uint64
-	ForwardTimeout     time.Duration
-	CheckpointInterval uint64 // 0 = DefaultCheckpointInterval
-	LogRetention       uint64
-	BatchSize          int
-	BatchDelay         time.Duration
-	// Store, when non-nil, is the replica's durability layer (see
-	// internal/store and engine.Sequencer's write-ahead log). Nil (the
-	// default) keeps the replica memoryless across restarts —
-	// byte-identical to the pre-durability behaviour.
-	Store    store.Store
-	Mute     bool
-	Behavior engine.Behavior
-}
+// ReplicaConfig configures one PBFT replica; a CheckpointInterval of 0
+// selects DefaultCheckpointInterval. LogTo attaches its write-ahead log.
+type ReplicaConfig = engine.SeqConfig
 
 // slotState is one slot: the ordered batch (its view, frame, digests,
 // results, and Final once committed-local) and its two vote tables.
@@ -64,7 +40,7 @@ type sequencer = engine.Sequencer[Request, *Request, *Reply, *slotState]
 // write-ahead log; this package adds the three phases.
 type Replica struct {
 	*sequencer
-	cfg engine.SeqConfig
+	cfg ReplicaConfig
 	n   int
 	f   int
 
@@ -84,15 +60,6 @@ var _ proc.Process = (*Replica)(nil)
 
 // NewReplica constructs a PBFT replica.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
-	return newReplica(engine.SeqConfig{
-		Self: cfg.Self, N: cfg.N, App: cfg.App, Auth: cfg.Auth, Costs: cfg.Costs,
-		InitialView: cfg.InitialView, ForwardTimeout: cfg.ForwardTimeout,
-		CheckpointInterval: cfg.CheckpointInterval, LogRetention: cfg.LogRetention,
-		BatchSize: cfg.BatchSize, BatchDelay: cfg.BatchDelay, Mute: cfg.Mute, Behavior: cfg.Behavior,
-	}, cfg.Store)
-}
-
-func newReplica(cfg engine.SeqConfig, st store.Store) (*Replica, error) {
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
@@ -102,7 +69,6 @@ func newReplica(cfg engine.SeqConfig, st store.Store) (*Replica, error) {
 		return nil, err
 	}
 	r.sequencer = seq
-	r.LogTo(st)
 	return r, nil
 }
 

@@ -417,7 +417,7 @@ func Run(cell Cell, cfg Config) (*Result, error) {
 	// restart means recovery failed and the replica re-fetched state it
 	// already held durable.
 	if cell.Restart {
-		victim := engine.Unwrap(cl.Replicas[restartID]).(interface{ WALStats() engine.WALStats })
+		victim := cl.Replicas[restartID].(interface{ WALStats() engine.WALStats })
 		if victim.WALStats().Recoveries == 0 {
 			res.Violations = append(res.Violations, "restart: replica came back without recovering from its store")
 		}

@@ -16,8 +16,10 @@ import (
 )
 
 // DriverTimerBase is the first timer ID reserved for drivers; protocol
-// clients forward expirations of ids >= DriverTimerBase to their driver.
-const DriverTimerBase proc.TimerID = 1 << 32
+// clients forward expirations of ids >= DriverTimerBase to their driver. It
+// lies above every ID the client core gives a request's timers (timestamp
+// times four plus the kind) before timestamp 2^60.
+const DriverTimerBase proc.TimerID = 1 << 62
 
 // Submitter is the face a protocol client shows its driver: drivers hand it
 // command templates, the client stamps identity and timestamp and runs the

@@ -1,139 +1,58 @@
 package zyzzyva
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
-	"ezbft/internal/auth"
 	"ezbft/internal/codec"
 	"ezbft/internal/engine"
 	"ezbft/internal/proc"
 	"ezbft/internal/types"
-	"ezbft/internal/workload"
 )
 
-// ClientConfig configures a Zyzzyva client.
-type ClientConfig struct {
-	ID types.ClientID
-	N  int
-	// Primary is the replica currently believed to be primary; the client
-	// learns new views from responses.
-	Primary types.ReplicaID
-	Auth    auth.Authenticator
-	Costs   proc.Costs
-	Driver  workload.Driver
-	// CommitTimeout is how long to wait for 3f+1 matching responses before
-	// falling back to the commit-certificate path.
-	CommitTimeout time.Duration
-	// RetryTimeout is how long to wait before retransmitting to all
-	// replicas.
-	RetryTimeout time.Duration
-}
+// ClientConfig configures a Zyzzyva client: Leader is the replica it
+// first believes is primary, and SlowPathTimeout how long it waits for 3f+1
+// matching responses before falling back to the commit certificate.
+type ClientConfig = engine.ClientConfig
 
-// ClientStats exposes client-side counters. SilentSkips stays zero: this
-// client keeps no engine.ReplyWatch and waits out CommitTimeout for every
-// request a replica leaves unanswered.
+// ClientStats exposes the client core's counters. SilentSkips stays zero:
+// this client keeps no engine.ReplyWatch and waits out SlowPathTimeout for
+// every request a replica leaves unanswered.
 type ClientStats = engine.ClientStats
 
 type pendingReq struct {
-	cmd       types.Command
-	req       *Request
-	issued    time.Duration
+	engine.Pending
 	responses map[types.ReplicaID]*SpecResponse
 	certSent  bool
 	certSeq   uint64
 	cert      *CommitCert
 	locals    map[types.ReplicaID]*LocalCommit
-	retries   int
 }
 
 // Client is a Zyzzyva client; it implements proc.Process.
 type Client struct {
-	cfg ClientConfig
-	n   int
-	f   int
-
-	nextTS  uint64
-	view    uint64 // learned from responses
-	pending map[uint64]*pendingReq
-	stats   ClientStats
-
-	// replicas lists every replica's address, precomputed for broadcasts.
-	replicas []types.NodeID
+	engine.ClientCore[pendingReq, *pendingReq]
+	view uint64 // learned from responses
 }
 
 var _ engine.Client = (*Client)(nil)
 
-const (
-	timerKindCommit = 1
-	timerKindRetry  = 2
-)
-
 // NewClient constructs a Zyzzyva client.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.N < 4 || (cfg.N-1)%3 != 0 {
-		return nil, fmt.Errorf("zyzzyva: cluster size must be 3f+1, got %d", cfg.N)
-	}
-	if cfg.Auth == nil || cfg.Driver == nil {
-		return nil, fmt.Errorf("zyzzyva: auth and driver are required")
-	}
-	if cfg.CommitTimeout <= 0 {
-		cfg.CommitTimeout = 400 * time.Millisecond
-	}
-	if cfg.RetryTimeout <= 0 {
-		cfg.RetryTimeout = 4 * time.Second
-	}
-	c := &Client{
-		cfg:     cfg,
-		n:       cfg.N,
-		f:       faults(cfg.N),
-		view:    uint64(cfg.Primary),
-		pending: make(map[uint64]*pendingReq),
-	}
-	for i := 0; i < cfg.N; i++ {
-		c.replicas = append(c.replicas, types.ReplicaNode(types.ReplicaID(i)))
+	c := &Client{view: uint64(cfg.Leader)}
+	if err := c.Setup("zyzzyva", cfg, c, true); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// ID implements proc.Process.
-func (c *Client) ID() types.NodeID { return types.ClientNode(c.cfg.ID) }
-
-// ClientID implements workload.Submitter.
-func (c *Client) ClientID() types.ClientID { return c.cfg.ID }
-
-// InFlight implements workload.Submitter.
-func (c *Client) InFlight() int { return len(c.pending) }
-
-// ClientStats implements engine.Client.
-func (c *Client) ClientStats() ClientStats { return c.stats }
-
-// Init implements proc.Process.
-func (c *Client) Init(ctx proc.Context) { c.cfg.Driver.Start(ctx, c) }
-
 // Submit implements workload.Submitter; it returns the timestamp assigned
 // to the command.
 func (c *Client) Submit(ctx proc.Context, cmd types.Command) uint64 {
-	c.nextTS++
-	ts := c.nextTS
-	cmd.Client = c.cfg.ID
-	cmd.Timestamp = ts
-	req := &Request{Cmd: cmd}
-	c.cfg.Costs.ChargeSign(ctx)
-	req.Sig = engine.SignBody(c.cfg.Auth, req)
-	c.pending[ts] = &pendingReq{
-		cmd:       cmd,
-		req:       req,
-		issued:    ctx.Now(),
-		responses: make(map[types.ReplicaID]*SpecResponse, c.n),
-		locals:    make(map[types.ReplicaID]*LocalCommit, c.n),
+	p := &pendingReq{
+		responses: make(map[types.ReplicaID]*SpecResponse, c.Cfg.N),
+		locals:    make(map[types.ReplicaID]*LocalCommit, c.Cfg.N),
 	}
-	c.stats.Submitted++
-	ctx.Send(types.ReplicaNode(primaryOf(c.view, c.n)), req)
-	ctx.SetTimer(proc.TimerID(ts*4+timerKindCommit), c.cfg.CommitTimeout)
-	ctx.SetTimer(proc.TimerID(ts*4+timerKindRetry), c.cfg.RetryTimeout)
-	return ts
+	return c.Issue(ctx, p, &Request{Cmd: cmd}, primaryOf(c.view, c.Cfg.N))
 }
 
 // Receive implements proc.Process.
@@ -148,50 +67,23 @@ func (c *Client) Receive(ctx proc.Context, from types.NodeID, msg codec.Message)
 
 // OnTimer implements proc.Process.
 func (c *Client) OnTimer(ctx proc.Context, id proc.TimerID) {
-	if id >= workload.DriverTimerBase {
-		c.cfg.Driver.OnTimer(ctx, c, id)
-		return
-	}
-	ts := uint64(id) / 4
-	p, ok := c.pending[ts]
-	if !ok {
-		return
-	}
-	switch uint64(id) % 4 {
-	case timerKindCommit:
+	switch kind, p := c.Expired(ctx, id); kind {
+	case engine.SlowTimer:
 		// Re-arm regardless of outcome: a certificate (or the
 		// LOCALCOMMITs answering it) can be lost in transit, and only
-		// finish() retires this timer.
+		// Finish retires this timer.
 		if c.tryCommitCert(ctx, p) {
-			c.stats.SlowTimeouts++
+			c.Count.SlowTimeouts++
 		}
-		ctx.SetTimer(id, c.cfg.CommitTimeout)
-	case timerKindRetry:
-		p.retries++
-		c.stats.Retries++
-		// Retransmit to every replica; backups forward to the primary and
-		// start suspecting it.
-		proc.Broadcast(ctx, c.replicas, p.req)
-		shift := p.retries
-		if shift > 6 {
-			shift = 6
-		}
-		ctx.SetTimer(id, c.cfg.RetryTimeout<<uint(shift))
+		c.Arm(ctx, p, engine.SlowTimer, c.Cfg.SlowPathTimeout)
+	case engine.RetryTimer:
+		c.Retry(ctx, p)
 	}
 }
 
 func (c *Client) handleSpecResponse(ctx proc.Context, m *SpecResponse) {
-	p, ok := c.pending[m.Timestamp]
-	if !ok || m.Client != c.cfg.ID {
-		return
-	}
-	if !m.SigVerified() {
-		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			return
-		}
-	}
-	if m.CmdDigest != p.cmd.Digest() {
+	p, ok := c.Pending[m.Timestamp]
+	if !ok || m.Client != c.Cfg.ID || !c.Verified(ctx, m.Replica, m, m.Sig) || m.CmdDigest != p.Digest {
 		return
 	}
 	if m.View > c.view {
@@ -201,9 +93,9 @@ func (c *Client) handleSpecResponse(ctx proc.Context, m *SpecResponse) {
 
 	// Fast path: 3f+1 matching speculative responses.
 	matching := c.matchingSet(p)
-	if len(matching) >= fastQuorum(c.n) {
-		c.stats.FastDecisions++
-		c.finish(ctx, m.Timestamp, p, matching[0].Result, true)
+	if len(matching) >= fastQuorum(c.Cfg.N) {
+		c.Count.FastDecisions++
+		c.Finish(ctx, p, matching[0].Result, true)
 	}
 }
 
@@ -237,65 +129,42 @@ func (c *Client) tryCommitCert(ctx proc.Context, p *pendingReq) bool {
 		// lost in transit. Re-drive the slow path: handleCommitCert is
 		// idempotent, so replicas that already acknowledged simply answer
 		// again. Returning false keeps the commit timer armed.
-		proc.Broadcast(ctx, c.replicas, p.cert)
+		proc.Broadcast(ctx, c.Replicas, p.cert)
 		return false
 	}
 	matching := c.matchingSet(p)
-	if len(matching) < commQuorum(c.n) {
+	if len(matching) < commQuorum(c.Cfg.N) {
 		return false
 	}
-	cert := matching[:commQuorum(c.n)]
+	cert := matching[:commQuorum(c.Cfg.N)]
 	cc := &CommitCert{
-		Client:    c.cfg.ID,
-		Timestamp: p.cmd.Timestamp,
+		Client:    c.Cfg.ID,
+		Timestamp: p.Cmd.Timestamp,
 		Seq:       cert[0].Seq,
 		CmdDigest: cert[0].CmdDigest,
 		Cert:      cert,
 	}
-	proc.Broadcast(ctx, c.replicas, cc)
+	proc.Broadcast(ctx, c.Replicas, cc)
 	p.certSent = true
 	p.certSeq = cc.Seq
 	p.cert = cc
-	c.stats.SlowDecisions++
+	c.Count.SlowDecisions++
 	return true
 }
 
 func (c *Client) handleLocalCommit(ctx proc.Context, m *LocalCommit) {
-	var (
-		ts uint64
-		p  *pendingReq
-	)
-	for candTS, cand := range c.pending {
-		if cand.certSent && cand.certSeq == m.Seq && cand.cmd.Digest() == m.CmdDigest {
-			ts, p = candTS, cand
+	var p *pendingReq
+	for _, cand := range c.Pending {
+		if cand.certSent && cand.certSeq == m.Seq && cand.Digest == m.CmdDigest {
+			p = cand
 			break
 		}
 	}
-	if p == nil {
+	if p == nil || !c.Verified(ctx, m.Replica, m, m.Sig) {
 		return
 	}
-	if !m.SigVerified() {
-		c.cfg.Costs.ChargeVerify(ctx, 1)
-		if err := engine.VerifyBody(c.cfg.Auth, types.ReplicaNode(m.Replica), m, m.Sig); err != nil {
-			return
-		}
-	}
 	p.locals[m.Replica] = m
-	if len(p.locals) >= commQuorum(c.n) {
-		c.finish(ctx, ts, p, m.Result, false)
+	if len(p.locals) >= commQuorum(c.Cfg.N) {
+		c.Finish(ctx, p, m.Result, false)
 	}
-}
-
-func (c *Client) finish(ctx proc.Context, ts uint64, p *pendingReq, res types.Result, fast bool) {
-	delete(c.pending, ts)
-	ctx.CancelTimer(proc.TimerID(ts*4 + timerKindCommit))
-	ctx.CancelTimer(proc.TimerID(ts*4 + timerKindRetry))
-	c.stats.Completed++
-	c.cfg.Driver.Completed(ctx, c, workload.Completion{
-		Cmd:      p.cmd,
-		Result:   res,
-		Latency:  ctx.Now() - p.issued,
-		At:       ctx.Now(),
-		FastPath: fast,
-	})
 }

@@ -30,15 +30,7 @@ func (zyEngine) NewReplica(o engine.ReplicaOptions) (proc.Process, error) {
 
 // NewClient implements engine.Engine.
 func (zyEngine) NewClient(o engine.ClientOptions) (engine.Client, error) {
-	cfg := ClientConfig{
-		ID: o.ID, N: o.N, Primary: o.Primary, Auth: o.Auth, Costs: o.Costs,
-		Driver: o.Driver,
-	}
-	if o.LatencyBound > 0 {
-		cfg.CommitTimeout = o.LatencyBound
-		cfg.RetryTimeout = 8 * o.LatencyBound
-	}
-	c, err := NewClient(cfg)
+	c, err := NewClient(o.Config())
 	if err != nil {
 		return nil, err
 	}

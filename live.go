@@ -266,7 +266,7 @@ func (lc *LiveCluster) App(i int) Application { return lc.apps[i] }
 // *core.Replica under the EZBFT protocol), for stats inspection in tests
 // and experiments. The replica runs on its own goroutine; read its state
 // only through methods documented as inspection-safe, or after Close.
-func (lc *LiveCluster) Replica(i int) any { return engine.Unwrap(lc.replicaProcs[i]) }
+func (lc *LiveCluster) Replica(i int) any { return lc.replicaProcs[i] }
 
 // StateDigest returns replica i's application state digest.
 func (lc *LiveCluster) StateDigest(i int) string { return lc.apps[i].Digest().String() }

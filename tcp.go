@@ -216,7 +216,7 @@ func (r *TCPReplica) App() Application { return r.app }
 // *core.Replica under the EZBFT protocol), for stats inspection in tests
 // and experiments. The replica runs on its own goroutine; read its state
 // only through methods documented as inspection-safe, or after Close.
-func (r *TCPReplica) Replica() any { return engine.Unwrap(r.rep) }
+func (r *TCPReplica) Replica() any { return r.rep }
 
 // StateDigest returns the replica's application state digest.
 func (r *TCPReplica) StateDigest() string { return r.app.Digest().String() }
