@@ -143,9 +143,13 @@ func (c *Client) Submit(ctx context.Context, cmd Command) (*Future, error) {
 		return nil, err
 	}
 	f := &Future{client: c, done: make(chan struct{})}
-	err := c.node.InjectAbort(ctx.Done(), func(pctx proc.Context) {
-		c.bridge.submit(pctx, c.inner, cmd, f)
-	})
+	call := func(pctx proc.Context) { c.bridge.submit(pctx, c.inner, cmd, f) }
+	// Only a full call queue waits on the context: asking a deadline
+	// context for its Done channel makes it allocate one.
+	queued, err := c.node.TryInject(call)
+	if err == nil && !queued {
+		err = c.node.InjectAbort(ctx.Done(), call)
+	}
 	switch {
 	case err == nil:
 		return f, nil

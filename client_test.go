@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"ezbft/internal/proc"
 )
 
 // allProtocols enumerates every registered protocol for the client
@@ -45,6 +47,46 @@ func TestExecuteContextDeadline(t *testing.T) {
 				t.Fatalf("execute after deadline: %v", err)
 			}
 		})
+	}
+}
+
+// TestSubmitFullCallQueueHonorsDeadline: with the client's process loop
+// wedged and its call queue full, Submit gives up at the context's deadline
+// with the context's error instead of blocking.
+func TestSubmitFullCallQueueHonorsDeadline(t *testing.T) {
+	cluster, err := NewLiveCluster(LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	client, err := cluster.NewClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, blocked := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	if err := client.node.Inject(func(proc.Context) { close(blocked); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-blocked
+	for filled := 0; ; filled++ {
+		queued, err := client.node.TryInject(func(proc.Context) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !queued {
+			t.Logf("call queue full after %d calls", filled)
+			break
+		}
+	}
+	ctx, cancel := context.WithTimeout(t.Context(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := client.Submit(ctx, Put("k", []byte("v"))); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed < 40*time.Millisecond || elapsed > 2*time.Second {
+		t.Fatalf("Submit returned after %v, want about its 50ms deadline", elapsed)
 	}
 }
 

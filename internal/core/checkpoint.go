@@ -527,8 +527,9 @@ func (r logHost) Behind(st *stable) bool {
 // truncateSpace frees log entries the stable low-water mark has made dead
 // weight: slots at or below mark−LogRetention that this replica has itself
 // finally executed. Freed entries take their dependency-index references
-// and parked commit decisions with them, and hand their per-request
-// bookkeeping to the client window to release.
+// and parked commit decisions with them, hand their per-request
+// bookkeeping to the client window to release, and go, zeroed, on the
+// replica's free list.
 func (r *Replica) truncateSpace(spaceID types.ReplicaID, sp *space) {
 	limit := sp.lowWater
 	if r.cfg.LogRetention >= limit {
@@ -554,6 +555,8 @@ func (r *Replica) truncateSpace(spaceID types.ReplicaID, sp *space) {
 		}
 		delete(r.deferredCommits, e.inst)
 		r.stats.TruncatedEntries++
+		*e = entry{}
+		r.freeEntries = append(r.freeEntries, e)
 	}
 	r.deps.prune(spaceID, limit)
 	sp.truncated = limit

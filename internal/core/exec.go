@@ -231,14 +231,19 @@ func (r *Replica) finalExecute(ctx proc.Context, e *entry) {
 	// Durability point: the execution (and its executed-timestamp
 	// increments) must survive a crash before replies reveal it.
 	r.walExec(e)
-	r.advanceExecMark(ctx, e.inst.Space)
+	// The mark advance may complete a stable checkpoint that truncates e
+	// and recycles it, so the replies e owes are answered from a copy.
+	var owed entry
 	if e.commitReplyTo != nil {
+		owed, e.commitReplyTo = *e, nil
+	}
+	r.advanceExecMark(ctx, e.inst.Space)
+	if owed.commitReplyTo != nil {
 		// Sorted by position: the send order is deterministic, which keeps
 		// simulations replayable.
-		for _, rt := range e.commitReplyTo.list {
-			r.sendCommitReply(ctx, e, int(rt.idx), rt.client)
+		for _, rt := range owed.commitReplyTo.list {
+			r.sendCommitReply(ctx, &owed, int(rt.idx), rt.client)
 		}
-		e.commitReplyTo = nil
 	}
 }
 

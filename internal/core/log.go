@@ -42,6 +42,20 @@ func (s Status) String() string {
 // unbatched), and the extra* slices carry commands 2..k. The entry-level
 // protocol state (deps, seq, status) is shared by the batch — the batch
 // commits and executes as a unit, commands in batch order.
+//
+// Lifecycle: an entry is in its space's entries map from when it is logged
+// until truncateSpace frees it, which zeroes it and puts it on the
+// replica's free list for newEntry to hand out again. So nothing may hold
+// an *entry past its truncation. The holders are the log, pendingExec
+// (committed entries, never truncated before they execute) and
+// depClosure's scratch (consumed within one tryExecute pass); HistEntries
+// (hist, report), replies and WAL records copy fields, not the pointer.
+// Code that goes on using an entry across a step that can stabilize a
+// checkpoint (finalExecute's mark advance) copies what it needs first.
+// Only the struct is reused, never what its slices point to: deps, extra,
+// cmdDigests and the result slices are shared with SPECORDERs, replies,
+// HistEntries and the decode memo, which must never see them change
+// (codec/memo.go), so a reused entry is always given fresh ones.
 type entry struct {
 	inst      types.InstanceID
 	owner     types.OwnerNumber
@@ -90,6 +104,18 @@ type replyTo struct {
 type replyList struct {
 	list []replyTo
 	one  [1]replyTo
+}
+
+// newEntry returns a zero entry, from the free list when it has one.
+func (r *Replica) newEntry() *entry {
+	n := len(r.freeEntries)
+	if n == 0 {
+		return new(entry)
+	}
+	e := r.freeEntries[n-1]
+	r.freeEntries[n-1] = nil
+	r.freeEntries = r.freeEntries[:n-1]
+	return e
 }
 
 // nCmds returns the number of commands the entry orders.

@@ -517,7 +517,8 @@ func (r *Replica) applyNewOwner(ctx proc.Context, suspect types.ReplicaID, num t
 		}
 		e := r.log.get(h.Inst)
 		if e == nil {
-			e = &entry{
+			e = r.newEntry()
+			*e = entry{
 				inst:  h.Inst,
 				owner: h.Owner,
 				so:    h.SO,

@@ -110,6 +110,11 @@ type Replica struct {
 	execGraph    *graph.DepGraph
 	slotScratch  []uint64 // a space's sorted slots (retained)
 
+	// freeEntries holds the log entries truncateSpace freed, zeroed, for
+	// newEntry to hand out again (see entry for the rule that makes this
+	// safe).
+	freeEntries []*entry
+
 	stats ReplicaStats
 }
 
@@ -391,7 +396,8 @@ func (r *Replica) leadBatch(ctx proc.Context, reqs []*Request, spaceID types.Rep
 	r.cfg.Costs.ChargeSign(ctx)
 	so.Sig = engine.SignBody(r.cfg.Auth, so)
 
-	e := &entry{
+	e := r.newEntry()
+	*e = entry{
 		inst:      inst,
 		owner:     so.Owner,
 		cmd:       reqs[0].Cmd,
@@ -605,7 +611,8 @@ func (r *Replica) acceptSpecOrder(ctx proc.Context, m *SpecOrder, digests []type
 		}
 	}
 
-	e := &entry{
+	e := r.newEntry()
+	*e = entry{
 		inst:      m.Inst,
 		owner:     m.Owner,
 		cmd:       m.Req.Cmd,
@@ -904,7 +911,8 @@ func (r *Replica) commitEntry(ctx proc.Context, inst types.InstanceID, m certifi
 			r.stats.DroppedInvalid++
 			return
 		}
-		e = &entry{
+		e = r.newEntry()
+		*e = entry{
 			inst:      inst,
 			owner:     from.Owner,
 			cmd:       so.Req.Cmd,

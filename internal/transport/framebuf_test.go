@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ezbft/internal/codec"
+	"ezbft/internal/race"
 	"ezbft/internal/types"
 )
 
@@ -53,6 +54,30 @@ func TestReadFrameIntoDropsLargeBuffer(t *testing.T) {
 		if !ok(cap(*bp)) {
 			t.Fatalf("after frame %d of %d bytes the connection holds a %d-byte buffer", i, len(frame), cap(*bp))
 		}
+	}
+}
+
+// TestReadFrameIntoAllocations: reading a small frame into a warm
+// connection buffer allocates nothing, the header included.
+func TestReadFrameIntoAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, bytes.Repeat([]byte{7}, 300)); err != nil {
+		t.Fatal(err)
+	}
+	frame := wire.Bytes()
+	var rd bytes.Reader
+	buf := make([]byte, 0, frameBufSize)
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(frame)
+		if got, err := readFrameInto(&rd, &buf); err != nil || len(got) != 300 {
+			t.Fatalf("read %d bytes: %v", len(got), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("readFrameInto allocates %.1f times per small frame", allocs)
 	}
 }
 

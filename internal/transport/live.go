@@ -73,51 +73,55 @@ type envelope struct {
 	msg  codec.Message
 }
 
-// timerFire is one timer expiration.
-type timerFire struct {
-	id  proc.TimerID
-	gen uint64
-}
-
-// LiveNode runs one proc.Process in real time. All handler invocations
-// happen on a single goroutine, preserving the single-threaded process
-// contract; messages are injected through Deliver and arbitrary calls
-// through Inject.
+// LiveNode runs one proc.Process in real time. All handler invocations —
+// Init, deliveries, injected calls and timers — happen on one goroutine,
+// preserving the single-threaded process contract; messages are injected
+// through Deliver and arbitrary calls through Inject.
+//
+// Timers are values, not goroutines: the node keeps every armed timer as a
+// (deadline, arming order, id) triple in one min-heap with an index by id,
+// and one time.Timer wakes the loop at the earliest deadline — sim.Kernel's
+// event queue on the wall clock. SetTimer and CancelTimer are only reachable
+// from handlers (the proc.Context is never handed elsewhere), so the heap
+// needs no lock, and at steady state neither allocates. A cancel leaves the
+// wake alone: an early wake finds nothing due and sets it again. On a wake
+// the loop runs the due timers one at a time in deadline order and reads the
+// heap again after each OnTimer, so a timer that a handler cancels or
+// re-arms after it came due does not fire at its old deadline.
 type LiveNode struct {
 	p      proc.Process
 	sender Sender
 	start  time.Time
 	rng    *rand.Rand
 
-	inbox   chan envelope
-	calls   chan func(ctx proc.Context)
-	timerCh chan timerFire
+	inbox chan envelope
+	calls chan func(ctx proc.Context)
 
-	mu     sync.Mutex
-	timers map[proc.TimerID]*liveTimer
-	closed bool
+	// Touched only on the loop goroutine.
+	timers timerHeap
+	wake   *time.Timer   // set for wakeAt while waking
+	wakeAt time.Duration // since start
+	waking bool
 
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-type liveTimer struct {
-	gen   uint64
-	timer *time.Timer
+	stopOnce sync.Once
+	done     chan struct{}
+	wg       sync.WaitGroup
 }
 
 // NewLiveNode creates (but does not start) a live node.
 func NewLiveNode(p proc.Process, sender Sender, seed int64) *LiveNode {
+	wake := time.NewTimer(time.Hour)
+	wake.Stop()
 	return &LiveNode{
-		p:       p,
-		sender:  sender,
-		start:   time.Now(),
-		rng:     rand.New(rand.NewSource(seed)),
-		inbox:   make(chan envelope, 1024),
-		calls:   make(chan func(ctx proc.Context), 64),
-		timerCh: make(chan timerFire, 64),
-		timers:  make(map[proc.TimerID]*liveTimer),
-		done:    make(chan struct{}),
+		p:      p,
+		sender: sender,
+		start:  time.Now(),
+		rng:    rand.New(rand.NewSource(seed)),
+		inbox:  make(chan envelope, 1024),
+		calls:  make(chan func(ctx proc.Context), 64),
+		timers: timerHeap{pos: make(map[proc.TimerID]int)},
+		wake:   wake,
+		done:   make(chan struct{}),
 	}
 }
 
@@ -136,20 +140,10 @@ func (n *LiveNode) Start() {
 // waiting on process results select on it to observe shutdown.
 func (n *LiveNode) Done() <-chan struct{} { return n.done }
 
-// Stop terminates the event loop and waits for it to exit.
+// Stop terminates the event loop and waits for it to exit. Once it returns
+// no handler runs again, and no timer is left set.
 func (n *LiveNode) Stop() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		n.wg.Wait()
-		return
-	}
-	n.closed = true
-	close(n.done)
-	for _, lt := range n.timers {
-		lt.timer.Stop()
-	}
-	n.mu.Unlock()
+	n.stopOnce.Do(func() { close(n.done) })
 	n.wg.Wait()
 }
 
@@ -168,6 +162,22 @@ func (n *LiveNode) Deliver(from types.NodeID, msg codec.Message) {
 // used to bridge external calls (e.g. blocking client submissions).
 func (n *LiveNode) Inject(fn func(ctx proc.Context)) error {
 	return n.InjectAbort(nil, fn)
+}
+
+// TryInject is Inject without waiting: it reports false, and leaves fn
+// unscheduled, when the node's call queue is full.
+func (n *LiveNode) TryInject(fn func(ctx proc.Context)) (bool, error) {
+	select {
+	case <-n.done:
+		return false, ErrClosed
+	default:
+	}
+	select {
+	case n.calls <- fn:
+		return true, nil
+	default:
+		return false, nil
+	}
 }
 
 // InjectAbort is Inject with an abort channel: it gives up with ErrAborted
@@ -200,6 +210,7 @@ func (n *LiveNode) Join() { n.wg.Wait() }
 
 func (n *LiveNode) loop() {
 	defer n.wg.Done()
+	defer n.wake.Stop()
 	ctx := &liveCtx{n: n}
 	n.p.Init(ctx)
 	for {
@@ -210,19 +221,143 @@ func (n *LiveNode) loop() {
 			n.p.Receive(ctx, env.from, env.msg)
 		case fn := <-n.calls:
 			fn(ctx)
-		case tf := <-n.timerCh:
-			n.mu.Lock()
-			lt, ok := n.timers[tf.id]
-			current := ok && lt.gen == tf.gen
-			if current {
-				delete(n.timers, tf.id)
-			}
-			n.mu.Unlock()
-			if current {
-				n.p.OnTimer(ctx, tf.id)
-			}
+		case <-n.wake.C:
+			n.waking = false
+			n.runDue(ctx)
 		}
 	}
+}
+
+// runDue fires the timers due by now, one at a time in deadline order. A
+// timer armed during the pass waits for the next wake, so a handler that
+// re-arms its own timer with no delay cannot hold the loop.
+func (n *LiveNode) runDue(ctx proc.Context) {
+	now, last := time.Since(n.start), n.timers.seq
+	for len(n.timers.h) > 0 {
+		t := n.timers.h[0]
+		if t.at > now || t.seq > last {
+			break
+		}
+		n.timers.remove(0)
+		n.p.OnTimer(ctx, t.id)
+	}
+	n.armWake()
+}
+
+// armWake sets the wake for the earliest deadline unless it is already set
+// for that deadline or an earlier one.
+func (n *LiveNode) armWake() {
+	if len(n.timers.h) == 0 {
+		return
+	}
+	at := n.timers.h[0].at
+	if n.waking && n.wakeAt <= at {
+		return
+	}
+	n.wake.Reset(at - time.Since(n.start))
+	n.wakeAt, n.waking = at, true
+}
+
+// armedTimer is one armed timer: it is due at at (since the node's start);
+// seq, the arming order, breaks ties between timers due together.
+type armedTimer struct {
+	at  time.Duration
+	seq uint64
+	id  proc.TimerID
+}
+
+// timerHeap is a min-heap of armed timers by (at, seq), with each id's
+// position in it, so a re-arm or a cancel finds its timer without a scan.
+type timerHeap struct {
+	h   []armedTimer
+	pos map[proc.TimerID]int
+	seq uint64
+}
+
+// set arms id for at, replacing its earlier deadline if it has one.
+func (q *timerHeap) set(id proc.TimerID, at time.Duration) {
+	q.seq++
+	t := armedTimer{at: at, seq: q.seq, id: id}
+	if i, ok := q.pos[id]; ok {
+		q.h[i] = t
+		q.fix(i)
+		return
+	}
+	q.h = append(q.h, t)
+	q.pos[id] = len(q.h) - 1
+	q.up(len(q.h) - 1)
+}
+
+// cancel disarms id, if it is armed.
+func (q *timerHeap) cancel(id proc.TimerID) {
+	if i, ok := q.pos[id]; ok {
+		q.remove(i)
+	}
+}
+
+// remove takes the timer at heap position i out.
+func (q *timerHeap) remove(i int) {
+	last := len(q.h) - 1
+	delete(q.pos, q.h[i].id)
+	if i != last {
+		q.h[i] = q.h[last]
+		q.pos[q.h[i].id] = i
+	}
+	q.h = q.h[:last]
+	if i != last {
+		q.fix(i)
+	}
+}
+
+func (q *timerHeap) less(i, j int) bool {
+	if q.h[i].at != q.h[j].at {
+		return q.h[i].at < q.h[j].at
+	}
+	return q.h[i].seq < q.h[j].seq
+}
+
+func (q *timerHeap) swap(i, j int) {
+	q.h[i], q.h[j] = q.h[j], q.h[i]
+	q.pos[q.h[i].id] = i
+	q.pos[q.h[j].id] = j
+}
+
+// fix restores the heap order after the timer at i changed.
+func (q *timerHeap) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q *timerHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			return
+		}
+		q.swap(i, parent)
+		i = parent
+	}
+}
+
+// down sifts the timer at i toward the leaves and reports whether it moved.
+func (q *timerHeap) down(i int) bool {
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(q.h) {
+			break
+		}
+		if r := c + 1; r < len(q.h) && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q.swap(i, c)
+		i = c
+	}
+	return i > start
 }
 
 // liveCtx implements proc.Context on wall-clock time.
@@ -258,38 +393,12 @@ var _ proc.Broadcaster = (*liveCtx)(nil)
 // SetTimer implements proc.Context.
 func (c *liveCtx) SetTimer(id proc.TimerID, d time.Duration) {
 	n := c.n
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return
-	}
-	if old, ok := n.timers[id]; ok {
-		old.timer.Stop()
-	}
-	gen := uint64(1)
-	if old, ok := n.timers[id]; ok {
-		gen = old.gen + 1
-	}
-	lt := &liveTimer{gen: gen}
-	lt.timer = time.AfterFunc(d, func() {
-		select {
-		case n.timerCh <- timerFire{id: id, gen: gen}:
-		case <-n.done:
-		}
-	})
-	n.timers[id] = lt
+	n.timers.set(id, time.Since(n.start)+d)
+	n.armWake()
 }
 
 // CancelTimer implements proc.Context.
-func (c *liveCtx) CancelTimer(id proc.TimerID) {
-	n := c.n
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if lt, ok := n.timers[id]; ok {
-		lt.timer.Stop()
-		delete(n.timers, id)
-	}
-}
+func (c *liveCtx) CancelTimer(id proc.TimerID) { c.n.timers.cancel(id) }
 
 // Charge implements proc.Context (real work takes real time here).
 func (c *liveCtx) Charge(time.Duration) {}

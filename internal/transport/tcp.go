@@ -487,18 +487,21 @@ func readFrame(r io.Reader) ([]byte, error) {
 
 // readFrameInto reads one frame into *bp, growing it as needed and keeping
 // the grown capacity, up to maxKeptFrame, for the next frame. The returned
-// slice aliases *bp and is only valid until the next call.
+// slice aliases *bp and is only valid until the next call. The header is
+// read into *bp too (every connection buffer holds at least frameBufSize
+// bytes): a local array would escape through io.Reader and cost an
+// allocation per frame.
 func readFrameInto(r io.Reader, bp *[]byte) ([]byte, error) {
 	if cap(*bp) > maxKeptFrame {
 		// The previous frame was a large one and has been decoded; let go
 		// of its buffer before blocking on the next header.
 		*bp = make([]byte, 0, frameBufSize)
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := (*bp)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
