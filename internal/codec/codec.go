@@ -186,7 +186,8 @@ func (r *Reader) Offset() int { return r.off }
 func (r *Reader) Since(off int) []byte { return r.buf[off:r.off] }
 
 // Rewind moves the reader back to offset off, an earlier Offset. It is for a
-// decoder that skipped a span and now decodes it; the error state is kept.
+// decoder that peeked at a field and now decodes it; the error state is
+// kept.
 func (r *Reader) Rewind(off int) { r.off = off }
 
 // Finish returns an error if reading failed or bytes remain.
@@ -314,19 +315,6 @@ func (r *Reader) Blob() []byte {
 	return out
 }
 
-// SkipBlob skips a length-prefixed byte string or string without copying it.
-func (r *Reader) SkipBlob() {
-	n := r.Uvarint()
-	if r.err != nil {
-		return
-	}
-	if uint64(r.Remaining()) < n {
-		r.fail(ErrShortBuffer)
-		return
-	}
-	r.off += int(n)
-}
-
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.Uvarint()
@@ -386,32 +374,6 @@ func (r *Reader) InstanceSet() types.InstanceSet {
 		s = append(s, id)
 	}
 	return s
-}
-
-// SkipInstanceSet skips a dependency set, failing on a count InstanceSet
-// would reject; member order is not checked.
-func (r *Reader) SkipInstanceSet() {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
-		return
-	}
-	if n > instanceSetSanity || n > uint64(r.Remaining())/2 {
-		r.fail(ErrShortBuffer)
-		return
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		r.Int32()
-		r.Uvarint()
-	}
-}
-
-// SkipCommand skips a command.
-func (r *Reader) SkipCommand() {
-	r.Int32()
-	r.Uvarint()
-	r.Uint8()
-	r.SkipBlob()
-	r.SkipBlob()
 }
 
 // Command reads a command.

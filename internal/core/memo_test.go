@@ -39,7 +39,8 @@ func specReplyBytes(sr *SpecReply) []byte {
 	return w.Bytes()
 }
 
-// TestMemoizedDecodeAllocations: once a node holds a SPECORDER, a SPECREPLY
+// TestMemoizedDecodeAllocations: once a node holds a SPECORDER (from the
+// first reply that embedded it), a SPECREPLY
 // embedding it decodes to the message and its signature, a COMMITFAST to the
 // message, its certificate slice and reply, the reply's signature, the
 // signer list and 3 signatures — the SPECORDER's 5 objects are gone from
@@ -54,15 +55,15 @@ func TestMemoizedDecodeAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	so, replies, cf := fastPathFrames()
+	_, replies, cf := fastPathFrames()
 	memo := codec.NewMemo()
-	m, err := memo.Unmarshal(codec.Marshal(so))
+	m, err := memo.Unmarshal(codec.Marshal(replies[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := m.(*SpecOrder)
+	held := m.(*SpecReply).SO
 	sent := replies[1] // what replica 1, the decoding node, sent
-	memo.Store(specReplyBytes(sent), sent)
+	memo.Sent.Store(specReplyBytes(sent), sent)
 	compact := &Commit{
 		Client: sent.Client, Timestamp: sent.Timestamp, Inst: sent.Inst, Seq: sent.Seq,
 		Cert: replies[:1], Sigs: cf.Sigs[:2], Sig: bytes.Repeat([]byte{0x5A}, 32),
@@ -115,22 +116,23 @@ func TestMemoizedDecodeAllocations(t *testing.T) {
 
 // TestMemoExactBytes: a hit needs the held span's exact bytes. Every
 // single-byte change to the SPECORDER a SPECREPLY embeds, with the original
-// held, either fails to decode or decodes to a new value that re-marshals to
-// the changed bytes; the held value is never returned for them.
+// held from an earlier reply, either fails to decode or decodes to a new
+// value that re-marshals to the changed bytes; the held value is never
+// returned for them.
 func TestMemoExactBytes(t *testing.T) {
 	for _, so := range []*SpecOrder{sampleSpecOrder(), batchedSpecOrder()} {
-		memo := codec.NewMemo()
-		m, err := memo.Unmarshal(codec.Marshal(so))
-		if err != nil {
-			t.Fatal(err)
-		}
-		held := m.(*SpecOrder)
 		reply := sampleSpecReply()
 		reply.SO = so
 		if len(so.Batch) > 0 {
 			reply.Batched, reply.SORef = true, so.CmdDigest
 		}
 		frame := codec.Marshal(reply)
+		memo := codec.NewMemo()
+		m, err := memo.Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := m.(*SpecReply).SO
 		span := specOrderBytes(so)
 		start := len(frame) - len(span) // the SPECORDER ends the frame
 		if !bytes.Equal(frame[start:], span) {
@@ -204,7 +206,7 @@ func TestMemoConcurrentDecoders(t *testing.T) {
 		defer wg.Done()
 		for round := 0; round < rounds; round++ {
 			for j := range sent {
-				memo.Store(sent[j], sentReplies[j])
+				memo.Sent.Store(sent[j], sentReplies[j])
 			}
 		}
 	}()
@@ -235,41 +237,70 @@ func TestMemoConcurrentDecoders(t *testing.T) {
 	}
 }
 
-// FuzzSpecOrderSpan pins the skip grammar a memoized decode uses to find a
-// SPECORDER's span against the decoder itself: whatever the decoder accepts,
-// the skip consumes exactly the same bytes; an accepted value re-marshals to
-// them; and the skip fails only on input the decoder also refuses.
+// memoSpanLimit is the longest span a codec.Memo keeps (codec's
+// maxMemoSpan); a longer one is never recalled.
+const memoSpanLimit = 1 << 10
+
+// checkHeldSpan pins what matching held bytes as a prefix rests on, for a
+// value v the decoder read from data as its first n bytes: v re-marshals to
+// exactly those bytes (enc); the span alone decodes to the same n bytes
+// (decode), so what follows a span never changes where it ends; and a memo
+// table holding v under the span recalls v from data and moves the reader
+// past exactly n bytes.
+func checkHeldSpan(t *testing.T, data []byte, n int, v codec.Message, table *codec.MemoTable,
+	enc func(codec.Message) []byte, decode func(*codec.Reader) (codec.Message, error)) {
+	t.Helper()
+	span := data[:n]
+	if !bytes.Equal(enc(v), span) {
+		t.Fatalf("accepted %x re-marshals to %x", span, enc(v))
+	}
+	alone := codec.NewReader(span)
+	if _, err := decode(alone); err != nil || alone.Offset() != n {
+		t.Fatalf("span %x alone: consumed %d of %d bytes, err %v", span, alone.Offset(), n, err)
+	}
+	table.Store(span, v)
+	r := codec.NewReader(data)
+	got := table.Recall(r, v.Tag())
+	switch {
+	case got == nil && n <= memoSpanLimit:
+		t.Fatalf("memo holding %x does not recall it from %x", span, data)
+	case got != nil && got != v:
+		t.Fatalf("memo recalled a %T other than the value it holds", got)
+	case got != nil && r.Offset() != n:
+		t.Fatalf("decoder consumed %d bytes, memo recall %d", n, r.Offset())
+	case got == nil && r.Offset() != 0:
+		t.Fatalf("missed recall moved the reader %d bytes", r.Offset())
+	}
+}
+
+// FuzzSpecOrderSpan pins the span a memoized decode holds a SPECORDER under
+// against the decoder itself: whatever the decoder accepts re-marshals to
+// the bytes it consumed, those bytes alone decode to the same span, and a
+// memo holding the value under that span recalls it from the input and
+// consumes exactly the bytes the decoder did.
 func FuzzSpecOrderSpan(f *testing.F) {
 	so, _, _ := fastPathFrames()
 	f.Add(specOrderBytes(so), false)
 	f.Add(specOrderBytes(batchedSpecOrder()), true)
 	f.Add(specOrderBytes(sampleSpecOrder()), false)
 	f.Fuzz(func(t *testing.T, data []byte, batched bool) {
+		decode := func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrder(r, batched) }
 		dr := codec.NewReader(data)
-		got, derr := decodeSpecOrderFmt(dr, batched)
-		sr := codec.NewReader(data)
-		serr := skipSpecOrder(sr, batched)
-		if derr != nil {
+		got, err := decodeSpecOrder(dr, batched)
+		if err != nil {
 			return
 		}
-		if serr != nil {
-			t.Fatalf("decoder accepted %x, skip failed: %v", data, serr)
-		}
-		if sr.Offset() != dr.Offset() {
-			t.Fatalf("decoder consumed %d bytes, skip %d", dr.Offset(), sr.Offset())
-		}
-		if !bytes.Equal(specOrderBytes(got), data[:dr.Offset()]) {
-			t.Fatalf("accepted %x re-marshals to %x", data[:dr.Offset()], specOrderBytes(got))
-		}
+		enc := func(m codec.Message) []byte { return specOrderBytes(m.(*SpecOrder)) }
+		checkHeldSpan(t, data, dr.Offset(), got, &codec.NewMemo().Decoded, enc, decode)
 	})
 }
 
-// FuzzSpecReplySpan pins the skip grammar a memoized decode uses to find the
-// span of a certificate's carried reply against the decoder itself, for
-// both layouts, with and without the SPECORDER: whatever the decoder
-// accepts, the skip consumes exactly the same bytes; an accepted value
-// re-marshals to them; and the skip fails only on input the decoder also
-// refuses.
+// FuzzSpecReplySpan pins the span a replica's memo holds a sent reply under
+// against the decoder a certificate's carried reply goes through, for both
+// layouts, with and without the SPECORDER: whatever the decoder accepts
+// re-marshals to the bytes it consumed, those bytes alone decode to the
+// same span, and a memo holding the value under that span recalls it from
+// the input and consumes exactly the bytes the decoder did.
 func FuzzSpecReplySpan(f *testing.F) {
 	so, replies, _ := fastPathFrames()
 	bare := *replies[1]
@@ -287,21 +318,75 @@ func FuzzSpecReplySpan(f *testing.F) {
 	f.Add(specReplyBytes(&batched), true)
 	f.Add(specReplyBytes(&slimmed), true)
 	f.Fuzz(func(t *testing.T, data []byte, batched bool) {
+		decode := func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, batched, true) }
 		dr := codec.NewReader(data)
-		got, derr := decodeSpecReplyFmt(dr, batched, true)
-		sr := codec.NewReader(data)
-		serr := skipSpecReply(sr, batched)
-		if derr != nil {
+		got, err := decodeSpecReplyFmt(dr, batched, true)
+		if err != nil {
 			return
 		}
-		if serr != nil {
-			t.Fatalf("decoder accepted %x, skip failed: %v", data, serr)
+		enc := func(m codec.Message) []byte { return specReplyBytes(m.(*SpecReply)) }
+		checkHeldSpan(t, data, dr.Offset(), got, &codec.NewMemo().Sent, enc, decode)
+	})
+}
+
+// FuzzMemoDecode: a frame decoded through a warm memo re-marshals to the
+// bytes a decode without one does, or fails with the same error. The memo
+// holds what replica 1 would hold once it decoded one reply and sent
+// another: the unbatched SPECORDER of fastPathFrames and replica 1's reply
+// to it. The seeds include frames of the batched layouts whose bytes begin
+// with those held spans: a batched SPECREPLY whose SPECORDER extends the
+// held one with more requests, and a batched COMMITFAST carrying replica
+// 1's unbatched reply bytes.
+func FuzzMemoDecode(f *testing.F) {
+	_, replies, cf := fastPathFrames()
+	warm := func(t *testing.T) *codec.Memo {
+		memo := codec.NewMemo()
+		if _, err := memo.Unmarshal(codec.Marshal(replies[0])); err != nil {
+			t.Fatal(err)
 		}
-		if sr.Offset() != dr.Offset() {
-			t.Fatalf("decoder consumed %d bytes, skip %d", dr.Offset(), sr.Offset())
-		}
-		if !bytes.Equal(specReplyBytes(got), data[:dr.Offset()]) {
-			t.Fatalf("accepted %x re-marshals to %x", data[:dr.Offset()], specReplyBytes(got))
+		memo.Sent.Store(specReplyBytes(replies[1]), replies[1])
+		return memo
+	}
+	self := types.ReplicaNode(1)
+	batched := *replies[2]
+	batched.SO = batchedSpecOrder()
+	batched.Batched, batched.SORef = true, batched.SO.CmdDigest
+	tailored := codec.AppendMarshalFor(nil, cf, self)
+	compact := &Commit{
+		Client: cf.Client, Timestamp: replies[1].Timestamp, Inst: cf.Inst, Seq: replies[1].Seq,
+		Cert: replies[:1], Sigs: cf.Sigs[:2], Sig: bytes.Repeat([]byte{0x5A}, 32),
+	}
+	for _, frame := range [][]byte{
+		codec.Marshal(replies[2]),
+		codec.Marshal(cf),
+		tailored,
+		codec.AppendMarshalFor(nil, compact, self),
+		codec.Marshal(&batched),
+		append([]byte{tagCommitFastBatch}, tailored[1:]...),
+	} {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		want, werr := codec.Unmarshal(frame)
+		got, gerr := warm(t).Unmarshal(frame)
+		switch {
+		case werr != nil || gerr != nil:
+			if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+				t.Fatalf("%x: without a memo %v, with one %v", frame, werr, gerr)
+			}
+		case !bytes.Equal(marshaled(got), marshaled(want)):
+			t.Fatalf("%x decodes through the memo to a %T that re-marshals to other bytes", frame, got)
 		}
 	})
+}
+
+// marshaled is m's encoding, or nil where m cannot be marshaled: a batched
+// POM decodes without its SPECORDERs, which replicas drop unread.
+func marshaled(m codec.Message) (b []byte) {
+	defer func() {
+		if recover() != nil {
+			b = nil
+		}
+	}()
+	return codec.Marshal(m)
 }

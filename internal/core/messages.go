@@ -87,12 +87,14 @@
 // per destination (codec.Tailored): each replica that signed gets its own
 // reply as the carried one, byte for byte as it sent it. A replica's
 // transport keeps every SPECREPLY it sends in its decode memo
-// (codec.KeptWhenSent), so the certificate decodes to the reply value the
-// replica already holds, SPECORDER included, and nothing of it is parsed
-// again. A replica that signed nothing, a COMMIT whose replies disagree, and
-// every replica on the mesh and the simulator get the one form MarshalTo
-// writes. What a replica stores of a COMMIT it writes in one form whichever
-// it was sent (Commit.marshalCanonical), so honest replicas' records agree.
+// (codec.KeptWhenSent), in a table of sent values where a reply stays until
+// the replica has answered dozens of later instances of its space, so the
+// certificate decodes to the reply value the replica already holds,
+// SPECORDER included, and nothing of it is parsed again. A replica that
+// signed nothing, a COMMIT whose replies disagree, and every replica on the
+// mesh and the simulator get the one form MarshalTo writes. What a replica
+// stores of a COMMIT it writes in one form whichever it was sent
+// (Commit.marshalCanonical), so honest replicas' records agree.
 //
 // # Where a replica's commits come from
 //
@@ -386,78 +388,37 @@ func (m *SpecOrder) MarshalBody(w *codec.Writer) {
 	w.Bytes32(m.CmdDigest)
 }
 
-func decodeSpecOrder(r *codec.Reader) (*SpecOrder, error) {
-	return decodeSpecOrderFmt(r, false)
-}
-
-// decodeSpecOrderFmt parses either SPECORDER layout; batched selects the
-// tag-21 layout with the trailing extra requests. It is the one decoder of a
-// SPECORDER, standalone or embedded. With a memo on the reader it skips over
-// the SPECORDER first and returns the value the memo holds for exactly those
-// bytes; otherwise it decodes them and hands the memo the result.
-func decodeSpecOrderFmt(r *codec.Reader, batched bool) (*SpecOrder, error) {
+// decodeEmbeddedSpecOrder parses the SPECORDER a reply or certificate
+// embeds, in the layout batched selects. With a memo on the reader it first
+// asks the memo for a SPECORDER of that layout whose bytes come next
+// (codec.MemoTable.Recall), and otherwise decodes them and hands the memo
+// the result, for the other replies that embed it. A standalone SPECORDER
+// is not held: a replica meets its bytes again only in a certificate it did
+// not sign, and a client gets one only as an SOFETCH answer, for a proposal
+// no reply it holds embeds.
+func decodeEmbeddedSpecOrder(r *codec.Reader, batched bool) (*SpecOrder, error) {
 	memo := r.Memo()
 	if memo == nil {
-		return parseSpecOrder(r, batched)
+		return decodeSpecOrder(r, batched)
 	}
-	start := r.Offset()
-	if err := skipSpecOrder(r, batched); err != nil {
-		return nil, err
+	tag := uint8(tagSpecOrder)
+	if batched {
+		tag = tagSpecOrderBatch
 	}
-	// The two layouts never share a span: the unbatched one is a strict
-	// prefix of the batched one.
-	span := r.Since(start)
-	so, ok := memo.Lookup(span).(*SpecOrder)
-	memo.Decoded.Count(ok)
-	if ok {
+	if so, ok := memo.Decoded.Recall(r, tag).(*SpecOrder); ok {
 		return so, nil
 	}
-	r.Rewind(start)
-	so, err := parseSpecOrder(r, batched)
-	if err != nil {
-		return nil, err
+	start := r.Offset()
+	so, err := decodeSpecOrder(r, batched)
+	if err == nil {
+		memo.Decoded.Store(r.Since(start), so)
 	}
-	if r.Offset() == start+len(span) { // always, as FuzzSpecOrderSpan pins
-		memo.Store(span, so)
-	}
-	return so, nil
+	return so, err
 }
 
-// skipSpecOrder moves r past a SPECORDER without decoding it. Wherever
-// parseSpecOrder succeeds, it succeeds too and consumes the same bytes.
-func skipSpecOrder(r *codec.Reader, batched bool) error {
-	r.Uvarint()
-	r.Instance()
-	r.SkipInstanceSet()
-	r.Uvarint()
-	r.Bytes32()
-	r.Bytes32()
-	r.SkipBlob()
-	skipRequest(r)
-	if batched {
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if n == 0 || n > maxBatch-2 {
-			return codec.ErrOverflow
-		}
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			skipRequest(r)
-		}
-	}
-	return r.Err()
-}
-
-// skipRequest moves r past a REQUEST.
-func skipRequest(r *codec.Reader) {
-	r.SkipCommand()
-	r.Int32()
-	r.SkipBlob()
-}
-
-// parseSpecOrder decodes a SPECORDER.
-func parseSpecOrder(r *codec.Reader, batched bool) (*SpecOrder, error) {
+// decodeSpecOrder decodes a SPECORDER; batched selects the tag-21 layout
+// with the trailing extra requests.
+func decodeSpecOrder(r *codec.Reader, batched bool) (*SpecOrder, error) {
 	m := &SpecOrder{
 		Owner:     types.OwnerNumber(r.Uvarint()),
 		Inst:      r.Instance(),
@@ -608,9 +569,9 @@ func decodeSpecOrderPtr(r *codec.Reader) (*SpecOrder, error) {
 	case fmtAbsent:
 		return nil, r.Err()
 	case fmtSingle:
-		return decodeSpecOrderFmt(r, false)
+		return decodeEmbeddedSpecOrder(r, false)
 	case fmtBatched:
-		return decodeSpecOrderFmt(r, true)
+		return decodeEmbeddedSpecOrder(r, true)
 	default:
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -671,64 +632,23 @@ func decodeSpecReplyFmt(r *codec.Reader, batched, withSO bool) (*SpecReply, erro
 	return m, r.Err()
 }
 
-// skipSpecReply moves r past a SPECREPLY and the SPECORDER pointer after it
-// without decoding them. Wherever decodeSpecReplyFmt(r, batched, true)
-// succeeds, it succeeds too and consumes the same bytes.
-func skipSpecReply(r *codec.Reader, batched bool) error {
-	r.Uvarint()
-	r.Instance()
-	r.SkipInstanceSet()
-	r.Uvarint()
-	r.Bytes32()
-	r.Int32()
-	r.Uvarint()
-	r.Int32()
-	r.Bool()
-	r.SkipBlob()
-	if batched {
-		if r.Uvarint() >= maxBatch {
-			return codec.ErrOverflow
-		}
-		r.Bytes32()
-	}
-	r.SkipBlob()
-	switch marker := r.Uint8(); marker {
-	case fmtAbsent:
-	case fmtSingle, fmtBatched:
-		return skipSpecOrder(r, marker == fmtBatched)
-	default:
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return codec.ErrUnknownType
-	}
-	return r.Err()
-}
-
 // decodeCarriedReply parses the reply a certificate carries with its
 // SPECORDER: a COMMITFAST's, or a COMMIT's first. The client sends each
 // replica that signed it the reply that replica sent (CommitFast.MarshalFor),
-// which the replica's memo holds, so with a memo on the reader it skips over
-// the reply first and returns the value the memo holds for exactly those
-// bytes; otherwise, or on a miss, it decodes them.
+// which the replica's transport keeps in its memo, so with a memo on the
+// reader it first asks the memo for a sent reply of that layout whose bytes
+// come next (codec.MemoTable.Recall); otherwise, or on a miss, it decodes
+// them.
 func decodeCarriedReply(r *codec.Reader, batched bool) (*SpecReply, error) {
-	memo := r.Memo()
-	if memo == nil {
-		return decodeSpecReplyFmt(r, batched, true)
+	if memo := r.Memo(); memo != nil {
+		tag := uint8(tagSpecReply)
+		if batched {
+			tag = tagSpecReplyBatch
+		}
+		if sr, ok := memo.Sent.Recall(r, tag).(*SpecReply); ok {
+			return sr, nil
+		}
 	}
-	start := r.Offset()
-	if err := skipSpecReply(r, batched); err != nil {
-		return nil, err
-	}
-	// A held reply's layout is its own; one in the other layout that
-	// happened to share these bytes is not this frame's reply.
-	sr, ok := memo.Lookup(r.Since(start)).(*SpecReply)
-	ok = ok && sr.Batched == batched
-	memo.Sent.Count(ok)
-	if ok {
-		return sr, nil
-	}
-	r.Rewind(start)
 	return decodeSpecReplyFmt(r, batched, true)
 }
 
@@ -1242,7 +1162,7 @@ func decodeHistEntry(r *codec.Reader) (HistEntry, error) {
 		if err := r.Err(); err != nil {
 			return h, err
 		}
-		// Same total-batch cap as decodeSpecOrderFmt (1+n ≤ MaxBatchSize).
+		// Same total-batch cap as decodeSpecOrder (1+n ≤ MaxBatchSize).
 		if n == 0 || n > maxBatch-2 {
 			return h, codec.ErrOverflow
 		}
@@ -1471,10 +1391,10 @@ func decodePOM(r *codec.Reader, batched bool) (*POM, error) {
 			return nil, err
 		}
 	} else {
-		if a, err = decodeSpecOrder(r); err != nil {
+		if a, err = decodeSpecOrder(r, false); err != nil {
 			return nil, err
 		}
-		if b, err = decodeSpecOrder(r); err != nil {
+		if b, err = decodeSpecOrder(r, false); err != nil {
 			return nil, err
 		}
 	}
@@ -1484,7 +1404,7 @@ func decodePOM(r *codec.Reader, batched bool) (*POM, error) {
 
 func init() {
 	codec.Register(tagRequest, "ezbft.Request", func(r *codec.Reader) (codec.Message, error) { return decodeRequest(r) })
-	codec.Register(tagSpecOrder, "ezbft.SpecOrder", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrder(r) })
+	codec.Register(tagSpecOrder, "ezbft.SpecOrder", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrder(r, false) })
 	codec.Register(tagSpecReply, "ezbft.SpecReply", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, false, true) })
 	codec.Register(tagCommitFast, "ezbft.CommitFast", func(r *codec.Reader) (codec.Message, error) { return decodeCommitFast(r, false) })
 	codec.Register(tagCommit, "ezbft.Commit", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, false, false) })
@@ -1494,7 +1414,7 @@ func init() {
 	codec.Register(tagOwnerChange, "ezbft.OwnerChange", func(r *codec.Reader) (codec.Message, error) { return decodeOwnerChange(r) })
 	codec.Register(tagNewOwner, "ezbft.NewOwner", func(r *codec.Reader) (codec.Message, error) { return decodeNewOwner(r) })
 	codec.Register(tagPOM, "ezbft.POM", func(r *codec.Reader) (codec.Message, error) { return decodePOM(r, false) })
-	codec.Register(tagSpecOrderBatch, "ezbft.SpecOrderB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrderFmt(r, true) })
+	codec.Register(tagSpecOrderBatch, "ezbft.SpecOrderB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecOrder(r, true) })
 	codec.Register(tagSpecReplyBatch, "ezbft.SpecReplyB", func(r *codec.Reader) (codec.Message, error) { return decodeSpecReplyFmt(r, true, true) })
 	codec.Register(tagCommitFastBatch, "ezbft.CommitFastB", func(r *codec.Reader) (codec.Message, error) { return decodeCommitFast(r, true) })
 	codec.Register(tagCommitBatch, "ezbft.CommitB", func(r *codec.Reader) (codec.Message, error) { return decodeCommit(r, true, false) })

@@ -34,7 +34,7 @@ func TestCertificateTailoredPerDestination(t *testing.T) {
 			cert, _ := msg.(certified).certificate()
 			sent := rig.specReply(rid, cert[0].SO) // what rid sent the client
 			memo := codec.NewMemo()
-			memo.Store(specReplyBytes(sent), sent)
+			memo.Sent.Store(specReplyBytes(sent), sent)
 			parent := codec.Marshal(msg)
 			tailored := codec.AppendMarshalFor(nil, msg, types.ReplicaNode(rid))
 			signed := int(rid) < tc.signers
@@ -86,7 +86,7 @@ func TestCatchupAgreesOnTailoredCommits(t *testing.T) {
 		} {
 			sent := rig.specReply(rid, so)
 			memo := codec.NewMemo()
-			memo.Store(specReplyBytes(sent), sent)
+			memo.Sent.Store(specReplyBytes(sent), sent)
 			out, err := memo.Unmarshal(frame)
 			if err != nil {
 				t.Fatal(err)

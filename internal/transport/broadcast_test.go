@@ -40,10 +40,16 @@ type tailoredMsg struct{ fakeMsg }
 
 func (m *tailoredMsg) MarshalFor(w *codec.Writer, to types.NodeID) { w.Uvarint(10*m.id + uint64(to)) }
 
-// keptMsg is a fakeMsg its sender keeps in its memo.
+// keptMsg is a fakeMsg its sender keeps in its memo. A memo keeps a value
+// by the instance its encoding names after an owner number, so it writes
+// one after its id.
 type keptMsg struct{ fakeMsg }
 
 func (m *keptMsg) KeepWhenSent() {}
+func (m *keptMsg) MarshalTo(w *codec.Writer) {
+	m.fakeMsg.MarshalTo(w)
+	w.Instance(types.InstanceID{Space: 1, Slot: 9})
+}
 
 // TestTCPSendAllEncodeOnce: SendAll writes one identical frame to every
 // peer; each receiver decodes the same logical message, and a self-send
@@ -125,7 +131,7 @@ func TestTCPSendAllEncodeOnce(t *testing.T) {
 	if err := peers[0].Send(types.ReplicaNode(0), types.ReplicaNode(1), kept); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if peers[0].memo.Lookup([]byte{5}) != codec.Message(kept) {
+	if peers[0].memo.Sent.Recall(codec.NewReader(codec.MarshalBody(kept)), kept.Tag()) != codec.Message(kept) {
 		t.Error("a sent KeptWhenSent message is not in the sender's memo")
 	}
 	for i := 1; i < n; i++ {

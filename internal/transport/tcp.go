@@ -101,8 +101,9 @@ type TCPPeer struct {
 	// memo is this node's alone: every connection's frames decode through
 	// it, so a SPECORDER embedded in replies and certificates is decoded
 	// once per node, and it keeps what the node sends of a
-	// codec.KeptWhenSent type, so a certificate carrying a replica's own
-	// SPECREPLY back decodes to the value the replica sent.
+	// codec.KeptWhenSent type in a table of their own (Memo.Sent), so a
+	// certificate carrying a replica's own SPECREPLY back decodes to the
+	// value the replica sent.
 	memo *codec.Memo
 
 	ln net.Listener
@@ -237,15 +238,15 @@ func (p *TCPPeer) Send(from, to types.NodeID, msg codec.Message) error {
 
 // encode appends msg's frame for destination to — length header, tag and
 // body, a codec.Tailored message's body for that destination — to dst. A
-// codec.KeptWhenSent message goes into the node's memo under the span it
-// marshaled to before any of it is written, so the message that carries it
-// back cannot be decoded first.
+// codec.KeptWhenSent message goes into the node's memo (Memo.Sent) under
+// the span it marshaled to before any of it is written, so the message that
+// carries it back cannot be decoded first.
 func (p *TCPPeer) encode(dst []byte, msg codec.Message, to types.NodeID) []byte {
 	frame := append(dst, 0, 0, 0, 0)
 	frame = codec.AppendMarshalFor(frame, msg, to)
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
 	if _, ok := msg.(codec.KeptWhenSent); ok {
-		p.memo.Store(frame[len(dst)+5:], msg) // after the length header and the tag
+		p.memo.Sent.Store(frame[len(dst)+5:], msg) // after the length header and the tag
 	}
 	return frame
 }

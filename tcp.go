@@ -221,10 +221,13 @@ func (r *TCPReplica) Replica() any { return r.rep }
 // StateDigest returns the replica's application state digest.
 func (r *TCPReplica) StateDigest() string { return r.app.Digest().String() }
 
-// memoStats returns the lookup counts of the replica's decode memo: Hits
-// and Misses those for a SPECORDER embedded in what the replica receives,
-// SentHits and SentMisses those for the SPECREPLY it gets back in a
-// client's certificate. Safe to call while the replica runs.
+// memoStats returns the lookup counts of the replica's decode memo:
+// SentHits and SentMisses those in its table of sent values, one per
+// certificate carrying a reply, a hit where it is the replica's own
+// SPECREPLY; Hits and Misses those in its table of decoded values, one per
+// embedded SPECORDER it decodes outside its own replies (in a certificate it
+// did not sign, an owner-change history or a POM). Safe to call while the
+// replica runs.
 func (r *TCPReplica) memoStats() codec.MemoStats { return r.peer.MemoStats() }
 
 // Close stops the replica, its transport, and its durable store. The
